@@ -2,8 +2,7 @@
 //! thread pool, deterministically.
 
 use crate::{Instance, Solution, SolveConfig, SolveError, SolverRegistry};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use lmds_graph::par;
 
 /// One unit of batch work: solver key + config, applied to one instance
 /// of the batch.
@@ -36,46 +35,27 @@ pub struct BatchRecord {
 /// Fans (job × instance) cells across worker threads. Output order is
 /// deterministic — `records[j * instances.len() + i]` is job `j` on
 /// instance `i` — regardless of scheduling.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchRunner {
-    threads: usize,
-}
-
-impl Default for BatchRunner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchRunner;
 
 impl BatchRunner {
-    /// A runner sized to the machine (`available_parallelism`, capped
-    /// at 8 — solves are short; more threads just thrash).
+    /// A runner; its worker count follows the [`lmds_graph::par`]
+    /// policy (the machine's parallelism, capped at 8 and at the cell
+    /// count).
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map_or(4, |p| p.get()).min(8);
-        BatchRunner { threads }
-    }
-
-    /// A runner with an explicit thread count (≥ 1).
-    pub fn with_threads(threads: usize) -> Self {
-        BatchRunner { threads: threads.max(1) }
-    }
-
-    /// The worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        BatchRunner
     }
 
     /// Runs every job against every instance. Errors are per-record
     /// (an unknown key or unsupported mode fails that cell only).
     ///
-    /// Each worker thread owns a pooled `lmds_graph::Scratch` (the
-    /// thread-local pool behind every ball/component/domination query),
-    /// pre-sized here to the largest instance of the batch — so the
-    /// solver loop reuses one set of traversal buffers per worker
-    /// instead of allocating per call. Distributed jobs share the same
-    /// pools: the oracle runtime's per-vertex ball queries run on the
-    /// worker's warmed scratch, and a sharded-oracle job's shard
-    /// threads warm their own scratch once per solve.
+    /// The cells drain across workers off a shared index. Each worker
+    /// thread owns a pooled `lmds_graph::Scratch` (the thread-local pool
+    /// behind every ball/component/domination query), grown to the
+    /// largest instance of the batch — so the solver loop reuses one set
+    /// of traversal buffers per worker instead of allocating per call.
+    /// Distributed jobs share the same pools: the oracle's per-vertex
+    /// ball queries run on the worker's warmed scratch.
     pub fn run(
         &self,
         registry: &SolverRegistry,
@@ -83,49 +63,43 @@ impl BatchRunner {
         instances: &[Instance],
     ) -> Vec<BatchRecord> {
         let total = jobs.len() * instances.len();
+        Self::run_on(registry, jobs, instances, par::workers(total, 0, total))
+    }
+
+    /// [`BatchRunner::run`] on an explicit worker count.
+    fn run_on(
+        registry: &SolverRegistry,
+        jobs: &[BatchJob],
+        instances: &[Instance],
+        workers: usize,
+    ) -> Vec<BatchRecord> {
+        let total = jobs.len() * instances.len();
         let max_n = instances.iter().map(Instance::n).max().unwrap_or(0);
-        let slots: Mutex<Vec<Option<BatchRecord>>> = Mutex::new((0..total).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(total.max(1)) {
-                scope.spawn(|| {
-                    lmds_graph::scratch::with_thread_scratch(|s| s.reserve(max_n));
-                    loop {
-                        let cell = next.fetch_add(1, Ordering::Relaxed);
-                        if cell >= total {
-                            break;
-                        }
-                        let (j, i) = (cell / instances.len(), cell % instances.len());
-                        let job = &jobs[j];
-                        let inst = &instances[i];
-                        let result = registry.solve(&job.solver, inst, &job.config);
-                        // Every batch solution passes the full
-                        // certificate recheck in debug builds.
-                        #[cfg(debug_assertions)]
-                        if let Ok(sol) = &result {
-                            if let Err(e) = sol.verify(inst) {
-                                panic!(
-                                    "batch solution {}/{} failed verification: {e}",
-                                    job.solver, inst.name
-                                );
-                            }
-                        }
-                        let record = BatchRecord {
-                            instance: inst.name.clone(),
-                            solver: job.solver.clone(),
-                            result,
-                        };
-                        slots.lock().expect("batch mutex")[cell] = Some(record);
+        let per_worker =
+            par::drain(workers, total, |done: &mut Vec<(usize, BatchRecord)>, cell| {
+                lmds_graph::scratch::with_thread_scratch(|s| s.reserve(max_n));
+                let (j, i) = (cell / instances.len(), cell % instances.len());
+                let job = &jobs[j];
+                let inst = &instances[i];
+                let result = registry.solve(&job.solver, inst, &job.config);
+                // Every batch solution passes the full certificate recheck
+                // in debug builds.
+                #[cfg(debug_assertions)]
+                if let Ok(sol) = &result {
+                    if let Err(e) = sol.verify(inst) {
+                        panic!(
+                            "batch solution {}/{} failed verification: {e}",
+                            job.solver, inst.name
+                        );
                     }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("batch mutex")
-            .into_iter()
-            .map(|r| r.expect("every cell filled"))
-            .collect()
+                }
+                let record =
+                    BatchRecord { instance: inst.name.clone(), solver: job.solver.clone(), result };
+                done.push((cell, record));
+            });
+        let mut records: Vec<(usize, BatchRecord)> = per_worker.into_iter().flatten().collect();
+        records.sort_unstable_by_key(|&(cell, _)| cell);
+        records.into_iter().map(|(_, record)| record).collect()
     }
 }
 
@@ -153,19 +127,30 @@ mod tests {
             ),
         ];
         let instances = corpus();
-        let a = BatchRunner::with_threads(4).run(&registry, &jobs, &instances);
-        let b = BatchRunner::with_threads(1).run(&registry, &jobs, &instances);
-        assert_eq!(a.len(), 6);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.instance, y.instance);
-            assert_eq!(x.solver, y.solver);
-            let (sx, sy) = (x.result.as_ref().unwrap(), y.result.as_ref().unwrap());
-            assert_eq!(sx.vertices, sy.vertices, "thread count must not change results");
+        // Forced worker counts (the production policy may resolve to
+        // one worker): every count reproduces the direct solves, in
+        // row-major order.
+        for workers in [1, 2, 4, 7] {
+            let records = BatchRunner::run_on(&registry, &jobs, &instances, workers);
+            assert_eq!(records.len(), 6);
+            for (cell, rec) in records.iter().enumerate() {
+                let (job, inst) = (&jobs[cell / 3], &instances[cell % 3]);
+                assert_eq!(
+                    (rec.solver.as_str(), rec.instance.as_str()),
+                    (&*job.solver, &*inst.name)
+                );
+                let direct = registry.solve(&job.solver, inst, &job.config).unwrap();
+                assert_eq!(
+                    rec.result.as_ref().unwrap().vertices,
+                    direct.vertices,
+                    "workers={workers} cell={cell}"
+                );
+            }
+            // Row-major: job 0 covers the instances first.
+            assert_eq!(records[0].solver, "mds/theorem44");
+            assert_eq!(records[0].instance, "path12");
+            assert_eq!(records[3].solver, "mds/trees-folklore");
         }
-        // Row-major: job 0 covers the instances first.
-        assert_eq!(a[0].solver, "mds/theorem44");
-        assert_eq!(a[0].instance, "path12");
-        assert_eq!(a[3].solver, "mds/trees-folklore");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The uniform solve configuration: problem, execution mode, LOCAL
-//! scenario (identifier policy, round cap, shard threads), radii,
-//! ablation options — one builder shared by every solver.
+//! scenario (identifier policy, round cap, fault plan), radii, ablation
+//! options — one builder shared by every solver.
 
 use lmds_asdim::ControlFunction;
 use lmds_core::{PipelineOptions, Radii};
@@ -37,7 +37,7 @@ impl std::fmt::Display for Problem {
 }
 
 /// How a solver executes: the centralized reference, or a LOCAL
-/// simulation on one of the pluggable [`RuntimeKind`] backends.
+/// simulation of one [`RuntimeKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Centralized reference implementation (no simulator).
@@ -53,12 +53,14 @@ impl ExecutionMode {
     /// Faithful synchronous message passing (message bits accounted).
     pub const LOCAL_MESSAGE_PASSING: ExecutionMode =
         ExecutionMode::Local(RuntimeKind::MessagePassing);
-    /// Oracle semantics sharded across worker threads (bit-identical
-    /// outputs).
+    /// The oracle under its sharded label (identical to
+    /// [`ExecutionMode::LOCAL_ORACLE`]; the oracle shards itself on
+    /// large graphs).
     pub const LOCAL_SHARDED: ExecutionMode = ExecutionMode::Local(RuntimeKind::ShardedOracle);
     /// Message passing under the scenario's [`FaultConfig`] (drops,
     /// crash-stop vertices, bounded skew); bit-identical to
-    /// [`ExecutionMode::LOCAL_MESSAGE_PASSING`] when the plan is empty.
+    /// [`ExecutionMode::LOCAL_MESSAGE_PASSING`] when the plan is empty,
+    /// plus the fault report.
     pub const LOCAL_FAULTY: ExecutionMode = ExecutionMode::Local(RuntimeKind::Faulty);
 
     /// All modes, in the order batch sweeps iterate them.
@@ -95,9 +97,9 @@ impl std::fmt::Display for ExecutionMode {
 }
 
 /// The LOCAL scenario knobs: how identifiers are assigned, how many
-/// rounds the simulation may take, and how many worker threads the
-/// sharded runtime uses. Ignored by centralized runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// rounds the simulation may take, and which faults it injects.
+/// Ignored by centralized runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScenarioConfig {
     /// Identifier-assignment override: `None` uses the instance's own
     /// assignment, `Some(policy)` re-assigns per [`IdPolicy`]
@@ -106,25 +108,11 @@ pub struct ScenarioConfig {
     /// Upper bound on simulated rounds; `None` ⟹ a solver-specific
     /// safe default.
     pub round_cap: Option<u32>,
-    /// Worker threads for [`ExecutionMode::LOCAL_SHARDED`] (clamped to
-    /// ≥ 1 at use).
-    pub threads: usize,
     /// The fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs: seeded
     /// message drops, crash-stop vertices, bounded round-asynchrony.
     /// An inactive (all-zero) plan is the default; an *active* plan on
     /// any other runtime is rejected as unsupported options.
     pub fault: FaultConfig,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            id_policy: None,
-            round_cap: None,
-            threads: 4,
-            fault: FaultConfig::default(),
-        }
-    }
 }
 
 /// The uniform configuration every [`crate::Solver::solve`] call takes.
@@ -150,7 +138,7 @@ pub struct SolveConfig {
     pub problem: Problem,
     /// Execution mode; solvers reject unsupported modes.
     pub mode: ExecutionMode,
-    /// The LOCAL scenario (id policy, round cap, shard threads).
+    /// The LOCAL scenario (id policy, round cap, fault plan).
     pub scenario: ScenarioConfig,
     /// Pipeline radii for the Algorithm 1/2 family (ignored by the
     /// 3-round and folklore solvers). [`SolveConfig::radii`] and
@@ -232,12 +220,6 @@ impl SolveConfig {
         self
     }
 
-    /// Sets the worker-thread count for the sharded runtime.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.scenario.threads = threads.max(1);
-        self
-    }
-
     /// Sets the fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs.
     pub fn fault(mut self, fault: FaultConfig) -> Self {
         self.scenario.fault = fault;
@@ -302,13 +284,11 @@ mod tests {
     fn builder_chains() {
         let cfg = SolveConfig::mvc()
             .mode(ExecutionMode::LOCAL_SHARDED)
-            .threads(0)
             .round_cap(7)
             .opt_budget(10)
             .id_policy(IdPolicy::Sequential);
         assert_eq!(cfg.problem, Problem::MinVertexCover);
         assert_eq!(cfg.mode, ExecutionMode::Local(lmds_localsim::RuntimeKind::ShardedOracle));
-        assert_eq!(cfg.scenario.threads, 1, "threads clamp to ≥ 1");
         assert_eq!(cfg.scenario.round_cap, Some(7));
         assert_eq!(cfg.scenario.id_policy, Some(IdPolicy::Sequential));
         assert_eq!(cfg.opt_budget, 10);

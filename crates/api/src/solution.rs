@@ -9,6 +9,10 @@ use lmds_graph::{Vertex, VertexSet};
 use lmds_localsim::FaultReport;
 use std::time::Duration;
 
+// The intermediate sets of the Algorithm 1 pipeline family are defined
+// once, by the pipeline itself.
+pub use lmds_core::PipelineDiagnostics;
+
 /// Validity certificate, checked against the instance graph with the
 /// problem's own predicate (`is_dominating_set` / `is_vertex_cover`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,25 +90,6 @@ pub struct Optimum {
     pub exact: bool,
 }
 
-/// Intermediate sets of the Algorithm 1 pipeline, surfaced for the
-/// lemma-level experiments (Lemmas 3.2/3.3/4.2 all measure them).
-#[derive(Debug, Clone, Default)]
-pub struct PipelineDiagnostics {
-    /// Vertices kept by the twin reduction.
-    pub kept: VertexSet,
-    /// `X`: local-1-cut vertices of the quotient.
-    pub x_set: VertexSet,
-    /// `I`: interesting local-2-cut vertices (MDS) or all 2-cut
-    /// vertices (MVC variant).
-    pub i_set: VertexSet,
-    /// `U`: dominated vertices with no undominated neighbor (MDS only).
-    pub u_set: VertexSet,
-    /// Vertices added by the brute-force step.
-    pub brute_selected: VertexSet,
-    /// Residual components solved exactly.
-    pub residual_components: Vec<VertexSet>,
-}
-
 /// The uniform output of every [`crate::Solver::solve`] call.
 #[derive(Debug, Clone)]
 pub struct Solution {
@@ -130,7 +115,8 @@ pub struct Solution {
     /// The optimum this solution was measured against, when available
     /// (ground truth, or measured when the config asked for it).
     pub optimum: Option<Optimum>,
-    /// Pipeline internals (Algorithm 1 family only).
+    /// Pipeline internals (centralized Algorithm 1 family only): the
+    /// intermediate sets behind `vertices`, which are not repeated here.
     pub diagnostics: Option<PipelineDiagnostics>,
     /// What the fault plan actually did, for
     /// [`ExecutionMode::LOCAL_FAULTY`](crate::ExecutionMode) runs

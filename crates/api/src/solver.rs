@@ -211,7 +211,9 @@ fn fault_grace(cfg: &SolveConfig) -> Option<u32> {
 /// grace-and-skew headroom so default fault runs terminate.
 fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
     let fault = cfg.scenario.fault;
-    cfg.scenario.round_cap.unwrap_or(default + fault.grace() + fault.skew)
+    cfg.scenario
+        .round_cap
+        .unwrap_or(default.saturating_add(fault.grace()).saturating_add(fault.skew))
 }
 
 /// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL scenario:
@@ -265,9 +267,7 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         let stats = MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
         return Ok((vertices, Some(run.rounds), Some(stats), Some(run.report)));
     }
-    // max(1): SolveConfig's fields are public, so a hand-built
-    // threads: 0 must not turn into a div_ceil panic downstream.
-    let res = kind.run(&inst.graph, ids, algo, cap, cfg.scenario.threads.max(1))?;
+    let res = kind.run(&inst.graph, ids, algo, cap)?;
     let vertices: Vec<Vertex> =
         res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
     let stats = MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
@@ -376,15 +376,8 @@ fn solve_pipeline(
     let started = Instant::now();
     if cfg.mode == ExecutionMode::Centralized {
         let out = algorithm1_with(&inst.graph, &inst.ids, radii, cfg.options);
-        let diagnostics = PipelineDiagnostics {
-            kept: out.kept,
-            x_set: out.x_set,
-            i_set: out.i_set,
-            u_set: out.u_set,
-            brute_selected: out.brute_selected,
-            residual_components: out.residual_components,
-        };
-        return Ok(finish(key, inst, cfg, started, out.solution, None, None, Some(diagnostics)));
+        let diagnostics = Some(out.diagnostics);
+        return Ok(finish(key, inst, cfg, started, out.solution, None, None, diagnostics));
     }
     if cfg.options != PipelineOptions::default() {
         return Err(SolveError::UnsupportedOptions {

@@ -143,7 +143,7 @@ fn kernel_benches(iters: u32) -> Vec<BenchRow> {
         .collect();
     let sweep_iters = iters.min(5);
     let (stats, sum) = sample(sweep_iters, || {
-        BatchRunner::with_threads(4)
+        BatchRunner::new()
             .run(&registry, &jobs, &instances)
             .iter()
             .map(|r| r.result.as_ref().expect("sweep solve").size())
@@ -344,10 +344,8 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
     ];
     for (key, inst) in cases {
         for kind in RuntimeKind::ALL {
-            let cfg = SolveConfig::mds()
-                .mode(ExecutionMode::Local(kind))
-                .radii(Radii::practical(2, 3))
-                .threads(4);
+            let cfg =
+                SolveConfig::mds().mode(ExecutionMode::Local(kind)).radii(Radii::practical(2, 3));
             let mut last = None;
             let (stats_us, checksum) = sample(iters, || {
                 let sol = registry.solve(key, inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
@@ -620,7 +618,7 @@ fn main() {
         ("mds/trees-folklore", &tree, SolveConfig::mds().mode(ExecutionMode::LOCAL_ORACLE)),
         ("mds/theorem44", &outer, SolveConfig::mds()),
         ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_ORACLE)),
-        ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_SHARDED).threads(4)),
+        ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_SHARDED)),
         ("mds/algorithm1", &aug, SolveConfig::mds().radii(radii)),
         ("mds/algorithm1", &aug, SolveConfig::mds().radii(radii).mode(ExecutionMode::LOCAL_ORACLE)),
         ("mds/take-all", &aug, SolveConfig::mds()),

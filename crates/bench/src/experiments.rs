@@ -856,7 +856,7 @@ pub fn exp_registry_sweep() -> Table {
 }
 
 /// S1 — the LOCAL sweep: every distributed registry solver executed on
-/// all three runtime backends under sequential and adversarial
+/// all four runtime kinds under sequential and adversarial
 /// identifier policies, recording rounds, message bits (measured vs
 /// n/a), and the decided-at histogram. The experiment also *asserts*
 /// runtime equivalence: all backends must return the identical vertex
@@ -896,8 +896,7 @@ pub fn exp_local_sweep() -> Table {
                     let mut cfg = SolveConfig::new(solver.problem())
                         .mode(ExecutionMode::Local(kind))
                         .radii(Radii::practical(2, 2))
-                        .id_policy(policy)
-                        .threads(3);
+                        .id_policy(policy);
                     if key == "mds/algorithm2" {
                         cfg =
                             cfg.control(lmds_asdim::ControlFunction::Affine { a: 1, b: 1, dim: 1 });
@@ -968,13 +967,13 @@ pub fn large_augmentation(target_n: usize, seed: u64) -> Instance {
 /// S2 — the large-instance LOCAL sweep the `CutEngine` unlocks:
 /// `mds/algorithm1` on instances one to two orders of magnitude past
 /// the previous n≈41 ceiling (n ≥ 500 and n ≥ 1000 augmentations, and
-/// an n ≥ 1000 sparse outerplanar graph), on both oracle backends,
+/// an n ≥ 1000 sparse outerplanar graph), under both oracle kinds,
 /// asserting bit-identical outputs across them.
 ///
 /// The message-passing backend is deliberately excluded here: its
 /// per-round view floods cost `O(Σ_v |view_v| · deg(v))` and dominate
 /// the sweep at this scale without testing anything the small-instance
-/// [`exp_local_sweep`] rows do not already pin down (all three backends
+/// [`exp_local_sweep`] rows do not already pin down (all four kinds
 /// are asserted bit-identical there). This experiment also stays out of
 /// the golden suite — the pre-existing `local-sweep` snapshot is the
 /// drift gate and remains byte-identical.
@@ -995,10 +994,8 @@ pub fn exp_local_sweep_large() -> Table {
     for inst in &instances {
         let mut reference: Option<(Vec<usize>, Option<u32>)> = None;
         for kind in [RuntimeKind::Oracle, RuntimeKind::ShardedOracle] {
-            let cfg = SolveConfig::mds()
-                .mode(ExecutionMode::Local(kind))
-                .radii(Radii::practical(2, 2))
-                .threads(4);
+            let cfg =
+                SolveConfig::mds().mode(ExecutionMode::Local(kind)).radii(Radii::practical(2, 2));
             let sol = solve("mds/algorithm1", inst, &cfg);
             assert!(sol.is_valid(), "mds/algorithm1 {kind} on {}", inst.name);
             match &reference {

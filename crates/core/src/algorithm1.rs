@@ -22,9 +22,8 @@
 
 use crate::local_cuts;
 use crate::radii::Radii;
-use lmds_graph::{ExactBackend, FixedBitSet, Graph, InducedSubgraph, Vertex};
+use lmds_graph::{par, ExactBackend, Graph, InducedSubgraph, Vertex, VertexSet};
 use lmds_localsim::IdAssignment;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this quotient size the dominated/`U` mask passes stay
 /// sequential — they are O(n + m) sweeps, so the scoped-thread spawn
@@ -37,33 +36,34 @@ const MASK_PARALLEL_THRESHOLD: usize = 1 << 14;
 /// at the same (small) scale the CutEngine shards at.
 const RESIDUAL_PARALLEL_THRESHOLD: usize = 640;
 
-/// Worker count for the sharded pipeline phases (same policy as the
-/// CutEngine sweeps).
-fn worker_count(items: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, |c| c.get()).min(8).min(items.max(1))
+/// The intermediate sets of the pipeline, exposed for the lemma-level
+/// experiments (Lemmas 3.2, 3.3, 4.2 all measure them). Every set holds
+/// host vertices, sorted.
+#[derive(Debug, Clone, Default)]
+pub struct PipelineDiagnostics {
+    /// Vertices kept by the twin reduction.
+    pub kept: VertexSet,
+    /// `X`: local-1-cut vertices of the quotient.
+    pub x_set: VertexSet,
+    /// `I`: interesting local-2-cut vertices of the quotient (MDS), or
+    /// all local-2-cut vertices (the MVC variant).
+    pub i_set: VertexSet,
+    /// `U`: dominated vertices with no undominated neighbor (MDS only).
+    pub u_set: VertexSet,
+    /// Vertices added by the brute-force step.
+    pub brute_selected: VertexSet,
+    /// Residual components of `R − (S ∪ U)`, each solved exactly.
+    pub residual_components: Vec<VertexSet>,
 }
 
-/// Everything the pipeline computes, exposed for the lemma-level
-/// experiments (Lemmas 3.2, 3.3, 4.2 all measure intermediate sets).
+/// What the pipeline returns: the dominating set and the intermediate
+/// sets behind it.
 #[derive(Debug, Clone)]
 pub struct Algorithm1Output {
     /// The returned dominating set (host vertices, sorted).
     pub solution: Vec<Vertex>,
-    /// Vertices kept by the twin reduction (host, sorted).
-    pub kept: Vec<Vertex>,
-    /// `X`: local-1-cut vertices of the quotient (host, sorted).
-    pub x_set: Vec<Vertex>,
-    /// `I`: interesting local-2-cut vertices of the quotient (host,
-    /// sorted).
-    pub i_set: Vec<Vertex>,
-    /// `U`: dominated vertices with no undominated neighbor (host,
-    /// sorted).
-    pub u_set: Vec<Vertex>,
-    /// Residual components of `R − (S ∪ U)` (host vertices, each
-    /// sorted).
-    pub residual_components: Vec<Vec<Vertex>>,
-    /// Vertices added by the brute-force step (host, sorted).
-    pub brute_selected: Vec<Vertex>,
+    /// The intermediate sets.
+    pub diagnostics: PipelineDiagnostics,
 }
 
 /// Per-vertex masks over the twin-free quotient `R`, the shared state of
@@ -154,82 +154,32 @@ pub fn pipeline_state_with(
         (x, i)
     });
     let s: Vec<bool> = (0..rn).map(|v| x[v] || i[v]).collect();
-    let workers = if rn >= MASK_PARALLEL_THRESHOLD { worker_count(rn) } else { 1 };
+    let workers = par::workers(rn, MASK_PARALLEL_THRESHOLD, rn);
     let (dominated, u) = domination_masks(rg, &s, workers);
     PipelineState { kept_mask, reduced, x, i, s, dominated, u }
 }
 
 /// Computes the dominated mask `N_R[S]` and the `U` filter (distance-≤2
-/// information from `S`) over the quotient `rg`, sharded across
-/// `workers` scoped threads. The dominated mask is built as packed
-/// bitsets — workers scatter into private shards that merge by
-/// word-wise OR — so the result is independent of worker count and
-/// schedule.
+/// information from `S`) over the quotient `rg` on `workers` workers.
+/// The dominated mask is built as packed bitsets — workers scatter into
+/// private masks that merge by word-wise OR — so the result is
+/// independent of worker count and schedule.
 fn domination_masks(rg: &Graph, s: &[bool], workers: usize) -> (Vec<bool>, Vec<bool>) {
-    let rn = rg.n();
-    let parallel = workers > 1 && rn > 1;
-    let scatter = |bits: &mut FixedBitSet, lo: usize, hi: usize| {
-        for (v, &in_s) in s.iter().enumerate().take(hi).skip(lo) {
-            if in_s {
-                bits.set(v);
-                for &w in rg.neighbors(v) {
-                    bits.set(w as usize);
-                }
+    let dominated = par::or_masks(workers, rg.n(), &mut (), |_, range, bits| {
+        for v in range.filter(|&v| s[v]) {
+            bits.set(v);
+            for &w in rg.neighbors(v) {
+                bits.set(w as usize);
             }
         }
-    };
-    let dominated_bits = if parallel {
-        let chunk = rn.div_ceil(workers);
-        let partials: Vec<FixedBitSet> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|ci| {
-                    let lo = (ci * chunk).min(rn);
-                    let hi = ((ci + 1) * chunk).min(rn);
-                    let scatter = &scatter;
-                    scope.spawn(move || {
-                        let mut bits = FixedBitSet::zeros(rn);
-                        scatter(&mut bits, lo, hi);
-                        bits
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("domination shard worker")).collect()
-        });
-        let mut acc = FixedBitSet::zeros(rn);
-        for p in &partials {
-            acc.union_with(p);
-        }
-        acc
-    } else {
-        let mut bits = FixedBitSet::zeros(rn);
-        scatter(&mut bits, 0, rn);
-        bits
-    };
-    let u_of = |v: Vertex| {
-        dominated_bits.contains(v)
+    });
+    let mut u = vec![false; rg.n()];
+    par::map_chunks(workers, &mut u, &mut (), |_, v| {
+        dominated.contains(v)
             && !s[v]
-            && rg.neighbors(v).iter().all(|&w| dominated_bits.contains(w as usize))
-    };
-    let mut u = vec![false; rn];
-    if parallel {
-        let chunk = rn.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (ci, out) in u.chunks_mut(chunk).enumerate() {
-                let lo = ci * chunk;
-                let u_of = &u_of;
-                scope.spawn(move || {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        *slot = u_of(lo + j);
-                    }
-                });
-            }
-        });
-    } else {
-        for (v, slot) in u.iter_mut().enumerate() {
-            *slot = u_of(v);
-        }
-    }
-    (dominated_bits.to_bools(), u)
+            && rg.neighbors(v).iter().all(|&w| dominated.contains(w as usize))
+    });
+    (dominated.to_bools(), u)
 }
 
 /// Solves one residual component exactly and canonically: the instance
@@ -301,10 +251,10 @@ pub fn solve_component_with(
 
 /// Solves every residual component (sorted, deduped union of the
 /// per-component exact solutions, in host indices). Components are
-/// independent exact instances; with `workers > 1` scoped threads drain
-/// them from a shared atomic index — each worker gets its own
-/// thread-local exact engine, and the final sort erases the claim
-/// order, so the result is independent of scheduling.
+/// independent exact instances drained from a shared index by
+/// `workers` workers — each on its own thread-local exact engine — and
+/// the final sort erases the claim order, so the result is independent
+/// of scheduling.
 fn solve_residuals(
     state: &PipelineState,
     ids: &[u64],
@@ -312,37 +262,10 @@ fn solve_residuals(
     exact: bool,
     workers: usize,
 ) -> Vec<Vertex> {
-    let mut selected: Vec<Vertex> = Vec::new();
-    if workers > 1 && comps.len() > 1 {
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<Vertex>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut mine: Vec<Vertex> = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(comp) = comps.get(k) else { break };
-                            mine.extend(solve_component_with(state, ids, comp, exact));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("residual solve worker")).collect()
-        });
-        for mine in per_worker {
-            selected.extend(mine);
-        }
-    } else {
-        for comp in comps {
-            selected.extend(solve_component_with(state, ids, comp, exact));
-        }
-    }
-    selected.sort_unstable();
-    selected.dedup();
-    selected
+    let per_worker = par::drain(workers, comps.len(), |mine: &mut Vec<Vertex>, k| {
+        mine.extend(solve_component_with(state, ids, &comps[k], exact));
+    });
+    lmds_graph::canonical_set(per_worker.into_iter().flatten())
 }
 
 /// The residual components of `R − (S ∪ U)` in `R`-local indices.
@@ -380,7 +303,7 @@ pub fn algorithm1_with(
     let kept: Vec<Vertex> = g.vertices().filter(|&v| state.kept_mask[v]).collect();
 
     let comps = residual_components(&state);
-    let workers = if rg_n >= RESIDUAL_PARALLEL_THRESHOLD { worker_count(comps.len()) } else { 1 };
+    let workers = par::workers(rg_n, RESIDUAL_PARALLEL_THRESHOLD, comps.len());
     let brute_selected = solve_residuals(&state, &id_vec, &comps, opts.exact_brute, workers);
 
     let mut solution: Vec<Vertex> = Vec::new();
@@ -401,12 +324,14 @@ pub fn algorithm1_with(
 
     Algorithm1Output {
         solution,
-        kept,
-        x_set,
-        i_set,
-        u_set,
-        residual_components: residual_host,
-        brute_selected,
+        diagnostics: PipelineDiagnostics {
+            kept,
+            x_set,
+            i_set,
+            u_set,
+            brute_selected,
+            residual_components: residual_host,
+        },
     }
 }
 
@@ -460,19 +385,19 @@ mod tests {
         // the *theoretical* radius matters for the ratio).
         let g = cycle(20);
         let out = run(&g, 2, 2);
-        assert_eq!(out.x_set.len(), 20);
+        assert_eq!(out.diagnostics.x_set.len(), 20);
         // With the ball wrapping radius, no local 1-cuts: the cycle is
         // solved by brute force on bounded components... but a full
         // cycle has no cuts at all, so S = ∅ and one residual component.
         let out2 = run(&g, 10, 10);
-        assert!(out2.x_set.is_empty());
+        assert!(out2.diagnostics.x_set.is_empty());
         // ... but every vertex of a long cycle is *interesting* at the
         // wrapping radius (C_{≥6} behaves like the C6 example in §5.3),
         // so the solution is still all of V. The ratio is rescued only
         // by Lemma 3.2/3.3's counting at the theoretical radius, which
         // exceeds n here — on graphs this small the cycle is simply a
         // constant-size instance.
-        assert_eq!(out2.i_set.len(), 20);
+        assert_eq!(out2.diagnostics.i_set.len(), 20);
         assert!(is_dominating_set(&g, &out2.solution));
     }
 
@@ -495,7 +420,7 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         let ids = IdAssignment::from_ids(vec![5, 1, 9]);
         let out = algorithm1(&g, &ids, Radii::practical(2, 2));
-        assert_eq!(out.kept, vec![1]);
+        assert_eq!(out.diagnostics.kept, vec![1]);
         assert!(is_dominating_set(&g, &out.solution));
         assert_eq!(out.solution, vec![1]);
     }
@@ -506,7 +431,7 @@ mod tests {
         // residual into pieces whose diameter is O(radius), not O(n).
         let g = lmds_gen::ding::strip(20);
         let out = run(&g, 2, 3);
-        for comp in &out.residual_components {
+        for comp in &out.diagnostics.residual_components {
             let sub = lmds_graph::InducedSubgraph::new(&g, comp);
             if let Some(d) = lmds_graph::bfs::diameter(&sub.graph) {
                 assert!(d <= 16, "component diameter {d} too large");
@@ -519,15 +444,16 @@ mod tests {
     fn solution_members_partition_consistently() {
         let g = lmds_gen::ding::AugmentationSpec::standard(5, 2, 2, 7).generate();
         let out = run(&g, 2, 3);
+        let d = &out.diagnostics;
         assert!(is_dominating_set(&g, &out.solution));
         // X, I ⊆ solution; brute ⊆ solution.
-        for &v in out.x_set.iter().chain(&out.i_set).chain(&out.brute_selected) {
+        for &v in d.x_set.iter().chain(&d.i_set).chain(&d.brute_selected) {
             assert!(out.solution.binary_search(&v).is_ok());
         }
         // U is disjoint from S.
-        for &v in &out.u_set {
-            assert!(out.x_set.binary_search(&v).is_err());
-            assert!(out.i_set.binary_search(&v).is_err());
+        for &v in &d.u_set {
+            assert!(d.x_set.binary_search(&v).is_err());
+            assert!(d.i_set.binary_search(&v).is_err());
         }
     }
 
@@ -581,21 +507,19 @@ mod tests {
     #[test]
     fn sharded_phases_match_sequential() {
         // The production gates may resolve to one worker (small
-        // quotients, small machines), so force the parallel paths here
-        // and pin them to the sequential results.
+        // quotients, small machines), so force every worker count here
+        // and pin each to the sequential pipeline's results.
         let g = lmds_gen::ding::AugmentationSpec::standard(8, 4, 3, 21).generate();
+        let radii = Radii::practical(2, 3);
         let ids: Vec<u64> = (0..g.n() as u64).collect();
-        let state = pipeline_state(&g, &ids, Radii::practical(2, 3));
+        let state = pipeline_state(&g, &ids, radii);
         let rg = &state.reduced.graph;
-        let (dom_seq, u_seq) = domination_masks(rg, &state.s, 1);
-        assert_eq!(dom_seq, state.dominated);
-        assert_eq!(u_seq, state.u);
         let comps = residual_components(&state);
-        let brute_seq = solve_residuals(&state, &ids, &comps, true, 1);
-        for workers in [2, 4, 7] {
+        let brute_seq = algorithm1(&g, &seq(g.n()), radii).diagnostics.brute_selected;
+        for workers in [1, 2, 4, 7] {
             let (dom, u) = domination_masks(rg, &state.s, workers);
-            assert_eq!(dom, dom_seq, "dominated mask drifted at workers={workers}");
-            assert_eq!(u, u_seq, "U mask drifted at workers={workers}");
+            assert_eq!(dom, state.dominated, "dominated mask drifted at workers={workers}");
+            assert_eq!(u, state.u, "U mask drifted at workers={workers}");
             let brute = solve_residuals(&state, &ids, &comps, true, workers);
             assert_eq!(brute, brute_seq, "residual solves drifted at workers={workers}");
         }
@@ -622,8 +546,8 @@ mod tests {
         // brute-force step solves the whole graph exactly.
         let g = cycle(5);
         let out = algorithm1(&g, &seq(5), Radii::theoretical(2));
-        assert!(out.x_set.is_empty());
-        assert!(out.i_set.is_empty());
+        assert!(out.diagnostics.x_set.is_empty());
+        assert!(out.diagnostics.i_set.is_empty());
         assert_eq!(out.solution.len(), exact_mds(&g).len());
     }
 }

@@ -310,7 +310,7 @@ impl DegreeState {
 /// given the algorithm's nominal decision round `base`. `None` never
 /// does — the strict algorithms wait for complete evidence.
 fn past_grace(grace: Option<u32>, base: u32, round: u32) -> bool {
-    grace.is_some_and(|g| round >= base + g)
+    grace.is_some_and(|g| round >= base.saturating_add(g))
 }
 
 /// Variant-driven evidence folding: any message proves its sender is a
@@ -761,7 +761,7 @@ mod tests {
     use crate::theorem44::{theorem44_mds, theorem44_mvc};
     use lmds_graph::dominating::is_dominating_set;
     use lmds_graph::Graph;
-    use lmds_localsim::{IdAssignment, MessagePassingRuntime, OracleRuntime, Runtime, RuntimeKind};
+    use lmds_localsim::{IdAssignment, OracleRuntime, Runtime, RuntimeKind};
 
     fn outputs_to_set(outputs: &[bool]) -> Vec<usize> {
         outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect()
@@ -800,7 +800,7 @@ mod tests {
     fn theorem44_is_exactly_three_rounds_on_nontrivial_graphs() {
         let g = lmds_gen::basic::path(20);
         let ids = IdAssignment::sequential(20);
-        let res = MessagePassingRuntime.run(&g, &ids, &Theorem44Decider, 10).unwrap();
+        let res = RuntimeKind::MessagePassing.run(&g, &ids, &Theorem44Decider, 10).unwrap();
         assert_eq!(res.rounds, 3);
         // Message size stays modest (LOCAL, but only 3 rounds deep).
         assert!(res.messages.max_bits().unwrap() > 0);
@@ -881,7 +881,7 @@ mod tests {
         let ids = IdAssignment::shuffled(g.n(), 4);
         let decider = Algorithm1Decider { radii: Radii::practical(2, 2) };
         let a = OracleRuntime.run(&g, &ids, &decider, 100).unwrap();
-        let b = MessagePassingRuntime.run(&g, &ids, &decider, 100).unwrap();
+        let b = RuntimeKind::MessagePassing.run(&g, &ids, &decider, 100).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.decided_at, b.decided_at);
     }
@@ -899,7 +899,7 @@ mod tests {
                 let ids = IdAssignment::shuffled(g.n(), seed);
                 let reference = OracleRuntime.run(g, &ids, decider, cap).unwrap();
                 for kind in RuntimeKind::ALL {
-                    let res = kind.run(g, &ids, native, cap, 3).unwrap();
+                    let res = kind.run(g, &ids, native, cap).unwrap();
                     assert_eq!(res.outputs, reference.outputs, "{g:?} seed={seed} {kind}");
                     assert_eq!(res.decided_at, reference.decided_at, "{g:?} seed={seed} {kind}");
                     assert_eq!(
@@ -943,8 +943,9 @@ mod tests {
         // must undercut the full-information protocol on the same run.
         let g = lmds_gen::outerplanar::random_maximal_outerplanar(24, 2);
         let ids = IdAssignment::shuffled(g.n(), 2);
-        let native = MessagePassingRuntime.run(&g, &ids, &Theorem44Local::default(), 10).unwrap();
-        let flood = MessagePassingRuntime.run(&g, &ids, &Theorem44Decider, 10).unwrap();
+        let native =
+            RuntimeKind::MessagePassing.run(&g, &ids, &Theorem44Local::default(), 10).unwrap();
+        let flood = RuntimeKind::MessagePassing.run(&g, &ids, &Theorem44Decider, 10).unwrap();
         assert_eq!(native.outputs, flood.outputs);
         assert_eq!(native.rounds, 3);
         let (nt, ft) =
@@ -978,8 +979,9 @@ mod tests {
         for g in &test_graphs() {
             for seed in [0u64, 7] {
                 let ids = IdAssignment::shuffled(g.n(), seed);
-                let reference =
-                    MessagePassingRuntime.run(g, &ids, &Theorem44Local::default(), 10).unwrap();
+                let reference = RuntimeKind::MessagePassing
+                    .run(g, &ids, &Theorem44Local::default(), 10)
+                    .unwrap();
                 for skew in [1u32, 2, 3] {
                     let cfg = FaultConfig { seed: 0xA5 + seed, skew, ..FaultConfig::default() };
                     let algo = Theorem44Local { grace: Some(cfg.grace()) };

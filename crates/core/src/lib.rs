@@ -40,7 +40,9 @@ pub mod mvc;
 pub mod radii;
 pub mod theorem44;
 
-pub use algorithm1::{algorithm1, algorithm1_with, Algorithm1Output, PipelineOptions};
+pub use algorithm1::{
+    algorithm1, algorithm1_with, Algorithm1Output, PipelineDiagnostics, PipelineOptions,
+};
 pub use algorithm2::algorithm2;
 pub use dynamic::{DynamicSolver, DynamicStats};
 pub use radii::Radii;

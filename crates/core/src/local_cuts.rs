@@ -16,8 +16,8 @@
 //!   interestingness orientations fall out of a single
 //!   [`pair_profile_within`](lmds_graph::two_cuts::pair_profile_within)
 //!   component scan of `H − {u, v}`, with no subgraph ever
-//!   materialized), and shards the per-vertex outer loops across scoped
-//!   threads on large graphs. All whole-graph queries
+//!   materialized), and shards the per-vertex outer loops across
+//!   [`lmds_graph::par`] workers on large graphs. All whole-graph queries
 //!   ([`local_one_cut_vertices`], [`local_two_cuts`],
 //!   [`interesting_vertices`]) and the Algorithm 1 pipeline ride it via
 //!   the thread-local [`with_thread_engine`] pool.
@@ -33,9 +33,10 @@
 //! views and are tested to agree.
 
 use lmds_graph::bfs;
+use lmds_graph::par;
 use lmds_graph::scratch::Scratch;
 use lmds_graph::two_cuts;
-use lmds_graph::{Graph, InducedSubgraph, SubsetScratch, Vertex};
+use lmds_graph::{FixedBitSet, Graph, InducedSubgraph, SubsetScratch, Vertex};
 use std::cell::RefCell;
 
 /// Below this vertex count the engine stays single-threaded: the scoped
@@ -44,9 +45,9 @@ use std::cell::RefCell;
 /// graphs per round, which must stay cheap).
 const PARALLEL_THRESHOLD: usize = 640;
 
-/// Worker count for the sharded sweeps (same spirit as `BatchRunner`).
-fn worker_count(n: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, |c| c.get()).min(8).min(n.max(1))
+/// The worker count of a sweep over the `n` vertices of a graph.
+fn sweep_workers(n: usize) -> usize {
+    par::workers(n, PARALLEL_THRESHOLD, n)
 }
 
 /// The shared-work engine behind every Definition-2.1 predicate sweep.
@@ -68,10 +69,12 @@ fn worker_count(n: usize) -> usize {
 ///   which traverse `G` restricted to an epoch-marked member set —
 ///   no `InducedSubgraph` construction, no per-pair allocation.
 /// * **Sharding is observation-free.** On graphs past the size
-///   threshold the per-vertex outer loops run on scoped worker threads
-///   with per-worker engines; each worker writes a private monotone
-///   mask that is OR-merged, so the result is independent of the worker
-///   count and schedule.
+///   threshold the per-vertex outer loops run on [`lmds_graph::par`]
+///   workers in contiguous chunks, each with its own traversal buffers
+///   (the calling thread keeps the engine's own); the X sweep writes
+///   disjoint chunks of its mask, and the pair sweep's workers write
+///   private monotone masks that are OR-merged, so the result is
+///   independent of the worker count and schedule.
 ///
 /// A `CutEngine` is a plain bag of reusable buffers (like [`Scratch`]);
 /// it holds no graph state between runs and may serve graphs of
@@ -87,18 +90,36 @@ fn worker_count(n: usize) -> usize {
 /// (as the pre-engine implementations also required).
 #[derive(Debug, Default)]
 pub struct CutEngine {
+    /// Flat per-vertex ball index for the current radius-`r` run.
+    balls: BallIndex,
+    /// The calling thread's traversal buffers (spawned sweep workers
+    /// bring their own).
+    bufs: Buffers,
+}
+
+/// Every ball `N^r[v]` of one run, flattened: `v`'s ball is
+/// `verts[offsets[v]..offsets[v + 1]]`, sorted.
+#[derive(Debug, Default)]
+struct BallIndex {
+    offsets: Vec<usize>,
+    verts: Vec<Vertex>,
+}
+
+impl BallIndex {
+    fn ball(&self, v: Vertex) -> &[Vertex] {
+        &self.verts[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+/// One sweep worker's reusable traversal buffers.
+#[derive(Debug, Default)]
+struct Buffers {
     scratch: Scratch,
     subset: SubsetScratch,
-    /// Flat per-vertex ball index for the current radius-`r` run.
-    ball_offsets: Vec<usize>,
-    ball_verts: Vec<Vertex>,
     /// Merge buffer for `H = N^r[u] ∪ N^r[v]`.
     merged: Vec<Vertex>,
-    /// Single-ball buffer for the 1-cut sweep.
-    ball_buf: Vec<Vertex>,
-    /// Worker override for the sharded sweeps (`None` = derive from
-    /// [`std::thread::available_parallelism`]).
-    workers: Option<usize>,
+    /// Single-ball buffer for the 1-cut sweep and the ball index.
+    ball: Vec<Vertex>,
 }
 
 /// What the pair sweep records into the mask.
@@ -116,66 +137,31 @@ impl CutEngine {
         Self::default()
     }
 
-    /// Overrides the worker count of the sharded sweeps (`None`
-    /// restores the automatic choice). Results are identical for every
-    /// setting — sharding only partitions the outer loops — which the
-    /// equivalence suite asserts; the knob exists for that assertion
-    /// and for capacity tuning.
-    pub fn set_workers(&mut self, workers: Option<usize>) {
-        self.workers = workers;
-    }
-
-    /// The effective worker count for a graph of `n` vertices.
-    fn effective_workers(&self, n: usize) -> usize {
-        self.workers.unwrap_or_else(|| worker_count(n)).clamp(1, n.max(1))
-    }
-
     /// The mask of `r`-local minimal 1-cut vertices: `mask[v]` iff `v`
     /// is a cut vertex of `G[N^r[v]]`. Equals [`is_local_one_cut`] per
     /// vertex.
     pub fn one_cut_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        let n = g.n();
-        let workers = self.effective_workers(n);
-        let mut mask = vec![false; n];
-        if n >= PARALLEL_THRESHOLD && workers > 1 {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (ci, slice) in mask.chunks_mut(chunk).enumerate() {
-                    let start = ci * chunk;
-                    scope.spawn(move || {
-                        let mut eng = CutEngine::new();
-                        eng.scratch.reserve(n);
-                        eng.subset.reserve(n);
-                        for (off, m) in slice.iter_mut().enumerate() {
-                            *m = eng.one_cut_at(g, start + off, r);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (v, m) in mask.iter_mut().enumerate() {
-                *m = self.one_cut_at(g, v, r);
-            }
-        }
-        mask
+        self.one_cut_mask_on(g, r, sweep_workers(g.n()))
     }
 
-    fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
-        bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball_buf);
-        lmds_graph::articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball_buf, v)
+    /// [`CutEngine::one_cut_mask`] on an explicit worker count.
+    fn one_cut_mask_on(&mut self, g: &Graph, r: u32, workers: usize) -> Vec<bool> {
+        let mut mask = vec![false; g.n()];
+        par::map_chunks(workers, &mut mask, &mut self.bufs, |b, v| b.one_cut_at(g, v, r));
+        mask
     }
 
     /// The mask of `r`-interesting vertices. Equals [`is_interesting`]
     /// per vertex.
     pub fn interesting_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        self.pair_mask(g, r, PairMode::Interesting)
+        self.pair_mask(g, r, PairMode::Interesting, sweep_workers(g.n()))
     }
 
     /// The mask of vertices lying in *some* `r`-local minimal 2-cut
     /// (both endpoints, no interestingness filter — the MVC variant's
     /// `S` contribution and the `interesting_filter: false` ablation).
     pub fn two_cut_endpoint_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        self.pair_mask(g, r, PairMode::Endpoints)
+        self.pair_mask(g, r, PairMode::Endpoints, sweep_workers(g.n()))
     }
 
     /// All `r`-local minimal 2-cuts as `(u, v)` pairs with `u < v`,
@@ -183,12 +169,11 @@ impl CutEngine {
     /// evaluated (no early exit), each exactly once.
     pub fn two_cuts(&mut self, g: &Graph, r: u32) -> Vec<(Vertex, Vertex)> {
         self.compute_balls(g, r);
+        let CutEngine { balls, bufs } = self;
         let mut out = Vec::new();
         for u in g.vertices() {
-            let (bs, be) = (self.ball_offsets[u], self.ball_offsets[u + 1]);
-            for bi in bs..be {
-                let v = self.ball_verts[bi];
-                if v > u && self.pair_profile(g, u, v).is_minimal_two_cut() {
+            for &v in balls.ball(u) {
+                if v > u && bufs.pair_profile(g, balls, u, v).is_minimal_two_cut() {
                     out.push((u, v));
                 }
             }
@@ -198,136 +183,95 @@ impl CutEngine {
 
     /// Fills the flat ball index for radius `r`.
     fn compute_balls(&mut self, g: &Graph, r: u32) {
-        self.ball_offsets.clear();
-        self.ball_verts.clear();
-        self.ball_offsets.push(0);
+        let CutEngine { balls, bufs } = self;
+        balls.offsets.clear();
+        balls.verts.clear();
+        balls.offsets.push(0);
         for v in g.vertices() {
-            bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball_buf);
-            self.ball_verts.extend_from_slice(&self.ball_buf);
-            self.ball_offsets.push(self.ball_verts.len());
+            bfs::ball_of_set_into(g, &mut bufs.scratch, &[v], r, &mut bufs.ball);
+            balls.verts.extend_from_slice(&bufs.ball);
+            balls.offsets.push(balls.verts.len());
         }
     }
 
-    /// Profiles the pair `{u, v}` inside `H = N^r[u] ∪ N^r[v]` (balls
-    /// from the current index; `H` assembled by sorted merge, never
-    /// materialized as a graph).
-    fn pair_profile(&mut self, g: &Graph, u: Vertex, v: Vertex) -> two_cuts::PairProfile {
-        let CutEngine { ball_offsets, ball_verts, merged, subset, .. } = self;
-        let bu = &ball_verts[ball_offsets[u]..ball_offsets[u + 1]];
-        let bv = &ball_verts[ball_offsets[v]..ball_offsets[v + 1]];
-        merge_sorted(bu, bv, merged);
-        two_cuts::pair_profile_within(g, subset, merged, u, v)
-    }
-
-    /// The shared pair sweep: every unordered pair `{u, v}` with
-    /// `d(u, v) ≤ r` (read off the ball index) evaluated once. Pairs
-    /// whose both endpoints are already marked are skipped — marking is
-    /// monotone, so this prunes work without changing the result.
-    fn pair_mask(&mut self, g: &Graph, r: u32, mode: PairMode) -> Vec<bool> {
+    /// The shared pair sweep on `workers` workers: every unordered pair
+    /// `{u, v}` with `d(u, v) ≤ r` (read off the ball index) evaluated
+    /// once. Pairs whose both endpoints are already marked are skipped
+    /// — marking is monotone, so this prunes work without changing the
+    /// result.
+    fn pair_mask(&mut self, g: &Graph, r: u32, mode: PairMode, workers: usize) -> Vec<bool> {
         self.compute_balls(g, r);
-        let n = g.n();
-        let workers = self.effective_workers(n);
-        if n >= PARALLEL_THRESHOLD && workers > 1 {
-            let chunk = n.div_ceil(workers);
-            let offsets = &self.ball_offsets;
-            let verts = &self.ball_verts;
-            let mut partials: Vec<Vec<bool>> = Vec::with_capacity(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for ci in 0..workers {
-                    let (lo, hi) = (ci * chunk, ((ci + 1) * chunk).min(n));
-                    handles.push(scope.spawn(move || {
-                        let mut eng = CutEngine::new();
-                        eng.subset.reserve(n);
-                        let mut mask = vec![false; n];
-                        for u in lo..hi {
-                            scan_pairs_for(
-                                g,
-                                offsets,
-                                verts,
-                                &mut eng.subset,
-                                &mut eng.merged,
-                                u,
-                                mode,
-                                &mut mask,
-                            );
-                        }
-                        mask
-                    }));
-                }
-                for h in handles {
-                    partials.push(h.join().expect("cut-engine worker"));
-                }
-            });
-            let mut mask = vec![false; n];
-            for partial in partials {
-                for (m, p) in mask.iter_mut().zip(partial) {
-                    *m |= p;
-                }
+        let CutEngine { balls, bufs } = self;
+        let balls = &*balls;
+        par::or_masks(workers, g.n(), bufs, |b, range, mask| {
+            for u in range {
+                b.scan_pairs_for(g, balls, u, mode, mask);
             }
-            mask
-        } else {
-            let mut mask = vec![false; n];
-            for u in 0..n {
-                scan_pairs_for(
-                    g,
-                    &self.ball_offsets,
-                    &self.ball_verts,
-                    &mut self.subset,
-                    &mut self.merged,
-                    u,
-                    mode,
-                    &mut mask,
-                );
-            }
-            mask
-        }
+        })
+        .to_bools()
     }
 }
 
-/// One outer-loop step of the pair sweep: all pairs `{u, v}` with
-/// `v ∈ N^r[u]`, `v > u`. Free function so the sequential and sharded
-/// paths share it (the sharded path hands in per-worker buffers).
-#[allow(clippy::too_many_arguments)]
-fn scan_pairs_for(
-    g: &Graph,
-    ball_offsets: &[usize],
-    ball_verts: &[Vertex],
-    subset: &mut SubsetScratch,
-    merged: &mut Vec<Vertex>,
-    u: Vertex,
-    mode: PairMode,
-    mask: &mut [bool],
-) {
-    let ball = |w: Vertex| &ball_verts[ball_offsets[w]..ball_offsets[w + 1]];
-    for &v in ball(u) {
-        if v <= u || (mask[u] && mask[v]) {
-            continue;
-        }
-        merge_sorted(ball(u), ball(v), merged);
-        let profile = two_cuts::pair_profile_within(g, subset, merged, u, v);
-        if !profile.is_minimal_two_cut() {
-            continue;
-        }
-        match mode {
-            PairMode::Endpoints => {
-                mask[u] = true;
-                mask[v] = true;
+impl Buffers {
+    /// Whether `v` is a cut vertex of `G[N^r[v]]`.
+    fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
+        bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball);
+        lmds_graph::articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball, v)
+    }
+
+    /// Profiles the pair `{u, v}` inside `H = N^r[u] ∪ N^r[v]` (balls
+    /// from the index; `H` assembled by sorted merge, never
+    /// materialized as a graph).
+    fn pair_profile(
+        &mut self,
+        g: &Graph,
+        balls: &BallIndex,
+        u: Vertex,
+        v: Vertex,
+    ) -> two_cuts::PairProfile {
+        merge_sorted(balls.ball(u), balls.ball(v), &mut self.merged);
+        two_cuts::pair_profile_within(g, &mut self.subset, &self.merged, u, v)
+    }
+
+    /// One outer-loop step of the pair sweep: all pairs `{u, v}` with
+    /// `v ∈ N^r[u]`, `v > u`.
+    fn scan_pairs_for(
+        &mut self,
+        g: &Graph,
+        balls: &BallIndex,
+        u: Vertex,
+        mode: PairMode,
+        mask: &mut FixedBitSet,
+    ) {
+        for &v in balls.ball(u) {
+            if v <= u || (mask.contains(u) && mask.contains(v)) {
+                continue;
             }
-            PairMode::Interesting => {
-                // v is interesting via friend u: ≥ 2 witness components
-                // non-adjacent to u, and N[v] ⊄ N[u]; symmetrically for u.
-                if !mask[v]
-                    && profile.witnesses_nonadj_a >= 2
-                    && !g.closed_neighborhood_subset(v, u)
-                {
-                    mask[v] = true;
+            let profile = self.pair_profile(g, balls, u, v);
+            if !profile.is_minimal_two_cut() {
+                continue;
+            }
+            match mode {
+                PairMode::Endpoints => {
+                    mask.set(u);
+                    mask.set(v);
                 }
-                if !mask[u]
-                    && profile.witnesses_nonadj_b >= 2
-                    && !g.closed_neighborhood_subset(u, v)
-                {
-                    mask[u] = true;
+                PairMode::Interesting => {
+                    // v is interesting via friend u: ≥ 2 witness
+                    // components non-adjacent to u, and N[v] ⊄ N[u];
+                    // symmetrically for u.
+                    if !mask.contains(v)
+                        && profile.witnesses_nonadj_a >= 2
+                        && !g.closed_neighborhood_subset(v, u)
+                    {
+                        mask.set(v);
+                    }
+                    if !mask.contains(u)
+                        && profile.witnesses_nonadj_b >= 2
+                        && !g.closed_neighborhood_subset(u, v)
+                    {
+                        mask.set(u);
+                    }
                 }
             }
         }
@@ -653,6 +597,52 @@ mod tests {
                 }
                 assert_eq!(pairs, pair_ref, "pairs r={r} {g:?}");
                 assert_eq!(endpoints, endpoint_ref, "endpoints r={r} {g:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn engine_sharded_path_matches_naive_on_large_graphs() {
+        // Graphs past the engine's parallel threshold, swept at forced
+        // worker counts regardless of the host's CPU count: every count
+        // must reproduce the single-worker sweep and the naive reference
+        // (worker-count invariance).
+        let big: Vec<(&str, Graph)> = vec![
+            ("cycle700", cycle(700)),
+            ("path800", path(800)),
+            ("caterpillar700", lmds_gen::basic::caterpillar(700, 1)),
+        ];
+        let mut engine = CutEngine::new();
+        for (name, g) in &big {
+            assert!(g.n() >= PARALLEL_THRESHOLD, "{name} must cross the parallel threshold");
+            for r in [2u32, 3] {
+                let one = engine.one_cut_mask_on(g, r, 1);
+                let interesting = engine.pair_mask(g, r, PairMode::Interesting, 1);
+                let endpoints = engine.pair_mask(g, r, PairMode::Endpoints, 1);
+                for workers in [1, 2, 4, 7] {
+                    let at = |what: &str| format!("{name} r={r} workers={workers}: {what}");
+                    assert_eq!(engine.one_cut_mask_on(g, r, workers), one, "{}", at("one-cut"));
+                    assert_eq!(
+                        engine.pair_mask(g, r, PairMode::Interesting, workers),
+                        interesting,
+                        "{}",
+                        at("interesting")
+                    );
+                    assert_eq!(
+                        engine.pair_mask(g, r, PairMode::Endpoints, workers),
+                        endpoints,
+                        "{}",
+                        at("endpoints")
+                    );
+                }
+                for v in [0usize, 1, g.n() / 2, g.n() - 1] {
+                    assert_eq!(interesting[v], is_interesting(g, v, r), "{name} r={r} v={v}");
+                }
+                // Full-set check against the (cheap on these sparse
+                // graphs) naive filter.
+                let naive_one: Vec<bool> =
+                    g.vertices().map(|v| is_local_one_cut(g, v, r)).collect();
+                assert_eq!(one, naive_one, "{name} r={r}");
             }
         }
     }

@@ -31,7 +31,10 @@
 //! * batched dynamic updates ([`dynamic`]): [`DynamicGraph`] applies
 //!   edge/vertex insert+delete batches atomically over the CSR (splice
 //!   for small batches, amortized rebuild for large ones) and journals
-//!   touched vertices for ball/twin/component-scoped invalidation.
+//!   touched vertices for ball/twin/component-scoped invalidation,
+//! * the workspace's one parallel execution substrate ([`par`]): a
+//!   worker policy and the scoped-thread helpers every parallel phase
+//!   runs on.
 //!
 //! # Example
 //!
@@ -57,6 +60,7 @@ pub mod exact;
 pub mod graph;
 pub mod io;
 pub mod minor;
+pub mod par;
 pub mod properties;
 pub mod scratch;
 pub mod spqr;

@@ -11,6 +11,7 @@
 //! `MDS(G⁻) = MDS(G)`, tested here and property-tested downstream.
 
 use crate::graph::{Graph, Vertex};
+use crate::par;
 use crate::scratch::{with_thread_scratch, Scratch};
 use crate::subgraph::InducedSubgraph;
 
@@ -87,11 +88,7 @@ pub fn twin_representatives_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vertex
     if scratch.key.len() < n {
         scratch.key.resize(n, 0);
     }
-    let workers = if n >= HASH_PARALLEL_THRESHOLD {
-        std::thread::available_parallelism().map_or(1, |c| c.get()).min(8)
-    } else {
-        1
-    };
+    let workers = par::workers(n, HASH_PARALLEL_THRESHOLD, n);
     fill_neighborhood_keys(g, &mut scratch.key[..n], workers);
     // The scratch queue doubles as the hash-sorted vertex order.
     scratch.queue.clear();
@@ -124,36 +121,17 @@ pub fn twin_representatives_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vertex
 }
 
 /// Fills `keys[v]` with the commutative closed-neighborhood hash of `v`
-/// for every `v < keys.len()`, sharded across `workers` scoped threads
-/// (each worker hashes the CSR rows of its own disjoint vertex range,
-/// so the output is identical for every worker count).
+/// for every `v < keys.len()`, in `workers` contiguous chunks (each
+/// worker hashes the CSR rows of its own disjoint vertex range, so the
+/// output is identical for every worker count).
 fn fill_neighborhood_keys(g: &Graph, keys: &mut [u64], workers: usize) {
-    let n = keys.len();
-    let hash_of = |v: Vertex| {
+    par::map_chunks(workers, keys, &mut (), |_, v| {
         let mut h = mix(v as u64);
         for &u in g.neighbors(v) {
             h = h.wrapping_add(mix(u as u64));
         }
         h
-    };
-    if workers > 1 && n > 1 {
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (ci, out) in keys.chunks_mut(chunk).enumerate() {
-                let start = ci * chunk;
-                let hash_of = &hash_of;
-                scope.spawn(move || {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        *slot = hash_of(start + j);
-                    }
-                });
-            }
-        });
-    } else {
-        for (v, slot) in keys.iter_mut().enumerate() {
-            *slot = hash_of(v);
-        }
-    }
+    });
 }
 
 /// The canonical twin-free reduction of a graph.
@@ -207,7 +185,7 @@ mod tests {
         );
         let mut seq = vec![0u64; g.n()];
         fill_neighborhood_keys(&g, &mut seq, 1);
-        for workers in [2, 4, 7] {
+        for workers in [1, 2, 4, 7] {
             let mut par = vec![0u64; g.n()];
             fill_neighborhood_keys(&g, &mut par, workers);
             assert_eq!(seq, par, "workers={workers}");

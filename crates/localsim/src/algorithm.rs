@@ -11,8 +11,8 @@
 //! identifier ([`NodeCtx`]). In each synchronous round it broadcasts one
 //! [`LocalAlgorithm::send`] message to all neighbors, folds the incoming
 //! messages into its state with [`LocalAlgorithm::receive`], and may fix
-//! its output with [`LocalAlgorithm::decide`]. All three [`Runtime`]
-//! backends execute the same state machine and are bit-identical because
+//! its output with [`LocalAlgorithm::decide`]. Both [`Runtime`]
+//! engines execute the same state machine and are bit-identical because
 //! implementations are deterministic and treat the incoming slice as
 //! arriving in a fixed (host neighbor) order.
 //!
@@ -94,7 +94,7 @@ pub struct NodeCtx {
 /// messages.
 ///
 /// The contract every implementation must satisfy (it is what makes the
-/// three runtimes interchangeable):
+/// two engines interchangeable):
 ///
 /// * **Deterministic**: `init`, `send`, `receive`, and `decide` are pure
 ///   functions of their arguments.

@@ -1,8 +1,9 @@
-//! Fault injection for LOCAL executions: message drops, crash-stop
-//! vertices, and bounded round-asynchrony behind the same [`Runtime`]
-//! contract as the healthy backends.
+//! The message-passing engine: faithful synchronous message passing
+//! behind an optional fault plan — message drops, crash-stop vertices,
+//! and bounded round-asynchrony — under the same [`Runtime`] contract
+//! as the oracle.
 //!
-//! The model is layered on faithful synchronous message passing:
+//! The fault model is layered on the synchronous round loop:
 //!
 //! * **Drops** — each directed delivery `(u → v, round)` can be lost.
 //!   [`DropPolicy::Bernoulli`] draws independently per delivery;
@@ -26,10 +27,10 @@
 //! Bernoulli threshold test makes drop sets *nested* in the rate, so
 //! higher intensities strictly add faults rather than reshuffling them.
 //!
-//! With [`FaultConfig::default`] (no faults), [`FaultyRuntime`] executes
-//! the exact send/account/receive/decide sequence of
-//! [`MessagePassingRuntime`], producing bit-identical results — rounds,
-//! message bits, decisions, and decision schedule.
+//! With [`FaultConfig::default`] (no faults), [`FaultyRuntime`] is plain
+//! synchronous message passing — every round each vertex sends, bits
+//! are accounted, every message is received and every vertex may
+//! decide — and [`RuntimeKind::MessagePassing`] runs exactly that.
 
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
 use crate::ids::IdAssignment;
@@ -38,8 +39,12 @@ use lmds_graph::Graph;
 use std::fmt;
 use std::str::FromStr;
 
-#[cfg(doc)]
-use crate::runtime::MessagePassingRuntime;
+/// The largest `skew` the string form accepts. Every deadline derived
+/// from skew grows with it — the grace budget is `6 + 2·skew` rounds
+/// and default round caps add `skew` more — so a plan arriving as text
+/// (the serve wire format) is held to a few dozen rounds. Configs built
+/// in code may set any value; the runtime's round arithmetic saturates.
+pub const MAX_SKEW: u32 = 64;
 
 /// Message-drop policy, per directed delivery attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -91,7 +96,7 @@ pub enum CrashPolicy {
 
 /// Complete description of a fault scenario. `Default` is the zero
 /// config: no drops, no crashes, no skew — under which
-/// [`FaultyRuntime`] is bit-identical to [`MessagePassingRuntime`].
+/// [`FaultyRuntime`] is plain synchronous message passing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FaultConfig {
     /// Seed for every randomized draw (drops, crash sets, staleness).
@@ -115,10 +120,11 @@ impl FaultConfig {
     /// before abandoning completeness and deciding on partial evidence:
     /// enough to absorb retransmission latency under `skew`-bounded
     /// asynchrony (stale-but-complete evidence arrives within `O(skew)`
-    /// extra rounds). Zero when no fault is active.
+    /// extra rounds). Zero when no fault is active; saturates at
+    /// `u32::MAX` for skews past [`MAX_SKEW`] set in code.
     pub fn grace(&self) -> u32 {
         if self.is_active() {
-            6 + 2 * self.skew
+            self.skew.saturating_mul(2).saturating_add(6)
         } else {
             0
         }
@@ -184,7 +190,7 @@ impl FromStr for FaultConfig {
     /// `"none"`, or `;`-separated parts among `seed=<u64>`,
     /// `drop=bernoulli:<per_mille>` / `drop=hubs:<per_mille>`,
     /// `crash=random:<count>@<round>` / `crash=hubs:<count>@<round>`,
-    /// and `skew=<rounds>`.
+    /// and `skew=<rounds>` with at most [`MAX_SKEW`] rounds.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let s = s.trim();
         if s.is_empty() || s == "none" {
@@ -230,9 +236,9 @@ impl FromStr for FaultConfig {
                     };
                 }
                 "skew" => {
-                    cfg.skew = value
-                        .parse()
-                        .map_err(|_| ParseFaultError(format!("bad skew {value:?}")))?;
+                    cfg.skew = value.parse().ok().filter(|&s| s <= MAX_SKEW).ok_or_else(|| {
+                        ParseFaultError(format!("bad skew {value:?} (at most {MAX_SKEW} rounds)"))
+                    })?;
                 }
                 other => return Err(ParseFaultError(format!("unknown key {other:?}"))),
             }
@@ -411,9 +417,9 @@ impl FaultPlan {
     }
 }
 
-/// Message-passing execution under a seeded [`FaultPlan`]. With the
-/// zero [`FaultConfig`] this is bit-identical to
-/// [`MessagePassingRuntime`]; with faults active, use
+/// Synchronous message passing under a seeded [`FaultPlan`]. With the
+/// zero [`FaultConfig`] this is the faithful message-passing execution
+/// ([`RuntimeKind::MessagePassing`]); with faults active, use
 /// [`FaultyRuntime::run_with_report`] for partial outputs plus the
 /// [`FaultReport`] (the plain [`Runtime::run`] path demands every
 /// vertex decide and surfaces silent vertices as a round-limit error).
@@ -472,9 +478,11 @@ impl FaultyRuntime {
         }
         let mut round = 0u32;
         // Message history ring: round `r`'s messages live at slot
-        // `(r − 1) % depth`; skew never reaches past `depth` rounds.
-        let depth = self.config.skew as usize + 1;
-        let mut history: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(depth);
+        // `(r − 1) % depth`. Staleness never exceeds the skew, and no
+        // delivery predates round 1, so `min(skew, max_rounds) + 1`
+        // slots always suffice; the ring grows only as rounds run.
+        let depth = self.config.skew.min(max_rounds) as usize + 1;
+        let mut history: Vec<Vec<Option<A::Message>>> = Vec::new();
         let mut inbox: Vec<A::Message> = Vec::new();
         loop {
             let undecided =
@@ -595,7 +603,6 @@ impl Runtime for FaultyRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::MessagePassingRuntime;
     use crate::view::LocalView;
     use crate::Decider;
 
@@ -617,19 +624,6 @@ mod tests {
                 &[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3)],
             ),
         ]
-    }
-
-    #[test]
-    fn zero_fault_is_bit_identical_to_message_passing() {
-        for g in corpus() {
-            let ids = IdAssignment::shuffled(g.n(), 9);
-            let base = MessagePassingRuntime.run(&g, &ids, &MinIdRadius2, 16).unwrap();
-            let faulty = FaultyRuntime::default().run(&g, &ids, &MinIdRadius2, 16).unwrap();
-            assert_eq!(base.outputs, faulty.outputs);
-            assert_eq!(base.decided_at, faulty.decided_at);
-            assert_eq!(base.rounds, faulty.rounds);
-            assert_eq!(base.messages, faulty.messages);
-        }
     }
 
     #[test]
@@ -739,6 +733,20 @@ mod tests {
     }
 
     #[test]
+    fn skew_past_the_round_cap_keeps_the_history_bounded() {
+        // The history ring is sized by the rounds that can run, not by
+        // the skew: an unbounded skew set in code must neither allocate
+        // for it nor overflow the grace arithmetic.
+        let g = corpus().remove(2);
+        let ids = IdAssignment::shuffled(g.n(), 4);
+        let cfg = FaultConfig { seed: 11, skew: u32::MAX, ..FaultConfig::default() };
+        assert_eq!(cfg.grace(), u32::MAX);
+        let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 16).unwrap();
+        assert!(run.outputs.iter().all(|o| o.is_some()));
+        assert!(run.report.max_staleness < 16);
+    }
+
+    #[test]
     fn display_round_trips_through_from_str() {
         let configs = [
             FaultConfig::default(),
@@ -780,5 +788,9 @@ mod tests {
         assert!("drop=sometimes:1".parse::<FaultConfig>().is_err());
         assert!("crash=random:nope".parse::<FaultConfig>().is_err());
         assert!("frobnicate=1".parse::<FaultConfig>().is_err());
+        assert_eq!(format!("skew={MAX_SKEW}").parse::<FaultConfig>().unwrap().skew, MAX_SKEW);
+        let too_stale = format!("skew={}", MAX_SKEW + 1).parse::<FaultConfig>().unwrap_err();
+        assert!(too_stale.to_string().contains("at most"), "{too_stale}");
+        assert!("seed=1;skew=4294967295".parse::<FaultConfig>().is_err());
     }
 }

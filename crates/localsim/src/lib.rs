@@ -20,27 +20,27 @@
 //!   decision. A blanket adapter makes every `Decider` a
 //!   `LocalAlgorithm` running the full-information protocol, so
 //!   adaptive algorithms stay one `fn` long.
-//! * [`Runtime`] — the pluggable execution engine, with interchangeable
-//!   backends selected by [`RuntimeKind`]:
-//!   [`MessagePassingRuntime`] (faithful message passing, bits
-//!   accounted), [`OracleRuntime`] (states computed directly via
-//!   projection or ball replay), [`ShardedOracleRuntime`] (oracle
-//!   semantics on scoped worker threads with pooled scratch), and
-//!   [`FaultyRuntime`] (message passing under a seeded [`FaultConfig`]:
-//!   drops, crash-stop vertices, bounded skew — bit-identical to
-//!   message passing when the plan is empty).
+//! * [`Runtime`] — the execution contract, with two engines:
+//!   [`OracleRuntime`] (states computed directly via projection or ball
+//!   replay, vertices drained across `lmds_graph::par` workers on large
+//!   graphs) and [`FaultyRuntime`] (faithful synchronous message
+//!   passing with bits accounted, under an optional seeded
+//!   [`FaultConfig`]: drops, crash-stop vertices, bounded skew).
+//!   [`RuntimeKind`] names the four kinds configuration layers select —
+//!   `oracle` and `sharded-oracle` run the oracle, `message-passing`
+//!   and `faulty` the message-passing loop with the empty plan.
 //! * [`IdPolicy`] / [`IdAssignment`] — the identifier-assignment axis:
 //!   sequential, seeded-shuffled, or degree-adversarial permutations.
 //!
-//! The fundamental fact the oracle backends are built around: after `k`
+//! The fundamental fact the oracle engine is built around: after `k`
 //! rounds a vertex `v` can know exactly the identifiers of `N^k[v]` and
 //! all edges incident to `N^{k-1}[v]`, and nothing more — so a vertex's
 //! state is computable from its `k`-ball alone, either by projecting
 //! the view directly ([`oracle_view`]) or by replaying the state
-//! machine inside the ball. All backends are bit-identical on
+//! machine inside the ball. Both engines are bit-identical on
 //! deterministic algorithms; the [`RunResult`] additionally reports
 //! decision rounds, the decided-at histogram, and — on the
-//! message-passing backend — measured message bits
+//! message-passing engine — measured message bits
 //! ([`MessageAccounting`]).
 //!
 //! # Example
@@ -48,8 +48,7 @@
 //! ```
 //! use lmds_graph::Graph;
 //! use lmds_localsim::{
-//!     Decider, IdAssignment, LocalView, MessageAccounting, MessagePassingRuntime,
-//!     OracleRuntime, Runtime,
+//!     Decider, IdAssignment, LocalView, MessageAccounting, OracleRuntime, Runtime, RuntimeKind,
 //! };
 //!
 //! /// Decide the degree: needs 1 round (vertices start without it).
@@ -68,8 +67,8 @@
 //! assert_eq!(res.outputs, vec![1, 2, 2, 1]);
 //! // The oracle computed states without exchanging messages:
 //! assert_eq!(res.messages, MessageAccounting::NotApplicable);
-//! // The message-passing backend measures real bits, bit-identically:
-//! let mp = MessagePassingRuntime.run(&g, &ids, &DegreeAlgo, 16).unwrap();
+//! // Message passing measures real bits, bit-identically:
+//! let mp = RuntimeKind::MessagePassing.run(&g, &ids, &DegreeAlgo, 16).unwrap();
 //! assert_eq!(mp.outputs, res.outputs);
 //! assert!(mp.messages.total_bits().unwrap() > 0);
 //! ```
@@ -87,8 +86,8 @@ pub use fault::{
 };
 pub use ids::{IdAssignment, IdPolicy};
 pub use runtime::{
-    fits_congest, oracle_view, MessageAccounting, MessagePassingRuntime, OracleRuntime, RunResult,
-    Runtime, RuntimeError, RuntimeKind, ShardedOracleRuntime,
+    fits_congest, oracle_view, MessageAccounting, OracleRuntime, RunResult, Runtime, RuntimeError,
+    RuntimeKind,
 };
 pub use view::LocalView;
 

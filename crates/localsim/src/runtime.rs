@@ -1,27 +1,30 @@
-//! Pluggable runtimes executing a [`LocalAlgorithm`] over a network.
+//! The two LOCAL execution engines behind the [`Runtime`] contract.
 //!
-//! * [`MessagePassingRuntime`] — faithful synchronous message passing:
-//!   every round each vertex broadcasts one typed message to every
-//!   neighbor; message bits are accounted. The "ground truth" execution.
-//! * [`OracleRuntime`] — computes each undecided vertex's round-`k`
-//!   state directly: through the algorithm's
-//!   [`LocalAlgorithm::project`] fast path when it has one (view
-//!   algorithms project via [`oracle_view`]), otherwise by replaying the
-//!   state machine inside the ball `N^k[v]` — provably the same state,
-//!   no global message schedule.
-//! * [`ShardedOracleRuntime`] — the oracle semantics sharded across
-//!   scoped worker threads, each warming the thread-local
-//!   [`Scratch`](lmds_graph::Scratch) pool once per run; bit-identical
-//!   outputs (all algorithms are deterministic).
+//! * [`OracleRuntime`] — computes each vertex's round-`k` state
+//!   directly: through the algorithm's [`LocalAlgorithm::project`] fast
+//!   path when it has one (view algorithms project via
+//!   [`oracle_view`]), otherwise by replaying the state machine inside
+//!   the ball `N^k[v]` — provably the same state, no global message
+//!   schedule. From 640 vertices up it drains the vertices across
+//!   [`lmds_graph::par`] workers.
+//! * [`FaultyRuntime`] — faithful synchronous message passing behind
+//!   an optional seeded fault plan: every round each live vertex
+//!   broadcasts one typed message to every neighbor, and message bits
+//!   are accounted. With the empty plan it is the "ground truth"
+//!   message-passing execution.
 //!
-//! [`RuntimeKind`] names the three backends for configuration layers
-//! (the `lmds-api` crate selects runtimes by kind), and the [`Runtime`]
-//! trait is the common execution contract.
+//! [`RuntimeKind`] names the four execution kinds configuration layers
+//! select (the `lmds-api` crate selects runtimes by kind): `oracle` and
+//! `sharded-oracle` run the oracle, `message-passing` and `faulty` the
+//! message-passing loop with the empty plan (fault scenarios construct
+//! a [`FaultyRuntime`] with their plan). The [`Runtime`] trait is the
+//! common execution contract.
 
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
+use crate::fault::FaultyRuntime;
 use crate::ids::IdAssignment;
 use crate::view::LocalView;
-use lmds_graph::{bfs, Graph};
+use lmds_graph::{bfs, par, Graph};
 use std::error::Error;
 use std::fmt;
 
@@ -140,25 +143,28 @@ impl fmt::Display for RuntimeError {
 
 impl Error for RuntimeError {}
 
-/// The execution backends, as a configuration value. Higher layers
-/// (solver configs, sweeps) select a backend by kind;
-/// [`RuntimeKind::run`] dispatches to the corresponding runtime.
+/// The execution kinds, as a configuration value. Higher layers
+/// (solver configs, sweeps) select a kind; [`RuntimeKind::run`]
+/// dispatches it to one of the two engines. The four labels stay
+/// distinct so reports and wire formats keep their vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
-    /// Faithful synchronous message passing with bit accounting.
+    /// Faithful synchronous message passing with bit accounting:
+    /// [`FaultyRuntime`]'s loop with the empty plan.
     MessagePassing,
     /// Direct per-vertex state computation (projection or ball replay).
     Oracle,
-    /// Oracle semantics sharded across worker threads.
+    /// The oracle under its sharded label; [`OracleRuntime`] shards
+    /// itself above its size gate.
     ShardedOracle,
-    /// Message passing behind a seeded fault plan
-    /// ([`crate::FaultyRuntime`]); bit-identical to
-    /// [`RuntimeKind::MessagePassing`] when the plan is empty.
+    /// Message passing behind a seeded fault plan ([`FaultyRuntime`]);
+    /// identical to [`RuntimeKind::MessagePassing`] when the plan is
+    /// empty.
     Faulty,
 }
 
 impl RuntimeKind {
-    /// All backends, in the order sweeps iterate them. `Faulty` is
+    /// All kinds, in the order sweeps iterate them. `Faulty` is
     /// included with its zero plan — sweeping it re-proves the
     /// bit-identity contract on every run.
     pub const ALL: [RuntimeKind; 4] = [
@@ -168,13 +174,12 @@ impl RuntimeKind {
         RuntimeKind::Faulty,
     ];
 
-    /// Whether this backend exchanges (and accounts) real messages.
+    /// Whether this kind exchanges (and accounts) real messages.
     pub fn measures_messages(self) -> bool {
         matches!(self, RuntimeKind::MessagePassing | RuntimeKind::Faulty)
     }
 
-    /// Executes `algo` on the backend this kind names. `threads` is
-    /// used by [`RuntimeKind::ShardedOracle`] only.
+    /// Executes `algo` on the engine this kind names.
     ///
     /// # Errors
     ///
@@ -185,19 +190,16 @@ impl RuntimeKind {
         ids: &IdAssignment,
         algo: &A,
         max_rounds: u32,
-        threads: usize,
     ) -> Result<RunResult<A::Output>, RuntimeError> {
         match self {
-            RuntimeKind::MessagePassing => MessagePassingRuntime.run(g, ids, algo, max_rounds),
-            RuntimeKind::Oracle => OracleRuntime.run(g, ids, algo, max_rounds),
-            RuntimeKind::ShardedOracle => {
-                ShardedOracleRuntime { threads }.run(g, ids, algo, max_rounds)
+            RuntimeKind::Oracle | RuntimeKind::ShardedOracle => {
+                OracleRuntime.run(g, ids, algo, max_rounds)
             }
-            // The kind carries no fault parameters: this is the zero
-            // (bit-identical) plan. Fault scenarios construct a
+            // The kind carries no fault parameters: both message-passing
+            // kinds run the empty plan. Fault scenarios construct a
             // `FaultyRuntime` with an explicit `FaultConfig`.
-            RuntimeKind::Faulty => {
-                crate::fault::FaultyRuntime::default().run(g, ids, algo, max_rounds)
+            RuntimeKind::MessagePassing | RuntimeKind::Faulty => {
+                FaultyRuntime::default().run(g, ids, algo, max_rounds)
             }
         }
     }
@@ -286,98 +288,6 @@ fn check_sizes(g: &Graph, ids: &IdAssignment) -> Result<(), RuntimeError> {
     }
 }
 
-fn finalize<O>(
-    outputs: Vec<Option<O>>,
-    decided_at: Vec<u32>,
-    messages: MessageAccounting,
-) -> RunResult<O> {
-    let rounds = decided_at.iter().copied().max().unwrap_or(0);
-    RunResult {
-        outputs: outputs.into_iter().map(|o| o.expect("all decided")).collect(),
-        decided_at,
-        rounds,
-        messages,
-    }
-}
-
-/// Faithful synchronous message passing with bit accounting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MessagePassingRuntime;
-
-impl Runtime for MessagePassingRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::MessagePassing
-    }
-
-    fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError> {
-        check_sizes(g, ids)?;
-        let n = g.n();
-        let id_bits = ids.bits();
-        let mut states: Vec<A::State> =
-            (0..n).map(|v| algo.init(&NodeCtx { id: ids.id_of(v) })).collect();
-        let mut outputs: Vec<Option<A::Output>> = vec![None; n];
-        let mut decided_at = vec![0u32; n];
-        let mut max_msg = 0u64;
-        let mut total_msg = 0u64;
-
-        // Round 0 decisions.
-        let mut undecided = 0usize;
-        for (v, out) in outputs.iter_mut().enumerate() {
-            match algo.decide(&states[v], 0) {
-                Some(o) => *out = Some(o),
-                None => undecided += 1,
-            }
-        }
-        let mut round = 0u32;
-        let mut inbox: Vec<A::Message> = Vec::new();
-        while undecided > 0 {
-            if round >= max_rounds {
-                return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
-            }
-            round += 1;
-            // Send phase: every vertex broadcasts (decided vertices keep
-            // relaying, as a real network would); account sizes.
-            let msgs: Vec<A::Message> = states.iter().map(|s| algo.send(s, round)).collect();
-            for (v, m) in msgs.iter().enumerate() {
-                let deg = g.degree(v) as u64;
-                if deg > 0 {
-                    let bits = algo.message_bits(m, id_bits);
-                    total_msg += bits * deg;
-                    max_msg = max_msg.max(bits);
-                }
-            }
-            // Receive phase (messages were snapshotted above, so states
-            // can be folded in place).
-            for (v, state) in states.iter_mut().enumerate() {
-                inbox.clear();
-                inbox.extend(g.neighbors(v).iter().map(|&u| msgs[u as usize].clone()));
-                algo.receive(state, round, &inbox);
-            }
-            // Decide phase.
-            for (v, out) in outputs.iter_mut().enumerate() {
-                if out.is_none() {
-                    if let Some(o) = algo.decide(&states[v], round) {
-                        *out = Some(o);
-                        decided_at[v] = round;
-                        undecided -= 1;
-                    }
-                }
-            }
-        }
-        let messages = MessageAccounting::Measured {
-            max_message_bits: max_msg,
-            total_message_bits: total_msg,
-        };
-        Ok(finalize(outputs, decided_at, messages))
-    }
-}
-
 /// Computes the exact view of `v` after `k` rounds directly from the
 /// graph: vertices of `N^k[v]`, edges incident to `N^{k-1}[v]`.
 ///
@@ -456,10 +366,62 @@ fn state_at<A: LocalAlgorithm>(
     }
 }
 
+/// Below this vertex count the oracle runs on the calling thread — the
+/// cut engine's gate: the adaptive deciders' per-vertex work is too
+/// small on smaller graphs to pay for a thread spawn.
+const PARALLEL_THRESHOLD: usize = 640;
+
 /// Oracle execution: per-vertex states computed directly (projection or
 /// ball replay); no messages exchanged, so no bit accounting.
+///
+/// Under oracle semantics a vertex's decision round depends only on the
+/// network, never on other vertices' decisions — so no per-round
+/// barrier is needed: each vertex scans its rounds `0..=max_rounds`
+/// until it decides, and from 640 vertices up the vertices are drained
+/// across [`lmds_graph::par`] workers. Outputs do not depend on the
+/// worker count (algorithms are deterministic).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleRuntime;
+
+impl OracleRuntime {
+    /// [`Runtime::run`] on an explicit worker count.
+    fn run_on<A: LocalAlgorithm>(
+        g: &Graph,
+        ids: &IdAssignment,
+        algo: &A,
+        max_rounds: u32,
+        workers: usize,
+    ) -> Result<RunResult<A::Output>, RuntimeError> {
+        check_sizes(g, ids)?;
+        let n = g.n();
+        // Per worker: (vertex, decision round, output) of every vertex
+        // that decided within the cap.
+        let decided = par::drain(workers, n, |mine: &mut Vec<(usize, u32, A::Output)>, v| {
+            let decision = (0..=max_rounds).find_map(|round| {
+                algo.decide(&state_at(g, ids, algo, v, round), round).map(|o| (round, o))
+            });
+            if let Some((round, o)) = decision {
+                mine.push((v, round, o));
+            }
+        });
+        let mut outputs: Vec<Option<A::Output>> = vec![None; n];
+        let mut decided_at = vec![0u32; n];
+        for (v, round, o) in decided.into_iter().flatten() {
+            outputs[v] = Some(o);
+            decided_at[v] = round;
+        }
+        let undecided = outputs.iter().filter(|o| o.is_none()).count();
+        if undecided > 0 {
+            return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
+        }
+        Ok(RunResult {
+            outputs: outputs.into_iter().map(|o| o.expect("every vertex decided")).collect(),
+            rounds: decided_at.iter().copied().max().unwrap_or(0),
+            decided_at,
+            messages: MessageAccounting::NotApplicable,
+        })
+    }
+}
 
 impl Runtime for OracleRuntime {
     fn kind(&self) -> RuntimeKind {
@@ -473,121 +435,8 @@ impl Runtime for OracleRuntime {
         algo: &A,
         max_rounds: u32,
     ) -> Result<RunResult<A::Output>, RuntimeError> {
-        check_sizes(g, ids)?;
-        let n = g.n();
-        let mut outputs: Vec<Option<A::Output>> = vec![None; n];
-        let mut decided_at = vec![0u32; n];
-        let mut undecided: Vec<usize> = Vec::new();
-        for (v, out) in outputs.iter_mut().enumerate() {
-            match algo.decide(&state_at(g, ids, algo, v, 0), 0) {
-                Some(o) => *out = Some(o),
-                None => undecided.push(v),
-            }
-        }
-        let mut round = 0u32;
-        while !undecided.is_empty() {
-            if round >= max_rounds {
-                return Err(RuntimeError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    undecided: undecided.len(),
-                });
-            }
-            round += 1;
-            let mut still = Vec::new();
-            for &v in &undecided {
-                match algo.decide(&state_at(g, ids, algo, v, round), round) {
-                    Some(o) => {
-                        outputs[v] = Some(o);
-                        decided_at[v] = round;
-                    }
-                    None => still.push(v),
-                }
-            }
-            undecided = still;
-        }
-        Ok(finalize(outputs, decided_at, MessageAccounting::NotApplicable))
-    }
-}
-
-/// Oracle semantics sharded across scoped worker threads.
-///
-/// Under oracle semantics a vertex's decision round depends only on the
-/// network, never on other vertices' decisions — so no per-round
-/// barrier is needed: one scope of workers drains the vertices off a
-/// shared counter, and each worker scans its vertex's rounds
-/// `0..=max_rounds` until it decides. Every worker pre-warms its
-/// thread-local [`Scratch`](lmds_graph::Scratch) to the graph size once
-/// per run, so the per-vertex ball queries run allocation-free; outputs
-/// are bit-identical to [`OracleRuntime`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedOracleRuntime {
-    /// Worker threads (clamped to ≥ 1).
-    pub threads: usize,
-}
-
-impl Runtime for ShardedOracleRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::ShardedOracle
-    }
-
-    fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        check_sizes(g, ids)?;
-        let n = g.n();
-        let threads = self.threads.max(1).min(n.max(1));
-        // Slot v = Some((decision round, output)), or None if the vertex
-        // never decided within the cap.
-        type Slots<O> = Mutex<Vec<Option<(u32, O)>>>;
-        let slots: Slots<A::Output> = Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n));
-                    loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed);
-                        if v >= n {
-                            break;
-                        }
-                        let mut outcome = None;
-                        for round in 0..=max_rounds {
-                            let state = state_at(g, ids, algo, v, round);
-                            if let Some(o) = algo.decide(&state, round) {
-                                outcome = Some((round, o));
-                                break;
-                            }
-                        }
-                        slots.lock().expect("sharded-oracle mutex")[v] = outcome;
-                    }
-                });
-            }
-        });
-        let mut outputs: Vec<Option<A::Output>> = Vec::with_capacity(n);
-        let mut decided_at = vec![0u32; n];
-        let mut undecided = 0usize;
-        for (v, slot) in slots.into_inner().expect("sharded-oracle mutex").into_iter().enumerate() {
-            match slot {
-                Some((round, o)) => {
-                    decided_at[v] = round;
-                    outputs.push(Some(o));
-                }
-                None => {
-                    undecided += 1;
-                    outputs.push(None);
-                }
-            }
-        }
-        if undecided > 0 {
-            return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
-        }
-        Ok(finalize(outputs, decided_at, MessageAccounting::NotApplicable))
+        let workers = par::workers(g.n(), PARALLEL_THRESHOLD, g.n());
+        Self::run_on(g, ids, algo, max_rounds, workers)
     }
 }
 
@@ -684,9 +533,9 @@ mod tests {
     fn degree_in_one_round_all_runtimes() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]);
         let ids = IdAssignment::shuffled(5, 3);
-        let a = MessagePassingRuntime.run(&g, &ids, &DegreeAlgo, 10).unwrap();
+        let a = RuntimeKind::MessagePassing.run(&g, &ids, &DegreeAlgo, 10).unwrap();
         let b = OracleRuntime.run(&g, &ids, &DegreeAlgo, 10).unwrap();
-        let c = ShardedOracleRuntime { threads: 4 }.run(&g, &ids, &DegreeAlgo, 10).unwrap();
+        let c = OracleRuntime::run_on(&g, &ids, &DegreeAlgo, 10, 4).unwrap();
         assert_eq!(a.outputs, vec![1, 3, 2, 1, 1]);
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.outputs, c.outputs);
@@ -704,7 +553,7 @@ mod tests {
         let mut g = cycle(6);
         g.add_edge(0, 2); // triangle 0-1-2
         let ids = IdAssignment::sequential(7.min(g.n()));
-        let res = MessagePassingRuntime.run(&g, &ids, &TriangleAlgo, 10).unwrap();
+        let res = RuntimeKind::MessagePassing.run(&g, &ids, &TriangleAlgo, 10).unwrap();
         assert_eq!(res.rounds, 2);
         assert_eq!(res.outputs, vec![true, true, true, false, false, false]);
         let res2 = OracleRuntime.run(&g, &ids, &TriangleAlgo, 10).unwrap();
@@ -720,9 +569,9 @@ mod tests {
         let mut g = cycle(12);
         g.add_edge(0, 6);
         let ids = IdAssignment::shuffled(12, 17);
-        let a = MessagePassingRuntime.run(&g, &ids, &MinIdRadius2, 10).unwrap();
+        let a = RuntimeKind::MessagePassing.run(&g, &ids, &MinIdRadius2, 10).unwrap();
         let b = OracleRuntime.run(&g, &ids, &MinIdRadius2, 10).unwrap();
-        let c = ShardedOracleRuntime { threads: 5 }.run(&g, &ids, &MinIdRadius2, 10).unwrap();
+        let c = OracleRuntime::run_on(&g, &ids, &MinIdRadius2, 10, 5).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.outputs, c.outputs);
         assert_eq!(a.decided_at, b.decided_at);
@@ -776,9 +625,9 @@ mod tests {
         let ids = IdAssignment::sequential(4);
         let err = OracleRuntime.run(&g, &ids, &Never, 3).unwrap_err();
         assert_eq!(err, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
-        let err2 = MessagePassingRuntime.run(&g, &ids, &Never, 3).unwrap_err();
+        let err2 = RuntimeKind::MessagePassing.run(&g, &ids, &Never, 3).unwrap_err();
         assert_eq!(err2, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
-        let err3 = ShardedOracleRuntime { threads: 2 }.run(&g, &ids, &Never, 3).unwrap_err();
+        let err3 = OracleRuntime::run_on(&g, &ids, &Never, 3, 2).unwrap_err();
         assert_eq!(err3, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
     }
 
@@ -803,7 +652,7 @@ mod tests {
         }
         let g = cycle(5);
         let ids = IdAssignment::sequential(5);
-        let res = MessagePassingRuntime.run(&g, &ids, &TakeAll, 5).unwrap();
+        let res = RuntimeKind::MessagePassing.run(&g, &ids, &TakeAll, 5).unwrap();
         assert_eq!(res.rounds, 0);
         // Measured zero is distinct from not-measured.
         assert_eq!(
@@ -816,13 +665,19 @@ mod tests {
 
     #[test]
     fn sharded_matches_sequential_on_larger_graph() {
-        let g = cycle(64);
+        // The oracle's vertex drain at forced worker counts (the
+        // production gate may resolve to one worker) against the
+        // message-passing execution.
+        let mut g = cycle(64);
+        g.add_edge(0, 2);
         let ids = IdAssignment::shuffled(64, 99);
-        let a = OracleRuntime.run(&g, &ids, &TriangleAlgo, 10).unwrap();
-        let b = ShardedOracleRuntime { threads: 7 }.run(&g, &ids, &TriangleAlgo, 10).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.decided_at, b.decided_at);
-        assert_eq!(a.rounds, b.rounds);
+        let mp = RuntimeKind::MessagePassing.run(&g, &ids, &TriangleAlgo, 10).unwrap();
+        for workers in [1, 2, 4, 7] {
+            let res = OracleRuntime::run_on(&g, &ids, &TriangleAlgo, 10, workers).unwrap();
+            assert_eq!(res.outputs, mp.outputs, "workers={workers}");
+            assert_eq!(res.decided_at, mp.decided_at, "workers={workers}");
+            assert_eq!(res.rounds, mp.rounds, "workers={workers}");
+        }
     }
 
     #[test]
@@ -841,7 +696,7 @@ mod tests {
         let ids = IdAssignment::shuffled(9, 2);
         let direct = OracleRuntime.run(&g, &ids, &DegreeAlgo, 5).unwrap();
         for kind in RuntimeKind::ALL {
-            let via = kind.run(&g, &ids, &DegreeAlgo, 5, 3).unwrap();
+            let via = kind.run(&g, &ids, &DegreeAlgo, 5).unwrap();
             assert_eq!(via.outputs, direct.outputs, "{kind}");
             assert_eq!(via.rounds, direct.rounds, "{kind}");
             assert_eq!(kind.measures_messages(), via.messages.is_measured(), "{kind}");
@@ -853,7 +708,7 @@ mod tests {
         let g = Graph::new(0);
         let ids = IdAssignment::sequential(0);
         for kind in RuntimeKind::ALL {
-            let res = kind.run(&g, &ids, &DegreeAlgo, 3, 2).unwrap();
+            let res = kind.run(&g, &ids, &DegreeAlgo, 3).unwrap();
             assert!(res.outputs.is_empty());
             assert_eq!(res.rounds, 0);
         }
@@ -882,7 +737,7 @@ mod congest_tests {
         let edges: Vec<(usize, usize)> = (0..63).map(|i| (i, i + 1)).collect();
         let g = Graph::from_edges(64, &edges);
         let ids = IdAssignment::sequential(64);
-        let res = MessagePassingRuntime.run(&g, &ids, &DegreeAlgo, 5).unwrap();
+        let res = RuntimeKind::MessagePassing.run(&g, &ids, &DegreeAlgo, 5).unwrap();
         assert!(fits_congest(&res, 64, 4));
     }
 
@@ -904,7 +759,7 @@ mod congest_tests {
             g.add_edge(i, i + 4);
         }
         let ids = IdAssignment::sequential(64);
-        let res = MessagePassingRuntime.run(&g, &ids, &DeepAlgo, 10).unwrap();
+        let res = RuntimeKind::MessagePassing.run(&g, &ids, &DeepAlgo, 10).unwrap();
         assert!(!fits_congest(&res, 64, 4));
         assert!(res.messages.max_bits().unwrap() > 4 * 6);
         // Oracle runs fit vacuously: nothing was measured.

@@ -145,7 +145,6 @@ pub fn parse_config_view(cfg: &Value) -> Result<SolveConfigView, WireError> {
         "id_policy",
         "id_seed",
         "round_cap",
-        "threads",
         "radii",
         "exact_backend",
         "opt_budget",
@@ -207,7 +206,6 @@ pub fn parse_config_view(cfg: &Value) -> Result<SolveConfigView, WireError> {
         round_cap: opt_u64("round_cap")?
             .map(|x| u32::try_from(x).map_err(|_| WireError::bad_request("round_cap too large")))
             .transpose()?,
-        threads: opt_u64("threads")?.map(|x| x as usize),
         radii,
         exact_backend: opt_str("exact_backend")?,
         opt_budget: opt_u64("opt_budget")?,
@@ -227,7 +225,6 @@ pub fn render_config_view(view: &SolveConfigView) -> Value {
         ("id_policy", opt_str(&view.id_policy)),
         ("id_seed", view.id_seed.map_or(Value::Null, Value::from)),
         ("round_cap", view.round_cap.map_or(Value::Null, |x| Value::from(u64::from(x)))),
-        ("threads", view.threads.map_or(Value::Null, Value::from)),
         (
             "radii",
             view.radii.map_or(Value::Null, |(a, b)| {

@@ -178,6 +178,29 @@ fn fault_scenarios_ride_solve_and_replay_their_reports() {
     handle.shutdown();
 }
 
+/// A skew past the wire maximum is refused as a typed 422 before any
+/// job runs (such a value once sized the message history and aborted
+/// the daemon), and the next job completes.
+#[test]
+fn oversized_skew_is_a_typed_422_and_the_daemon_keeps_serving() {
+    let handle = spawn_default();
+    let addr = handle.addr();
+    let put = send(addr, "PUT", "/graphs/outer40", to_edge_list(&corpus_graph()).as_bytes());
+    assert_eq!(put.status, 201, "{}", String::from_utf8_lossy(&put.body));
+
+    let huge = br#"{"graph": "outer40", "solver": "mds/theorem44",
+        "config": {"mode": "local-faulty", "fault": "seed=1;skew=4294967295"}}"#;
+    let resp = send(addr, "POST", "/solve", huge);
+    assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.json().get("code").unwrap().as_str(), Some("invalid-config"));
+
+    let next = br#"{"graph": "outer40", "solver": "mds/theorem44",
+        "config": {"mode": "local-faulty", "fault": "seed=1;skew=2"}}"#;
+    let resp = send(addr, "POST", "/solve", next);
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    handle.shutdown();
+}
+
 #[test]
 fn async_jobs_match_direct_registry_runs() {
     let handle = spawn_default();
@@ -361,7 +384,7 @@ fn error_envelopes_are_typed_and_carry_valid_keys() {
         addr,
         "POST",
         "/solve",
-        br#"{"graph": "known", "solver": "mds/exact", "config": {"threads": 0}}"#,
+        br#"{"graph": "known", "solver": "mds/exact", "config": {"radii": [0, 1]}}"#,
     );
     assert_envelope(&resp, 422, "invalid-config");
 

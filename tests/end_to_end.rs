@@ -9,9 +9,7 @@ use lmds_core::{algorithm1, theorem44_mds, theorem44_mvc, Radii};
 use lmds_graph::dominating::is_dominating_set;
 use lmds_graph::vertex_cover::is_vertex_cover;
 use lmds_graph::Graph;
-use lmds_localsim::{
-    IdAssignment, MessagePassingRuntime, OracleRuntime, Runtime, ShardedOracleRuntime,
-};
+use lmds_localsim::{IdAssignment, OracleRuntime, Runtime, RuntimeKind};
 
 fn workload() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![
@@ -76,17 +74,19 @@ fn algorithm1_end_to_end() {
 
 #[test]
 fn all_three_runtimes_agree() {
+    // Centralized reference, oracle and message passing.
     let g = lmds_gen::ding::AugmentationSpec::standard(4, 2, 1, 5).generate();
     let ids = IdAssignment::shuffled(g.n(), 5);
-    let dec = Algorithm1Decider { radii: Radii::practical(2, 2) };
+    let radii = Radii::practical(2, 2);
+    let dec = Algorithm1Decider { radii };
     let cap = (2 * g.n() + 40) as u32;
     let a = OracleRuntime.run(&g, &ids, &dec, cap).unwrap();
-    let b = MessagePassingRuntime.run(&g, &ids, &dec, cap).unwrap();
-    let c = ShardedOracleRuntime { threads: 3 }.run(&g, &ids, &dec, cap).unwrap();
+    let b = RuntimeKind::MessagePassing.run(&g, &ids, &dec, cap).unwrap();
     assert_eq!(a.outputs, b.outputs);
-    assert_eq!(a.outputs, c.outputs);
     assert_eq!(a.decided_at, b.decided_at);
-    assert_eq!(a.decided_at, c.decided_at);
+    let selected: Vec<usize> =
+        a.outputs.iter().enumerate().filter_map(|(v, &x)| x.then_some(v)).collect();
+    assert_eq!(selected, algorithm1(&g, &ids, radii).solution);
 }
 
 #[test]

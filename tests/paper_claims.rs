@@ -118,7 +118,7 @@ fn claim_lemma42_bounded_residual() {
         let ids = IdAssignment::sequential(g.n());
         let out = algorithm1(&g, &ids, radii);
         let mut max_d = 0;
-        for comp in &out.residual_components {
+        for comp in &out.diagnostics.residual_components {
             let sub = lmds_graph::InducedSubgraph::new(&g, comp);
             if let Some(d) = lmds_graph::bfs::diameter(&sub.graph) {
                 max_d = max_d.max(d);

@@ -123,7 +123,7 @@ fn every_execution_mode_agrees_with_centralized() {
                 ExecutionMode::LOCAL_MESSAGE_PASSING,
                 ExecutionMode::LOCAL_SHARDED,
             ] {
-                let cfg = config_for(&registry, key).mode(mode).threads(3);
+                let cfg = config_for(&registry, key).mode(mode);
                 let sol = registry
                     .solve(key, &inst, &cfg)
                     .unwrap_or_else(|e| panic!("{key} {mode} on {name}: {e}"));

@@ -201,8 +201,7 @@ fn distributed_backends_are_bit_identical_across_id_policies() {
                     // message-passing loop verbatim.
                     let mut cfg = config_for(&registry, key)
                         .mode(ExecutionMode::Local(kind))
-                        .fault(FaultConfig { seed: 5, ..FaultConfig::default() })
-                        .threads(3);
+                        .fault(FaultConfig { seed: 5, ..FaultConfig::default() });
                     if let Some(p) = policy {
                         cfg = cfg.id_policy(p);
                     }
@@ -360,7 +359,7 @@ fn batch_runner_matches_direct_solves() {
         .into_iter()
         .map(|key| BatchJob::new(key, config_for(&registry, key)))
         .collect();
-    for rec in BatchRunner::with_threads(4).run(&registry, &jobs, &instances) {
+    for rec in BatchRunner::new().run(&registry, &jobs, &instances) {
         let sol = rec.result.unwrap_or_else(|e| panic!("{}/{}: {e}", rec.solver, rec.instance));
         let inst = instances.iter().find(|i| i.name == rec.instance).expect("known instance");
         let direct = registry
@@ -419,6 +418,20 @@ fn crash_stalled_run_reports_which_nodes_were_silent() {
     // contract at the API level, not just inside the simulator).
     let err2 = registry.solve("mds/theorem44", &inst, &cfg).unwrap_err();
     assert_eq!(Some(report), err2.fault_report(), "replay diverged");
+}
+
+/// A skew past anything the wire accepts, set in code, must neither
+/// size the message history by it nor overflow the grace and round-cap
+/// arithmetic derived from it: the solve returns.
+#[test]
+fn unbounded_skew_set_in_code_still_returns() {
+    let registry = SolverRegistry::with_defaults();
+    let inst = Instance::sequential("p12", lmds_gen::basic::path(12));
+    let fault = FaultConfig { seed: 1, skew: u32::MAX, ..FaultConfig::default() };
+    let cfg = SolveConfig::mds().mode(ExecutionMode::LOCAL_FAULTY).fault(fault);
+    let sol = registry.solve("mds/theorem44", &inst, &cfg).expect("the run terminates");
+    sol.verify(&inst).expect("pure skew loses nothing");
+    assert!(sol.fault.is_some_and(|r| r.messages_dropped == 0));
 }
 
 /// An *active* fault plan on a runtime that cannot inject it is a
