@@ -150,7 +150,7 @@ fn kernel_benches(iters: u32) -> Vec<BenchRow> {
             .sum()
     });
     rows.push(BenchRow {
-        bench: format!("registry sweep ({} solvers × 3, {sweep_iters} it)", registry.len()),
+        bench: format!("registry sweep ({} solvers × 3)", registry.len()),
         workload: "batch corpus".into(),
         n: instances.iter().map(|i| i.n()).sum(),
         checksum: sum,

@@ -110,8 +110,8 @@ pub fn git_describe() -> String {
 /// Renders the `lmds-microbench/v1` JSON document for one section:
 /// every row with best/median/p95/mean, a combined corpus checksum
 /// (order-sensitive mix of the per-row checksums, so a workload drift
-/// is visible even when timings are not comparable), and git
-/// provenance.
+/// is visible even when timings are not comparable), and provenance:
+/// git revision and the machine's core count ([`lmds_graph::par::cores`]).
 pub fn render_bench_json(section: &str, iters: u32, rows: &[BenchRow]) -> String {
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let corpus_checksum = rows.iter().fold(0u64, |acc, r| {
@@ -135,10 +135,11 @@ pub fn render_bench_json(section: &str, iters: u32, rows: &[BenchRow]) -> String
         })
         .collect();
     format!(
-        "{{\"schema\":\"lmds-microbench/v1\",\"section\":\"{}\",\"git\":\"{}\",\"iters\":{},\
-         \"corpus_checksum\":{},\"rows\":[{}]}}\n",
+        "{{\"schema\":\"lmds-microbench/v1\",\"section\":\"{}\",\"git\":\"{}\",\"cores\":{},\
+         \"iters\":{},\"corpus_checksum\":{},\"rows\":[{}]}}\n",
         escape(section),
         escape(&git_describe()),
+        lmds_graph::par::cores(),
         iters,
         corpus_checksum,
         body.join(",")
@@ -189,6 +190,7 @@ mod tests {
         assert!(doc.contains("\"bench\":\"b\\\"1\""));
         assert!(doc.contains("\"median_us\":1.5"));
         assert!(doc.contains("\"iters\":4"));
+        assert!(doc.contains(&format!("\"cores\":{}", lmds_graph::par::cores())));
         // The document is valid JSON by the serve-side parser.
         let v = lmds_serve::json::parse(&doc).expect("valid JSON");
         assert_eq!(v.get("rows").and_then(|r| r.as_arr()).map(|a| a.len()), Some(1));

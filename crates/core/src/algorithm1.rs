@@ -174,10 +174,10 @@ fn domination_masks(rg: &Graph, s: &[bool], workers: usize) -> (Vec<bool>, Vec<b
         }
     });
     let mut u = vec![false; rg.n()];
-    par::map_chunks(workers, &mut u, &mut (), |_, v| {
-        dominated.contains(v)
+    par::map_chunks(workers, &mut u, &mut (), |_, v, slot| {
+        *slot = dominated.contains(v)
             && !s[v]
-            && rg.neighbors(v).iter().all(|&w| dominated.contains(w as usize))
+            && rg.neighbors(v).iter().all(|&w| dominated.contains(w as usize));
     });
     (dominated.to_bools(), u)
 }

@@ -11,9 +11,12 @@
 //! Two implementations live here:
 //!
 //! * The **[`CutEngine`]** — the production path. One engine run
-//!   computes every per-vertex ball exactly once, evaluates each
-//!   unordered candidate pair `{u, v}` exactly once (both
-//!   interestingness orientations fall out of a single
+//!   computes every per-vertex ball exactly once, together with the
+//!   ball's *separator candidates* (one lowpoint DFS per ball,
+//!   [`neighbor_separators_within`](lmds_graph::articulation::neighbor_separators_within)),
+//!   evaluates each unordered pair `{u, v}` that is a candidate on both
+//!   sides exactly once (both interestingness orientations fall out of a
+//!   single
 //!   [`pair_profile_within`](lmds_graph::two_cuts::pair_profile_within)
 //!   component scan of `H − {u, v}`, with no subgraph ever
 //!   materialized), and shards the per-vertex outer loops across
@@ -29,15 +32,26 @@
 //!   engine matches them bit-for-bit across the generator corpus, so
 //!   engine outputs are byte-identical to the pre-engine ones.
 //!
+//! **Lemma (separator prefilter).** For `r ≥ 1` and `v ∈ N^r[u]`: if
+//! `{u, v}` is an `r`-local minimal 2-cut, then `v` separates
+//! `N(u) ∖ {v}` in `G[N^r[u]] − u` (or `u` is a cut vertex of
+//! `G[N^r[u]]`), and symmetrically for `u` in `v`'s ball. Indeed
+//! `G[N^r[u]] ⊆ H = G[N^r[u] ∪ N^r[v]]`, and minimality makes every
+//! component of `H − {u, v}` adjacent to `u`, so `u` has neighbors in
+//! two components of `H − {u, v}` — and hence of its own ball minus
+//! `{u, v}`. The engine therefore profiles only pairs marked on both
+//! sides (about 6% of the in-range pairs on the chain family at
+//! `r = 4`), with unchanged outputs; [`CutEngine`] spells out the proof.
+//!
 //! The distributed algorithms recompute the same predicates from node
 //! views and are tested to agree.
 
-use lmds_graph::bfs;
-use lmds_graph::par;
 use lmds_graph::scratch::Scratch;
-use lmds_graph::two_cuts;
+use lmds_graph::{articulation, bfs, par, two_cuts};
 use lmds_graph::{FixedBitSet, Graph, InducedSubgraph, SubsetScratch, Vertex};
 use std::cell::RefCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this vertex count the engine stays single-threaded: the scoped
 /// thread spawn + per-worker warm-up costs more than the sweep itself
@@ -59,29 +73,51 @@ fn sweep_workers(n: usize) -> usize {
 ///   index; the naive path re-derives balls per pair and re-checks
 ///   `d(u, v)` with a full-graph BFS, but "`d(u, v) ≤ r`" is exactly
 ///   "`v ∈ N^r[u]`" — a lookup in the index, same predicate.
+/// * **Separators first.** Building the index also runs one lowpoint
+///   DFS per ball
+///   ([`articulation::neighbor_separators_within`])
+///   that marks the *separator candidates* of `u`: each `v ∈ N^r[u]`
+///   whose removal leaves `N(u) ∖ {v}` in two or more components of
+///   `G[N^r[u]] − {u, v}`, or all of `N^r[u] ∖ {u}` when `u` is a cut
+///   vertex of its ball. Only pairs marked on both sides are profiled.
 /// * **Pairs once.** `{u, v}` and `{v, u}` name the same cut `H`; the
 ///   engine scans `H − {u, v}` once and reads off both interestingness
 ///   orientations (witness components non-adjacent to `u` mark `v`, and
 ///   vice versa), where the naive path rebuilds `H` up to four times.
 /// * **No subgraphs.** Minimality and witness counts come from
 ///   [`two_cuts::pair_profile_within`] /
-///   [`articulation::is_cut_vertex_within`](lmds_graph::articulation::is_cut_vertex_within),
+///   [`articulation::is_cut_vertex_within`],
 ///   which traverse `G` restricted to an epoch-marked member set —
 ///   no `InducedSubgraph` construction, no per-pair allocation.
 /// * **Sharding is observation-free.** On graphs past the size
 ///   threshold the per-vertex outer loops run on [`lmds_graph::par`]
 ///   workers in contiguous chunks, each with its own traversal buffers
 ///   (the calling thread keeps the engine's own); the X sweep writes
-///   disjoint chunks of its mask, and the pair sweep's workers write
-///   private monotone masks that are OR-merged, so the result is
-///   independent of the worker count and schedule.
+///   disjoint chunks of its mask, the index build fills one shard per
+///   chunk, and the pair sweep's workers write private monotone masks
+///   that are OR-merged, so the result is independent of the worker
+///   count and schedule.
+///
+/// **Lemma (the prefilter is sound).** Let `r ≥ 1` and `v ∈ N^r[u]`. If
+/// `{u, v}` is a minimal 2-cut of `H = G[N^r[u] ∪ N^r[v]]`, then `v` is
+/// a separator candidate of `u` and `u` one of `v`. *Proof.* `H − {u, v}`
+/// has at least two components and each is adjacent to `u` (else `{v}`
+/// alone would separate `H`), so `u` has neighbors in two components of
+/// `H − {u, v}`. Those neighbors lie in `N^r[u]`, and
+/// `G[N^r[u]] − {u, v}` is a subgraph of `H − {u, v}`, so they stay in
+/// different components there: `v` is marked in `u`'s ball. The same
+/// argument from `v`'s side marks `u` in `v`'s ball. ∎ Skipping every
+/// other pair therefore skips only pairs whose profile would be
+/// discarded, and the equivalence suite pins the outputs to the naive
+/// reference.
 ///
 /// A `CutEngine` is a plain bag of reusable buffers (like [`Scratch`]);
-/// it holds no graph state between runs and may serve graphs of
-/// different sizes back to back.
+/// apart from the counts of its last pair sweep it holds no graph state
+/// between runs and may serve graphs of different sizes back to back.
 ///
 /// **Memory profile:** the pair sweeps hold every ball of the run at
-/// once — `O(Σ_v |N^r[v]|)` words. That is the deliberate trade of
+/// once — `Σ_v |N^r[v]|` `u32` entries plus one candidate bit per
+/// entry, in buffers kept across runs. That is the deliberate trade of
 /// this engine (balls are the shared work), sized for the paper's
 /// regime: minor-free graphs at small local radii, where balls are
 /// bounded. At radii near the diameter, or on dense graphs, the index
@@ -90,24 +126,118 @@ fn sweep_workers(n: usize) -> usize {
 /// (as the pre-engine implementations also required).
 #[derive(Debug, Default)]
 pub struct CutEngine {
-    /// Flat per-vertex ball index for the current radius-`r` run.
+    /// Ball index (with candidate bits) for the current radius-`r` run.
     balls: BallIndex,
     /// The calling thread's traversal buffers (spawned sweep workers
     /// bring their own).
     bufs: Buffers,
+    /// Work counts of the last pair sweep.
+    counts: PairCounts,
 }
 
-/// Every ball `N^r[v]` of one run, flattened: `v`'s ball is
-/// `verts[offsets[v]..offsets[v + 1]]`, sorted.
+/// The work of one pair sweep, as [`CutEngine::pair_counts`] reports it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairCounts {
+    /// Unordered pairs `{u, v}` with `d(u, v) ≤ r` — every pair
+    /// Definition 2.1 ranges over.
+    pub in_range: usize,
+    /// Pairs whose `H − {u, v}` was scanned: separator candidates on
+    /// both sides, not already settled by monotone marking.
+    pub profiled: usize,
+    /// Profiled pairs that are minimal 2-cuts of their `H`.
+    pub cuts: usize,
+}
+
+/// Every ball `N^r[v]` of one run with its candidate bits, in one shard
+/// per contiguous vertex chunk of the build: shard `k` holds the balls
+/// of `k·span .. (k + 1)·span`. Shards keep their buffers across runs
+/// with the same shard count.
 #[derive(Debug, Default)]
 struct BallIndex {
+    n: usize,
+    span: usize,
+    shards: Vec<BallShard>,
+}
+
+/// One chunk's balls: the shard's `i`-th ball is
+/// `verts[offsets[i]..offsets[i + 1]]`, sorted, and bit `j` of `cand`
+/// is set iff `verts[j]` is a separator candidate of that ball's center.
+#[derive(Debug, Default)]
+struct BallShard {
     offsets: Vec<usize>,
-    verts: Vec<Vertex>,
+    verts: Vec<u32>,
+    cand: Vec<u64>,
+}
+
+/// One ball of the index.
+#[derive(Clone, Copy)]
+struct Ball<'a> {
+    verts: &'a [u32],
+    cand: &'a [u64],
+    /// Position of `verts[0]` in the shard (the bit offset).
+    base: usize,
+}
+
+impl Ball<'_> {
+    fn is_candidate(&self, j: usize) -> bool {
+        let bit = self.base + j;
+        self.cand[bit / 64] >> (bit % 64) & 1 == 1
+    }
+
+    /// Whether `v` is in this ball and marked as a candidate.
+    fn has_candidate(&self, v: Vertex) -> bool {
+        self.verts.binary_search(&(v as u32)).is_ok_and(|j| self.is_candidate(j))
+    }
 }
 
 impl BallIndex {
-    fn ball(&self, v: Vertex) -> &[Vertex] {
-        &self.verts[self.offsets[v]..self.offsets[v + 1]]
+    fn ball(&self, v: Vertex) -> Ball<'_> {
+        let shard = &self.shards[v / self.span];
+        let i = v % self.span;
+        let (lo, hi) = (shard.offsets[i], shard.offsets[i + 1]);
+        Ball { verts: &shard.verts[lo..hi], cand: &shard.cand, base: lo }
+    }
+
+    /// Unordered pairs within distance `r`: every ball holds its center
+    /// and the relation is symmetric.
+    fn pairs_in_range(&self) -> usize {
+        let entries: usize = self.shards.iter().map(|s| s.verts.len()).sum();
+        (entries - self.n) / 2
+    }
+
+    /// The pair partners of `u` that can form a minimal 2-cut with it:
+    /// every `v > u` in `N^r[u]` that is a separator candidate of `u`
+    /// while `u` is one of `v` (see the soundness lemma on
+    /// [`CutEngine`]).
+    fn partners(&self, u: Vertex) -> impl Iterator<Item = Vertex> + '_ {
+        let ball = self.ball(u);
+        ball.verts.iter().enumerate().filter_map(move |(j, &v)| {
+            let v = v as Vertex;
+            (v > u && ball.is_candidate(j) && self.ball(v).has_candidate(u)).then_some(v)
+        })
+    }
+}
+
+impl BallShard {
+    /// Refills the shard with the balls of `range` and their candidate
+    /// bits, reusing its buffers.
+    fn fill(&mut self, g: &Graph, r: u32, range: Range<Vertex>, b: &mut Buffers) {
+        self.offsets.clear();
+        self.verts.clear();
+        self.cand.clear();
+        self.offsets.push(0);
+        for u in range {
+            bfs::ball_of_set_into(g, &mut b.scratch, &[u], r, &mut b.ball);
+            articulation::neighbor_separators_within(g, &mut b.subset, &b.ball, u, &mut b.flags);
+            let base = self.verts.len();
+            self.verts.extend(b.ball.iter().map(|&v| v as u32));
+            self.cand.resize(self.verts.len().div_ceil(64), 0);
+            for (j, &flag) in b.flags.iter().enumerate() {
+                let bit = base + j;
+                self.cand[bit / 64] |= u64::from(flag) << (bit % 64);
+            }
+            self.offsets.push(self.verts.len());
+        }
     }
 }
 
@@ -120,6 +250,8 @@ struct Buffers {
     merged: Vec<Vertex>,
     /// Single-ball buffer for the 1-cut sweep and the ball index.
     ball: Vec<Vertex>,
+    /// Separator flags of `ball` for the ball index.
+    flags: Vec<bool>,
 }
 
 /// What the pair sweep records into the mask.
@@ -147,7 +279,9 @@ impl CutEngine {
     /// [`CutEngine::one_cut_mask`] on an explicit worker count.
     fn one_cut_mask_on(&mut self, g: &Graph, r: u32, workers: usize) -> Vec<bool> {
         let mut mask = vec![false; g.n()];
-        par::map_chunks(workers, &mut mask, &mut self.bufs, |b, v| b.one_cut_at(g, v, r));
+        par::map_chunks(workers, &mut mask, &mut self.bufs, |b, v, slot| {
+            *slot = b.one_cut_at(g, v, r);
+        });
         mask
     }
 
@@ -165,50 +299,72 @@ impl CutEngine {
     }
 
     /// All `r`-local minimal 2-cuts as `(u, v)` pairs with `u < v`,
-    /// sorted — [`local_two_cuts`]' engine. Every qualifying pair is
-    /// evaluated (no early exit), each exactly once.
+    /// sorted — [`local_two_cuts`]' engine. Every pair that passes the
+    /// separator prefilter is profiled (no early exit), each exactly
+    /// once.
     pub fn two_cuts(&mut self, g: &Graph, r: u32) -> Vec<(Vertex, Vertex)> {
-        self.compute_balls(g, r);
-        let CutEngine { balls, bufs } = self;
+        self.compute_balls(g, r, sweep_workers(g.n()));
+        let CutEngine { balls, bufs, counts } = self;
         let mut out = Vec::new();
+        let mut profiled = 0;
         for u in g.vertices() {
-            for &v in balls.ball(u) {
-                if v > u && bufs.pair_profile(g, balls, u, v).is_minimal_two_cut() {
+            for v in balls.partners(u) {
+                profiled += 1;
+                if bufs.pair_profile(g, balls, u, v).is_minimal_two_cut() {
                     out.push((u, v));
                 }
             }
         }
+        *counts = PairCounts { in_range: balls.pairs_in_range(), profiled, cuts: out.len() };
         out
     }
 
-    /// Fills the flat ball index for radius `r`.
-    fn compute_balls(&mut self, g: &Graph, r: u32) {
-        let CutEngine { balls, bufs } = self;
-        balls.offsets.clear();
-        balls.verts.clear();
-        balls.offsets.push(0);
-        for v in g.vertices() {
-            bfs::ball_of_set_into(g, &mut bufs.scratch, &[v], r, &mut bufs.ball);
-            balls.verts.extend_from_slice(&bufs.ball);
-            balls.offsets.push(balls.verts.len());
-        }
+    /// The work counts of the last pair sweep ([`CutEngine::interesting_mask`],
+    /// [`CutEngine::two_cut_endpoint_mask`] or [`CutEngine::two_cuts`]).
+    /// With the monotone skip of the mask sweeps, `profiled` can depend
+    /// on the worker count; the masks never do.
+    pub fn pair_counts(&self) -> PairCounts {
+        self.counts
+    }
+
+    /// Fills the ball index for radius `r` on `workers` workers, one
+    /// shard per contiguous vertex chunk.
+    fn compute_balls(&mut self, g: &Graph, r: u32, workers: usize) {
+        let n = g.n();
+        let span = n.div_ceil(workers.max(1)).max(1);
+        let shards = n.div_ceil(span);
+        let balls = &mut self.balls;
+        (balls.n, balls.span) = (n, span);
+        balls.shards.resize_with(shards, BallShard::default);
+        par::map_chunks(shards, &mut balls.shards, &mut self.bufs, |b, k, shard| {
+            shard.fill(g, r, k * span..((k + 1) * span).min(n), b);
+        });
     }
 
     /// The shared pair sweep on `workers` workers: every unordered pair
-    /// `{u, v}` with `d(u, v) ≤ r` (read off the ball index) evaluated
-    /// once. Pairs whose both endpoints are already marked are skipped
-    /// — marking is monotone, so this prunes work without changing the
-    /// result.
+    /// `{u, v}` with `d(u, v) ≤ r` that passes the separator prefilter
+    /// evaluated once. Pairs whose both endpoints are already marked
+    /// are skipped — marking is monotone, so this prunes work without
+    /// changing the result.
     fn pair_mask(&mut self, g: &Graph, r: u32, mode: PairMode, workers: usize) -> Vec<bool> {
-        self.compute_balls(g, r);
-        let CutEngine { balls, bufs } = self;
+        self.compute_balls(g, r, workers);
+        let CutEngine { balls, bufs, counts } = self;
         let balls = &*balls;
-        par::or_masks(workers, g.n(), bufs, |b, range, mask| {
+        let (profiled, cuts) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let mask = par::or_masks(workers, g.n(), bufs, |b, range, mask| {
+            let mut tally = PairCounts::default();
             for u in range {
-                b.scan_pairs_for(g, balls, u, mode, mask);
+                b.scan_pairs_for(g, balls, u, mode, mask, &mut tally);
             }
-        })
-        .to_bools()
+            profiled.fetch_add(tally.profiled, Ordering::Relaxed);
+            cuts.fetch_add(tally.cuts, Ordering::Relaxed);
+        });
+        *counts = PairCounts {
+            in_range: balls.pairs_in_range(),
+            profiled: profiled.into_inner(),
+            cuts: cuts.into_inner(),
+        };
+        mask.to_bools()
     }
 }
 
@@ -216,7 +372,7 @@ impl Buffers {
     /// Whether `v` is a cut vertex of `G[N^r[v]]`.
     fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
         bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball);
-        lmds_graph::articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball, v)
+        articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball, v)
     }
 
     /// Profiles the pair `{u, v}` inside `H = N^r[u] ∪ N^r[v]` (balls
@@ -229,12 +385,12 @@ impl Buffers {
         u: Vertex,
         v: Vertex,
     ) -> two_cuts::PairProfile {
-        merge_sorted(balls.ball(u), balls.ball(v), &mut self.merged);
+        merge_sorted(balls.ball(u).verts, balls.ball(v).verts, &mut self.merged);
         two_cuts::pair_profile_within(g, &mut self.subset, &self.merged, u, v)
     }
 
-    /// One outer-loop step of the pair sweep: all pairs `{u, v}` with
-    /// `v ∈ N^r[u]`, `v > u`.
+    /// One outer-loop step of the pair sweep: the prefiltered partners
+    /// `v > u` of `u`, counted into `tally`.
     fn scan_pairs_for(
         &mut self,
         g: &Graph,
@@ -242,15 +398,18 @@ impl Buffers {
         u: Vertex,
         mode: PairMode,
         mask: &mut FixedBitSet,
+        tally: &mut PairCounts,
     ) {
-        for &v in balls.ball(u) {
-            if v <= u || (mask.contains(u) && mask.contains(v)) {
+        for v in balls.partners(u) {
+            if mask.contains(u) && mask.contains(v) {
                 continue;
             }
+            tally.profiled += 1;
             let profile = self.pair_profile(g, balls, u, v);
             if !profile.is_minimal_two_cut() {
                 continue;
             }
+            tally.cuts += 1;
             match mode {
                 PairMode::Endpoints => {
                     mask.set(u);
@@ -278,31 +437,30 @@ impl Buffers {
     }
 }
 
-/// Merges two sorted vertex lists into `out` (cleared first), dropping
-/// duplicates.
-fn merge_sorted(a: &[Vertex], b: &[Vertex], out: &mut Vec<Vertex>) {
+/// Merges two sorted `u32` ball entry lists into `out` (cleared first),
+/// widening to [`Vertex`] and dropping duplicates.
+fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<Vertex>) {
     out.clear();
     out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => {
-                out.push(a[i]);
+                out.push(a[i] as Vertex);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                out.push(b[j]);
+                out.push(b[j] as Vertex);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
-                out.push(a[i]);
+                out.push(a[i] as Vertex);
                 i += 1;
                 j += 1;
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    out.extend(a[i..].iter().chain(&b[j..]).map(|&v| v as Vertex));
 }
 
 thread_local! {
@@ -333,8 +491,9 @@ pub fn local_one_cut_vertices(g: &Graph, r: u32) -> Vec<Vertex> {
 }
 
 /// All `r`-local minimal 2-cuts of `g`, as `(u, v)` pairs with `u < v`,
-/// sorted. Engine-backed: each unordered pair within distance `r` is
-/// profiled exactly once, with no subgraph construction. Quadratic in
+/// sorted. Engine-backed: each unordered pair within distance `r` that
+/// passes the separator prefilter is profiled exactly once, with no
+/// subgraph construction. Quadratic in
 /// ball sizes (and the engine holds all balls at once) — intended for
 /// the bounded-ball radii of the pipeline and the analysis
 /// experiments.
@@ -365,7 +524,7 @@ pub(crate) fn mask_to_vertices(mask: &[bool]) -> Vec<Vertex> {
 pub fn is_local_one_cut(g: &Graph, v: Vertex, r: u32) -> bool {
     let sub = InducedSubgraph::new(g, &bfs::ball(g, v, r));
     let local = sub.from_host(v).expect("center is in its own ball");
-    lmds_graph::articulation::cut_structure(&sub.graph).is_articulation[local]
+    articulation::cut_structure(&sub.graph).is_articulation[local]
 }
 
 /// Whether `{u, v}` is an `r`-local minimal 2-cut of `g`. Naive
@@ -619,9 +778,11 @@ mod tests {
                 let one = engine.one_cut_mask_on(g, r, 1);
                 let interesting = engine.pair_mask(g, r, PairMode::Interesting, 1);
                 let endpoints = engine.pair_mask(g, r, PairMode::Endpoints, 1);
+                let in_range = engine.pair_counts().in_range;
                 for workers in [1, 2, 4, 7] {
                     let at = |what: &str| format!("{name} r={r} workers={workers}: {what}");
                     assert_eq!(engine.one_cut_mask_on(g, r, workers), one, "{}", at("one-cut"));
+                    // The forced count shards the ball index build too.
                     assert_eq!(
                         engine.pair_mask(g, r, PairMode::Interesting, workers),
                         interesting,
@@ -634,6 +795,7 @@ mod tests {
                         "{}",
                         at("endpoints")
                     );
+                    assert_eq!(engine.pair_counts().in_range, in_range, "{}", at("in range"));
                 }
                 for v in [0usize, 1, g.n() / 2, g.n() - 1] {
                     assert_eq!(interesting[v], is_interesting(g, v, r), "{name} r={r} v={v}");
@@ -645,6 +807,42 @@ mod tests {
                 assert_eq!(one, naive_one, "{name} r={r}");
             }
         }
+    }
+
+    #[test]
+    fn prefilter_profiles_few_pairs_on_the_chain_family() {
+        // The equivalence suite cannot see a dropped prefilter (outputs
+        // stay identical), so pin its effect: on the chain family at the
+        // pipeline's r₂ = 4, almost every in-range pair is rejected
+        // before its H − {u, v} scan.
+        let g = lmds_gen::ding::scale_instance(5000, 0);
+        let mut engine = CutEngine::new();
+        let cuts = engine.two_cuts(&g, 4);
+        let counts = engine.pair_counts();
+        assert_eq!(counts.cuts, cuts.len());
+        assert!(counts.in_range > 0 && counts.profiled >= counts.cuts, "{counts:?}");
+        assert!(counts.profiled * 10 <= counts.in_range, "{counts:?}");
+        engine.interesting_mask(&g, 4);
+        let sweep = engine.pair_counts();
+        assert_eq!(sweep.in_range, counts.in_range);
+        assert!(sweep.profiled * 10 <= sweep.in_range, "{sweep:?}");
+    }
+
+    #[test]
+    fn pair_counts_follow_the_last_sweep() {
+        // C12 at r = 6: every pair is in range; the minimal 2-cuts are
+        // the 54 non-adjacent pairs, and adjacent pairs never pass the
+        // prefilter (removing a neighbor leaves the rest of the cycle
+        // connected).
+        let g = cycle(12);
+        let mut engine = CutEngine::new();
+        assert_eq!(engine.pair_counts(), PairCounts::default());
+        engine.two_cuts(&g, 6);
+        assert_eq!(engine.pair_counts(), PairCounts { in_range: 66, profiled: 54, cuts: 54 });
+        // At r = 1 every ball is a path cut by its center, so every pair
+        // stays a candidate, and none is a minimal 2-cut.
+        engine.two_cuts(&g, 1);
+        assert_eq!(engine.pair_counts(), PairCounts { in_range: 12, profiled: 12, cuts: 0 });
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! policy and three scoped-thread helpers.
 //!
 //! * [`workers`] — how many workers a phase gets: the machine's
-//!   parallelism (read once; 1 when unknown), capped at
+//!   parallelism ([`cores`]: read once; 1 when unknown), capped at
 //!   [`MAX_WORKERS`] and at the phase's item count, and 1 below the
 //!   caller's size gate (small inputs — the LOCAL deciders' many view
 //!   graphs — never pay a thread spawn).
-//! * [`map_chunks`] — contiguous-chunk map: `out[i] = f(state, i)`, the
-//!   output split into one contiguous chunk per worker.
+//! * [`map_chunks`] — contiguous-chunk map: `f(state, i, &mut out[i])`
+//!   updates every slot in place, the slots split into one contiguous
+//!   chunk per worker.
 //! * [`drain`] — atomic-index drain: workers claim items off a shared
 //!   counter and fold them into per-worker state (for items of uneven
 //!   cost, such as exact residual solves).
@@ -36,7 +37,7 @@ use std::sync::OnceLock;
 pub const MAX_WORKERS: usize = 8;
 
 /// The machine's available parallelism, read once (1 when unknown).
-fn cores() -> usize {
+pub fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
 }
@@ -83,14 +84,16 @@ fn chunk_len(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.max(1)).max(1)
 }
 
-/// Contiguous-chunk map: sets `out[i] = f(state, i)` for every index,
-/// with `out` split into `workers` contiguous chunks (the last may be
-/// shorter). The calling thread fills the first chunk with `local`.
+/// Contiguous-chunk map: calls `f(state, i, &mut out[i])` for every
+/// index, with `out` split into `workers` contiguous chunks (the last
+/// may be shorter). `f` may overwrite its slot or update it in place,
+/// keeping the slot's buffers. The calling thread takes the first chunk
+/// with `local`.
 pub fn map_chunks<S, T>(
     workers: usize,
     out: &mut [T],
     local: &mut S,
-    f: impl Fn(&mut S, usize) -> T + Sync,
+    f: impl Fn(&mut S, usize, &mut T) + Sync,
 ) where
     S: Default + Send,
     T: Send,
@@ -100,7 +103,7 @@ pub fn map_chunks<S, T>(
         out.chunks_mut(size).enumerate().map(|(k, chunk)| (k * size, chunk)).collect();
     run(parts, local, |state, (lo, chunk)| {
         for (j, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(state, lo + j);
+            f(state, lo + j, slot);
         }
     });
 }
@@ -181,8 +184,27 @@ mod tests {
     fn map_chunks_returns_results_in_index_order() {
         for workers in WORKERS {
             let mut out = vec![0usize; 101];
-            map_chunks(workers, &mut out, &mut (), |_, i| i * i);
+            map_chunks(workers, &mut out, &mut (), |_, i, slot| *slot = i * i);
             assert_eq!(out, (0..101).map(|i| i * i).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn map_chunks_updates_slots_in_place() {
+        for workers in WORKERS {
+            let mut slots: Vec<Vec<usize>> = (0..9).map(|i| Vec::with_capacity(16 + i)).collect();
+            let caps: Vec<usize> = slots.iter().map(Vec::capacity).collect();
+            for round in 0..2 {
+                map_chunks(workers, &mut slots, &mut (), |_, i, slot| {
+                    slot.clear();
+                    slot.extend(0..i + round);
+                });
+            }
+            for (i, slot) in slots.iter().enumerate() {
+                assert_eq!(*slot, (0..i + 1).collect::<Vec<_>>(), "workers={workers}");
+            }
+            let kept: Vec<usize> = slots.iter().map(Vec::capacity).collect();
+            assert_eq!(kept, caps, "slots keep their buffers (workers={workers})");
         }
     }
 
@@ -221,7 +243,7 @@ mod tests {
     fn empty_input_runs_nothing() {
         for workers in WORKERS {
             let mut out: Vec<u8> = Vec::new();
-            map_chunks(workers, &mut out, &mut (), |_, _| unreachable!("no items"));
+            map_chunks(workers, &mut out, &mut (), |_, _, _| unreachable!("no items"));
             let states: Vec<Vec<usize>> = drain(workers, 0, |_, _| unreachable!("no items"));
             assert!(states.iter().all(Vec::is_empty));
             let mask = or_masks(workers, 0, &mut (), |_, _, _| unreachable!("no range"));
@@ -232,7 +254,7 @@ mod tests {
     #[test]
     fn more_workers_than_items() {
         let mut out = vec![0u32; 3];
-        map_chunks(7, &mut out, &mut (), |_, i| i as u32 + 1);
+        map_chunks(7, &mut out, &mut (), |_, i, slot| *slot = i as u32 + 1);
         assert_eq!(out, [1, 2, 3]);
         let states: Vec<Vec<usize>> = drain(7, 2, |mine: &mut Vec<usize>, k| mine.push(k));
         assert_eq!(states.concat().len(), 2);
@@ -243,7 +265,7 @@ mod tests {
     #[test]
     fn one_worker_spawns_nothing() {
         let me = std::thread::current().id();
-        let here = |_: &mut (), _: usize| std::thread::current().id();
+        let here = |_: &mut (), _: usize, slot: &mut ThreadId| *slot = std::thread::current().id();
         let mut out: Vec<ThreadId> = vec![me; 50];
         map_chunks(1, &mut out, &mut (), here);
         assert!(out.iter().all(|&t| t == me));
@@ -259,9 +281,9 @@ mod tests {
         // workers start from `Default`.
         let mut local = vec![0usize];
         let mut out = vec![0usize; 8];
-        map_chunks(2, &mut out, &mut local, |seen: &mut Vec<usize>, i| {
+        map_chunks(2, &mut out, &mut local, |seen: &mut Vec<usize>, i, slot| {
             seen.push(i);
-            seen.len()
+            *slot = seen.len();
         });
         assert_eq!(local, [0, 0, 1, 2, 3]);
         assert_eq!(out, [2, 3, 4, 5, 1, 2, 3, 4]);
@@ -271,11 +293,11 @@ mod tests {
     #[should_panic(expected = "worker 3 failed")]
     fn a_worker_panic_reaches_the_caller() {
         let mut out = vec![0usize; 8];
-        map_chunks(4, &mut out, &mut (), |_, i| {
+        map_chunks(4, &mut out, &mut (), |_, i, slot| {
             if i == 7 {
                 panic!("worker {} failed", i / 2);
             }
-            i
+            *slot = i;
         });
     }
 }

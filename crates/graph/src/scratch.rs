@@ -135,16 +135,19 @@ impl Scratch {
 /// an induced subgraph `G[S]` that never materialize the subgraph.
 ///
 /// Where [`Scratch`] carries one visited-mark array, a subset traversal
-/// needs four independent per-vertex facts at once — "is in `S`",
-/// "adjacent to anchor `a`", "adjacent to anchor `b`", and "visited by
-/// the current BFS" — so this workspace keeps four epoch-marked arrays
-/// sharing a single epoch counter. The same reuse contract as
+/// needs several independent per-vertex facts at once — "is in `S`",
+/// "adjacent to anchor `a`", "adjacent to anchor `b`", "visited by the
+/// current traversal" and, for the lowpoint DFS, "separates" — so this
+/// workspace keeps five epoch-marked arrays sharing a single epoch
+/// counter, plus the DFS discovery times and lowpoints (meaningful only
+/// for vertices visited in the current epoch). The same reuse contract as
 /// [`Scratch`] applies: `begin` opens a fresh epoch (marks from earlier
 /// subsets/graphs die instantly), buffers never shrink, and the
 /// (astronomically rare) epoch wraparound zeroes all arrays once.
 ///
 /// The consumers are the subset variants of the cut predicates —
-/// [`crate::articulation::is_cut_vertex_within`] and
+/// [`crate::articulation::is_cut_vertex_within`],
+/// [`crate::articulation::neighbor_separators_within`] and
 /// [`crate::two_cuts::pair_profile_within`] — which sit on the local-cut
 /// hot path of the Algorithm 1 pipeline.
 #[derive(Debug, Clone, Default)]
@@ -156,10 +159,19 @@ pub struct SubsetScratch {
     /// Adjacency marks for the two anchor vertices.
     adj_a: Vec<u32>,
     adj_b: Vec<u32>,
-    /// BFS visited marks.
+    /// BFS/DFS visited marks.
     seen: Vec<u32>,
+    /// Separator marks of the lowpoint DFS.
+    sep: Vec<u32>,
+    /// DFS discovery times and lowpoints, valid only for vertices
+    /// visited in the current epoch.
+    pub(crate) disc: Vec<u32>,
+    pub(crate) low: Vec<u32>,
     /// BFS queue storage (head index kept by the traversal).
     pub(crate) queue: Vec<Vertex>,
+    /// DFS stack storage: `(vertex, next neighbor index, subtree holds
+    /// an anchor neighbor)`.
+    pub(crate) stack: Vec<(Vertex, u32, bool)>,
 }
 
 impl SubsetScratch {
@@ -175,21 +187,26 @@ impl SubsetScratch {
             self.adj_a.resize(n, 0);
             self.adj_b.resize(n, 0);
             self.seen.resize(n, 0);
+            self.sep.resize(n, 0);
+            self.disc.resize(n, 0);
+            self.low.resize(n, 0);
         }
     }
 
     /// Opens a new traversal over a graph of `n` vertices restricted to
-    /// the subset `set`: grows the buffers, clears the queue, advances
-    /// the epoch, and marks the members.
+    /// the subset `set`: grows the buffers, clears the queue and the
+    /// stack, advances the epoch, and marks the members.
     pub(crate) fn begin(&mut self, n: usize, set: &[Vertex]) {
         self.reserve(n);
         self.bound = n;
         self.queue.clear();
+        self.stack.clear();
         if self.epoch == u32::MAX {
             self.in_set.fill(0);
             self.adj_a.fill(0);
             self.adj_b.fill(0);
             self.seen.fill(0);
+            self.sep.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -253,6 +270,18 @@ impl SubsetScratch {
     #[inline]
     pub(crate) fn visited(&self, v: Vertex) -> bool {
         self.seen[v] == self.epoch
+    }
+
+    /// Marks `v` as a separator in the current traversal.
+    #[inline]
+    pub(crate) fn mark_sep(&mut self, v: Vertex) {
+        self.sep[v] = self.epoch;
+    }
+
+    /// Whether `v` was marked as a separator in the current traversal.
+    #[inline]
+    pub(crate) fn is_sep(&self, v: Vertex) -> bool {
+        self.sep[v] == self.epoch
     }
 
     /// Test-only: age the workspace to just before epoch wraparound.
@@ -341,10 +370,13 @@ mod tests {
         assert!(s.adj_b(3) && !s.adj_b(2));
         assert!(s.visit(2));
         assert!(!s.visit(2));
+        s.mark_sep(4);
+        assert!(s.is_sep(4) && !s.is_sep(2));
         // New subset, bigger graph: every earlier mark must be dead.
         s.begin(7, &[1]);
         for v in 0..7 {
             assert!(!s.visited(v), "stale visited at {v}");
+            assert!(!s.is_sep(v), "stale separator at {v}");
             assert!(!s.adj_a(v) && !s.adj_b(v), "stale adjacency at {v}");
             assert_eq!(s.contains(v), v == 1, "membership at {v}");
         }
@@ -356,9 +388,10 @@ mod tests {
         s.force_epoch_wraparound_imminent();
         s.begin(3, &[0, 1]); // epoch == u32::MAX now
         s.mark_adj_a(&[1]);
-        assert!(s.contains(0) && s.adj_a(1));
+        s.mark_sep(1);
+        assert!(s.contains(0) && s.adj_a(1) && s.is_sep(1));
         s.begin(3, &[2]); // wraparound: arrays zeroed, epoch restarts
-        assert!(!s.contains(0) && !s.adj_a(1));
+        assert!(!s.contains(0) && !s.adj_a(1) && !s.is_sep(1));
         assert!(s.contains(2));
     }
 

@@ -125,12 +125,12 @@ pub fn twin_representatives_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vertex
 /// worker hashes the CSR rows of its own disjoint vertex range, so the
 /// output is identical for every worker count).
 fn fill_neighborhood_keys(g: &Graph, keys: &mut [u64], workers: usize) {
-    par::map_chunks(workers, keys, &mut (), |_, v| {
+    par::map_chunks(workers, keys, &mut (), |_, v, key| {
         let mut h = mix(v as u64);
         for &u in g.neighbors(v) {
             h = h.wrapping_add(mix(u as u64));
         }
-        h
+        *key = h;
     });
 }
 

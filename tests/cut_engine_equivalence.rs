@@ -55,6 +55,9 @@ fn corpus() -> Vec<(String, Graph)> {
             format!("outerplanar_s{seed}"),
             lmds_gen::outerplanar::random_maximal_outerplanar(18, seed),
         ));
+        // The benchmarked chain family, where the separator prefilter
+        // rejects most in-range pairs.
+        out.push((format!("chain400_s{seed}"), lmds_gen::ding::scale_instance(400, seed)));
     }
     out
 }
