@@ -5,10 +5,14 @@
 //! Compares a current results directory against a committed baseline
 //! directory and fails (exit 1) when any matched row's median regresses
 //! by more than the threshold **after machine-speed normalization**:
-//! the global speed factor is the median of the per-row
-//! `current / baseline` median ratios, so a uniformly slower CI box
-//! does not fail every row — only rows that regressed *relative to the
-//! rest of the suite* do.
+//! every section records `calib_us`, the median of a fixed CSR-BFS
+//! kernel timed before and after its rows
+//! ([`lmds_bench::calibrated`]), and each budget scales by the
+//! section's `current / baseline` calib ratio. A slower machine slows
+//! the kernel and the rows together and passes; a program that got
+//! slower fails, uniformly or not, and rows that got faster do not
+//! move the other rows' budgets. A file without `calib_us` fails with
+//! "regenerate the baseline".
 //!
 //! Checksum drift (same bench key, different workload checksum) is also
 //! a hard failure: the timings are not comparable, and the fix is to
@@ -34,18 +38,30 @@ struct Row {
     median_us: f64,
 }
 
-fn load_section(path: &Path) -> Result<Vec<Row>, String> {
+/// One parsed `BENCH_<section>.json`: its calibration median and rows.
+struct Section {
+    calib_us: f64,
+    rows: Vec<Row>,
+}
+
+fn load_section(path: &Path) -> Result<Section, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let doc = parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
     let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
     if schema != "lmds-microbench/v1" {
         return Err(format!("{}: unsupported schema {schema:?}", path.display()));
     }
+    let calib_us = doc
+        .get("calib_us")
+        .and_then(Value::as_f64)
+        .filter(|&us| us > 0.0)
+        .ok_or_else(|| format!("{}: no calib_us; regenerate the baseline", path.display()))?;
     let rows = doc
         .get("rows")
         .and_then(Value::as_arr)
         .ok_or_else(|| format!("{}: missing rows array", path.display()))?;
-    rows.iter()
+    let rows = rows
+        .iter()
         .map(|r| {
             let field = |k: &str| {
                 r.get(k)
@@ -63,7 +79,8 @@ fn load_section(path: &Path) -> Result<Vec<Row>, String> {
                     .ok_or_else(|| format!("{}: row missing median_us", path.display()))?,
             })
         })
-        .collect()
+        .collect::<Result<_, String>>()?;
+    Ok(Section { calib_us, rows })
 }
 
 /// Sections to diff: explicit names, or everything the baseline holds.
@@ -87,23 +104,18 @@ fn sections(baseline_dir: &Path, explicit: &[String]) -> Result<Vec<String>, Str
     Ok(out)
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
-}
-
 struct Gate {
     threshold: f64,
     min_us: f64,
 }
 
 /// Diffs one section; returns the failure messages (empty = pass).
-fn diff_section(section: &str, base: &[Row], cur: &[Row], gate: &Gate) -> Vec<String> {
+fn diff_section(section: &str, base: &Section, cur: &Section, gate: &Gate) -> Vec<String> {
     let mut failures = Vec::new();
-    // Match rows by (bench, workload); collect the comparable ratios.
+    // Match rows by (bench, workload).
     let mut pairs: Vec<(&Row, &Row)> = Vec::new();
-    for b in base {
-        match cur.iter().find(|c| c.bench == b.bench && c.workload == b.workload) {
+    for b in &base.rows {
+        match cur.rows.iter().find(|c| c.bench == b.bench && c.workload == b.workload) {
             Some(c) => pairs.push((b, c)),
             None => failures.push(format!(
                 "{section}: row [{} / {}] vanished from current results",
@@ -120,16 +132,14 @@ fn diff_section(section: &str, base: &[Row], cur: &[Row], gate: &Gate) -> Vec<St
             ));
         }
     }
-    let ratios: Vec<f64> = pairs
-        .iter()
-        .filter(|(b, c)| b.checksum == c.checksum && b.median_us > 0.0 && c.median_us > 0.0)
-        .map(|(b, c)| c.median_us / b.median_us)
-        .collect();
-    if ratios.is_empty() {
-        return failures;
-    }
-    let speed = median(ratios);
-    println!("section {section}: {} comparable rows, machine-speed factor {speed:.2}", pairs.len());
+    let speed = cur.calib_us / base.calib_us;
+    println!(
+        "section {section}: {} matched rows, machine-speed factor {speed:.2} \
+         (calib {:.1}µs -> {:.1}µs)",
+        pairs.len(),
+        base.calib_us,
+        cur.calib_us
+    );
     for (b, c) in &pairs {
         if b.checksum != c.checksum {
             continue;
@@ -223,5 +233,66 @@ fn main() -> ExitCode {
             eprintln!("benchdiff: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn section(calib_us: f64, medians: &[f64]) -> Section {
+        let rows = medians
+            .iter()
+            .enumerate()
+            .map(|(i, &median_us)| Row {
+                bench: format!("bench{i}"),
+                workload: "w".into(),
+                checksum: i as u64,
+                median_us,
+            })
+            .collect();
+        Section { calib_us, rows }
+    }
+
+    const GATE: Gate = Gate { threshold: 1.25, min_us: 0.0 };
+    const BASE: [f64; 8] = [1000.0, 2000.0, 4000.0, 8000.0, 1500.0, 3000.0, 6000.0, 12000.0];
+
+    #[test]
+    fn uniform_slowdown_at_equal_calib_fails() {
+        let base = section(5000.0, &BASE);
+        let slower: Vec<f64> = BASE.iter().map(|us| us * 1.5).collect();
+        let failures = diff_section("s", &base, &section(5000.0, &slower), &GATE);
+        assert_eq!(failures.len(), BASE.len(), "{failures:?}");
+    }
+
+    #[test]
+    fn speeding_up_half_the_rows_leaves_the_rest_passing() {
+        let base = section(5000.0, &BASE);
+        let mixed: Vec<f64> = BASE
+            .iter()
+            .enumerate()
+            .map(|(i, us)| if i % 2 == 0 { us / 4.0 } else { *us })
+            .collect();
+        let failures = diff_section("s", &base, &section(5000.0, &mixed), &GATE);
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn slower_machine_passes() {
+        let base = section(5000.0, &BASE);
+        let slower: Vec<f64> = BASE.iter().map(|us| us * 1.5).collect();
+        let failures = diff_section("s", &base, &section(7500.0, &slower), &GATE);
+        assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn a_file_without_calib_us_asks_for_a_new_baseline() {
+        let dir = std::env::temp_dir().join(format!("benchdiff-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_old.json");
+        std::fs::write(&path, r#"{"schema":"lmds-microbench/v1","rows":[]}"#).unwrap();
+        let err = load_section(&path).err().expect("no calib_us");
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(err.contains("regenerate the baseline"), "{err}");
     }
 }

@@ -39,7 +39,9 @@
 //! ```
 
 use lmds_api::{BatchJob, BatchRunner, ExecutionMode, Instance, SolveConfig, SolverRegistry};
-use lmds_bench::{render_markdown, sample, section_table, write_bench_json, BenchRow, Table};
+use lmds_bench::{
+    calibrated, render_markdown, sample, section_table, write_bench_json, BenchRow, Table,
+};
 use lmds_core::Radii;
 use std::time::Instant;
 
@@ -561,39 +563,41 @@ fn main() {
 
     // Sections are combinable (the CI smoke step runs all five).
     if kernel || local || cuts || exact || dynamic {
+        // Each section runs between two bursts of the calibration
+        // kernel, whose median `benchdiff` scales the budgets by.
         if kernel {
-            let rows = kernel_benches(iters);
+            let (rows, calib_us) = calibrated(|| kernel_benches(iters));
             let title =
                 format!("microbench --kernel — graph-kernel hot paths, {iters} iterations (µs)");
             print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("kernel", iters, &rows);
+            write_bench_json("kernel", iters, calib_us, &rows);
         }
         if local {
-            let (table, rows) = local_benches(iters);
+            let ((table, rows), calib_us) = calibrated(|| local_benches(iters));
             print!("{}", render_markdown(&table));
-            write_bench_json("local", iters, &rows);
+            write_bench_json("local", iters, calib_us, &rows);
         }
         if cuts {
-            let rows = cuts_benches(iters);
+            let (rows, calib_us) = calibrated(|| cuts_benches(iters));
             let title =
                 format!("microbench --cuts — CutEngine predicate sweeps, {iters} iterations (µs)");
             print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("cuts", iters, &rows);
+            write_bench_json("cuts", iters, calib_us, &rows);
         }
         if exact {
-            let rows = exact_benches(iters);
+            let (rows, calib_us) = calibrated(|| exact_benches(iters));
             let title =
                 format!("microbench --exact — exact-engine backends, {iters} iterations (µs)");
             print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("exact", iters, &rows);
+            write_bench_json("exact", iters, calib_us, &rows);
         }
         if dynamic {
-            let rows = dynamic_benches(iters);
+            let (rows, calib_us) = calibrated(|| dynamic_benches(iters));
             let title = format!(
                 "microbench --dynamic — DynamicGraph/DynamicSolver substrate, {iters} iterations (µs)"
             );
             print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("dynamic", iters, &rows);
+            write_bench_json("dynamic", iters, calib_us, &rows);
         }
         return;
     }

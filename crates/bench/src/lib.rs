@@ -18,4 +18,4 @@ pub mod timing;
 
 pub use experiments::*;
 pub use report::{render_csv, render_json, render_markdown, Table};
-pub use timing::{sample, section_table, write_bench_json, BenchRow, Stats};
+pub use timing::{calibrated, sample, section_table, write_bench_json, BenchRow, Stats};

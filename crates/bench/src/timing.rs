@@ -1,6 +1,6 @@
 //! Shared micro-timing infrastructure: iteration sampling with order
-//! statistics, the uniform bench-row shape, and the machine-readable
-//! `results/BENCH_<section>.json` artifact writer.
+//! statistics, the uniform bench-row shape, the calibration kernel, and
+//! the machine-readable `results/BENCH_<section>.json` artifact writer.
 //!
 //! Used by every `microbench` section and by the `scale` experiment, so
 //! all timing artifacts share one schema (`lmds-microbench/v1`) and one
@@ -63,6 +63,114 @@ pub fn sample(iters: u32, mut f: impl FnMut() -> usize) -> (Stats, usize) {
     (stats, checksum)
 }
 
+/// The fixed reference kernel `benchdiff` calibrates against:
+/// breadth-first search from two corners of a 512×512 grid held in the
+/// kernel's own CSR arrays. It runs no library code, so no change to the
+/// program can move it, while a slower or busier machine slows it along
+/// with the bench rows. A section samples it before and after its rows
+/// and records the median as `calib_us` ([`calibrated`]).
+struct Calibration {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    dist: Vec<u32>,
+    queue: Vec<u32>,
+    samples_us: Vec<f64>,
+}
+
+impl Calibration {
+    const SIDE: usize = 512;
+    /// Kernel samples per [`Calibration::sample`] call.
+    const BURST: usize = 5;
+
+    /// Builds the grid (no samples yet).
+    fn new() -> Self {
+        let side = Self::SIDE;
+        let mut offsets = vec![0u32];
+        let mut targets = Vec::with_capacity(4 * side * side);
+        for r in 0..side {
+            for c in 0..side {
+                let v = r * side + c;
+                if r > 0 {
+                    targets.push((v - side) as u32);
+                }
+                if c > 0 {
+                    targets.push((v - 1) as u32);
+                }
+                if c + 1 < side {
+                    targets.push((v + 1) as u32);
+                }
+                if r + 1 < side {
+                    targets.push((v + side) as u32);
+                }
+                offsets.push(targets.len() as u32);
+            }
+        }
+        let n = side * side;
+        Calibration {
+            offsets,
+            targets,
+            dist: vec![0; n],
+            queue: Vec::with_capacity(n),
+            samples_us: Vec::new(),
+        }
+    }
+
+    /// Times the kernel a few times and records each run (µs).
+    fn sample(&mut self) {
+        for _ in 0..Self::BURST {
+            let start = Instant::now();
+            let far = self.bfs_from_corners();
+            std::hint::black_box(far);
+            self.samples_us.push(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+
+    /// One BFS from each of two opposite corners; returns the largest
+    /// distance seen (so the work cannot be optimized away).
+    fn bfs_from_corners(&mut self) -> u32 {
+        let mut far = 0u32;
+        for source in [0, self.dist.len() - 1] {
+            self.dist.fill(u32::MAX);
+            self.queue.clear();
+            self.dist[source] = 0;
+            self.queue.push(source as u32);
+            let mut head = 0;
+            while let Some(&u) = self.queue.get(head) {
+                head += 1;
+                let du = self.dist[u as usize];
+                far = far.max(du);
+                let row = self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize;
+                for &w in &self.targets[row] {
+                    if self.dist[w as usize] == u32::MAX {
+                        self.dist[w as usize] = du + 1;
+                        self.queue.push(w);
+                    }
+                }
+            }
+        }
+        far
+    }
+
+    /// Median of every sample so far (µs).
+    fn median_us(&self) -> f64 {
+        let mut xs = self.samples_us.clone();
+        xs.sort_by(|a, b| a.total_cmp(b));
+        xs[xs.len() / 2]
+    }
+}
+
+/// Runs one bench section between two bursts of the calibration kernel
+/// (BFS over a fixed 512×512 grid in the kernel's own arrays) and
+/// returns its output with the kernel's median (µs) — the `calib_us`
+/// that `benchdiff` scales budgets by.
+pub fn calibrated<T>(section: impl FnOnce() -> T) -> (T, f64) {
+    let mut calib = Calibration::new();
+    calib.sample();
+    let out = section();
+    calib.sample();
+    (out, calib.median_us())
+}
+
 /// Renders one section's rows as a printed markdown table.
 pub fn section_table(title: &str, rows: &[BenchRow]) -> crate::report::Table {
     let mut t = crate::report::Table::new(
@@ -110,9 +218,10 @@ pub fn git_describe() -> String {
 /// Renders the `lmds-microbench/v1` JSON document for one section:
 /// every row with best/median/p95/mean, a combined corpus checksum
 /// (order-sensitive mix of the per-row checksums, so a workload drift
-/// is visible even when timings are not comparable), and provenance:
-/// git revision and the machine's core count ([`lmds_graph::par::cores`]).
-pub fn render_bench_json(section: &str, iters: u32, rows: &[BenchRow]) -> String {
+/// is visible even when timings are not comparable), the section's
+/// calibration median `calib_us` ([`calibrated`]), and provenance: git revision and
+/// the machine's core count ([`lmds_graph::par::cores`]).
+pub fn render_bench_json(section: &str, iters: u32, calib_us: f64, rows: &[BenchRow]) -> String {
     let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
     let corpus_checksum = rows.iter().fold(0u64, |acc, r| {
         (acc ^ r.checksum as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
@@ -136,19 +245,20 @@ pub fn render_bench_json(section: &str, iters: u32, rows: &[BenchRow]) -> String
         .collect();
     format!(
         "{{\"schema\":\"lmds-microbench/v1\",\"section\":\"{}\",\"git\":\"{}\",\"cores\":{},\
-         \"iters\":{},\"corpus_checksum\":{},\"rows\":[{}]}}\n",
+         \"iters\":{},\"calib_us\":{:.1},\"corpus_checksum\":{},\"rows\":[{}]}}\n",
         escape(section),
         escape(&git_describe()),
         lmds_graph::par::cores(),
         iters,
+        calib_us,
         corpus_checksum,
         body.join(",")
     )
 }
 
 /// Writes `results/BENCH_<section>.json` (see [`render_bench_json`]).
-pub fn write_bench_json(section: &str, iters: u32, rows: &[BenchRow]) {
-    let doc = render_bench_json(section, iters, rows);
+pub fn write_bench_json(section: &str, iters: u32, calib_us: f64, rows: &[BenchRow]) {
+    let doc = render_bench_json(section, iters, calib_us, rows);
     let _ = std::fs::create_dir_all("results");
     let path = format!("results/BENCH_{section}.json");
     match std::fs::write(&path, doc) {
@@ -160,6 +270,15 @@ pub fn write_bench_json(section: &str, iters: u32, rows: &[BenchRow]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn calibration_brackets_a_section() {
+        let (value, calib_us) = calibrated(|| 7);
+        assert_eq!(value, 7);
+        assert!(calib_us > 0.0);
+        // The kernel's own answer: the far corner is 2·511 hops away.
+        assert_eq!(Calibration::new().bfs_from_corners(), 2 * 511);
+    }
 
     #[test]
     fn sample_orders_statistics() {
@@ -184,8 +303,9 @@ mod tests {
             checksum: 3,
             stats: Stats { best: 1.0, mean: 2.0, median: 1.5, p95: 2.5 },
         }];
-        let doc = render_bench_json("unit", 4, &rows);
+        let doc = render_bench_json("unit", 4, 4321.5, &rows);
         assert!(doc.contains("\"schema\":\"lmds-microbench/v1\""));
+        assert!(doc.contains("\"calib_us\":4321.5"));
         assert!(doc.contains("\"section\":\"unit\""));
         assert!(doc.contains("\"bench\":\"b\\\"1\""));
         assert!(doc.contains("\"median_us\":1.5"));

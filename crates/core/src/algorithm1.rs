@@ -27,8 +27,7 @@ use lmds_localsim::IdAssignment;
 
 /// Below this quotient size the dominated/`U` mask passes stay
 /// sequential — they are O(n + m) sweeps, so the scoped-thread spawn
-/// only pays for itself on large quotients (the adaptive LOCAL deciders
-/// run the pipeline on many small view graphs, which must stay cheap).
+/// only pays for itself on large quotients.
 const MASK_PARALLEL_THRESHOLD: usize = 1 << 14;
 
 /// Residual components are solved exactly, which is far more expensive
@@ -125,18 +124,7 @@ pub fn pipeline_state_with(
     opts: PipelineOptions,
 ) -> PipelineState {
     assert_eq!(g.n(), ids.len(), "one identifier per vertex");
-    // Twin classes; keep minimum-id member.
-    let mut kept_mask = vec![true; g.n()];
-    if opts.twin_reduction {
-        kept_mask.fill(false);
-        for class in lmds_graph::twins::twin_classes(g) {
-            let rep =
-                class.iter().copied().min_by_key(|&v| ids[v]).expect("twin classes are nonempty");
-            kept_mask[rep] = true;
-        }
-    }
-    let kept: Vec<Vertex> = g.vertices().filter(|&v| kept_mask[v]).collect();
-    let reduced = InducedSubgraph::new(g, &kept);
+    let (kept_mask, reduced) = twin_quotient(g, ids, opts.twin_reduction);
     let rg = &reduced.graph;
     let rn = rg.n();
 
@@ -157,6 +145,25 @@ pub fn pipeline_state_with(
     let workers = par::workers(rn, MASK_PARALLEL_THRESHOLD, rn);
     let (dominated, u) = domination_masks(rg, &s, workers);
     PipelineState { kept_mask, reduced, x, i, s, dominated, u }
+}
+
+/// Step 1, the twin reduction: which vertices of `g` are kept (the
+/// minimum-identifier member of each true-twin class, or every vertex
+/// when `reduce` is off) and the quotient `R` they induce. Shared by the
+/// centralized pipeline and the LOCAL decider, which reduces each view.
+pub(crate) fn twin_quotient(g: &Graph, ids: &[u64], reduce: bool) -> (Vec<bool>, InducedSubgraph) {
+    let mut kept_mask = vec![true; g.n()];
+    if reduce {
+        kept_mask.fill(false);
+        for class in lmds_graph::twins::twin_classes(g) {
+            let rep =
+                class.iter().copied().min_by_key(|&v| ids[v]).expect("twin classes are nonempty");
+            kept_mask[rep] = true;
+        }
+    }
+    let kept: Vec<Vertex> = g.vertices().filter(|&v| kept_mask[v]).collect();
+    let reduced = InducedSubgraph::new(g, &kept);
+    (kept_mask, reduced)
 }
 
 /// Computes the dominated mask `N_R[S]` and the `U` filter (distance-≤2
@@ -189,19 +196,23 @@ fn domination_masks(rg: &Graph, s: &[bool], workers: usize) -> (Vec<bool>, Vec<b
 /// `comp` is given in `R`-local indices; the result is in host indices
 /// of the graph `pipeline_state` ran on.
 pub fn solve_component(state: &PipelineState, ids: &[u64], comp: &[Vertex]) -> Vec<Vertex> {
-    solve_component_with(state, ids, comp, true)
+    solve_component_with(&state.reduced, ids, comp, |v| state.dominated[v], true)
 }
 
-/// [`solve_component`] with a switch between the exact solver (paper)
-/// and the greedy heuristic (ablation).
+/// The one residual solver: [`solve_component`] on the quotient
+/// `reduced` and the dominated status of the component's members, with
+/// a switch between the exact solver (paper) and the greedy heuristic
+/// (ablation). The centralized pipeline reads `dominated` from its
+/// masks, the LOCAL decider from its on-demand statuses.
 pub fn solve_component_with(
-    state: &PipelineState,
+    reduced: &InducedSubgraph,
     ids: &[u64],
     comp: &[Vertex],
+    mut dominated: impl FnMut(Vertex) -> bool,
     exact: bool,
 ) -> Vec<Vertex> {
-    let rg = &state.reduced.graph;
-    let targets_r: Vec<Vertex> = comp.iter().copied().filter(|&v| !state.dominated[v]).collect();
+    let rg = &reduced.graph;
+    let targets_r: Vec<Vertex> = comp.iter().copied().filter(|&v| !dominated(v)).collect();
     if targets_r.is_empty() {
         return Vec::new();
     }
@@ -210,7 +221,7 @@ pub fn solve_component_with(
     // hashing on this hot loop, and (like the old HashMap index) any
     // input order of `comp` works.
     let mut order: Vec<Vertex> = comp.to_vec();
-    order.sort_by_key(|&v| ids[state.reduced.to_host(v)]);
+    order.sort_by_key(|&v| ids[reduced.to_host(v)]);
     let mut sorted: Vec<Vertex> = comp.to_vec();
     sorted.sort_unstable();
     let mut rank = vec![0usize; sorted.len()];
@@ -246,7 +257,7 @@ pub fn solve_component_with(
     } else {
         lmds_graph::dominating::greedy_b_dominating(&local, &targets_local, None)
     };
-    sol_local.into_iter().map(|li| state.reduced.to_host(order[li])).collect()
+    sol_local.into_iter().map(|li| reduced.to_host(order[li])).collect()
 }
 
 /// Solves every residual component (sorted, deduped union of the
@@ -263,7 +274,13 @@ fn solve_residuals(
     workers: usize,
 ) -> Vec<Vertex> {
     let per_worker = par::drain(workers, comps.len(), |mine: &mut Vec<Vertex>, k| {
-        mine.extend(solve_component_with(state, ids, &comps[k], exact));
+        mine.extend(solve_component_with(
+            &state.reduced,
+            ids,
+            &comps[k],
+            |v| state.dominated[v],
+            exact,
+        ));
     });
     lmds_graph::canonical_set(per_worker.into_iter().flatten())
 }

@@ -23,10 +23,21 @@
 //! * the twin/kept status of `w` is computable iff `d(v,w) ≤ k−2`;
 //! * the `X`/`I`/`S` status of `w` needs `d(v,w) ≤ k−2−max(r₁, 2r₂)`;
 //! * domination and `U` statuses each cost one more hop.
+//!
+//! The adaptive deciders evaluate these statuses **on demand**: a node
+//! outputs only its own membership, so instead of running the whole
+//! pipeline over its view it asks the [`CutEngine`] per-vertex queries
+//! for the center's status, the statuses that status reads, and — only
+//! when it needs one — its residual component. Each status is the same
+//! predicate on the same (twin-reduced) view graph as the whole-view
+//! mask it replaces, so it equals that mask's value; only *which*
+//! vertices get evaluated changes, and decisions, rounds and message
+//! bits are those of the full pipeline.
 
-use crate::algorithm1::{pipeline_state, residual_components, solve_component};
+use crate::algorithm1::{solve_component_with, twin_quotient};
+use crate::local_cuts::{self, CutEngine};
 use crate::radii::Radii;
-use lmds_graph::bfs;
+use lmds_graph::{bfs, Graph, Vertex};
 use lmds_localsim::{Decider, LocalAlgorithm, LocalView, NodeCtx};
 use std::collections::BTreeMap;
 
@@ -693,11 +704,134 @@ impl LocalAlgorithm for Theorem44Local {
     }
 }
 
+/// The statuses an adaptive Algorithm 1 decider reads on one view,
+/// evaluated on demand and memoized for the call:
+///
+/// * `S(w) = X(w) ∨ P(w)`, where `P` is interestingness (MDS, on the
+///   view's twin quotient) or the 2-cut-endpoint bit (MVC, on the view
+///   itself);
+/// * `dominated(w)` (`w ∈ N[S]`) and `U(w)` (MDS only).
+///
+/// Each status is the predicate the centralized pipeline's whole-graph
+/// masks compute, applied to the same graph, so it equals that mask's
+/// value at `w`; only *which* vertices get evaluated changes — the
+/// center, the vertices its reads reach, and its residual component.
+struct OnDemand<'a> {
+    g: &'a Graph,
+    radii: Radii,
+    variant: Variant,
+    engine: &'a mut CutEngine,
+    s: Vec<Option<bool>>,
+    dominated: Vec<Option<bool>>,
+    u: Vec<Option<bool>>,
+}
+
+/// Which pipeline an [`OnDemand`] evaluates.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Variant {
+    /// `S = X ∪ I`; the residual avoids `S ∪ U`.
+    Mds,
+    /// `S = X ∪` all local-2-cut vertices; the residual avoids `S`.
+    Mvc,
+}
+
+impl<'a> OnDemand<'a> {
+    fn new(g: &'a Graph, radii: Radii, variant: Variant, engine: &'a mut CutEngine) -> Self {
+        let n = g.n();
+        OnDemand {
+            g,
+            radii,
+            variant,
+            engine,
+            s: vec![None; n],
+            dominated: vec![None; n],
+            u: vec![None; n],
+        }
+    }
+
+    fn s(&mut self, w: Vertex) -> bool {
+        if let Some(b) = self.s[w] {
+            return b;
+        }
+        let (g, r) = (self.g, self.radii);
+        let b = self.engine.one_cut_at(g, w, r.one_cut)
+            || match self.variant {
+                Variant::Mds => self.engine.interesting_at(g, w, r.two_cut),
+                Variant::Mvc => self.engine.two_cut_endpoint_at(g, w, r.two_cut),
+            };
+        self.s[w] = Some(b);
+        b
+    }
+
+    fn dominated(&mut self, w: Vertex) -> bool {
+        if let Some(b) = self.dominated[w] {
+            return b;
+        }
+        let g = self.g;
+        let b = self.s(w) || g.neighbors(w).iter().any(|&x| self.s(x as Vertex));
+        self.dominated[w] = Some(b);
+        b
+    }
+
+    fn u(&mut self, w: Vertex) -> bool {
+        if let Some(b) = self.u[w] {
+            return b;
+        }
+        let g = self.g;
+        let b = self.dominated(w)
+            && !self.s(w)
+            && g.neighbors(w).iter().all(|&x| self.dominated(x as Vertex));
+        self.u[w] = Some(b);
+        b
+    }
+
+    /// Whether `w` survives into the residual graph.
+    fn residual(&mut self, w: Vertex) -> bool {
+        !self.s(w) && (self.variant == Variant::Mvc || !self.u(w))
+    }
+
+    /// The residual component of `c` (itself residual), by BFS — or
+    /// `None` at the first member that `trusted` rejects.
+    fn component(&mut self, c: Vertex, trusted: impl Fn(Vertex) -> bool) -> Option<Vec<Vertex>> {
+        let g = self.g;
+        let mut seen = vec![false; g.n()];
+        seen[c] = true;
+        let mut comp = vec![c];
+        let mut head = 0;
+        while let Some(&x) = comp.get(head) {
+            head += 1;
+            for &y in g.neighbors(x) {
+                let y = y as Vertex;
+                if std::mem::replace(&mut seen[y], true) || !self.residual(y) {
+                    continue;
+                }
+                if !trusted(y) {
+                    return None; // component not yet fully trusted
+                }
+                comp.push(y);
+            }
+        }
+        Some(comp)
+    }
+}
+
+/// Whether `w` lies within depth `limit` of the view's center.
+fn within(dist: &[Option<u32>], w: Vertex, limit: i64) -> bool {
+    dist[w].is_some_and(|d| i64::from(d) <= limit)
+}
+
 /// Algorithm 1 (Theorem 4.1) as an adaptive LOCAL decider. The node
 /// keeps extending its view until (a) its own `S`/`U` status is
 /// certain, and if it is in neither, (b) its entire residual component
 /// sits inside the trusted region — at which point it reconstructs the
 /// identical brute-force instance every other component member solves.
+///
+/// Each view gets its twin quotient; on it the decider evaluates only
+/// the statuses its decision reads: the center's `S` and
+/// `U`, the statuses those reach, and the center's residual component,
+/// whose BFS stops at the first member beyond the trusted depth. Every
+/// status equals the whole-view mask value, so decisions and rounds are
+/// those of running the full pipeline on every view.
 pub struct Algorithm1Decider {
     /// The pipeline radii (theoretical or practical).
     pub radii: Radii,
@@ -715,41 +849,33 @@ impl Decider for Algorithm1Decider {
         }
         let (vg, vids) = view.to_graph();
         let center = view.center_index();
-        let dist = bfs::bfs_distances(&vg, center);
-        let state = pipeline_state(&vg, &vids, self.radii);
-        if !state.kept_mask[center] {
+        let (kept_mask, reduced) = twin_quotient(&vg, &vids, true);
+        if !kept_mask[center] {
             return Some(false);
         }
-        let cr = state.reduced.from_host(center).expect("kept center is in the quotient");
-        if state.s[cr] {
-            return Some(true);
-        }
-        if k < margin + 2 {
-            return None;
-        }
-        if state.u[cr] {
-            return Some(false);
-        }
-        // Residual component of the center, which must sit within the
-        // trusted depth (statuses of members and their boundary valid).
-        let limit = k - margin - 3;
-        if limit < 0 {
-            return None;
-        }
-        let comps = residual_components(&state);
-        let comp = comps
-            .into_iter()
-            .find(|c| c.binary_search(&cr).is_ok())
-            .expect("center is in some residual component");
-        for &w in &comp {
-            let host = state.reduced.to_host(w);
-            match dist[host] {
-                Some(d) if (d as i64) <= limit => {}
-                _ => return None, // component not yet fully trusted
+        let cr = reduced.from_host(center).expect("kept center is in the quotient");
+        local_cuts::with_thread_engine(|engine| {
+            let mut st = OnDemand::new(&reduced.graph, self.radii, Variant::Mds, engine);
+            if st.s(cr) {
+                return Some(true);
             }
-        }
-        let sol = solve_component(&state, &vids, &comp);
-        Some(sol.contains(&center))
+            if k < margin + 2 {
+                return None;
+            }
+            if st.u(cr) {
+                return Some(false);
+            }
+            // Residual component of the center, which must sit within the
+            // trusted depth (statuses of members and their boundary valid).
+            let limit = k - margin - 3;
+            if limit < 0 {
+                return None;
+            }
+            let dist = bfs::bfs_distances(&vg, center);
+            let comp = st.component(cr, |w| within(&dist, reduced.to_host(w), limit))?;
+            let sol = solve_component_with(&reduced, &vids, &comp, |w| st.dominated(w), true);
+            Some(sol.contains(&center))
+        })
     }
 }
 
@@ -1061,6 +1187,10 @@ mod tests {
 /// 1-cut and local-2-cut vertices, then solve each residual component of
 /// *uncovered edges* exactly (canonical by identifier). Matches
 /// [`crate::mvc::algorithm1_mvc`] exactly.
+///
+/// Like [`Algorithm1Decider`] it evaluates `S` on demand (on the view
+/// itself — MVC has no twin reduction): for the center, its neighbors,
+/// and the center's component of `G − S`.
 pub struct MvcAlgorithm1Decider {
     /// The pipeline radii.
     pub radii: Radii,
@@ -1078,72 +1208,46 @@ impl Decider for MvcAlgorithm1Decider {
         }
         let (vg, vids) = view.to_graph();
         let center = view.center_index();
-        let dist = bfs::bfs_distances(&vg, center);
         // S = local 1-cuts ∪ all local-2-cut vertices (computed on the
-        // view; trusted within depth k − margin). Both masks ride the
-        // shared-work CutEngine, reused across rounds through the
-        // thread-local pool.
-        let in_s: Vec<bool> = crate::local_cuts::with_thread_engine(|engine| {
-            let one = engine.one_cut_mask(&vg, self.radii.one_cut);
-            let two = engine.two_cut_endpoint_mask(&vg, self.radii.two_cut);
-            one.into_iter().zip(two).map(|(a, b)| a || b).collect()
-        });
-        if in_s[center] {
-            return Some(true);
-        }
-        // Uncovered incident edge?
-        let has_uncovered = vg.neighbors(center).iter().any(|&u| !in_s[u as usize]);
-        if !has_uncovered {
-            return Some(false);
-        }
-        // Residual component over uncovered edges, within trusted depth.
-        let limit = k - margin - 2;
-        if limit < 0 {
-            return None;
-        }
-        let mut comp = vec![center];
-        let mut seen = vec![false; vg.n()];
-        seen[center] = true;
-        let mut stack = vec![center];
-        while let Some(u) = stack.pop() {
-            for &w in vg.neighbors(u) {
-                let w = w as usize;
-                if !in_s[w] && !in_s[u] && !seen[w] {
-                    seen[w] = true;
-                    match dist[w] {
-                        Some(d) if (d as i64) <= limit => {}
-                        _ => return None,
+        // view; trusted within depth k − margin).
+        local_cuts::with_thread_engine(|engine| {
+            let mut st = OnDemand::new(&vg, self.radii, Variant::Mvc, engine);
+            if st.s(center) {
+                return Some(true);
+            }
+            // Uncovered incident edge?
+            if vg.neighbors(center).iter().all(|&u| st.s(u as Vertex)) {
+                return Some(false);
+            }
+            // Residual component over uncovered edges, within trusted depth.
+            let limit = k - margin - 2;
+            if limit < 0 {
+                return None;
+            }
+            let dist = bfs::bfs_distances(&vg, center);
+            let mut comp = st.component(center, |w| within(&dist, w, limit))?;
+            // Canonical instance: component sorted by identifier; its
+            // edges are exactly the uncovered ones (no member is in S).
+            // Dense Vec-based index over view vertices instead of a
+            // per-call HashMap.
+            comp.sort_by_key(|&v| vids[v]);
+            let mut local_index = vec![usize::MAX; vg.n()];
+            for (li, &v) in comp.iter().enumerate() {
+                local_index[v] = li;
+            }
+            let mut local_edges = Vec::new();
+            for (li, &v) in comp.iter().enumerate() {
+                for &w in vg.neighbors(v) {
+                    let lj = local_index[w as usize];
+                    if lj != usize::MAX && li < lj {
+                        local_edges.push((li, lj));
                     }
-                    comp.push(w);
-                    stack.push(w);
                 }
             }
-        }
-        // Canonical instance: component sorted by identifier, uncovered
-        // edges only. Dense Vec-based index over view vertices instead
-        // of a per-call HashMap.
-        comp.sort_by_key(|&v| vids[v]);
-        let mut local_index = vec![usize::MAX; vg.n()];
-        for (li, &v) in comp.iter().enumerate() {
-            local_index[v] = li;
-        }
-        let mut local_edges = Vec::new();
-        for (li, &v) in comp.iter().enumerate() {
-            for &w in vg.neighbors(v) {
-                let w = w as usize;
-                if in_s[v] || in_s[w] {
-                    continue;
-                }
-                let lj = local_index[w];
-                if lj != usize::MAX && li < lj {
-                    local_edges.push((li, lj));
-                }
-            }
-        }
-        let local = lmds_graph::Graph::from_edges(comp.len(), &local_edges);
-        let sol = crate::mvc::residual_exact_vc(&local);
-        let my_local = local_index[center];
-        Some(sol.binary_search(&my_local).is_ok())
+            let local = Graph::from_edges(comp.len(), &local_edges);
+            let sol = crate::mvc::residual_exact_vc(&local);
+            Some(sol.binary_search(&local_index[center]).is_ok())
+        })
     }
 }
 

@@ -43,8 +43,18 @@
 //! sides (about 6% of the in-range pairs on the chain family at
 //! `r = 4`), with unchanged outputs; [`CutEngine`] spells out the proof.
 //!
+//! **Per-vertex queries.** [`CutEngine::one_cut_at`],
+//! [`CutEngine::interesting_at`] and [`CutEngine::two_cut_endpoint_at`]
+//! answer the same predicates for one vertex `v` without a sweep: `X` is
+//! one ball and one cut-vertex scan; `I` and the endpoint bit take `v`'s
+//! ball, its separator candidates (by the lemma, the only partners that
+//! can form a minimal 2-cut with `v`), and profile each candidate's
+//! `H = N^r[u] ∪ N^r[v]` with the sweep's test until one succeeds. They
+//! share the engine's traversal buffers, and the equivalence suite pins
+//! every vertex of the corpus to the naive predicates and the masks.
+//!
 //! The distributed algorithms recompute the same predicates from node
-//! views and are tested to agree.
+//! views through the per-vertex queries and are tested to agree.
 
 use lmds_graph::scratch::Scratch;
 use lmds_graph::{articulation, bfs, par, two_cuts};
@@ -54,9 +64,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Below this vertex count the engine stays single-threaded: the scoped
-/// thread spawn + per-worker warm-up costs more than the sweep itself
-/// (the adaptive LOCAL deciders call the engine on many small view
-/// graphs per round, which must stay cheap).
+/// thread spawn + per-worker warm-up costs more than the sweep itself.
 const PARALLEL_THRESHOLD: usize = 640;
 
 /// The worker count of a sweep over the `n` vertices of a graph.
@@ -246,11 +254,12 @@ impl BallShard {
 struct Buffers {
     scratch: Scratch,
     subset: SubsetScratch,
-    /// Merge buffer for `H = N^r[u] ∪ N^r[v]`.
+    /// The vertex set of `H = N^r[u] ∪ N^r[v]`.
     merged: Vec<Vertex>,
-    /// Single-ball buffer for the 1-cut sweep and the ball index.
+    /// Single-ball buffer for the 1-cut sweep, the ball index and the
+    /// per-vertex pair queries.
     ball: Vec<Vertex>,
-    /// Separator flags of `ball` for the ball index.
+    /// Separator flags of `ball`.
     flags: Vec<bool>,
 }
 
@@ -317,6 +326,29 @@ impl CutEngine {
         }
         *counts = PairCounts { in_range: balls.pairs_in_range(), profiled, cuts: out.len() };
         out
+    }
+
+    /// Whether `v` is an `r`-local minimal 1-cut: one ball, one
+    /// [`articulation::is_cut_vertex_within`] scan. Equals
+    /// [`is_local_one_cut`] and `one_cut_mask(g, r)[v]`.
+    pub fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
+        self.bufs.one_cut_at(g, v, r)
+    }
+
+    /// Whether `v` is `r`-interesting, without a sweep: `v`'s ball and
+    /// its separator candidates pick the partners (by the prefilter
+    /// lemma no other `u` can form a minimal 2-cut with `v`), and each
+    /// is profiled until one makes `v` interesting. Equals
+    /// [`is_interesting`] and `interesting_mask(g, r)[v]`.
+    pub fn interesting_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
+        self.bufs.pair_query(g, v, r, PairMode::Interesting)
+    }
+
+    /// Whether `v` lies in some `r`-local minimal 2-cut, by the same
+    /// partner search as [`CutEngine::interesting_at`]. Equals
+    /// `two_cut_endpoint_mask(g, r)[v]`.
+    pub fn two_cut_endpoint_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
+        self.bufs.pair_query(g, v, r, PairMode::Endpoints)
     }
 
     /// The work counts of the last pair sweep ([`CutEngine::interesting_mask`],
@@ -387,6 +419,39 @@ impl Buffers {
     ) -> two_cuts::PairProfile {
         merge_sorted(balls.ball(u).verts, balls.ball(v).verts, &mut self.merged);
         two_cuts::pair_profile_within(g, &mut self.subset, &self.merged, u, v)
+    }
+
+    /// Whether some partner `u` of `v` makes `{u, v}` an `r`-local
+    /// minimal 2-cut that `mode` counts for `v`. Partners are the
+    /// separator candidates of `v`'s ball; `H = N^r[u] ∪ N^r[v]` is one
+    /// two-source ball.
+    fn pair_query(&mut self, g: &Graph, v: Vertex, r: u32, mode: PairMode) -> bool {
+        bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball);
+        articulation::neighbor_separators_within(
+            g,
+            &mut self.subset,
+            &self.ball,
+            v,
+            &mut self.flags,
+        );
+        for j in 0..self.ball.len() {
+            let u = self.ball[j];
+            if !self.flags[j]
+                || (mode == PairMode::Interesting && g.closed_neighborhood_subset(v, u))
+            {
+                continue;
+            }
+            bfs::ball_of_set_into(g, &mut self.scratch, &[u, v], r, &mut self.merged);
+            let profile = two_cuts::pair_profile_within(g, &mut self.subset, &self.merged, u, v);
+            // v is interesting via friend u: ≥ 2 witness components
+            // non-adjacent to u (N[v] ⊄ N[u] was checked above).
+            if profile.is_minimal_two_cut()
+                && (mode == PairMode::Endpoints || profile.witnesses_nonadj_a >= 2)
+            {
+                return true;
+            }
+        }
+        false
     }
 
     /// One outer-loop step of the pair sweep: the prefiltered partners
@@ -469,10 +534,10 @@ thread_local! {
 
 /// Runs `f` with this thread's pooled [`CutEngine`] — the same pattern
 /// as [`lmds_graph::scratch::with_thread_scratch`]. The adaptive LOCAL
-/// deciders call the pipeline once per vertex per round; the pool makes
-/// those calls reuse one set of ball/merge/traversal buffers per worker
-/// thread. Falls back to a fresh engine if the pooled one is already
-/// borrowed (nested call), with identical results.
+/// deciders run per-vertex queries on one view per vertex per round;
+/// the pool makes those calls reuse one set of ball/merge/traversal
+/// buffers per worker thread. Falls back to a fresh engine if the
+/// pooled one is already borrowed (nested call), with identical results.
 pub fn with_thread_engine<R>(f: impl FnOnce(&mut CutEngine) -> R) -> R {
     ENGINE_POOL.with(|cell| match cell.try_borrow_mut() {
         Ok(mut e) => f(&mut e),

@@ -102,20 +102,12 @@ impl LocalView {
     }
 
     /// Merges another view into this one (set union). The result
-    /// represents knowledge after receiving `other` in a message.
+    /// represents knowledge after receiving `other` in a message. Both
+    /// lists are kept sorted and deduplicated, so each union is one
+    /// linear merge pass.
     pub fn merge(&mut self, other: &LocalView) {
-        let mut verts = Vec::with_capacity(self.verts.len() + other.verts.len());
-        verts.extend_from_slice(&self.verts);
-        verts.extend_from_slice(&other.verts);
-        verts.sort_unstable();
-        verts.dedup();
-        self.verts = verts;
-        let mut edges = Vec::with_capacity(self.edges.len() + other.edges.len());
-        edges.extend_from_slice(&self.edges);
-        edges.extend_from_slice(&other.edges);
-        edges.sort_unstable();
-        edges.dedup();
-        self.edges = edges;
+        union_sorted(&mut self.verts, &other.verts);
+        union_sorted(&mut self.edges, &other.edges);
     }
 
     /// Records the edge `{a, b}` (used when a message arrives over a
@@ -168,9 +160,73 @@ impl LocalView {
     }
 }
 
+/// Replaces `into` by the union of itself and `other`, both sorted and
+/// deduplicated, in one merge pass.
+fn union_sorted<T: Copy + Ord>(into: &mut Vec<T>, other: &[T]) {
+    let a = std::mem::take(into);
+    let mut out = Vec::with_capacity(a.len() + other.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < other.len() {
+        match a[i].cmp(&other[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(other[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&other[j..]);
+    *into = out;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_equals_the_sort_based_union() {
+        // Random overlapping views (ids drawn from a small range, so the
+        // two sides share many vertices and edges) against the
+        // concatenate-sort-dedup union.
+        let mut state = 0x5EEDu64;
+        let mut next = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for _ in 0..300 {
+            let range = 2 + next(40);
+            let mut mk = |center: u64| {
+                let verts: Vec<u64> =
+                    (0..next(range + 1)).map(|_| next(range)).chain([center]).collect();
+                let edges: Vec<(u64, u64)> = (0..next(2 * range))
+                    .map(|_| (next(range), next(range)))
+                    .filter(|(a, b)| a != b)
+                    .collect();
+                LocalView::from_parts(center, 1, verts, edges)
+            };
+            let (x, y) = (mk(0), mk(1));
+            let mut merged = x.clone();
+            merged.merge(&y);
+            let mut verts = [x.vertex_ids(), y.vertex_ids()].concat();
+            verts.sort_unstable();
+            verts.dedup();
+            let mut edges = [x.edge_ids(), y.edge_ids()].concat();
+            edges.sort_unstable();
+            edges.dedup();
+            assert_eq!(merged.vertex_ids(), verts.as_slice());
+            assert_eq!(merged.edge_ids(), edges.as_slice());
+            assert_eq!(merged.center_id(), 0);
+        }
+    }
 
     #[test]
     fn initial_view() {

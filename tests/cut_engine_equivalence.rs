@@ -9,6 +9,9 @@
 //! * pairs: [`CutEngine::two_cuts`] vs the naive all-pairs
 //!   [`local_cuts::is_local_two_cut`] enumeration
 //! * endpoints: [`CutEngine::two_cut_endpoint_mask`] vs the pair union
+//! * per vertex: [`CutEngine::one_cut_at`], [`CutEngine::interesting_at`]
+//!   and [`CutEngine::two_cut_endpoint_at`] vs the naive predicates and
+//!   the three masks, on every vertex
 //!
 //! plus the structural invariants of `local_two_cuts` (ordering, dedup,
 //! symmetry of the underlying predicate).
@@ -18,6 +21,9 @@
 //! [`CutEngine::interesting_mask`]: lmds_core::local_cuts::CutEngine::interesting_mask
 //! [`CutEngine::two_cuts`]: lmds_core::local_cuts::CutEngine::two_cuts
 //! [`CutEngine::two_cut_endpoint_mask`]: lmds_core::local_cuts::CutEngine::two_cut_endpoint_mask
+//! [`CutEngine::one_cut_at`]: lmds_core::local_cuts::CutEngine::one_cut_at
+//! [`CutEngine::interesting_at`]: lmds_core::local_cuts::CutEngine::interesting_at
+//! [`CutEngine::two_cut_endpoint_at`]: lmds_core::local_cuts::CutEngine::two_cut_endpoint_at
 //! [`local_cuts::is_local_one_cut`]: lmds_core::local_cuts::is_local_one_cut
 //! [`local_cuts::is_interesting`]: lmds_core::local_cuts::is_interesting
 //! [`local_cuts::is_local_two_cut`]: lmds_core::local_cuts::is_local_two_cut
@@ -111,6 +117,35 @@ fn engine_two_cuts_match_naive_all_pairs_enumeration() {
                 union[b] = true;
             }
             assert_eq!(endpoints, union, "{name} r={r}");
+        }
+    }
+}
+
+#[test]
+fn per_vertex_queries_match_naive_predicates_and_masks() {
+    let mut engine = CutEngine::new();
+    for (name, g) in corpus() {
+        for r in 1..=6u32 {
+            let one = engine.one_cut_mask(&g, r);
+            let interesting = engine.interesting_mask(&g, r);
+            let endpoints = engine.two_cut_endpoint_mask(&g, r);
+            for v in g.vertices() {
+                let at = format!("{name} r={r} v={v}");
+                let x = engine.one_cut_at(&g, v, r);
+                assert_eq!(x, local_cuts::is_local_one_cut(&g, v, r), "one-cut {at}");
+                assert_eq!(x, one[v], "one-cut mask {at}");
+                let i = engine.interesting_at(&g, v, r);
+                assert_eq!(i, local_cuts::is_interesting(&g, v, r), "interesting {at}");
+                assert_eq!(i, interesting[v], "interesting mask {at}");
+                // Endpoint of some local minimal 2-cut: partners lie in
+                // the ball (the pair predicate needs d(u, v) ≤ r).
+                let e = engine.two_cut_endpoint_at(&g, v, r);
+                let naive = lmds_graph::bfs::ball(&g, v, r)
+                    .into_iter()
+                    .any(|u| local_cuts::is_local_two_cut(&g, u, v, r));
+                assert_eq!(e, naive, "endpoint {at}");
+                assert_eq!(e, endpoints[v], "endpoint mask {at}");
+            }
         }
     }
 }

@@ -2,14 +2,17 @@
 //! (centralized + distributed) algorithm → simulator → verification.
 
 use lmds_core::distributed::{
-    Algorithm1Decider, Theorem44Decider, Theorem44MvcDecider, TreesFolkloreDecider,
+    Algorithm1Decider, MvcAlgorithm1Decider, Theorem44Decider, Theorem44MvcDecider,
+    TreesFolkloreDecider,
 };
 use lmds_core::mvc::algorithm1_mvc;
 use lmds_core::{algorithm1, theorem44_mds, theorem44_mvc, Radii};
 use lmds_graph::dominating::is_dominating_set;
 use lmds_graph::vertex_cover::is_vertex_cover;
 use lmds_graph::Graph;
-use lmds_localsim::{IdAssignment, OracleRuntime, Runtime, RuntimeKind};
+use lmds_localsim::{
+    FaultConfig, FaultyRuntime, IdAssignment, OracleRuntime, Runtime, RuntimeKind,
+};
 
 fn workload() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![
@@ -87,6 +90,57 @@ fn all_three_runtimes_agree() {
     let selected: Vec<usize> =
         a.outputs.iter().enumerate().filter_map(|(v, &x)| x.then_some(v)).collect();
     assert_eq!(selected, algorithm1(&g, &ids, radii).solution);
+}
+
+/// The n = 535 augmentation `lmds_bench::experiments::large_augmentation(520, 11)`
+/// builds (the `local-sim` benchmark instance): a small base with long
+/// fans and strips, so views stay bounded while n is engine-scale.
+fn augmentation535() -> Graph {
+    lmds_gen::ding::AugmentationSpec {
+        base_n: 10,
+        base_density_percent: 30,
+        fans: 4,
+        fan_len: (8, 16),
+        strips: 520 / 120,
+        strip_len: (55, 65),
+        seed: 11,
+    }
+    .generate()
+}
+
+#[test]
+fn all_three_runtimes_agree_at_engine_scale() {
+    // The checks above run on n ≲ 60; here the oracle, message passing
+    // and the fault runtime with the empty plan must agree on every
+    // output and decision round at n = 535, and equal the centralized
+    // set — on a run where the U and residual-solve branches fire.
+    let g = augmentation535();
+    assert_eq!(g.n(), 535);
+    let ids = IdAssignment::shuffled(g.n(), 3);
+    let radii = Radii::practical(2, 2);
+    let dec = Algorithm1Decider { radii };
+    let cap = 64;
+    let oracle = OracleRuntime.run(&g, &ids, &dec, cap).unwrap();
+    let passing = RuntimeKind::MessagePassing.run(&g, &ids, &dec, cap).unwrap();
+    let faulty =
+        FaultyRuntime::new(FaultConfig::default()).run_with_report(&g, &ids, &dec, cap).unwrap();
+    assert_eq!(oracle.outputs, passing.outputs);
+    assert_eq!(oracle.decided_at, passing.decided_at);
+    let faulty_outputs: Vec<bool> = faulty.outputs.iter().map(|o| o.unwrap()).collect();
+    assert_eq!(oracle.outputs, faulty_outputs);
+    assert_eq!(oracle.decided_at, faulty.decided_at);
+    let selected: Vec<usize> =
+        oracle.outputs.iter().enumerate().filter_map(|(v, &x)| x.then_some(v)).collect();
+    assert_eq!(selected, algorithm1(&g, &ids, radii).solution);
+    // The S branch decides at the margin max(r₁, 2r₂) + 2 = 6; U and
+    // residual solves need two more rounds.
+    let margin = 6;
+    assert!(oracle.decided_at.iter().any(|&r| r >= margin + 2), "{:?}", oracle.decided_at);
+
+    let mvc = OracleRuntime.run(&g, &ids, &MvcAlgorithm1Decider { radii }, cap).unwrap();
+    let mvc_set: Vec<usize> =
+        mvc.outputs.iter().enumerate().filter_map(|(v, &x)| x.then_some(v)).collect();
+    assert_eq!(mvc_set, algorithm1_mvc(&g, &ids, radii).solution);
 }
 
 #[test]
