@@ -4,7 +4,6 @@
 
 use lmds_asdim::ControlFunction;
 use lmds_core::{PipelineOptions, Radii};
-use lmds_graph::ExactBackend;
 use lmds_localsim::{FaultConfig, IdPolicy, RuntimeKind};
 
 /// The optimization problem an [`crate::Solver`] targets.
@@ -156,11 +155,6 @@ pub struct SolveConfig {
     /// Branch-and-bound node budget for optimum measurement and for the
     /// exact solvers.
     pub opt_budget: u64,
-    /// Which [`ExactBackend`] the `mds/exact` / `mvc/exact` solvers run
-    /// (reduction layer + branch and bound, tree-decomposition DP, or
-    /// the naive oracle). [`ExactBackend::Auto`] picks per residual
-    /// component.
-    pub exact_backend: ExactBackend,
 }
 
 /// Default branch-and-bound budget (matches the bench harness).
@@ -180,7 +174,6 @@ impl SolveConfig {
             control: None,
             measure_ratio: false,
             opt_budget: DEFAULT_OPT_BUDGET,
-            exact_backend: ExactBackend::Auto,
         }
     }
 
@@ -258,20 +251,6 @@ impl SolveConfig {
     /// Sets the optimum-measurement budget.
     pub fn opt_budget(mut self, budget: u64) -> Self {
         self.opt_budget = budget;
-        self
-    }
-
-    /// Selects the exact-engine backend for the exact solvers.
-    ///
-    /// ```
-    /// use lmds_api::{ExactBackend, SolveConfig};
-    ///
-    /// let cfg = SolveConfig::mds().exact_backend(ExactBackend::Treewidth);
-    /// assert_eq!(cfg.exact_backend, ExactBackend::Treewidth);
-    /// assert_eq!(SolveConfig::mds().exact_backend, ExactBackend::Auto);
-    /// ```
-    pub fn exact_backend(mut self, backend: ExactBackend) -> Self {
-        self.exact_backend = backend;
         self
     }
 }

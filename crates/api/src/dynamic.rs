@@ -56,6 +56,15 @@ fn check_config(cfg: &SolveConfig) -> Result<(), SolveError> {
     Ok(())
 }
 
+/// Whether [`solve_with_cache`] can stand in for the registry solve of
+/// `solver` under `cfg`: a plain centralized `mds/algorithm1` solve.
+/// For every request it accepts, the assembled solution equals the
+/// registry's (same vertex set, same certificate), so a service can
+/// route on it invisibly to clients.
+pub fn accepts(solver: &str, cfg: &SolveConfig) -> bool {
+    solver == SOLVER_KEY && check_config(cfg).is_ok()
+}
+
 /// Solves `inst` (MDS, centralized) with component-scoped reuse from
 /// `solver`'s cache, returning the assembled [`Solution`] plus reuse
 /// statistics.

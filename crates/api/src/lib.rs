@@ -81,7 +81,3 @@ pub use view::{SolutionView, SolveConfigView, ViewError};
 pub use lmds_localsim::{
     CrashPolicy, DropPolicy, FaultConfig, FaultReport, IdPolicy, MessageAccounting, RuntimeKind,
 };
-
-// The exact-engine backend knob ([`SolveConfig::exact_backend`]),
-// re-exported likewise from the graph substrate.
-pub use lmds_graph::exact::ExactBackend;

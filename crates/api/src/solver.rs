@@ -567,10 +567,10 @@ fn map_exact_error(
     }
 }
 
-/// Exact MDS through the multi-backend
+/// Exact MDS through the
 /// [`ExactEngine`](lmds_graph::exact::ExactEngine): reduction rules,
 /// then branch and bound or the tree-decomposition DP per residual
-/// component — selected by [`SolveConfig::exact_backend`]
+/// component, picked by the engine's size-and-width rule
 /// (budget-capped).
 pub struct ExactMdsSolver;
 
@@ -593,10 +593,9 @@ impl Solver for ExactMdsSolver {
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
         check(self.key(), self.problem(), self.modes(), cfg)?;
         let started = Instant::now();
-        let sol = lmds_graph::exact::with_thread_engine(|e| {
-            e.solve_mds(&inst.graph, cfg.exact_backend, cfg.opt_budget)
-        })
-        .map_err(|e| map_exact_error(self.key(), cfg, e))?;
+        let sol =
+            lmds_graph::exact::with_thread_engine(|e| e.solve_mds(&inst.graph, cfg.opt_budget))
+                .map_err(|e| map_exact_error(self.key(), cfg, e))?;
         Ok(finish_exact(self.key(), inst, cfg, started, sol))
     }
 }
@@ -724,10 +723,10 @@ impl Solver for RegularMvcSolver {
     }
 }
 
-/// Exact MVC through the multi-backend
+/// Exact MVC through the
 /// [`ExactEngine`](lmds_graph::exact::ExactEngine) (reduction rules +
-/// branch and bound / treewidth DP, selected by
-/// [`SolveConfig::exact_backend`]; budget-capped).
+/// branch and bound / treewidth DP per component, picked by the
+/// engine's rule; budget-capped).
 pub struct ExactMvcSolver;
 
 impl Solver for ExactMvcSolver {
@@ -749,10 +748,9 @@ impl Solver for ExactMvcSolver {
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
         check(self.key(), self.problem(), self.modes(), cfg)?;
         let started = Instant::now();
-        let sol = lmds_graph::exact::with_thread_engine(|e| {
-            e.solve_mvc(&inst.graph, cfg.exact_backend, cfg.opt_budget)
-        })
-        .map_err(|e| map_exact_error(self.key(), cfg, e))?;
+        let sol =
+            lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(&inst.graph, cfg.opt_budget))
+                .map_err(|e| map_exact_error(self.key(), cfg, e))?;
         Ok(finish_exact(self.key(), inst, cfg, started, sol))
     }
 }

@@ -17,7 +17,6 @@
 
 use crate::{ExecutionMode, Problem, Solution, SolveConfig};
 use lmds_core::Radii;
-use lmds_graph::ExactBackend;
 use lmds_localsim::{IdPolicy, RuntimeKind};
 use std::str::FromStr;
 
@@ -115,9 +114,6 @@ pub struct SolveConfigView {
     pub round_cap: Option<u32>,
     /// Pipeline radii `(one_cut, two_cut)`.
     pub radii: Option<(u32, u32)>,
-    /// Exact-engine backend in `Display` form (`"auto"`,
-    /// `"branch-and-bound"`, `"treewidth"`, `"naive"`).
-    pub exact_backend: Option<String>,
     /// Branch-and-bound node budget.
     pub opt_budget: Option<u64>,
     /// Whether to measure the approximation ratio.
@@ -147,7 +143,6 @@ impl SolveConfigView {
             id_seed,
             round_cap: cfg.scenario.round_cap,
             radii: Some((cfg.radii.one_cut, cfg.radii.two_cut)),
-            exact_backend: Some(cfg.exact_backend.to_string()),
             opt_budget: Some(cfg.opt_budget),
             measure_ratio: cfg.measure_ratio,
             fault: cfg.scenario.fault.is_active().then(|| cfg.scenario.fault.to_string()),
@@ -200,10 +195,6 @@ impl SolveConfigView {
                 ));
             }
             cfg.radii = Radii::practical(one_cut, two_cut);
-        }
-        if let Some(backend) = &self.exact_backend {
-            cfg.exact_backend =
-                ExactBackend::from_str(backend).map_err(|e| ViewError::new("exact_backend", e))?;
         }
         if let Some(budget) = self.opt_budget {
             cfg.opt_budget = budget;
@@ -315,7 +306,6 @@ mod tests {
             id_seed: Some(9),
             round_cap: Some(32),
             radii: Some((3, 4)),
-            exact_backend: Some("treewidth".into()),
             opt_budget: Some(1234),
             measure_ratio: true,
             fault: Some("seed=9;drop=bernoulli:150;skew=1".into()),
@@ -325,7 +315,6 @@ mod tests {
         assert_eq!(cfg.mode, ExecutionMode::LOCAL_SHARDED);
         assert_eq!(cfg.scenario.id_policy, Some(IdPolicy::Adversarial { seed: 9 }));
         assert_eq!(cfg.radii, Radii::practical(3, 4));
-        assert_eq!(cfg.exact_backend, ExactBackend::Treewidth);
         assert!(cfg.scenario.fault.is_active());
         assert_eq!(SolveConfigView::from_config(&cfg), view, "from_config inverts the view");
     }
@@ -362,11 +351,6 @@ mod tests {
         let e = bad(SolveConfigView { radii: Some((0, 1)), ..Default::default() });
         assert_eq!(e.field, "radii");
         assert!(e.to_string().contains("radii"), "{e}");
-        assert_eq!(
-            bad(SolveConfigView { exact_backend: Some("oracle".into()), ..Default::default() })
-                .field,
-            "exact_backend"
-        );
         assert_eq!(
             bad(SolveConfigView { fault: Some("drop=always".into()), ..Default::default() }).field,
             "fault"

@@ -18,7 +18,7 @@
 //!   reference rows on the small instance; before/after numbers in
 //!   `results/cut_engine_speedup.md`.
 //! * `--exact` — the exact-engine benches: `mds/exact` / `mvc/exact`
-//!   under every `ExactBackend` on naive-solvable instances, plus
+//!   beside the naive oracle on naive-solvable instances, plus
 //!   engine-scale rows the naive oracle cannot finish; committed
 //!   numbers in `results/exact_scale.md`.
 //! * `--dynamic` — the dynamic-subsystem benches: `DynamicGraph` batch
@@ -40,7 +40,7 @@
 
 use lmds_api::{BatchJob, BatchRunner, ExecutionMode, Instance, SolveConfig, SolverRegistry};
 use lmds_bench::{
-    calibrated, render_markdown, sample, section_table, write_bench_json, BenchRow, Table,
+    calibrated, render_markdown, sample, section_table, write_bench_json, BenchRow, Stats, Table,
 };
 use lmds_core::Radii;
 use std::time::Instant;
@@ -449,15 +449,32 @@ fn cuts_benches(iters: u32) -> Vec<BenchRow> {
 }
 
 /// The exact-engine benches (`--exact`): `mds/exact` and `mvc/exact`
-/// through the registry under every [`lmds_api::ExactBackend`] on
-/// naive-solvable instances (the backend shoot-out), plus engine-scale
-/// rows — auto backend only — on instances the naive oracle cannot
-/// finish at all (committed numbers: `results/exact_scale.md`).
+/// through the registry beside the naive oracle they replaced
+/// (`dominating::exact_mds` / `vertex_cover::exact_vertex_cover`) on
+/// naive-solvable instances, plus engine-scale rows on instances the
+/// naive oracle cannot finish at all (committed numbers:
+/// `results/exact_scale.md`).
 fn exact_benches(iters: u32) -> Vec<BenchRow> {
-    use lmds_api::ExactBackend;
-    let mut rows: Vec<BenchRow> = Vec::new();
+    use lmds_graph::{dominating::exact_mds, vertex_cover::exact_vertex_cover};
     let registry = SolverRegistry::with_defaults();
-    // Backend shoot-out tier: small enough for the naive oracle.
+    let solve = |key: &str, inst: &Instance, cfg: SolveConfig| {
+        sample(iters, || {
+            let sol = registry.solve(key, inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
+            assert!(sol.is_valid(), "{key} on {}", inst.name);
+            sol.size()
+        })
+    };
+    let mut rows: Vec<BenchRow> = Vec::new();
+    let mut push = |bench: &str, inst: &Instance, (stats, checksum): (Stats, usize)| {
+        rows.push(BenchRow {
+            bench: bench.into(),
+            workload: inst.name.clone(),
+            n: inst.n(),
+            checksum,
+            stats,
+        });
+    };
+    // Engine vs naive oracle: small enough for the naive search.
     let small = vec![
         Instance::shuffled(
             "augmentation20",
@@ -472,25 +489,11 @@ fn exact_benches(iters: u32) -> Vec<BenchRow> {
         Instance::shuffled("cycle21", lmds_gen::basic::cycle(21), 5),
     ];
     for inst in &small {
-        for key in ["mds/exact", "mvc/exact"] {
-            for backend in ExactBackend::ALL {
-                let base = if key == "mds/exact" { SolveConfig::mds() } else { SolveConfig::mvc() };
-                let cfg = base.exact_backend(backend);
-                let (stats, size) = sample(iters, || {
-                    let sol =
-                        registry.solve(key, inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
-                    assert!(sol.is_valid(), "{key} on {}", inst.name);
-                    sol.size()
-                });
-                rows.push(BenchRow {
-                    bench: format!("{key}@{backend}"),
-                    workload: inst.name.clone(),
-                    n: inst.n(),
-                    checksum: size,
-                    stats,
-                });
-            }
-        }
+        let g = &inst.graph;
+        push("mds/exact", inst, solve("mds/exact", inst, SolveConfig::mds()));
+        push("mds naive oracle", inst, sample(iters, || exact_mds(g).len()));
+        push("mvc/exact", inst, solve("mvc/exact", inst, SolveConfig::mvc()));
+        push("mvc naive oracle", inst, sample(iters, || exact_vertex_cover(g).len()));
     }
     // Engine-scale tier: sizes the naive oracle gives up on entirely.
     let large = vec![
@@ -505,22 +508,8 @@ fn exact_benches(iters: u32) -> Vec<BenchRow> {
         ),
     ];
     for inst in &large {
-        for key in ["mds/exact", "mvc/exact"] {
-            let base = if key == "mds/exact" { SolveConfig::mds() } else { SolveConfig::mvc() };
-            let cfg = base.opt_budget(u64::MAX);
-            let (stats, size) = sample(iters, || {
-                let sol = registry.solve(key, inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
-                assert!(sol.is_valid(), "{key} on {}", inst.name);
-                sol.size()
-            });
-            rows.push(BenchRow {
-                bench: format!("{key}@auto"),
-                workload: inst.name.clone(),
-                n: inst.n(),
-                checksum: size,
-                stats,
-            });
-        }
+        push("mds/exact", inst, solve("mds/exact", inst, SolveConfig::mds().opt_budget(u64::MAX)));
+        push("mvc/exact", inst, solve("mvc/exact", inst, SolveConfig::mvc().opt_budget(u64::MAX)));
     }
     rows
 }
@@ -586,8 +575,9 @@ fn main() {
         }
         if exact {
             let (rows, calib_us) = calibrated(|| exact_benches(iters));
-            let title =
-                format!("microbench --exact — exact-engine backends, {iters} iterations (µs)");
+            let title = format!(
+                "microbench --exact — exact engine vs naive oracle, {iters} iterations (µs)"
+            );
             print!("{}", render_markdown(&section_table(&title, &rows)));
             write_bench_json("exact", iters, calib_us, &rows);
         }

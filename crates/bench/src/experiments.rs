@@ -749,13 +749,15 @@ pub fn exp_prop31() -> Table {
 }
 
 /// E13 — bounded treewidth of `K_{2,t}`-minor-free workloads (the grid
-/// minor theorem step of §4), plus DP-vs-B&B exact-solver agreement.
-/// (Substrate analysis comparing two exact solvers.)
+/// minor theorem step of §4), plus agreement of the exact engine with
+/// the naive branch and bound. (Substrate analysis comparing two exact
+/// solvers.)
 pub fn exp_treewidth() -> Table {
-    use lmds_graph::treewidth::{min_fill_decomposition, treewidth_mds_size};
+    use lmds_graph::exact::with_thread_engine;
+    use lmds_graph::treewidth::min_fill_decomposition;
     let mut t = Table::new(
         "E13 / treewidth — K2,t-free workloads have small width independent of n; two exact solvers agree",
-        &["workload", "n", "width (min-fill)", "MDS (tw-DP)", "MDS (B&B)", "agree"],
+        &["workload", "n", "width (min-fill)", "MDS (engine)", "MDS (naive B&B)", "agree"],
     );
     let mut cases: Vec<(String, Graph)> = vec![
         ("strip(10)".into(), lmds_gen::ding::strip(10)),
@@ -775,17 +777,21 @@ pub fn exp_treewidth() -> Table {
     for (name, g) in cases {
         let td = min_fill_decomposition(&g);
         td.validate(&g).expect("min-fill decomposition is valid");
-        let dp = treewidth_mds_size(&g, 7);
-        let bb = lmds_graph::dominating::exact_mds_capped(&g, OPT_BUDGET);
-        let (dps, bbs) = (
-            dp.map_or("-".into(), |v| v.to_string()),
-            bb.as_ref().map_or("-".into(), |v| v.len().to_string()),
-        );
-        let agree = match (&dp, &bb) {
-            (Some(a), Some(b)) => (*a == b.len()).to_string(),
+        let engine = with_thread_engine(|e| e.solve_mds(&g, OPT_BUDGET)).ok().map(|s| s.len());
+        let naive = lmds_graph::dominating::exact_mds_capped(&g, OPT_BUDGET).map(|s| s.len());
+        let show = |v: Option<usize>| v.map_or("-".into(), |v| v.to_string());
+        let agree = match (engine, naive) {
+            (Some(a), Some(b)) => (a == b).to_string(),
             _ => "n/a".into(),
         };
-        t.push_row(vec![name, g.n().to_string(), td.width().to_string(), dps, bbs, agree]);
+        t.push_row(vec![
+            name,
+            g.n().to_string(),
+            td.width().to_string(),
+            show(engine),
+            show(naive),
+            agree,
+        ]);
     }
     t
 }
@@ -1034,7 +1040,7 @@ pub fn exp_local_sweep_large() -> Table {
 /// exact-scale experiment (≈ seconds of wasted search per instance).
 const NAIVE_GIVEUP_BUDGET: u64 = 2_000_000;
 
-/// E14 — exact-scale: the multi-backend [`lmds_graph::exact::ExactEngine`]
+/// E14 — exact-scale: the [`lmds_graph::exact::ExactEngine`]
 /// against the naive oracle it replaced, on two tiers:
 ///
 /// * **corpus tier** — instances the naive solvers finish: both are
@@ -1047,7 +1053,7 @@ const NAIVE_GIVEUP_BUDGET: u64 = 2_000_000;
 ///   Lemma-4.2 residual components, so the `strip(40)` row (n = 80) is
 ///   the "residual components of n ≈ 60–80 now tractable" evidence.
 pub fn exp_exact_scale() -> Table {
-    use lmds_graph::exact::{ExactBackend, ExactEngine};
+    use lmds_graph::exact::ExactEngine;
     use std::time::Instant;
     let mut t = Table::new(
         "E14 / exact-scale — exact engine (reduce + B&B/treewidth DP) vs the naive oracle",
@@ -1167,8 +1173,8 @@ pub fn exp_exact_scale() -> Table {
         let naive_us = started.elapsed().as_secs_f64() * 1e6;
         let started = Instant::now();
         let sol = match problem {
-            Problem::Mds => engine.solve_mds(g, ExactBackend::Auto, u64::MAX),
-            Problem::Mvc => engine.solve_mvc(g, ExactBackend::Auto, u64::MAX),
+            Problem::Mds => engine.solve_mds(g, u64::MAX),
+            Problem::Mvc => engine.solve_mvc(g, u64::MAX),
         }
         .unwrap_or_else(|e| panic!("engine on {name}: {e}"));
         let engine_us = started.elapsed().as_secs_f64() * 1e6;

@@ -22,7 +22,7 @@
 
 use crate::local_cuts;
 use crate::radii::Radii;
-use lmds_graph::{par, ExactBackend, Graph, InducedSubgraph, Vertex, VertexSet};
+use lmds_graph::{par, Graph, InducedSubgraph, Vertex, VertexSet};
 use lmds_localsim::IdAssignment;
 
 /// Below this quotient size the dominated/`U` mask passes stay
@@ -244,14 +244,14 @@ pub fn solve_component_with(
     let targets_local: Vec<Vertex> =
         targets_r.iter().map(|v| index_of(*v).expect("targets lie inside the component")).collect();
     let sol_local = if exact {
-        // The multi-backend exact engine (reductions + B&B/treewidth
-        // DP), through the thread-local arena pool: the adaptive LOCAL
-        // deciders re-solve many small components per simulation, and
-        // every node must reconstruct the identical optimum — the
-        // engine is deterministic per instance, so the canonical
-        // id-ordered encoding above guarantees that.
+        // The exact engine (reductions + B&B/treewidth DP), through
+        // the thread-local arena pool: the adaptive LOCAL deciders
+        // re-solve many small components per simulation, and every
+        // node must reconstruct the identical optimum — the engine is
+        // deterministic per instance, so the canonical id-ordered
+        // encoding above guarantees that.
         lmds_graph::exact::with_thread_engine(|e| {
-            e.solve_b_dominating(&local, &targets_local, None, ExactBackend::Auto, u64::MAX)
+            e.solve_b_dominating(&local, &targets_local, None, u64::MAX)
         })
         .expect("component instance is feasible: targets dominate themselves")
     } else {

@@ -1,10 +1,11 @@
 //! Approximation-ratio measurement against exact optima or certified
-//! lower bounds.
+//! lower bounds: the tree DP on forests, else the exact engine within
+//! the caller's search budget, else a certified lower bound.
 
 use lmds_graph::dominating::{mds_lower_bound, tree_mds};
 use lmds_graph::exact::with_thread_engine;
 use lmds_graph::vertex_cover::vc_lower_bound;
-use lmds_graph::{ExactBackend, Graph};
+use lmds_graph::Graph;
 
 /// How the optimum (or its bound) was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,31 +40,23 @@ impl RatioReport {
     }
 }
 
-/// Width cap for the treewidth-DP exact solver used as a fallback
-/// (`3^{w+1}`-sized tables; 5 keeps joins tiny).
-const TW_CAP: usize = 5;
-
 /// Measures a dominating-set solution against the best optimum we can
-/// certify: tree DP on forests, then the multi-backend exact engine
-/// (reductions + branch and bound within `budget` + treewidth DP for
-/// skinny components), then the standalone width-capped treewidth DP,
+/// certify: tree DP on forests, then the exact engine (reductions, then
+/// per component the treewidth DP or branch and bound within `budget`),
 /// then a certified lower bound.
 pub fn mds_report(g: &Graph, alg_size: usize, budget: u64) -> RatioReport {
     if let Some(t) = tree_mds(g) {
         return RatioReport { alg: alg_size, opt: t.len(), kind: OptimumKind::Exact };
     }
-    if let Ok(opt) = with_thread_engine(|e| e.solve_mds(g, ExactBackend::Auto, budget)) {
+    if let Ok(opt) = with_thread_engine(|e| e.solve_mds(g, budget)) {
         return RatioReport { alg: alg_size, opt: opt.len(), kind: OptimumKind::Exact };
-    }
-    if let Some(opt) = lmds_graph::treewidth::treewidth_mds_size(g, TW_CAP) {
-        return RatioReport { alg: alg_size, opt, kind: OptimumKind::Exact };
     }
     RatioReport { alg: alg_size, opt: mds_lower_bound(g), kind: OptimumKind::LowerBound }
 }
 
 /// Measures a vertex-cover solution likewise.
 pub fn vc_report(g: &Graph, alg_size: usize, budget: u64) -> RatioReport {
-    match with_thread_engine(|e| e.solve_mvc(g, ExactBackend::Auto, budget)) {
+    match with_thread_engine(|e| e.solve_mvc(g, budget)) {
         Ok(opt) => RatioReport { alg: alg_size, opt: opt.len(), kind: OptimumKind::Exact },
         Err(_) => {
             RatioReport { alg: alg_size, opt: vc_lower_bound(g), kind: OptimumKind::LowerBound }
@@ -86,8 +79,8 @@ mod tests {
 
     #[test]
     fn zero_budget_rescued_by_treewidth_dp() {
-        // A zero B&B budget no longer forces a lower bound on skinny
-        // graphs: the treewidth DP certifies the cycle exactly.
+        // A zero B&B budget does not force a lower bound on skinny
+        // graphs: the engine's treewidth DP certifies the cycle exactly.
         let g = lmds_gen::basic::cycle(30);
         let r = mds_report(&g, 30, 0);
         assert_eq!(r.kind, OptimumKind::Exact);

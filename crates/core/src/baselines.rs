@@ -49,7 +49,6 @@ mod tests {
     use super::*;
     use lmds_graph::dominating::is_dominating_set;
     use lmds_graph::vertex_cover::is_vertex_cover;
-    use lmds_graph::ExactBackend;
 
     fn seq(n: usize) -> IdAssignment {
         IdAssignment::sequential(n)
@@ -58,12 +57,12 @@ mod tests {
     /// Reference optima through the exact engine (the baselines'
     /// ratio claims are measured against it, like the harness does).
     fn exact_mds(g: &Graph) -> Vec<Vertex> {
-        lmds_graph::exact::with_thread_engine(|e| e.solve_mds(g, ExactBackend::Auto, u64::MAX))
+        lmds_graph::exact::with_thread_engine(|e| e.solve_mds(g, u64::MAX))
             .expect("unbounded budget")
     }
 
     fn exact_vertex_cover(g: &Graph) -> Vec<Vertex> {
-        lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(g, ExactBackend::Auto, u64::MAX))
+        lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(g, u64::MAX))
             .expect("unbounded budget")
     }
 

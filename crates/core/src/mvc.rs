@@ -17,10 +17,8 @@ use lmds_localsim::IdAssignment;
 /// [`crate::distributed`], which must reconstruct identical covers
 /// from per-node views.
 pub(crate) fn residual_exact_vc(local: &Graph) -> Vec<Vertex> {
-    lmds_graph::exact::with_thread_engine(|e| {
-        e.solve_mvc(local, lmds_graph::ExactBackend::Auto, u64::MAX)
-    })
-    .expect("unbounded budget cannot be exhausted")
+    lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(local, u64::MAX))
+        .expect("unbounded budget cannot be exhausted")
 }
 
 /// Output of the MVC pipeline.

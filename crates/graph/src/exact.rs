@@ -1,4 +1,4 @@
-//! The multi-backend **exact engine** for MDS, `B`-domination, and MVC.
+//! The **exact engine** for MDS, `B`-domination, and MVC.
 //!
 //! The paper's Algorithm 1 ends by solving bounded-diameter residual
 //! components *exactly* (Theorem 4.1 step 4), and every measured ratio
@@ -16,15 +16,19 @@
 //!    [`crate::dominating`] / [`crate::vertex_cover`]);
 //! 3. a **tree-decomposition DP** riding
 //!    [`crate::treewidth::min_fill_decomposition`] with full solution
-//!    extraction (not just the optimum size), used automatically on
-//!    low-width components or forced via [`ExactBackend::Treewidth`].
+//!    extraction (not just the optimum size).
 //!
-//! The old plain solvers stay in-tree as [`ExactBackend::Naive`], the
-//! oracle of the differential fuzz harness
-//! (`tests/exact_differential.rs`): every backend must return the same
-//! optimum size on the whole generator corpus.
+//! One rule picks the kernel for each residual component, from what
+//! the engine can observe: the DP when the component has at least 20
+//! vertices and min-fill width at most 5 (8 for MVC), branch and bound
+//! otherwise. Callers cannot force either kernel.
 //!
-//! Every backend is fully deterministic: the same instance always yields
+//! The plain solvers in [`crate::dominating`] / [`crate::vertex_cover`]
+//! are the oracle of the differential fuzz harness
+//! (`tests/exact_differential.rs`): the engine must return the same
+//! optimum size on the whole generator corpus, with both kernels run.
+//!
+//! The engine is fully deterministic: the same instance always yields
 //! the same vertex set, which is what lets the LOCAL deciders and the
 //! centralized pipeline reconstruct identical residual-component optima
 //! from different encodings of the same component.
@@ -32,89 +36,9 @@
 use crate::connectivity::components_avoiding;
 use crate::graph::{Graph, Vertex};
 use crate::subgraph::InducedSubgraph;
-use crate::treewidth::min_fill_decomposition;
+use crate::treewidth::{min_fill_decomposition, TreeDecomposition};
 use crate::twins::twin_representatives;
 use std::cell::RefCell;
-
-// ---------------------------------------------------------------------
-// Backend selection
-// ---------------------------------------------------------------------
-
-/// Which exact algorithm the [`ExactEngine`] runs after reductions.
-///
-/// All backends return a true optimum; they differ only in how they
-/// search (and therefore how large an instance they can finish). The
-/// differential suite pins them to byte-equal optimum *sizes* against
-/// [`ExactBackend::Naive`] across the generator corpus.
-///
-/// ```
-/// use lmds_graph::exact::{ExactBackend, ExactEngine};
-/// use lmds_graph::Graph;
-///
-/// // P6: MDS = 2 under every backend.
-/// let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-/// let mut engine = ExactEngine::new();
-/// for backend in ExactBackend::ALL {
-///     let sol = engine.solve_mds(&g, backend, u64::MAX).unwrap();
-///     assert_eq!(sol.len(), 2, "{backend}");
-/// }
-/// assert_eq!("treewidth".parse(), Ok(ExactBackend::Treewidth));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExactBackend {
-    /// Reductions, then per residual component: the tree-decomposition
-    /// DP when the min-fill width is small, branch and bound otherwise.
-    #[default]
-    Auto,
-    /// Reductions, then branch and bound on every component.
-    BranchAndBound,
-    /// Reductions, then the tree-decomposition DP wherever the width
-    /// permits (components wider than the hard safety cap fall back to
-    /// branch and bound so the call always terminates).
-    Treewidth,
-    /// The pre-engine plain exponential solvers
-    /// ([`crate::dominating::exact_mds_capped`],
-    /// [`crate::vertex_cover::exact_vertex_cover_capped`]) with no
-    /// reduction layer — kept as the test oracle.
-    Naive,
-}
-
-impl ExactBackend {
-    /// All backends, in sweep order.
-    pub const ALL: [ExactBackend; 4] = [
-        ExactBackend::Auto,
-        ExactBackend::BranchAndBound,
-        ExactBackend::Treewidth,
-        ExactBackend::Naive,
-    ];
-}
-
-impl std::fmt::Display for ExactBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ExactBackend::Auto => "auto",
-            ExactBackend::BranchAndBound => "branch-and-bound",
-            ExactBackend::Treewidth => "treewidth",
-            ExactBackend::Naive => "naive",
-        };
-        write!(f, "{s}")
-    }
-}
-
-impl std::str::FromStr for ExactBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(ExactBackend::Auto),
-            "branch-and-bound" | "bnb" => Ok(ExactBackend::BranchAndBound),
-            "treewidth" | "tw" => Ok(ExactBackend::Treewidth),
-            "naive" => Ok(ExactBackend::Naive),
-            other => Err(format!(
-                "unknown exact backend {other:?} (valid: auto, branch-and-bound, treewidth, naive)"
-            )),
-        }
-    }
-}
 
 /// Why an exact solve failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,23 +88,40 @@ pub struct EngineStats {
 // The engine
 // ---------------------------------------------------------------------
 
-/// Width cap for the DP under [`ExactBackend::Auto`] (table size
-/// `3^{w+1}`, join cost its square — 5 keeps joins tiny).
+/// Width cap for the MDS DP (table size `3^{w+1}`, join cost its
+/// square — 5 keeps joins tiny).
 const TW_AUTO_CAP: usize = 5;
-/// Hard safety cap for the forced [`ExactBackend::Treewidth`] backend;
-/// wider components fall back to branch and bound.
-const TW_FORCED_CAP: usize = 7;
-/// Below this component size Auto prefers branch and bound (the DP's
+/// Below this component size branch and bound runs (the DP's
 /// decomposition overhead exceeds the whole search).
 const TW_AUTO_MIN_N: usize = 20;
-/// VC DP caps (2-color tables are exponentially cheaper).
+/// Width cap for the VC DP (2-color tables are exponentially cheaper).
 const VC_TW_AUTO_CAP: usize = 8;
-const VC_TW_FORCED_CAP: usize = 10;
 
-/// The multi-backend exact solver. Owns the reusable search arenas
-/// (bound buffers, undo trails, per-depth scratch); one engine can be
-/// reused across many solves and graphs — see [`with_thread_engine`]
-/// for the thread-local pool.
+/// The per-component rule: the decomposition the DP runs on, or `None`
+/// when the component is too small or wider than `width_cap` and branch
+/// and bound should run instead.
+fn dp_decomposition(g: &Graph, width_cap: usize) -> Option<TreeDecomposition> {
+    if g.n() < TW_AUTO_MIN_N {
+        return None;
+    }
+    Some(min_fill_decomposition(g)).filter(|td| td.width() <= width_cap)
+}
+
+/// The exact solver. Owns the reusable search arenas (bound buffers,
+/// undo trails, per-depth scratch); one engine can be reused across
+/// many solves and graphs — see [`with_thread_engine`] for the
+/// thread-local pool.
+///
+/// ```
+/// use lmds_graph::exact::ExactEngine;
+/// use lmds_graph::Graph;
+///
+/// // P6: MDS = 2, MVC = 3.
+/// let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+/// let mut engine = ExactEngine::new();
+/// assert_eq!(engine.solve_mds(&g, u64::MAX).unwrap().len(), 2);
+/// assert_eq!(engine.solve_mvc(&g, u64::MAX).unwrap().len(), 3);
+/// ```
 #[derive(Debug, Default)]
 pub struct ExactEngine {
     stats: EngineStats,
@@ -236,19 +177,10 @@ impl ExactEngine {
     /// [`ExactError::BudgetExhausted`] if the branch-and-bound node
     /// budget runs out (never infeasible: every graph has a dominating
     /// set).
-    pub fn solve_mds(
-        &mut self,
-        g: &Graph,
-        backend: ExactBackend,
-        budget: u64,
-    ) -> Result<Vec<Vertex>, ExactError> {
+    pub fn solve_mds(&mut self, g: &Graph, budget: u64) -> Result<Vec<Vertex>, ExactError> {
         self.stats = EngineStats::default();
         if g.n() == 0 {
             return Ok(Vec::new());
-        }
-        if backend == ExactBackend::Naive {
-            return crate::dominating::exact_mds_capped(g, budget)
-                .ok_or(ExactError::BudgetExhausted { budget });
         }
         // True-twin folding (sound for whole-graph MDS: the quotient
         // preserves the domination number and any dominating set of the
@@ -257,10 +189,10 @@ impl ExactEngine {
         if rep.iter().enumerate().any(|(v, &r)| r != v) {
             let kept: Vec<Vertex> = g.vertices().filter(|&v| rep[v] == v).collect();
             let sub = InducedSubgraph::new(g, &kept);
-            let local = self.solve_domination(&sub.graph, None, None, backend, budget)?;
+            let local = self.solve_domination(&sub.graph, None, None, budget)?;
             return Ok(sub.set_to_host(&local));
         }
-        self.solve_domination(g, None, None, backend, budget)
+        self.solve_domination(g, None, None, budget)
     }
 
     /// Exact minimum `B`-dominating set: the smallest
@@ -278,21 +210,13 @@ impl ExactEngine {
         g: &Graph,
         targets: &[Vertex],
         candidates: Option<&[Vertex]>,
-        backend: ExactBackend,
         budget: u64,
     ) -> Result<Vec<Vertex>, ExactError> {
         self.stats = EngineStats::default();
         if g.n() == 0 || targets.is_empty() {
             return Ok(Vec::new());
         }
-        if backend == ExactBackend::Naive {
-            // Distinguish infeasibility from budget exhaustion (the
-            // naive oracle conflates them in one `None`).
-            self.check_feasible(g, targets, candidates)?;
-            return crate::dominating::exact_b_dominating_capped(g, targets, candidates, budget)
-                .ok_or(ExactError::BudgetExhausted { budget });
-        }
-        self.solve_domination(g, Some(targets), candidates, backend, budget)
+        self.solve_domination(g, Some(targets), candidates, budget)
     }
 
     /// Exact minimum vertex cover of `g`.
@@ -301,49 +225,15 @@ impl ExactEngine {
     ///
     /// [`ExactError::BudgetExhausted`] if the branch-and-bound node
     /// budget runs out.
-    pub fn solve_mvc(
-        &mut self,
-        g: &Graph,
-        backend: ExactBackend,
-        budget: u64,
-    ) -> Result<Vec<Vertex>, ExactError> {
+    pub fn solve_mvc(&mut self, g: &Graph, budget: u64) -> Result<Vec<Vertex>, ExactError> {
         self.stats = EngineStats::default();
         if g.n() == 0 {
             return Ok(Vec::new());
         }
-        if backend == ExactBackend::Naive {
-            return crate::vertex_cover::exact_vertex_cover_capped(g, budget)
-                .ok_or(ExactError::BudgetExhausted { budget });
-        }
-        self.solve_vc(g, backend, budget)
+        self.solve_vc(g, budget)
     }
 
     // -- domination core ----------------------------------------------
-
-    fn check_feasible(
-        &mut self,
-        g: &Graph,
-        targets: &[Vertex],
-        candidates: Option<&[Vertex]>,
-    ) -> Result<(), ExactError> {
-        match candidates {
-            None => Ok(()), // targets dominate themselves
-            Some(cands) => {
-                self.begin_marks(g.n());
-                for &c in cands {
-                    self.mark(c);
-                }
-                let ok = targets.iter().all(|&t| {
-                    self.marked(t) || g.neighbors(t).iter().any(|&u| self.marked(u as Vertex))
-                });
-                if ok {
-                    Ok(())
-                } else {
-                    Err(ExactError::Infeasible)
-                }
-            }
-        }
-    }
 
     /// The shared domination pipeline: masks → reductions → component
     /// split → per-component DP or branch and bound.
@@ -352,7 +242,6 @@ impl ExactEngine {
         g: &Graph,
         targets: Option<&[Vertex]>,
         candidates: Option<&[Vertex]>,
-        backend: ExactBackend,
         budget: u64,
     ) -> Result<Vec<Vertex>, ExactError> {
         let n = g.n();
@@ -411,17 +300,7 @@ impl ExactEngine {
             let allowed_l: Vec<bool> = comp.iter().map(|&v| allowed[v]).collect();
             // The decomposition is computed once here and reused by
             // the DP (it is the DP's dominant setup cost).
-            let td = match backend {
-                ExactBackend::Auto if lg.n() >= TW_AUTO_MIN_N => {
-                    Some(min_fill_decomposition(lg)).filter(|td| td.width() <= TW_AUTO_CAP)
-                }
-                ExactBackend::Auto | ExactBackend::BranchAndBound => None,
-                ExactBackend::Treewidth => {
-                    Some(min_fill_decomposition(lg)).filter(|td| td.width() <= TW_FORCED_CAP)
-                }
-                ExactBackend::Naive => unreachable!("naive handled upstream"),
-            };
-            let local_sol = if let Some(td) = td {
+            let local_sol = if let Some(td) = dp_decomposition(lg, TW_AUTO_CAP) {
                 self.stats.dp_components += 1;
                 mds_dp(lg, &needs_l, &allowed_l, &td)
             } else {
@@ -621,12 +500,7 @@ impl ExactEngine {
 
     // -- vertex-cover core --------------------------------------------
 
-    fn solve_vc(
-        &mut self,
-        g: &Graph,
-        backend: ExactBackend,
-        budget: u64,
-    ) -> Result<Vec<Vertex>, ExactError> {
+    fn solve_vc(&mut self, g: &Graph, budget: u64) -> Result<Vec<Vertex>, ExactError> {
         let n = g.n();
         let mut alive = vec![true; n];
         let mut chosen: Vec<Vertex> = Vec::new();
@@ -643,17 +517,7 @@ impl ExactEngine {
             self.stats.components += 1;
             let sub = InducedSubgraph::new(g, comp);
             let lg = &sub.graph;
-            let td = match backend {
-                ExactBackend::Auto if lg.n() >= TW_AUTO_MIN_N => {
-                    Some(min_fill_decomposition(lg)).filter(|td| td.width() <= VC_TW_AUTO_CAP)
-                }
-                ExactBackend::Auto | ExactBackend::BranchAndBound => None,
-                ExactBackend::Treewidth => {
-                    Some(min_fill_decomposition(lg)).filter(|td| td.width() <= VC_TW_FORCED_CAP)
-                }
-                ExactBackend::Naive => unreachable!("naive handled upstream"),
-            };
-            let local_sol = if let Some(td) = td {
+            let local_sol = if let Some(td) = dp_decomposition(lg, VC_TW_AUTO_CAP) {
                 self.stats.dp_components += 1;
                 vc_dp(lg, &td)
             } else {
@@ -1292,12 +1156,7 @@ impl DpTables {
 /// **with solution extraction**. The caller guarantees the width is
 /// within the engine's caps; feasibility is the caller's invariant
 /// (targets always retain a coverer).
-fn mds_dp(
-    g: &Graph,
-    needs: &[bool],
-    allowed: &[bool],
-    td: &crate::treewidth::TreeDecomposition,
-) -> Vec<Vertex> {
+fn mds_dp(g: &Graph, needs: &[bool], allowed: &[bool], td: &TreeDecomposition) -> Vec<Vertex> {
     let n = g.n();
     debug_assert!(n > 0);
     let b = td.bags.len();
@@ -1587,7 +1446,7 @@ fn dp_join(tables: &mut DpTables, a: usize, b: usize) -> usize {
 
 /// VC colors: bit 1 = in the cover. Runs over the caller's (min-fill)
 /// tree decomposition.
-fn vc_dp(g: &Graph, td: &crate::treewidth::TreeDecomposition) -> Vec<Vertex> {
+fn vc_dp(g: &Graph, td: &TreeDecomposition) -> Vec<Vertex> {
     let n = g.n();
     debug_assert!(n > 0);
     let b = td.bags.len();
@@ -1804,44 +1663,93 @@ mod tests {
         b.build()
     }
 
-    fn check_mds_all_backends(g: &Graph) {
-        let oracle = exact_mds(g).len();
-        let mut e = ExactEngine::new();
-        for backend in ExactBackend::ALL {
-            let sol = e.solve_mds(g, backend, u64::MAX).unwrap();
-            assert!(is_dominating_set(g, &sol), "{backend} infeasible on {g:?}");
-            assert_eq!(sol.len(), oracle, "{backend} suboptimal on {g:?}");
+    /// Asserts each solution is feasible and of the oracle's size;
+    /// `None` marks the DP skipped because the width exceeds its cap.
+    fn check(
+        g: &Graph,
+        oracle: usize,
+        feasible: impl Fn(&[Vertex]) -> bool,
+        sols: [(&str, Option<Vec<Vertex>>); 3],
+    ) {
+        for (kernel, sol) in sols {
+            let Some(sol) = sol else { continue };
+            assert!(feasible(&sol), "{kernel} infeasible on {g:?}");
+            assert_eq!(sol.len(), oracle, "{kernel} suboptimal on {g:?}");
         }
     }
 
-    fn check_mvc_all_backends(g: &Graph) {
-        let oracle = exact_vertex_cover(g).len();
-        let mut e = ExactEngine::new();
-        for backend in ExactBackend::ALL {
-            let sol = e.solve_mvc(g, backend, u64::MAX).unwrap();
-            assert!(is_vertex_cover(g, &sol), "{backend} infeasible on {g:?}");
-            assert_eq!(sol.len(), oracle, "{backend} suboptimal on {g:?}");
+    /// The engine, and both kernels run on the whole graph, against the
+    /// naive oracle. The rule sends graphs this small to branch and
+    /// bound, so the direct DP call keeps it covered below the
+    /// 20-vertex gate.
+    fn check_mds(g: &Graph) {
+        let all = vec![true; g.n()];
+        let td = min_fill_decomposition(g);
+        check(
+            g,
+            exact_mds(g).len(),
+            |s| is_dominating_set(g, s),
+            [
+                ("engine", Some(ExactEngine::new().solve_mds(g, u64::MAX).unwrap())),
+                ("bnb", Some(cover_bnb(g, &all, &all, u64::MAX).unwrap().0)),
+                ("dp", (td.width() <= TW_AUTO_CAP).then(|| mds_dp(g, &all, &all, &td))),
+            ],
+        );
+    }
+
+    fn check_mvc(g: &Graph) {
+        let td = min_fill_decomposition(g);
+        check(
+            g,
+            exact_vertex_cover(g).len(),
+            |s| is_vertex_cover(g, s),
+            [
+                ("engine", Some(ExactEngine::new().solve_mvc(g, u64::MAX).unwrap())),
+                ("bnb", Some(vc_bnb(g, u64::MAX).unwrap().0)),
+                ("dp", (td.width() <= VC_TW_AUTO_CAP).then(|| vc_dp(g, &td))),
+            ],
+        );
+    }
+
+    /// `B`-domination with the default candidate pool `N[targets]`.
+    fn check_b_dominating(g: &Graph, targets: &[Vertex]) {
+        let mut needs = vec![false; g.n()];
+        for &t in targets {
+            needs[t] = true;
         }
+        let allowed: Vec<bool> = g.vertices().map(|v| closed(g, v).any(|w| needs[w])).collect();
+        let td = min_fill_decomposition(g);
+        let engine = ExactEngine::new().solve_b_dominating(g, targets, None, u64::MAX).unwrap();
+        check(
+            g,
+            exact_b_dominating(g, targets, None).unwrap().len(),
+            |s| dominates(g, s, targets),
+            [
+                ("engine", Some(engine)),
+                ("bnb", Some(cover_bnb(g, &needs, &allowed, u64::MAX).unwrap().0)),
+                ("dp", (td.width() <= TW_AUTO_CAP).then(|| mds_dp(g, &needs, &allowed, &td))),
+            ],
+        );
     }
 
     #[test]
     fn mds_matches_oracle_on_paths_cycles_stars() {
         for n in 1..=14 {
-            check_mds_all_backends(&path(n));
+            check_mds(&path(n));
         }
         for n in 3..=14 {
-            check_mds_all_backends(&cycle(n));
+            check_mds(&cycle(n));
         }
-        check_mds_all_backends(&Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]));
+        check_mds(&Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]));
     }
 
     #[test]
     fn mvc_matches_oracle_on_paths_cycles() {
         for n in 2..=14 {
-            check_mvc_all_backends(&path(n));
+            check_mvc(&path(n));
         }
         for n in 3..=14 {
-            check_mvc_all_backends(&cycle(n));
+            check_mvc(&cycle(n));
         }
     }
 
@@ -1852,14 +1760,14 @@ mod tests {
         // Three isolated vertices: the unit rule forces each.
         let g = Graph::new(3);
         let mut e = ExactEngine::new();
-        let sol = e.solve_mds(&g, ExactBackend::Auto, u64::MAX).unwrap();
+        let sol = e.solve_mds(&g, u64::MAX).unwrap();
         assert_eq!(sol, vec![0, 1, 2]);
         assert_eq!(e.stats().forced, 3);
         assert_eq!(e.stats().components, 0, "reductions close the whole instance");
         // Mixed: isolated vertex beside an edge.
         let g2 = Graph::from_edges(3, &[(1, 2)]);
-        check_mds_all_backends(&g2);
-        check_mvc_all_backends(&g2);
+        check_mds(&g2);
+        check_mvc(&g2);
     }
 
     #[test]
@@ -1869,14 +1777,14 @@ mod tests {
         for n in [2usize, 3, 6, 10, 30] {
             let g = path(n);
             let mut e = ExactEngine::new();
-            let sol = e.solve_mds(&g, ExactBackend::BranchAndBound, u64::MAX).unwrap();
+            let sol = e.solve_mds(&g, u64::MAX).unwrap();
             assert!(is_dominating_set(&g, &sol));
             assert_eq!(sol.len(), n.div_ceil(3));
         }
         // VC pendant rule: a star closes by reductions alone.
         let star = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         let mut e = ExactEngine::new();
-        let sol = e.solve_mvc(&star, ExactBackend::BranchAndBound, u64::MAX).unwrap();
+        let sol = e.solve_mvc(&star, u64::MAX).unwrap();
         assert_eq!(sol, vec![0]);
         assert_eq!(e.stats().search_nodes, 0, "pendant rule needs no search");
     }
@@ -1892,12 +1800,12 @@ mod tests {
             }
         }
         let mut e = ExactEngine::new();
-        let sol = e.solve_mds(&g, ExactBackend::Auto, u64::MAX).unwrap();
+        let sol = e.solve_mds(&g, u64::MAX).unwrap();
         assert_eq!(sol, vec![0]);
         assert_eq!(e.stats().search_nodes, 0);
         // Two twin triangles joined by an edge.
         let g2 = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]);
-        check_mds_all_backends(&g2);
+        check_mds(&g2);
     }
 
     #[test]
@@ -1905,10 +1813,10 @@ mod tests {
         // Components are solved independently and re-merged.
         let mut g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]);
         g.add_vertex(); // isolated 5
-        check_mds_all_backends(&g);
-        check_mvc_all_backends(&g);
+        check_mds(&g);
+        check_mvc(&g);
         let mut e = ExactEngine::new();
-        let sol = e.solve_mds(&g, ExactBackend::Auto, u64::MAX).unwrap();
+        let sol = e.solve_mds(&g, u64::MAX).unwrap();
         assert_eq!(sol.len(), 3);
     }
 
@@ -1943,14 +1851,10 @@ mod tests {
             g.add_edge(0, b);
         }
         assert_eq!(exact_mds(&g).len(), 1);
-        let mut e = ExactEngine::new();
-        for backend in ExactBackend::ALL {
-            let sol = e.solve_mds(&g, backend, u64::MAX).unwrap();
-            assert_eq!(sol.len(), 1, "{backend}");
-            assert!(is_dominating_set(&g, &sol));
-        }
+        check_mds(&g);
         // The reduction layer alone closes it (no search).
-        let sol = e.solve_mds(&g, ExactBackend::BranchAndBound, u64::MAX).unwrap();
+        let mut e = ExactEngine::new();
+        let sol = e.solve_mds(&g, u64::MAX).unwrap();
         assert_eq!(sol, vec![0]);
         assert_eq!(e.stats().search_nodes, 0, "gadget closes by reductions");
     }
@@ -1960,85 +1864,74 @@ mod tests {
     #[test]
     fn b_dominating_matches_oracle() {
         let g = path(6);
-        let mut e = ExactEngine::new();
-        for backend in ExactBackend::ALL {
-            let sol = e.solve_b_dominating(&g, &[0], None, backend, u64::MAX).unwrap();
-            assert_eq!(sol.len(), 1, "{backend}");
-            assert!(dominates(&g, &sol, &[0]));
-            let sol2 = e.solve_b_dominating(&g, &[0, 5], None, backend, u64::MAX).unwrap();
-            assert_eq!(sol2.len(), 2, "{backend}");
-        }
+        check_b_dominating(&g, &[0]);
+        check_b_dominating(&g, &[0, 5]);
+        let sol = ExactEngine::new().solve_b_dominating(&g, &[0, 5], None, u64::MAX).unwrap();
+        assert_eq!(sol.len(), 2);
     }
 
     #[test]
     fn b_dominating_candidate_restriction_and_infeasibility() {
         let g = path(5);
         let mut e = ExactEngine::new();
-        for backend in ExactBackend::ALL {
-            let sol = e
-                .solve_b_dominating(&g, &[0, 1, 2, 3, 4], Some(&[1, 3]), backend, u64::MAX)
-                .unwrap();
-            assert_eq!(sol, vec![1, 3], "{backend}");
-            let err = e.solve_b_dominating(&g, &[0], Some(&[3]), backend, u64::MAX).unwrap_err();
-            assert_eq!(err, ExactError::Infeasible, "{backend}");
-        }
+        let sol = e.solve_b_dominating(&g, &[0, 1, 2, 3, 4], Some(&[1, 3]), u64::MAX).unwrap();
+        assert_eq!(sol, vec![1, 3]);
+        let err = e.solve_b_dominating(&g, &[0], Some(&[3]), u64::MAX).unwrap_err();
+        assert_eq!(err, ExactError::Infeasible);
         // Cross-check the oracle on a random-ish target pattern.
-        let g2 = cycle(11);
-        let targets = [0, 2, 3, 7, 9];
-        let oracle = exact_b_dominating(&g2, &targets, None).unwrap().len();
-        for backend in ExactBackend::ALL {
-            let sol = e.solve_b_dominating(&g2, &targets, None, backend, u64::MAX).unwrap();
-            assert_eq!(sol.len(), oracle, "{backend}");
-            assert!(dominates(&g2, &sol, &targets));
-        }
+        check_b_dominating(&cycle(11), &[0, 2, 3, 7, 9]);
     }
 
     #[test]
     fn budget_exhaustion_is_reported() {
-        let g = cycle(30);
+        // A 15-cycle has no reductions and is below the DP's size gate,
+        // so branch and bound must search — a zero budget kills it.
+        let g = cycle(15);
         let mut e = ExactEngine::new();
-        // A zero budget kills every searching backend on a cycle wide
-        // enough that reductions cannot close it... the cycle has no
-        // reductions at all, so B&B must search.
-        let err = e.solve_mds(&g, ExactBackend::BranchAndBound, 0).unwrap_err();
+        let err = e.solve_mds(&g, 0).unwrap_err();
         assert_eq!(err, ExactError::BudgetExhausted { budget: 0 });
-        let err = e.solve_mvc(&g, ExactBackend::BranchAndBound, 0).unwrap_err();
+        let err = e.solve_mvc(&g, 0).unwrap_err();
         assert_eq!(err, ExactError::BudgetExhausted { budget: 0 });
-        // The treewidth backend needs no search budget on a cycle.
-        assert!(e.solve_mds(&g, ExactBackend::Treewidth, 0).is_ok());
+        // The rule sends a 30-cycle to the DP, which needs no budget.
+        assert_eq!(e.solve_mds(&cycle(30), 0).unwrap().len(), 10);
+        assert_eq!(e.solve_mvc(&cycle(30), 0).unwrap().len(), 15);
     }
 
     #[test]
     fn treewidth_backend_solves_long_skinny_instances() {
-        // A 200-vertex path and a 120-cycle: the DP is linear where
-        // plain B&B crawls.
+        // A 200-vertex path closes by reductions; a 120-cycle goes to
+        // the DP, which is linear where plain B&B crawls.
         let g = path(200);
         let mut e = ExactEngine::new();
-        let sol = e.solve_mds(&g, ExactBackend::Treewidth, u64::MAX).unwrap();
+        let sol = e.solve_mds(&g, u64::MAX).unwrap();
         assert!(is_dominating_set(&g, &sol));
         assert_eq!(sol.len(), 200usize.div_ceil(3));
         let c = cycle(120);
-        let sol = e.solve_mds(&c, ExactBackend::Treewidth, u64::MAX).unwrap();
+        let sol = e.solve_mds(&c, u64::MAX).unwrap();
         assert_eq!(sol.len(), 40);
         assert!(is_dominating_set(&c, &sol));
-        let vc = e.solve_mvc(&c, ExactBackend::Treewidth, u64::MAX).unwrap();
+        assert_eq!(e.stats().dp_components, 1);
+        let vc = e.solve_mvc(&c, u64::MAX).unwrap();
         assert_eq!(vc.len(), 60);
         assert!(is_vertex_cover(&c, &vc));
+        assert_eq!(e.stats().dp_components, 1);
     }
 
     #[test]
     fn dense_component_falls_back_from_treewidth() {
-        // K8 exceeds both DP caps; the forced-treewidth backend must
-        // still terminate (fallback to B&B).
-        let mut g = Graph::new(8);
-        for u in 0..8 {
-            for v in (u + 1)..8 {
+        // K_{10,10}: 20 vertices, no twins, no reductions, and width 10
+        // above both DP caps — the rule sends it to branch and bound.
+        let mut g = Graph::new(20);
+        for u in 0..10 {
+            for v in 10..20 {
                 g.add_edge(u, v);
             }
         }
         let mut e = ExactEngine::new();
-        let sol = e.solve_mvc(&g, ExactBackend::Treewidth, u64::MAX).unwrap();
-        assert_eq!(sol.len(), 7);
+        assert_eq!(e.solve_mds(&g, u64::MAX).unwrap().len(), 2);
+        assert_eq!((e.stats().dp_components, e.stats().bnb_components), (0, 1));
+        assert_eq!(e.solve_mvc(&g, u64::MAX).unwrap().len(), 10);
+        assert_eq!((e.stats().dp_components, e.stats().bnb_components), (0, 1));
     }
 
     #[test]
@@ -2049,30 +1942,16 @@ mod tests {
         );
         let mut e1 = ExactEngine::new();
         let mut e2 = ExactEngine::new();
-        for backend in ExactBackend::ALL {
-            let a = e1.solve_mds(&g, backend, u64::MAX).unwrap();
-            let b = e2.solve_mds(&g, backend, u64::MAX).unwrap();
-            let c = e1.solve_mds(&g, backend, u64::MAX).unwrap();
-            assert_eq!(a, b, "{backend}");
-            assert_eq!(a, c, "{backend}");
-        }
-    }
-
-    #[test]
-    fn backend_round_trips_through_strings() {
-        for backend in ExactBackend::ALL {
-            let s = backend.to_string();
-            assert_eq!(s.parse::<ExactBackend>().unwrap(), backend);
-        }
-        assert!("bogus".parse::<ExactBackend>().unwrap_err().contains("treewidth"));
-        assert_eq!(ExactBackend::default(), ExactBackend::Auto);
+        let a = e1.solve_mds(&g, u64::MAX).unwrap();
+        assert_eq!(a, e2.solve_mds(&g, u64::MAX).unwrap());
+        assert_eq!(a, e1.solve_mds(&g, u64::MAX).unwrap());
     }
 
     #[test]
     fn stats_report_dp_vs_bnb_split() {
-        // A 60-cycle goes to the DP under Auto; K6 (small) goes to B&B.
+        // A 60-cycle goes to the DP; K6 (small) goes to B&B.
         let mut e = ExactEngine::new();
-        e.solve_mds(&cycle(60), ExactBackend::Auto, u64::MAX).unwrap();
+        e.solve_mds(&cycle(60), u64::MAX).unwrap();
         assert_eq!(e.stats().dp_components, 1);
         assert_eq!(e.stats().bnb_components, 0);
         let mut k6 = Graph::new(6);
@@ -2081,15 +1960,15 @@ mod tests {
                 k6.add_edge(u, v);
             }
         }
-        e.solve_mvc(&k6, ExactBackend::Auto, u64::MAX).unwrap();
+        e.solve_mvc(&k6, u64::MAX).unwrap();
         assert_eq!(e.stats().dp_components, 0);
     }
 
     #[test]
     fn thread_engine_pool_is_reusable() {
         let g = path(9);
-        let a = with_thread_engine(|e| e.solve_mds(&g, ExactBackend::Auto, u64::MAX)).unwrap();
-        let b = with_thread_engine(|e| e.solve_mds(&g, ExactBackend::Auto, u64::MAX)).unwrap();
+        let a = with_thread_engine(|e| e.solve_mds(&g, u64::MAX)).unwrap();
+        let b = with_thread_engine(|e| e.solve_mds(&g, u64::MAX)).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
     }

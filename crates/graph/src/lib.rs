@@ -23,9 +23,11 @@
 //!   [`block_cut`], [`two_cuts`], [`spqr`]),
 //! * true-twin reduction ([`twins`]),
 //! * dominating-set and vertex-cover toolkits with naive exact solvers
-//!   ([`dominating`], [`vertex_cover`]) and the multi-backend
-//!   [`exact::ExactEngine`] (reduction rules + branch and bound +
-//!   tree-decomposition DP) that supersedes them on every hot path,
+//!   ([`dominating`], [`vertex_cover`]) and the [`exact::ExactEngine`]
+//!   (reduction rules, then branch and bound or a tree-decomposition DP
+//!   per component, picked by one size-and-width rule) that supersedes
+//!   them on every hot path; the naive solvers stay as its differential
+//!   oracle,
 //! * exact `K_{2,t}`-minor detection via hub-pair enumeration plus
 //!   Menger-style petal counting ([`minor`]),
 //! * batched dynamic updates ([`dynamic`]): [`DynamicGraph`] applies
@@ -74,7 +76,7 @@ pub use bitset::FixedBitSet;
 pub use csr::Csr;
 pub use dynamic::{DynamicGraph, GraphUpdate, UpdateStats};
 pub use errors::GraphError;
-pub use exact::{ExactBackend, ExactEngine};
+pub use exact::ExactEngine;
 pub use graph::{Graph, GraphBuilder, Vertex, MAX_VERTICES};
 pub use scratch::{Scratch, SubsetScratch};
 pub use subgraph::InducedSubgraph;

@@ -7,10 +7,8 @@
 //! widths (the E8/E13 experiments show the workloads' widths stay small
 //! and independent of size).
 //!
-//! Also provides an exact MDS solver by dynamic programming over the
-//! decomposition — `O(4^w)` per bag — used to cross-check the
-//! branch-and-bound solver and to handle long skinny instances where
-//! B&B struggles.
+//! The exact engine's DP kernels ([`crate::exact`]) run on these
+//! decompositions, for residual components that are large but narrow.
 
 use crate::graph::{Graph, Vertex};
 use std::collections::HashSet;
@@ -315,337 +313,5 @@ mod tests {
         };
         let w3 = check(&small).width();
         assert!(w3 >= 3, "3x3 grid width {w3}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Exact MDS by dynamic programming over the decomposition.
-// ---------------------------------------------------------------------
-
-/// Vertex colors of the domination DP, with *exact* semantics relative
-/// to the processed part `P` and chosen set `X ⊆ P`:
-/// `S` = in `X`; `D` = not in `X` but dominated by `X`;
-/// `U` = not in `X` and **not** dominated by `X`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Color {
-    S = 0,
-    D = 1,
-    U = 2,
-}
-
-const COLORS: [Color; 3] = [Color::S, Color::D, Color::U];
-const INF: u64 = u64::MAX / 4;
-
-/// A DP table over a fixed (sorted) bag: `values[state]` where `state`
-/// encodes colors base-3 in bag order.
-#[derive(Debug, Clone)]
-struct DpTable {
-    bag: Vec<Vertex>,
-    values: Vec<u64>,
-}
-
-fn pow3(k: usize) -> usize {
-    3usize.pow(k as u32)
-}
-
-fn color_at(state: usize, i: usize) -> Color {
-    COLORS[(state / pow3(i)) % 3]
-}
-
-fn with_color(state: usize, i: usize, c: Color) -> usize {
-    let cur = (state / pow3(i)) % 3;
-    state - cur * pow3(i) + (c as usize) * pow3(i)
-}
-
-impl DpTable {
-    fn empty() -> Self {
-        DpTable { bag: Vec::new(), values: vec![0] }
-    }
-
-    /// Introduce `v` (not currently in the bag): extends every state by
-    /// a color for `v`, enforcing exact semantics against bag edges.
-    fn introduce(&self, g: &Graph, v: Vertex) -> DpTable {
-        debug_assert!(!self.bag.contains(&v));
-        let mut bag = self.bag.clone();
-        let pos = bag.binary_search(&v).unwrap_err();
-        bag.insert(pos, v);
-        let k = bag.len();
-        let mut values = vec![INF; pow3(k)];
-        // Indices of old bag members in the new bag.
-        let old_pos: Vec<usize> = (0..k).filter(|&i| i != pos).collect();
-        let nbrs_in_bag: Vec<usize> =
-            (0..k).filter(|&i| i != pos && g.has_edge(bag[i], v)).collect();
-        for (old_state, &val) in self.values.iter().enumerate() {
-            if val >= INF {
-                continue;
-            }
-            // Rebuild the base new-state with v's slot set to U for now.
-            let mut base = 0usize;
-            for (oi, &ni) in old_pos.iter().enumerate() {
-                base = with_color(base, ni, color_at(old_state, oi));
-            }
-            // Case 1: v ∈ X. Neighbors that were U become D; v = S.
-            {
-                let mut s = with_color(base, pos, Color::S);
-                for &ni in &nbrs_in_bag {
-                    if color_at(s, ni) == Color::U {
-                        s = with_color(s, ni, Color::D);
-                    }
-                }
-                values[s] = values[s].min(val + 1);
-            }
-            // Case 2: v dominated by a bag neighbor in X.
-            let has_s_neighbor = nbrs_in_bag.iter().any(|&ni| color_at(base, ni) == Color::S);
-            if has_s_neighbor {
-                let s = with_color(base, pos, Color::D);
-                values[s] = values[s].min(val);
-            } else {
-                // Case 3: v undominated (exact: only valid when no
-                // bag neighbor is in X).
-                let s = with_color(base, pos, Color::U);
-                values[s] = values[s].min(val);
-            }
-        }
-        DpTable { bag, values }
-    }
-
-    /// Forget `v`: project out its slot, requiring `v ∈ {S, D}`.
-    fn forget(&self, v: Vertex) -> DpTable {
-        let pos = self.bag.binary_search(&v).expect("forgotten vertex is in bag");
-        let mut bag = self.bag.clone();
-        bag.remove(pos);
-        let k = bag.len();
-        let mut values = vec![INF; pow3(k)];
-        for (state, &val) in self.values.iter().enumerate() {
-            if val >= INF {
-                continue;
-            }
-            if color_at(state, pos) == Color::U {
-                continue; // forgotten vertices must be dominated
-            }
-            // Project the state.
-            let mut s = 0usize;
-            let mut ni = 0usize;
-            for i in 0..self.bag.len() {
-                if i == pos {
-                    continue;
-                }
-                s = with_color(s, ni, color_at(state, i));
-                ni += 1;
-            }
-            values[s] = values[s].min(val);
-        }
-        DpTable { bag, values }
-    }
-
-    /// Join with another table over the identical bag.
-    fn join(&self, other: &DpTable) -> DpTable {
-        debug_assert_eq!(self.bag, other.bag);
-        let k = self.bag.len();
-        let mut values = vec![INF; pow3(k)];
-        // For exactness: the combined color is S iff both S; D iff
-        // exactly (D,D), (D,U) or (U,D); U iff both U. Enumerate pairs.
-        for (sa, &va) in self.values.iter().enumerate() {
-            if va >= INF {
-                continue;
-            }
-            for (sb, &vb) in other.values.iter().enumerate() {
-                if vb >= INF {
-                    continue;
-                }
-                let mut s = 0usize;
-                let mut in_set = 0u64;
-                let mut ok = true;
-                for i in 0..k {
-                    let (ca, cb) = (color_at(sa, i), color_at(sb, i));
-                    let c = match (ca, cb) {
-                        (Color::S, Color::S) => {
-                            in_set += 1;
-                            Color::S
-                        }
-                        (Color::S, _) | (_, Color::S) => {
-                            ok = false; // X ∩ bag must agree on both sides
-                            break;
-                        }
-                        (Color::D, _) | (_, Color::D) => Color::D,
-                        (Color::U, Color::U) => Color::U,
-                    };
-                    s = with_color(s, i, c);
-                }
-                if !ok {
-                    continue;
-                }
-                let v = va + vb - in_set;
-                values[s] = values[s].min(v);
-            }
-        }
-        DpTable { bag: self.bag.clone(), values }
-    }
-}
-
-/// Exact domination number via DP over a (min-fill) tree decomposition:
-/// `O(3^w · 3^w)` per join. Cross-checked against the branch-and-bound
-/// solver; preferable on long, skinny instances.
-///
-/// Returns `None` if the decomposition width exceeds `max_width`
-/// (protects against accidental exponential blow-ups on dense inputs).
-pub fn treewidth_mds_size(g: &Graph, max_width: usize) -> Option<usize> {
-    if g.n() == 0 {
-        return Some(0);
-    }
-    let td = min_fill_decomposition(g);
-    if td.width() > max_width {
-        return None;
-    }
-    // Root the tree at bag 0; iterative post-order.
-    let b = td.bags.len();
-    let mut tadj: Vec<Vec<usize>> = vec![Vec::new(); b];
-    for &(x, y) in &td.edges {
-        tadj[x].push(y);
-        tadj[y].push(x);
-    }
-    let mut parent = vec![usize::MAX; b];
-    let mut order = Vec::with_capacity(b);
-    let mut stack = vec![0usize];
-    let mut seen = vec![false; b];
-    seen[0] = true;
-    while let Some(x) = stack.pop() {
-        order.push(x);
-        for &y in &tadj[x] {
-            if !seen[y] {
-                seen[y] = true;
-                parent[y] = x;
-                stack.push(y);
-            }
-        }
-    }
-    let mut tables: Vec<Option<DpTable>> = vec![None; b];
-    for &node in order.iter().rev() {
-        // Base table for this bag: introduce every bag vertex from ∅.
-        let mut acc = DpTable::empty();
-        for &v in &td.bags[node] {
-            acc = acc.introduce(g, v);
-        }
-        for &child in &tadj[node] {
-            if parent[child] != node {
-                continue;
-            }
-            let mut ct = tables[child].take().expect("child processed first");
-            // Adapt child table to this bag: forget extras, introduce
-            // missing.
-            let extras: Vec<Vertex> = ct
-                .bag
-                .iter()
-                .copied()
-                .filter(|v| td.bags[node].binary_search(v).is_err())
-                .collect();
-            for v in extras {
-                ct = ct.forget(v);
-            }
-            let missing: Vec<Vertex> = td.bags[node]
-                .iter()
-                .copied()
-                .filter(|v| ct.bag.binary_search(v).is_err())
-                .collect();
-            for v in missing {
-                ct = ct.introduce(g, v);
-            }
-            acc = acc.join(&ct);
-        }
-        tables[node] = Some(acc);
-    }
-    let root = tables[0].take().expect("root processed");
-    let k = root.bag.len();
-    let mut best = INF;
-    for (state, &val) in root.values.iter().enumerate() {
-        if (0..k).all(|i| color_at(state, i) != Color::U) {
-            best = best.min(val);
-        }
-    }
-    (best < INF).then_some(best as usize)
-}
-
-#[cfg(test)]
-mod dp_tests {
-    use super::*;
-    use crate::dominating::exact_mds;
-    use crate::graph::GraphBuilder;
-
-    fn cross_check(g: &Graph) {
-        let dp = treewidth_mds_size(g, 12).expect("width within cap");
-        let bb = exact_mds(g).len();
-        assert_eq!(dp, bb, "DP vs B&B disagree on {g:?}");
-    }
-
-    #[test]
-    fn matches_bb_on_paths_and_cycles() {
-        for n in [1usize, 2, 3, 7, 12] {
-            let edges: Vec<(usize, usize)> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
-            cross_check(&Graph::from_edges(n, &edges));
-        }
-        for n in [3usize, 5, 9, 12] {
-            let mut b = GraphBuilder::new();
-            let vs = b.fresh_vertices(n);
-            b.cycle(&vs);
-            cross_check(&b.build());
-        }
-    }
-
-    #[test]
-    fn matches_bb_on_structured_graphs() {
-        let graphs = vec![
-            Graph::from_edges(7, &[(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]),
-            Graph::from_edges(5, &[(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]),
-            Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
-            Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]),
-            Graph::from_edges(4, &[(0, 1), (2, 3)]),
-            Graph::new(3),
-        ];
-        for g in &graphs {
-            cross_check(g);
-        }
-    }
-
-    #[test]
-    fn matches_bb_on_random_sparse_graphs() {
-        // Deterministic pseudo-random sparse graphs.
-        let mut s: u64 = 12345;
-        for trial in 0..12 {
-            let n = 8 + (trial % 5);
-            let mut g = Graph::new(n);
-            for i in 1..n {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                g.add_edge((s >> 33) as usize % i, i);
-            }
-            for _ in 0..3 {
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let u = (s >> 20) as usize % n;
-                let v = (s >> 45) as usize % n;
-                if u != v {
-                    g.add_edge(u, v);
-                }
-            }
-            cross_check(&g);
-        }
-    }
-
-    #[test]
-    fn width_cap_refuses_dense_graphs() {
-        let mut g = Graph::new(10);
-        for u in 0..10 {
-            for v in (u + 1)..10 {
-                g.add_edge(u, v);
-            }
-        }
-        assert_eq!(treewidth_mds_size(&g, 4), None);
-        assert_eq!(treewidth_mds_size(&g, 9), Some(1));
-    }
-
-    #[test]
-    fn long_skinny_instance() {
-        // A 400-vertex path: B&B would crawl; the DP is linear.
-        let edges: Vec<(usize, usize)> = (0..399).map(|i| (i, i + 1)).collect();
-        let g = Graph::from_edges(400, &edges);
-        assert_eq!(treewidth_mds_size(&g, 4), Some(134)); // ceil(400/3)
     }
 }

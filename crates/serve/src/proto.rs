@@ -146,7 +146,6 @@ pub fn parse_config_view(cfg: &Value) -> Result<SolveConfigView, WireError> {
         "id_seed",
         "round_cap",
         "radii",
-        "exact_backend",
         "opt_budget",
         "measure_ratio",
         "fault",
@@ -207,7 +206,6 @@ pub fn parse_config_view(cfg: &Value) -> Result<SolveConfigView, WireError> {
             .map(|x| u32::try_from(x).map_err(|_| WireError::bad_request("round_cap too large")))
             .transpose()?,
         radii,
-        exact_backend: opt_str("exact_backend")?,
         opt_budget: opt_u64("opt_budget")?,
         measure_ratio,
         fault: opt_str("fault")?,
@@ -231,7 +229,6 @@ pub fn render_config_view(view: &SolveConfigView) -> Value {
                 Value::Arr(vec![Value::from(u64::from(a)), Value::from(u64::from(b))])
             }),
         ),
-        ("exact_backend", opt_str(&view.exact_backend)),
         ("opt_budget", view.opt_budget.map_or(Value::Null, Value::from)),
         ("measure_ratio", Value::from(view.measure_ratio)),
         ("fault", opt_str(&view.fault)),

@@ -51,7 +51,7 @@ use crate::proto::{
     render_solution, solve_error_to_wire, SolveRequest, WireError,
 };
 use crate::queue::{JobLookup, JobQueue, JobSpec, JobState, SubmitError};
-use lmds_api::{ExecutionMode, Problem, SolutionView, SolverRegistry};
+use lmds_api::{SolutionView, SolverRegistry};
 use lmds_core::DynamicSolver;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -436,20 +436,6 @@ fn cache_key(spec: &JobSpec) -> CacheKey {
     }
 }
 
-/// Whether a job can run on the component-scoped dynamic path instead
-/// of the registry: a plain centralized `mds/algorithm1` solve. The
-/// gate mirrors `lmds_api::dynamic::solve_with_cache`'s config check
-/// exactly, so the dynamic call below cannot fail on configuration —
-/// and for everything it admits, the assembled solution is
-/// wire-identical to the registry's (same assemble path, same
-/// certificate), so routing through it is invisible to clients.
-fn dynamic_eligible(spec: &JobSpec) -> bool {
-    spec.solver == "mds/algorithm1"
-        && spec.config.problem == Problem::MinDominatingSet
-        && spec.config.mode == ExecutionMode::Centralized
-        && !spec.config.measure_ratio
-}
-
 /// One worker: pop, check the cache, solve on a miss, record — until
 /// the queue drains on shutdown.
 fn worker_loop(shared: &Shared) {
@@ -473,7 +459,7 @@ fn worker_loop(shared: &Shared) {
         let n = spec.entry.graph().n();
         lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n));
         let start = Instant::now();
-        let result = if dynamic_eligible(&spec) {
+        let result = if lmds_api::dynamic::accepts(&spec.solver, &spec.config) {
             let mut dynamic = shared.dynamic.lock().expect("dynamic solver lock");
             lmds_api::dynamic::solve_with_cache(&spec.entry.instance, &spec.config, &mut dynamic)
                 .map(|(solution, stats)| {

@@ -378,6 +378,16 @@ fn error_envelopes_are_typed_and_carry_valid_keys() {
     );
     let doc = assert_envelope(&resp, 400, "bad-request");
     assert!(doc.get("message").unwrap().as_str().unwrap().contains("mdoe"));
+    // The engine picks its own kernel, so a backend choice is an
+    // unknown field like any typo.
+    let resp = send(
+        addr,
+        "POST",
+        "/solve",
+        br#"{"graph": "known", "solver": "mds/exact", "config": {"exact_backend": "treewidth"}}"#,
+    );
+    let doc = assert_envelope(&resp, 400, "bad-request");
+    assert!(doc.get("message").unwrap().as_str().unwrap().contains("exact_backend"));
 
     // Semantically invalid config: 422.
     let resp = send(
@@ -466,6 +476,14 @@ fn patch_updates_a_graph_and_the_next_solve_reuses_untouched_components() {
         metrics.get("components_reused").unwrap().as_u64().unwrap() >= 1,
         "the second solve must reuse the untouched component"
     );
+
+    // Ratio measurement is outside the dynamic path's rule, so it runs
+    // through the registry and answers 200 with the ratio attached.
+    let ratio =
+        br#"{"graph": "two", "solver": "mds/algorithm1", "config": {"measure_ratio": true}}"#;
+    let resp = send(addr, "POST", "/solve", ratio);
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    assert!(resp.json().get("solution").unwrap().get("ratio").unwrap().as_f64().is_some());
 
     // Typed rejections: malformed batch (400), out-of-range endpoint
     // (422), unknown graph (404).

@@ -1,13 +1,15 @@
 //! The differential fuzz harness for the exact engine: a deterministic
-//! corpus spanning **every `lmds-gen` family × seeds**, on which every
-//! [`ExactBackend`] must (1) return a *feasible* set and (2) agree with
-//! the naive oracle (`lmds_graph::dominating` / `::vertex_cover`, the
-//! pre-engine plain solvers kept in-tree for exactly this purpose) on
-//! the optimum **size** — for MDS, MVC, and `B`-domination. The paper's
-//! headline algorithms are then re-measured against the new engine's
-//! optima to pin their Theorem 4.1 / 4.4 ratio bounds.
+//! corpus spanning **every `lmds-gen` family × seeds**, on which the
+//! engine must (1) return a *feasible* set and (2) agree with the naive
+//! oracle (`lmds_graph::dominating` / `::vertex_cover`, the pre-engine
+//! plain solvers kept in-tree for exactly this purpose) on the optimum
+//! **size** — for MDS, MVC, and `B`-domination. Each of those tests
+//! asserts that the engine's rule sent components to both of its
+//! kernels (the tree-decomposition DP and branch and bound). The
+//! paper's headline algorithms are then re-measured against the
+//! engine's optima to pin their Theorem 4.1 / 4.4 ratio bounds.
 
-use lmds_api::{ExactBackend, Instance, SolveConfig, SolverRegistry};
+use lmds_api::{Instance, SolveConfig, SolverRegistry};
 use lmds_core::Radii;
 use lmds_gen::ding::AugmentationSpec;
 use lmds_graph::dominating::{dominates, exact_b_dominating, exact_mds, is_dominating_set};
@@ -17,11 +19,14 @@ use lmds_graph::Graph;
 
 /// The deterministic corpus: every generator family, several seeds,
 /// sized so the *naive* oracle still finishes (it is the bottleneck).
+/// `cycle40`, `strip20` and `necklace4x6` are large enough for the
+/// engine's rule to pick the DP.
 fn corpus() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![
         // basic
         ("path13".into(), lmds_gen::basic::path(13)),
         ("cycle12".into(), lmds_gen::basic::cycle(12)),
+        ("cycle40".into(), lmds_gen::basic::cycle(40)),
         ("star9".into(), lmds_gen::basic::star(9)),
         ("spider3x4".into(), lmds_gen::basic::spider(3, 4)),
         ("caterpillar6x2".into(), lmds_gen::basic::caterpillar(6, 2)),
@@ -30,6 +35,7 @@ fn corpus() -> Vec<(String, Graph)> {
         ("k2_5".into(), lmds_gen::basic::complete_bipartite(2, 5)),
         // ding
         ("strip5".into(), lmds_gen::ding::strip(5)),
+        ("strip20".into(), lmds_gen::ding::strip(20)),
         ("fan6".into(), lmds_gen::ding::fan(6)),
         // adversarial
         ("clique_pendants6".into(), lmds_gen::adversarial::clique_with_pendants(6)),
@@ -40,6 +46,7 @@ fn corpus() -> Vec<(String, Graph)> {
         ("theta_ring4x2".into(), lmds_gen::composite::theta_ring(4, 2)),
         ("theta_chain3x2".into(), lmds_gen::composite::theta_chain(3, 2)),
         ("necklace3x5".into(), lmds_gen::composite::necklace(3, 5)),
+        ("necklace4x6".into(), lmds_gen::composite::necklace(4, 6)),
         ("fan_caterpillar4x3".into(), lmds_gen::composite::fan_caterpillar(4, 3)),
         // structured trees
         ("kary_tree2d3".into(), lmds_gen::trees::complete_kary_tree(2, 3)),
@@ -69,92 +76,99 @@ fn corpus() -> Vec<(String, Graph)> {
     out
 }
 
+/// Sums which kernel the engine's rule picked over a test's solves:
+/// `(dp_components, bnb_components)`.
+fn tally(kernels: &mut (usize, usize), engine: &ExactEngine) {
+    kernels.0 += engine.stats().dp_components;
+    kernels.1 += engine.stats().bnb_components;
+}
+
+/// Both backends — the tree-decomposition DP and branch and bound — must
+/// have run, or the differential says nothing about one of them.
+fn assert_both_kernels_ran((dp, bnb): (usize, usize)) {
+    assert!(dp > 0, "no component reached the DP");
+    assert!(bnb > 0, "no component reached branch and bound");
+}
+
 #[test]
 fn every_backend_matches_the_naive_mds_oracle_on_the_corpus() {
     let mut engine = ExactEngine::new();
+    let mut kernels = (0, 0);
     for (name, g) in corpus() {
         let oracle = exact_mds(&g).len();
-        for backend in ExactBackend::ALL {
-            let sol = engine
-                .solve_mds(&g, backend, u64::MAX)
-                .unwrap_or_else(|e| panic!("{name} {backend}: {e}"));
-            assert!(is_dominating_set(&g, &sol), "{name} {backend}: infeasible");
-            assert_eq!(sol.len(), oracle, "{name} {backend}: wrong optimum");
-        }
+        let sol = engine.solve_mds(&g, u64::MAX).unwrap_or_else(|e| panic!("{name}: {e}"));
+        tally(&mut kernels, &engine);
+        assert!(is_dominating_set(&g, &sol), "{name}: infeasible");
+        assert_eq!(sol.len(), oracle, "{name}: wrong optimum");
     }
+    assert_both_kernels_ran(kernels);
 }
 
 #[test]
 fn every_backend_matches_the_naive_mvc_oracle_on_the_corpus() {
     let mut engine = ExactEngine::new();
+    let mut kernels = (0, 0);
     for (name, g) in corpus() {
         let oracle = exact_vertex_cover(&g).len();
-        for backend in ExactBackend::ALL {
-            let sol = engine
-                .solve_mvc(&g, backend, u64::MAX)
-                .unwrap_or_else(|e| panic!("{name} {backend}: {e}"));
-            assert!(is_vertex_cover(&g, &sol), "{name} {backend}: infeasible");
-            assert_eq!(sol.len(), oracle, "{name} {backend}: wrong optimum");
-        }
+        let sol = engine.solve_mvc(&g, u64::MAX).unwrap_or_else(|e| panic!("{name}: {e}"));
+        tally(&mut kernels, &engine);
+        assert!(is_vertex_cover(&g, &sol), "{name}: infeasible");
+        assert_eq!(sol.len(), oracle, "{name}: wrong optimum");
     }
+    assert_both_kernels_ran(kernels);
 }
 
 /// `B`-domination differential: deterministic pseudo-random target
-/// subsets per corpus instance, engine vs the naive
+/// subsets per corpus instance, plus one dense set (every vertex except
+/// multiples of 5) that leaves DP-sized components, engine vs the naive
 /// `exact_b_dominating` oracle.
 #[test]
 fn every_backend_matches_the_naive_b_domination_oracle() {
     let mut engine = ExactEngine::new();
+    let mut kernels = (0, 0);
     for (name, g) in corpus() {
-        if g.n() == 0 {
-            continue;
-        }
         let mut rng = lmds_gen::rng::SmallRng::seed_from_u64(0xB_D0);
-        for trial in 0..3 {
-            let targets: Vec<usize> =
-                g.vertices().filter(|_| rng.next_u64().is_multiple_of(3)).collect();
+        let mut target_sets: Vec<Vec<usize>> = (0..3)
+            .map(|_| g.vertices().filter(|_| rng.next_u64().is_multiple_of(3)).collect())
+            .collect();
+        target_sets.push(g.vertices().filter(|v| !v.is_multiple_of(5)).collect());
+        for (trial, targets) in target_sets.iter().enumerate() {
             if targets.is_empty() {
                 continue;
             }
-            let oracle = exact_b_dominating(&g, &targets, None)
+            let oracle = exact_b_dominating(&g, targets, None)
                 .unwrap_or_else(|| panic!("{name}: oracle infeasible with default candidates"))
                 .len();
-            for backend in ExactBackend::ALL {
-                let sol = engine
-                    .solve_b_dominating(&g, &targets, None, backend, u64::MAX)
-                    .unwrap_or_else(|e| panic!("{name} t{trial} {backend}: {e}"));
-                assert!(
-                    dominates(&g, &sol, &targets),
-                    "{name} t{trial} {backend}: targets uncovered"
-                );
-                assert_eq!(sol.len(), oracle, "{name} t{trial} {backend}: wrong optimum");
-            }
+            let sol = engine
+                .solve_b_dominating(&g, targets, None, u64::MAX)
+                .unwrap_or_else(|e| panic!("{name} t{trial}: {e}"));
+            tally(&mut kernels, &engine);
+            assert!(dominates(&g, &sol, targets), "{name} t{trial}: targets uncovered");
+            assert_eq!(sol.len(), oracle, "{name} t{trial}: wrong optimum");
         }
     }
+    assert_both_kernels_ran(kernels);
 }
 
-/// The registry seam: `mds/exact` and `mvc/exact` under every
-/// [`SolveConfig::exact_backend`] verify and agree with the oracle.
+/// The registry seam: `mds/exact` and `mvc/exact` (the engine, default
+/// config) verify and agree with the naive oracle.
 #[test]
 fn registry_exact_solvers_agree_across_backends() {
     let registry = SolverRegistry::with_defaults();
     for (name, g) in corpus().into_iter().step_by(4) {
         let inst = Instance::shuffled(&name, g.clone(), 7);
+        let sol = registry
+            .solve("mds/exact", &inst, &SolveConfig::mds())
+            .unwrap_or_else(|e| panic!("mds/exact on {name}: {e}"));
+        sol.verify(&inst).unwrap_or_else(|e| panic!("mds/exact on {name}: {e}"));
         let mds_oracle = exact_mds(&g).len();
-        let mvc_oracle = exact_vertex_cover(&g).len();
-        for backend in ExactBackend::ALL {
-            let sol = registry
-                .solve("mds/exact", &inst, &SolveConfig::mds().exact_backend(backend))
-                .unwrap_or_else(|e| panic!("mds/exact {backend} on {name}: {e}"));
-            sol.verify(&inst).unwrap_or_else(|e| panic!("mds/exact {backend} on {name}: {e}"));
-            assert_eq!(sol.size(), mds_oracle, "mds/exact {backend} on {name}");
-            assert_eq!(sol.optimum.expect("exact solvers attach their optimum").value, mds_oracle);
-            let sol = registry
-                .solve("mvc/exact", &inst, &SolveConfig::mvc().exact_backend(backend))
-                .unwrap_or_else(|e| panic!("mvc/exact {backend} on {name}: {e}"));
-            sol.verify(&inst).unwrap_or_else(|e| panic!("mvc/exact {backend} on {name}: {e}"));
-            assert_eq!(sol.size(), mvc_oracle, "mvc/exact {backend} on {name}");
-        }
+        assert_eq!(sol.size(), mds_oracle, "mds/exact on {name}");
+        assert_eq!(sol.optimum.expect("exact solvers attach their optimum").value, mds_oracle);
+        let sol = registry
+            .solve("mvc/exact", &inst, &SolveConfig::mvc())
+            .unwrap_or_else(|e| panic!("mvc/exact on {name}: {e}"));
+        sol.verify(&inst).unwrap_or_else(|e| panic!("mvc/exact on {name}: {e}"));
+        assert_eq!(sol.size(), exact_vertex_cover(&g).len(), "mvc/exact on {name}");
     }
 }
 

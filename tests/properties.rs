@@ -204,15 +204,6 @@ fn min_fill_decomposition_is_always_valid() {
 }
 
 #[test]
-fn treewidth_dp_matches_branch_and_bound() {
-    for (seed, g) in corpus() {
-        if let Some(dp) = lmds_graph::treewidth::treewidth_mds_size(&g, 8) {
-            assert_eq!(dp, exact_mds(&g).len(), "seed={seed}");
-        }
-    }
-}
-
-#[test]
 fn minor_number_is_subgraph_monotone() {
     for (seed, g) in corpus().into_iter().step_by(2) {
         // Removing an edge cannot create a larger K_{2,t} minor.

@@ -45,17 +45,13 @@ fn legacy(key: &str, g: &Graph, ids: &IdAssignment) -> Vec<usize> {
         "mds/theorem44" => theorem44_mds(g, ids),
         "mds/trees-folklore" => baselines::trees_folklore(g, ids),
         "mds/take-all" => baselines::take_all(g),
-        "mds/exact" => lmds_graph::exact::with_thread_engine(|e| {
-            e.solve_mds(g, lmds_api::ExactBackend::Auto, BUDGET)
-        })
-        .expect("corpus graphs are small"),
+        "mds/exact" => lmds_graph::exact::with_thread_engine(|e| e.solve_mds(g, BUDGET))
+            .expect("corpus graphs are small"),
         "mvc/theorem44" => theorem44_mvc(g, ids),
         "mvc/algorithm1" => lmds_core::mvc::algorithm1_mvc(g, ids, RADII).solution,
         "mvc/regular-take-all" => baselines::regular_mvc_take_all(g),
-        "mvc/exact" => lmds_graph::exact::with_thread_engine(|e| {
-            e.solve_mvc(g, lmds_api::ExactBackend::Auto, BUDGET)
-        })
-        .expect("corpus graphs are small"),
+        "mvc/exact" => lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(g, BUDGET))
+            .expect("corpus graphs are small"),
         other => panic!("no legacy mapping for solver key {other} — extend this test"),
     };
     sol.sort_unstable();
