@@ -388,34 +388,44 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
 /// sweeps (`X`, `I`, all local 2-cuts) and the full centralized
 /// Algorithm 1 pipeline, on the pre-engine n=41 augmentation and on the
 /// engine-scale instances (n ≥ 500 augmentations, n ≥ 1000
-/// outerplanar). The n=41 rows get a paired "(naive)" row running the
-/// reference predicates, so the shared-work win is measured by the same
-/// harness; on the large instances the naive path is far too slow to
-/// rerun per invocation — the committed before numbers live in
-/// `results/cut_engine_speedup.md`.
+/// outerplanar) at radii (2,3), and on the chain family at the
+/// pipeline's (3,4), where the separator prefilter and the exit test
+/// leave almost no pair to profile. The n=41 rows get a paired
+/// "(naive)" row running the reference predicates, so the shared-work
+/// win is measured by the same harness; on the large instances the
+/// naive path is far too slow to rerun per invocation — the committed
+/// before numbers live in `results/cut_engine_speedup.md`.
 fn cuts_benches(iters: u32) -> Vec<BenchRow> {
     use lmds_core::local_cuts::{self, CutEngine};
     let mut rows: Vec<BenchRow> = Vec::new();
-    let radii = Radii::practical(2, 3);
     let small = Instance::shuffled(
         "augmentation",
         lmds_gen::ding::AugmentationSpec::standard(6, 3, 2, 3).generate(),
         3,
     );
+    let (engine_radii, chain_radii) = (Radii::practical(2, 3), Radii::practical(3, 4));
     let instances = vec![
-        small.clone(),
-        lmds_bench::large_augmentation(520, 11),
-        lmds_bench::large_augmentation(1040, 12),
-        Instance::sequential(
-            "outerplanar1200",
-            lmds_gen::outerplanar::random_outerplanar(1200, 25, 7),
+        (small.clone(), engine_radii),
+        (lmds_bench::large_augmentation(520, 11), engine_radii),
+        (lmds_bench::large_augmentation(1040, 12), engine_radii),
+        (
+            Instance::sequential(
+                "outerplanar1200",
+                lmds_gen::outerplanar::random_outerplanar(1200, 25, 7),
+            ),
+            engine_radii,
+        ),
+        (
+            Instance::sequential("chain20000", lmds_gen::ding::scale_instance(20_000, 3)),
+            chain_radii,
         ),
     ];
     let registry = SolverRegistry::with_defaults();
     let mut push = |bench: &str, workload: &str, n: usize, stats, checksum| {
         rows.push(BenchRow { bench: bench.into(), workload: workload.into(), n, checksum, stats });
     };
-    for inst in &instances {
+    for (inst, radii) in &instances {
+        let radii = *radii;
         let g = &inst.graph;
         let mut engine = CutEngine::new();
         let (stats, sum) =
@@ -437,6 +447,7 @@ fn cuts_benches(iters: u32) -> Vec<BenchRow> {
     }
     // Naive reference rows on the small instance only.
     let g = &small.graph;
+    let radii = engine_radii;
     let (stats, sum) = sample(iters, || {
         g.vertices().filter(|&v| local_cuts::is_local_one_cut(g, v, radii.one_cut)).count()
     });

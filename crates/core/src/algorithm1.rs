@@ -128,18 +128,17 @@ pub fn pipeline_state_with(
     let rg = &reduced.graph;
     let rn = rg.n();
 
-    // Both masks ride the shared-work CutEngine (balls once, each
-    // unordered pair once, sharded outer loops on large quotients); the
-    // thread-local pool reuses one engine per worker across the many
-    // per-view calls the adaptive LOCAL deciders make.
+    // Both masks ride one fused sweep of the shared-work CutEngine (one
+    // BFS per vertex for X and the ball index, each unordered pair once,
+    // sharded outer loops on large quotients); the thread-local pool
+    // reuses one engine per worker across the many per-view calls the
+    // adaptive LOCAL deciders make.
     let (x, i) = local_cuts::with_thread_engine(|engine| {
-        let x = engine.one_cut_mask(rg, radii.one_cut);
-        let i = if opts.interesting_filter {
-            engine.interesting_mask(rg, radii.two_cut)
+        if opts.interesting_filter {
+            engine.one_cut_and_interesting_masks(rg, radii)
         } else {
-            engine.two_cut_endpoint_mask(rg, radii.two_cut)
-        };
-        (x, i)
+            engine.one_cut_and_endpoint_masks(rg, radii)
+        }
     });
     let s: Vec<bool> = (0..rn).map(|v| x[v] || i[v]).collect();
     let workers = par::workers(rn, MASK_PARALLEL_THRESHOLD, rn);

@@ -39,23 +39,46 @@
 //! `G[N^r[u]] ⊆ H = G[N^r[u] ∪ N^r[v]]`, and minimality makes every
 //! component of `H − {u, v}` adjacent to `u`, so `u` has neighbors in
 //! two components of `H − {u, v}` — and hence of its own ball minus
-//! `{u, v}`. The engine therefore profiles only pairs marked on both
-//! sides (about 6% of the in-range pairs on the chain family at
-//! `r = 4`), with unchanged outputs; [`CutEngine`] spells out the proof.
+//! `{u, v}`.
+//!
+//! **Lemma (exit test).** Let `r ≥ 1`, let `u` be a cut vertex of
+//! `B = G[N^r[u]]`, and let `v ∈ N^r[u] ∖ {u}`. If `{u, v}` is a minimal
+//! 2-cut of `H = G[N^r[u] ∪ N^r[v]]`, then every component `C` of `B − u`
+//! has a neighbor `y ∉ N^r[u]` with `y ∈ N^r[v]` (an *exit* of `C` that
+//! `v`'s ball reaches). *Proof.* Minimality makes `H − u` connected.
+//! Because `u` is a cut vertex of `B`, `B − u` has a second component
+//! `C'`. A path in `H − u` from `C` to `C'` leaves `C` by some edge
+//! `(x, y)`, and `y ≠ u`. If `y ∈ B`, then `y ∈ C`, which is impossible.
+//! So `y ∈ V(H) ∖ N^r[u] ⊆ N^r[v]`. ∎ *Corollary.* If some component of
+//! `B − u` has no neighbor outside `B`, then `u` is in no `r`-local
+//! minimal 2-cut.
+//!
+//! The engine therefore profiles only pairs that pass both tests on both
+//! sides, with unchanged outputs; [`CutEngine`] spells out why. On the
+//! chain family at `r = 4` (`scale_instance(10⁵, 3)`) that leaves 2 of
+//! the 1,540,555 in-range pairs, both cuts; the separator bits alone
+//! left 86,908.
 //!
 //! **Per-vertex queries.** [`CutEngine::one_cut_at`],
 //! [`CutEngine::interesting_at`] and [`CutEngine::two_cut_endpoint_at`]
 //! answer the same predicates for one vertex `v` without a sweep: `X` is
 //! one ball and one cut-vertex scan; `I` and the endpoint bit take `v`'s
-//! ball, its separator candidates (by the lemma, the only partners that
-//! can form a minimal 2-cut with `v`), and profile each candidate's
-//! `H = N^r[u] ∪ N^r[v]` with the sweep's test until one succeeds. They
-//! share the engine's traversal buffers, and the equivalence suite pins
-//! every vertex of the corpus to the naive predicates and the masks.
+//! ball and its split around `v`. A cut vertex of its ball with an
+//! exit-less component answers `false` at once (the corollary).
+//! Otherwise the separator candidates are the only partners that can
+//! form a minimal 2-cut with `v`; each gets the two-source ball
+//! `H = N^r[u] ∪ N^r[v]`, must pass the exit test inside it (exits lie
+//! outside `N^r[v]`, so an exit is in `H` exactly when it is in
+//! `N^r[u]`), and is profiled with the sweep's test until one succeeds.
+//! They share the engine's traversal buffers, and the equivalence suite
+//! pins every vertex of the corpus to the naive predicates and the
+//! masks.
 //!
 //! The distributed algorithms recompute the same predicates from node
 //! views through the per-vertex queries and are tested to agree.
 
+use crate::radii::Radii;
+use lmds_graph::articulation::AnchorSplit;
 use lmds_graph::scratch::Scratch;
 use lmds_graph::{articulation, bfs, par, two_cuts};
 use lmds_graph::{FixedBitSet, Graph, InducedSubgraph, SubsetScratch, Vertex};
@@ -80,14 +103,22 @@ fn sweep_workers(n: usize) -> usize {
 /// * **Balls once.** Every `N^r[v]` is computed once into a flat CSR-ish
 ///   index; the naive path re-derives balls per pair and re-checks
 ///   `d(u, v)` with a full-graph BFS, but "`d(u, v) ≤ r`" is exactly
-///   "`v ∈ N^r[u]`" — a lookup in the index, same predicate.
+///   "`v ∈ N^r[u]`" — a lookup in the index, same predicate. The
+///   pipeline's fused sweeps ([`CutEngine::one_cut_and_interesting_masks`],
+///   [`CutEngine::one_cut_and_endpoint_masks`]) run one BFS per vertex
+///   at `max(r₁, r₂)` and read both the `r₁` ball (for `X`) and the `r₂`
+///   ball (for the index) off it by BFS distance.
 /// * **Separators first.** Building the index also runs one lowpoint
 ///   DFS per ball
 ///   ([`articulation::neighbor_separators_within`])
 ///   that marks the *separator candidates* of `u`: each `v ∈ N^r[u]`
 ///   whose removal leaves `N(u) ∖ {v}` in two or more components of
 ///   `G[N^r[u]] − {u, v}`, or all of `N^r[u] ∖ {u}` when `u` is a cut
-///   vertex of its ball. Only pairs marked on both sides are profiled.
+///   vertex of its ball. For such a *cut anchor* the same DFS records
+///   every component of `G[N^r[u]] − u` with its exits, and the index
+///   keeps those exit lists. A pair is profiled only if it is marked on
+///   both sides and, for each endpoint that is a cut anchor, the other
+///   endpoint's ball holds an exit of every one of its components.
 /// * **Pairs once.** `{u, v}` and `{v, u}` name the same cut `H`; the
 ///   engine scans `H − {u, v}` once and reads off both interestingness
 ///   orientations (witness components non-adjacent to `u` mark `v`, and
@@ -102,9 +133,10 @@ fn sweep_workers(n: usize) -> usize {
 ///   workers in contiguous chunks, each with its own traversal buffers
 ///   (the calling thread keeps the engine's own); the X sweep writes
 ///   disjoint chunks of its mask, the index build fills one shard per
-///   chunk, and the pair sweep's workers write private monotone masks
-///   that are OR-merged, so the result is independent of the worker
-///   count and schedule.
+///   chunk (with that chunk's `X` bits in the fused sweeps), and the
+///   pair sweep's workers write private monotone masks that are
+///   OR-merged, so the result is independent of the worker count and
+///   schedule.
 ///
 /// **Lemma (the prefilter is sound).** Let `r ≥ 1` and `v ∈ N^r[u]`. If
 /// `{u, v}` is a minimal 2-cut of `H = G[N^r[u] ∪ N^r[v]]`, then `v` is
@@ -114,10 +146,22 @@ fn sweep_workers(n: usize) -> usize {
 /// `H − {u, v}`. Those neighbors lie in `N^r[u]`, and
 /// `G[N^r[u]] − {u, v}` is a subgraph of `H − {u, v}`, so they stay in
 /// different components there: `v` is marked in `u`'s ball. The same
-/// argument from `v`'s side marks `u` in `v`'s ball. ∎ Skipping every
-/// other pair therefore skips only pairs whose profile would be
-/// discarded, and the equivalence suite pins the outputs to the naive
-/// reference.
+/// argument from `v`'s side marks `u` in `v`'s ball. ∎
+///
+/// **Lemma (the exit test is sound).** Let `r ≥ 1`, let `u` be a cut
+/// vertex of `B = G[N^r[u]]`, and let `v ∈ N^r[u] ∖ {u}`. If `{u, v}` is
+/// a minimal 2-cut of `H`, then every component `C` of `B − u` has a
+/// neighbor `y ∉ N^r[u]` with `y ∈ N^r[v]`. *Proof.* Minimality makes
+/// `H − u` connected. Because `u` is a cut vertex of `B`, `B − u` has a
+/// second component `C'`. A path in `H − u` from `C` to `C'` leaves `C`
+/// by some edge `(x, y)`, and `y ≠ u`. If `y ∈ B`, then `y ∈ C`, which is
+/// impossible. So `y ∈ V(H) ∖ N^r[u] ⊆ N^r[v]`. ∎ *Corollary.* If some
+/// component of `B − u` has no neighbor outside `B`, then `u` is in no
+/// `r`-local minimal 2-cut.
+///
+/// Skipping every pair that fails either test therefore skips only
+/// pairs whose profile would be discarded, and the equivalence suite
+/// pins the outputs to the naive reference.
 ///
 /// A `CutEngine` is a plain bag of reusable buffers (like [`Scratch`]);
 /// apart from the counts of its last pair sweep it holds no graph state
@@ -125,13 +169,14 @@ fn sweep_workers(n: usize) -> usize {
 ///
 /// **Memory profile:** the pair sweeps hold every ball of the run at
 /// once — `Σ_v |N^r[v]|` `u32` entries plus one candidate bit per
-/// entry, in buffers kept across runs. That is the deliberate trade of
-/// this engine (balls are the shared work), sized for the paper's
-/// regime: minor-free graphs at small local radii, where balls are
-/// bounded. At radii near the diameter, or on dense graphs, the index
-/// degenerates to `Θ(n²)` — the same regime where the predicates
-/// themselves are quadratic; keep such runs to analysis-scale inputs
-/// (as the pre-engine implementations also required).
+/// entry, and the exit lists of the cut anchors, in buffers kept across
+/// runs. That is the deliberate trade of this engine (balls are the
+/// shared work), sized for the paper's regime: minor-free graphs at
+/// small local radii, where balls are bounded. At radii near the
+/// diameter, or on dense graphs, the index degenerates to `Θ(n²)` — the
+/// same regime where the predicates themselves are quadratic; keep such
+/// runs to analysis-scale inputs (as the pre-engine implementations
+/// also required).
 #[derive(Debug, Default)]
 pub struct CutEngine {
     /// Ball index (with candidate bits) for the current radius-`r` run.
@@ -150,10 +195,15 @@ pub struct PairCounts {
     /// Definition 2.1 ranges over.
     pub in_range: usize,
     /// Pairs whose `H − {u, v}` was scanned: separator candidates on
-    /// both sides, not already settled by monotone marking.
+    /// both sides that pass the exit test, not already settled by
+    /// monotone marking.
     pub profiled: usize,
     /// Profiled pairs that are minimal 2-cuts of their `H`.
     pub cuts: usize,
+    /// Pairs that pass the separator bits on both sides but fail the
+    /// exit test. Unlike `profiled`, it never depends on the worker
+    /// count: the test runs before the monotone skip.
+    pub exit_rejected: usize,
 }
 
 /// Every ball `N^r[v]` of one run with its candidate bits, in one shard
@@ -170,11 +220,21 @@ struct BallIndex {
 /// One chunk's balls: the shard's `i`-th ball is
 /// `verts[offsets[i]..offsets[i + 1]]`, sorted, and bit `j` of `cand`
 /// is set iff `verts[j]` is a separator candidate of that ball's center.
+///
+/// Exit lists of the cut anchors only: ball `i`'s components are
+/// `comp_offsets[i]..comp_offsets[i + 1]` (none unless its center is a
+/// cut vertex of the ball), and component `c`'s sorted exits are
+/// `exits[exit_bounds[c]..exit_bounds[c + 1]]`. The fused sweeps also
+/// record `one_cut[i]`, whether ball `i`'s center is in `X`.
 #[derive(Debug, Default)]
 struct BallShard {
     offsets: Vec<usize>,
     verts: Vec<u32>,
     cand: Vec<u64>,
+    comp_offsets: Vec<usize>,
+    exit_bounds: Vec<usize>,
+    exits: Vec<u32>,
+    one_cut: Vec<bool>,
 }
 
 /// One ball of the index.
@@ -184,6 +244,10 @@ struct Ball<'a> {
     cand: &'a [u64],
     /// Position of `verts[0]` in the shard (the bit offset).
     base: usize,
+    /// The bounds of the center's components in `exits`: one entry, so
+    /// no component, unless the center is a cut anchor.
+    exit_bounds: &'a [usize],
+    exits: &'a [u32],
 }
 
 impl Ball<'_> {
@@ -196,6 +260,15 @@ impl Ball<'_> {
     fn has_candidate(&self, v: Vertex) -> bool {
         self.verts.binary_search(&(v as u32)).is_ok_and(|j| self.is_candidate(j))
     }
+
+    /// The exit test from this ball's side: whether the sorted ball
+    /// `other` holds an exit of every component of the center (always,
+    /// unless the center is a cut anchor).
+    fn exits_reach(&self, other: &[u32]) -> bool {
+        self.exit_bounds
+            .windows(2)
+            .all(|c| self.exits[c[0]..c[1]].iter().any(|y| other.binary_search(y).is_ok()))
+    }
 }
 
 impl BallIndex {
@@ -203,7 +276,14 @@ impl BallIndex {
         let shard = &self.shards[v / self.span];
         let i = v % self.span;
         let (lo, hi) = (shard.offsets[i], shard.offsets[i + 1]);
-        Ball { verts: &shard.verts[lo..hi], cand: &shard.cand, base: lo }
+        let (c_lo, c_hi) = (shard.comp_offsets[i], shard.comp_offsets[i + 1]);
+        Ball {
+            verts: &shard.verts[lo..hi],
+            cand: &shard.cand,
+            base: lo,
+            exit_bounds: &shard.exit_bounds[c_lo..=c_hi],
+            exits: &shard.exits,
+        }
     }
 
     /// Unordered pairs within distance `r`: every ball holds its center
@@ -213,40 +293,102 @@ impl BallIndex {
         (entries - self.n) / 2
     }
 
-    /// The pair partners of `u` that can form a minimal 2-cut with it:
-    /// every `v > u` in `N^r[u]` that is a separator candidate of `u`
-    /// while `u` is one of `v` (see the soundness lemma on
-    /// [`CutEngine`]).
-    fn partners(&self, u: Vertex) -> impl Iterator<Item = Vertex> + '_ {
+    /// The pair partners of `u` that pass the separator bits: every
+    /// `v > u` in `N^r[u]` that is a separator candidate of `u` while
+    /// `u` is one of `v`, each with whether the pair also passes the
+    /// exit test on both sides. Only pairs that pass both can form a
+    /// minimal 2-cut (see the lemmas on [`CutEngine`]).
+    fn partners(&self, u: Vertex) -> impl Iterator<Item = (Vertex, bool)> + '_ {
         let ball = self.ball(u);
         ball.verts.iter().enumerate().filter_map(move |(j, &v)| {
             let v = v as Vertex;
-            (v > u && ball.is_candidate(j) && self.ball(v).has_candidate(u)).then_some(v)
+            if v <= u || !ball.is_candidate(j) {
+                return None;
+            }
+            let other = self.ball(v);
+            other
+                .has_candidate(u)
+                .then(|| (v, ball.exits_reach(other.verts) && other.exits_reach(ball.verts)))
         })
     }
 }
 
 impl BallShard {
-    /// Refills the shard with the balls of `range` and their candidate
-    /// bits, reusing its buffers.
-    fn fill(&mut self, g: &Graph, r: u32, range: Range<Vertex>, b: &mut Buffers) {
+    /// Refills the shard with the balls of `range`, their candidate bits
+    /// and the exit lists of the cut anchors, reusing its buffers. With
+    /// `one_cut = Some(r₁)` the same BFS, run to `max(r₁, r)`, also
+    /// decides `X` at `r₁`.
+    fn fill(
+        &mut self,
+        g: &Graph,
+        r: u32,
+        one_cut: Option<u32>,
+        range: Range<Vertex>,
+        b: &mut Buffers,
+    ) {
         self.offsets.clear();
         self.verts.clear();
         self.cand.clear();
+        self.comp_offsets.clear();
+        self.exit_bounds.clear();
+        self.exits.clear();
+        self.one_cut.clear();
         self.offsets.push(0);
+        self.comp_offsets.push(0);
+        self.exit_bounds.push(0);
+        let reach = one_cut.map_or(r, |r1| r1.max(r));
         for u in range {
-            bfs::ball_of_set_into(g, &mut b.scratch, &[u], r, &mut b.ball);
-            articulation::neighbor_separators_within(g, &mut b.subset, &b.ball, u, &mut b.flags);
+            bfs::ball_of_set_into(g, &mut b.scratch, &[u], reach, &mut b.ball);
+            if let Some(r1) = one_cut {
+                let inner = within(&b.ball, &b.scratch, r1, reach, &mut b.inner);
+                self.one_cut.push(articulation::is_cut_vertex_within(g, &mut b.subset, inner, u));
+            }
+            let ball = within(&b.ball, &b.scratch, r, reach, &mut b.inner);
+            articulation::neighbor_separators_within(g, &mut b.subset, ball, u, &mut b.split);
             let base = self.verts.len();
-            self.verts.extend(b.ball.iter().map(|&v| v as u32));
+            self.verts.extend(ball.iter().map(|&v| v as u32));
             self.cand.resize(self.verts.len().div_ceil(64), 0);
-            for (j, &flag) in b.flags.iter().enumerate() {
+            for (j, &flag) in b.split.separators.iter().enumerate() {
                 let bit = base + j;
                 self.cand[bit / 64] |= u64::from(flag) << (bit % 64);
             }
             self.offsets.push(self.verts.len());
+            if b.split.is_cut() {
+                for k in 0..b.split.component_count() {
+                    self.exits.extend(b.split.exits(k).iter().map(|&y| y as u32));
+                    self.exit_bounds.push(self.exits.len());
+                }
+            }
+            self.comp_offsets.push(self.exit_bounds.len() - 1);
         }
     }
+}
+
+/// The entries of the sorted ball `ball` within distance `r` of its
+/// sources, in order, read off the `scratch` traversal that built it out
+/// to `reach`: `ball` itself when `r ≥ reach`, else a filtered copy in
+/// `out`.
+fn within<'a>(
+    ball: &'a [Vertex],
+    scratch: &Scratch,
+    r: u32,
+    reach: u32,
+    out: &'a mut Vec<Vertex>,
+) -> &'a [Vertex] {
+    if r >= reach {
+        return ball;
+    }
+    out.clear();
+    out.extend(ball.iter().copied().filter(|&v| scratch.distance(v).is_some_and(|d| d <= r)));
+    out
+}
+
+/// The exit test from the side of the anchor `split` describes: `true`
+/// unless the anchor is a cut vertex of its ball and some component has
+/// no exit for which `reached` holds.
+fn exits_reached(split: &AnchorSplit, reached: impl Fn(Vertex) -> bool) -> bool {
+    !split.is_cut()
+        || (0..split.component_count()).all(|k| split.exits(k).iter().any(|&y| reached(y)))
 }
 
 /// One sweep worker's reusable traversal buffers.
@@ -259,8 +401,11 @@ struct Buffers {
     /// Single-ball buffer for the 1-cut sweep, the ball index and the
     /// per-vertex pair queries.
     ball: Vec<Vertex>,
-    /// Separator flags of `ball`.
-    flags: Vec<bool>,
+    /// The smaller radius's ball, filtered out of `ball` by the fused
+    /// sweeps.
+    inner: Vec<Vertex>,
+    /// The split of `ball` around its center.
+    split: AnchorSplit,
 }
 
 /// What the pair sweep records into the mask.
@@ -307,24 +452,52 @@ impl CutEngine {
         self.pair_mask(g, r, PairMode::Endpoints, sweep_workers(g.n()))
     }
 
+    /// `(X, I)` of the Algorithm 1 pipeline in one sweep: equals
+    /// `(one_cut_mask(g, radii.one_cut), interesting_mask(g, radii.two_cut))`,
+    /// but runs one BFS per vertex, at `max(r₁, r₂)`, for both masks.
+    pub fn one_cut_and_interesting_masks(
+        &mut self,
+        g: &Graph,
+        radii: Radii,
+    ) -> (Vec<bool>, Vec<bool>) {
+        self.fused_masks(g, radii, PairMode::Interesting, sweep_workers(g.n()))
+    }
+
+    /// `(X, endpoints)` in one sweep, the MVC variant's and the
+    /// `interesting_filter: false` ablation's pair of
+    /// [`CutEngine::one_cut_and_interesting_masks`]: equals
+    /// `(one_cut_mask(g, radii.one_cut), two_cut_endpoint_mask(g, radii.two_cut))`.
+    pub fn one_cut_and_endpoint_masks(
+        &mut self,
+        g: &Graph,
+        radii: Radii,
+    ) -> (Vec<bool>, Vec<bool>) {
+        self.fused_masks(g, radii, PairMode::Endpoints, sweep_workers(g.n()))
+    }
+
     /// All `r`-local minimal 2-cuts as `(u, v)` pairs with `u < v`,
     /// sorted — [`local_two_cuts`]' engine. Every pair that passes the
-    /// separator prefilter is profiled (no early exit), each exactly
-    /// once.
+    /// separator prefilter and the exit test is profiled (no early
+    /// exit), each exactly once.
     pub fn two_cuts(&mut self, g: &Graph, r: u32) -> Vec<(Vertex, Vertex)> {
-        self.compute_balls(g, r, sweep_workers(g.n()));
+        self.compute_balls(g, r, None, sweep_workers(g.n()));
         let CutEngine { balls, bufs, counts } = self;
         let mut out = Vec::new();
-        let mut profiled = 0;
+        let mut tally = PairCounts { in_range: balls.pairs_in_range(), ..PairCounts::default() };
         for u in g.vertices() {
-            for v in balls.partners(u) {
-                profiled += 1;
+            for (v, exits_reach) in balls.partners(u) {
+                if !exits_reach {
+                    tally.exit_rejected += 1;
+                    continue;
+                }
+                tally.profiled += 1;
                 if bufs.pair_profile(g, balls, u, v).is_minimal_two_cut() {
                     out.push((u, v));
                 }
             }
         }
-        *counts = PairCounts { in_range: balls.pairs_in_range(), profiled, cuts: out.len() };
+        tally.cuts = out.len();
+        *counts = tally;
         out
     }
 
@@ -336,10 +509,13 @@ impl CutEngine {
     }
 
     /// Whether `v` is `r`-interesting, without a sweep: `v`'s ball and
-    /// its separator candidates pick the partners (by the prefilter
-    /// lemma no other `u` can form a minimal 2-cut with `v`), and each
-    /// is profiled until one makes `v` interesting. Equals
-    /// [`is_interesting`] and `interesting_mask(g, r)[v]`.
+    /// its split around `v` pick the partners (by the prefilter lemma no
+    /// other `u` can form a minimal 2-cut with `v`; by the exit lemma a
+    /// cut vertex of its ball with an exit-less component answers
+    /// `false` at once, and otherwise each partner's two-source ball must
+    /// hold an exit of every component), and each is profiled until one
+    /// makes `v` interesting. Equals [`is_interesting`] and
+    /// `interesting_mask(g, r)[v]`.
     pub fn interesting_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
         self.bufs.pair_query(g, v, r, PairMode::Interesting)
     }
@@ -352,16 +528,18 @@ impl CutEngine {
     }
 
     /// The work counts of the last pair sweep ([`CutEngine::interesting_mask`],
-    /// [`CutEngine::two_cut_endpoint_mask`] or [`CutEngine::two_cuts`]).
-    /// With the monotone skip of the mask sweeps, `profiled` can depend
-    /// on the worker count; the masks never do.
+    /// [`CutEngine::two_cut_endpoint_mask`], [`CutEngine::two_cuts`] or
+    /// a fused sweep). With the monotone skip of the mask sweeps,
+    /// `profiled` can depend on the worker count; the masks and the
+    /// other counts never do.
     pub fn pair_counts(&self) -> PairCounts {
         self.counts
     }
 
     /// Fills the ball index for radius `r` on `workers` workers, one
-    /// shard per contiguous vertex chunk.
-    fn compute_balls(&mut self, g: &Graph, r: u32, workers: usize) {
+    /// shard per contiguous vertex chunk, and with `one_cut = Some(r₁)`
+    /// each shard's `X` bits at `r₁` from the same BFS.
+    fn compute_balls(&mut self, g: &Graph, r: u32, one_cut: Option<u32>, workers: usize) {
         let n = g.n();
         let span = n.div_ceil(workers.max(1)).max(1);
         let shards = n.div_ceil(span);
@@ -369,20 +547,42 @@ impl CutEngine {
         (balls.n, balls.span) = (n, span);
         balls.shards.resize_with(shards, BallShard::default);
         par::map_chunks(shards, &mut balls.shards, &mut self.bufs, |b, k, shard| {
-            shard.fill(g, r, k * span..((k + 1) * span).min(n), b);
+            shard.fill(g, r, one_cut, k * span..((k + 1) * span).min(n), b);
         });
     }
 
-    /// The shared pair sweep on `workers` workers: every unordered pair
-    /// `{u, v}` with `d(u, v) ≤ r` that passes the separator prefilter
-    /// evaluated once. Pairs whose both endpoints are already marked
-    /// are skipped — marking is monotone, so this prunes work without
-    /// changing the result.
+    /// The pair sweep of `r` on `workers` workers; see
+    /// [`CutEngine::sweep_pairs`].
     fn pair_mask(&mut self, g: &Graph, r: u32, mode: PairMode, workers: usize) -> Vec<bool> {
-        self.compute_balls(g, r, workers);
+        self.compute_balls(g, r, None, workers);
+        self.sweep_pairs(g, mode, workers)
+    }
+
+    /// The fused sweep on `workers` workers: `X` at `radii.one_cut`
+    /// from the index build, then the pair sweep at `radii.two_cut`.
+    fn fused_masks(
+        &mut self,
+        g: &Graph,
+        radii: Radii,
+        mode: PairMode,
+        workers: usize,
+    ) -> (Vec<bool>, Vec<bool>) {
+        self.compute_balls(g, radii.two_cut, Some(radii.one_cut), workers);
+        let x = self.balls.shards.iter().flat_map(|s| s.one_cut.iter().copied()).collect();
+        (x, self.sweep_pairs(g, mode, workers))
+    }
+
+    /// The shared pair sweep over the current index on `workers`
+    /// workers: every unordered pair `{u, v}` with `d(u, v) ≤ r` that
+    /// passes the separator prefilter and the exit test evaluated once.
+    /// Pairs whose both endpoints are already marked are skipped —
+    /// marking is monotone, so this prunes work without changing the
+    /// result.
+    fn sweep_pairs(&mut self, g: &Graph, mode: PairMode, workers: usize) -> Vec<bool> {
         let CutEngine { balls, bufs, counts } = self;
         let balls = &*balls;
-        let (profiled, cuts) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (profiled, cuts, exit_rejected) =
+            (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
         let mask = par::or_masks(workers, g.n(), bufs, |b, range, mask| {
             let mut tally = PairCounts::default();
             for u in range {
@@ -390,11 +590,13 @@ impl CutEngine {
             }
             profiled.fetch_add(tally.profiled, Ordering::Relaxed);
             cuts.fetch_add(tally.cuts, Ordering::Relaxed);
+            exit_rejected.fetch_add(tally.exit_rejected, Ordering::Relaxed);
         });
         *counts = PairCounts {
             in_range: balls.pairs_in_range(),
             profiled: profiled.into_inner(),
             cuts: cuts.into_inner(),
+            exit_rejected: exit_rejected.into_inner(),
         };
         mask.to_bools()
     }
@@ -424,7 +626,8 @@ impl Buffers {
     /// Whether some partner `u` of `v` makes `{u, v}` an `r`-local
     /// minimal 2-cut that `mode` counts for `v`. Partners are the
     /// separator candidates of `v`'s ball; `H = N^r[u] ∪ N^r[v]` is one
-    /// two-source ball.
+    /// two-source ball, and it must hold an exit of every component of
+    /// `v`'s ball when `v` is a cut anchor.
     fn pair_query(&mut self, g: &Graph, v: Vertex, r: u32, mode: PairMode) -> bool {
         bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball);
         articulation::neighbor_separators_within(
@@ -432,16 +635,24 @@ impl Buffers {
             &mut self.subset,
             &self.ball,
             v,
-            &mut self.flags,
+            &mut self.split,
         );
+        // The corollary: an exit-less component rules out every partner.
+        if !exits_reached(&self.split, |_| true) {
+            return false;
+        }
         for j in 0..self.ball.len() {
             let u = self.ball[j];
-            if !self.flags[j]
+            if !self.split.separators[j]
                 || (mode == PairMode::Interesting && g.closed_neighborhood_subset(v, u))
             {
                 continue;
             }
             bfs::ball_of_set_into(g, &mut self.scratch, &[u, v], r, &mut self.merged);
+            // Exits lie outside N^r[v]: one is in H iff it is in N^r[u].
+            if !exits_reached(&self.split, |y| self.scratch.distance(y).is_some()) {
+                continue;
+            }
             let profile = two_cuts::pair_profile_within(g, &mut self.subset, &self.merged, u, v);
             // v is interesting via friend u: ≥ 2 witness components
             // non-adjacent to u (N[v] ⊄ N[u] was checked above).
@@ -465,7 +676,11 @@ impl Buffers {
         mask: &mut FixedBitSet,
         tally: &mut PairCounts,
     ) {
-        for v in balls.partners(u) {
+        for (v, exits_reach) in balls.partners(u) {
+            if !exits_reach {
+                tally.exit_rejected += 1;
+                continue;
+            }
             if mask.contains(u) && mask.contains(v) {
                 continue;
             }
@@ -830,46 +1045,65 @@ mod tests {
         // Graphs past the engine's parallel threshold, swept at forced
         // worker counts regardless of the host's CPU count: every count
         // must reproduce the single-worker sweep and the naive reference
-        // (worker-count invariance).
+        // (worker-count invariance), the fused sweeps included.
         let big: Vec<(&str, Graph)> = vec![
             ("cycle700", cycle(700)),
             ("path800", path(800)),
             ("caterpillar700", lmds_gen::basic::caterpillar(700, 1)),
         ];
+        let radii = [2u32, 3];
         let mut engine = CutEngine::new();
         for (name, g) in &big {
             assert!(g.n() >= PARALLEL_THRESHOLD, "{name} must cross the parallel threshold");
-            for r in [2u32, 3] {
-                let one = engine.one_cut_mask_on(g, r, 1);
-                let interesting = engine.pair_mask(g, r, PairMode::Interesting, 1);
-                let endpoints = engine.pair_mask(g, r, PairMode::Endpoints, 1);
-                let in_range = engine.pair_counts().in_range;
+            // The single-worker masks per radius, pinned to the naive
+            // reference, then every sweep at every forced count.
+            let one = radii.map(|r| engine.one_cut_mask_on(g, r, 1));
+            let interesting = radii.map(|r| engine.pair_mask(g, r, PairMode::Interesting, 1));
+            let endpoints = radii.map(|r| engine.pair_mask(g, r, PairMode::Endpoints, 1));
+            for (k, r) in radii.into_iter().enumerate() {
+                engine.pair_mask(g, r, PairMode::Interesting, 1);
+                let counts = engine.pair_counts();
                 for workers in [1, 2, 4, 7] {
                     let at = |what: &str| format!("{name} r={r} workers={workers}: {what}");
-                    assert_eq!(engine.one_cut_mask_on(g, r, workers), one, "{}", at("one-cut"));
+                    assert_eq!(engine.one_cut_mask_on(g, r, workers), one[k], "{}", at("one-cut"));
                     // The forced count shards the ball index build too.
                     assert_eq!(
                         engine.pair_mask(g, r, PairMode::Interesting, workers),
-                        interesting,
+                        interesting[k],
                         "{}",
                         at("interesting")
                     );
+                    let now = engine.pair_counts();
+                    assert_eq!(now.in_range, counts.in_range, "{}", at("in range"));
+                    assert_eq!(now.exit_rejected, counts.exit_rejected, "{}", at("exit rejected"));
                     assert_eq!(
                         engine.pair_mask(g, r, PairMode::Endpoints, workers),
-                        endpoints,
+                        endpoints[k],
                         "{}",
                         at("endpoints")
                     );
-                    assert_eq!(engine.pair_counts().in_range, in_range, "{}", at("in range"));
                 }
                 for v in [0usize, 1, g.n() / 2, g.n() - 1] {
-                    assert_eq!(interesting[v], is_interesting(g, v, r), "{name} r={r} v={v}");
+                    assert_eq!(interesting[k][v], is_interesting(g, v, r), "{name} r={r} v={v}");
                 }
                 // Full-set check against the (cheap on these sparse
                 // graphs) naive filter.
                 let naive_one: Vec<bool> =
                     g.vertices().map(|v| is_local_one_cut(g, v, r)).collect();
-                assert_eq!(one, naive_one, "{name} r={r}");
+                assert_eq!(one[k], naive_one, "{name} r={r}");
+            }
+            // The fused sweeps at every radius pair, r₁ > r₂ included.
+            for (k1, one_cut) in radii.into_iter().enumerate() {
+                for (k2, two_cut) in radii.into_iter().enumerate() {
+                    let both = Radii { one_cut, two_cut };
+                    for workers in [1, 2, 4, 7] {
+                        let at = format!("{name} {both:?} workers={workers}");
+                        let (x, i) = engine.fused_masks(g, both, PairMode::Interesting, workers);
+                        assert_eq!((&x, &i), (&one[k1], &interesting[k2]), "{at}");
+                        let (x, e) = engine.fused_masks(g, both, PairMode::Endpoints, workers);
+                        assert_eq!((&x, &e), (&one[k1], &endpoints[k2]), "{at}");
+                    }
+                }
             }
         }
     }
@@ -878,18 +1112,20 @@ mod tests {
     fn prefilter_profiles_few_pairs_on_the_chain_family() {
         // The equivalence suite cannot see a dropped prefilter (outputs
         // stay identical), so pin its effect: on the chain family at the
-        // pipeline's r₂ = 4, almost every in-range pair is rejected
-        // before its H − {u, v} scan.
+        // pipeline's r₂ = 4, the separator bits and the exit test leave
+        // hardly more pairs than there are cuts to profile.
         let g = lmds_gen::ding::scale_instance(5000, 0);
         let mut engine = CutEngine::new();
         let cuts = engine.two_cuts(&g, 4);
         let counts = engine.pair_counts();
         assert_eq!(counts.cuts, cuts.len());
         assert!(counts.in_range > 0 && counts.profiled >= counts.cuts, "{counts:?}");
-        assert!(counts.profiled * 10 <= counts.in_range, "{counts:?}");
+        assert!(counts.profiled <= counts.cuts + 8, "{counts:?}");
+        assert!(counts.exit_rejected > 0, "{counts:?}");
         engine.interesting_mask(&g, 4);
         let sweep = engine.pair_counts();
         assert_eq!(sweep.in_range, counts.in_range);
+        assert_eq!(sweep.exit_rejected, counts.exit_rejected);
         assert!(sweep.profiled * 10 <= sweep.in_range, "{sweep:?}");
     }
 
@@ -898,16 +1134,20 @@ mod tests {
         // C12 at r = 6: every pair is in range; the minimal 2-cuts are
         // the 54 non-adjacent pairs, and adjacent pairs never pass the
         // prefilter (removing a neighbor leaves the rest of the cycle
-        // connected).
+        // connected). No ball has a cut center, so no exit test runs.
         let g = cycle(12);
         let mut engine = CutEngine::new();
         assert_eq!(engine.pair_counts(), PairCounts::default());
         engine.two_cuts(&g, 6);
-        assert_eq!(engine.pair_counts(), PairCounts { in_range: 66, profiled: 54, cuts: 54 });
+        let counts = PairCounts { in_range: 66, profiled: 54, cuts: 54, exit_rejected: 0 };
+        assert_eq!(engine.pair_counts(), counts);
         // At r = 1 every ball is a path cut by its center, so every pair
-        // stays a candidate, and none is a minimal 2-cut.
+        // stays a separator candidate. But the component {u − 1} of
+        // u's ball exits only to u − 2, outside the ball of u + 1, so the
+        // exit test rejects all 12 pairs and none is profiled.
         engine.two_cuts(&g, 1);
-        assert_eq!(engine.pair_counts(), PairCounts { in_range: 12, profiled: 12, cuts: 0 });
+        let counts = PairCounts { in_range: 12, profiled: 0, cuts: 0, exit_rejected: 12 };
+        assert_eq!(engine.pair_counts(), counts);
     }
 
     #[test]

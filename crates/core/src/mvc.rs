@@ -36,14 +36,12 @@ pub struct MvcOutput {
 
 /// Algorithm 1 for MVC, centralized reference.
 pub fn algorithm1_mvc(g: &Graph, ids: &IdAssignment, radii: Radii) -> MvcOutput {
-    // Both sweeps through one pooled CutEngine: the endpoint mask is
-    // the deduplicated pair union directly (with the engine's pair
-    // pruning and sharding), no flatten/sort/dedup pass.
-    let (x_set, two_cut_set) = local_cuts::with_thread_engine(|engine| {
-        let x = local_cuts::mask_to_vertices(&engine.one_cut_mask(g, radii.one_cut));
-        let two = local_cuts::mask_to_vertices(&engine.two_cut_endpoint_mask(g, radii.two_cut));
-        (x, two)
-    });
+    // Both masks from one fused sweep of the pooled CutEngine: the
+    // endpoint mask is the deduplicated pair union directly (with the
+    // engine's pair pruning and sharding), no flatten/sort/dedup pass.
+    let (x, two) = local_cuts::with_thread_engine(|e| e.one_cut_and_endpoint_masks(g, radii));
+    let (x_set, two_cut_set) =
+        (local_cuts::mask_to_vertices(&x), local_cuts::mask_to_vertices(&two));
 
     let mut in_s = vec![false; g.n()];
     for &v in x_set.iter().chain(&two_cut_set) {

@@ -132,95 +132,214 @@ pub fn is_cut_vertex_within(g: &Graph, ws: &mut SubsetScratch, set: &[Vertex], v
     g.neighbors(v).iter().any(|&u| ws.contains(u as Vertex) && !ws.visited(u as Vertex))
 }
 
-/// The vertices that separate the neighbors of an anchor `a` inside
-/// `G[set] − a`, computed *without materializing the subgraph*: sets
-/// `out[i]` (one flag per entry of `set`, `out` cleared first) iff
-/// `set[i] ≠ a` and
+/// The label [`AnchorSplit::component`] gives the anchor itself and the
+/// members of components of `G[set] − a` without a neighbor of `a`.
+pub const NO_COMPONENT: u32 = u32::MAX;
+
+/// What [`neighbor_separators_within`] finds in `G[set] − a`: the
+/// separator flags, the components that hold a neighbor of the anchor
+/// `a`, and, when there are two or more (`a` is a cut vertex of
+/// `G[set]`), each component's *exits*: its neighbors outside `set`. All
+/// buffers are reused across calls.
 ///
-/// * removing `v = set[i]` leaves the neighbors of `a` in `set ∖ {v}`
-///   in two or more components of `G[set] − {a, v}`, or
-/// * `a` is itself a cut vertex of `G[set]` (its neighbors in `set`
-///   already span two components of `G[set] − a`) — then every vertex
-///   of `set ∖ {a}` is marked.
+/// Exits are recorded for cut vertices only. That is the one case the
+/// `CutEngine`'s exit test reads, and it spares every other anchor
+/// collecting and sorting them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AnchorSplit {
+    /// One flag per entry of `set`; see [`neighbor_separators_within`].
+    pub separators: Vec<bool>,
+    /// One label per entry of `set`: the index of its component among
+    /// those holding a neighbor of `a`, in discovery order (component
+    /// `k` holds the `k`-th neighbor of `a`, in adjacency order, that no
+    /// earlier component holds), or [`NO_COMPONENT`].
+    pub component: Vec<u32>,
+    /// Component `k`'s exits are `exits[exit_bounds[k]..exit_bounds[k + 1]]`.
+    exit_bounds: Vec<usize>,
+    exits: Vec<Vertex>,
+    /// The discovery time of each component's first vertex.
+    starts: Vec<u32>,
+}
+
+impl AnchorSplit {
+    /// How many components of `G[set] − a` hold a neighbor of `a`.
+    pub fn component_count(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether `a` is a cut vertex of `G[set]`: its neighbors lie in two
+    /// or more components of `G[set] − a`.
+    pub fn is_cut(&self) -> bool {
+        self.component_count() >= 2
+    }
+
+    /// The exits of component `k`, sorted and deduplicated.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `a` is a cut vertex of `G[set]` ([`AnchorSplit::is_cut`])
+    /// and `k < component_count()`.
+    pub fn exits(&self, k: usize) -> &[Vertex] {
+        assert!(self.is_cut(), "exits are recorded for cut vertices only");
+        &self.exits[self.exit_bounds[k]..self.exit_bounds[k + 1]]
+    }
+
+    /// Empties the split.
+    fn reset(&mut self) {
+        self.separators.clear();
+        self.component.clear();
+        self.exit_bounds.clear();
+        self.exit_bounds.push(0);
+        self.exits.clear();
+        self.starts.clear();
+    }
+
+    /// Closes the component whose exits were pushed since the last
+    /// bound: sorts and deduplicates them in place.
+    fn close_component(&mut self) {
+        let lo = *self.exit_bounds.last().expect("bounds start at 0");
+        self.exits[lo..].sort_unstable();
+        let mut end = lo;
+        for i in lo..self.exits.len() {
+            if end == lo || self.exits[i] != self.exits[end - 1] {
+                self.exits[end] = self.exits[i];
+                end += 1;
+            }
+        }
+        self.exits.truncate(end);
+        self.exit_bounds.push(end);
+    }
+}
+
+/// Splits `G[set] − a` around an anchor `a`, computed *without
+/// materializing the subgraph*. Fills `out` (see [`AnchorSplit`]):
+///
+/// * `out.separators[i]` is set iff `set[i] ≠ a` and either removing
+///   `v = set[i]` leaves the neighbors of `a` in `set ∖ {v}` in two or
+///   more components of `G[set] − {a, v}`, or `a` is itself a cut vertex
+///   of `G[set]` (its neighbors in `set` already span two components of
+///   `G[set] − a`) — then every vertex of `set ∖ {a}` is marked;
+/// * every component of `G[set] − a` that holds a neighbor of `a` gets a
+///   label in `out.component`; [`AnchorSplit::is_cut`] tells whether `a`
+///   is a cut vertex of `G[set]`, and if so each component gets its
+///   sorted exits, its neighbors outside `set`.
 ///
 /// One iterative lowpoint DFS (Tarjan's articulation-point technique)
-/// over `G[set] − a`, rooted at a neighbor of `a`: a non-root vertex
-/// separates exactly when some DFS child subtree with lowpoint ≥ its
-/// discovery time contains a neighbor of `a` (the root's side holds
-/// another), and the root when two of its child subtrees do.
-/// `O(|set| + |E(G[set])|)` time, zero allocations through the reusable
-/// [`SubsetScratch`].
+/// over `G[set] − a`, rooted at a neighbor of `a` and restarted at every
+/// neighbor of `a` it has not reached, one component per restart: in
+/// the first component a non-root vertex separates exactly when some
+/// DFS child subtree with lowpoint ≥ its discovery time contains a
+/// neighbor of `a` (the root's side holds another), and the root when
+/// two of its child subtrees do. The DFS skips the vertices outside
+/// `set`, and those are the exits: once a restart shows that `a` is a
+/// cut vertex, the first component's exits are collected by one scan,
+/// and later components record theirs as the DFS meets them.
+/// `O(|set| + |E(G[set])| + x log x)` time for `x` exit arcs, zero
+/// allocations through the reusable [`SubsetScratch`] and `out`.
 ///
 /// `set` must contain `a` and must be a list of distinct in-range
 /// vertices; it does not need to be sorted. This is the `CutEngine`'s
-/// separator prefilter: with `set = N^r[u]`, a pair `{u, v}` can only be
-/// a minimal 2-cut of `G[N^r[u] ∪ N^r[v]]` if `v` is marked for `u`.
+/// pair prefilter: with `set = N^r[u]`, a pair `{u, v}` can only be a
+/// minimal 2-cut of `G[N^r[u] ∪ N^r[v]]` if `v` is marked for `u`, and,
+/// when `u` is a cut vertex of its ball, if `N^r[v]` holds an exit of
+/// every component.
 pub fn neighbor_separators_within(
     g: &Graph,
     ws: &mut SubsetScratch,
     set: &[Vertex],
     a: Vertex,
-    out: &mut Vec<bool>,
+    out: &mut AnchorSplit,
 ) {
     debug_assert!(set.contains(&a), "set must contain the anchor");
-    out.clear();
-    out.resize(set.len(), false);
+    out.reset();
     ws.begin(g.n(), set);
     ws.mark_adj_a(g.neighbors(a));
-    let Some(&root) = g.neighbors(a).iter().find(|&&w| ws.contains(w as Vertex)) else {
-        return; // no neighbor of `a` in the set: nothing to separate
-    };
-    let root = root as Vertex;
     // The DFS skips `a` by name, so it runs on `G[set] − a`.
-    ws.visit(root);
-    ws.disc[root] = 0;
-    ws.low[root] = 0;
-    let mut timer = 1u32;
-    let mut root_branches = 0usize;
-    ws.stack.push((root, 0, true));
-    while let Some(top) = ws.stack.last_mut() {
-        let v = top.0;
-        if let Some(&w) = g.neighbors(v).get(top.1 as usize) {
-            top.1 += 1;
-            let w = w as Vertex;
-            if w == a || !ws.contains(w) {
-                continue;
-            }
-            if ws.visit(w) {
-                ws.disc[w] = timer;
-                ws.low[w] = timer;
-                timer += 1;
-                let anchored = ws.adj_a(w);
-                ws.stack.push((w, 0, anchored));
-            } else {
-                // The tree edge to the parent lowers `low[v]` to
-                // `disc[parent]` at most, which the `≥` test tolerates.
-                ws.low[v] = ws.low[v].min(ws.disc[w]);
-            }
+    let mut timer = 0u32;
+    for &root in g.neighbors(a) {
+        let root = root as Vertex;
+        if !ws.contains(root) || ws.visited(root) {
             continue;
         }
-        let (child, _, anchored) = ws.stack.pop().expect("the loop saw a top frame");
-        // Fold the finished subtree into its parent.
-        let Some(top) = ws.stack.last_mut() else { break };
-        top.2 |= anchored;
-        let p = top.0;
-        ws.low[p] = ws.low[p].min(ws.low[child]);
-        if anchored && ws.low[child] >= ws.disc[p] {
-            if p == root {
-                root_branches += 1;
-            } else {
-                ws.mark_sep(p);
+        if out.starts.len() == 1 {
+            // A second component: `a` is a cut vertex after all, and
+            // everything visited so far is in the first one.
+            for &x in set {
+                if x != a && ws.visited(x) {
+                    let outside = g.neighbors(x).iter().filter(|&&y| !ws.contains(y as Vertex));
+                    out.exits.extend(outside.map(|&y| y as Vertex));
+                }
+            }
+            out.close_component();
+        }
+        let record_exits = !out.starts.is_empty();
+        ws.visit(root);
+        out.starts.push(timer);
+        ws.disc[root] = timer;
+        ws.low[root] = timer;
+        timer += 1;
+        let mut root_branches = 0usize;
+        ws.stack.push((root, 0, true));
+        while let Some(top) = ws.stack.last_mut() {
+            let v = top.0;
+            if let Some(&w) = g.neighbors(v).get(top.1 as usize) {
+                top.1 += 1;
+                let w = w as Vertex;
+                if w == a {
+                    continue;
+                }
+                if !ws.contains(w) {
+                    if record_exits {
+                        out.exits.push(w);
+                    }
+                    continue;
+                }
+                if ws.visit(w) {
+                    ws.disc[w] = timer;
+                    ws.low[w] = timer;
+                    timer += 1;
+                    let anchored = ws.adj_a(w);
+                    ws.stack.push((w, 0, anchored));
+                } else {
+                    // The tree edge to the parent lowers `low[v]` to
+                    // `disc[parent]` at most, which the `≥` test tolerates.
+                    ws.low[v] = ws.low[v].min(ws.disc[w]);
+                }
+                continue;
+            }
+            let (child, _, anchored) = ws.stack.pop().expect("the loop saw a top frame");
+            // Fold the finished subtree into its parent.
+            let Some(top) = ws.stack.last_mut() else { break };
+            top.2 |= anchored;
+            let p = top.0;
+            ws.low[p] = ws.low[p].min(ws.low[child]);
+            if anchored && ws.low[child] >= ws.disc[p] {
+                if p == root {
+                    root_branches += 1;
+                } else {
+                    ws.mark_sep(p);
+                }
             }
         }
+        if root_branches >= 2 {
+            ws.mark_sep(root);
+        }
+        if record_exits {
+            out.close_component();
+        }
     }
-    if root_branches >= 2 {
-        ws.mark_sep(root);
-    }
-    let a_is_cut =
-        g.neighbors(a).iter().any(|&w| ws.contains(w as Vertex) && !ws.visited(w as Vertex));
-    for (flag, &v) in out.iter_mut().zip(set) {
-        *flag = v != a && (a_is_cut || ws.is_sep(v));
-    }
+    let a_is_cut = out.is_cut();
+    out.separators.extend(set.iter().map(|&v| v != a && (a_is_cut || ws.is_sep(v))));
+    let starts = &out.starts;
+    out.component.extend(set.iter().map(|&v| {
+        if v == a || !ws.visited(v) {
+            NO_COMPONENT
+        } else {
+            // Discovery times grow across restarts, so the last start at
+            // or before `disc[v]` names the component.
+            (starts.partition_point(|&t| t <= ws.disc[v]) - 1) as u32
+        }
+    }));
 }
 
 /// Reference implementation of [`is_cut_vertex`] by explicit removal;
@@ -328,29 +447,74 @@ mod tests {
 
     /// [`neighbor_separators_within`] by its definition: extract
     /// `G[set]`, delete the anchor (and each candidate) explicitly, and
-    /// count the components that hold a neighbor of the anchor.
-    fn separators_by_removal(g: &Graph, set: &[Vertex], a: Vertex) -> Vec<bool> {
+    /// keep the components that hold a neighbor of the anchor. Returns
+    /// the separator flags, the component labels and each component's
+    /// exits.
+    fn split_by_removal(
+        g: &Graph,
+        set: &[Vertex],
+        a: Vertex,
+    ) -> (Vec<bool>, Vec<u32>, Vec<Vec<Vertex>>) {
         use crate::subgraph::InducedSubgraph;
         let sub = InducedSubgraph::new(g, set);
         let h = &sub.graph;
         let la = sub.from_host(a).unwrap();
-        let spread = |removed: &[Vertex]| {
+        let anchored = |removed: &[Vertex]| -> Vec<Vec<Vertex>> {
             let mut mask = vec![false; h.n()];
             for &x in removed {
                 mask[x] = true;
             }
             crate::connectivity::components_avoiding(h, &mask)
-                .iter()
+                .into_iter()
                 .filter(|comp| comp.iter().any(|&w| h.has_edge(w, la)))
-                .count()
+                .collect()
         };
-        let a_is_cut = spread(&[la]) >= 2;
-        set.iter()
+        // Discovery order: by the smallest neighbor of the anchor inside
+        // (local indices keep the host order).
+        let mut comps = anchored(&[la]);
+        comps.sort_by_key(|comp| comp.iter().copied().filter(|&w| h.has_edge(w, la)).min());
+        let a_is_cut = comps.len() >= 2;
+        let local = |v: Vertex| sub.from_host(v).unwrap();
+        let flags = set
+            .iter()
+            .map(|&v| local(v) != la && (a_is_cut || anchored(&[la, local(v)]).len() >= 2))
+            .collect();
+        let labels = set
+            .iter()
             .map(|&v| {
-                let lv = sub.from_host(v).unwrap();
-                lv != la && (a_is_cut || spread(&[la, lv]) >= 2)
+                comps.iter().position(|c| c.contains(&local(v))).map_or(NO_COMPONENT, |k| k as u32)
             })
-            .collect()
+            .collect();
+        let exits = comps
+            .iter()
+            .map(|comp| {
+                crate::canonical_set(
+                    comp.iter()
+                        .flat_map(|&x| g.neighbors(sub.to_host(x)))
+                        .map(|&y| y as Vertex)
+                        .filter(|&y| sub.from_host(y).is_none()),
+                )
+            })
+            .collect();
+        (flags, labels, exits)
+    }
+
+    /// Runs [`neighbor_separators_within`] and checks every output
+    /// against [`split_by_removal`].
+    fn check_split(g: &Graph, ws: &mut SubsetScratch, set: &[Vertex], a: Vertex) -> AnchorSplit {
+        let mut out = AnchorSplit::default();
+        neighbor_separators_within(g, ws, set, a, &mut out);
+        let (flags, labels, exits) = split_by_removal(g, set, a);
+        assert_eq!(out.separators, flags, "flags set={set:?} a={a}");
+        assert_eq!(out.component, labels, "labels set={set:?} a={a}");
+        assert_eq!(out.component_count(), exits.len(), "components set={set:?} a={a}");
+        assert_eq!(out.is_cut(), is_cut_vertex_within(g, ws, set, a), "cut set={set:?} a={a}");
+        if out.is_cut() {
+            for (k, expect) in exits.iter().enumerate() {
+                assert_eq!(out.exits(k), expect, "exits of {k} set={set:?} a={a}");
+            }
+        }
+        out
     }
 
     #[test]
@@ -363,16 +527,13 @@ mod tests {
         g.add_edge(0, 6);
         g.add_edge(3, 9);
         let mut ws = SubsetScratch::new();
-        let mut out = Vec::new();
         for v in g.vertices() {
             for r in [1u32, 2, 3, 100] {
                 let mut ball = bfs::ball(&g, v, r);
-                neighbor_separators_within(&g, &mut ws, &ball, v, &mut out);
-                assert_eq!(out, separators_by_removal(&g, &ball, v), "v={v} r={r}");
-                // Order-free: the flags follow the entries of `set`.
+                check_split(&g, &mut ws, &ball, v);
+                // Order-free: the outputs follow the entries of `set`.
                 ball.reverse();
-                neighbor_separators_within(&g, &mut ws, &ball, v, &mut out);
-                assert_eq!(out, separators_by_removal(&g, &ball, v), "v={v} r={r} reversed");
+                check_split(&g, &mut ws, &ball, v);
             }
         }
     }
@@ -380,22 +541,25 @@ mod tests {
     #[test]
     fn neighbor_separators_edge_cases() {
         let mut ws = SubsetScratch::new();
-        let mut out = Vec::new();
         let mut check = |g: &Graph, set: &[Vertex], a: Vertex, expect: &[bool]| {
-            neighbor_separators_within(g, &mut ws, set, a, &mut out);
-            assert_eq!(out, expect, "set={set:?} a={a}");
-            assert_eq!(out, separators_by_removal(g, set, a), "set={set:?} a={a}");
+            let out = check_split(g, &mut ws, set, a);
+            assert_eq!(out.separators, expect, "set={set:?} a={a}");
+            out
         };
         // Disconnected set: C4 (anchor 0, neighbors 1 and 3 joined
-        // through 2) beside the edge 4–5, which separates nothing.
+        // through 2) beside the edge 4–5, which separates nothing and
+        // holds no neighbor of the anchor.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]);
-        check(&g, &[0, 1, 2, 3, 4, 5], 0, &[false, false, true, false, false, false]);
+        let out = check(&g, &[0, 1, 2, 3, 4, 5], 0, &[false, false, true, false, false, false]);
+        assert_eq!(out.component, [NO_COMPONENT, 0, 0, 0, NO_COMPONENT, NO_COMPONENT]);
+        assert!(!out.is_cut());
         check(&g, &[0, 1, 2, 3, 4, 5], 4, &[false; 6]);
         // An anchor that is a cut vertex of its set marks everything.
         let g2 = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         check(&g2, &[0, 1, 2, 3, 4, 5], 1, &[true, false, true, true, true, true]);
-        // Anchor with no neighbor in the set.
-        check(&g, &[0, 2], 0, &[false, false]);
+        // Anchor with no neighbor in the set: no component at all.
+        let out = check(&g, &[0, 2], 0, &[false, false]);
+        assert_eq!((out.component_count(), out.component.as_slice()), (0, &[NO_COMPONENT; 2][..]));
         check(&g, &[4], 4, &[false]);
         // A set that omits some of the anchor's neighbors: 0 sees 1, 2
         // and 3, joined in G − 0 by the path 1–4–2–5–3. With 3 left out,
@@ -403,6 +567,32 @@ mod tests {
         let g3 = Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (1, 4), (4, 2), (2, 5), (5, 3)]);
         check(&g3, &[0, 1, 2, 3, 4, 5], 0, &[false, false, true, false, true, true]);
         check(&g3, &[0, 1, 2, 4, 5], 0, &[false, false, false, true, false]);
+        // Leaving 4 out as well cuts 0: {1} exits to 4, {2, 5} to 3 and 4.
+        let out = check(&g3, &[0, 1, 2, 5], 0, &[false, true, true, true]);
+        assert_eq!(out.component, [NO_COMPONENT, 0, 1, 1]);
+        assert_eq!((out.exits(0), out.exits(1)), (&[4][..], &[3, 4][..]));
+        // A ball with an exit-less component: on the path 0–…–5, the
+        // ball N^1[1] = {0, 1, 2} splits at 1 into the leaf {0}, with no
+        // exit, and {2}, which exits to 3.
+        let p6 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
+        let out = check(&p6, &[0, 1, 2], 1, &[true, false, true]);
+        assert!(out.is_cut());
+        assert_eq!((out.exits(0), out.exits(1)), (&[][..], &[3][..]));
+        // Two components may share an exit: the 4-cycle 1–2–3–4 around
+        // the ball N^1[2] = {1, 2, 3} of its vertex 2.
+        let c4 = Graph::from_edges(5, &[(1, 2), (2, 3), (3, 4), (4, 1), (0, 1)]);
+        let out = check(&c4, &[1, 2, 3], 2, &[true, false, true]);
+        assert_eq!((out.exits(0), out.exits(1)), (&[0, 4][..], &[4][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "cut vertices only")]
+    fn exits_are_not_recorded_for_non_cut_anchors() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let mut out = AnchorSplit::default();
+        neighbor_separators_within(&g, &mut SubsetScratch::new(), &[0, 1, 2, 3], 0, &mut out);
+        assert!(!out.is_cut());
+        out.exits(0);
     }
 
     #[test]

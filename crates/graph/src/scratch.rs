@@ -19,7 +19,8 @@
 //!   advances — no clearing pass. On the (astronomically rare) epoch
 //!   wraparound the mark array is zeroed once and the epoch restarts.
 //! * `dist[v]` is only meaningful where `mark[v]` equals the current
-//!   epoch. Never read it for an unvisited vertex.
+//!   epoch. Never read it for an unvisited vertex; [`Scratch::distance`]
+//!   is the checked read.
 //! * A scratch is **not** reentrant: a traversal must not start a second
 //!   traversal on the same scratch mid-flight. The thread-local pool
 //!   ([`with_thread_scratch`]) falls back to a fresh scratch when the
@@ -122,6 +123,21 @@ impl Scratch {
     pub(crate) fn visited(&self, v: Vertex) -> bool {
         assert!(v < self.bound, "vertex {v} out of range for graph of n={}", self.bound);
         self.mark[v] == self.epoch
+    }
+
+    /// The distance the current traversal reached `v` at, or `None` if
+    /// it has not reached `v`: after a [`bfs`](crate::bfs) ball or
+    /// distance query, `v`'s distance from the sources. The other
+    /// traversals on a `Scratch` record no distances, so read this only
+    /// after a `bfs` call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range for the traversal's graph, even
+    /// when the buffers are larger.
+    #[inline]
+    pub fn distance(&self, v: Vertex) -> Option<u32> {
+        self.visited(v).then(|| self.dist[v])
     }
 
     /// Test-only: age the scratch to just before epoch wraparound.
@@ -329,6 +345,28 @@ mod tests {
         s.begin(4);
         assert!(!s.visited(2));
         assert!(s.visit(2));
+    }
+
+    #[test]
+    fn distance_answers_only_for_the_current_traversal() {
+        let g = crate::Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let mut s = Scratch::new();
+        let mut ball = Vec::new();
+        crate::bfs::ball_of_set_into(&g, &mut s, &[1], 2, &mut ball);
+        let dists: Vec<Option<u32>> = g.vertices().map(|v| s.distance(v)).collect();
+        assert_eq!(dists, [Some(1), Some(0), Some(1), Some(2), None]);
+        // A new traversal forgets the old distances.
+        crate::bfs::ball_of_set_into(&g, &mut s, &[4], 1, &mut ball);
+        assert_eq!((s.distance(1), s.distance(3)), (None, Some(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn distance_is_bound_checked() {
+        let g = crate::Graph::from_edges(2, &[(0, 1)]);
+        let mut s = Scratch::with_capacity(8);
+        crate::bfs::ball_of_set_into(&g, &mut s, &[0], 1, &mut Vec::new());
+        s.distance(5);
     }
 
     #[test]

@@ -36,13 +36,20 @@ pub struct InducedSubgraph {
 
 impl InducedSubgraph {
     /// Builds `G[S]`. `s` may be unsorted and contain duplicates; it is
-    /// canonicalized first.
+    /// canonicalized first. A set that covers every vertex (a twin
+    /// quotient without twins) copies `g` with identity maps instead of
+    /// rebuilding it.
     ///
     /// # Panics
     ///
     /// Panics if a vertex of `s` is out of range for `g`.
     pub fn new(g: &Graph, s: &[Vertex]) -> Self {
         let verts = crate::canonical_set(s.to_vec());
+        // Sorted and distinct, so n entries ending at n − 1 are exactly
+        // 0..n; an out-of-range entry fails this and panics below.
+        if verts.len() == g.n() && verts.last().is_some_and(|&v| v + 1 == g.n()) {
+            return InducedSubgraph { graph: g.clone(), from_host: verts.clone(), to_host: verts };
+        }
         let mut from_host = vec![ABSENT; g.n()];
         for (i, &v) in verts.iter().enumerate() {
             from_host[v] = i;
@@ -144,6 +151,26 @@ mod tests {
         let sub = InducedSubgraph::new(&g, &[1, 1, 0]);
         assert_eq!(sub.graph.n(), 2);
         assert!(sub.graph.has_edge(0, 1));
+    }
+
+    #[test]
+    fn full_sets_copy_the_graph_with_identity_maps() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
+        let sub = InducedSubgraph::new(&g, &[4, 2, 0, 3, 1, 2]);
+        assert_eq!(sub.graph, g);
+        assert_eq!(sub.host_vertices(), &[0, 1, 2, 3, 4]);
+        assert!(g.vertices().all(|v| sub.from_host(v) == Some(v) && sub.to_host(v) == v));
+        // The rebuilding path, on a host with one more vertex, agrees.
+        let host = Graph::from_edges(6, &g.edges().collect::<Vec<_>>());
+        assert_eq!(InducedSubgraph::new(&host, &[0, 1, 2, 3, 4]).graph, g);
+        assert_eq!(InducedSubgraph::new(&Graph::new(0), &[]).graph.n(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_vertices_panic_even_at_full_length() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        InducedSubgraph::new(&g, &[0, 1, 5]);
     }
 
     #[test]

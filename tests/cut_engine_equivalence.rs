@@ -12,9 +12,13 @@
 //! * per vertex: [`CutEngine::one_cut_at`], [`CutEngine::interesting_at`]
 //!   and [`CutEngine::two_cut_endpoint_at`] vs the naive predicates and
 //!   the three masks, on every vertex
+//! * fused: [`CutEngine::one_cut_and_interesting_masks`] and
+//!   [`CutEngine::one_cut_and_endpoint_masks`] vs the separate sweeps,
+//!   at radius pairs with `r₁ < r₂`, `r₁ = r₂` and `r₁ > r₂`
 //!
 //! plus the structural invariants of `local_two_cuts` (ordering, dedup,
-//! symmetry of the underlying predicate).
+//! symmetry of the underlying predicate) and the identity quotient the
+//! pipeline takes when a graph has no twins.
 //!
 //! [`CutEngine`]: lmds_core::local_cuts::CutEngine
 //! [`CutEngine::one_cut_mask`]: lmds_core::local_cuts::CutEngine::one_cut_mask
@@ -24,13 +28,16 @@
 //! [`CutEngine::one_cut_at`]: lmds_core::local_cuts::CutEngine::one_cut_at
 //! [`CutEngine::interesting_at`]: lmds_core::local_cuts::CutEngine::interesting_at
 //! [`CutEngine::two_cut_endpoint_at`]: lmds_core::local_cuts::CutEngine::two_cut_endpoint_at
+//! [`CutEngine::one_cut_and_interesting_masks`]: lmds_core::local_cuts::CutEngine::one_cut_and_interesting_masks
+//! [`CutEngine::one_cut_and_endpoint_masks`]: lmds_core::local_cuts::CutEngine::one_cut_and_endpoint_masks
 //! [`local_cuts::is_local_one_cut`]: lmds_core::local_cuts::is_local_one_cut
 //! [`local_cuts::is_interesting`]: lmds_core::local_cuts::is_interesting
 //! [`local_cuts::is_local_two_cut`]: lmds_core::local_cuts::is_local_two_cut
 
 use lmds_core::local_cuts::{self, CutEngine};
+use lmds_core::radii::Radii;
 use lmds_gen::ding::AugmentationSpec;
-use lmds_graph::Graph;
+use lmds_graph::{Graph, InducedSubgraph};
 
 /// The generator corpus: every family the experiments draw from, at
 /// sizes where the naive reference stays affordable.
@@ -147,6 +154,47 @@ fn per_vertex_queries_match_naive_predicates_and_masks() {
                 assert_eq!(e, endpoints[v], "endpoint mask {at}");
             }
         }
+    }
+}
+
+#[test]
+fn fused_sweeps_match_the_separate_masks() {
+    // (4, 2) and (6, 3) take the r₁ > r₂ branch: the BFS runs to r₁ and
+    // the index reads its r₂ ball off the distances.
+    let mut engine = CutEngine::new();
+    for (name, g) in corpus() {
+        for (one_cut, two_cut) in [(1, 2), (2, 2), (3, 4), (4, 2), (6, 3)] {
+            let radii = Radii { one_cut, two_cut };
+            let x = engine.one_cut_mask(&g, one_cut);
+            let interesting = engine.interesting_mask(&g, two_cut);
+            let counts = engine.pair_counts();
+            let endpoints = engine.two_cut_endpoint_mask(&g, two_cut);
+            let fused = engine.one_cut_and_interesting_masks(&g, radii);
+            assert_eq!(fused, (x.clone(), interesting), "{name} {radii:?} interesting");
+            assert_eq!(engine.pair_counts(), counts, "{name} {radii:?} counts");
+            let fused = engine.one_cut_and_endpoint_masks(&g, radii);
+            assert_eq!(fused, (x, endpoints), "{name} {radii:?} endpoints");
+        }
+    }
+}
+
+#[test]
+fn full_vertex_sets_induce_the_graph_itself() {
+    // A twin-free quotient keeps every vertex; the subgraph is then a
+    // copy of the graph with identity maps, equal to the rebuilt one.
+    let mut graphs = corpus();
+    graphs.push(("chain20000".into(), lmds_gen::ding::scale_instance(20_000, 3)));
+    graphs.push(("strip400".into(), lmds_gen::ding::strip(400)));
+    graphs.push(("outerplanar3000".into(), lmds_gen::outerplanar::random_outerplanar(3000, 25, 1)));
+    for (name, g) in graphs {
+        let all: Vec<usize> = g.vertices().collect();
+        let sub = InducedSubgraph::new(&g, &all);
+        assert!(sub.graph == g, "{name}: graph");
+        assert_eq!(sub.host_vertices(), all, "{name}: to_host");
+        assert!(g.vertices().all(|v| sub.from_host(v) == Some(v)), "{name}: from_host");
+        // The rebuilding path: the same vertices inside one extra.
+        let host = Graph::from_edges(g.n() + 1, &g.edges().collect::<Vec<_>>());
+        assert!(InducedSubgraph::new(&host, &all).graph == g, "{name}: rebuilt");
     }
 }
 
