@@ -192,23 +192,7 @@ impl DynamicInstance {
     ///
     /// Same contract as [`solve_with_cache`].
     pub fn solve(&mut self, cfg: &SolveConfig) -> Result<(Solution, DynamicStats), SolveError> {
-        check_config(cfg)?;
-        let started = Instant::now();
-        let ids = IdAssignment::from_ids(self.ids.clone());
-        let (vertices, stats) =
-            self.solver.resolve(self.graph.graph(), &ids, cfg.radii, cfg.options);
-        let snapshot = self.snapshot();
-        let solution = Solution::assemble(
-            SOLVER_KEY,
-            &snapshot,
-            Problem::MinDominatingSet,
-            ExecutionMode::Centralized,
-            vertices,
-            None,
-            None,
-            started.elapsed(),
-        );
-        Ok((solution, stats))
+        solve_with_cache(&self.snapshot(), cfg, &mut self.solver)
     }
 }
 

@@ -24,7 +24,10 @@
 //!
 //! With no explicit sections, every `BENCH_*.json` present in the
 //! baseline directory is diffed; a section missing on the current side
-//! is a failure (the artifact stopped being produced).
+//! is a failure (the artifact stopped being produced). A current file
+//! byte-identical to its baseline was not re-measured, so it is
+//! reported as such and counted apart from the sections that passed;
+//! it does not change the exit code.
 
 use lmds_serve::json::{parse, Value};
 use std::path::{Path, PathBuf};
@@ -163,6 +166,41 @@ fn diff_section(section: &str, base: &Section, cur: &Section, gate: &Gate) -> Ve
     failures
 }
 
+/// What the gate made of one section.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// The current file is byte-identical to its baseline: nothing
+    /// re-measured it, so its rows say nothing about the program.
+    NotRemeasured,
+    /// Diffed row by row; the failure messages (empty = pass).
+    Diffed(Vec<String>),
+}
+
+/// Loads `BENCH_<section>.json` from both directories and gates it.
+fn gate_section(
+    section: &str,
+    baseline_dir: &Path,
+    current_dir: &Path,
+    gate: &Gate,
+) -> Result<Verdict, String> {
+    let file = format!("BENCH_{section}.json");
+    let (base_path, cur_path) = (baseline_dir.join(&file), current_dir.join(&file));
+    let base = load_section(&base_path)?;
+    let cur = match load_section(&cur_path) {
+        Ok(cur) => cur,
+        Err(e) => {
+            return Ok(Verdict::Diffed(vec![format!(
+                "{section}: current artifact unreadable: {e}"
+            )]))
+        }
+    };
+    if std::fs::read(&base_path).ok() == std::fs::read(&cur_path).ok() {
+        println!("section {section}: not re-measured (identical to the baseline)");
+        return Ok(Verdict::NotRemeasured);
+    }
+    Ok(Verdict::Diffed(diff_section(section, &base, &cur, gate)))
+}
+
 fn run() -> Result<bool, String> {
     let mut threshold = 1.25f64;
     let mut min_us = 150f64;
@@ -201,24 +239,24 @@ fn run() -> Result<bool, String> {
     let current_dir = PathBuf::from(&positional[1]);
     let gate = Gate { threshold, min_us };
 
-    let mut failures = Vec::new();
+    let (mut failures, mut diffed, mut stale) = (Vec::new(), 0, 0);
     for section in sections(&baseline_dir, &positional[2..])? {
-        let file = format!("BENCH_{section}.json");
-        let base = load_section(&baseline_dir.join(&file))?;
-        let cur = match load_section(&current_dir.join(&file)) {
-            Ok(rows) => rows,
-            Err(e) => {
-                failures.push(format!("{section}: current artifact unreadable: {e}"));
-                continue;
+        match gate_section(&section, &baseline_dir, &current_dir, &gate)? {
+            Verdict::NotRemeasured => stale += 1,
+            Verdict::Diffed(f) => {
+                diffed += 1;
+                failures.extend(f);
             }
-        };
-        failures.extend(diff_section(&section, &base, &cur, &gate));
+        }
     }
     if failures.is_empty() {
-        println!("benchdiff: all sections within {:.0}% of baseline", (threshold - 1.0) * 100.0);
+        println!(
+            "benchdiff: {diffed} section(s) within {:.0}% of baseline, {stale} not re-measured",
+            (threshold - 1.0) * 100.0
+        );
         return Ok(true);
     }
-    eprintln!("benchdiff: {} failure(s):", failures.len());
+    eprintln!("benchdiff: {} failure(s), {stale} section(s) not re-measured:", failures.len());
     for f in &failures {
         eprintln!("  {f}");
     }
@@ -283,6 +321,29 @@ mod tests {
         let slower: Vec<f64> = BASE.iter().map(|us| us * 1.5).collect();
         let failures = diff_section("s", &base, &section(7500.0, &slower), &GATE);
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    #[test]
+    fn a_byte_identical_file_is_reported_as_not_re_measured() {
+        let dir = std::env::temp_dir().join(format!("benchdiff-stale-{}", std::process::id()));
+        let (base_dir, cur_dir) = (dir.join("baseline"), dir.join("current"));
+        std::fs::create_dir_all(&base_dir).unwrap();
+        std::fs::create_dir_all(&cur_dir).unwrap();
+        let doc = |median: f64| {
+            format!(
+                r#"{{"schema":"lmds-microbench/v1","calib_us":5000.0,"rows":[{{"bench":"b","workload":"w","checksum":7,"median_us":{median}}}]}}"#
+            )
+        };
+        let write = |dir: &Path, median| std::fs::write(dir.join("BENCH_s.json"), doc(median));
+        write(&base_dir, 1000.0).unwrap();
+        write(&cur_dir, 1000.0).unwrap();
+        let copied = gate_section("s", &base_dir, &cur_dir, &GATE);
+        // A fresh measurement, even one within budget, is diffed.
+        write(&cur_dir, 1010.0).unwrap();
+        let fresh = gate_section("s", &base_dir, &cur_dir, &GATE);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(copied, Ok(Verdict::NotRemeasured));
+        assert_eq!(fresh, Ok(Verdict::Diffed(Vec::new())));
     }
 
     #[test]

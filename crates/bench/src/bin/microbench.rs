@@ -1,14 +1,14 @@
 //! Dependency-free micro-benchmark harness (replaces the former
-//! Criterion benches, which cannot be vendored offline): times every
-//! registry solver on representative workloads via the uniform
-//! `Solver::solve` path and prints a markdown table.
+//! Criterion benches, which cannot be vendored offline): the per-kernel
+//! timing rows that `benchdiff` gates in CI.
 //!
-//! Sections (combinable; without any flag the registry-solver table
-//! runs):
+//! Sections (combinable; at least one is required — a bare invocation
+//! prints the usage line and exits 2 without writing anything):
 //!
 //! * `--kernel` — the graph-kernel benches (ball queries, twin
-//!   reduction, full registry sweep) tracking the CSR/scratch
-//!   substrate; before/after numbers in `results/kernel_speedup.md`.
+//!   reduction, a registry sweep timing every solver) tracking the
+//!   CSR/scratch substrate; before/after numbers in
+//!   `results/kernel_speedup.md`.
 //! * `--local` — the LOCAL runtime backends on representative
 //!   explicit-round and adaptive solvers; committed numbers in
 //!   `results/local_microbench.md`.
@@ -27,15 +27,15 @@
 //!   (cold / warm / one-dirty-component) on a multi-component corpus
 //!   graph.
 //!
-//! The `--kernel` and `--dynamic` sections additionally write
-//! machine-readable `results/BENCH_kernel.json` /
-//! `results/BENCH_dynamic.json` (best/median/p95/mean per row, a
-//! combined corpus checksum, and `git describe` provenance) so CI and
-//! downstream tooling can diff timings without parsing markdown.
+//! Every section prints a markdown table and writes
+//! `results/BENCH_<section>.json` relative to the working directory
+//! (best/median/p95/mean per row, a combined checksum, the `calib_us`
+//! calibration median and `git describe` provenance), which `benchdiff`
+//! diffs against `results/baseline/`.
 //!
 //! Usage:
 //! ```text
-//! microbench [--iters <n>] [--kernel] [--local] [--cuts] [--exact] [--dynamic]
+//! microbench [--iters <n>] <--kernel|--local|--cuts|--exact|--dynamic>...
 //! ```
 
 use lmds_api::{BatchJob, BatchRunner, ExecutionMode, Instance, SolveConfig, SolverRegistry};
@@ -43,29 +43,6 @@ use lmds_bench::{
     calibrated, render_markdown, sample, section_table, write_bench_json, BenchRow, Stats, Table,
 };
 use lmds_core::Radii;
-use std::time::Instant;
-
-fn time_case(
-    registry: &SolverRegistry,
-    key: &str,
-    inst: &Instance,
-    cfg: &SolveConfig,
-    iters: u32,
-) -> (f64, f64, usize) {
-    let mut best = f64::INFINITY;
-    let mut total = 0f64;
-    let mut size = 0;
-    for _ in 0..iters {
-        let start = Instant::now();
-        let sol = registry.solve(key, inst, cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
-        let us = start.elapsed().as_secs_f64() * 1e6;
-        assert!(sol.is_valid(), "{key} on {}", inst.name);
-        best = best.min(us);
-        total += us;
-        size = sol.size();
-    }
-    (best, total / iters as f64, size)
-}
 
 /// A graph of `k` disjoint triangles (3k vertices): every triangle is a
 /// true-twin class, stressing the grouping step of the twin reduction.
@@ -166,9 +143,10 @@ fn kernel_benches(iters: u32) -> Vec<BenchRow> {
 /// rebuild), ball-scoped invalidation (`dirty_ball`), and
 /// `DynamicSolver` component-scoped re-solve — cold, warm (full
 /// reuse), and the one-dirty-component steady state the serving layer
-/// hits after `PATCH /graphs/{name}`. The end-to-end speedup numbers
-/// live in `results/dynamic-bench.csv` (the `dynamic-bench`
-/// experiment); these rows track the substrate costs.
+/// hits after `PATCH /graphs/{name}`. The `resolve cold` and
+/// `1 dirty component` rows are the gated measure of what
+/// component-scoped re-solve saves; `tests/dynamic_differential.rs`
+/// pins that it returns the from-scratch answer.
 fn dynamic_benches(iters: u32) -> Vec<BenchRow> {
     use lmds_api::dynamic::solve_with_cache;
     use lmds_core::DynamicSolver;
@@ -525,6 +503,13 @@ fn exact_benches(iters: u32) -> Vec<BenchRow> {
     rows
 }
 
+fn usage() -> ! {
+    eprintln!(
+        "usage: microbench [--iters <n ≥ 1>] <section>...  (sections: --kernel --local --cuts --exact --dynamic)"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut iters = 10u32;
@@ -538,15 +523,11 @@ fn main() {
         match args[i].as_str() {
             "--iters" => {
                 i += 1;
-                iters =
-                    args.get(i).and_then(|v| v.parse().ok()).filter(|&n| n >= 1).unwrap_or_else(
-                        || {
-                            eprintln!(
-                            "usage: microbench [--iters <n>] [--kernel] [--local] [--cuts] [--exact] [--dynamic]  (n ≥ 1)"
-                        );
-                            std::process::exit(2);
-                        },
-                    );
+                iters = args
+                    .get(i)
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage());
             }
             "--kernel" => kernel = true,
             "--local" => local = true,
@@ -555,100 +536,50 @@ fn main() {
             "--dynamic" => dynamic = true,
             other => {
                 eprintln!("unknown argument: {other}");
-                std::process::exit(2);
+                usage();
             }
         }
         i += 1;
     }
-
-    // Sections are combinable (the CI smoke step runs all five).
-    if kernel || local || cuts || exact || dynamic {
-        // Each section runs between two bursts of the calibration
-        // kernel, whose median `benchdiff` scales the budgets by.
-        if kernel {
-            let (rows, calib_us) = calibrated(|| kernel_benches(iters));
-            let title =
-                format!("microbench --kernel — graph-kernel hot paths, {iters} iterations (µs)");
-            print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("kernel", iters, calib_us, &rows);
-        }
-        if local {
-            let ((table, rows), calib_us) = calibrated(|| local_benches(iters));
-            print!("{}", render_markdown(&table));
-            write_bench_json("local", iters, calib_us, &rows);
-        }
-        if cuts {
-            let (rows, calib_us) = calibrated(|| cuts_benches(iters));
-            let title =
-                format!("microbench --cuts — CutEngine predicate sweeps, {iters} iterations (µs)");
-            print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("cuts", iters, calib_us, &rows);
-        }
-        if exact {
-            let (rows, calib_us) = calibrated(|| exact_benches(iters));
-            let title = format!(
-                "microbench --exact — exact engine vs naive oracle, {iters} iterations (µs)"
-            );
-            print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("exact", iters, calib_us, &rows);
-        }
-        if dynamic {
-            let (rows, calib_us) = calibrated(|| dynamic_benches(iters));
-            let title = format!(
-                "microbench --dynamic — DynamicGraph/DynamicSolver substrate, {iters} iterations (µs)"
-            );
-            print!("{}", render_markdown(&section_table(&title, &rows)));
-            write_bench_json("dynamic", iters, calib_us, &rows);
-        }
-        return;
+    if !(kernel || local || cuts || exact || dynamic) {
+        usage();
     }
 
-    let registry = SolverRegistry::with_defaults();
-    let tree = Instance::shuffled("tree1000", lmds_gen::trees::random_tree(1000, 1), 1);
-    let outer = Instance::shuffled(
-        "outerplanar500",
-        lmds_gen::outerplanar::random_maximal_outerplanar(500, 2),
-        2,
-    );
-    let aug = Instance::shuffled(
-        "augmentation",
-        lmds_gen::ding::AugmentationSpec::standard(6, 3, 2, 3).generate(),
-        3,
-    );
-    let small = Instance::shuffled("path40", lmds_gen::basic::path(40), 5);
-
-    let radii = Radii::practical(2, 3);
-    let cases: Vec<(&str, &Instance, SolveConfig)> = vec![
-        ("mds/trees-folklore", &tree, SolveConfig::mds()),
-        ("mds/trees-folklore", &tree, SolveConfig::mds().mode(ExecutionMode::LOCAL_ORACLE)),
-        ("mds/theorem44", &outer, SolveConfig::mds()),
-        ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_ORACLE)),
-        ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_SHARDED)),
-        ("mds/algorithm1", &aug, SolveConfig::mds().radii(radii)),
-        ("mds/algorithm1", &aug, SolveConfig::mds().radii(radii).mode(ExecutionMode::LOCAL_ORACLE)),
-        ("mds/take-all", &aug, SolveConfig::mds()),
-        ("mvc/theorem44", &outer, SolveConfig::mvc()),
-        ("mvc/algorithm1", &aug, SolveConfig::mvc().radii(radii)),
-        ("mvc/regular-take-all", &outer, SolveConfig::mvc()),
-        ("mds/exact", &small, SolveConfig::mds()),
-        ("mvc/exact", &small, SolveConfig::mvc()),
-    ];
-
-    let mut t = Table::new(
-        &format!("microbench — registry solvers, {iters} iterations (µs)"),
-        &["solver", "mode", "instance", "n", "|S|", "best (µs)", "mean (µs)"],
-    );
-    for (key, inst, cfg) in &cases {
-        let (best, mean, size) = time_case(&registry, key, inst, cfg, iters);
-        t.push_row(vec![
-            key.to_string(),
-            cfg.mode.to_string(),
-            inst.name.clone(),
-            inst.n().to_string(),
-            size.to_string(),
-            format!("{best:.1}"),
-            format!("{mean:.1}"),
-        ]);
+    // Sections are combinable (the CI smoke step runs all five). Each
+    // runs between two bursts of the calibration kernel, whose median
+    // `benchdiff` scales the budgets by.
+    if kernel {
+        let (rows, calib_us) = calibrated(|| kernel_benches(iters));
+        let title =
+            format!("microbench --kernel — graph-kernel hot paths, {iters} iterations (µs)");
+        print!("{}", render_markdown(&section_table(&title, &rows)));
+        write_bench_json("kernel", iters, calib_us, &rows);
     }
-    print!("{}", render_markdown(&t));
+    if local {
+        let ((table, rows), calib_us) = calibrated(|| local_benches(iters));
+        print!("{}", render_markdown(&table));
+        write_bench_json("local", iters, calib_us, &rows);
+    }
+    if cuts {
+        let (rows, calib_us) = calibrated(|| cuts_benches(iters));
+        let title =
+            format!("microbench --cuts — CutEngine predicate sweeps, {iters} iterations (µs)");
+        print!("{}", render_markdown(&section_table(&title, &rows)));
+        write_bench_json("cuts", iters, calib_us, &rows);
+    }
+    if exact {
+        let (rows, calib_us) = calibrated(|| exact_benches(iters));
+        let title =
+            format!("microbench --exact — exact engine vs naive oracle, {iters} iterations (µs)");
+        print!("{}", render_markdown(&section_table(&title, &rows)));
+        write_bench_json("exact", iters, calib_us, &rows);
+    }
+    if dynamic {
+        let (rows, calib_us) = calibrated(|| dynamic_benches(iters));
+        let title = format!(
+            "microbench --dynamic — DynamicGraph/DynamicSolver substrate, {iters} iterations (µs)"
+        );
+        print!("{}", render_markdown(&section_table(&title, &rows)));
+        write_bench_json("dynamic", iters, calib_us, &rows);
+    }
 }

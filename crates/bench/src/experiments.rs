@@ -1,6 +1,9 @@
-//! The experiment suite (E1–E14 plus the S0 registry sweep). Every
-//! paper table/figure and lemma-level constant becomes a measured table
-//! here.
+//! The experiment suite: the paper tables and lemma-level constants
+//! (E1–E13), the exact-engine and scale tiers (E14, E15, E15b), and the
+//! registry, LOCAL and fault sweeps (S0–S3). Every paper table/figure
+//! and lemma-level constant becomes a measured table here. Engineering
+//! timings live elsewhere: per-kernel rows in `microbench` (gated by
+//! `benchdiff`), end-to-end numbers in `perfbench`.
 //!
 //! Every *algorithm* invocation goes through the [`lmds_api`] registry —
 //! experiments never call an algorithm entry point directly. Direct
@@ -1225,478 +1228,6 @@ pub fn exp_exact_scale() -> Table {
     t
 }
 
-/// E14 — serve-bench: the `lmds-serve` daemon under load. Spawns an
-/// in-process server on an ephemeral loopback port, drives it through
-/// the real HTTP client in two phases — a concurrent sync-solve sweep
-/// (per-solver latency percentiles) and an async burst against a
-/// deliberately small queue (backpressure) — then reports what the
-/// server's own `/metrics` endpoint measured.
-pub fn exp_serve_bench() -> Table {
-    use lmds_serve::http;
-    use lmds_serve::server::{ServeConfig, Server};
-    use std::time::Duration;
-
-    let mut t = Table::new(
-        "E14 / serve-bench — lmds-serve under concurrent load (self-reported /metrics)",
-        &["metric", "requests", "errors", "mean µs", "p50 µs", "p95 µs", "p99 µs"],
-    );
-
-    const QUEUE_CAP: usize = 4;
-    let handle = Server::spawn(ServeConfig {
-        workers: 2,
-        queue_capacity: QUEUE_CAP,
-        // Phases 1-2 measure *solver* latency under load; with the
-        // result cache on, the 12 identical requests per case would
-        // collapse into one solve + 11 hits. Phase 3 measures the
-        // cache itself on a separate, cache-enabled server.
-        cache_entries: 0,
-        ..ServeConfig::default()
-    })
-    .expect("serve-bench server starts");
-    let addr = handle.addr();
-    let timeout = Duration::from_secs(120);
-    let send = move |method: &str, path: String, body: Vec<u8>| {
-        http::request(addr, method, &path, &body, timeout)
-            .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
-    };
-
-    // Corpus: an outerplanar workload and a tree workload.
-    let outer = lmds_gen::outerplanar::random_outerplanar(60, 60, 11);
-    let tree = lmds_gen::trees::random_tree(80, 5);
-    // The burst workload is deliberately heavy (exact MDS on n=200) so
-    // the 16-wide burst reliably outpaces the 2-worker pool.
-    let big = lmds_gen::outerplanar::random_maximal_outerplanar(200, 3);
-    for (name, g) in [("outer60", &outer), ("tree80", &tree), ("outer200", &big)] {
-        let put =
-            send("PUT", format!("/graphs/{name}"), lmds_graph::io::to_edge_list(g).into_bytes());
-        assert_eq!(put.status, 201, "upload {name}");
-    }
-
-    // Phase 1 — sync load: 4 clients sweeping solver×graph in parallel.
-    // 2 workers + capacity-4 queue absorb 4 concurrent submissions, so
-    // this phase measures latency, not rejection.
-    let cases: &[(&str, &str, &str)] = &[
-        ("outer60", "mds/algorithm1", r#"{"mode": "local-oracle"}"#),
-        ("outer60", "mds/exact", "{}"),
-        ("tree80", "mds/trees-folklore", r#"{"mode": "local-oracle"}"#),
-        ("outer60", "mvc/exact", "{}"),
-    ];
-    std::thread::scope(|scope| {
-        for _client in 0..4 {
-            scope.spawn(|| {
-                for _round in 0..3 {
-                    for (graph, solver, cfg) in cases {
-                        let body = format!(
-                            r#"{{"graph": "{graph}", "solver": "{solver}", "config": {cfg}}}"#
-                        );
-                        let resp = send("POST", "/solve".into(), body.into_bytes());
-                        assert_eq!(resp.status, 200, "{solver} on {graph}");
-                    }
-                }
-            });
-        }
-    });
-
-    // Phase 2 — async burst: 16 near-simultaneous submissions against
-    // the capacity-4 queue force the 429 backpressure path.
-    let mut accepted = Vec::new();
-    let mut rejected = 0usize;
-    std::thread::scope(|scope| {
-        let outcomes: Vec<_> = (0..16)
-            .map(|_| {
-                scope.spawn(|| {
-                    let body = br#"{"graph": "outer200", "solver": "mds/exact"}"#.to_vec();
-                    let resp = send("POST", "/jobs".into(), body);
-                    match resp.status {
-                        202 => Some(resp.json().get("job_id").unwrap().as_u64().unwrap()),
-                        429 => None,
-                        other => panic!("burst submission got {other}"),
-                    }
-                })
-            })
-            .collect();
-        for outcome in outcomes {
-            match outcome.join().expect("burst client") {
-                Some(id) => accepted.push(id),
-                None => rejected += 1,
-            }
-        }
-    });
-    // Drain the accepted burst jobs so the histograms include them.
-    for id in &accepted {
-        loop {
-            let doc = send("GET", format!("/jobs/{id}"), Vec::new()).json();
-            match doc.get("status").unwrap().as_str().unwrap() {
-                "done" => break,
-                "failed" => panic!("burst job {id} failed"),
-                _ => std::thread::sleep(Duration::from_millis(2)),
-            }
-        }
-    }
-
-    let metrics = send("GET", "/metrics".into(), Vec::new()).json();
-    let counter = |key: &str| {
-        metrics.get(key).and_then(|v| v.as_u64()).unwrap_or_else(|| panic!("metric {key}"))
-    };
-    let solvers = metrics.get("solvers").expect("solvers section");
-    for (_, solver, _) in cases {
-        let m = solvers.get(solver).unwrap_or_else(|| panic!("metrics for {solver}"));
-        let latency = m.get("latency").unwrap();
-        let micros = |field: &str| {
-            latency
-                .get(field)
-                .and_then(|v| v.as_u64())
-                .map_or_else(|| "-".into(), |x| x.to_string())
-        };
-        t.push_row(vec![
-            (*solver).into(),
-            m.get("requests").unwrap().as_u64().unwrap().to_string(),
-            m.get("errors").unwrap().as_u64().unwrap().to_string(),
-            micros("mean_micros"),
-            micros("p50_micros"),
-            micros("p95_micros"),
-            micros("p99_micros"),
-        ]);
-    }
-    for (label, value) in [
-        ("(http requests)", counter("http_requests")),
-        ("(jobs completed)", counter("jobs_completed")),
-        ("(burst: accepted)", accepted.len() as u64),
-        ("(burst: 429 queue-full)", rejected as u64),
-        ("(rejected_queue_full counter)", counter("rejected_queue_full")),
-        ("(queue capacity)", QUEUE_CAP as u64),
-    ] {
-        t.push_row(vec![
-            label.into(),
-            value.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-
-    let dump = handle.shutdown();
-    assert_eq!(
-        dump.get("queue_depth").and_then(|v| v.as_u64()),
-        Some(0),
-        "graceful shutdown drained the queue"
-    );
-
-    // Phase 3 — result cache: a fresh cache-enabled server serves the
-    // burst workload once cold, then repeatedly warm over one
-    // keep-alive connection. Client-observed microseconds, so the
-    // numbers include HTTP framing on both paths.
-    let cached = Server::spawn(ServeConfig { workers: 2, ..ServeConfig::default() })
-        .expect("cache-phase server starts");
-    let cached_addr = cached.addr();
-    let put = http::request(
-        cached_addr,
-        "PUT",
-        "/graphs/outer200",
-        lmds_graph::io::to_edge_list(&big).as_bytes(),
-        timeout,
-    )
-    .expect("upload outer200");
-    assert_eq!(put.status, 201);
-    let body = br#"{"graph": "outer200", "solver": "mds/exact"}"# as &[u8];
-    let mut client =
-        http::KeepAliveClient::connect(cached_addr, timeout).expect("keep-alive connect");
-    let started = std::time::Instant::now();
-    let cold = client.send("POST", "/solve", body).expect("cold solve");
-    let cold_us = started.elapsed().as_micros() as u64;
-    assert_eq!(cold.status, 200);
-    assert!(cold.json().get("cached").is_none(), "first solve must run the solver");
-    let mut warm_us = Vec::new();
-    for _ in 0..15 {
-        let started = std::time::Instant::now();
-        let warm = client.send("POST", "/solve", body).expect("warm solve");
-        warm_us.push(started.elapsed().as_micros() as u64);
-        assert_eq!(warm.status, 200);
-        assert_eq!(
-            warm.json().get("cached").and_then(|v| v.as_bool()),
-            Some(true),
-            "repeat solves come from the cache"
-        );
-    }
-    drop(client);
-    warm_us.sort_unstable();
-    let warm_p50 = warm_us[warm_us.len() / 2];
-    assert!(
-        warm_p50 < cold_us,
-        "warm-cache p50 ({warm_p50} µs) must beat the cold solve ({cold_us} µs)"
-    );
-    for (label, value) in [
-        ("(cache: cold POST /solve µs, outer200 mds/exact)", cold_us.to_string()),
-        ("(cache: warm POST /solve p50 µs)", warm_p50.to_string()),
-        ("(cache: warm speedup ×)", format!("{:.1}", cold_us as f64 / warm_p50.max(1) as f64)),
-    ] {
-        t.push_row(vec![
-            label.into(),
-            value,
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-    cached.shutdown();
-    t
-}
-
-/// E15 — serve-cache-bench: the result cache's warm-path speedup, per
-/// case. One keep-alive connection issues a cold `POST /solve` (the
-/// solver runs) then repeated warm ones (answered from the cache),
-/// timing each client-side; both paths share the connection, so the
-/// difference is queue + solve vs cache lookup. The heavy exact case
-/// asserts warm p50 < cold; the fast distributed solvers are reported
-/// without an assertion (their cold solves are already near the HTTP
-/// floor).
-pub fn exp_serve_cache_bench() -> Table {
-    use lmds_serve::http;
-    use lmds_serve::server::{ServeConfig, Server};
-    use std::time::{Duration, Instant};
-
-    let mut t = Table::new(
-        "E15 / serve-cache-bench — warm-cache vs cold POST /solve (client-observed µs)",
-        &["graph", "solver", "cold µs", "warm p50 µs", "warm p95 µs", "speedup ×"],
-    );
-
-    let handle = Server::spawn(ServeConfig {
-        workers: 2,
-        max_requests_per_conn: 10_000,
-        ..ServeConfig::default()
-    })
-    .expect("cache-bench server starts");
-    let addr = handle.addr();
-    let timeout = Duration::from_secs(120);
-
-    let outer = lmds_gen::outerplanar::random_outerplanar(60, 60, 11);
-    let tree = lmds_gen::trees::random_tree(80, 5);
-    let big = lmds_gen::outerplanar::random_maximal_outerplanar(200, 3);
-    for (name, g) in [("outer60", &outer), ("tree80", &tree), ("outer200", &big)] {
-        let put = http::request(
-            addr,
-            "PUT",
-            &format!("/graphs/{name}"),
-            lmds_graph::io::to_edge_list(g).as_bytes(),
-            timeout,
-        )
-        .unwrap_or_else(|e| panic!("upload {name}: {e}"));
-        assert_eq!(put.status, 201, "upload {name}");
-    }
-
-    let cases: &[(&str, &str, &str, bool)] = &[
-        // (graph, solver, config, assert warm < cold)
-        ("outer200", "mds/exact", "{}", true),
-        ("outer60", "mds/exact", "{}", true),
-        ("outer60", "mvc/exact", "{}", false),
-        ("outer60", "mds/algorithm1", r#"{"mode": "local-oracle"}"#, false),
-        ("tree80", "mds/trees-folklore", r#"{"mode": "local-oracle"}"#, false),
-    ];
-    const WARM_ROUNDS: usize = 15;
-
-    let mut client = http::KeepAliveClient::connect(addr, timeout).expect("keep-alive connect");
-    for &(graph, solver, cfg, must_beat) in cases {
-        let body = format!(r#"{{"graph": "{graph}", "solver": "{solver}", "config": {cfg}}}"#);
-        let started = Instant::now();
-        let cold = client.send("POST", "/solve", body.as_bytes()).expect("cold solve");
-        let cold_us = started.elapsed().as_micros() as u64;
-        assert_eq!(cold.status, 200, "{solver} on {graph}");
-        assert!(cold.json().get("cached").is_none(), "{solver} on {graph}: first solve is cold");
-
-        let mut warm_us = Vec::new();
-        for _ in 0..WARM_ROUNDS {
-            let started = Instant::now();
-            let warm = client.send("POST", "/solve", body.as_bytes()).expect("warm solve");
-            warm_us.push(started.elapsed().as_micros() as u64);
-            assert_eq!(warm.status, 200);
-            assert_eq!(
-                warm.json().get("cached").and_then(|v| v.as_bool()),
-                Some(true),
-                "{solver} on {graph}: repeat solves are cache hits"
-            );
-        }
-        warm_us.sort_unstable();
-        let p50 = warm_us[warm_us.len() / 2];
-        let p95 = warm_us[(warm_us.len() * 95 / 100).min(warm_us.len() - 1)];
-        if must_beat {
-            assert!(
-                p50 < cold_us,
-                "{solver} on {graph}: warm p50 ({p50} µs) must beat cold ({cold_us} µs)"
-            );
-        }
-        t.push_row(vec![
-            graph.into(),
-            solver.into(),
-            cold_us.to_string(),
-            p50.to_string(),
-            p95.to_string(),
-            format!("{:.1}", cold_us as f64 / p50.max(1) as f64),
-        ]);
-    }
-    drop(client);
-
-    let metrics = http::request(addr, "GET", "/metrics", b"", timeout).expect("metrics").json();
-    let counter = |key: &str| metrics.get(key).and_then(|v| v.as_u64()).unwrap_or(0);
-    for (label, value) in [
-        ("(cache_hits)", counter("cache_hits")),
-        ("(cache_misses)", counter("cache_misses")),
-        ("(cache_entries)", counter("cache_entries")),
-        ("(cache_bytes)", counter("cache_bytes")),
-    ] {
-        t.push_row(vec![
-            label.into(),
-            "-".into(),
-            value.to_string(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-        ]);
-    }
-    assert_eq!(counter("cache_hits"), (cases.len() * WARM_ROUNDS) as u64);
-    handle.shutdown();
-    t
-}
-
-/// E16 — dynamic-bench: component-scoped re-solve vs from-scratch
-/// Algorithm 1 after k-edge update batches on a multi-component corpus
-/// graph. Each step edits one component of a 24-component disjoint
-/// union (≈2 900 vertices), then times [`DynamicInstance::solve`]
-/// (which stitches the 23 untouched components from the
-/// [`lmds_core::DynamicSolver`] cache) against a from-scratch
-/// `mds/algorithm1` registry solve on the identical snapshot. Both
-/// paths must return the same vertex set — the speedup is pure
-/// invalidation scoping, not a different algorithm. The committed
-/// numbers live in `results/dynamic-bench.csv`; the step-level
-/// differential guarantee is certified corpus-wide by
-/// `tests/dynamic_differential.rs`.
-///
-/// [`DynamicInstance::solve`]: lmds_api::dynamic::DynamicInstance::solve
-pub fn exp_dynamic_bench() -> Table {
-    use lmds_api::dynamic::DynamicInstance;
-    use lmds_gen::rng::SmallRng;
-    use lmds_graph::dynamic::GraphUpdate;
-    use std::time::Instant;
-
-    let mut t = Table::new(
-        "E16 / dynamic-bench — k-edge updates: component-scoped re-solve vs from-scratch (µs)",
-        &[
-            "step",
-            "batch k",
-            "components",
-            "reused",
-            "re-solved",
-            "dynamic µs",
-            "scratch µs",
-            "speedup ×",
-        ],
-    );
-
-    // The corpus graph: 24 disjoint components (maximal outerplanar,
-    // random tree, Ding strip — ≈120 vertices each). Incremental edits
-    // stay inside one component, so the other 23 must stitch from
-    // cache.
-    let mut g = Graph::from_edges(0, &[]);
-    let mut spans: Vec<(usize, usize)> = Vec::new();
-    for c in 0..24usize {
-        let part = match c % 3 {
-            0 => lmds_gen::outerplanar::random_maximal_outerplanar(120, c as u64),
-            1 => lmds_gen::trees::random_tree(120, c as u64 + 100),
-            _ => lmds_gen::ding::strip(60),
-        };
-        let off = g.disjoint_union(&part);
-        spans.push((off, part.n()));
-    }
-
-    let cfg = SolveConfig::mds().radii(Radii::practical(2, 2));
-    let mut dynamic = DynamicInstance::new(Instance::sequential("dyn-corpus24", g));
-    let mut rng = SmallRng::seed_from_u64(0xD1);
-
-    // Warm the component cache (the cold solve is reported, not raced).
-    let started = Instant::now();
-    let (cold, _) = dynamic.solve(&cfg).expect("cold dynamic solve");
-    let cold_us = started.elapsed().as_secs_f64() * 1e6;
-    assert!(cold.is_valid(), "cold dynamic solve invalid");
-
-    let mut speedups = Vec::new();
-    for step in 1..=12usize {
-        // A k-edge batch confined to one component: delete existing
-        // in-span edges and insert fresh in-span pairs.
-        let (off, len) = spans[rng.gen_range(0..spans.len())];
-        let k = 2 + step % 4;
-        let in_span: Vec<(usize, usize)> =
-            dynamic.graph().edges().filter(|&(u, _)| u >= off && u < off + len).collect();
-        let mut batch = Vec::with_capacity(k);
-        for j in 0..k {
-            if j % 2 == 0 && !in_span.is_empty() {
-                let (u, v) = in_span[rng.gen_range(0..in_span.len())];
-                batch.push(GraphUpdate::RemoveEdge(u, v));
-            } else {
-                let u = off + rng.gen_range(0..len);
-                let v = off + rng.gen_range(0..len);
-                if u != v {
-                    batch.push(GraphUpdate::InsertEdge(u, v));
-                }
-            }
-        }
-        let applied = dynamic.apply(&batch).expect("bench batch applies");
-
-        let started = Instant::now();
-        let (sol, stats) = dynamic.solve(&cfg).expect("dynamic solve");
-        let dynamic_us = started.elapsed().as_secs_f64() * 1e6;
-
-        let snap = dynamic.snapshot();
-        let started = Instant::now();
-        let reference = solve("mds/algorithm1", &snap, &cfg);
-        let scratch_us = started.elapsed().as_secs_f64() * 1e6;
-
-        assert_eq!(
-            sol.vertices, reference.vertices,
-            "step {step}: incremental ≠ from-scratch after {applied:?}"
-        );
-        let speedup = scratch_us / dynamic_us.max(1.0);
-        speedups.push(speedup);
-        t.push_row(vec![
-            step.to_string(),
-            batch.len().to_string(),
-            stats.components_total.to_string(),
-            stats.components_reused.to_string(),
-            stats.components_resolved.to_string(),
-            format!("{dynamic_us:.1}"),
-            format!("{scratch_us:.1}"),
-            format!("{speedup:.1}"),
-        ]);
-    }
-
-    speedups.sort_by(|a, b| a.total_cmp(b));
-    let median = speedups[speedups.len() / 2];
-    assert!(
-        median >= 5.0,
-        "component-scoped re-solve must be ≥5× a from-scratch solve (median {median:.1}×)"
-    );
-    for (label, value) in [
-        ("(cold dynamic solve µs, cache empty)", format!("{cold_us:.1}")),
-        ("(median speedup ×)", format!("{median:.1}")),
-        ("(corpus n)", dynamic.graph().n().to_string()),
-        ("(corpus m)", dynamic.graph().m().to_string()),
-    ] {
-        t.push_row(vec![
-            label.into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            "-".into(),
-            value,
-        ]);
-    }
-    t
-}
-
 /// S3 / fault-sweep — graceful degradation of the LOCAL solvers under
 /// injected faults: solver × fault kind × intensity × seed, every run
 /// classified against the fault-free message-passing reference via
@@ -1936,9 +1467,6 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("prop31", exp_prop31),
     ("treewidth", exp_treewidth),
     ("exact-scale", exp_exact_scale),
-    ("serve-bench", exp_serve_bench),
-    ("serve-cache-bench", exp_serve_cache_bench),
-    ("dynamic-bench", exp_dynamic_bench),
     ("scale", exp_scale),
     ("scale-smoke", exp_scale_smoke),
 ];

@@ -5,9 +5,11 @@
 //! constants (Lemmas 3.2, 3.3, 4.2; Theorem 4.4; the MVC variants).
 //!
 //! Each experiment is a pure function returning rows; the `reproduce`
-//! binary prints them as markdown tables (CSV and JSON on request), and
-//! the `microbench` binary times the registry solvers on the same
-//! workloads.
+//! binary prints them as markdown tables (CSV and JSON on request). The
+//! `microbench` binary writes the per-kernel timing rows
+//! (`results/BENCH_<section>.json`) and `benchdiff` gates them against
+//! `results/baseline/`; end-to-end timings belong to the `perfbench`
+//! workspace.
 //!
 //! All algorithm invocations go through the [`lmds_api`] solver
 //! registry — see [`experiments::registry`].

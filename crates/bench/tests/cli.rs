@@ -1,12 +1,31 @@
-//! CLI contract tests for the `reproduce` binary: unknown experiment
-//! names must fail fast *and* list every valid name (the
-//! self-correcting-typo guarantee), and `--list` must enumerate the
-//! catalog including the exact-scale experiment.
+//! CLI and artifact contract tests for the bench harness: unknown
+//! experiment names must fail fast *and* list every valid name (the
+//! self-correcting-typo guarantee), `--list` must enumerate the
+//! catalog, a bare `microbench` is a usage error that writes nothing,
+//! and the committed `results/` artifacts stay in step with the
+//! experiment catalog and the benchdiff baselines.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn reproduce() -> Command {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
+}
+
+/// The committed `results/` directory at the workspace root.
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// File names in `dir` with the given prefix and suffix, sorted.
+fn files(dir: &Path, prefix: &str, suffix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(prefix) && name.ends_with(suffix))
+        .collect();
+    names.sort();
+    names
 }
 
 #[test]
@@ -36,4 +55,42 @@ fn list_prints_the_catalog() {
     for known in ["table1", "local-sweep", "exact-scale", "treewidth"] {
         assert!(stdout.contains(known), "--list must include {known}: {stdout}");
     }
+}
+
+#[test]
+fn bare_microbench_is_a_usage_error_that_writes_nothing() {
+    let dir = std::env::temp_dir().join(format!("microbench-bare-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_microbench"))
+        .current_dir(&dir)
+        .output()
+        .expect("run microbench");
+    let wrote_results = dir.join("results").exists();
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    assert_eq!(out.status.code(), Some(2), "a bare microbench is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for flag in ["--kernel", "--local", "--cuts", "--exact", "--dynamic"] {
+        assert!(stderr.contains(flag), "usage must name {flag}: {stderr}");
+    }
+    assert!(out.stdout.is_empty(), "no table on a usage error");
+    assert!(!wrote_results, "a usage error must not create results/");
+}
+
+#[test]
+fn every_committed_csv_belongs_to_an_experiment() {
+    let keys: Vec<&str> = lmds_bench::EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let csvs = files(&results_dir(), "", ".csv");
+    assert!(!csvs.is_empty(), "results/ holds the committed CSVs");
+    for csv in csvs {
+        let stem = csv.strip_suffix(".csv").expect("filtered on .csv");
+        assert!(keys.contains(&stem), "results/{csv} names no experiment (catalog: {keys:?})");
+    }
+}
+
+#[test]
+fn every_bench_artifact_has_a_baseline_twin() {
+    let results = results_dir();
+    let current = files(&results, "BENCH_", ".json");
+    assert!(!current.is_empty(), "results/ holds the BENCH_*.json artifacts");
+    assert_eq!(current, files(&results.join("baseline"), "BENCH_", ".json"));
 }

@@ -88,7 +88,7 @@ pub struct PipelineState {
 /// Ablation switches for [`algorithm1_with`]: each disables one design
 /// decision of the paper's pipeline so its contribution can be measured
 /// (the `ablation` benches and E10 experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineOptions {
     /// Step 1: collapse true twins first (paper default `true`).
     pub twin_reduction: bool,
@@ -210,38 +210,15 @@ pub fn solve_component_with(
     mut dominated: impl FnMut(Vertex) -> bool,
     exact: bool,
 ) -> Vec<Vertex> {
-    let rg = &reduced.graph;
-    let targets_r: Vec<Vertex> = comp.iter().copied().filter(|&v| !dominated(v)).collect();
-    if targets_r.is_empty() {
-        return Vec::new();
-    }
-    // Canonical ordering: component sorted by identifier. Membership
-    // is a binary search over a sorted copy plus a dense rank Vec — no
-    // hashing on this hot loop, and (like the old HashMap index) any
-    // input order of `comp` works.
+    // Canonical ordering: component sorted by identifier, so every node
+    // of the component builds the identical instance.
     let mut order: Vec<Vertex> = comp.to_vec();
     order.sort_by_key(|&v| ids[reduced.to_host(v)]);
-    let mut sorted: Vec<Vertex> = comp.to_vec();
-    sorted.sort_unstable();
-    let mut rank = vec![0usize; sorted.len()];
-    for (li, &v) in order.iter().enumerate() {
-        let j = sorted.binary_search(&v).expect("order permutes comp");
-        rank[j] = li;
+    let targets_local: Vec<Vertex> = (0..order.len()).filter(|&i| !dominated(order[i])).collect();
+    if targets_local.is_empty() {
+        return Vec::new();
     }
-    let index_of = |w: Vertex| sorted.binary_search(&w).ok().map(|j| rank[j]);
-    let mut local_edges = Vec::new();
-    for (li, &v) in order.iter().enumerate() {
-        for &w in rg.neighbors(v) {
-            if let Some(lj) = index_of(w as Vertex) {
-                if li < lj {
-                    local_edges.push((li, lj));
-                }
-            }
-        }
-    }
-    let local = Graph::from_edges(order.len(), &local_edges);
-    let targets_local: Vec<Vertex> =
-        targets_r.iter().map(|v| index_of(*v).expect("targets lie inside the component")).collect();
+    let local = lmds_graph::induced_in_order(&reduced.graph, &order);
     let sol_local = if exact {
         // The exact engine (reductions + B&B/treewidth DP), through
         // the thread-local arena pool: the adaptive LOCAL deciders

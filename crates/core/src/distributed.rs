@@ -1228,25 +1228,12 @@ impl Decider for MvcAlgorithm1Decider {
             let mut comp = st.component(center, |w| within(&dist, w, limit))?;
             // Canonical instance: component sorted by identifier; its
             // edges are exactly the uncovered ones (no member is in S).
-            // Dense Vec-based index over view vertices instead of a
-            // per-call HashMap.
             comp.sort_by_key(|&v| vids[v]);
-            let mut local_index = vec![usize::MAX; vg.n()];
-            for (li, &v) in comp.iter().enumerate() {
-                local_index[v] = li;
-            }
-            let mut local_edges = Vec::new();
-            for (li, &v) in comp.iter().enumerate() {
-                for &w in vg.neighbors(v) {
-                    let lj = local_index[w as usize];
-                    if lj != usize::MAX && li < lj {
-                        local_edges.push((li, lj));
-                    }
-                }
-            }
-            let local = Graph::from_edges(comp.len(), &local_edges);
+            let local = lmds_graph::induced_in_order(&vg, &comp);
             let sol = crate::mvc::residual_exact_vc(&local);
-            Some(sol.binary_search(&local_index[center]).is_ok())
+            let at =
+                comp.iter().position(|&v| v == center).expect("the center is in its component");
+            Some(sol.binary_search(&at).is_ok())
         })
     }
 }

@@ -15,10 +15,11 @@
 //! So Algorithm 1 on `G` equals the union of Algorithm 1 over the
 //! connected components of `G` — which is what makes a k-edge update
 //! cheap: only components whose **content** changed need re-running.
-//! [`DynamicSolver`] exploits exactly that. It fingerprints each
-//! component (host vertices, identifiers, induced edges, radii,
-//! pipeline options), keeps a bounded map from fingerprint to the
-//! component's solved host-vertex set, and on [`DynamicSolver::resolve`]
+//! [`DynamicSolver`] exploits exactly that. It keys each component by
+//! a fingerprint of its content (host vertices, identifiers, induced
+//! edges) together with the radii and pipeline options, compared
+//! exactly, keeps a bounded map from key to the component's solved
+//! host-vertex set, and on [`DynamicSolver::resolve`]
 //! re-runs the pipeline only for components whose fingerprint misses —
 //! stitching cached solutions back for the rest. Invalidation is
 //! thereby *content-driven*: the planner never needs a change journal,
@@ -50,7 +51,7 @@ pub struct DynamicStats {
 }
 
 /// Cache key for one component: a 128-bit content fingerprint plus
-/// structural discriminators.
+/// structural discriminators, and the pipeline parameters themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ComponentKey {
     hash_lo: u64,
@@ -59,6 +60,8 @@ struct ComponentKey {
     m: u32,
     first: Vertex,
     last: Vertex,
+    radii: Radii,
+    opts: PipelineOptions,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -142,8 +145,9 @@ impl DynamicSolver {
         self.order.clear();
     }
 
-    /// Fingerprints one component: vertices with their identifiers and
-    /// adjacency, plus the pipeline parameters. `comp` must be sorted.
+    /// Keys one component: a fingerprint of its vertices with their
+    /// identifiers and adjacency, plus the pipeline parameters as they
+    /// are. `comp` must be sorted.
     fn key_of(
         g: &Graph,
         ids: &[u64],
@@ -153,13 +157,6 @@ impl DynamicSolver {
     ) -> ComponentKey {
         let mut lo = FNV_OFFSET;
         let mut hi = FNV_OFFSET_HI;
-        let params = (u64::from(radii.one_cut) << 32)
-            | (u64::from(radii.two_cut) << 3)
-            | (u64::from(opts.twin_reduction) << 2)
-            | (u64::from(opts.interesting_filter) << 1)
-            | u64::from(opts.exact_brute);
-        lo = fnv_u64(lo, params);
-        hi = fnv_u64(hi, params);
         let mut m = 0u32;
         for &v in comp {
             lo = fnv_u64(lo, v as u64);
@@ -184,6 +181,8 @@ impl DynamicSolver {
             m,
             first: comp.first().copied().unwrap_or(0),
             last: comp.last().copied().unwrap_or(0),
+            radii,
+            opts,
         }
     }
 
@@ -198,17 +197,7 @@ impl DynamicSolver {
         radii: Radii,
         opts: PipelineOptions,
     ) -> Vec<Vertex> {
-        let index_of = |w: Vertex| comp.binary_search(&w).expect("components are adjacency-closed");
-        let mut edges = Vec::new();
-        for (li, &v) in comp.iter().enumerate() {
-            for &w in g.neighbors(v) {
-                let w = w as Vertex;
-                if v < w {
-                    edges.push((li, index_of(w)));
-                }
-            }
-        }
-        let local = Graph::from_edges(comp.len(), &edges);
+        let local = lmds_graph::induced_in_order(g, comp);
         let local_ids = IdAssignment::from_ids(comp.iter().map(|&v| ids[v]).collect());
         let out = algorithm1_with(&local, &local_ids, radii, opts);
         out.solution.into_iter().map(|li| comp[li]).collect()
@@ -336,6 +325,17 @@ mod tests {
         let no_twins = PipelineOptions { twin_reduction: false, ..Default::default() };
         let (_, stats) = solver.resolve(&g, &ids, Radii::practical(1, 2), no_twins);
         assert_eq!(stats.components_resolved, 1, "different options must miss");
+
+        // Radii far apart in value must not meet in the key either:
+        // (3, 2) and (1, 2³⁰ + 2) once packed into the same word.
+        let c4 = lmds_gen::basic::cycle(4);
+        let ids = IdAssignment::sequential(c4.n());
+        let opts = PipelineOptions::default();
+        let far = Radii::practical(1, (1 << 30) + 2);
+        solver.resolve(&c4, &ids, Radii::practical(3, 2), opts);
+        let (sol, stats) = solver.resolve(&c4, &ids, far, opts);
+        assert_eq!(stats.components_resolved, 1, "(1, 2³⁰ + 2) must miss (3, 2)'s entry");
+        assert_eq!(sol, algorithm1_with(&c4, &ids, far, opts).solution);
     }
 
     #[test]

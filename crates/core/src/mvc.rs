@@ -70,31 +70,14 @@ pub fn algorithm1_mvc(g: &Graph, ids: &IdAssignment, radii: Radii) -> MvcOutput 
             sub.graph.edges().filter(|&(a, b)| !in_s[sub.to_host(a)] && !in_s[sub.to_host(b)]),
         )
         .expect("residual edges come from a valid graph");
-        let mut local_index = vec![usize::MAX; h.n()];
         for comp in lmds_graph::connectivity::connected_components(&h) {
             if comp.len() < 2 && h.degree(comp[0]) == 0 {
                 continue;
             }
-            // Canonical id order within the component; dense Vec-based
-            // index over the residual vertices (no per-component
-            // HashMap). Stale entries from earlier components are
-            // unreachable: `h.neighbors(v)` never leaves `v`'s own
-            // component.
+            // Canonical id order within the component.
             let mut order = comp.clone();
             order.sort_by_key(|&v| ids.id_of(sub.to_host(v)));
-            for (li, &v) in order.iter().enumerate() {
-                local_index[v] = li;
-            }
-            let mut local_edges = Vec::new();
-            for (li, &v) in order.iter().enumerate() {
-                for &w in h.neighbors(v) {
-                    let lj = local_index[w as usize];
-                    if lj != usize::MAX && li < lj {
-                        local_edges.push((li, lj));
-                    }
-                }
-            }
-            let local = Graph::from_edges(order.len(), &local_edges);
+            let local = lmds_graph::induced_in_order(&h, &order);
             let sol = residual_exact_vc(&local);
             brute.extend(sol.into_iter().map(|li| sub.to_host(order[li])));
             residual_components.push(comp.iter().map(|&v| sub.to_host(v)).collect::<Vec<_>>());

@@ -79,7 +79,7 @@ pub use errors::GraphError;
 pub use exact::ExactEngine;
 pub use graph::{Graph, GraphBuilder, Vertex, MAX_VERTICES};
 pub use scratch::{Scratch, SubsetScratch};
-pub use subgraph::InducedSubgraph;
+pub use subgraph::{induced_in_order, InducedSubgraph};
 
 /// A set of vertices represented as a sorted, deduplicated vector.
 ///

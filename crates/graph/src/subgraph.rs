@@ -103,6 +103,51 @@ impl InducedSubgraph {
     }
 }
 
+/// `G[C]` for `C = order`, with local vertex `i` standing for host
+/// vertex `order[i]`: the instance to build when the local numbering
+/// carries meaning, such as a canonical identifier order. `order` holds
+/// distinct host vertices in any order.
+///
+/// Unlike [`InducedSubgraph::new`], nothing here is sized to `g`:
+/// membership is a binary search over `C` sorted by host vertex, so a
+/// call costs O((|C| + Σ_{v∈C} deg v) · log |C|), which is what callers
+/// looping over thousands of small components need. Adjacency rows come
+/// out sorted, as in every [`Graph`].
+///
+/// ```
+/// use lmds_graph::{induced_in_order, Graph};
+///
+/// let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+/// let local = induced_in_order(&g, &[3, 1, 2]);
+/// assert_eq!(local.m(), 2);
+/// assert!(local.has_edge(0, 2)); // 3–2
+/// assert!(local.has_edge(1, 2)); // 1–2
+/// ```
+///
+/// # Panics
+///
+/// Panics if a vertex of `order` is out of range for `g`.
+pub fn induced_in_order(g: &Graph, order: &[Vertex]) -> Graph {
+    let mut by_host: Vec<(Vertex, Vertex)> = order.iter().copied().zip(0..).collect();
+    by_host.sort_unstable();
+    let local =
+        |w: Vertex| by_host.binary_search_by_key(&w, |&(v, _)| v).ok().map(|j| by_host[j].1);
+    // Each edge once, from its smaller host endpoint; arc orientation
+    // does not matter to the CSR build.
+    let mut arcs = Vec::new();
+    for (i, &v) in order.iter().enumerate() {
+        for &w in g.neighbors(v) {
+            let w = w as Vertex;
+            if v < w {
+                if let Some(j) = local(w) {
+                    arcs.push((i, j));
+                }
+            }
+        }
+    }
+    Graph::from_arcs_unchecked(order.len(), &arcs)
+}
+
 /// Convenience: the induced subgraph on the ball `N^r[v]`, as used by
 /// every "local" predicate of the paper.
 pub fn ball_subgraph(g: &Graph, v: Vertex, r: u32) -> InducedSubgraph {
@@ -171,6 +216,35 @@ mod tests {
     fn out_of_range_vertices_panic_even_at_full_length() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         InducedSubgraph::new(&g, &[0, 1, 5]);
+    }
+
+    #[test]
+    fn induced_in_order_matches_induced_subgraph_and_has_edge() {
+        // An 8-cycle with chords, a tail 7–8–…–11 and a chord into it;
+        // a graph with two components; the empty graph.
+        let mut edges: Vec<(Vertex, Vertex)> = (0..8).map(|i| (i, (i + 1) % 8)).collect();
+        edges.extend([(7, 8), (8, 9), (9, 10), (10, 11), (0, 4), (1, 5), (2, 6), (0, 11)]);
+        let graphs = [
+            Graph::from_edges(12, &edges),
+            Graph::from_edges(6, &[(0, 3), (3, 5), (5, 1), (1, 0), (2, 4)]),
+            Graph::new(0),
+        ];
+        for g in &graphs {
+            let n = g.n();
+            // Sorted orders: exactly `InducedSubgraph::new`'s graph.
+            for s in [(0..n).collect::<Vec<_>>(), (0..n).step_by(2).collect(), (1..n).collect()] {
+                assert_eq!(induced_in_order(g, &s), InducedSubgraph::new(g, &s).graph);
+            }
+            // A permuted order: local i stands for order[i].
+            let order: Vec<Vertex> = (0..n).rev().filter(|v| v % 3 != 1).collect();
+            let local = induced_in_order(g, &order);
+            assert_eq!(local.n(), order.len());
+            for i in 0..order.len() {
+                for j in 0..order.len() {
+                    assert_eq!(local.has_edge(i, j), g.has_edge(order[i], order[j]), "{i} {j}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -385,7 +385,7 @@ fn write_client_request(
 
 /// Minimal blocking HTTP client: one request on a fresh connection
 /// (`Connection: close`). Used by the integration tests,
-/// `lmds-serve --smoke`, and the `serve-bench` load generator.
+/// `lmds-serve --smoke`, and the perfbench `serve-mixed` workload.
 pub fn request(
     addr: SocketAddr,
     method: &str,
