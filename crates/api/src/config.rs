@@ -139,16 +139,17 @@ pub struct SolveConfig {
     pub mode: ExecutionMode,
     /// The LOCAL scenario (id policy, round cap, fault plan).
     pub scenario: ScenarioConfig,
-    /// Pipeline radii for the Algorithm 1/2 family (ignored by the
-    /// 3-round and folklore solvers). [`SolveConfig::radii`] and
-    /// [`SolveConfig::control`] set the same knob — the last call wins
-    /// for every pipeline solver.
+    /// Pipeline radii for the Algorithm 1 family: `mds/algorithm1`,
+    /// `mds/algorithm2` and `mvc/algorithm1` (ignored by the 3-round
+    /// and folklore solvers). The builders [`SolveConfig::radii`] and
+    /// [`SolveConfig::control`] both write this one field, so the last
+    /// call wins.
     pub radii: Radii,
-    /// Ablation switches for the Algorithm 1 pipeline.
+    /// Ablation switches for the MDS pipeline, honored by centralized
+    /// `mds/algorithm1` and `mds/algorithm2` runs. `mvc/algorithm1` and
+    /// the pipeline's LOCAL runs reject non-default options; the other
+    /// solvers ignore them.
     pub options: PipelineOptions,
-    /// Control function for Algorithm 2 (`None` ⟹ Algorithm 2 uses
-    /// the explicit [`SolveConfig::radii`], like Algorithm 1).
-    pub control: Option<ControlFunction>,
     /// Whether to measure the approximation ratio against an exact
     /// optimum / certified bound after solving.
     pub measure_ratio: bool,
@@ -171,7 +172,6 @@ impl SolveConfig {
             scenario: ScenarioConfig::default(),
             radii: Radii::practical(2, 3),
             options: PipelineOptions::default(),
-            control: None,
             measure_ratio: false,
             opt_budget: DEFAULT_OPT_BUDGET,
         }
@@ -219,12 +219,9 @@ impl SolveConfig {
         self
     }
 
-    /// Sets the pipeline radii explicitly. Clears any control function
-    /// so the radii/control knob stays consistent across solvers (last
-    /// setter wins).
+    /// Sets the pipeline radii explicitly.
     pub fn radii(mut self, radii: Radii) -> Self {
         self.radii = radii;
-        self.control = None;
         self
     }
 
@@ -234,12 +231,10 @@ impl SolveConfig {
         self
     }
 
-    /// Sets the Algorithm 2 control function (also derives the radii
-    /// from it, as Theorem 4.3 prescribes).
-    pub fn control(mut self, f: ControlFunction) -> Self {
-        self.radii = Radii::from_control(&f);
-        self.control = Some(f);
-        self
+    /// Sets the radii Algorithm 2 derives from the control function `f`
+    /// (`m_{3.2}` and `m_{3.3}`, as Theorem 4.3 prescribes).
+    pub fn control(self, f: ControlFunction) -> Self {
+        self.radii(Radii::from_control(&f))
     }
 
     /// Enables or disables ratio measurement.
@@ -283,13 +278,11 @@ mod tests {
     #[test]
     fn radii_and_control_are_one_knob_last_setter_wins() {
         let f = ControlFunction::Affine { a: 1, b: 0, dim: 1 };
-        // control then radii: explicit radii win, control is cleared.
+        // control then radii: explicit radii win.
         let cfg = SolveConfig::mds().control(f).radii(Radii::practical(2, 3));
-        assert_eq!(cfg.control, None);
         assert_eq!(cfg.radii, Radii::practical(2, 3));
         // radii then control: control wins and re-derives the radii.
         let cfg2 = SolveConfig::mds().radii(Radii::practical(2, 3)).control(f);
-        assert_eq!(cfg2.control, Some(f));
         assert_eq!(cfg2.radii, Radii::from_control(&f));
     }
 

@@ -2,17 +2,14 @@
 //! workspace behind one `solve(&Instance, &SolveConfig) -> Solution`
 //! contract.
 
-use crate::{
-    ExecutionMode, Instance, MessageStats, Optimum, PipelineDiagnostics, Problem, Solution,
-    SolveConfig,
-};
+use crate::{ExecutionMode, Instance, MessageStats, Optimum, Problem, Solution, SolveConfig};
 use lmds_core::distributed::{
     Algorithm1Decider, MvcAlgorithm1Decider, RegularMvcLocal, TakeAllLocal, Theorem44Local,
     Theorem44MvcLocal, TreesFolkloreLocal,
 };
 use lmds_core::mvc::algorithm1_mvc;
 use lmds_core::theorem44::{theorem44_mds, theorem44_mvc};
-use lmds_core::{algorithm1_with, baselines, PipelineOptions, Radii};
+use lmds_core::{algorithm1_with, baselines, Algorithm1Output, PipelineOptions, Radii};
 use lmds_graph::Vertex;
 use lmds_localsim::{FaultReport, FaultyRuntime, LocalAlgorithm, RuntimeError, RuntimeKind};
 use std::time::Instant;
@@ -295,7 +292,6 @@ fn measure_optimum(inst: &Instance, cfg: &SolveConfig, sol: &mut Solution) {
 }
 
 /// Shared tail of every solve: assemble, measure, stamp wall time.
-#[allow(clippy::too_many_arguments)]
 fn finish(
     solver: &'static str,
     inst: &Instance,
@@ -304,7 +300,6 @@ fn finish(
     vertices: Vec<Vertex>,
     rounds: Option<u32>,
     messages: Option<MessageStats>,
-    diagnostics: Option<PipelineDiagnostics>,
 ) -> Solution {
     let mut sol = Solution::assemble(
         solver,
@@ -316,7 +311,6 @@ fn finish(
         messages,
         started.elapsed(),
     );
-    sol.diagnostics = diagnostics;
     measure_optimum(inst, cfg, &mut sol);
     sol
 }
@@ -331,7 +325,7 @@ fn finish_local(
     run: LocalRun,
 ) -> Solution {
     let (vertices, rounds, messages, fault) = run;
-    let mut sol = finish(solver, inst, cfg, started, vertices, rounds, messages, None);
+    let mut sol = finish(solver, inst, cfg, started, vertices, rounds, messages);
     sol.fault = fault;
     sol
 }
@@ -364,20 +358,24 @@ fn finish_exact(
 // MDS solvers
 // ---------------------------------------------------------------------
 
-/// The shared solve body of the Algorithm 1/2 pipeline family:
-/// centralized run with diagnostics, or the adaptive LOCAL decider at
-/// the given radii.
-fn solve_pipeline(
+/// The one solve body of the Algorithm 1 family (`mds/algorithm1`,
+/// `mds/algorithm2`, `mvc/algorithm1`): the `centralized` pipeline run
+/// with its diagnostics, or the adaptive LOCAL `decider` at the
+/// config's radii. The deciders run the paper-default pipeline, so
+/// ablation options are rejected under LOCAL.
+fn solve_pipeline<A: LocalAlgorithm<Output = bool>>(
     key: &'static str,
     inst: &Instance,
     cfg: &SolveConfig,
-    radii: Radii,
+    centralized: impl FnOnce() -> Algorithm1Output,
+    decider: &A,
 ) -> Result<Solution, SolveError> {
     let started = Instant::now();
     if cfg.mode == ExecutionMode::Centralized {
-        let out = algorithm1_with(&inst.graph, &inst.ids, radii, cfg.options);
-        let diagnostics = Some(out.diagnostics);
-        return Ok(finish(key, inst, cfg, started, out.solution, None, None, diagnostics));
+        let out = centralized();
+        let mut sol = finish(key, inst, cfg, started, out.solution, None, None);
+        sol.diagnostics = Some(out.diagnostics);
+        return Ok(sol);
     }
     if cfg.options != PipelineOptions::default() {
         return Err(SolveError::UnsupportedOptions {
@@ -387,9 +385,8 @@ fn solve_pipeline(
                 .into(),
         });
     }
-    let cap = local_round_cap(cfg, adaptive_round_cap(radii, inst.n()));
-    let decider = Algorithm1Decider { radii };
-    let run = run_local(key, inst, cfg, &decider, cap)?;
+    let cap = local_round_cap(cfg, adaptive_round_cap(cfg.radii, inst.n()));
+    let run = run_local(key, inst, cfg, decider, cap)?;
     Ok(finish_local(key, inst, cfg, started, run))
 }
 
@@ -416,14 +413,15 @@ impl Solver for Algorithm1Solver {
     }
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
         check(self.key(), self.problem(), self.modes(), cfg)?;
-        solve_pipeline(self.key(), inst, cfg, cfg.radii)
+        let centralized = || algorithm1_with(&inst.graph, &inst.ids, cfg.radii, cfg.options);
+        solve_pipeline(self.key(), inst, cfg, centralized, &Algorithm1Decider { radii: cfg.radii })
     }
 }
 
 /// Algorithm 2 / Theorem 4.3: the same pipeline with radii derived from
-/// an asymptotic-dimension control function ([`SolveConfig::control`]).
-/// Without a control function it degenerates to Algorithm 1's explicit
-/// radii, as the builder's last-setter-wins semantics prescribe.
+/// an asymptotic-dimension control function — [`SolveConfig::control`]
+/// writes them into [`SolveConfig::radii`], which this solver reads
+/// like Algorithm 1 does.
 pub struct Algorithm2Solver;
 
 impl Solver for Algorithm2Solver {
@@ -444,8 +442,8 @@ impl Solver for Algorithm2Solver {
     }
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
         check(self.key(), self.problem(), self.modes(), cfg)?;
-        let radii = cfg.control.map_or(cfg.radii, |f| Radii::from_control(&f));
-        solve_pipeline(self.key(), inst, cfg, radii)
+        let centralized = || algorithm1_with(&inst.graph, &inst.ids, cfg.radii, cfg.options);
+        solve_pipeline(self.key(), inst, cfg, centralized, &Algorithm1Decider { radii: cfg.radii })
     }
 }
 
@@ -474,7 +472,7 @@ impl Solver for Theorem44MdsSolver {
         let started = Instant::now();
         if cfg.mode == ExecutionMode::Centralized {
             let sol = theorem44_mds(&inst.graph, &inst.ids);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None, None));
+            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
         }
         let cap = local_round_cap(cfg, 10);
         let algo = Theorem44Local { grace: fault_grace(cfg) };
@@ -508,7 +506,7 @@ impl Solver for TreesFolkloreSolver {
         let started = Instant::now();
         if cfg.mode == ExecutionMode::Centralized {
             let sol = baselines::trees_folklore(&inst.graph, &inst.ids);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None, None));
+            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
         }
         let cap = local_round_cap(cfg, 10);
         let algo = TreesFolkloreLocal { grace: fault_grace(cfg) };
@@ -542,7 +540,7 @@ impl Solver for TakeAllSolver {
         let started = Instant::now();
         if cfg.mode == ExecutionMode::Centralized {
             let sol = baselines::take_all(&inst.graph);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None, None));
+            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
         }
         let cap = local_round_cap(cfg, 5);
         let run = run_local(self.key(), inst, cfg, &TakeAllLocal, cap)?;
@@ -629,7 +627,7 @@ impl Solver for Theorem44MvcSolver {
         let started = Instant::now();
         if cfg.mode == ExecutionMode::Centralized {
             let sol = theorem44_mvc(&inst.graph, &inst.ids);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None, None));
+            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
         }
         let cap = local_round_cap(cfg, 10);
         let algo = Theorem44MvcLocal { grace: fault_grace(cfg) };
@@ -639,8 +637,8 @@ impl Solver for Theorem44MvcSolver {
 }
 
 /// The MVC variant of Algorithm 1 (§4 closing remark): take *all*
-/// local-2-cut vertices, then exact vertex cover per residual component
-/// of uncovered edges.
+/// local-2-cut vertices, then an exact vertex cover of every component
+/// of `G − S` that has an edge. It takes no ablation options.
 pub struct Algorithm1MvcSolver;
 
 impl Solver for Algorithm1MvcSolver {
@@ -661,32 +659,17 @@ impl Solver for Algorithm1MvcSolver {
     }
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
         check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        if cfg.mode == ExecutionMode::Centralized {
-            let out = algorithm1_mvc(&inst.graph, &inst.ids, cfg.radii);
-            let diagnostics = PipelineDiagnostics {
-                kept: inst.graph.vertices().collect(),
-                x_set: out.x_set,
-                i_set: out.two_cut_set,
-                u_set: Vec::new(),
-                brute_selected: Vec::new(),
-                residual_components: out.residual_components,
-            };
-            return Ok(finish(
-                self.key(),
-                inst,
-                cfg,
-                started,
-                out.solution,
-                None,
-                None,
-                Some(diagnostics),
-            ));
+        if cfg.options != PipelineOptions::default() {
+            return Err(SolveError::UnsupportedOptions {
+                solver: self.key(),
+                reason: "ablation options do not apply to the MVC variant (no twin reduction, \
+                         no interesting filter, no greedy residual)"
+                    .into(),
+            });
         }
-        let cap = local_round_cap(cfg, adaptive_round_cap(cfg.radii, inst.n()));
+        let centralized = || algorithm1_mvc(&inst.graph, &inst.ids, cfg.radii);
         let decider = MvcAlgorithm1Decider { radii: cfg.radii };
-        let run = run_local(self.key(), inst, cfg, &decider, cap)?;
-        Ok(finish_local(self.key(), inst, cfg, started, run))
+        solve_pipeline(self.key(), inst, cfg, centralized, &decider)
     }
 }
 
@@ -715,7 +698,7 @@ impl Solver for RegularMvcSolver {
         let started = Instant::now();
         if cfg.mode == ExecutionMode::Centralized {
             let sol = baselines::regular_mvc_take_all(&inst.graph);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None, None));
+            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
         }
         let cap = local_round_cap(cfg, 5);
         let run = run_local(self.key(), inst, cfg, &RegularMvcLocal, cap)?;

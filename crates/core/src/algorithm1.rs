@@ -35,31 +35,35 @@ const MASK_PARALLEL_THRESHOLD: usize = 1 << 14;
 /// at the same (small) scale the CutEngine shards at.
 const RESIDUAL_PARALLEL_THRESHOLD: usize = 640;
 
-/// The intermediate sets of the pipeline, exposed for the lemma-level
+/// The intermediate sets of the pipeline — the MDS pipeline here or the
+/// MVC variant in [`crate::mvc`] — exposed for the lemma-level
 /// experiments (Lemmas 3.2, 3.3, 4.2 all measure them). Every set holds
-/// host vertices, sorted.
+/// host vertices, sorted, and the solution is `X ∪ I ∪` the brute-force
+/// picks.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineDiagnostics {
-    /// Vertices kept by the twin reduction.
+    /// Vertices kept by the twin reduction (every vertex for MVC).
     pub kept: VertexSet,
     /// `X`: local-1-cut vertices of the quotient.
     pub x_set: VertexSet,
     /// `I`: interesting local-2-cut vertices of the quotient (MDS), or
     /// all local-2-cut vertices (the MVC variant).
     pub i_set: VertexSet,
-    /// `U`: dominated vertices with no undominated neighbor (MDS only).
+    /// `U`: dominated vertices with no undominated neighbor (MDS only;
+    /// empty for MVC).
     pub u_set: VertexSet,
     /// Vertices added by the brute-force step.
     pub brute_selected: VertexSet,
-    /// Residual components of `R − (S ∪ U)`, each solved exactly.
+    /// Residual components, each solved exactly: those of
+    /// `R − (S ∪ U)` (MDS), or those of `G − S` that have an edge (MVC).
     pub residual_components: Vec<VertexSet>,
 }
 
-/// What the pipeline returns: the dominating set and the intermediate
-/// sets behind it.
+/// What the pipeline returns: a dominating set, or a vertex cover for
+/// the MVC variant, and the intermediate sets behind it.
 #[derive(Debug, Clone)]
 pub struct Algorithm1Output {
-    /// The returned dominating set (host vertices, sorted).
+    /// The returned set (host vertices, sorted).
     pub solution: Vec<Vertex>,
     /// The intermediate sets.
     pub diagnostics: PipelineDiagnostics,

@@ -6,7 +6,9 @@
 //! asymptotic dimension `d`; the *round complexity* additionally depends
 //! on the largest `K_{2,t}` minor actually present in the input (which
 //! the algorithm never needs to know — Lemma 4.2 bounds the residual
-//! diameter a posteriori).
+//! diameter a posteriori). The proved ratio is
+//! [`ControlFunction::approximation_ratio`]; the `t` actually present is
+//! estimated by [`lmds_graph::minor::max_k2_minor`].
 
 use crate::algorithm1::{algorithm1, Algorithm1Output};
 use crate::radii::Radii;
@@ -18,20 +20,6 @@ use lmds_localsim::IdAssignment;
 /// function and run the pipeline.
 pub fn algorithm2(g: &Graph, ids: &IdAssignment, f: &ControlFunction) -> Algorithm1Output {
     algorithm1(g, ids, Radii::from_control(f))
-}
-
-/// The ratio Theorem 4.3 proves for a class of asymptotic dimension `d`.
-pub fn theorem43_ratio(f: &ControlFunction) -> u32 {
-    f.approximation_ratio()
-}
-
-/// Estimates the largest `K_{2,t}` minor of the input (what Theorem 4.3
-/// calls the *unknown* `t`), exactly within a search budget or via the
-/// single-vertex-hub heuristic beyond it. The round complexity of
-/// Algorithm 2 scales with this value even though the algorithm never
-/// computes it.
-pub fn observed_t(g: &Graph, budget: u64) -> usize {
-    lmds_graph::minor::max_k2_minor(g, budget).value()
 }
 
 #[cfg(test)]
@@ -56,15 +44,16 @@ mod tests {
         // radii (rounds) but not the proved ratio.
         let f2 = ControlFunction::K2tMinorFree { t: 2 };
         let f9 = ControlFunction::K2tMinorFree { t: 9 };
-        assert_eq!(theorem43_ratio(&f2), theorem43_ratio(&f9));
+        assert_eq!(f2.approximation_ratio(), f9.approximation_ratio());
         assert!(Radii::from_control(&f9).two_cut > Radii::from_control(&f2).two_cut);
     }
 
     #[test]
-    fn observed_t_on_known_graphs() {
-        assert_eq!(observed_t(&lmds_gen::basic::cycle(7), 10_000_000), 2);
-        assert_eq!(observed_t(&lmds_gen::basic::complete_bipartite(2, 4), 10_000_000), 4);
-        assert_eq!(observed_t(&lmds_gen::basic::path(6), 10_000_000), 1);
+    fn max_k2_minor_finds_the_present_t() {
+        let present_t = |g: &Graph| lmds_graph::minor::max_k2_minor(g, 10_000_000).value();
+        assert_eq!(present_t(&lmds_gen::basic::cycle(7)), 2);
+        assert_eq!(present_t(&lmds_gen::basic::complete_bipartite(2, 4)), 4);
+        assert_eq!(present_t(&lmds_gen::basic::path(6)), 1);
     }
 
     #[test]

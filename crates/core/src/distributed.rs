@@ -1184,9 +1184,9 @@ mod tests {
 }
 
 /// The MVC variant of Algorithm 1 as a LOCAL decider: take all local
-/// 1-cut and local-2-cut vertices, then solve each residual component of
-/// *uncovered edges* exactly (canonical by identifier). Matches
-/// [`crate::mvc::algorithm1_mvc`] exactly.
+/// 1-cut and local-2-cut vertices, then solve the center's component of
+/// `G − S` exactly with the component solver
+/// [`crate::mvc::algorithm1_mvc`] runs. Matches it exactly.
 ///
 /// Like [`Algorithm1Decider`] it evaluates `S` on demand (on the view
 /// itself — MVC has no twin reduction): for the center, its neighbors,
@@ -1219,21 +1219,14 @@ impl Decider for MvcAlgorithm1Decider {
             if vg.neighbors(center).iter().all(|&u| st.s(u as Vertex)) {
                 return Some(false);
             }
-            // Residual component over uncovered edges, within trusted depth.
+            // The center's component of G − S, within trusted depth.
             let limit = k - margin - 2;
             if limit < 0 {
                 return None;
             }
             let dist = bfs::bfs_distances(&vg, center);
-            let mut comp = st.component(center, |w| within(&dist, w, limit))?;
-            // Canonical instance: component sorted by identifier; its
-            // edges are exactly the uncovered ones (no member is in S).
-            comp.sort_by_key(|&v| vids[v]);
-            let local = lmds_graph::induced_in_order(&vg, &comp);
-            let sol = crate::mvc::residual_exact_vc(&local);
-            let at =
-                comp.iter().position(|&v| v == center).expect("the center is in its component");
-            Some(sol.binary_search(&at).is_ok())
+            let comp = st.component(center, |w| within(&dist, w, limit))?;
+            Some(crate::mvc::solve_component(&vg, &vids, &comp).contains(&center))
         })
     }
 }

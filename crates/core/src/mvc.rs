@@ -1,95 +1,71 @@
 //! The Minimum Vertex Cover variant of Algorithm 1 (§4 closing remark):
 //! take all vertices of `m_{3.3}`-local minimal 2-cuts instead of only
-//! the interesting ones, plus the local 1-cut vertices, then brute-force
-//! an exact vertex cover on each residual component of uncovered edges.
+//! the interesting ones, plus the local 1-cut vertices, then solve each
+//! residual component exactly.
+//!
+//! With `S` the taken vertices, the residual is the components of
+//! `G − S` that have an edge. For `C ⊆ V ∖ S` the edges of `G[C]` are
+//! exactly the edges `S` leaves uncovered, and a component of `G − S`
+//! has an edge iff it has two vertices. So the residual comes from the
+//! MDS pipeline's component scan, and the output is an
+//! [`Algorithm1Output`] like the MDS pipeline's.
 //!
 //! No twin reduction is applied (it does not preserve MVC — a triangle
 //! collapses to a single vertex with vertex cover 0 while `MVC(K₃) = 2`).
 
+use crate::algorithm1::{Algorithm1Output, PipelineDiagnostics};
 use crate::local_cuts;
 use crate::radii::Radii;
 use lmds_graph::{Graph, Vertex};
 use lmds_localsim::IdAssignment;
 
-/// The exact vertex cover of a (canonically encoded) residual
-/// component, through the thread-pooled exact engine. Shared by the
-/// centralized pipeline here and the LOCAL decider in
-/// [`crate::distributed`], which must reconstruct identical covers
-/// from per-node views.
-pub(crate) fn residual_exact_vc(local: &Graph) -> Vec<Vertex> {
-    lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(local, u64::MAX))
-        .expect("unbounded budget cannot be exhausted")
+/// Solves one residual component exactly and canonically: the instance
+/// is `g[comp]` with its vertices ordered by identifier, so every node
+/// of the component reconstructs the identical cover. The MVC twin of
+/// [`crate::algorithm1::solve_component_with`], shared by
+/// [`algorithm1_mvc`] and the LOCAL decider
+/// [`crate::distributed::MvcAlgorithm1Decider`].
+///
+/// `ids[v]` is the identifier of `v`; the result holds vertices of `g`.
+pub(crate) fn solve_component(g: &Graph, ids: &[u64], comp: &[Vertex]) -> Vec<Vertex> {
+    let mut order: Vec<Vertex> = comp.to_vec();
+    order.sort_by_key(|&v| ids[v]);
+    let local = lmds_graph::induced_in_order(g, &order);
+    let cover = lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(&local, u64::MAX))
+        .expect("unbounded budget cannot be exhausted");
+    cover.into_iter().map(|li| order[li]).collect()
 }
 
-/// Output of the MVC pipeline.
-#[derive(Debug, Clone)]
-pub struct MvcOutput {
-    /// The returned vertex cover, sorted.
-    pub solution: Vec<Vertex>,
-    /// Local-1-cut vertices.
-    pub x_set: Vec<Vertex>,
-    /// All vertices of local minimal 2-cuts.
-    pub two_cut_set: Vec<Vertex>,
-    /// Components of uncovered edges solved exactly.
-    pub residual_components: Vec<Vec<Vertex>>,
-}
-
-/// Algorithm 1 for MVC, centralized reference.
-pub fn algorithm1_mvc(g: &Graph, ids: &IdAssignment, radii: Radii) -> MvcOutput {
+/// Algorithm 1 for MVC, centralized reference. The diagnostics keep
+/// every vertex (no twin reduction), put all local-2-cut vertices in
+/// `i_set` and leave `u_set` empty.
+pub fn algorithm1_mvc(g: &Graph, ids: &IdAssignment, radii: Radii) -> Algorithm1Output {
     // Both masks from one fused sweep of the pooled CutEngine: the
     // endpoint mask is the deduplicated pair union directly (with the
     // engine's pair pruning and sharding), no flatten/sort/dedup pass.
     let (x, two) = local_cuts::with_thread_engine(|e| e.one_cut_and_endpoint_masks(g, radii));
-    let (x_set, two_cut_set) =
-        (local_cuts::mask_to_vertices(&x), local_cuts::mask_to_vertices(&two));
-
-    let mut in_s = vec![false; g.n()];
-    for &v in x_set.iter().chain(&two_cut_set) {
-        in_s[v] = true;
+    let s: Vec<bool> = x.iter().zip(&two).map(|(&a, &b)| a || b).collect();
+    let mut residual_components = lmds_graph::connectivity::components_avoiding(g, &s);
+    residual_components.retain(|c| c.len() >= 2);
+    let id_vec: Vec<u64> = g.vertices().map(|v| ids.id_of(v)).collect();
+    let brute_selected = lmds_graph::canonical_set(
+        residual_components.iter().flat_map(|c| solve_component(g, &id_vec, c)),
+    );
+    let x_set = local_cuts::mask_to_vertices(&x);
+    let i_set = local_cuts::mask_to_vertices(&two);
+    let solution =
+        lmds_graph::canonical_set(x_set.iter().chain(&i_set).chain(&brute_selected).copied());
+    Algorithm1Output {
+        solution,
+        diagnostics: PipelineDiagnostics {
+            kept: g.vertices().collect(),
+            x_set,
+            i_set,
+            u_set: Vec::new(),
+            brute_selected,
+            residual_components,
+        },
     }
-    // Residual: vertices incident to an uncovered edge.
-    let mut residual_verts: Vec<Vertex> = Vec::new();
-    for (u, v) in g.edges() {
-        if !in_s[u] && !in_s[v] {
-            residual_verts.push(u);
-            residual_verts.push(v);
-        }
-    }
-    residual_verts.sort_unstable();
-    residual_verts.dedup();
-    // Build the graph of uncovered edges only and solve per component,
-    // canonically ordered by identifier.
-    let mut residual_components = Vec::new();
-    let mut brute: Vec<Vertex> = Vec::new();
-    if !residual_verts.is_empty() {
-        let sub = lmds_graph::InducedSubgraph::new(g, &residual_verts);
-        // Edges within the residual set with an S endpoint are already
-        // covered; drop them.
-        let h = Graph::try_from_edges(
-            sub.graph.n(),
-            sub.graph.edges().filter(|&(a, b)| !in_s[sub.to_host(a)] && !in_s[sub.to_host(b)]),
-        )
-        .expect("residual edges come from a valid graph");
-        for comp in lmds_graph::connectivity::connected_components(&h) {
-            if comp.len() < 2 && h.degree(comp[0]) == 0 {
-                continue;
-            }
-            // Canonical id order within the component.
-            let mut order = comp.clone();
-            order.sort_by_key(|&v| ids.id_of(sub.to_host(v)));
-            let local = lmds_graph::induced_in_order(&h, &order);
-            let sol = residual_exact_vc(&local);
-            brute.extend(sol.into_iter().map(|li| sub.to_host(order[li])));
-            residual_components.push(comp.iter().map(|&v| sub.to_host(v)).collect::<Vec<_>>());
-        }
-    }
-    let mut solution: Vec<Vertex> = Vec::new();
-    solution.extend(&x_set);
-    solution.extend(&two_cut_set);
-    solution.extend(&brute);
-    solution.sort_unstable();
-    solution.dedup();
-    MvcOutput { solution, x_set, two_cut_set, residual_components }
 }
 
 #[cfg(test)]
@@ -133,7 +109,7 @@ mod tests {
         let out = algorithm1_mvc(&g, &seq(g.n()), Radii::practical(3, 4));
         let interesting = crate::local_cuts::interesting_vertices(&g, 4);
         for v in &interesting {
-            assert!(out.two_cut_set.contains(v) || out.x_set.contains(v));
+            assert!(out.diagnostics.i_set.contains(v) || out.diagnostics.x_set.contains(v));
         }
         // MVC of the clique is n−1; ratio stays constant.
         let opt = exact_vertex_cover(&g).len();
@@ -146,8 +122,8 @@ mod tests {
         // any radius, so the brute-force step computes the exact VC.
         let g = lmds_gen::basic::complete(5);
         let out = algorithm1_mvc(&g, &seq(5), Radii::practical(4, 4));
-        assert!(out.x_set.is_empty());
-        assert!(out.two_cut_set.is_empty());
+        assert!(out.diagnostics.x_set.is_empty());
+        assert!(out.diagnostics.i_set.is_empty());
         assert_eq!(out.solution.len(), exact_vertex_cover(&g).len());
         // On a cycle the MVC variant takes everything (all vertices sit
         // in minimal 2-cuts) — still a 2-approximation there.

@@ -41,12 +41,6 @@ impl Radii {
         assert!(two_cut >= 2, "two_cut radius must be ≥ 2 (paper: r ≥ 2)");
         Radii { one_cut, two_cut }
     }
-
-    /// The largest radius involved; the view any node may need reaches
-    /// `2·two_cut + 2` beyond its residual component.
-    pub fn max(&self) -> u32 {
-        self.one_cut.max(self.two_cut)
-    }
 }
 
 #[cfg(test)]
@@ -66,7 +60,7 @@ mod tests {
     #[test]
     fn practical_validation() {
         let r = Radii::practical(2, 3);
-        assert_eq!(r.max(), 3);
+        assert_eq!((r.one_cut, r.two_cut), (2, 3));
     }
 
     #[test]

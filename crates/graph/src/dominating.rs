@@ -5,9 +5,18 @@
 //! lower bound; it is the "brute-force approach" of the paper's
 //! Algorithm 1 step 4, and the reference optimum for every measured
 //! approximation ratio in the experiment harness.
+//!
+//! The greedy ([`greedy_dominating_set`], [`greedy_b_dominating`], and
+//! the incumbent of both branch and bounds) is one lazy set-cover
+//! greedy: each pick takes the candidate covering the most targets
+//! still uncovered, ties to the smallest index. Gains only fall, so a
+//! max-heap of possibly stale gains yields the eager scan's picks
+//! without rescanning every candidate per pick.
 
 use crate::graph::{Graph, Vertex};
 use crate::scratch::{with_thread_scratch, Scratch};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Whether `set` dominates every vertex of `g`.
 pub fn is_dominating_set(g: &Graph, set: &[Vertex]) -> bool {
@@ -71,8 +80,50 @@ pub fn greedy_b_dominating(
     targets: &[Vertex],
     candidates: Option<&[Vertex]>,
 ) -> Vec<Vertex> {
-    let inst = CoverInstance::new(g, targets, candidates);
-    inst.greedy()
+    CoverInstance::new(g, targets, candidates).greedy()
+}
+
+/// The set-cover greedy: `covers[c]` lists the target indices
+/// (`< targets`) candidate `c` covers. Each pick is the candidate whose
+/// cover holds the most targets still uncovered, ties to the smallest
+/// index; returns the picks in order.
+///
+/// Lazy: every candidate waits in a max-heap under the gain it had when
+/// last scored. Gains only fall, so an entry whose gain went stale goes
+/// back at its current gain, and the first current entry popped is the
+/// eager scan's pick.
+///
+/// # Panics
+///
+/// Panics if some target lies in no cover (an infeasible instance).
+pub(crate) fn greedy_cover(covers: &[Vec<u32>], targets: usize) -> Vec<u32> {
+    let mut covered = vec![false; targets];
+    let mut remaining = targets;
+    let mut queue: BinaryHeap<(usize, Reverse<u32>)> = covers
+        .iter()
+        .enumerate()
+        .filter(|(_, cov)| !cov.is_empty())
+        .map(|(c, cov)| (cov.len(), Reverse(c as u32)))
+        .collect();
+    let mut picks = Vec::new();
+    while remaining > 0 {
+        let (gain, Reverse(c)) = queue.pop().expect("infeasible greedy cover instance");
+        let cov = &covers[c as usize];
+        let now = cov.iter().filter(|&&t| !covered[t as usize]).count();
+        if now < gain {
+            if now > 0 {
+                queue.push((now, Reverse(c)));
+            }
+            continue;
+        }
+        picks.push(c);
+        for &t in cov {
+            if !std::mem::replace(&mut covered[t as usize], true) {
+                remaining -= 1;
+            }
+        }
+    }
+    picks
 }
 
 /// Exact minimum dominating set of `g`.
@@ -138,7 +189,7 @@ struct CoverInstance {
     targets: Vec<Vertex>,
     candidates: Vec<Vertex>,
     /// For each candidate, the sorted list of target indices it covers.
-    covers: Vec<Vec<usize>>,
+    covers: Vec<Vec<u32>>,
     /// For each target index, the candidate indices covering it.
     covered_by: Vec<Vec<usize>>,
 }
@@ -167,18 +218,18 @@ impl CoverInstance {
         let mut covers = Vec::with_capacity(candidates.len());
         let mut covered_by = vec![Vec::new(); targets.len()];
         for (ci, &c) in candidates.iter().enumerate() {
-            let mut cov = Vec::new();
+            let mut cov: Vec<u32> = Vec::new();
             if target_idx[c] != NONE {
-                cov.push(target_idx[c]);
+                cov.push(target_idx[c] as u32);
             }
             for &u in g.neighbors(c) {
                 if target_idx[u as usize] != NONE {
-                    cov.push(target_idx[u as usize]);
+                    cov.push(target_idx[u as usize] as u32);
                 }
             }
             cov.sort_unstable();
             for &t in &cov {
-                covered_by[t].push(ci);
+                covered_by[t as usize].push(ci);
             }
             covers.push(cov);
         }
@@ -189,37 +240,10 @@ impl CoverInstance {
         self.covered_by.iter().all(|c| !c.is_empty())
     }
 
-    /// Greedy cover (deterministic). Assumes feasibility.
+    /// [`greedy_cover`] as a sorted vertex set. Assumes feasibility.
     fn greedy(&self) -> Vec<Vertex> {
-        let mut undom = vec![true; self.targets.len()];
-        let mut remaining = self.targets.len();
-        let mut chosen = Vec::new();
-        let mut chosen_mask = vec![false; self.candidates.len()];
-        while remaining > 0 {
-            let mut best = NONE;
-            let mut best_gain = 0usize;
-            for (ci, &already) in chosen_mask.iter().enumerate() {
-                if already {
-                    continue;
-                }
-                let gain = self.covers[ci].iter().filter(|&&t| undom[t]).count();
-                if gain > best_gain {
-                    best_gain = gain;
-                    best = ci;
-                }
-            }
-            assert!(best != NONE, "infeasible greedy cover instance");
-            chosen_mask[best] = true;
-            chosen.push(self.candidates[best]);
-            for &t in &self.covers[best] {
-                if undom[t] {
-                    undom[t] = false;
-                    remaining -= 1;
-                }
-            }
-        }
-        chosen.sort_unstable();
-        chosen
+        let picks = greedy_cover(&self.covers, self.targets.len());
+        crate::canonical_set(picks.into_iter().map(|c| self.candidates[c as usize]))
     }
 
     /// A packing-style lower bound on the number of candidates needed to
@@ -300,7 +324,7 @@ impl CoverInstance {
         for ci in cands {
             let mut nu = undom.to_vec();
             for &t in &self.covers[ci] {
-                nu[t] = false;
+                nu[t as usize] = false;
             }
             current.push(ci);
             let ok = self.branch(&nu, current, best, budget, nodes);
@@ -471,6 +495,98 @@ mod tests {
             let g = path(n);
             assert!(is_dominating_set(&g, &greedy_dominating_set(&g)));
         }
+    }
+
+    /// The eager set-cover greedy [`greedy_cover`] must reproduce: every
+    /// pick rescans every candidate, largest gain first, ties to the
+    /// smallest index.
+    fn eager_greedy_cover(covers: &[Vec<u32>], targets: usize) -> Vec<u32> {
+        let mut covered = vec![false; targets];
+        let mut remaining = targets;
+        let mut used = vec![false; covers.len()];
+        let mut picks = Vec::new();
+        while remaining > 0 {
+            let (mut best, mut best_gain) = (None, 0);
+            for (c, cov) in covers.iter().enumerate() {
+                let gain = cov.iter().filter(|&&t| !covered[t as usize]).count();
+                if !used[c] && gain > best_gain {
+                    (best, best_gain) = (Some(c), gain);
+                }
+            }
+            let c = best.expect("infeasible greedy cover instance");
+            used[c] = true;
+            picks.push(c as u32);
+            for &t in &covers[c] {
+                if !std::mem::replace(&mut covered[t as usize], true) {
+                    remaining -= 1;
+                }
+            }
+        }
+        picks
+    }
+
+    /// Deterministic xorshift (the graph crate cannot dev-depend on
+    /// `lmds-gen` without a cycle).
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, k: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % k
+        }
+    }
+
+    #[test]
+    fn lazy_greedy_cover_makes_the_eager_picks() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        // Random set-cover instances: covers of 0–4 targets over few
+        // targets, so gains tie often and many candidates (empty covers,
+        // covers already hit) have zero gain.
+        for _ in 0..2_000 {
+            let targets = 1 + rng.below(24) as usize;
+            let mut covers: Vec<Vec<u32>> = (0..1 + rng.below(20))
+                .map(|_| {
+                    let mut cov: Vec<u32> =
+                        (0..rng.below(5)).map(|_| rng.below(targets as u64) as u32).collect();
+                    cov.sort_unstable();
+                    cov.dedup();
+                    cov
+                })
+                .collect();
+            for t in 0..targets as u32 {
+                if !covers.iter().any(|c| c.contains(&t)) {
+                    covers.push(vec![t]);
+                }
+            }
+            assert_eq!(greedy_cover(&covers, targets), eager_greedy_cover(&covers, targets));
+        }
+        // `B`-domination instances: random graphs, random target sets,
+        // candidates `N[B]` or a random feasible subset.
+        for _ in 0..200 {
+            let n = 2 + rng.below(40) as usize;
+            let density = 1 + rng.below(20);
+            let edges: Vec<(Vertex, Vertex)> = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|_| rng.below(100) < density)
+                .collect();
+            let g = Graph::from_edges(n, &edges);
+            let targets: Vec<Vertex> = (0..n).filter(|_| rng.below(3) > 0).collect();
+            let candidates: Vec<Vertex> = (0..n).filter(|_| rng.below(4) > 0).collect();
+            let restricted = rng.below(2) == 0;
+            let inst = CoverInstance::new(&g, &targets, restricted.then_some(&candidates[..]));
+            if !inst.is_feasible() {
+                continue;
+            }
+            let k = inst.targets.len();
+            assert_eq!(greedy_cover(&inst.covers, k), eager_greedy_cover(&inst.covers, k));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "infeasible greedy cover instance")]
+    fn greedy_cover_panics_on_infeasible_instances() {
+        greedy_b_dominating(&path(4), &[0], Some(&[3]));
     }
 
     #[test]

@@ -701,7 +701,7 @@ fn cover_bnb(
         nodes: 0,
         budget,
     };
-    search.best = search.greedy();
+    search.best = crate::dominating::greedy_cover(&search.covers, targets.len());
     let complete = search.branch(0);
     if !complete {
         return None;
@@ -728,39 +728,6 @@ struct CoverSearch {
 }
 
 impl CoverSearch {
-    /// Deterministic greedy cover (max gain, tie → smallest index) for
-    /// the initial incumbent.
-    fn greedy(&self) -> Vec<u32> {
-        let mut covered = vec![false; self.cover_count.len()];
-        let mut remaining = covered.len();
-        let mut chosen: Vec<u32> = Vec::new();
-        let mut used = vec![false; self.covers.len()];
-        while remaining > 0 {
-            let mut best = usize::MAX;
-            let mut best_gain = 0usize;
-            for (ci, cov) in self.covers.iter().enumerate() {
-                if used[ci] {
-                    continue;
-                }
-                let gain = cov.iter().filter(|&&t| !covered[t as usize]).count();
-                if gain > best_gain {
-                    best_gain = gain;
-                    best = ci;
-                }
-            }
-            debug_assert!(best != usize::MAX, "feasible instance");
-            used[best] = true;
-            chosen.push(best as u32);
-            for &t in &self.covers[best] {
-                if !covered[t as usize] {
-                    covered[t as usize] = true;
-                    remaining -= 1;
-                }
-            }
-        }
-        chosen
-    }
-
     fn choose(&mut self, ci: u32) {
         self.current.push(ci);
         for &t in &self.covers[ci as usize] {

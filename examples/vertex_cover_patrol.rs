@@ -31,17 +31,12 @@ fn main() {
         registry.solve("mvc/algorithm1", &instance, &careful_cfg).expect("Algorithm 1 MVC");
     assert!(careful.is_valid());
     let diag = careful.diagnostics.as_ref().expect("centralized diagnostics");
-    let from_cuts = {
-        let mut s: Vec<usize> = diag.x_set.iter().chain(&diag.i_set).copied().collect();
-        s.sort_unstable();
-        s.dedup();
-        s.len()
-    };
+    let from_cuts = lmds_graph::canonical_set(diag.x_set.iter().chain(&diag.i_set).copied());
     println!(
         "Algorithm 1 MVC plan: {} patrols ({} from local cuts, {} brute-forced)",
         careful.size(),
-        from_cuts,
-        careful.size().saturating_sub(from_cuts)
+        from_cuts.len(),
+        diag.brute_selected.len()
     );
 
     let opt = registry.solve("mvc/exact", &instance, &SolveConfig::mvc()).expect("exact MVC");

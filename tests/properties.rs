@@ -249,6 +249,17 @@ fn mvc_distributed_matches_centralized() {
     }
 }
 
+/// The lazy set-cover greedy behind `greedy_dominating_set` makes the
+/// eager scan's picks; on the 2·10⁴-vertex chain instance that scan
+/// picked 4,807 vertices.
+#[test]
+fn greedy_dominating_set_is_pinned_at_scale() {
+    let g = lmds_gen::ding::scale_instance(20_000, 3);
+    let greedy = lmds_graph::dominating::greedy_dominating_set(&g);
+    assert_eq!(greedy.len(), 4807);
+    assert!(is_dominating_set(&g, &greedy));
+}
+
 /// The three build paths of the scale PR must agree graph-for-graph:
 /// the bulk CSR constructor ([`Graph::from_edges`]), the incremental
 /// [`DynamicGraph`] path (both the per-op splice tier and the bulk

@@ -13,9 +13,9 @@ use lmds_api::{
     RuntimeKind, SolveConfig, SolveError, SolverRegistry,
 };
 use lmds_asdim::ControlFunction;
-use lmds_core::Radii;
+use lmds_core::{PipelineOptions, Radii};
 use lmds_gen::ding::AugmentationSpec;
-use lmds_graph::Graph;
+use lmds_graph::{canonical_set, Graph};
 
 const RADII: Radii = Radii { one_cut: 2, two_cut: 2 };
 const AFFINE: ControlFunction = ControlFunction::Affine { a: 1, b: 1, dim: 1 };
@@ -446,4 +446,88 @@ fn active_fault_plans_require_the_faulty_runtime() {
     let err = registry.solve("mds/theorem44", &inst, &cfg).unwrap_err();
     assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{err:?}");
     assert!(err.to_string().contains("local-faulty"), "{err}");
+}
+
+/// The diagnostics of every centralized Algorithm 1 family run account
+/// for its solution: `solution = X ∪ I ∪ brute`, every residual
+/// component avoids `X ∪ I`, and the brute-force picks lie in the
+/// residual. For the MVC variant the residual must equal the components
+/// of the uncovered-edge graph that have an edge, built here from
+/// `g.edges()` as an independent reference.
+#[test]
+fn pipeline_diagnostics_account_for_the_solution() {
+    let registry = SolverRegistry::with_defaults();
+    for (_, inst) in corpus() {
+        let g = &inst.graph;
+        for radii in [RADII, Radii::practical(3, 4)] {
+            for key in ["mds/algorithm1", "mds/algorithm2", "mvc/algorithm1"] {
+                let problem = registry.get(key).expect("registered").problem();
+                let cfg = SolveConfig::new(problem).radii(radii);
+                let sol = registry
+                    .solve(key, &inst, &cfg)
+                    .unwrap_or_else(|e| panic!("{key} on {}: {e}", inst.name));
+                let d = sol.diagnostics.as_ref().expect("centralized runs carry diagnostics");
+                let at = format!("{key} on {} at {radii:?}", inst.name);
+                let taken = canonical_set(d.x_set.iter().chain(&d.i_set).copied());
+                let claimed = canonical_set(taken.iter().chain(&d.brute_selected).copied());
+                assert_eq!(sol.vertices, claimed, "{at}: solution ≠ X ∪ I ∪ brute");
+                for comp in &d.residual_components {
+                    assert!(comp.iter().all(|v| taken.binary_search(v).is_err()), "{at}: {comp:?}");
+                }
+                let residual = canonical_set(d.residual_components.iter().flatten().copied());
+                for v in &d.brute_selected {
+                    assert!(residual.binary_search(v).is_ok(), "{at}: brute pick {v} not residual");
+                }
+                if key != "mvc/algorithm1" {
+                    continue;
+                }
+                assert!(d.u_set.is_empty(), "{at}");
+                assert_eq!(d.kept, g.vertices().collect::<Vec<_>>(), "{at}");
+                let uncovered: Vec<(usize, usize)> = g
+                    .edges()
+                    .filter(|(u, v)| {
+                        taken.binary_search(u).is_err() && taken.binary_search(v).is_err()
+                    })
+                    .collect();
+                let h = Graph::from_edges(g.n(), &uncovered);
+                let mut want: Vec<Vec<usize>> = lmds_graph::connectivity::connected_components(&h)
+                    .into_iter()
+                    .filter(|c| c.len() >= 2)
+                    .collect();
+                let mut got = d.residual_components.clone();
+                want.sort();
+                got.sort();
+                assert_eq!(got, want, "{at}: residual ≠ uncovered-edge components");
+            }
+        }
+    }
+}
+
+/// The ablation switches belong to the MDS pipeline. The MVC variant has
+/// no twin reduction, interesting filter or greedy residual, so it
+/// rejects every non-default setting in every mode; `mds/algorithm1`
+/// still honors them centralized and rejects them under LOCAL.
+#[test]
+fn ablation_options_apply_to_the_mds_pipeline_only() {
+    let registry = SolverRegistry::with_defaults();
+    let inst = Instance::shuffled("strip6", lmds_gen::ding::strip(6), 7);
+    for bits in 1..8u8 {
+        let options = PipelineOptions {
+            twin_reduction: bits & 1 == 0,
+            interesting_filter: bits & 2 == 0,
+            exact_brute: bits & 4 == 0,
+        };
+        for mode in [ExecutionMode::Centralized, ExecutionMode::LOCAL_ORACLE] {
+            let cfg = SolveConfig::mvc().radii(RADII).options(options).mode(mode);
+            let err = registry.solve("mvc/algorithm1", &inst, &cfg).unwrap_err();
+            assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{options:?} {mode}");
+        }
+        let cfg = SolveConfig::mds().radii(RADII).options(options);
+        let sol = registry.solve("mds/algorithm1", &inst, &cfg).expect("centralized ablation");
+        let want = lmds_core::algorithm1_with(&inst.graph, &inst.ids, RADII, options).solution;
+        assert_eq!(sol.vertices, want, "{options:?}");
+        let cfg = cfg.mode(ExecutionMode::LOCAL_ORACLE);
+        let err = registry.solve("mds/algorithm1", &inst, &cfg).unwrap_err();
+        assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{options:?}");
+    }
 }
