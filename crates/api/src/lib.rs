@@ -57,7 +57,6 @@
 
 pub mod batch;
 pub mod config;
-pub mod dynamic;
 pub mod instance;
 pub mod registry;
 pub mod solution;
@@ -66,7 +65,6 @@ pub mod view;
 
 pub use batch::{BatchJob, BatchRecord, BatchRunner};
 pub use config::{ExecutionMode, Problem, ScenarioConfig, SolveConfig, DEFAULT_OPT_BUDGET};
-pub use dynamic::DynamicInstance;
 pub use instance::{GroundTruth, Instance};
 pub use registry::{SolverDescriptor, SolverRegistry};
 pub use solution::{

@@ -184,9 +184,25 @@ fn check(
 }
 
 /// A generous round cap for the adaptive Algorithm 1 deciders: view
-/// margin + residual-component reach + slack.
-fn adaptive_round_cap(radii: Radii, n: usize) -> u32 {
-    radii.one_cut.max(2 * radii.two_cut) + 5 + n as u32 + 10
+/// margin + residual-component reach + slack, computed in `u64`. A cap
+/// that fits `u32` also keeps the deciders' own `u32` margin arithmetic
+/// (`max(r₁, 2·r₂) + 5`) in range.
+///
+/// # Errors
+///
+/// [`SolveError::UnsupportedOptions`] naming the radii when the cap
+/// does not fit the simulator's `u32` round counter.
+fn adaptive_round_cap(solver: &'static str, radii: Radii, n: usize) -> Result<u32, SolveError> {
+    let margin = u64::from(radii.one_cut).max(2 * u64::from(radii.two_cut));
+    u32::try_from(margin + 15 + n as u64).map_err(|_| SolveError::UnsupportedOptions {
+        solver,
+        reason: format!(
+            "radii ({}, {}) need a LOCAL round cap above {} on {n} vertices",
+            radii.one_cut,
+            radii.two_cut,
+            u32::MAX
+        ),
+    })
 }
 
 /// What a distributed run hands back to `finish`: vertices, rounds,
@@ -385,7 +401,7 @@ fn solve_pipeline<A: LocalAlgorithm<Output = bool>>(
                 .into(),
         });
     }
-    let cap = local_round_cap(cfg, adaptive_round_cap(cfg.radii, inst.n()));
+    let cap = local_round_cap(cfg, adaptive_round_cap(key, cfg.radii, inst.n())?);
     let run = run_local(key, inst, cfg, decider, cap)?;
     Ok(finish_local(key, inst, cfg, started, run))
 }

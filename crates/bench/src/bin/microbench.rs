@@ -21,11 +21,9 @@
 //!   beside the naive oracle on naive-solvable instances, plus
 //!   engine-scale rows the naive oracle cannot finish; committed
 //!   numbers in `results/exact_scale.md`.
-//! * `--dynamic` — the dynamic-subsystem benches: `DynamicGraph` batch
-//!   application (splice vs bulk rebuild), ball-scoped invalidation
-//!   (`dirty_ball`), and `DynamicSolver` component-scoped re-solve
-//!   (cold / warm / one-dirty-component) on a multi-component corpus
-//!   graph.
+//! * `--dynamic` — the `DynamicGraph` substrate benches: batch
+//!   application (splice vs bulk rebuild) and ball-scoped invalidation
+//!   (`dirty_ball`) on a multi-component corpus graph.
 //!
 //! Every section prints a markdown table and writes
 //! `results/BENCH_<section>.json` relative to the working directory
@@ -138,23 +136,17 @@ fn kernel_benches(iters: u32) -> Vec<BenchRow> {
     rows
 }
 
-/// The dynamic-subsystem benches (`--dynamic`): `DynamicGraph` batch
+/// The `DynamicGraph` substrate benches (`--dynamic`): batch
 /// application on both update paths (per-op splice vs bulk CSR
-/// rebuild), ball-scoped invalidation (`dirty_ball`), and
-/// `DynamicSolver` component-scoped re-solve — cold, warm (full
-/// reuse), and the one-dirty-component steady state the serving layer
-/// hits after `PATCH /graphs/{name}`. The `resolve cold` and
-/// `1 dirty component` rows are the gated measure of what
-/// component-scoped re-solve saves; `tests/dynamic_differential.rs`
-/// pins that it returns the from-scratch answer.
+/// rebuild) and ball-scoped invalidation (`dirty_ball`);
+/// `tests/dynamic_differential.rs` pins both paths against a
+/// from-scratch build.
 fn dynamic_benches(iters: u32) -> Vec<BenchRow> {
-    use lmds_api::dynamic::solve_with_cache;
-    use lmds_core::DynamicSolver;
     use lmds_graph::dynamic::{DynamicGraph, GraphUpdate, SPLICE_LIMIT};
 
     let mut rows = Vec::new();
-    // A 16-component disjoint union (≈1 600 vertices): incremental
-    // edits stay inside component 0, everything else must be reused.
+    // A 16-component disjoint union (≈1 600 vertices); every edit
+    // stays inside component 0.
     let mut g = lmds_graph::Graph::from_edges(0, &[]);
     for c in 0..16u64 {
         let part = match c % 3 {
@@ -186,7 +178,7 @@ fn dynamic_benches(iters: u32) -> Vec<BenchRow> {
             .collect()
     };
 
-    let mut dg = DynamicGraph::new(g.clone());
+    let mut dg = DynamicGraph::new(g);
     let splice = &fresh[..4];
     let (stats, sum) = sample(iters, || {
         dg.apply(&toggle(splice, true)).expect("splice insert");
@@ -221,50 +213,6 @@ fn dynamic_benches(iters: u32) -> Vec<BenchRow> {
     });
     rows.push(BenchRow {
         bench: "k=4 toggle + dirty_ball r=2".into(),
-        workload: workload.clone(),
-        n,
-        checksum: sum,
-        stats,
-    });
-
-    let inst = Instance::sequential("dyn-corpus16", g);
-    let cfg = SolveConfig::mds().radii(Radii::practical(2, 2));
-    let mut solver = DynamicSolver::new();
-    let (stats, sum) = sample(iters, || {
-        solver.clear();
-        solve_with_cache(&inst, &cfg, &mut solver).expect("cold solve").0.size()
-    });
-    rows.push(BenchRow {
-        bench: "resolve cold (cache cleared)".into(),
-        workload: workload.clone(),
-        n,
-        checksum: sum,
-        stats,
-    });
-    let (stats, sum) = sample(iters, || {
-        let (sol, reuse) = solve_with_cache(&inst, &cfg, &mut solver).expect("warm solve");
-        assert_eq!(reuse.components_resolved, 0, "warm solve must reuse everything");
-        sol.size()
-    });
-    rows.push(BenchRow {
-        bench: "resolve warm (full reuse)".into(),
-        workload: workload.clone(),
-        n,
-        checksum: sum,
-        stats,
-    });
-    let mut dyn_inst = lmds_api::dynamic::DynamicInstance::new(inst);
-    dyn_inst.solve(&cfg).expect("warm-up solve");
-    let (stats, sum) = sample(iters, || {
-        dyn_inst.apply(&toggle(&fresh[..1], true)).expect("steady insert");
-        let (a, s) = dyn_inst.solve(&cfg).expect("steady solve");
-        assert!(s.components_reused >= 15, "only component 0 may re-solve");
-        dyn_inst.apply(&toggle(&fresh[..1], false)).expect("steady remove");
-        let (b, _) = dyn_inst.solve(&cfg).expect("steady solve back");
-        a.size() + b.size()
-    });
-    rows.push(BenchRow {
-        bench: "edge toggle + 2 resolves (1 dirty component)".into(),
         workload,
         n,
         checksum: sum,
@@ -576,9 +524,8 @@ fn main() {
     }
     if dynamic {
         let (rows, calib_us) = calibrated(|| dynamic_benches(iters));
-        let title = format!(
-            "microbench --dynamic — DynamicGraph/DynamicSolver substrate, {iters} iterations (µs)"
-        );
+        let title =
+            format!("microbench --dynamic — DynamicGraph substrate, {iters} iterations (µs)");
         print!("{}", render_markdown(&section_table(&title, &rows)));
         write_bench_json("dynamic", iters, calib_us, &rows);
     }

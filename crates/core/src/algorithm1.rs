@@ -92,7 +92,7 @@ pub struct PipelineState {
 /// Ablation switches for [`algorithm1_with`]: each disables one design
 /// decision of the paper's pipeline so its contribution can be measured
 /// (the `ablation` benches and E10 experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Step 1: collapse true twins first (paper default `true`).
     pub twin_reduction: bool,

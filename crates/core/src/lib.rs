@@ -33,7 +33,6 @@ pub mod analysis;
 pub mod baselines;
 pub mod bipartite_minor;
 pub mod distributed;
-pub mod dynamic;
 pub mod forest;
 pub mod local_cuts;
 pub mod mvc;
@@ -44,6 +43,5 @@ pub use algorithm1::{
     algorithm1, algorithm1_with, Algorithm1Output, PipelineDiagnostics, PipelineOptions,
 };
 pub use algorithm2::algorithm2;
-pub use dynamic::{DynamicSolver, DynamicStats};
 pub use radii::Radii;
 pub use theorem44::{theorem44_mds, theorem44_mvc};

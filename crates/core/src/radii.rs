@@ -9,7 +9,7 @@ use lmds_asdim::ControlFunction;
 /// Any radii produce a *correct* dominating set (the brute-force step
 /// dominates whatever remains); the theoretical values are what the
 /// proved approximation ratio requires. Experiments sweep both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Radii {
     /// Radius for local 1-cuts (`m_{3.2} = f(5) + 2` at theory value).
     pub one_cut: u32,

@@ -17,22 +17,26 @@
 //! Downstream artifacts are invalidated by scope:
 //!
 //! * **r-balls** (CutEngine index entries, local views): an artifact
-//!   scoped to `N^r[c]` is dirty iff `c` lies within distance `r` of a
-//!   touched vertex — [`DynamicGraph::dirty_ball`] returns exactly that
-//!   vertex set. Evaluating the ball in the *post-update* graph is
+//!   scoped to `N^r[c]` can change only if `c` lies within distance `r`
+//!   of a touched vertex — [`DynamicGraph::dirty_ball`] returns exactly
+//!   that vertex set. Evaluating the ball in the *post-update* graph is
 //!   sound for deletions too: a pre-update shortest path from `c` into
 //!   the touched set either avoids the removed edge (and survives) or
 //!   can be truncated at the first removed-edge endpoint it meets,
 //!   which is itself touched — so the pre-update dirty ball is always
-//!   contained in the post-update one.
+//!   contained in the post-update one. Hence for every pre-existing `c`
+//!   outside `dirty_ball(r)`, neither ball of `c` holds a touched
+//!   vertex, and since every changed edge joins two touched vertices,
+//!   `N^r[c]` and the edges it induces are the same before and after
+//!   the batch (`tests/dynamic_differential.rs` checks this on random
+//!   streams at r = 0..=3).
 //! * **twin classes**: true twins share closed neighborhoods, so a
 //!   class can only change if it contains a vertex adjacent to a
 //!   touched vertex — a subset of `dirty_ball(1)`.
 //! * **connected components**: a component is dirty iff it intersects
 //!   the touched set (`dirty_ball(0)` seeds a component scan). Clean
 //!   components are untouched *by construction* — edge updates never
-//!   cross into them — which is what lets the re-solve planner in
-//!   `lmds-core` stitch their cached solutions back unchanged.
+//!   cross into them.
 //!
 //! The journal accumulates across batches until [`DynamicGraph::clear_touched`]
 //! is called, so a consumer that re-solves lazily sees the union of all
@@ -105,21 +109,19 @@ pub const SPLICE_LIMIT: usize = 8;
 ///     .unwrap();
 /// assert_eq!((stats.inserted, stats.removed), (1, 1));
 /// assert_eq!(dg.touched(), &[1, 2, 3]);
-/// assert_eq!(dg.revision(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
     graph: Graph,
-    revision: u64,
     /// Sorted, deduplicated journal of vertices touched since the last
     /// [`DynamicGraph::clear_touched`].
     touched: Vec<Vertex>,
 }
 
 impl DynamicGraph {
-    /// Wraps an existing graph at revision 0 with an empty journal.
+    /// Wraps an existing graph with an empty journal.
     pub fn new(graph: Graph) -> Self {
-        Self { graph, revision: 0, touched: Vec::new() }
+        Self { graph, touched: Vec::new() }
     }
 
     /// The current graph.
@@ -130,12 +132,6 @@ impl DynamicGraph {
     /// Consumes the wrapper, returning the current graph.
     pub fn into_graph(self) -> Graph {
         self.graph
-    }
-
-    /// How many batches have been applied (batches that change nothing
-    /// still count: the caller observed a distinct apply call).
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// Validates a batch without applying it: every edge op must
@@ -164,8 +160,8 @@ impl DynamicGraph {
     /// Applies an update batch atomically.
     ///
     /// The batch is validated first (range and self-loop checks against
-    /// the running vertex count); on error the graph, revision, and
-    /// journal are untouched. No-op edge ops (inserting a present edge,
+    /// the running vertex count); on error the graph and journal are
+    /// untouched. No-op edge ops (inserting a present edge,
     /// removing an absent one) are not errors — they are counted in
     /// [`UpdateStats::skipped`] so idempotent update streams replay
     /// cleanly.
@@ -212,7 +208,6 @@ impl DynamicGraph {
         }
         self.touched.sort_unstable();
         self.touched.dedup();
-        self.revision += 1;
         Ok(stats)
     }
 
@@ -349,7 +344,6 @@ mod tests {
         assert_eq!(err, GraphError::VertexOutOfRange { vertex: 9, n: 3 });
         assert_eq!(edge_list(dg.graph()), edge_list(&base));
         assert!(dg.touched().is_empty());
-        assert_eq!(dg.revision(), 0);
 
         let err = dg.apply(&[GraphUpdate::InsertEdge(2, 2)]).unwrap_err();
         assert_eq!(err, GraphError::SelfLoop { vertex: 2 });
@@ -360,7 +354,6 @@ mod tests {
         assert_eq!(err, GraphError::VertexOutOfRange { vertex: 3, n: 3 });
         dg.apply(&[GraphUpdate::AddVertex, GraphUpdate::InsertEdge(0, 3)]).unwrap();
         assert!(dg.graph().has_edge(0, 3));
-        assert_eq!(dg.revision(), 1);
     }
 
     #[test]
@@ -369,15 +362,13 @@ mod tests {
         dg.apply(&[GraphUpdate::InsertEdge(1, 2)]).unwrap();
         dg.apply(&[GraphUpdate::RemoveEdge(2, 3), GraphUpdate::InsertEdge(4, 5)]).unwrap();
         assert_eq!(dg.touched(), &[1, 2, 3, 4, 5]);
-        assert_eq!(dg.revision(), 2);
         dg.clear_touched();
         assert!(dg.touched().is_empty());
         assert!(dg.dirty_ball(3).is_empty());
-        // Skipped-only batches journal nothing but still bump revision.
+        // Skipped-only batches journal nothing.
         let s = dg.apply(&[GraphUpdate::InsertEdge(1, 2)]).unwrap();
         assert!(!s.changed() && s.skipped == 1);
         assert!(dg.touched().is_empty());
-        assert_eq!(dg.revision(), 3);
     }
 
     #[test]

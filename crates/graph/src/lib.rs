@@ -33,7 +33,8 @@
 //! * batched dynamic updates ([`dynamic`]): [`DynamicGraph`] applies
 //!   edge/vertex insert+delete batches atomically over the CSR (splice
 //!   for small batches, amortized rebuild for large ones) and journals
-//!   touched vertices for ball/twin/component-scoped invalidation,
+//!   touched vertices, whose `dirty_ball(r)` covers every r-ball a
+//!   batch can change,
 //! * the workspace's one parallel execution substrate ([`par`]): a
 //!   worker policy and the scoped-thread helpers every parallel phase
 //!   runs on.

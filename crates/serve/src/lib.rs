@@ -10,11 +10,9 @@
 //!    it by name. With a persistence directory, the corpus survives
 //!    restarts. Stored graphs are *mutable*: `PATCH /graphs/{name}`
 //!    applies an atomic edge-update batch
-//!    ([`lmds_graph::dynamic::DynamicGraph`]), and a follow-up
-//!    centralized `mds/algorithm1` solve re-runs the pipeline only on
-//!    the components the patch touched — unchanged components stitch
-//!    from a server-wide [`lmds_core::DynamicSolver`] cache (the
-//!    `components_reused` metric counts the wins).
+//!    ([`lmds_graph::dynamic::DynamicGraph`]) and replaces the entry
+//!    and its checksum, so a follow-up solve misses the result cache
+//!    and runs through the registry on the patched graph.
 //! 2. **A bounded job queue** ([`queue`]): a fixed pool of worker
 //!    threads (warm per-thread `Scratch`/`CutEngine`/`ExactEngine`
 //!    pools) drains a bounded FIFO. Full queue ⟹ HTTP 429; per-job

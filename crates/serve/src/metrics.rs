@@ -128,10 +128,6 @@ pub struct Metrics {
     pub graphs_uploaded: AtomicU64,
     /// Graphs mutated in place by an accepted `PATCH /graphs/{name}`.
     pub graphs_patched: AtomicU64,
-    /// Connected components stitched from the dynamic solver's
-    /// per-component cache instead of being re-solved — the
-    /// component-scoped reuse the PATCH + solve flow exists for.
-    pub components_reused: AtomicU64,
     /// Solve requests answered from the result cache.
     pub cache_hits: AtomicU64,
     /// Solve requests that had to run the solver.
@@ -227,7 +223,6 @@ impl Metrics {
             ("deadline_exceeded", Value::from(self.deadline_exceeded.load(Ordering::Relaxed))),
             ("graphs_uploaded", Value::from(self.graphs_uploaded.load(Ordering::Relaxed))),
             ("graphs_patched", Value::from(self.graphs_patched.load(Ordering::Relaxed))),
-            ("components_reused", Value::from(self.components_reused.load(Ordering::Relaxed))),
             ("cache_hits", Value::from(self.cache_hits.load(Ordering::Relaxed))),
             ("cache_misses", Value::from(self.cache_misses.load(Ordering::Relaxed))),
             ("cache_evictions", Value::from(self.cache_evictions.load(Ordering::Relaxed))),
@@ -282,7 +277,6 @@ mod tests {
         Metrics::bump(&m.rejected_queue_full);
         Metrics::bump(&m.cache_hits);
         Metrics::bump(&m.graphs_patched);
-        m.components_reused.fetch_add(3, Ordering::Relaxed);
         let doc = m.render(&Gauges {
             queue_depth: 3,
             queue_capacity: 16,
@@ -296,7 +290,6 @@ mod tests {
         assert_eq!(doc.get("cache_hits").unwrap().as_u64(), Some(1));
         assert_eq!(doc.get("cache_misses").unwrap().as_u64(), Some(0));
         assert_eq!(doc.get("graphs_patched").unwrap().as_u64(), Some(1));
-        assert_eq!(doc.get("components_reused").unwrap().as_u64(), Some(3));
         assert_eq!(doc.get("connection_cap").unwrap().as_u64(), Some(64));
         let solver = doc.get("solvers").unwrap().get("mds/exact").unwrap();
         assert_eq!(solver.get("requests").unwrap().as_u64(), Some(1));

@@ -52,7 +52,6 @@ use crate::proto::{
 };
 use crate::queue::{JobLookup, JobQueue, JobSpec, JobState, SubmitError};
 use lmds_api::{SolutionView, SolverRegistry};
-use lmds_core::DynamicSolver;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -189,14 +188,6 @@ struct Shared {
     corpus: CorpusStore,
     queue: JobQueue,
     cache: ResultCache,
-    /// The component-scoped dynamic solver shared by the worker pool:
-    /// plain centralized `mds/algorithm1` jobs route through it, so a
-    /// solve after a `PATCH` re-runs the pipeline only on components the
-    /// patch actually changed (untouched components stitch from this
-    /// cache by content fingerprint). One mutex-held solver is enough —
-    /// the components it skips are exactly the expensive part, and the
-    /// registry path stays available for every other configuration.
-    dynamic: Mutex<DynamicSolver>,
     metrics: Metrics,
     conn_gate: ConnGate,
     persist_dir: Option<PathBuf>,
@@ -276,7 +267,6 @@ impl Server {
             corpus,
             queue: JobQueue::new(config.queue_capacity, config.job_retention),
             cache,
-            dynamic: Mutex::new(DynamicSolver::new()),
             metrics: Metrics::new(),
             conn_gate: ConnGate::new(config.max_connections),
             persist_dir: config.persist_dir,
@@ -459,19 +449,7 @@ fn worker_loop(shared: &Shared) {
         let n = spec.entry.graph().n();
         lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n));
         let start = Instant::now();
-        let result = if lmds_api::dynamic::accepts(&spec.solver, &spec.config) {
-            let mut dynamic = shared.dynamic.lock().expect("dynamic solver lock");
-            lmds_api::dynamic::solve_with_cache(&spec.entry.instance, &spec.config, &mut dynamic)
-                .map(|(solution, stats)| {
-                    shared
-                        .metrics
-                        .components_reused
-                        .fetch_add(stats.components_reused as u64, Ordering::Relaxed);
-                    solution
-                })
-        } else {
-            shared.registry.solve(&spec.solver, &spec.entry.instance, &spec.config)
-        };
+        let result = shared.registry.solve(&spec.solver, &spec.entry.instance, &spec.config);
         solver_metrics.latency.record(start.elapsed());
         match result {
             Ok(solution) => {
@@ -664,8 +642,8 @@ fn put_graph(shared: &Shared, name: &str, body: &[u8]) -> Result<(u16, Value), W
 /// describe content the client just replaced. A successful patch mints
 /// a fresh [`crate::corpus::GraphEntry`] with a new structural
 /// checksum, so every result-cache key for the old content misses
-/// naturally, while a follow-up `mds/algorithm1` solve stitches
-/// unchanged components from the dynamic solver's cache.
+/// naturally and a follow-up solve runs through the registry on the
+/// patched graph.
 fn patch_graph(shared: &Shared, name: &str, body: &[u8]) -> Result<(u16, Value), WireError> {
     if shared.queue.is_shutting_down() {
         return Err(WireError::new(503, "shutting-down", SubmitError::ShuttingDown.to_string()));

@@ -1,26 +1,37 @@
-//! The differential harness for the dynamic subsystem: every
-//! `lmds-gen` family × seeds, hit with deterministic random
-//! insert/delete/add-vertex streams, where after **every** batch the
-//! incremental [`DynamicInstance`] solve must (1) produce the exact
-//! vertex set of a from-scratch registry `mds/algorithm1` run on the
-//! same snapshot and (2) carry a certificate that passes
-//! [`Solution::verify`] — i.e. stitching cached components back
-//! together is *wire-indistinguishable* from re-running the pipeline.
+//! The differential harness for [`DynamicGraph`]: every `lmds-gen`
+//! family × seeds, hit with deterministic random
+//! insert/delete/add-vertex streams, and checked after **every** batch
+//! against an independent reference — a `BTreeSet` of edges plus a
+//! vertex count that applies each op by the documented rule (inserting
+//! a present edge or removing an absent one is a skipped no-op).
 //!
-//! Batch sizes straddle the splice/rebuild threshold
-//! ([`lmds_graph::dynamic::SPLICE_LIMIT`]) so both update paths are
-//! certified.
+//! After each batch the harness asserts that
+//!
+//! 1. the graph equals a from-scratch [`Graph::from_edges`] build of
+//!    the reference;
+//! 2. [`UpdateStats`] carries the reference's inserted / removed /
+//!    added / skipped counts, and `rebuilt` is set exactly when the
+//!    batch holds more than [`SPLICE_LIMIT`] edge ops;
+//! 3. the journal ([`DynamicGraph::touched`], cleared before every
+//!    batch) holds exactly the endpoints of the effective edge ops plus
+//!    the added vertices;
+//! 4. the `dirty_ball` contract holds: for r in 0..=3, every
+//!    pre-existing vertex outside [`DynamicGraph::dirty_ball`]`(r)` has
+//!    the same r-ball, inducing the same edges, before and after the
+//!    batch.
+//!
+//! Batch sizes run from 1 to `SPLICE_LIMIT + 4`, so both update tiers
+//! (per-op splice and bulk rebuild) run; each test asserts that both
+//! did.
 
-use lmds_api::dynamic::DynamicInstance;
-use lmds_api::{Instance, SolveConfig, SolverRegistry};
-use lmds_core::Radii;
 use lmds_gen::ding::AugmentationSpec;
 use lmds_gen::rng::SmallRng;
-use lmds_graph::dynamic::{GraphUpdate, SPLICE_LIMIT};
-use lmds_graph::Graph;
+use lmds_graph::bfs;
+use lmds_graph::dynamic::{DynamicGraph, GraphUpdate, UpdateStats, SPLICE_LIMIT};
+use lmds_graph::{Graph, Vertex};
+use std::collections::BTreeSet;
 
-/// The deterministic corpus: every generator family. Sizes are modest
-/// because every step runs a from-scratch reference solve.
+/// The deterministic corpus: every generator family.
 fn corpus() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![
         ("path13".into(), lmds_gen::basic::path(13)),
@@ -96,88 +107,145 @@ fn random_batch(g: &Graph, rng: &mut SmallRng, grow: bool) -> Vec<GraphUpdate> {
         }
     }
     if batch.is_empty() {
-        // Never submit an empty batch; a guaranteed-fresh insert keeps
-        // the stream moving (n ≥ 2 for every corpus instance).
+        // Never submit an empty batch; an insert keeps the stream
+        // moving (n ≥ 2 for every corpus instance).
         batch.push(GraphUpdate::InsertEdge(0, 1));
     }
     batch
 }
 
-/// Drives `steps` random batches over one instance, asserting the
-/// dynamic solve equals the from-scratch registry solve (same vertex
-/// set, verifying certificate) after every batch.
-fn certify_stream(name: &str, g: Graph, seed: u64, steps: usize, grow: bool, cfg: &SolveConfig) {
-    let registry = SolverRegistry::with_defaults();
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF);
-    let mut dynamic = DynamicInstance::new(Instance::shuffled(name, g, seed));
-    for step in 0..=steps {
-        if step > 0 {
-            let batch = random_batch(dynamic.graph(), &mut rng, grow);
-            dynamic
-                .apply(&batch)
-                .unwrap_or_else(|e| panic!("{name} step {step}: bad batch {batch:?}: {e}"));
-        }
-        let snap = dynamic.snapshot();
-        let (sol, stats) = dynamic.solve(cfg).unwrap_or_else(|e| panic!("{name} step {step}: {e}"));
-        sol.verify(&snap).unwrap_or_else(|e| panic!("{name} step {step}: bad certificate: {e}"));
-        let reference = registry
-            .solve("mds/algorithm1", &snap, cfg)
-            .unwrap_or_else(|e| panic!("{name} step {step}: reference solve: {e}"));
-        assert_eq!(
-            sol.vertices,
-            reference.vertices,
-            "{name} step {step}: incremental ≠ from-scratch (rev {})",
-            dynamic.revision(),
-        );
-        assert_eq!(
-            stats.components_reused + stats.components_resolved,
-            stats.components_total,
-            "{name} step {step}: stats don't partition the components",
-        );
+/// The independent reference: a vertex count and an edge set, each op
+/// applied by the documented rule.
+struct Reference {
+    n: usize,
+    edges: BTreeSet<(Vertex, Vertex)>,
+}
+
+impl Reference {
+    fn new(g: &Graph) -> Self {
+        Reference { n: g.n(), edges: g.edges().collect() }
     }
+
+    /// Applies `batch` and returns what [`DynamicGraph::apply`] must
+    /// report, plus the vertices it must journal (sorted, deduplicated).
+    fn apply(&mut self, batch: &[GraphUpdate]) -> (UpdateStats, Vec<Vertex>) {
+        let edge_ops = batch.iter().filter(|op| !matches!(op, GraphUpdate::AddVertex)).count();
+        let mut stats = UpdateStats { rebuilt: edge_ops > SPLICE_LIMIT, ..UpdateStats::default() };
+        let mut touched = Vec::new();
+        for op in batch {
+            match *op {
+                GraphUpdate::AddVertex => {
+                    touched.push(self.n);
+                    self.n += 1;
+                    stats.added_vertices += 1;
+                }
+                GraphUpdate::InsertEdge(u, v) => {
+                    if self.edges.insert((u.min(v), u.max(v))) {
+                        touched.extend([u, v]);
+                        stats.inserted += 1;
+                    } else {
+                        stats.skipped += 1;
+                    }
+                }
+                GraphUpdate::RemoveEdge(u, v) => {
+                    if self.edges.remove(&(u.min(v), u.max(v))) {
+                        touched.extend([u, v]);
+                        stats.removed += 1;
+                    } else {
+                        stats.skipped += 1;
+                    }
+                }
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        (stats, touched)
+    }
+
+    fn graph(&self) -> Graph {
+        let edges: Vec<(Vertex, Vertex)> = self.edges.iter().copied().collect();
+        Graph::from_edges(self.n, &edges)
+    }
+}
+
+/// The edges `G[ball]` induces, each once as `(u, v)` with `u < v`
+/// (`ball` sorted ascending, as [`bfs::ball`] returns it).
+fn induced_edges(g: &Graph, ball: &[Vertex]) -> Vec<(Vertex, Vertex)> {
+    let mut out = Vec::new();
+    for &u in ball {
+        for &v in g.neighbors(u) {
+            let v = v as Vertex;
+            if u < v && ball.binary_search(&v).is_ok() {
+                out.push((u, v));
+            }
+        }
+    }
+    out
+}
+
+/// The `dirty_ball` contract for one batch: every vertex of `before`
+/// outside `dirty_ball(r)` keeps its r-ball and the edges it induces.
+fn assert_dirty_ball_contract(ctx: &str, before: &Graph, dg: &DynamicGraph) {
+    let after = dg.graph();
+    for r in 0..=3u32 {
+        let dirty = dg.dirty_ball(r);
+        for c in (0..before.n()).filter(|c| dirty.binary_search(c).is_err()) {
+            let (old, new) = (bfs::ball(before, c, r), bfs::ball(after, c, r));
+            assert_eq!(old, new, "{ctx}: r = {r}: the ball of clean vertex {c} changed");
+            assert_eq!(
+                induced_edges(before, &old),
+                induced_edges(after, &new),
+                "{ctx}: r = {r}: the ball of clean vertex {c} induces different edges",
+            );
+        }
+    }
+}
+
+/// Drives `steps` random batches over one instance, checking the
+/// dynamic graph against the reference after every batch (see the
+/// module docs). Returns how many batches took the splice tier
+/// (index 0) and the rebuild tier (index 1).
+fn certify_stream(name: &str, g: Graph, seed: u64, steps: usize, grow: bool) -> [usize; 2] {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1FF);
+    let mut reference = Reference::new(&g);
+    let mut dg = DynamicGraph::new(g);
+    let mut tiers = [0; 2];
+    for step in 1..=steps {
+        let ctx = format!("{name} step {step}");
+        let before = dg.graph().clone();
+        let batch = random_batch(&before, &mut rng, grow);
+        let (expected, touched) = reference.apply(&batch);
+        dg.clear_touched();
+        let stats = dg.apply(&batch).unwrap_or_else(|e| panic!("{ctx}: bad batch {batch:?}: {e}"));
+        assert_eq!(dg.graph(), &reference.graph(), "{ctx}: graph ≠ from_edges after {batch:?}");
+        assert_eq!(stats, expected, "{ctx}: update stats for {batch:?}");
+        assert_eq!(dg.touched(), touched.as_slice(), "{ctx}: journal for {batch:?}");
+        assert_dirty_ball_contract(&ctx, &before, &dg);
+        tiers[usize::from(stats.rebuilt)] += 1;
+    }
+    tiers
+}
+
+/// One 16-batch stream per corpus instance and seed; both update tiers
+/// must run somewhere in the sweep.
+fn certify_corpus(seeds: &[u64], grow: bool) {
+    let mut tiers = [0; 2];
+    for (name, g) in corpus() {
+        for &seed in seeds {
+            let [splices, rebuilds] = certify_stream(&name, g.clone(), seed, 16, grow);
+            tiers[0] += splices;
+            tiers[1] += rebuilds;
+        }
+    }
+    assert!(tiers[0] > 0 && tiers[1] > 0, "both tiers must run: {tiers:?}");
 }
 
 #[test]
 fn edge_streams_match_from_scratch_on_every_family() {
-    let cfg = SolveConfig::mds().radii(Radii::practical(2, 2));
-    for (name, g) in corpus() {
-        certify_stream(&name, g, 11, 4, false, &cfg);
-    }
+    certify_corpus(&[11, 12, 13], false);
 }
 
 #[test]
 fn growth_streams_match_from_scratch() {
-    let cfg = SolveConfig::mds().radii(Radii::practical(2, 2));
-    for (name, g) in corpus().into_iter().step_by(3) {
-        certify_stream(&name, g, 23, 4, true, &cfg);
-    }
-}
-
-#[test]
-fn default_radii_agree_too() {
-    // The paper-default radii exercise larger balls; a corpus slice
-    // keeps the runtime in check.
-    let cfg = SolveConfig::mds();
-    for (name, g) in corpus().into_iter().step_by(5) {
-        certify_stream(&name, g, 5, 3, false, &cfg);
-    }
-}
-
-/// Re-solving an unchanged revision must stitch every component from
-/// cache and still return the identical, verifying solution.
-#[test]
-fn unchanged_revisions_reuse_every_component() {
-    let cfg = SolveConfig::mds().radii(Radii::practical(2, 2));
-    let mut rng = SmallRng::seed_from_u64(0xCAFE);
-    for (name, g) in corpus().into_iter().step_by(4) {
-        let mut dynamic = DynamicInstance::new(Instance::shuffled(&name, g, 5));
-        let batch = random_batch(dynamic.graph(), &mut rng, false);
-        dynamic.apply(&batch).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let (first, warm) = dynamic.solve(&cfg).unwrap();
-        let (second, stats) = dynamic.solve(&cfg).unwrap();
-        assert_eq!(first.vertices, second.vertices, "{name}: repeat solve drifted");
-        assert_eq!(stats.components_resolved, 0, "{name}: cache miss on unchanged revision");
-        assert_eq!(stats.components_reused, warm.components_total, "{name}");
-        second.verify(&dynamic.snapshot()).unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
+    certify_corpus(&[23], true);
 }

@@ -531,3 +531,26 @@ fn ablation_options_apply_to_the_mds_pipeline_only() {
         assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{options:?}");
     }
 }
+
+/// Radii whose adaptive LOCAL round cap does not fit the simulator's
+/// `u32` round counter are a typed configuration error under LOCAL,
+/// refused before any simulation; centralized, the same radii solve
+/// and match the answer at (1, 5), whose balls already cover the cycle.
+#[test]
+fn radii_past_the_round_counter_are_refused_under_local() {
+    let registry = SolverRegistry::with_defaults();
+    let inst = Instance::sequential("c5", lmds_gen::basic::cycle(5));
+    let huge = Radii::practical(1, 1 << 31);
+    for key in ["mds/algorithm1", "mds/algorithm2", "mvc/algorithm1"] {
+        let problem = registry.get(key).expect("registered").problem();
+        let cfg = SolveConfig::new(problem).radii(huge);
+        let local = cfg.clone().mode(ExecutionMode::LOCAL_ORACLE);
+        let err = registry.solve(key, &inst, &local).unwrap_err();
+        assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{key}: {err:?}");
+        assert!(err.to_string().contains("(1, 2147483648)"), "{key}: {err}");
+        let sol = registry.solve(key, &inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
+        let at_1_5 = SolveConfig::new(problem).radii(Radii::practical(1, 5));
+        let want = registry.solve(key, &inst, &at_1_5).unwrap_or_else(|e| panic!("{key}: {e}"));
+        assert_eq!(sol.vertices, want.vertices, "{key}");
+    }
+}
