@@ -1,9 +1,11 @@
 //! # lmds-api
 //!
 //! The unified service-facing API of the workspace: one [`Solver`]
-//! trait, a [`SolverRegistry`] naming every algorithm under a stable
-//! string key, and a [`BatchRunner`] that fans solver sets across many
-//! instances on a thread pool.
+//! trait (a [`SolverDescriptor`] plus `solve`), a [`SolverRegistry`]
+//! naming every algorithm under a stable string key — the built-in
+//! solvers are rows of one table in [`solver`], each running one of
+//! three solve bodies — and a [`BatchRunner`] that fans solver sets
+//! across many instances on a thread pool.
 //!
 //! Everything upstream of this crate (graph substrate, the paper's
 //! algorithms, the LOCAL simulator, workload generators) is exposed
@@ -55,6 +57,9 @@
 //! assert!(registry.keys().len() >= 8);
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod batch;
 pub mod config;
 pub mod instance;
@@ -66,11 +71,11 @@ pub mod view;
 pub use batch::{BatchJob, BatchRecord, BatchRunner};
 pub use config::{ExecutionMode, Problem, ScenarioConfig, SolveConfig, DEFAULT_OPT_BUDGET};
 pub use instance::{GroundTruth, Instance};
-pub use registry::{SolverDescriptor, SolverRegistry};
+pub use registry::SolverRegistry;
 pub use solution::{
     Certificate, Degradation, MessageStats, Optimum, PipelineDiagnostics, Solution, VerifyError,
 };
-pub use solver::{SolveError, Solver};
+pub use solver::{SolveError, Solver, SolverDescriptor};
 pub use view::{SolutionView, SolveConfigView, ViewError};
 
 // The LOCAL-scenario vocabulary (including the fault-injection knobs),

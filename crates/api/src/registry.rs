@@ -1,29 +1,13 @@
 //! The solver registry: every algorithm under a stable string key.
+//!
+//! [`SolverRegistry::with_defaults`] registers the built-in solver
+//! table; [`SolverRegistry::register`] adds (or replaces) any other
+//! [`Solver`] under its descriptor's key.
 
-use crate::solver::{
-    Algorithm1MvcSolver, Algorithm1Solver, Algorithm2Solver, ExactMdsSolver, ExactMvcSolver,
-    RegularMvcSolver, Solver, TakeAllSolver, Theorem44MdsSolver, Theorem44MvcSolver,
-    TreesFolkloreSolver,
-};
+use crate::solver::{Solver, SolverDescriptor, BUILTINS};
 use crate::{Instance, Problem, Solution, SolveConfig, SolveError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// A structured description of one registered solver, as reported by
-/// [`SolverRegistry::descriptors`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SolverDescriptor {
-    /// Stable registry key (`"mds/algorithm1"`, …).
-    pub key: &'static str,
-    /// Human-readable name.
-    pub name: &'static str,
-    /// The problem it targets.
-    pub problem: Problem,
-    /// Where in the paper (or folklore) it comes from.
-    pub paper_ref: &'static str,
-    /// The execution modes it supports.
-    pub modes: &'static [crate::ExecutionMode],
-}
 
 /// A keyed collection of [`Solver`]s. Iteration order is the key order
 /// (BTreeMap), so sweeps are deterministic.
@@ -44,22 +28,15 @@ impl SolverRegistry {
     /// solvers.
     pub fn with_defaults() -> Self {
         let mut r = Self::empty();
-        r.register(Arc::new(Algorithm1Solver));
-        r.register(Arc::new(Algorithm2Solver));
-        r.register(Arc::new(Theorem44MdsSolver));
-        r.register(Arc::new(TreesFolkloreSolver));
-        r.register(Arc::new(TakeAllSolver));
-        r.register(Arc::new(ExactMdsSolver));
-        r.register(Arc::new(Theorem44MvcSolver));
-        r.register(Arc::new(Algorithm1MvcSolver));
-        r.register(Arc::new(RegularMvcSolver));
-        r.register(Arc::new(ExactMvcSolver));
+        for builtin in BUILTINS {
+            r.register(Arc::new(builtin));
+        }
         r
     }
 
-    /// Registers (or replaces) a solver under its own key.
+    /// Registers (or replaces) a solver under its descriptor's key.
     pub fn register(&mut self, solver: Arc<dyn Solver>) {
-        self.solvers.insert(solver.key(), solver);
+        self.solvers.insert(solver.descriptor().key, solver);
     }
 
     /// Looks a solver up by key.
@@ -69,31 +46,23 @@ impl SolverRegistry {
 
     /// All registered keys, sorted. This is the single source of truth
     /// for "what can I ask for": the [`SolveError::UnknownSolver`]
-    /// message, the `reproduce` CLI hints, and the serve daemon's
-    /// `GET /solvers` endpoint and 404 envelopes all render this list.
+    /// message, the `reproduce` CLI hints and the serve daemon's 404
+    /// envelopes all render this list, and its `GET /solvers` endpoint
+    /// renders [`SolverRegistry::descriptors`] in the same order.
     pub fn keys(&self) -> Vec<&'static str> {
         self.solvers.keys().copied().collect()
     }
 
-    /// Structured descriptions of every registered solver, in key
-    /// order — the programmatic face of [`SolverRegistry::keys`] for
-    /// service catalogs (`GET /solvers`).
+    /// The descriptor of every registered solver, in key order — the
+    /// programmatic face of [`SolverRegistry::keys`] for service
+    /// catalogs (`GET /solvers`).
     pub fn descriptors(&self) -> Vec<SolverDescriptor> {
-        self.solvers
-            .values()
-            .map(|s| SolverDescriptor {
-                key: s.key(),
-                name: s.name(),
-                problem: s.problem(),
-                paper_ref: s.paper_ref(),
-                modes: s.modes(),
-            })
-            .collect()
+        self.solvers.values().map(|s| s.descriptor().clone()).collect()
     }
 
     /// All solvers targeting `problem`, in key order.
     pub fn solvers_for(&self, problem: Problem) -> Vec<Arc<dyn Solver>> {
-        self.solvers.values().filter(|s| s.problem() == problem).cloned().collect()
+        self.solvers.values().filter(|s| s.descriptor().problem == problem).cloned().collect()
     }
 
     /// Number of registered solvers.
@@ -146,10 +115,76 @@ mod tests {
         assert!(!r.solvers_for(Problem::MinVertexCover).is_empty());
         for key in r.keys() {
             let s = r.get(key).unwrap();
-            assert_eq!(s.key(), key);
-            assert!(key.starts_with(s.problem().key_prefix()), "{key}");
-            assert!(!s.modes().is_empty());
+            let d = s.descriptor();
+            assert_eq!(d.key, key);
+            assert!(key.starts_with(d.problem.key_prefix()), "{key}");
+            assert!(!d.modes.is_empty());
         }
+    }
+
+    /// The whole built-in catalog, pinned: key, name, problem, paper
+    /// reference and mode list of every solver, in key order.
+    #[test]
+    fn default_catalog_is_pinned() {
+        use Problem::{MinDominatingSet as Mds, MinVertexCover as Mvc};
+        const ALL: &[ExecutionMode] = &ExecutionMode::ALL;
+        const CENTRAL: &[ExecutionMode] = &[ExecutionMode::Centralized];
+        let row = |key, name, problem, paper_ref, modes| SolverDescriptor {
+            key,
+            name,
+            problem,
+            paper_ref,
+            modes,
+        };
+        let expected = vec![
+            row("mds/algorithm1", "Algorithm 1 pipeline", Mds, "Theorem 4.1", ALL),
+            row(
+                "mds/algorithm2",
+                "Algorithm 2 (control-function pipeline)",
+                Mds,
+                "Theorem 4.3",
+                ALL,
+            ),
+            row(
+                "mds/exact",
+                "exact MDS (reduce + branch & bound / treewidth DP)",
+                Mds,
+                "baseline (exact)",
+                CENTRAL,
+            ),
+            row("mds/take-all", "take all (0 rounds)", Mds, "Table 1 (K_{1,t} row, folklore)", ALL),
+            row("mds/theorem44", "Theorem 4.4 (3-round D₂)", Mds, "Theorem 4.4", ALL),
+            row(
+                "mds/trees-folklore",
+                "trees folklore (degree ≥ 2)",
+                Mds,
+                "Table 1 (trees row, folklore)",
+                ALL,
+            ),
+            row(
+                "mvc/algorithm1",
+                "Algorithm 1 MVC variant (take-all 2-cuts)",
+                Mvc,
+                "§4 closing remark",
+                ALL,
+            ),
+            row(
+                "mvc/exact",
+                "exact MVC (reduce + branch & bound / treewidth DP)",
+                Mvc,
+                "baseline (exact)",
+                CENTRAL,
+            ),
+            row("mvc/regular-take-all", "regular-graph take-all MVC", Mvc, "§1 (folklore)", ALL),
+            row(
+                "mvc/theorem44",
+                "Theorem 4.4 MVC variant",
+                Mvc,
+                "Theorem 4.4 (MVC extension)",
+                ALL,
+            ),
+        ];
+        assert_eq!(SolverRegistry::with_defaults().descriptors(), expected);
     }
 
     #[test]
@@ -175,8 +210,7 @@ mod tests {
         let g = lmds_gen::basic::path(6);
         let inst = Instance::sequential("p6", g);
         for key in r.keys() {
-            let solver = r.get(key).unwrap();
-            let cfg = SolveConfig::new(solver.problem());
+            let cfg = SolveConfig::new(r.get(key).unwrap().descriptor().problem);
             let sol = r.solve(key, &inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
             assert!(sol.is_valid(), "{key} produced an invalid solution");
             assert_eq!(sol.mode, ExecutionMode::Centralized);

@@ -1,15 +1,23 @@
-//! The [`Solver`] trait and its implementations: every algorithm in the
-//! workspace behind one `solve(&Instance, &SolveConfig) -> Solution`
-//! contract.
+//! The [`Solver`] trait and the built-in solver table: every algorithm
+//! in the workspace behind one `solve(&Instance, &SolveConfig) ->
+//! Solution` contract.
+//!
+//! The built-in solvers are rows of one table, `BUILTINS`: a
+//! [`SolverDescriptor`] plus the algorithm the row runs. The paper's
+//! algorithms take three shapes, so every row runs one of three solve
+//! bodies — the adaptive Algorithm 1 pipeline, an explicit-round state
+//! machine next to its centralized reference, or an exact reference
+//! search. Adding a built-in solver means adding one row.
 
 use crate::{ExecutionMode, Instance, MessageStats, Optimum, Problem, Solution, SolveConfig};
 use lmds_core::distributed::{
-    Algorithm1Decider, MvcAlgorithm1Decider, RegularMvcLocal, TakeAllLocal, Theorem44Local,
-    Theorem44MvcLocal, TreesFolkloreLocal,
+    Algorithm1Decider, DegreeRuleLocal, MvcAlgorithm1Decider, RegularMvcLocal, TakeAllLocal,
+    Theorem44Local,
 };
 use lmds_core::mvc::algorithm1_mvc;
 use lmds_core::theorem44::{theorem44_mds, theorem44_mvc};
 use lmds_core::{algorithm1_with, baselines, Algorithm1Output, PipelineOptions, Radii};
+use lmds_graph::exact::{ExactEngine, ExactError};
 use lmds_graph::Vertex;
 use lmds_localsim::{FaultReport, FaultyRuntime, LocalAlgorithm, RuntimeError, RuntimeKind};
 use std::time::Instant;
@@ -131,26 +139,32 @@ impl SolveError {
     }
 }
 
+/// What a solver is: its registry key, name, problem, paper reference
+/// and supported modes, as reported by
+/// [`SolverRegistry::descriptors`](crate::SolverRegistry::descriptors).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SolverDescriptor {
+    /// Stable registry key, `"<problem>/<algorithm>"`
+    /// (e.g. `"mds/algorithm1"`).
+    pub key: &'static str,
+    /// Human-readable name.
+    pub name: &'static str,
+    /// The problem it targets.
+    pub problem: Problem,
+    /// Where in the paper (or folklore) it comes from.
+    pub paper_ref: &'static str,
+    /// The execution modes it supports.
+    pub modes: &'static [ExecutionMode],
+}
+
 /// A uniform algorithm: every MDS/MVC algorithm in the workspace
 /// implements this one trait, and all consumers (experiments, the
 /// `reproduce` binary, examples, batch sweeps) invoke algorithms only
 /// through it.
 pub trait Solver: Send + Sync {
-    /// Stable registry key, `"<problem>/<algorithm>"`
-    /// (e.g. `"mds/algorithm1"`).
-    fn key(&self) -> &'static str;
-
-    /// Human-readable name.
-    fn name(&self) -> &'static str;
-
-    /// The problem this solver targets.
-    fn problem(&self) -> Problem;
-
-    /// Where in the paper (or folklore) the algorithm comes from.
-    fn paper_ref(&self) -> &'static str;
-
-    /// The execution modes this solver supports.
-    fn modes(&self) -> &'static [ExecutionMode];
+    /// What this solver is; the registry keys it on
+    /// [`SolverDescriptor::key`].
+    fn descriptor(&self) -> &SolverDescriptor;
 
     /// Solves `inst` under `cfg`, returning the structured solution.
     ///
@@ -167,18 +181,13 @@ const ALL_MODES: &[ExecutionMode] = &ExecutionMode::ALL;
 /// Centralized only (exact solvers).
 const CENTRALIZED_ONLY: &[ExecutionMode] = &[ExecutionMode::Centralized];
 
-/// Validates problem + mode, in every solver's preamble.
-fn check(
-    solver: &'static str,
-    problem: Problem,
-    modes: &'static [ExecutionMode],
-    cfg: &SolveConfig,
-) -> Result<(), SolveError> {
-    if cfg.problem != problem {
-        return Err(SolveError::UnsupportedProblem { solver, requested: cfg.problem });
+/// Validates the config's problem and mode against the descriptor.
+fn check(d: &SolverDescriptor, cfg: &SolveConfig) -> Result<(), SolveError> {
+    if cfg.problem != d.problem {
+        return Err(SolveError::UnsupportedProblem { solver: d.key, requested: cfg.problem });
     }
-    if !modes.contains(&cfg.mode) {
-        return Err(SolveError::UnsupportedMode { solver, requested: cfg.mode });
+    if !d.modes.contains(&cfg.mode) {
+        return Err(SolveError::UnsupportedMode { solver: d.key, requested: cfg.mode });
     }
     Ok(())
 }
@@ -205,11 +214,6 @@ fn adaptive_round_cap(solver: &'static str, radii: Radii, n: usize) -> Result<u3
     })
 }
 
-/// What a distributed run hands back to `finish`: vertices, rounds,
-/// the LOCAL execution profile, and the fault report (faulty runtime
-/// only).
-type LocalRun = (Vec<Vertex>, Option<u32>, Option<MessageStats>, Option<FaultReport>);
-
 /// The grace budget a fault run grants the completeness-gated native
 /// state machines: `None` (strict, wait for full evidence) outside
 /// fault runs, the plan's standard budget inside them.
@@ -229,10 +233,11 @@ fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
         .unwrap_or(default.saturating_add(fault.grace()).saturating_add(fault.skew))
 }
 
-/// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL scenario:
-/// resolves the runtime backend from the mode, applies the identifier
-/// policy (instance ids unless overridden), and converts the result to
-/// (vertices, rounds, message stats, fault report).
+/// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL scenario
+/// and finishes the solution: resolves the runtime backend from the
+/// mode, applies the identifier policy (instance ids unless
+/// overridden), and attaches the round count, the [`MessageStats`] and
+/// — on the faulty backend — the fault report.
 ///
 /// The faulty backend takes the scenario's [`FaultConfig`] and reports
 /// what the plan did; crashed-undecided vertices are *silent* — absent
@@ -242,9 +247,10 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
     solver: &'static str,
     inst: &Instance,
     cfg: &SolveConfig,
+    started: Instant,
     algo: &A,
     cap: u32,
-) -> Result<LocalRun, SolveError> {
+) -> Result<Solution, SolveError> {
     let kind = cfg
         .mode
         .runtime()
@@ -266,7 +272,7 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         }
         None => &inst.ids,
     };
-    if kind == RuntimeKind::Faulty {
+    let (vertices, rounds, stats, fault) = if kind == RuntimeKind::Faulty {
         let rt = FaultyRuntime::new(cfg.scenario.fault);
         let run = rt
             .run_with_report(&inst.graph, ids, algo, cap)
@@ -278,13 +284,17 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
             .filter_map(|(v, o)| matches!(o, Some(true)).then_some(v))
             .collect();
         let stats = MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
-        return Ok((vertices, Some(run.rounds), Some(stats), Some(run.report)));
-    }
-    let res = kind.run(&inst.graph, ids, algo, cap)?;
-    let vertices: Vec<Vertex> =
-        res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
-    let stats = MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
-    Ok((vertices, Some(res.rounds), Some(stats), None))
+        (vertices, run.rounds, stats, Some(run.report))
+    } else {
+        let res = kind.run(&inst.graph, ids, algo, cap)?;
+        let vertices: Vec<Vertex> =
+            res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+        let stats = MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
+        (vertices, res.rounds, stats, None)
+    };
+    let mut sol = finish(solver, inst, cfg, started, vertices, Some(rounds), Some(stats));
+    sol.fault = fault;
+    Ok(sol)
 }
 
 /// Attaches a measured optimum when the config asks for one and ground
@@ -331,47 +341,8 @@ fn finish(
     sol
 }
 
-/// [`finish`] for distributed runs: unpacks a [`LocalRun`] and attaches
-/// the fault report next to the message stats.
-fn finish_local(
-    solver: &'static str,
-    inst: &Instance,
-    cfg: &SolveConfig,
-    started: Instant,
-    run: LocalRun,
-) -> Solution {
-    let (vertices, rounds, messages, fault) = run;
-    let mut sol = finish(solver, inst, cfg, started, vertices, rounds, messages);
-    sol.fault = fault;
-    sol
-}
-
-/// [`finish`] for the exact solvers: the result *is* the optimum, so
-/// attach it directly instead of re-running the search under
-/// `measure_ratio`.
-fn finish_exact(
-    solver: &'static str,
-    inst: &Instance,
-    cfg: &SolveConfig,
-    started: Instant,
-    vertices: Vec<Vertex>,
-) -> Solution {
-    let mut sol = Solution::assemble(
-        solver,
-        inst,
-        cfg.problem,
-        cfg.mode,
-        vertices,
-        None,
-        None,
-        started.elapsed(),
-    );
-    sol.optimum = Some(Optimum { value: sol.size(), exact: true });
-    sol
-}
-
 // ---------------------------------------------------------------------
-// MDS solvers
+// The three solve bodies
 // ---------------------------------------------------------------------
 
 /// The one solve body of the Algorithm 1 family (`mds/algorithm1`,
@@ -402,354 +373,265 @@ fn solve_pipeline<A: LocalAlgorithm<Output = bool>>(
         });
     }
     let cap = local_round_cap(cfg, adaptive_round_cap(key, cfg.radii, inst.n())?);
-    let run = run_local(key, inst, cfg, decider, cap)?;
-    Ok(finish_local(key, inst, cfg, started, run))
+    run_local(key, inst, cfg, started, decider, cap)
 }
 
-/// Algorithm 1 / Theorem 4.1: the `O_t(1)`-round constant-approximation
-/// pipeline (twin reduction → local 1-cuts → interesting 2-cuts → exact
-/// brute force on bounded residuals).
-pub struct Algorithm1Solver;
-
-impl Solver for Algorithm1Solver {
-    fn key(&self) -> &'static str {
-        "mds/algorithm1"
-    }
-    fn name(&self) -> &'static str {
-        "Algorithm 1 pipeline"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinDominatingSet
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Theorem 4.1"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let centralized = || algorithm1_with(&inst.graph, &inst.ids, cfg.radii, cfg.options);
-        solve_pipeline(self.key(), inst, cfg, centralized, &Algorithm1Decider { radii: cfg.radii })
-    }
-}
-
-/// Algorithm 2 / Theorem 4.3: the same pipeline with radii derived from
-/// an asymptotic-dimension control function — [`SolveConfig::control`]
-/// writes them into [`SolveConfig::radii`], which this solver reads
-/// like Algorithm 1 does.
-pub struct Algorithm2Solver;
-
-impl Solver for Algorithm2Solver {
-    fn key(&self) -> &'static str {
-        "mds/algorithm2"
-    }
-    fn name(&self) -> &'static str {
-        "Algorithm 2 (control-function pipeline)"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinDominatingSet
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Theorem 4.3"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let centralized = || algorithm1_with(&inst.graph, &inst.ids, cfg.radii, cfg.options);
-        solve_pipeline(self.key(), inst, cfg, centralized, &Algorithm1Decider { radii: cfg.radii })
-    }
-}
-
-/// Theorem 4.4: the 3-round `(2t−1)`-approximation (`D₂` of the
-/// twin-free quotient).
-pub struct Theorem44MdsSolver;
-
-impl Solver for Theorem44MdsSolver {
-    fn key(&self) -> &'static str {
-        "mds/theorem44"
-    }
-    fn name(&self) -> &'static str {
-        "Theorem 4.4 (3-round D₂)"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinDominatingSet
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Theorem 4.4"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        if cfg.mode == ExecutionMode::Centralized {
-            let sol = theorem44_mds(&inst.graph, &inst.ids);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
-        }
-        let cap = local_round_cap(cfg, 10);
-        let algo = Theorem44Local { grace: fault_grace(cfg) };
-        let run = run_local(self.key(), inst, cfg, &algo, cap)?;
-        Ok(finish_local(self.key(), inst, cfg, started, run))
-    }
-}
-
-/// Table 1 trees row: the folklore 2-round 3-approximation (degree ≥ 2
-/// plus small-component rules).
-pub struct TreesFolkloreSolver;
-
-impl Solver for TreesFolkloreSolver {
-    fn key(&self) -> &'static str {
-        "mds/trees-folklore"
-    }
-    fn name(&self) -> &'static str {
-        "trees folklore (degree ≥ 2)"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinDominatingSet
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Table 1 (trees row, folklore)"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        if cfg.mode == ExecutionMode::Centralized {
-            let sol = baselines::trees_folklore(&inst.graph, &inst.ids);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
-        }
-        let cap = local_round_cap(cfg, 10);
-        let algo = TreesFolkloreLocal { grace: fault_grace(cfg) };
-        let run = run_local(self.key(), inst, cfg, &algo, cap)?;
-        Ok(finish_local(self.key(), inst, cfg, started, run))
-    }
-}
-
-/// Table 1 `K_{1,t}` row: every vertex joins at round 0
-/// (`Δ ≤ t−1 ⟹ n ≤ t·MDS`).
-pub struct TakeAllSolver;
-
-impl Solver for TakeAllSolver {
-    fn key(&self) -> &'static str {
-        "mds/take-all"
-    }
-    fn name(&self) -> &'static str {
-        "take all (0 rounds)"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinDominatingSet
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Table 1 (K_{1,t} row, folklore)"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        if cfg.mode == ExecutionMode::Centralized {
-            let sol = baselines::take_all(&inst.graph);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
-        }
-        let cap = local_round_cap(cfg, 5);
-        let run = run_local(self.key(), inst, cfg, &TakeAllLocal, cap)?;
-        Ok(finish_local(self.key(), inst, cfg, started, run))
-    }
-}
-
-/// Converts an exact-engine failure into the solver-level error.
-fn map_exact_error(
-    solver: &'static str,
+/// The solve body of the explicit-round algorithms (Theorem 4.4, its
+/// MVC variant, Table 1's folklore rows): the `centralized` reference,
+/// or the native state machine `algo` under the config's LOCAL
+/// scenario, capped at `default_cap` rounds unless the scenario names
+/// a cap.
+fn solve_rounds<A: LocalAlgorithm<Output = bool>>(
+    key: &'static str,
+    inst: &Instance,
     cfg: &SolveConfig,
-    e: lmds_graph::exact::ExactError,
-) -> SolveError {
-    match e {
-        lmds_graph::exact::ExactError::BudgetExhausted { .. } => {
-            SolveError::BudgetExhausted { solver, budget: cfg.opt_budget }
+    centralized: impl FnOnce() -> Vec<Vertex>,
+    algo: &A,
+    default_cap: u32,
+) -> Result<Solution, SolveError> {
+    let started = Instant::now();
+    if cfg.mode == ExecutionMode::Centralized {
+        return Ok(finish(key, inst, cfg, started, centralized(), None, None));
+    }
+    run_local(key, inst, cfg, started, algo, local_round_cap(cfg, default_cap))
+}
+
+/// The solve body of the exact reference solvers: `search` on this
+/// thread's [`ExactEngine`], budget-capped. The result *is* the
+/// optimum, so it is attached directly instead of re-running the
+/// search under `measure_ratio`.
+fn solve_exact(
+    key: &'static str,
+    inst: &Instance,
+    cfg: &SolveConfig,
+    search: impl FnOnce(&mut ExactEngine) -> Result<Vec<Vertex>, ExactError>,
+) -> Result<Solution, SolveError> {
+    let started = Instant::now();
+    let vertices = lmds_graph::exact::with_thread_engine(search).map_err(|e| match e {
+        ExactError::BudgetExhausted { .. } => {
+            SolveError::BudgetExhausted { solver: key, budget: cfg.opt_budget }
         }
-        lmds_graph::exact::ExactError::Infeasible => SolveError::UnsupportedOptions {
-            solver,
+        ExactError::Infeasible => SolveError::UnsupportedOptions {
+            solver: key,
             reason: "whole-graph exact instances are always feasible".into(),
         },
-    }
-}
-
-/// Exact MDS through the
-/// [`ExactEngine`](lmds_graph::exact::ExactEngine): reduction rules,
-/// then branch and bound or the tree-decomposition DP per residual
-/// component, picked by the engine's size-and-width rule
-/// (budget-capped).
-pub struct ExactMdsSolver;
-
-impl Solver for ExactMdsSolver {
-    fn key(&self) -> &'static str {
-        "mds/exact"
-    }
-    fn name(&self) -> &'static str {
-        "exact MDS (reduce + branch & bound / treewidth DP)"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinDominatingSet
-    }
-    fn paper_ref(&self) -> &'static str {
-        "baseline (exact)"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        CENTRALIZED_ONLY
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        let sol =
-            lmds_graph::exact::with_thread_engine(|e| e.solve_mds(&inst.graph, cfg.opt_budget))
-                .map_err(|e| map_exact_error(self.key(), cfg, e))?;
-        Ok(finish_exact(self.key(), inst, cfg, started, sol))
-    }
+    })?;
+    let mut sol = Solution::assemble(
+        key,
+        inst,
+        cfg.problem,
+        cfg.mode,
+        vertices,
+        None,
+        None,
+        started.elapsed(),
+    );
+    sol.optimum = Some(Optimum { value: sol.size(), exact: true });
+    Ok(sol)
 }
 
 // ---------------------------------------------------------------------
-// MVC solvers
+// The built-in solver table
 // ---------------------------------------------------------------------
 
-/// Theorem 4.4's MVC variant: degree ≥ 2 plus smaller-id endpoints of
-/// isolated edges (`t`-approximation).
-pub struct Theorem44MvcSolver;
-
-impl Solver for Theorem44MvcSolver {
-    fn key(&self) -> &'static str {
-        "mvc/theorem44"
-    }
-    fn name(&self) -> &'static str {
-        "Theorem 4.4 MVC variant"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinVertexCover
-    }
-    fn paper_ref(&self) -> &'static str {
-        "Theorem 4.4 (MVC extension)"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        if cfg.mode == ExecutionMode::Centralized {
-            let sol = theorem44_mvc(&inst.graph, &inst.ids);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
-        }
-        let cap = local_round_cap(cfg, 10);
-        let algo = Theorem44MvcLocal { grace: fault_grace(cfg) };
-        let run = run_local(self.key(), inst, cfg, &algo, cap)?;
-        Ok(finish_local(self.key(), inst, cfg, started, run))
-    }
+/// The algorithm a built-in row runs. [`Builtin::solve`] maps each to
+/// one of the three solve bodies.
+#[derive(Clone, Copy)]
+enum Body {
+    /// Algorithm 1 / Theorem 4.1: the `O_t(1)`-round
+    /// constant-approximation pipeline (twin reduction → local 1-cuts →
+    /// interesting 2-cuts → exact brute force on bounded residuals).
+    /// Algorithm 2 / Theorem 4.3 runs it too, with radii derived from an
+    /// asymptotic-dimension control function — [`SolveConfig::control`]
+    /// writes them into [`SolveConfig::radii`], which this body reads.
+    Algorithm1,
+    /// The MVC variant of Algorithm 1 (§4 closing remark): take *all*
+    /// local-2-cut vertices, then an exact vertex cover of every
+    /// component of `G − S` that has an edge. It takes no ablation
+    /// options.
+    Algorithm1Mvc,
+    /// Theorem 4.4: the 3-round `(2t−1)`-approximation (`D₂` of the
+    /// twin-free quotient).
+    Theorem44,
+    /// Theorem 4.4's MVC variant: degree ≥ 2 plus smaller-id endpoints
+    /// of isolated edges (`t`-approximation), 2 rounds.
+    Theorem44Mvc,
+    /// Table 1 trees row: the folklore 2-round 3-approximation (degree
+    /// ≥ 2 plus small-component rules).
+    TreesFolklore,
+    /// Table 1 `K_{1,t}` row: every vertex joins at round 0
+    /// (`Δ ≤ t−1 ⟹ n ≤ t·MDS`).
+    TakeAll,
+    /// Folklore 2-approximation for MVC on regular graphs: every
+    /// non-isolated vertex joins (1 round).
+    RegularMvc,
+    /// Exact MDS through the [`ExactEngine`]: reduction rules, then
+    /// branch and bound or the tree-decomposition DP per residual
+    /// component, picked by the engine's size-and-width rule.
+    ExactMds,
+    /// Exact MVC through the [`ExactEngine`], under the same rule.
+    ExactMvc,
 }
 
-/// The MVC variant of Algorithm 1 (§4 closing remark): take *all*
-/// local-2-cut vertices, then an exact vertex cover of every component
-/// of `G − S` that has an edge. It takes no ablation options.
-pub struct Algorithm1MvcSolver;
-
-impl Solver for Algorithm1MvcSolver {
-    fn key(&self) -> &'static str {
-        "mvc/algorithm1"
-    }
-    fn name(&self) -> &'static str {
-        "Algorithm 1 MVC variant (take-all 2-cuts)"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinVertexCover
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§4 closing remark"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        if cfg.options != PipelineOptions::default() {
-            return Err(SolveError::UnsupportedOptions {
-                solver: self.key(),
-                reason: "ablation options do not apply to the MVC variant (no twin reduction, \
-                         no interesting filter, no greedy residual)"
-                    .into(),
-            });
-        }
-        let centralized = || algorithm1_mvc(&inst.graph, &inst.ids, cfg.radii);
-        let decider = MvcAlgorithm1Decider { radii: cfg.radii };
-        solve_pipeline(self.key(), inst, cfg, centralized, &decider)
-    }
+/// One row of [`BUILTINS`]: what the solver is, and what it runs.
+pub(crate) struct Builtin {
+    descriptor: SolverDescriptor,
+    body: Body,
 }
 
-/// Folklore 2-approximation for MVC on regular graphs: every
-/// non-isolated vertex joins (1 round).
-pub struct RegularMvcSolver;
+/// Every built-in solver, one row each;
+/// [`SolverRegistry::with_defaults`](crate::SolverRegistry::with_defaults)
+/// registers them all.
+pub(crate) const BUILTINS: [Builtin; 10] = [
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mds/algorithm1",
+            name: "Algorithm 1 pipeline",
+            problem: Problem::MinDominatingSet,
+            paper_ref: "Theorem 4.1",
+            modes: ALL_MODES,
+        },
+        body: Body::Algorithm1,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mds/algorithm2",
+            name: "Algorithm 2 (control-function pipeline)",
+            problem: Problem::MinDominatingSet,
+            paper_ref: "Theorem 4.3",
+            modes: ALL_MODES,
+        },
+        body: Body::Algorithm1,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mds/theorem44",
+            name: "Theorem 4.4 (3-round D₂)",
+            problem: Problem::MinDominatingSet,
+            paper_ref: "Theorem 4.4",
+            modes: ALL_MODES,
+        },
+        body: Body::Theorem44,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mds/trees-folklore",
+            name: "trees folklore (degree ≥ 2)",
+            problem: Problem::MinDominatingSet,
+            paper_ref: "Table 1 (trees row, folklore)",
+            modes: ALL_MODES,
+        },
+        body: Body::TreesFolklore,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mds/take-all",
+            name: "take all (0 rounds)",
+            problem: Problem::MinDominatingSet,
+            paper_ref: "Table 1 (K_{1,t} row, folklore)",
+            modes: ALL_MODES,
+        },
+        body: Body::TakeAll,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mds/exact",
+            name: "exact MDS (reduce + branch & bound / treewidth DP)",
+            problem: Problem::MinDominatingSet,
+            paper_ref: "baseline (exact)",
+            modes: CENTRALIZED_ONLY,
+        },
+        body: Body::ExactMds,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mvc/theorem44",
+            name: "Theorem 4.4 MVC variant",
+            problem: Problem::MinVertexCover,
+            paper_ref: "Theorem 4.4 (MVC extension)",
+            modes: ALL_MODES,
+        },
+        body: Body::Theorem44Mvc,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mvc/algorithm1",
+            name: "Algorithm 1 MVC variant (take-all 2-cuts)",
+            problem: Problem::MinVertexCover,
+            paper_ref: "§4 closing remark",
+            modes: ALL_MODES,
+        },
+        body: Body::Algorithm1Mvc,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mvc/regular-take-all",
+            name: "regular-graph take-all MVC",
+            problem: Problem::MinVertexCover,
+            paper_ref: "§1 (folklore)",
+            modes: ALL_MODES,
+        },
+        body: Body::RegularMvc,
+    },
+    Builtin {
+        descriptor: SolverDescriptor {
+            key: "mvc/exact",
+            name: "exact MVC (reduce + branch & bound / treewidth DP)",
+            problem: Problem::MinVertexCover,
+            paper_ref: "baseline (exact)",
+            modes: CENTRALIZED_ONLY,
+        },
+        body: Body::ExactMvc,
+    },
+];
 
-impl Solver for RegularMvcSolver {
-    fn key(&self) -> &'static str {
-        "mvc/regular-take-all"
+impl Solver for Builtin {
+    fn descriptor(&self) -> &SolverDescriptor {
+        &self.descriptor
     }
-    fn name(&self) -> &'static str {
-        "regular-graph take-all MVC"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinVertexCover
-    }
-    fn paper_ref(&self) -> &'static str {
-        "§1 (folklore)"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        ALL_MODES
-    }
+
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        if cfg.mode == ExecutionMode::Centralized {
-            let sol = baselines::regular_mvc_take_all(&inst.graph);
-            return Ok(finish(self.key(), inst, cfg, started, sol, None, None));
+        check(&self.descriptor, cfg)?;
+        let key = self.descriptor.key;
+        let (g, ids, radii) = (&inst.graph, &inst.ids, cfg.radii);
+        match self.body {
+            Body::Algorithm1 => {
+                let centralized = || algorithm1_with(g, ids, radii, cfg.options);
+                solve_pipeline(key, inst, cfg, centralized, &Algorithm1Decider { radii })
+            }
+            Body::Algorithm1Mvc => {
+                if cfg.options != PipelineOptions::default() {
+                    return Err(SolveError::UnsupportedOptions {
+                        solver: key,
+                        reason: "ablation options do not apply to the MVC variant (no twin \
+                                 reduction, no interesting filter, no greedy residual)"
+                            .into(),
+                    });
+                }
+                let centralized = || algorithm1_mvc(g, ids, radii);
+                solve_pipeline(key, inst, cfg, centralized, &MvcAlgorithm1Decider { radii })
+            }
+            Body::Theorem44 => {
+                let algo = Theorem44Local { grace: fault_grace(cfg) };
+                solve_rounds(key, inst, cfg, || theorem44_mds(g, ids), &algo, 10)
+            }
+            Body::Theorem44Mvc => {
+                let algo = DegreeRuleLocal { isolated_joins: false, grace: fault_grace(cfg) };
+                solve_rounds(key, inst, cfg, || theorem44_mvc(g, ids), &algo, 10)
+            }
+            Body::TreesFolklore => {
+                let algo = DegreeRuleLocal { isolated_joins: true, grace: fault_grace(cfg) };
+                solve_rounds(key, inst, cfg, || baselines::trees_folklore(g, ids), &algo, 10)
+            }
+            Body::TakeAll => {
+                solve_rounds(key, inst, cfg, || baselines::take_all(g), &TakeAllLocal, 5)
+            }
+            Body::RegularMvc => {
+                let centralized = || baselines::regular_mvc_take_all(g);
+                solve_rounds(key, inst, cfg, centralized, &RegularMvcLocal, 5)
+            }
+            Body::ExactMds => solve_exact(key, inst, cfg, |e| e.solve_mds(g, cfg.opt_budget)),
+            Body::ExactMvc => solve_exact(key, inst, cfg, |e| e.solve_mvc(g, cfg.opt_budget)),
         }
-        let cap = local_round_cap(cfg, 5);
-        let run = run_local(self.key(), inst, cfg, &RegularMvcLocal, cap)?;
-        Ok(finish_local(self.key(), inst, cfg, started, run))
-    }
-}
-
-/// Exact MVC through the
-/// [`ExactEngine`](lmds_graph::exact::ExactEngine) (reduction rules +
-/// branch and bound / treewidth DP per component, picked by the
-/// engine's rule; budget-capped).
-pub struct ExactMvcSolver;
-
-impl Solver for ExactMvcSolver {
-    fn key(&self) -> &'static str {
-        "mvc/exact"
-    }
-    fn name(&self) -> &'static str {
-        "exact MVC (reduce + branch & bound / treewidth DP)"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinVertexCover
-    }
-    fn paper_ref(&self) -> &'static str {
-        "baseline (exact)"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        CENTRALIZED_ONLY
-    }
-    fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(self.key(), self.problem(), self.modes(), cfg)?;
-        let started = Instant::now();
-        let sol =
-            lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(&inst.graph, cfg.opt_budget))
-                .map_err(|e| map_exact_error(self.key(), cfg, e))?;
-        Ok(finish_exact(self.key(), inst, cfg, started, sol))
     }
 }

@@ -47,8 +47,8 @@ impl ControlFunction {
     }
 
     /// The paper's radius for interesting local 2-cut collection:
-    /// `m_{3.3} = f(11) + 5` (§5.3; the proof of Claims 5.13/5.14 uses
-    /// `f(11) + 5`, see DESIGN.md erratum note).
+    /// `m_{3.3} = f(11) + 5` (§5.3). This is the radius the proofs of
+    /// Claims 5.13/5.14 use, so it is the value taken here.
     pub fn m33(&self) -> u32 {
         self.eval(11) + 5
     }
@@ -81,7 +81,8 @@ mod tests {
         assert_eq!(f.m32(), 86 + 2);
         assert_eq!(f.m33(), (55 + 18) * 2 + 5);
         assert_eq!(f.dimension(), 1);
-        // d = 1: 6 + 44 + 1 = 51 (the paper headlines 50; see DESIGN.md).
+        // d = 1: 6 + 44 + 1 = 51. The paper headlines a ratio of 50,
+        // but the constants it states sum to 51, and this follows them.
         assert_eq!(f.approximation_ratio(), 51);
     }
 

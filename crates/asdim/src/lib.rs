@@ -14,6 +14,9 @@
 //! constant feeds the paper's radii `m_{3.2} = f(5)+2` and
 //! `m_{3.3} = f(11)+5`.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod control;
 pub mod cover;
 pub mod prop31;

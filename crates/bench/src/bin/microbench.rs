@@ -115,7 +115,10 @@ fn kernel_benches(iters: u32) -> Vec<BenchRow> {
         .into_iter()
         .map(|key| {
             let solver = registry.get(key).expect("registered");
-            BatchJob::new(key, SolveConfig::new(solver.problem()).radii(Radii::practical(2, 2)))
+            BatchJob::new(
+                key,
+                SolveConfig::new(solver.descriptor().problem).radii(Radii::practical(2, 2)),
+            )
         })
         .collect();
     let sweep_iters = iters.min(5);

@@ -826,12 +826,12 @@ pub fn exp_registry_sweep() -> Table {
         .map(|key| {
             let solver = reg.get(key).expect("registered");
             // Prefer a distributed run when the solver supports one.
-            let mode = if solver.modes().contains(&ExecutionMode::LOCAL_ORACLE) {
+            let mode = if solver.descriptor().modes.contains(&ExecutionMode::LOCAL_ORACLE) {
                 ExecutionMode::LOCAL_ORACLE
             } else {
                 ExecutionMode::Centralized
             };
-            let mut cfg = SolveConfig::new(solver.problem())
+            let mut cfg = SolveConfig::new(solver.descriptor().problem)
                 .mode(mode)
                 .radii(Radii::practical(2, 2))
                 .measure_ratio(true)
@@ -895,14 +895,14 @@ pub fn exp_local_sweep() -> Table {
     let policies = [IdPolicy::Sequential, IdPolicy::Adversarial { seed: 3 }];
     for key in reg.keys() {
         let solver = reg.get(key).expect("registered");
-        if !solver.modes().contains(&ExecutionMode::LOCAL_ORACLE) {
+        if !solver.descriptor().modes.contains(&ExecutionMode::LOCAL_ORACLE) {
             continue; // centralized-only (exact baselines)
         }
         for inst in &instances {
             for policy in policies {
                 let mut reference: Option<(Vec<usize>, Option<u32>)> = None;
                 for kind in RuntimeKind::ALL {
-                    let mut cfg = SolveConfig::new(solver.problem())
+                    let mut cfg = SolveConfig::new(solver.descriptor().problem)
                         .mode(ExecutionMode::Local(kind))
                         .radii(Radii::practical(2, 2))
                         .id_policy(policy);
@@ -1307,7 +1307,7 @@ pub fn exp_fault_sweep() -> Table {
     for key in ["mds/theorem44", "mds/algorithm1"] {
         let solver = reg.get(key).expect("registered");
         for inst in &instances {
-            let base = SolveConfig::new(solver.problem()).radii(Radii::practical(2, 2));
+            let base = SolveConfig::new(solver.descriptor().problem).radii(Radii::practical(2, 2));
             let reference =
                 solve(key, inst, &base.clone().mode(ExecutionMode::LOCAL_MESSAGE_PASSING));
             for (label, plan) in &plans {
@@ -1511,7 +1511,8 @@ mod tests {
                 registry()
                     .get(key)
                     .expect("registered")
-                    .modes()
+                    .descriptor()
+                    .modes
                     .contains(&ExecutionMode::LOCAL_ORACLE)
             })
             .count();

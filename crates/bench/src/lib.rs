@@ -14,6 +14,9 @@
 //! All algorithm invocations go through the [`lmds_api`] solver
 //! registry — see [`experiments::registry`].
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod experiments;
 pub mod report;
 pub mod timing;

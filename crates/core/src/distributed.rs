@@ -4,10 +4,11 @@
 //! * **Native [`LocalAlgorithm`]s** for the algorithms whose round
 //!   structure is explicit in the paper: [`Theorem44Local`] (exactly 3
 //!   rounds, typed id/neighborhood/two-hop messages),
-//!   [`TreesFolkloreLocal`] and [`Theorem44MvcLocal`] (2 rounds of
-//!   id + degree exchange), [`RegularMvcLocal`] (1 round),
-//!   [`TakeAllLocal`] (0 rounds). These send *structured* messages
-//!   sized to what the algorithm actually needs, not whole views.
+//!   [`DegreeRuleLocal`] (2 rounds of id + degree exchange; the trees
+//!   row and Theorem 4.4's MVC variant, which differ only on isolated
+//!   vertices), [`RegularMvcLocal`] (1 round), [`TakeAllLocal`]
+//!   (0 rounds). These send *structured* messages sized to what the
+//!   algorithm actually needs, not whole views.
 //! * **[`Decider`]s** (view functions, run through the blanket
 //!   adapter) for the adaptive Algorithm 1 family, whose stopping round
 //!   depends on the residual structure around each vertex.
@@ -238,9 +239,8 @@ impl LocalAlgorithm for RegularMvcLocal {
     }
 }
 
-/// Typed messages of the 2-round degree-exchange algorithms
-/// ([`TreesFolkloreLocal`], [`Theorem44MvcLocal`]): round 1 announces
-/// the identifier, round 2 the identifier plus degree.
+/// Typed messages of [`DegreeRuleLocal`]: round 1 announces the
+/// identifier, round 2 the identifier plus degree.
 #[derive(Debug, Clone)]
 pub enum DegreeMsg {
     /// Round 1: the sender's identifier.
@@ -249,60 +249,13 @@ pub enum DegreeMsg {
     Degree(u64, u64),
 }
 
-impl DegreeMsg {
-    fn bits(&self, id_bits: u32) -> u64 {
-        // Degrees are at most n − 1, so they fit in an id-sized field.
-        match self {
-            DegreeMsg::Id(_) => id_bits as u64,
-            DegreeMsg::Degree(..) => 2 * id_bits as u64,
-        }
-    }
-}
-
-/// State of the degree-exchange algorithms: own id, sorted neighbor
-/// ids, and the neighbors' degrees.
+/// State of [`DegreeRuleLocal`]: own id, sorted neighbor ids, and the
+/// neighbors' degrees.
 #[derive(Debug, Clone)]
 pub struct DegreeState {
     me: u64,
     nbrs: Vec<u64>,
     nbr_degree: Vec<(u64, u64)>,
-}
-
-fn degree_init(ctx: &NodeCtx) -> DegreeState {
-    DegreeState { me: ctx.id, nbrs: Vec::new(), nbr_degree: Vec::new() }
-}
-
-fn degree_send(state: &DegreeState, round: u32) -> DegreeMsg {
-    if round <= 1 {
-        DegreeMsg::Id(state.me)
-    } else {
-        DegreeMsg::Degree(state.me, state.nbrs.len() as u64)
-    }
-}
-
-/// The exact [`DegreeState`] after `round` rounds, straight from the
-/// graph — the oracle fast path shared by the degree-exchange
-/// algorithms.
-fn degree_project(
-    g: &lmds_graph::Graph,
-    ids: &lmds_localsim::IdAssignment,
-    v: usize,
-    round: u32,
-) -> DegreeState {
-    let mut state = DegreeState { me: ids.id_of(v), nbrs: Vec::new(), nbr_degree: Vec::new() };
-    if round >= 1 {
-        state.nbrs = g.neighbors(v).iter().map(|&u| ids.id_of(u as usize)).collect();
-        state.nbrs.sort_unstable();
-    }
-    if round >= 2 {
-        state.nbr_degree = g
-            .neighbors(v)
-            .iter()
-            .map(|&u| (ids.id_of(u as usize), g.degree(u as usize) as u64))
-            .collect();
-        state.nbr_degree.sort_unstable();
-    }
-    state
 }
 
 impl DegreeState {
@@ -324,66 +277,71 @@ fn past_grace(grace: Option<u32>, base: u32, round: u32) -> bool {
     grace.is_some_and(|g| round >= base.saturating_add(g))
 }
 
-/// Variant-driven evidence folding: any message proves its sender is a
-/// neighbor, and degree announcements are upserted whenever (and
-/// however stale) they arrive. On a healthy network this reproduces
-/// the strict round-1-ids / round-2-degrees schedule bit-for-bit;
-/// under faults it lets retransmissions repair earlier losses.
-fn degree_receive(state: &mut DegreeState, _round: u32, incoming: &[DegreeMsg]) {
-    for m in incoming {
-        let id = match m {
-            DegreeMsg::Id(id) | DegreeMsg::Degree(id, _) => *id,
-        };
-        if let Err(pos) = state.nbrs.binary_search(&id) {
-            state.nbrs.insert(pos, id);
+/// The 2-round degree-exchange rule as a native state machine: degree
+/// ≥ 2 joins; an isolated-edge endpoint joins iff it has the smaller
+/// identifier; a vertex with no known neighbor joins iff
+/// `isolated_joins`. Table 1's trees row (folklore MDS) sets it, since
+/// a dominating set must contain every isolated vertex; Theorem 4.4's
+/// MVC variant clears it, since an isolated vertex covers no edge.
+///
+/// With `grace: None` the decision waits until every neighbor's degree
+/// is known — indistinguishable from the strict rule on a healthy
+/// network, where completeness holds at round 2. With `grace: Some(g)`
+/// a vertex whose evidence is still incomplete at round `2 + g` decides
+/// anyway, defaulting unknown neighbor degrees to the safe side (join),
+/// so crash-stop and message-drop runs terminate with
+/// feasible-but-degraded output instead of stalling.
+pub struct DegreeRuleLocal {
+    /// Whether a vertex with no known neighbor joins.
+    pub isolated_joins: bool,
+    /// Extra rounds to wait for missing degree evidence before a
+    /// best-effort decision. `None` waits indefinitely.
+    pub grace: Option<u32>,
+}
+
+impl LocalAlgorithm for DegreeRuleLocal {
+    type State = DegreeState;
+    type Message = DegreeMsg;
+    type Output = bool;
+
+    fn init(&self, ctx: &NodeCtx) -> DegreeState {
+        DegreeState { me: ctx.id, nbrs: Vec::new(), nbr_degree: Vec::new() }
+    }
+    fn send(&self, state: &DegreeState, round: u32) -> DegreeMsg {
+        if round <= 1 {
+            DegreeMsg::Id(state.me)
+        } else {
+            DegreeMsg::Degree(state.me, state.nbrs.len() as u64)
         }
-        if let DegreeMsg::Degree(id, d) = m {
-            match state.nbr_degree.binary_search_by_key(id, |e| e.0) {
-                Ok(pos) => state.nbr_degree[pos] = (*id, *d),
-                Err(pos) => state.nbr_degree.insert(pos, (*id, *d)),
+    }
+    /// Variant-driven evidence folding: any message proves its sender
+    /// is a neighbor, and degree announcements are upserted whenever
+    /// (and however stale) they arrive. On a healthy network this
+    /// reproduces the strict round-1-ids / round-2-degrees schedule
+    /// bit-for-bit; under faults it lets retransmissions repair earlier
+    /// losses.
+    fn receive(&self, state: &mut DegreeState, _round: u32, incoming: &[DegreeMsg]) {
+        for m in incoming {
+            let id = match m {
+                DegreeMsg::Id(id) | DegreeMsg::Degree(id, _) => *id,
+            };
+            if let Err(pos) = state.nbrs.binary_search(&id) {
+                state.nbrs.insert(pos, id);
+            }
+            if let DegreeMsg::Degree(id, d) = m {
+                match state.nbr_degree.binary_search_by_key(id, |e| e.0) {
+                    Ok(pos) => state.nbr_degree[pos] = (*id, *d),
+                    Err(pos) => state.nbr_degree.insert(pos, (*id, *d)),
+                }
             }
         }
     }
-}
-
-/// Table 1 trees row as a native state machine (2 rounds): degree ≥ 2
-/// joins; an isolated-edge endpoint joins iff it has the smaller
-/// identifier; isolated vertices join.
-///
-/// With `grace: None` (the default) the decision waits until every
-/// neighbor's degree is known — indistinguishable from the original on
-/// a healthy network, where completeness holds at round 2. With
-/// `grace: Some(g)` a vertex whose evidence is still incomplete at
-/// round `2 + g` decides anyway, defaulting unknown neighbor degrees to
-/// the safe side (join), so crash-stop and message-drop runs terminate
-/// with feasible-but-degraded output instead of stalling.
-#[derive(Default)]
-pub struct TreesFolkloreLocal {
-    /// Extra rounds to wait for missing degree evidence before a
-    /// best-effort decision. `None` waits indefinitely.
-    pub grace: Option<u32>,
-}
-
-impl LocalAlgorithm for TreesFolkloreLocal {
-    type State = DegreeState;
-    type Message = DegreeMsg;
-    type Output = bool;
-
-    fn init(&self, ctx: &NodeCtx) -> DegreeState {
-        degree_init(ctx)
-    }
-    fn send(&self, state: &DegreeState, round: u32) -> DegreeMsg {
-        degree_send(state, round)
-    }
-    fn receive(&self, state: &mut DegreeState, round: u32, incoming: &[DegreeMsg]) {
-        degree_receive(state, round, incoming);
-    }
     fn decide(&self, state: &DegreeState, round: u32) -> Option<bool> {
         if round < 2 || (!state.degrees_complete() && !past_grace(self.grace, 2, round)) {
             return None;
         }
         Some(match state.nbrs.len() {
-            0 => true,
+            0 => self.isolated_joins,
             1 => match state.degree_of(state.nbrs[0]) {
                 Some(d) => d == 1 && state.me < state.nbrs[0],
                 // Missing evidence at the grace deadline: join (safe side).
@@ -393,63 +351,14 @@ impl LocalAlgorithm for TreesFolkloreLocal {
         })
     }
     fn message_bits(&self, msg: &DegreeMsg, id_bits: u32) -> u64 {
-        msg.bits(id_bits)
-    }
-    fn project(
-        &self,
-        g: &lmds_graph::Graph,
-        ids: &lmds_localsim::IdAssignment,
-        v: usize,
-        round: u32,
-    ) -> Option<DegreeState> {
-        Some(degree_project(g, ids, v, round))
-    }
-}
-
-/// Theorem 4.4's MVC variant as a native state machine (2 rounds):
-/// degree ≥ 2, or smaller-id endpoint of an isolated edge.
-///
-/// `grace` has the same semantics as on [`TreesFolkloreLocal`]:
-/// `None` waits for complete degree evidence, `Some(g)` permits a
-/// safe-side (join) decision at round `2 + g`.
-#[derive(Default)]
-pub struct Theorem44MvcLocal {
-    /// Extra rounds to wait for missing degree evidence before a
-    /// best-effort decision. `None` waits indefinitely.
-    pub grace: Option<u32>,
-}
-
-impl LocalAlgorithm for Theorem44MvcLocal {
-    type State = DegreeState;
-    type Message = DegreeMsg;
-    type Output = bool;
-
-    fn init(&self, ctx: &NodeCtx) -> DegreeState {
-        degree_init(ctx)
-    }
-    fn send(&self, state: &DegreeState, round: u32) -> DegreeMsg {
-        degree_send(state, round)
-    }
-    fn receive(&self, state: &mut DegreeState, round: u32, incoming: &[DegreeMsg]) {
-        degree_receive(state, round, incoming);
-    }
-    fn decide(&self, state: &DegreeState, round: u32) -> Option<bool> {
-        if round < 2 || (!state.degrees_complete() && !past_grace(self.grace, 2, round)) {
-            return None;
+        // Degrees are at most n − 1, so they fit in an id-sized field.
+        match msg {
+            DegreeMsg::Id(_) => id_bits as u64,
+            DegreeMsg::Degree(..) => 2 * id_bits as u64,
         }
-        Some(match state.nbrs.len() {
-            0 => false,
-            1 => match state.degree_of(state.nbrs[0]) {
-                Some(d) => d == 1 && state.me < state.nbrs[0],
-                // Missing evidence at the grace deadline: join (safe side).
-                None => true,
-            },
-            _ => true,
-        })
     }
-    fn message_bits(&self, msg: &DegreeMsg, id_bits: u32) -> u64 {
-        msg.bits(id_bits)
-    }
+    /// The exact state after `round` rounds, straight from the graph —
+    /// the oracle fast path.
     fn project(
         &self,
         g: &lmds_graph::Graph,
@@ -457,7 +366,20 @@ impl LocalAlgorithm for Theorem44MvcLocal {
         v: usize,
         round: u32,
     ) -> Option<DegreeState> {
-        Some(degree_project(g, ids, v, round))
+        let mut state = DegreeState { me: ids.id_of(v), nbrs: Vec::new(), nbr_degree: Vec::new() };
+        if round >= 1 {
+            state.nbrs = g.neighbors(v).iter().map(|&u| ids.id_of(u as usize)).collect();
+            state.nbrs.sort_unstable();
+        }
+        if round >= 2 {
+            state.nbr_degree = g
+                .neighbors(v)
+                .iter()
+                .map(|&u| (ids.id_of(u as usize), g.degree(u as usize) as u64))
+                .collect();
+            state.nbr_degree.sort_unstable();
+        }
+        Some(state)
     }
 }
 
@@ -887,7 +809,7 @@ mod tests {
     use crate::theorem44::{theorem44_mds, theorem44_mvc};
     use lmds_graph::dominating::is_dominating_set;
     use lmds_graph::Graph;
-    use lmds_localsim::{IdAssignment, OracleRuntime, Runtime, RuntimeKind};
+    use lmds_localsim::{IdAssignment, OracleRuntime, RuntimeKind};
 
     fn outputs_to_set(outputs: &[bool]) -> Vec<usize> {
         outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect()
@@ -941,7 +863,7 @@ mod tests {
             let mut central = theorem44_mvc(g, &ids);
             central.sort_unstable();
             assert_eq!(dist_set, central, "{g:?}");
-            assert!(res.rounds <= 2);
+            assert_eq!(res.rounds, 2);
         }
     }
 
@@ -1045,12 +967,14 @@ mod tests {
 
     #[test]
     fn native_trees_folklore_matches_decider_on_all_runtimes() {
-        assert_native_matches_decider(&TreesFolkloreLocal::default(), &TreesFolkloreDecider, 10);
+        let native = DegreeRuleLocal { isolated_joins: true, grace: None };
+        assert_native_matches_decider(&native, &TreesFolkloreDecider, 10);
     }
 
     #[test]
     fn native_theorem44_mvc_matches_decider_on_all_runtimes() {
-        assert_native_matches_decider(&Theorem44MvcLocal::default(), &Theorem44MvcDecider, 10);
+        let native = DegreeRuleLocal { isolated_joins: false, grace: None };
+        assert_native_matches_decider(&native, &Theorem44MvcDecider, 10);
     }
 
     #[test]
@@ -1236,7 +1160,7 @@ mod mvc_decider_tests {
     use super::*;
     use crate::mvc::algorithm1_mvc;
     use lmds_graph::vertex_cover::is_vertex_cover;
-    use lmds_localsim::{IdAssignment, OracleRuntime, Runtime};
+    use lmds_localsim::{IdAssignment, OracleRuntime};
 
     #[test]
     fn mvc_algorithm1_distributed_matches_centralized() {

@@ -27,6 +27,9 @@
 //! coincide with its centralized reference on the same identifier
 //! assignment.
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod algorithm1;
 pub mod algorithm2;
 pub mod analysis;

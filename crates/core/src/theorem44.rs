@@ -15,11 +15,13 @@
 //! Minimum Vertex Cover. The proof sketch in the paper covers only MDS;
 //! we implement the natural analogue whose ratio follows from the same
 //! Lemma 5.18 argument: take every vertex of degree ≥ 2, plus the
-//! smaller-identifier endpoint of every isolated edge (see DESIGN.md —
-//! an optimal cover `B` misses only an independent set `A` of degree-≥2
-//! vertices, each with two neighbors in `B`, so `|A| ≤ (t−1)|B|` and the
-//! returned set has size ≤ `t·MVC`). This runs in 1 round.
+//! smaller-identifier endpoint of every isolated edge. An optimal cover
+//! `B` misses only an independent set `A` of degree-≥2 vertices, each
+//! with two neighbors in `B`, so `|A| ≤ (t−1)|B|` and the returned set
+//! has size ≤ `t·MVC`. This runs in 2 rounds: a degree-1 vertex must
+//! learn its neighbor's degree to recognize an isolated edge.
 
+use crate::algorithm1::twin_quotient;
 use lmds_graph::{Graph, Vertex};
 use lmds_localsim::IdAssignment;
 
@@ -43,19 +45,13 @@ pub fn d2_set(rg: &Graph) -> Vec<Vertex> {
 /// `K_{2,t}`-minor-free. Identifier-canonical (matches the 3-round
 /// LOCAL decider in [`crate::distributed`]).
 pub fn theorem44_mds(g: &Graph, ids: &IdAssignment) -> Vec<Vertex> {
-    // Twin reduction by minimum identifier.
-    let mut kept_mask = vec![false; g.n()];
-    for class in lmds_graph::twins::twin_classes(g) {
-        let rep = class.iter().copied().min_by_key(|&v| ids.id_of(v)).expect("nonempty class");
-        kept_mask[rep] = true;
-    }
-    let kept: Vec<Vertex> = g.vertices().filter(|&v| kept_mask[v]).collect();
-    let reduced = lmds_graph::InducedSubgraph::new(g, &kept);
+    let id_vec: Vec<u64> = g.vertices().map(|v| ids.id_of(v)).collect();
+    let (_, reduced) = twin_quotient(g, &id_vec, true);
     d2_set(&reduced.graph).into_iter().map(|v| reduced.to_host(v)).collect()
 }
 
 /// Theorem 4.4 MVC variant, centralized reference: degree-≥2 vertices
-/// plus the smaller-id endpoint of isolated edges. 1-round LOCAL.
+/// plus the smaller-id endpoint of isolated edges. 2-round LOCAL.
 pub fn theorem44_mvc(g: &Graph, ids: &IdAssignment) -> Vec<Vertex> {
     let mut out = Vec::new();
     for v in g.vertices() {

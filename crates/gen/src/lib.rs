@@ -18,6 +18,9 @@
 //! All generators are deterministic functions of their parameters
 //! (randomized ones take an explicit seed).
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod adversarial;
 pub mod basic;
 pub mod composite;

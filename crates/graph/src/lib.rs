@@ -50,6 +50,9 @@
 //! assert!(is_dominating_set(&g, &ds));
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod articulation;
 pub mod bfs;
 pub mod bitset;

@@ -11,12 +11,11 @@
 //! identifier ([`NodeCtx`]). In each synchronous round it broadcasts one
 //! [`LocalAlgorithm::send`] message to all neighbors, folds the incoming
 //! messages into its state with [`LocalAlgorithm::receive`], and may fix
-//! its output with [`LocalAlgorithm::decide`]. Both [`Runtime`]
-//! engines execute the same state machine and are bit-identical because
-//! implementations are deterministic and treat the incoming slice as
-//! arriving in a fixed (host neighbor) order.
-//!
-//! [`Runtime`]: crate::Runtime
+//! its output with [`LocalAlgorithm::decide`]. Both engines
+//! ([`crate::OracleRuntime`], [`crate::FaultyRuntime`]) execute the same
+//! state machine and are bit-identical because implementations are
+//! deterministic and treat the incoming slice as arriving in a fixed
+//! (host neighbor) order.
 //!
 //! # View algorithms are a special case
 //!
@@ -31,9 +30,7 @@
 //!
 //! ```
 //! use lmds_graph::Graph;
-//! use lmds_localsim::{
-//!     IdAssignment, LocalAlgorithm, NodeCtx, OracleRuntime, Runtime,
-//! };
+//! use lmds_localsim::{IdAssignment, LocalAlgorithm, NodeCtx, OracleRuntime};
 //!
 //! /// Each vertex outputs the smallest identifier in its closed
 //! /// neighborhood — one round, one id per message.

@@ -1,7 +1,7 @@
 //! The message-passing engine: faithful synchronous message passing
 //! behind an optional fault plan — message drops, crash-stop vertices,
-//! and bounded round-asynchrony — under the same [`Runtime`] contract
-//! as the oracle.
+//! and bounded round-asynchrony — with the same `run` call as the
+//! oracle ([`crate::OracleRuntime::run`]).
 //!
 //! The fault model is layered on the synchronous round loop:
 //!
@@ -30,11 +30,11 @@
 //! With [`FaultConfig::default`] (no faults), [`FaultyRuntime`] is plain
 //! synchronous message passing — every round each vertex sends, bits
 //! are accounted, every message is received and every vertex may
-//! decide — and [`RuntimeKind::MessagePassing`] runs exactly that.
+//! decide — and [`crate::RuntimeKind::MessagePassing`] runs exactly that.
 
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
 use crate::ids::IdAssignment;
-use crate::runtime::{MessageAccounting, RunResult, Runtime, RuntimeError, RuntimeKind};
+use crate::runtime::{MessageAccounting, RunResult, RuntimeError};
 use lmds_graph::Graph;
 use std::fmt;
 use std::str::FromStr;
@@ -419,9 +419,9 @@ impl FaultPlan {
 
 /// Synchronous message passing under a seeded [`FaultPlan`]. With the
 /// zero [`FaultConfig`] this is the faithful message-passing execution
-/// ([`RuntimeKind::MessagePassing`]); with faults active, use
+/// ([`crate::RuntimeKind::MessagePassing`]); with faults active, use
 /// [`FaultyRuntime::run_with_report`] for partial outputs plus the
-/// [`FaultReport`] (the plain [`Runtime::run`] path demands every
+/// [`FaultReport`] (the plain [`FaultyRuntime::run`] path demands every
 /// vertex decide and surfaces silent vertices as a round-limit error).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultyRuntime {
@@ -569,17 +569,19 @@ fn silent_vertices<O>(plan: &FaultPlan, outputs: &[Option<O>]) -> Vec<usize> {
     plan.crashed_vertices().into_iter().filter(|&v| outputs[v].is_none()).collect()
 }
 
-impl Runtime for FaultyRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Faulty
-    }
-
-    /// The strict trait path: every vertex must decide. Crashed-silent
+impl FaultyRuntime {
+    /// The strict path: every vertex must decide. Crashed-silent
     /// vertices therefore surface as
     /// [`RuntimeError::RoundLimitExceeded`]; callers that want partial
     /// outputs plus the report use
     /// [`FaultyRuntime::run_with_report`].
-    fn run<A: LocalAlgorithm>(
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::RoundLimitExceeded`] if some vertex (silent ones
+    /// included) is undecided at `max_rounds`;
+    /// [`RuntimeError::SizeMismatch`] on malformed input.
+    pub fn run<A: LocalAlgorithm>(
         &self,
         g: &Graph,
         ids: &IdAssignment,

@@ -14,18 +14,19 @@
 //!
 //! * [`LocalAlgorithm`] — a per-vertex round state machine with explicit
 //!   typed messages (`init → (send, receive, decide?)* → decide`). This
-//!   is the execution contract every distributed algorithm implements.
+//!   is the contract every distributed algorithm implements.
 //! * [`Decider`] — the view-function special case: a function from the
 //!   [`LocalView`] (everything a vertex can know after `k` rounds) to a
 //!   decision. A blanket adapter makes every `Decider` a
 //!   `LocalAlgorithm` running the full-information protocol, so
 //!   adaptive algorithms stay one `fn` long.
-//! * [`Runtime`] — the execution contract, with two engines:
-//!   [`OracleRuntime`] (states computed directly via projection or ball
-//!   replay, vertices drained across `lmds_graph::par` workers on large
-//!   graphs) and [`FaultyRuntime`] (faithful synchronous message
-//!   passing with bits accounted, under an optional seeded
-//!   [`FaultConfig`]: drops, crash-stop vertices, bounded skew).
+//! * Two engines that run any [`LocalAlgorithm`] with the same
+//!   `run(g, ids, algo, max_rounds)` call: [`OracleRuntime`] (states
+//!   computed directly via projection or ball replay, vertices drained
+//!   across `lmds_graph::par` workers on large graphs) and
+//!   [`FaultyRuntime`] (faithful synchronous message passing with bits
+//!   accounted, under an optional seeded [`FaultConfig`]: drops,
+//!   crash-stop vertices, bounded skew).
 //!   [`RuntimeKind`] names the four kinds configuration layers select —
 //!   `oracle` and `sharded-oracle` run the oracle, `message-passing`
 //!   and `faulty` the message-passing loop with the empty plan.
@@ -48,7 +49,7 @@
 //! ```
 //! use lmds_graph::Graph;
 //! use lmds_localsim::{
-//!     Decider, IdAssignment, LocalView, MessageAccounting, OracleRuntime, Runtime, RuntimeKind,
+//!     Decider, IdAssignment, LocalView, MessageAccounting, OracleRuntime, RuntimeKind,
 //! };
 //!
 //! /// Decide the degree: needs 1 round (vertices start without it).
@@ -73,6 +74,9 @@
 //! assert!(mp.messages.total_bits().unwrap() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
 pub mod algorithm;
 pub mod fault;
 pub mod ids;
@@ -86,7 +90,7 @@ pub use fault::{
 };
 pub use ids::{IdAssignment, IdPolicy};
 pub use runtime::{
-    fits_congest, oracle_view, MessageAccounting, OracleRuntime, RunResult, Runtime, RuntimeError,
+    fits_congest, oracle_view, MessageAccounting, OracleRuntime, RunResult, RuntimeError,
     RuntimeKind,
 };
 pub use view::LocalView;

@@ -1,4 +1,4 @@
-//! The two LOCAL execution engines behind the [`Runtime`] contract.
+//! The two LOCAL execution engines.
 //!
 //! * [`OracleRuntime`] — computes each vertex's round-`k` state
 //!   directly: through the algorithm's [`LocalAlgorithm::project`] fast
@@ -17,8 +17,9 @@
 //! select (the `lmds-api` crate selects runtimes by kind): `oracle` and
 //! `sharded-oracle` run the oracle, `message-passing` and `faulty` the
 //! message-passing loop with the empty plan (fault scenarios construct
-//! a [`FaultyRuntime`] with their plan). The [`Runtime`] trait is the
-//! common execution contract.
+//! a [`FaultyRuntime`] with their plan). Both engines expose the same
+//! `run(g, ids, algo, max_rounds)` call: [`OracleRuntime::run`] and
+//! [`FaultyRuntime::run`].
 
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
 use crate::fault::FaultyRuntime;
@@ -183,7 +184,7 @@ impl RuntimeKind {
     ///
     /// # Errors
     ///
-    /// Same as [`Runtime::run`].
+    /// Same as [`OracleRuntime::run`].
     pub fn run<A: LocalAlgorithm>(
         self,
         g: &Graph,
@@ -233,51 +234,6 @@ impl std::str::FromStr for RuntimeKind {
             )),
         }
     }
-}
-
-/// A LOCAL execution engine: runs a [`LocalAlgorithm`] to completion on
-/// a network, producing per-vertex outputs, decision rounds, and
-/// message accounting.
-///
-/// ```
-/// use lmds_graph::Graph;
-/// use lmds_localsim::{Decider, IdAssignment, LocalView, OracleRuntime, Runtime};
-///
-/// /// Decide the degree: needs 1 round.
-/// struct DegreeAlgo;
-/// impl Decider for DegreeAlgo {
-///     type Output = usize;
-///     fn decide(&self, view: &LocalView) -> Option<usize> {
-///         (view.rounds() >= 1).then(|| view.neighbors_of(view.center_id()).len())
-///     }
-/// }
-///
-/// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-/// let ids = IdAssignment::sequential(4);
-/// let res = OracleRuntime.run(&g, &ids, &DegreeAlgo, 16).unwrap();
-/// assert_eq!(res.rounds, 1);
-/// assert_eq!(res.outputs, vec![1, 2, 2, 1]);
-/// assert_eq!(res.decided_histogram(), vec![0, 4]);
-/// ```
-pub trait Runtime: Sync {
-    /// Stable backend name for reports.
-    fn kind(&self) -> RuntimeKind;
-
-    /// Executes `algo` on the network `(g, ids)`, at most `max_rounds`
-    /// communication rounds.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::RoundLimitExceeded`] if some vertex never decides
-    /// within `max_rounds`; [`RuntimeError::SizeMismatch`] on malformed
-    /// input.
-    fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError>;
 }
 
 fn check_sizes(g: &Graph, ids: &IdAssignment) -> Result<(), RuntimeError> {
@@ -384,7 +340,48 @@ const PARALLEL_THRESHOLD: usize = 640;
 pub struct OracleRuntime;
 
 impl OracleRuntime {
-    /// [`Runtime::run`] on an explicit worker count.
+    /// Executes `algo` on the network `(g, ids)`, at most `max_rounds`
+    /// communication rounds, producing per-vertex outputs, decision
+    /// rounds, and [`MessageAccounting::NotApplicable`].
+    ///
+    /// ```
+    /// use lmds_graph::Graph;
+    /// use lmds_localsim::{Decider, IdAssignment, LocalView, OracleRuntime};
+    ///
+    /// /// Decide the degree: needs 1 round.
+    /// struct DegreeAlgo;
+    /// impl Decider for DegreeAlgo {
+    ///     type Output = usize;
+    ///     fn decide(&self, view: &LocalView) -> Option<usize> {
+    ///         (view.rounds() >= 1).then(|| view.neighbors_of(view.center_id()).len())
+    ///     }
+    /// }
+    ///
+    /// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+    /// let ids = IdAssignment::sequential(4);
+    /// let res = OracleRuntime.run(&g, &ids, &DegreeAlgo, 16).unwrap();
+    /// assert_eq!(res.rounds, 1);
+    /// assert_eq!(res.outputs, vec![1, 2, 2, 1]);
+    /// assert_eq!(res.decided_histogram(), vec![0, 4]);
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::RoundLimitExceeded`] if some vertex never decides
+    /// within `max_rounds`; [`RuntimeError::SizeMismatch`] on malformed
+    /// input.
+    pub fn run<A: LocalAlgorithm>(
+        &self,
+        g: &Graph,
+        ids: &IdAssignment,
+        algo: &A,
+        max_rounds: u32,
+    ) -> Result<RunResult<A::Output>, RuntimeError> {
+        let workers = par::workers(g.n(), PARALLEL_THRESHOLD, g.n());
+        Self::run_on(g, ids, algo, max_rounds, workers)
+    }
+
+    /// [`OracleRuntime::run`] on an explicit worker count.
     fn run_on<A: LocalAlgorithm>(
         g: &Graph,
         ids: &IdAssignment,
@@ -420,23 +417,6 @@ impl OracleRuntime {
             decided_at,
             messages: MessageAccounting::NotApplicable,
         })
-    }
-}
-
-impl Runtime for OracleRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Oracle
-    }
-
-    fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError> {
-        let workers = par::workers(g.n(), PARALLEL_THRESHOLD, g.n());
-        Self::run_on(g, ids, algo, max_rounds, workers)
     }
 }
 

@@ -701,7 +701,7 @@ fn prepare(shared: &Shared, req: &SolveRequest) -> Result<JobSpec, WireError> {
     })?;
     let config = req
         .config
-        .try_into_config(solver.problem())
+        .try_into_config(solver.descriptor().problem)
         .map_err(|e| WireError::new(422, "invalid-config", e.to_string()))?;
     let deadline = req.timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     Ok(JobSpec { entry, solver: req.solver.clone(), config, deadline })

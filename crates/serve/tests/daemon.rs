@@ -8,7 +8,7 @@
 
 use lmds_api::{
     ExecutionMode, Instance, Problem, Solution, SolutionView, SolveConfig, SolveError, Solver,
-    SolverRegistry,
+    SolverDescriptor, SolverRegistry,
 };
 use lmds_graph::io::{to_edge_list, to_snapshot};
 use lmds_graph::Graph;
@@ -73,7 +73,7 @@ fn equivalence_cases() -> Vec<(&'static str, &'static str)> {
 
 /// The same config, materialized for a direct registry call.
 fn direct_config(solver: &str, registry: &SolverRegistry) -> SolveConfig {
-    let problem = registry.get(solver).unwrap().problem();
+    let problem = registry.get(solver).unwrap().descriptor().problem;
     let mut cfg = SolveConfig::new(problem);
     if solver == "mds/algorithm1" {
         cfg = cfg.mode(ExecutionMode::LOCAL_ORACLE);
@@ -314,17 +314,26 @@ fn solver_catalog_comes_from_the_registry() {
     let handle = spawn_default();
     let addr = handle.addr();
     let catalog = send(addr, "GET", "/solvers", b"").json();
-    let listed: Vec<String> = catalog
-        .get("solvers")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .map(|d| d.get("key").unwrap().as_str().unwrap().to_string())
-        .collect();
-    let expected: Vec<String> =
-        SolverRegistry::with_defaults().keys().iter().map(|k| k.to_string()).collect();
-    assert_eq!(listed, expected, "GET /solvers mirrors SolverRegistry::keys()");
+    let listed = catalog.get("solvers").unwrap().as_arr().unwrap();
+    let descriptors = SolverRegistry::with_defaults().descriptors();
+    assert_eq!(listed.len(), descriptors.len(), "GET /solvers mirrors descriptors()");
+    for (entry, d) in listed.iter().zip(&descriptors) {
+        let text = |field: &str| entry.get(field).unwrap().as_str().unwrap().to_string();
+        assert_eq!(text("key"), d.key);
+        assert_eq!(text("name"), d.name, "{}", d.key);
+        assert_eq!(text("problem"), d.problem.to_string().to_ascii_lowercase(), "{}", d.key);
+        assert_eq!(text("paper_ref"), d.paper_ref, "{}", d.key);
+        let modes: Vec<&str> = entry
+            .get("modes")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|m| m.as_str().unwrap())
+            .collect();
+        let expected: Vec<String> = d.modes.iter().map(|m| m.to_string()).collect();
+        assert_eq!(modes, expected, "{}", d.key);
+    }
     handle.shutdown();
 }
 
@@ -538,21 +547,17 @@ struct SleepySolver {
     inner: Arc<dyn Solver>,
 }
 
+const SLEEPY: SolverDescriptor = SolverDescriptor {
+    key: "mds/sleepy",
+    name: "deliberately slow exact MDS",
+    problem: Problem::MinDominatingSet,
+    paper_ref: "test fixture",
+    modes: &[ExecutionMode::Centralized],
+};
+
 impl Solver for SleepySolver {
-    fn key(&self) -> &'static str {
-        "mds/sleepy"
-    }
-    fn name(&self) -> &'static str {
-        "deliberately slow exact MDS"
-    }
-    fn problem(&self) -> Problem {
-        Problem::MinDominatingSet
-    }
-    fn paper_ref(&self) -> &'static str {
-        "test fixture"
-    }
-    fn modes(&self) -> &'static [ExecutionMode] {
-        &[ExecutionMode::Centralized]
+    fn descriptor(&self) -> &SolverDescriptor {
+        &SLEEPY
     }
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
         std::thread::sleep(self.delay);

@@ -10,9 +10,7 @@ use lmds_core::{algorithm1, theorem44_mds, theorem44_mvc, Radii};
 use lmds_graph::dominating::is_dominating_set;
 use lmds_graph::vertex_cover::is_vertex_cover;
 use lmds_graph::Graph;
-use lmds_localsim::{
-    FaultConfig, FaultyRuntime, IdAssignment, OracleRuntime, Runtime, RuntimeKind,
-};
+use lmds_localsim::{FaultConfig, FaultyRuntime, IdAssignment, OracleRuntime, RuntimeKind};
 
 fn workload() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![

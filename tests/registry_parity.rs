@@ -61,7 +61,7 @@ fn legacy(key: &str, g: &Graph, ids: &IdAssignment) -> Vec<usize> {
 
 fn config_for(registry: &SolverRegistry, key: &str) -> SolveConfig {
     let solver = registry.get(key).expect("registered");
-    let mut cfg = SolveConfig::new(solver.problem()).radii(RADII).opt_budget(BUDGET);
+    let mut cfg = SolveConfig::new(solver.descriptor().problem).radii(RADII).opt_budget(BUDGET);
     if key == "mds/algorithm2" {
         cfg = cfg.control(AFFINE);
     }
@@ -105,7 +105,7 @@ fn every_execution_mode_agrees_with_centralized() {
     ];
     for &key in &registry.keys() {
         let solver = registry.get(key).expect("registered");
-        if !solver.modes().contains(&ExecutionMode::LOCAL_ORACLE) {
+        if !solver.descriptor().modes.contains(&ExecutionMode::LOCAL_ORACLE) {
             continue; // centralized-only (exact baselines)
         }
         for (name, g) in &graphs {

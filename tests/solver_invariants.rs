@@ -93,7 +93,7 @@ fn corpus() -> Vec<(Family, Instance)> {
 
 fn config_for(registry: &SolverRegistry, key: &str) -> SolveConfig {
     let solver = registry.get(key).expect("registered");
-    let mut cfg = SolveConfig::new(solver.problem()).radii(RADII).opt_budget(BUDGET);
+    let mut cfg = SolveConfig::new(solver.descriptor().problem).radii(RADII).opt_budget(BUDGET);
     if key == "mds/algorithm2" {
         cfg = cfg.control(AFFINE);
     }
@@ -187,7 +187,7 @@ fn distributed_backends_are_bit_identical_across_id_policies() {
     for (_, inst) in corpus().into_iter().step_by(3) {
         for &key in &registry.keys() {
             let solver = registry.get(key).expect("registered");
-            if !solver.modes().contains(&ExecutionMode::LOCAL_ORACLE) {
+            if !solver.descriptor().modes.contains(&ExecutionMode::LOCAL_ORACLE) {
                 continue; // centralized-only (exact baselines)
             }
             for policy in policies {
@@ -461,7 +461,7 @@ fn pipeline_diagnostics_account_for_the_solution() {
         let g = &inst.graph;
         for radii in [RADII, Radii::practical(3, 4)] {
             for key in ["mds/algorithm1", "mds/algorithm2", "mvc/algorithm1"] {
-                let problem = registry.get(key).expect("registered").problem();
+                let problem = registry.get(key).expect("registered").descriptor().problem;
                 let cfg = SolveConfig::new(problem).radii(radii);
                 let sol = registry
                     .solve(key, &inst, &cfg)
@@ -542,7 +542,7 @@ fn radii_past_the_round_counter_are_refused_under_local() {
     let inst = Instance::sequential("c5", lmds_gen::basic::cycle(5));
     let huge = Radii::practical(1, 1 << 31);
     for key in ["mds/algorithm1", "mds/algorithm2", "mvc/algorithm1"] {
-        let problem = registry.get(key).expect("registered").problem();
+        let problem = registry.get(key).expect("registered").descriptor().problem;
         let cfg = SolveConfig::new(problem).radii(huge);
         let local = cfg.clone().mode(ExecutionMode::LOCAL_ORACLE);
         let err = registry.solve(key, &inst, &local).unwrap_err();
