@@ -18,6 +18,10 @@
 //! a hard failure: the timings are not comparable, and the fix is to
 //! regenerate the baseline deliberately, not to let the gate rot.
 //!
+//! A current row the baseline lacks is printed as `new (not gated)`
+//! with its median, so a freshly added bench shows up before anyone
+//! regenerates the baseline; it does not change the exit code.
+//!
 //! ```text
 //! benchdiff [--threshold 1.25] [--min-us 150] <baseline-dir> <current-dir> [section...]
 //! ```
@@ -135,11 +139,17 @@ fn diff_section(section: &str, base: &Section, cur: &Section, gate: &Gate) -> Ve
             ));
         }
     }
+    let new_rows: Vec<&Row> = cur
+        .rows
+        .iter()
+        .filter(|c| !base.rows.iter().any(|b| b.bench == c.bench && b.workload == c.workload))
+        .collect();
     let speed = cur.calib_us / base.calib_us;
     println!(
-        "section {section}: {} matched rows, machine-speed factor {speed:.2} \
+        "section {section}: {} matched rows, {} new, machine-speed factor {speed:.2} \
          (calib {:.1}µs -> {:.1}µs)",
         pairs.len(),
+        new_rows.len(),
         base.calib_us,
         cur.calib_us
     );
@@ -162,6 +172,9 @@ fn diff_section(section: &str, base: &Section, cur: &Section, gate: &Gate) -> Ve
             "  {status:>4}  {:-48} {:-24} {:>10.1}µs -> {:>10.1}µs",
             b.bench, b.workload, b.median_us, c.median_us
         );
+    }
+    for c in new_rows {
+        println!("  new (not gated)  {:-48} {:-24} {:>10.1}µs", c.bench, c.workload, c.median_us);
     }
     failures
 }

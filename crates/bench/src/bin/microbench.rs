@@ -391,10 +391,12 @@ fn cuts_benches(iters: u32) -> Vec<BenchRow> {
 /// The exact-engine benches (`--exact`): `mds/exact` and `mvc/exact`
 /// through the registry beside the naive oracle they replaced
 /// (`dominating::exact_mds` / `vertex_cover::exact_vertex_cover`) on
-/// naive-solvable instances, plus engine-scale rows on instances the
-/// naive oracle cannot finish at all (committed numbers:
-/// `results/exact_scale.md`).
+/// naive-solvable instances, engine-scale rows on instances the naive
+/// oracle cannot finish at all (committed numbers:
+/// `results/exact_scale.md`), and the DP's min-fill decomposition alone
+/// on the two shapes served exact solves decompose.
 fn exact_benches(iters: u32) -> Vec<BenchRow> {
+    use lmds_graph::treewidth::min_fill_decomposition;
     use lmds_graph::{dominating::exact_mds, vertex_cover::exact_vertex_cover};
     let registry = SolverRegistry::with_defaults();
     let solve = |key: &str, inst: &Instance, cfg: SolveConfig| {
@@ -450,6 +452,20 @@ fn exact_benches(iters: u32) -> Vec<BenchRow> {
     for inst in &large {
         push("mds/exact", inst, solve("mds/exact", inst, SolveConfig::mds().opt_budget(u64::MAX)));
         push("mvc/exact", inst, solve("mvc/exact", inst, SolveConfig::mvc().opt_budget(u64::MAX)));
+    }
+    let shapes = [
+        Instance::sequential("strip400", lmds_gen::ding::strip(400)),
+        Instance::sequential(
+            "sparse_outerplanar3000",
+            lmds_gen::outerplanar::random_outerplanar(3000, 25, 1),
+        ),
+    ];
+    for inst in &shapes {
+        let decompose = || {
+            let td = min_fill_decomposition(&inst.graph);
+            td.width() + td.bags.iter().map(Vec::len).sum::<usize>()
+        };
+        push("min-fill decomposition", inst, sample(iters, decompose));
     }
     rows
 }

@@ -2,8 +2,9 @@
 //! experiment names must fail fast *and* list every valid name (the
 //! self-correcting-typo guarantee), `--list` must enumerate the
 //! catalog, a bare `microbench` is a usage error that writes nothing,
-//! and the committed `results/` artifacts stay in step with the
-//! experiment catalog and the benchdiff baselines.
+//! `benchdiff` shows rows its baseline lacks without gating them, and
+//! the committed `results/` artifacts stay in step with the experiment
+//! catalog and the benchdiff baselines.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -93,4 +94,38 @@ fn every_bench_artifact_has_a_baseline_twin() {
     let current = files(&results, "BENCH_", ".json");
     assert!(!current.is_empty(), "results/ holds the BENCH_*.json artifacts");
     assert_eq!(current, files(&results.join("baseline"), "BENCH_", ".json"));
+}
+
+#[test]
+fn benchdiff_shows_rows_the_baseline_lacks_without_gating_them() {
+    let dir = std::env::temp_dir().join(format!("benchdiff-new-rows-{}", std::process::id()));
+    let (base_dir, cur_dir) = (dir.join("baseline"), dir.join("current"));
+    std::fs::create_dir_all(&base_dir).expect("create baseline dir");
+    std::fs::create_dir_all(&cur_dir).expect("create current dir");
+    let row = |bench: &str, median: f64| {
+        format!(r#"{{"bench":"{bench}","workload":"w","checksum":7,"median_us":{median}}}"#)
+    };
+    let doc = |rows: &[String]| {
+        format!(
+            r#"{{"schema":"lmds-microbench/v1","calib_us":5000.0,"rows":[{}]}}"#,
+            rows.join(",")
+        )
+    };
+    std::fs::write(base_dir.join("BENCH_s.json"), doc(&[row("old", 1000.0)])).expect("write");
+    // The new row is far slower than anything in the baseline: were it
+    // gated, it would fail.
+    let current = doc(&[row("old", 1010.0), row("fresh", 987654.0)]);
+    std::fs::write(cur_dir.join("BENCH_s.json"), current).expect("write");
+    let out = Command::new(env!("CARGO_BIN_EXE_benchdiff"))
+        .args([&base_dir, &cur_dir])
+        .output()
+        .expect("run benchdiff");
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "a new row does not fail the gate: {stdout}");
+    assert!(stdout.contains("1 matched rows, 1 new"), "{stdout}");
+    let line = stdout.lines().find(|l| l.contains("new (not gated)")).unwrap_or_else(|| {
+        panic!("the new row is listed: {stdout}");
+    });
+    assert!(line.contains("fresh") && line.contains("987654.0µs"), "{line}");
 }

@@ -15,13 +15,17 @@
 //!    trail (no per-node allocation, unlike the naive solvers in
 //!    [`crate::dominating`] / [`crate::vertex_cover`]);
 //! 3. a **tree-decomposition DP** riding
-//!    [`crate::treewidth::min_fill_decomposition`] with full solution
-//!    extraction (not just the optimum size).
+//!    [`crate::treewidth::min_fill_decomposition_capped`] with full
+//!    solution extraction (not just the optimum size).
 //!
 //! One rule picks the kernel for each residual component, from what
 //! the engine can observe: the DP when the component has at least 20
 //! vertices and min-fill width at most 5 (8 for MVC), branch and bound
-//! otherwise. Callers cannot force either kernel.
+//! otherwise. The width test runs inside the elimination: it stops at
+//! the first bag wider than the cap, so a dense component reaches
+//! branch and bound without paying for a whole decomposition
+//! ([`EngineStats::wide_components`] counts those). Callers cannot
+//! force either kernel.
 //!
 //! The plain solvers in [`crate::dominating`] / [`crate::vertex_cover`]
 //! are the oracle of the differential fuzz harness
@@ -36,7 +40,7 @@
 use crate::connectivity::components_avoiding;
 use crate::graph::{Graph, Vertex};
 use crate::subgraph::InducedSubgraph;
-use crate::treewidth::{min_fill_decomposition, TreeDecomposition};
+use crate::treewidth::{min_fill_decomposition_capped, TreeDecomposition};
 use crate::twins::twin_representatives;
 use std::cell::RefCell;
 
@@ -80,6 +84,10 @@ pub struct EngineStats {
     pub dp_components: usize,
     /// Components solved by branch and bound.
     pub bnb_components: usize,
+    /// The part of `bnb_components` with at least 20 vertices: large
+    /// enough for the DP, but their min-fill elimination met a bag
+    /// wider than the cap.
+    pub wide_components: usize,
     /// Branch-and-bound nodes expanded (all components combined).
     pub search_nodes: u64,
 }
@@ -96,16 +104,6 @@ const TW_AUTO_CAP: usize = 5;
 const TW_AUTO_MIN_N: usize = 20;
 /// Width cap for the VC DP (2-color tables are exponentially cheaper).
 const VC_TW_AUTO_CAP: usize = 8;
-
-/// The per-component rule: the decomposition the DP runs on, or `None`
-/// when the component is too small or wider than `width_cap` and branch
-/// and bound should run instead.
-fn dp_decomposition(g: &Graph, width_cap: usize) -> Option<TreeDecomposition> {
-    if g.n() < TW_AUTO_MIN_N {
-        return None;
-    }
-    Some(min_fill_decomposition(g)).filter(|td| td.width() <= width_cap)
-}
 
 /// The exact solver. Owns the reusable search arenas (bound buffers,
 /// undo trails, per-depth scratch); one engine can be reused across
@@ -166,6 +164,27 @@ impl ExactEngine {
     #[inline]
     fn marked(&self, v: Vertex) -> bool {
         self.mark[v] == self.epoch
+    }
+
+    /// The per-component rule: the decomposition the DP runs on, or
+    /// `None` when branch and bound should run instead — the component
+    /// has fewer than `TW_AUTO_MIN_N` vertices, or its min-fill
+    /// elimination met a bag wider than `width_cap` and stopped there.
+    /// Counts the choice in the stats.
+    fn dp_decomposition(&mut self, g: &Graph, width_cap: usize) -> Option<TreeDecomposition> {
+        let td = if g.n() < TW_AUTO_MIN_N {
+            None
+        } else {
+            let td = min_fill_decomposition_capped(g, width_cap);
+            self.stats.wide_components += usize::from(td.is_none());
+            td
+        };
+        if td.is_some() {
+            self.stats.dp_components += 1;
+        } else {
+            self.stats.bnb_components += 1;
+        }
+        td
     }
 
     // -- public solves -------------------------------------------------
@@ -298,13 +317,9 @@ impl ExactEngine {
             let lg = &sub.graph;
             let needs_l: Vec<bool> = comp.iter().map(|&v| needs[v]).collect();
             let allowed_l: Vec<bool> = comp.iter().map(|&v| allowed[v]).collect();
-            // The decomposition is computed once here and reused by
-            // the DP (it is the DP's dominant setup cost).
-            let local_sol = if let Some(td) = dp_decomposition(lg, TW_AUTO_CAP) {
-                self.stats.dp_components += 1;
+            let local_sol = if let Some(td) = self.dp_decomposition(lg, TW_AUTO_CAP) {
                 mds_dp(lg, &needs_l, &allowed_l, &td)
             } else {
-                self.stats.bnb_components += 1;
                 let budget_left = budget.saturating_sub(spent);
                 let (sol, nodes) = cover_bnb(lg, &needs_l, &allowed_l, budget_left)
                     .ok_or(ExactError::BudgetExhausted { budget })?;
@@ -517,11 +532,9 @@ impl ExactEngine {
             self.stats.components += 1;
             let sub = InducedSubgraph::new(g, comp);
             let lg = &sub.graph;
-            let local_sol = if let Some(td) = dp_decomposition(lg, VC_TW_AUTO_CAP) {
-                self.stats.dp_components += 1;
+            let local_sol = if let Some(td) = self.dp_decomposition(lg, VC_TW_AUTO_CAP) {
                 vc_dp(lg, &td)
             } else {
-                self.stats.bnb_components += 1;
                 let budget_left = budget.saturating_sub(spent);
                 let (sol, nodes) =
                     vc_bnb(lg, budget_left).ok_or(ExactError::BudgetExhausted { budget })?;
@@ -1651,7 +1664,7 @@ mod tests {
     /// 20-vertex gate.
     fn check_mds(g: &Graph) {
         let all = vec![true; g.n()];
-        let td = min_fill_decomposition(g);
+        let td = min_fill_decomposition_capped(g, TW_AUTO_CAP);
         check(
             g,
             exact_mds(g).len(),
@@ -1659,13 +1672,13 @@ mod tests {
             [
                 ("engine", Some(ExactEngine::new().solve_mds(g, u64::MAX).unwrap())),
                 ("bnb", Some(cover_bnb(g, &all, &all, u64::MAX).unwrap().0)),
-                ("dp", (td.width() <= TW_AUTO_CAP).then(|| mds_dp(g, &all, &all, &td))),
+                ("dp", td.map(|td| mds_dp(g, &all, &all, &td))),
             ],
         );
     }
 
     fn check_mvc(g: &Graph) {
-        let td = min_fill_decomposition(g);
+        let td = min_fill_decomposition_capped(g, VC_TW_AUTO_CAP);
         check(
             g,
             exact_vertex_cover(g).len(),
@@ -1673,7 +1686,7 @@ mod tests {
             [
                 ("engine", Some(ExactEngine::new().solve_mvc(g, u64::MAX).unwrap())),
                 ("bnb", Some(vc_bnb(g, u64::MAX).unwrap().0)),
-                ("dp", (td.width() <= VC_TW_AUTO_CAP).then(|| vc_dp(g, &td))),
+                ("dp", td.map(|td| vc_dp(g, &td))),
             ],
         );
     }
@@ -1685,7 +1698,7 @@ mod tests {
             needs[t] = true;
         }
         let allowed: Vec<bool> = g.vertices().map(|v| closed(g, v).any(|w| needs[w])).collect();
-        let td = min_fill_decomposition(g);
+        let td = min_fill_decomposition_capped(g, TW_AUTO_CAP);
         let engine = ExactEngine::new().solve_b_dominating(g, targets, None, u64::MAX).unwrap();
         check(
             g,
@@ -1694,7 +1707,7 @@ mod tests {
             [
                 ("engine", Some(engine)),
                 ("bnb", Some(cover_bnb(g, &needs, &allowed, u64::MAX).unwrap().0)),
-                ("dp", (td.width() <= TW_AUTO_CAP).then(|| mds_dp(g, &needs, &allowed, &td))),
+                ("dp", td.map(|td| mds_dp(g, &needs, &allowed, &td))),
             ],
         );
     }
@@ -1896,9 +1909,10 @@ mod tests {
         }
         let mut e = ExactEngine::new();
         assert_eq!(e.solve_mds(&g, u64::MAX).unwrap().len(), 2);
-        assert_eq!((e.stats().dp_components, e.stats().bnb_components), (0, 1));
+        let kernels = |s: &EngineStats| (s.dp_components, s.bnb_components, s.wide_components);
+        assert_eq!(kernels(e.stats()), (0, 1, 1));
         assert_eq!(e.solve_mvc(&g, u64::MAX).unwrap().len(), 10);
-        assert_eq!((e.stats().dp_components, e.stats().bnb_components), (0, 1));
+        assert_eq!(kernels(e.stats()), (0, 1, 1));
     }
 
     #[test]

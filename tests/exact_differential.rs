@@ -5,7 +5,9 @@
 //! plain solvers kept in-tree for exactly this purpose) on the optimum
 //! **size** — for MDS, MVC, and `B`-domination. Each of those tests
 //! asserts that the engine's rule sent components to both of its
-//! kernels (the tree-decomposition DP and branch and bound). The
+//! kernels (the tree-decomposition DP and branch and bound). The DP's
+//! incremental min-fill elimination is pinned to its quadratic oracle
+//! (`treewidth::min_fill_decomposition_naive`) the same way. The
 //! paper's headline algorithms are then re-measured against the
 //! engine's optima to pin their Theorem 4.1 / 4.4 ratio bounds.
 
@@ -14,6 +16,9 @@ use lmds_core::Radii;
 use lmds_gen::ding::AugmentationSpec;
 use lmds_graph::dominating::{dominates, exact_b_dominating, exact_mds, is_dominating_set};
 use lmds_graph::exact::ExactEngine;
+use lmds_graph::treewidth::{
+    min_fill_decomposition, min_fill_decomposition_capped, min_fill_decomposition_naive,
+};
 use lmds_graph::vertex_cover::{exact_vertex_cover, is_vertex_cover};
 use lmds_graph::Graph;
 
@@ -116,6 +121,47 @@ fn every_backend_matches_the_naive_mvc_oracle_on_the_corpus() {
         assert_eq!(sol.len(), oracle, "{name}: wrong optimum");
     }
     assert_both_kernels_ran(kernels);
+}
+
+/// The incremental min-fill elimination against its quadratic oracle:
+/// the same bags and tree edges on the corpus and on the shapes served
+/// exact solves decompose, and for every DP-sized cap the capped call
+/// gives up exactly when the oracle's width exceeds the cap.
+#[test]
+fn min_fill_elimination_matches_the_naive_oracle() {
+    let mut graphs = corpus();
+    graphs.push(("strip100".into(), lmds_gen::ding::strip(100)));
+    for seed in 0..3u64 {
+        graphs.push((
+            format!("sparse_outerplanar300_s{seed}"),
+            lmds_gen::outerplanar::random_outerplanar(300, 25, seed),
+        ));
+        graphs.push((format!("scale800_s{seed}"), lmds_gen::ding::scale_instance(800, seed)));
+    }
+    graphs.push(("grid6x6".into(), lmds_gen::basic::grid(6, 6)));
+    graphs.push(("k10_10".into(), lmds_gen::basic::complete_bipartite(10, 10)));
+    for (name, g) in &graphs {
+        let oracle = min_fill_decomposition_naive(g);
+        assert_eq!(min_fill_decomposition(g), oracle, "{name}");
+        for cap in 0..=8 {
+            let expected = (oracle.width() <= cap).then(|| oracle.clone());
+            assert_eq!(min_fill_decomposition_capped(g, cap), expected, "{name} cap {cap}");
+        }
+    }
+}
+
+/// A strip is one skinny component: the DP takes it and the width cap
+/// rejects nothing (`K_{10,10}`'s test in `exact.rs` is the one it
+/// rejects).
+#[test]
+fn strip_components_stay_under_the_width_cap() {
+    let g = lmds_gen::ding::strip(20);
+    let mut engine = ExactEngine::new();
+    let kernels = |e: &ExactEngine| (e.stats().dp_components, e.stats().wide_components);
+    engine.solve_mds(&g, u64::MAX).unwrap();
+    assert_eq!(kernels(&engine), (1, 0));
+    engine.solve_mvc(&g, u64::MAX).unwrap();
+    assert_eq!(kernels(&engine), (1, 0));
 }
 
 /// `B`-domination differential: deterministic pseudo-random target
