@@ -314,8 +314,8 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
 }
 
 /// The `CutEngine` benches (`--cuts`): the Definition-2.1 predicate
-/// sweeps (`X`, `I`, all local 2-cuts) and the full centralized
-/// Algorithm 1 pipeline, on the pre-engine n=41 augmentation and on the
+/// sweeps (`X`, `I`, all local 2-cuts, and the fused `X`+`I` sweep the
+/// pipeline runs) and the full centralized Algorithm 1 pipeline, on the pre-engine n=41 augmentation and on the
 /// engine-scale instances (n ≥ 500 augmentations, n ≥ 1000
 /// outerplanar) at radii (2,3), and on the chain family at the
 /// pipeline's (3,4), where the separator prefilter and the exit test
@@ -366,6 +366,12 @@ fn cuts_benches(iters: u32) -> Vec<BenchRow> {
         push("I sweep (interesting_mask)", &inst.name, g.n(), stats, sum);
         let (stats, sum) = sample(iters, || engine.two_cuts(g, radii.two_cut).len());
         push("all local 2-cuts (two_cuts)", &inst.name, g.n(), stats, sum);
+        // The sweep the pipeline runs: X read off the index build.
+        let (stats, sum) = sample(iters, || {
+            let (x, i) = engine.one_cut_and_interesting_masks(g, radii);
+            x.iter().chain(&i).filter(|&&m| m).count()
+        });
+        push("fused X+I sweep (one_cut_and_interesting_masks)", &inst.name, g.n(), stats, sum);
         let cfg = SolveConfig::mds().radii(radii);
         let (stats, size) = sample(iters, || {
             let sol = registry.solve("mds/algorithm1", inst, &cfg).expect("algorithm1");

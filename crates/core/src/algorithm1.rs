@@ -157,11 +157,19 @@ pub fn pipeline_state_with(
 pub(crate) fn twin_quotient(g: &Graph, ids: &[u64], reduce: bool) -> (Vec<bool>, InducedSubgraph) {
     let mut kept_mask = vec![true; g.n()];
     if reduce {
+        // `rep[v]` is the least vertex of `v`'s class, so an ascending
+        // scan meets it first; a strict `<` keeps the first member with
+        // the least identifier.
+        let rep = lmds_graph::twins::twin_representatives(g);
+        let mut best = rep.clone();
+        for v in g.vertices() {
+            if ids[v] < ids[best[rep[v]]] {
+                best[rep[v]] = v;
+            }
+        }
         kept_mask.fill(false);
-        for class in lmds_graph::twins::twin_classes(g) {
-            let rep =
-                class.iter().copied().min_by_key(|&v| ids[v]).expect("twin classes are nonempty");
-            kept_mask[rep] = true;
+        for v in g.vertices().filter(|&v| rep[v] == v) {
+            kept_mask[best[v]] = true;
         }
     }
     let kept: Vec<Vertex> = g.vertices().filter(|&v| kept_mask[v]).collect();
@@ -420,6 +428,40 @@ mod tests {
         assert_eq!(out.diagnostics.kept, vec![1]);
         assert!(is_dominating_set(&g, &out.solution));
         assert_eq!(out.solution, vec![1]);
+    }
+
+    #[test]
+    fn twin_quotient_keeps_the_first_least_id_member_of_each_class() {
+        // The representative scan against the class-list rule it
+        // replaced, under sequential and shuffled identifiers.
+        let k4_minus_edge = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]);
+        // C6 with every vertex blown up into a triangle: six classes of
+        // three true twins each.
+        let mut blown_up = Vec::new();
+        for c in 0..6 {
+            let (here, next) = (3 * c, 3 * ((c + 1) % 6));
+            for i in 0..3 {
+                blown_up.extend((i + 1..3).map(|j| (here + i, here + j)));
+                blown_up.extend((0..3).map(|j| (here + i, next + j)));
+            }
+        }
+        let graphs = [
+            lmds_gen::basic::complete(5),
+            lmds_gen::basic::path(2),
+            k4_minus_edge,
+            Graph::from_edges(18, &blown_up),
+        ];
+        for (k, g) in graphs.iter().enumerate() {
+            assert!(!lmds_graph::twins::is_twin_free(g), "graph {k} has twins");
+            let orders = [seq(g.n()), IdAssignment::shuffled(g.n(), k as u64)];
+            for ids in orders.map(|a| g.vertices().map(|v| a.id_of(v)).collect::<Vec<u64>>()) {
+                let mut expect = vec![false; g.n()];
+                for class in lmds_graph::twins::twin_classes(g) {
+                    expect[class.into_iter().min_by_key(|&v| ids[v]).unwrap()] = true;
+                }
+                assert_eq!(twin_quotient(g, &ids, true).0, expect, "graph {k} ids {ids:?}");
+            }
+        }
     }
 
     #[test]

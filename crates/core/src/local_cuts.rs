@@ -13,7 +13,8 @@
 //! * The **[`CutEngine`]** — the production path. One engine run
 //!   computes every per-vertex ball exactly once, together with the
 //!   ball's *separator candidates* (one lowpoint DFS per ball,
-//!   [`neighbor_separators_within`](lmds_graph::articulation::neighbor_separators_within)),
+//!   [`neighbor_separators_within`](lmds_graph::articulation::neighbor_separators_within),
+//!   which in the pipeline's fused sweep also settles most of `X`),
 //!   evaluates each unordered pair `{u, v}` that is a candidate on both
 //!   sides exactly once (both interestingness orientations fall out of a
 //!   single
@@ -62,8 +63,9 @@
 //! **Per-vertex queries.** [`CutEngine::one_cut_at`],
 //! [`CutEngine::interesting_at`] and [`CutEngine::two_cut_endpoint_at`]
 //! answer the same predicates for one vertex `v` without a sweep: `X` is
-//! one ball and one cut-vertex scan; `I` and the endpoint bit take `v`'s
-//! ball and its split around `v`. A cut vertex of its ball with an
+//! one BFS and one flood of the ball minus `v`, which stops as soon as
+//! it has reached every neighbor of `v`; `I` and the endpoint bit take
+//! `v`'s ball and its split around `v`. A cut vertex of its ball with an
 //! exit-less component answers `false` at once (the corollary).
 //! Otherwise the separator candidates are the only partners that can
 //! form a minimal 2-cut with `v`; each gets the two-source ball
@@ -100,14 +102,16 @@ fn sweep_workers(n: usize) -> usize {
 /// What is shared within one run, and why the outputs cannot drift from
 /// the naive reference:
 ///
-/// * **Balls once.** Every `N^r[v]` is computed once into a flat CSR-ish
-///   index; the naive path re-derives balls per pair and re-checks
-///   `d(u, v)` with a full-graph BFS, but "`d(u, v) ≤ r`" is exactly
-///   "`v ∈ N^r[u]`" — a lookup in the index, same predicate. The
-///   pipeline's fused sweeps ([`CutEngine::one_cut_and_interesting_masks`],
+/// * **Balls once.** Every `N^r[v]` is computed once per run, and the
+///   ones the pair sweep can open go into a flat CSR-ish index; the
+///   naive path re-derives balls per pair and re-checks `d(u, v)` with a
+///   full-graph BFS, but "`d(u, v) ≤ r`" is exactly "`v ∈ N^r[u]`" — a
+///   lookup in the index, same predicate. The pipeline's fused sweeps
+///   ([`CutEngine::one_cut_and_interesting_masks`],
 ///   [`CutEngine::one_cut_and_endpoint_masks`]) run one BFS per vertex
-///   at `max(r₁, r₂)` and read both the `r₁` ball (for `X`) and the `r₂`
-///   ball (for the index) off it by BFS distance.
+///   at `max(r₁, r₂)`, split the `r₂` ball (below), and read `X` at `r₁`
+///   off that split by the monotonicity lemma, flooding the `r₁` ball
+///   (membership by BFS distance) only where the split leaves it open.
 /// * **Separators first.** Building the index also runs one lowpoint
 ///   DFS per ball
 ///   ([`articulation::neighbor_separators_within`])
@@ -124,19 +128,22 @@ fn sweep_workers(n: usize) -> usize {
 ///   orientations (witness components non-adjacent to `u` mark `v`, and
 ///   vice versa), where the naive path rebuilds `H` up to four times.
 /// * **No subgraphs.** Minimality and witness counts come from
-///   [`two_cuts::pair_profile_within`] /
-///   [`articulation::is_cut_vertex_within`],
-///   which traverse `G` restricted to an epoch-marked member set —
-///   no `InducedSubgraph` construction, no per-pair allocation.
+///   [`two_cuts::pair_profile_within`] and
+///   [`articulation::is_cut_vertex_in_ball`], which traverse `G`
+///   restricted to an epoch-marked member set or to the vertices a BFS
+///   reached within the radius — no `InducedSubgraph` construction, no
+///   per-pair allocation.
 /// * **Sharding is observation-free.** On graphs past the size
 ///   threshold the per-vertex outer loops run on [`lmds_graph::par`]
-///   workers in contiguous chunks, each with its own traversal buffers
-///   (the calling thread keeps the engine's own); the X sweep writes
-///   disjoint chunks of its mask, the index build fills one shard per
-///   chunk (with that chunk's `X` bits in the fused sweeps), and the
-///   pair sweep's workers write private monotone masks that are
-///   OR-merged, so the result is independent of the worker count and
-///   schedule.
+///   workers, each with its own traversal buffers (the calling thread
+///   keeps the engine's own). The X sweep's workers claim pieces of its
+///   mask on demand, and the index build's workers claim blocks of 64 to
+///   1,024 vertices (about 64 blocks per graph) on demand and fill one
+///   shard per block (with that block's `X` bits in the fused sweeps),
+///   so a worker slowed on the day takes fewer blocks instead of setting
+///   the build's time. The pair sweep's workers write private monotone
+///   masks over contiguous ranges, which are OR-merged. Every result is
+///   independent of the worker count and schedule.
 ///
 /// **Lemma (the prefilter is sound).** Let `r ≥ 1` and `v ∈ N^r[u]`. If
 /// `{u, v}` is a minimal 2-cut of `H = G[N^r[u] ∪ N^r[v]]`, then `v` is
@@ -163,20 +170,46 @@ fn sweep_workers(n: usize) -> usize {
 /// pairs whose profile would be discarded, and the equivalence suite
 /// pins the outputs to the naive reference.
 ///
+/// **Lemma (local 1-cuts are monotone, §2).** For `1 ≤ r ≤ r'`, if `u` is
+/// a cut vertex of `G[N^{r'}[u]]`, then it is one of `G[N^r[u]]`.
+/// *Proof.* Since `r ≥ 1`, all of `N(u)` lies in both balls. The graph
+/// `G[N^r[u]] − u` is a subgraph of `G[N^{r'}[u]] − u`, so each of its
+/// components lies inside one component of the larger graph. Two
+/// neighbors of `u` in different components of the larger graph
+/// therefore stay in different components of the smaller one. ∎ The
+/// fused sweeps thus read `X` at `r₁` off the split of the `r₂` ball,
+/// whose cut bit says whether `u` is a cut vertex at `r₂`:
+///
+/// * `r₁ = r₂`: `X` is the cut bit;
+/// * `r₁ < r₂`: a cut anchor is in `X`, and only the others are flooded
+///   at `r₁` ([`articulation::is_cut_vertex_in_ball`]);
+/// * `r₁ > r₂`: an anchor that is not cut is not in `X`, and only the
+///   cut ones are flooded at `r₁`.
+///
+/// (With a radius of 0 the flood decides alone.) On the chain family at
+/// the pipeline's (3,4) about 13% of the anchors are cut at `r₂ = 4`;
+/// the floods of the rest stop as soon as they have reached every
+/// neighbor of the anchor, which on a vertex that is no local cut comes
+/// early.
+///
 /// A `CutEngine` is a plain bag of reusable buffers (like [`Scratch`]);
 /// apart from the counts of its last pair sweep it holds no graph state
 /// between runs and may serve graphs of different sizes back to back.
 ///
-/// **Memory profile:** the pair sweeps hold every ball of the run at
-/// once — `Σ_v |N^r[v]|` `u32` entries plus one candidate bit per
-/// entry, and the exit lists of the cut anchors, in buffers kept across
-/// runs. That is the deliberate trade of this engine (balls are the
-/// shared work), sized for the paper's regime: minor-free graphs at
-/// small local radii, where balls are bounded. At radii near the
-/// diameter, or on dense graphs, the index degenerates to `Θ(n²)` — the
-/// same regime where the predicates themselves are quadratic; keep such
-/// runs to analysis-scale inputs (as the pre-engine implementations
-/// also required).
+/// **Memory profile:** the pair sweeps hold, at once, every ball of the
+/// run whose center has a separator candidate — `u32` entries plus one
+/// candidate bit per entry — with one offset per vertex and the exit
+/// lists of the cut anchors, in buffers kept across runs. A ball whose
+/// center has no candidate is never opened (a pair needs a candidate on
+/// both sides), so it is not stored: on `scale_instance(10⁵, 3)` at
+/// `r = 4`, 52,302 of the 100,001 anchors have one. That is the
+/// deliberate trade of this engine (balls are the shared work), sized
+/// for the paper's regime: minor-free graphs at small local radii,
+/// where balls are bounded. At radii near the diameter, or on dense
+/// graphs, the index degenerates to `Θ(n²)` — the same regime where the
+/// predicates themselves are quadratic; keep such runs to
+/// analysis-scale inputs (as the pre-engine implementations also
+/// required).
 #[derive(Debug, Default)]
 pub struct CutEngine {
     /// Ball index (with candidate bits) for the current radius-`r` run.
@@ -206,20 +239,33 @@ pub struct PairCounts {
     pub exit_rejected: usize,
 }
 
-/// Every ball `N^r[v]` of one run with its candidate bits, in one shard
-/// per contiguous vertex chunk of the build: shard `k` holds the balls
-/// of `k·span .. (k + 1)·span`. Shards keep their buffers across runs
-/// with the same shard count.
+/// The blocks of the ball-index build for `n` vertices: shard `k` holds
+/// the balls of `k·2^shift .. (k + 1)·2^shift`, a power of two so that
+/// finding a ball is a shift and a mask. About 64 blocks per graph, so
+/// workers have many to claim, but 64 to 1,024 vertices each: a small
+/// graph needs fine blocks to split evenly between workers (1,024-vertex
+/// blocks cut 1,200 vertices 1,024 : 176), and on a large one fine
+/// blocks only add shard buffers, which cost memory.
+fn block_shift(n: usize) -> u32 {
+    (n / 64).max(1).ilog2().clamp(6, 10)
+}
+
+/// Every ball `N^r[v]` of one run that the pair sweep can open, with its
+/// candidate bits, in one shard per block of `2^shift` vertices (see
+/// [`block_shift`]). Shards keep their buffers across runs.
 #[derive(Debug, Default)]
 struct BallIndex {
     n: usize,
-    span: usize,
+    shift: u32,
     shards: Vec<BallShard>,
 }
 
-/// One chunk's balls: the shard's `i`-th ball is
+/// One block's balls: the shard's `i`-th ball is
 /// `verts[offsets[i]..offsets[i + 1]]`, sorted, and bit `j` of `cand`
 /// is set iff `verts[j]` is a separator candidate of that ball's center.
+/// Only a ball whose center has a candidate is stored; any other is
+/// empty here, since the pair sweep never opens it (see
+/// [`BallIndex::partners`]). `entries` counts every ball in full.
 ///
 /// Exit lists of the cut anchors only: ball `i`'s components are
 /// `comp_offsets[i]..comp_offsets[i + 1]` (none unless its center is a
@@ -231,6 +277,7 @@ struct BallShard {
     offsets: Vec<usize>,
     verts: Vec<u32>,
     cand: Vec<u64>,
+    entries: usize,
     comp_offsets: Vec<usize>,
     exit_bounds: Vec<usize>,
     exits: Vec<u32>,
@@ -272,9 +319,10 @@ impl Ball<'_> {
 }
 
 impl BallIndex {
+    /// `v`'s stored ball: empty unless `v` has a separator candidate.
     fn ball(&self, v: Vertex) -> Ball<'_> {
-        let shard = &self.shards[v / self.span];
-        let i = v % self.span;
+        let shard = &self.shards[v >> self.shift];
+        let i = v & ((1 << self.shift) - 1);
         let (lo, hi) = (shard.offsets[i], shard.offsets[i + 1]);
         let (c_lo, c_hi) = (shard.comp_offsets[i], shard.comp_offsets[i + 1]);
         Ball {
@@ -289,15 +337,22 @@ impl BallIndex {
     /// Unordered pairs within distance `r`: every ball holds its center
     /// and the relation is symmetric.
     fn pairs_in_range(&self) -> usize {
-        let entries: usize = self.shards.iter().map(|s| s.verts.len()).sum();
+        let entries: usize = self.shards.iter().map(|s| s.entries).sum();
         (entries - self.n) / 2
+    }
+
+    /// The ball entries the index holds.
+    #[cfg(test)]
+    fn stored_entries(&self) -> usize {
+        self.shards.iter().map(|s| s.verts.len()).sum()
     }
 
     /// The pair partners of `u` that pass the separator bits: every
     /// `v > u` in `N^r[u]` that is a separator candidate of `u` while
     /// `u` is one of `v`, each with whether the pair also passes the
     /// exit test on both sides. Only pairs that pass both can form a
-    /// minimal 2-cut (see the lemmas on [`CutEngine`]).
+    /// minimal 2-cut (see the lemmas on [`CutEngine`]). Both balls of
+    /// such a pair have a candidate, so both are stored.
     fn partners(&self, u: Vertex) -> impl Iterator<Item = (Vertex, bool)> + '_ {
         let ball = self.ball(u);
         ball.verts.iter().enumerate().filter_map(move |(j, &v)| {
@@ -317,7 +372,8 @@ impl BallShard {
     /// Refills the shard with the balls of `range`, their candidate bits
     /// and the exit lists of the cut anchors, reusing its buffers. With
     /// `one_cut = Some(r₁)` the same BFS, run to `max(r₁, r)`, also
-    /// decides `X` at `r₁`.
+    /// decides `X` at `r₁`: from the split at `r` where the monotonicity
+    /// lemma settles it, else by [`articulation::is_cut_vertex_in_ball`].
     fn fill(
         &mut self,
         g: &Graph,
@@ -329,6 +385,7 @@ impl BallShard {
         self.offsets.clear();
         self.verts.clear();
         self.cand.clear();
+        self.entries = 0;
         self.comp_offsets.clear();
         self.exit_bounds.clear();
         self.exits.clear();
@@ -339,18 +396,22 @@ impl BallShard {
         let reach = one_cut.map_or(r, |r1| r1.max(r));
         for u in range {
             bfs::ball_of_set_into(g, &mut b.scratch, &[u], reach, &mut b.ball);
-            if let Some(r1) = one_cut {
-                let inner = within(&b.ball, &b.scratch, r1, reach, &mut b.inner);
-                self.one_cut.push(articulation::is_cut_vertex_within(g, &mut b.subset, inner, u));
-            }
             let ball = within(&b.ball, &b.scratch, r, reach, &mut b.inner);
             articulation::neighbor_separators_within(g, &mut b.subset, ball, u, &mut b.split);
-            let base = self.verts.len();
-            self.verts.extend(ball.iter().map(|&v| v as u32));
-            self.cand.resize(self.verts.len().div_ceil(64), 0);
-            for (j, &flag) in b.split.separators.iter().enumerate() {
-                let bit = base + j;
-                self.cand[bit / 64] |= u64::from(flag) << (bit % 64);
+            if let Some(r1) = one_cut {
+                self.one_cut.push(one_cut_by_split(r1, r, b.split.is_cut(), || {
+                    articulation::is_cut_vertex_in_ball(g, &mut b.subset, &b.scratch, r1, u)
+                }));
+            }
+            self.entries += ball.len();
+            if b.split.separators.contains(&true) {
+                let base = self.verts.len();
+                self.verts.extend(ball.iter().map(|&v| v as u32));
+                self.cand.resize(self.verts.len().div_ceil(64), 0);
+                for (j, &flag) in b.split.separators.iter().enumerate() {
+                    let bit = base + j;
+                    self.cand[bit / 64] |= u64::from(flag) << (bit % 64);
+                }
             }
             self.offsets.push(self.verts.len());
             if b.split.is_cut() {
@@ -361,6 +422,25 @@ impl BallShard {
             }
             self.comp_offsets.push(self.exit_bounds.len() - 1);
         }
+    }
+}
+
+/// Whether an anchor is in `X` at radius `r1`, given whether it is a cut
+/// vertex of its ball at `r2` (`cut`, from the split) and the flood of
+/// its `r1` ball to fall back on. By the monotonicity lemma on
+/// [`CutEngine`], `cut` is the answer when `r1 = r2`, implies it when
+/// `r1 < r2` and is implied by it when `r1 > r2`, so `flood` runs only
+/// where `cut` leaves the answer open. The lemma needs both radii ≥ 1;
+/// below that the flood decides alone (at `r1 = 0` it answers `false`).
+fn one_cut_by_split(r1: u32, r2: u32, cut: bool, flood: impl FnOnce() -> bool) -> bool {
+    if r1.min(r2) == 0 {
+        flood()
+    } else if r1 == r2 {
+        cut
+    } else if r1 < r2 {
+        cut || flood()
+    } else {
+        cut && flood()
     }
 }
 
@@ -401,8 +481,8 @@ struct Buffers {
     /// Single-ball buffer for the 1-cut sweep, the ball index and the
     /// per-vertex pair queries.
     ball: Vec<Vertex>,
-    /// The smaller radius's ball, filtered out of `ball` by the fused
-    /// sweeps.
+    /// The `r₂` ball, filtered out of `ball` by a fused sweep with
+    /// `r₁ > r₂`.
     inner: Vec<Vertex>,
     /// The split of `ball` around its center.
     split: AnchorSplit,
@@ -501,9 +581,10 @@ impl CutEngine {
         out
     }
 
-    /// Whether `v` is an `r`-local minimal 1-cut: one ball, one
-    /// [`articulation::is_cut_vertex_within`] scan. Equals
-    /// [`is_local_one_cut`] and `one_cut_mask(g, r)[v]`.
+    /// Whether `v` is an `r`-local minimal 1-cut: one BFS to `r` and one
+    /// [`articulation::is_cut_vertex_in_ball`] flood, which stops once it
+    /// has reached every neighbor of `v`. Equals [`is_local_one_cut`] and
+    /// `one_cut_mask(g, r)[v]`.
     pub fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
         self.bufs.one_cut_at(g, v, r)
     }
@@ -536,18 +617,18 @@ impl CutEngine {
         self.counts
     }
 
-    /// Fills the ball index for radius `r` on `workers` workers, one
-    /// shard per contiguous vertex chunk, and with `one_cut = Some(r₁)`
-    /// each shard's `X` bits at `r₁` from the same BFS.
+    /// Fills the ball index for radius `r` on `workers` workers, which
+    /// claim its blocks (see [`block_shift`]) on demand, and with
+    /// `one_cut = Some(r₁)` each block's `X` bits at `r₁` from the same
+    /// BFS.
     fn compute_balls(&mut self, g: &Graph, r: u32, one_cut: Option<u32>, workers: usize) {
         let n = g.n();
-        let span = n.div_ceil(workers.max(1)).max(1);
-        let shards = n.div_ceil(span);
         let balls = &mut self.balls;
-        (balls.n, balls.span) = (n, span);
-        balls.shards.resize_with(shards, BallShard::default);
-        par::map_chunks(shards, &mut balls.shards, &mut self.bufs, |b, k, shard| {
-            shard.fill(g, r, one_cut, k * span..((k + 1) * span).min(n), b);
+        (balls.n, balls.shift) = (n, block_shift(n));
+        let block = 1 << balls.shift;
+        balls.shards.resize_with(n.div_ceil(block), BallShard::default);
+        par::map_chunks(workers, &mut balls.shards, &mut self.bufs, |b, k, shard| {
+            shard.fill(g, r, one_cut, k * block..((k + 1) * block).min(n), b);
         });
     }
 
@@ -606,7 +687,7 @@ impl Buffers {
     /// Whether `v` is a cut vertex of `G[N^r[v]]`.
     fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
         bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball);
-        articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball, v)
+        articulation::is_cut_vertex_in_ball(g, &mut self.subset, &self.scratch, r, v)
     }
 
     /// Profiles the pair `{u, v}` inside `H = N^r[u] ∪ N^r[v]` (balls
@@ -1066,7 +1147,8 @@ mod tests {
                 for workers in [1, 2, 4, 7] {
                     let at = |what: &str| format!("{name} r={r} workers={workers}: {what}");
                     assert_eq!(engine.one_cut_mask_on(g, r, workers), one[k], "{}", at("one-cut"));
-                    // The forced count shards the ball index build too.
+                    // The forced count also sets how many workers claim
+                    // the index build's blocks.
                     assert_eq!(
                         engine.pair_mask(g, r, PairMode::Interesting, workers),
                         interesting[k],
@@ -1106,6 +1188,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn claimed_blocks_match_one_worker() {
+        // Graphs of several index blocks, so workers claim blocks off the
+        // cursor: every forced count must reproduce the one-worker fused
+        // masks and the counts that do not depend on the schedule.
+        let graphs: Vec<(&str, Graph, Radii)> = vec![
+            ("chain5000_s0", lmds_gen::ding::scale_instance(5000, 0), Radii::practical(3, 4)),
+            ("chain5000_s1", lmds_gen::ding::scale_instance(5000, 1), Radii::practical(3, 4)),
+            ("chain5000_s1 r1>r2", lmds_gen::ding::scale_instance(5000, 1), Radii::practical(4, 3)),
+            (
+                "outerplanar3000",
+                lmds_gen::outerplanar::random_outerplanar(3000, 25, 1),
+                Radii::practical(2, 3),
+            ),
+        ];
+        let mut engine = CutEngine::new();
+        for (name, g, radii) in &graphs {
+            assert!(g.n() >> block_shift(g.n()) >= 8, "{name} must span many blocks");
+            for mode in [PairMode::Interesting, PairMode::Endpoints] {
+                let one = engine.fused_masks(g, *radii, mode, 1);
+                let counts = engine.pair_counts();
+                for workers in [2, 4, 7] {
+                    let at = format!("{name} workers={workers}");
+                    assert!(engine.fused_masks(g, *radii, mode, workers) == one, "{at}");
+                    let now = engine.pair_counts();
+                    assert_eq!(now.in_range, counts.in_range, "{at}");
+                    assert_eq!(now.exit_rejected, counts.exit_rejected, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_balls_with_a_candidate_are_stored() {
+        // The index keeps a ball only when its center has a separator
+        // candidate; the pair count still covers every ball.
+        let g = lmds_gen::ding::scale_instance(5000, 0);
+        let r = 4;
+        let (mut all, mut with_candidate) = (0, 0);
+        let (mut ws, mut split) = (SubsetScratch::new(), AnchorSplit::default());
+        for u in g.vertices() {
+            let ball = bfs::ball(&g, u, r);
+            articulation::neighbor_separators_within(&g, &mut ws, &ball, u, &mut split);
+            all += ball.len();
+            if split.separators.contains(&true) {
+                with_candidate += ball.len();
+            }
+        }
+        let mut engine = CutEngine::new();
+        engine.interesting_mask(&g, r);
+        assert_eq!(engine.balls.stored_entries(), with_candidate);
+        assert!(with_candidate < all, "{with_candidate} of {all}");
+        assert_eq!(engine.pair_counts().in_range, (all - g.n()) / 2);
+    }
+
+    #[test]
+    fn zero_radii_give_no_local_cuts() {
+        // N^0[v] = {v} holds no cut, and a radius of 0 on either side of
+        // a fused sweep, where the monotonicity lemma does not apply,
+        // leaves the other side's answer.
+        let g = lmds_gen::basic::caterpillar(40, 1);
+        let mut engine = CutEngine::new();
+        let x2 = engine.one_cut_mask(&g, 2);
+        let i2 = engine.interesting_mask(&g, 2);
+        let none = vec![false; g.n()];
+        let fused = |e: &mut CutEngine, one_cut, two_cut| {
+            e.one_cut_and_interesting_masks(&g, Radii { one_cut, two_cut })
+        };
+        assert_eq!(fused(&mut engine, 0, 2), (none.clone(), i2));
+        assert_eq!(fused(&mut engine, 2, 0), (x2, none.clone()));
+        assert_eq!(fused(&mut engine, 0, 0), (none.clone(), none));
     }
 
     #[test]

@@ -1,9 +1,18 @@
 //! Articulation points (cut vertices) and bridges, via an iterative
 //! Tarjan lowpoint DFS (iterative so million-vertex paths cannot blow the
-//! stack — local 1-cut detection runs this on every ball).
+//! stack), and the two per-ball kernels of the `CutEngine`, which never
+//! materialize a subgraph:
+//!
+//! * [`is_cut_vertex_in_ball`] — whether a ball's center is a cut vertex
+//!   of the ball: a flood of the ball minus its center that stops as soon
+//!   as it has reached every neighbor of the center.
+//! * [`neighbor_separators_within`] — one lowpoint DFS around an anchor:
+//!   its separator flags, how many components of the set minus the
+//!   anchor hold a neighbor of it, and, for a cut anchor, each such
+//!   component's exits. It labels no vertex with its component.
 
 use crate::graph::{Graph, Vertex};
-use crate::scratch::SubsetScratch;
+use crate::scratch::{Scratch, SubsetScratch};
 
 /// Result of the lowpoint DFS: articulation points and bridges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,50 +103,66 @@ pub fn is_biconnected(g: &Graph) -> bool {
     g.n() >= 3 && crate::connectivity::is_connected(g) && articulation_points(g).is_empty()
 }
 
-/// Whether `v` is a cut vertex of the induced subgraph `G[set]`,
-/// computed *without materializing the subgraph*: a vertex is an
-/// articulation point iff two of its neighbors (within `set`) end up in
-/// different components once it is removed, so one BFS over
-/// `G[set] − {v}` from the first such neighbor decides it. `O(|set| +
-/// |E(G[set])|)` time, zero allocations through the reusable
-/// [`SubsetScratch`] — the arena variant behind the local-1-cut sweep of
-/// the Algorithm 1 `CutEngine` (`set` is a ball `N^r[v]` there).
+/// Whether `u` is a cut vertex of its ball `G[N^r[u]]`, read off the
+/// BFS from `u` alone that `dist` holds, run out to radius `r` or
+/// further: a vertex `w` is in the ball iff `dist.distance(w) ≤ r`, so
+/// there is no member list to build and no set to mark. A vertex is a
+/// cut vertex iff its neighbors lie in two or more components once it is
+/// removed, so one flood of `G[N^r[u]] − u` from `u`'s first neighbor
+/// decides it, and the flood returns `false` as soon as it has reached
+/// every neighbor of `u` (for `r ≥ 1` all of `N(u)` is in the ball), so
+/// a vertex that is no cut vertex mostly stops well short of its whole
+/// ball. `r = 0` answers `false`: the ball is `{u}`.
 ///
-/// `set` must contain `v` and must be a list of distinct in-range
-/// vertices; it does not need to be sorted. Agrees with
-/// [`cut_structure`] on the extracted subgraph for every input
-/// (property-tested against it).
-pub fn is_cut_vertex_within(g: &Graph, ws: &mut SubsetScratch, set: &[Vertex], v: Vertex) -> bool {
-    debug_assert!(set.contains(&v), "set must contain the candidate cut vertex");
-    ws.begin(g.n(), set);
-    let Some(&start) = g.neighbors(v).iter().find(|&&u| ws.contains(u as Vertex)) else {
-        return false; // isolated within the subset: removal deletes its own component
-    };
-    let start = start as Vertex;
-    // Flood G[set] − {v} from `start`; pre-visiting v walls it off.
-    ws.visit(v);
+/// `O(|N^r[u]| + |E(G[N^r[u]])|)` time at worst, zero allocations
+/// through the reusable [`SubsetScratch`] — the `X` test of the
+/// Algorithm 1 `CutEngine`. Agrees with [`cut_structure`] on the
+/// extracted ball for every input (property-tested against it).
+pub fn is_cut_vertex_in_ball(
+    g: &Graph,
+    ws: &mut SubsetScratch,
+    dist: &Scratch,
+    r: u32,
+    u: Vertex,
+) -> bool {
+    debug_assert_eq!(dist.distance(u), Some(0), "dist must hold a BFS from u");
+    let neighbors = g.neighbors(u);
+    if r == 0 || neighbors.len() < 2 {
+        return false;
+    }
+    ws.begin(g.n(), &[]);
+    ws.mark_adj_a(neighbors);
+    // Flood G[N^r[u]] − u from the first neighbor; pre-visiting u walls
+    // it off.
+    let start = neighbors[0] as Vertex;
+    ws.visit(u);
     ws.visit(start);
     ws.queue.push(start);
+    let mut unreached = neighbors.len() - 1;
     let mut head = 0;
     while head < ws.queue.len() {
-        let u = ws.queue[head];
+        let x = ws.queue[head];
         head += 1;
-        for &w in g.neighbors(u) {
+        for &w in g.neighbors(x) {
             let w = w as Vertex;
-            if ws.contains(w) && ws.visit(w) {
-                ws.queue.push(w);
+            if ws.visited(w) || dist.distance(w).is_none_or(|d| d > r) {
+                continue;
             }
+            ws.visit(w);
+            if ws.adj_a(w) {
+                unreached -= 1;
+                if unreached == 0 {
+                    return false;
+                }
+            }
+            ws.queue.push(w);
         }
     }
-    g.neighbors(v).iter().any(|&u| ws.contains(u as Vertex) && !ws.visited(u as Vertex))
+    true
 }
 
-/// The label [`AnchorSplit::component`] gives the anchor itself and the
-/// members of components of `G[set] − a` without a neighbor of `a`.
-pub const NO_COMPONENT: u32 = u32::MAX;
-
 /// What [`neighbor_separators_within`] finds in `G[set] − a`: the
-/// separator flags, the components that hold a neighbor of the anchor
+/// separator flags, how many components hold a neighbor of the anchor
 /// `a`, and, when there are two or more (`a` is a cut vertex of
 /// `G[set]`), each component's *exits*: its neighbors outside `set`. All
 /// buffers are reused across calls.
@@ -149,22 +174,20 @@ pub const NO_COMPONENT: u32 = u32::MAX;
 pub struct AnchorSplit {
     /// One flag per entry of `set`; see [`neighbor_separators_within`].
     pub separators: Vec<bool>,
-    /// One label per entry of `set`: the index of its component among
-    /// those holding a neighbor of `a`, in discovery order (component
-    /// `k` holds the `k`-th neighbor of `a`, in adjacency order, that no
-    /// earlier component holds), or [`NO_COMPONENT`].
-    pub component: Vec<u32>,
     /// Component `k`'s exits are `exits[exit_bounds[k]..exit_bounds[k + 1]]`.
+    /// Components are numbered in discovery order: component `k` holds
+    /// the `k`-th neighbor of `a`, in adjacency order, that no earlier
+    /// component holds.
     exit_bounds: Vec<usize>,
     exits: Vec<Vertex>,
-    /// The discovery time of each component's first vertex.
-    starts: Vec<u32>,
+    /// How many components of `G[set] − a` hold a neighbor of `a`.
+    components: usize,
 }
 
 impl AnchorSplit {
     /// How many components of `G[set] − a` hold a neighbor of `a`.
     pub fn component_count(&self) -> usize {
-        self.starts.len()
+        self.components
     }
 
     /// Whether `a` is a cut vertex of `G[set]`: its neighbors lie in two
@@ -187,11 +210,10 @@ impl AnchorSplit {
     /// Empties the split.
     fn reset(&mut self) {
         self.separators.clear();
-        self.component.clear();
         self.exit_bounds.clear();
         self.exit_bounds.push(0);
         self.exits.clear();
-        self.starts.clear();
+        self.components = 0;
     }
 
     /// Closes the component whose exits were pushed since the last
@@ -219,10 +241,10 @@ impl AnchorSplit {
 ///   more components of `G[set] − {a, v}`, or `a` is itself a cut vertex
 ///   of `G[set]` (its neighbors in `set` already span two components of
 ///   `G[set] − a`) — then every vertex of `set ∖ {a}` is marked;
-/// * every component of `G[set] − a` that holds a neighbor of `a` gets a
-///   label in `out.component`; [`AnchorSplit::is_cut`] tells whether `a`
-///   is a cut vertex of `G[set]`, and if so each component gets its
-///   sorted exits, its neighbors outside `set`.
+/// * [`AnchorSplit::component_count`] counts the components of
+///   `G[set] − a` that hold a neighbor of `a`; [`AnchorSplit::is_cut`]
+///   tells whether `a` is a cut vertex of `G[set]`, and if so each
+///   component gets its sorted exits, its neighbors outside `set`.
 ///
 /// One iterative lowpoint DFS (Tarjan's articulation-point technique)
 /// over `G[set] − a`, rooted at a neighbor of `a` and restarted at every
@@ -261,7 +283,7 @@ pub fn neighbor_separators_within(
         if !ws.contains(root) || ws.visited(root) {
             continue;
         }
-        if out.starts.len() == 1 {
+        if out.components == 1 {
             // A second component: `a` is a cut vertex after all, and
             // everything visited so far is in the first one.
             for &x in set {
@@ -272,9 +294,9 @@ pub fn neighbor_separators_within(
             }
             out.close_component();
         }
-        let record_exits = !out.starts.is_empty();
+        let record_exits = out.components > 0;
         ws.visit(root);
-        out.starts.push(timer);
+        out.components += 1;
         ws.disc[root] = timer;
         ws.low[root] = timer;
         timer += 1;
@@ -330,16 +352,6 @@ pub fn neighbor_separators_within(
     }
     let a_is_cut = out.is_cut();
     out.separators.extend(set.iter().map(|&v| v != a && (a_is_cut || ws.is_sep(v))));
-    let starts = &out.starts;
-    out.component.extend(set.iter().map(|&v| {
-        if v == a || !ws.visited(v) {
-            NO_COMPONENT
-        } else {
-            // Discovery times grow across restarts, so the last start at
-            // or before `disc[v]` names the component.
-            (starts.partition_point(|&t| t <= ws.disc[v]) - 1) as u32
-        }
-    }));
 }
 
 /// Reference implementation of [`is_cut_vertex`] by explicit removal;
@@ -427,34 +439,47 @@ mod tests {
         let mut g = b.build();
         g.add_edge(0, 6);
         g.add_edge(3, 9);
-        let mut ws = SubsetScratch::new();
-        for v in g.vertices() {
-            for r in [1u32, 2, 3, 100] {
-                let ball = bfs::ball(&g, v, r);
-                let sub = InducedSubgraph::new(&g, &ball);
-                let local = sub.from_host(v).unwrap();
-                let expect = cut_structure(&sub.graph).is_articulation[local];
-                assert_eq!(is_cut_vertex_within(&g, &mut ws, &ball, v), expect, "v={v} r={r}");
+        // Disconnected: two paths and an isolated vertex.
+        let g2 = Graph::from_edges(7, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+        let (mut ws, mut dist, mut ball) = (SubsetScratch::new(), Scratch::new(), Vec::new());
+        for g in [&g, &g2] {
+            for v in g.vertices() {
+                for r in [1u32, 2, 3, 4, 5, 6, 100] {
+                    let sub = InducedSubgraph::new(g, &bfs::ball(g, v, r));
+                    let local = sub.from_host(v).unwrap();
+                    let expect = cut_structure(&sub.graph).is_articulation[local];
+                    // Membership comes from the distances alone, so a BFS
+                    // run past `r` must give the same answer.
+                    for reach in [r, r + 2] {
+                        bfs::ball_of_set_into(g, &mut dist, &[v], reach, &mut ball);
+                        let got = is_cut_vertex_in_ball(g, &mut ws, &dist, r, v);
+                        assert_eq!(got, expect, "v={v} r={r} reach={reach} {g:?}");
+                    }
+                }
+                // Radius 0: the ball is the center alone.
+                assert!(!is_cut_vertex_in_ball(g, &mut ws, &dist, 0, v));
             }
         }
-        // Disconnected subsets and isolated-within-subset centers.
-        let g2 = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
-        assert!(is_cut_vertex_within(&g2, &mut ws, &[0, 1, 2, 3, 4, 5], 1));
-        assert!(is_cut_vertex_within(&g2, &mut ws, &[0, 1, 2, 3, 4, 5], 4));
-        assert!(!is_cut_vertex_within(&g2, &mut ws, &[0, 1, 2, 3, 4, 5], 0));
-        assert!(!is_cut_vertex_within(&g2, &mut ws, &[1, 3], 1));
+        let cut_at = |ws: &mut SubsetScratch, dist: &mut Scratch, v: Vertex| {
+            bfs::ball_of_set_into(&g2, dist, &[v], 100, &mut Vec::new());
+            is_cut_vertex_in_ball(&g2, ws, dist, 100, v)
+        };
+        assert!(cut_at(&mut ws, &mut dist, 1));
+        assert!(cut_at(&mut ws, &mut dist, 4));
+        assert!(!cut_at(&mut ws, &mut dist, 0));
+        assert!(!cut_at(&mut ws, &mut dist, 6), "isolated center");
     }
 
     /// [`neighbor_separators_within`] by its definition: extract
     /// `G[set]`, delete the anchor (and each candidate) explicitly, and
     /// keep the components that hold a neighbor of the anchor. Returns
-    /// the separator flags, the component labels and each component's
-    /// exits.
+    /// the separator flags, whether removing the anchor adds a component
+    /// ([`is_cut_vertex_naive`]) and each component's exits.
     fn split_by_removal(
         g: &Graph,
         set: &[Vertex],
         a: Vertex,
-    ) -> (Vec<bool>, Vec<u32>, Vec<Vec<Vertex>>) {
+    ) -> (Vec<bool>, bool, Vec<Vec<Vertex>>) {
         use crate::subgraph::InducedSubgraph;
         let sub = InducedSubgraph::new(g, set);
         let h = &sub.graph;
@@ -473,17 +498,11 @@ mod tests {
         // (local indices keep the host order).
         let mut comps = anchored(&[la]);
         comps.sort_by_key(|comp| comp.iter().copied().filter(|&w| h.has_edge(w, la)).min());
-        let a_is_cut = comps.len() >= 2;
+        let a_is_cut = is_cut_vertex_naive(h, la);
         let local = |v: Vertex| sub.from_host(v).unwrap();
         let flags = set
             .iter()
             .map(|&v| local(v) != la && (a_is_cut || anchored(&[la, local(v)]).len() >= 2))
-            .collect();
-        let labels = set
-            .iter()
-            .map(|&v| {
-                comps.iter().position(|c| c.contains(&local(v))).map_or(NO_COMPONENT, |k| k as u32)
-            })
             .collect();
         let exits = comps
             .iter()
@@ -496,7 +515,7 @@ mod tests {
                 )
             })
             .collect();
-        (flags, labels, exits)
+        (flags, a_is_cut, exits)
     }
 
     /// Runs [`neighbor_separators_within`] and checks every output
@@ -504,11 +523,10 @@ mod tests {
     fn check_split(g: &Graph, ws: &mut SubsetScratch, set: &[Vertex], a: Vertex) -> AnchorSplit {
         let mut out = AnchorSplit::default();
         neighbor_separators_within(g, ws, set, a, &mut out);
-        let (flags, labels, exits) = split_by_removal(g, set, a);
+        let (flags, cut, exits) = split_by_removal(g, set, a);
         assert_eq!(out.separators, flags, "flags set={set:?} a={a}");
-        assert_eq!(out.component, labels, "labels set={set:?} a={a}");
         assert_eq!(out.component_count(), exits.len(), "components set={set:?} a={a}");
-        assert_eq!(out.is_cut(), is_cut_vertex_within(g, ws, set, a), "cut set={set:?} a={a}");
+        assert_eq!(out.is_cut(), cut, "cut set={set:?} a={a}");
         if out.is_cut() {
             for (k, expect) in exits.iter().enumerate() {
                 assert_eq!(out.exits(k), expect, "exits of {k} set={set:?} a={a}");
@@ -551,7 +569,7 @@ mod tests {
         // holds no neighbor of the anchor.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)]);
         let out = check(&g, &[0, 1, 2, 3, 4, 5], 0, &[false, false, true, false, false, false]);
-        assert_eq!(out.component, [NO_COMPONENT, 0, 0, 0, NO_COMPONENT, NO_COMPONENT]);
+        assert_eq!(out.component_count(), 1);
         assert!(!out.is_cut());
         check(&g, &[0, 1, 2, 3, 4, 5], 4, &[false; 6]);
         // An anchor that is a cut vertex of its set marks everything.
@@ -559,7 +577,7 @@ mod tests {
         check(&g2, &[0, 1, 2, 3, 4, 5], 1, &[true, false, true, true, true, true]);
         // Anchor with no neighbor in the set: no component at all.
         let out = check(&g, &[0, 2], 0, &[false, false]);
-        assert_eq!((out.component_count(), out.component.as_slice()), (0, &[NO_COMPONENT; 2][..]));
+        assert_eq!(out.component_count(), 0);
         check(&g, &[4], 4, &[false]);
         // A set that omits some of the anchor's neighbors: 0 sees 1, 2
         // and 3, joined in G − 0 by the path 1–4–2–5–3. With 3 left out,
@@ -569,7 +587,7 @@ mod tests {
         check(&g3, &[0, 1, 2, 4, 5], 0, &[false, false, false, true, false]);
         // Leaving 4 out as well cuts 0: {1} exits to 4, {2, 5} to 3 and 4.
         let out = check(&g3, &[0, 1, 2, 5], 0, &[false, true, true, true]);
-        assert_eq!(out.component, [NO_COMPONENT, 0, 1, 1]);
+        assert_eq!(out.component_count(), 2);
         assert_eq!((out.exits(0), out.exits(1)), (&[4][..], &[3, 4][..]));
         // A ball with an exit-less component: on the path 0–…–5, the
         // ball N^1[1] = {0, 1, 2} splits at 1 into the leaf {0}, with no

@@ -6,9 +6,12 @@
 //!   [`MAX_WORKERS`] and at the phase's item count, and 1 below the
 //!   caller's size gate (small inputs — the LOCAL deciders' many view
 //!   graphs — never pay a thread spawn).
-//! * [`map_chunks`] — contiguous-chunk map: `f(state, i, &mut out[i])`
-//!   updates every slot in place, the slots split into one contiguous
-//!   chunk per worker.
+//! * [`map_chunks`] — claimed-chunk map: `f(state, i, &mut out[i])`
+//!   updates every slot in place. The slots are cut into contiguous
+//!   chunks, 16 per worker, and workers claim them off a shared cursor
+//!   until none is left, so a worker that runs slower on the day (a busy
+//!   core, a costlier stretch of the input) takes fewer chunks instead
+//!   of setting the phase's time.
 //! * [`drain`] — atomic-index drain: workers claim items off a shared
 //!   counter and fold them into per-worker state (for items of uneven
 //!   cost, such as exact residual solves).
@@ -20,21 +23,27 @@
 //! one scoped thread per further worker; with one worker nothing is
 //! spawned at all. A worker's panic resumes on the caller with its
 //! original payload. Workers that need buffers get their own state: the
-//! caller's `local` state serves the first worker, so a pooled engine is
-//! reused on the inline path, and every spawned worker starts from
-//! `S::default()`. Results never depend on the worker count — chunks
-//! are disjoint, merges are commutative, and the drain's callers
-//! restore index order — which the forced-worker tests of every caller
-//! pin down.
+//! caller's `local` state serves the calling thread (every chunk it
+//! claims, in [`map_chunks`]), so a pooled engine is reused on the
+//! inline path, and every spawned worker starts from `S::default()`.
+//! Results never depend on the worker count or the schedule — each
+//! slot is written by exactly one call, merges are commutative, and the
+//! drain's callers restore index order — which the forced-worker tests
+//! of every caller pin down.
 
 use crate::bitset::FixedBitSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// The most workers any phase gets: phases are short, and more threads
 /// than this only thrash.
 pub const MAX_WORKERS: usize = 8;
+
+/// How many chunks [`map_chunks`] cuts its slots into per worker: enough
+/// that the last claim is a small share of the phase, few enough that
+/// claiming stays free next to the work of a chunk.
+const CHUNKS_PER_WORKER: usize = 16;
 
 /// The machine's available parallelism, read once (1 when unknown).
 pub fn cores() -> usize {
@@ -79,16 +88,20 @@ where
     })
 }
 
-/// The contiguous chunk length that splits `len` items `workers` ways.
-fn chunk_len(len: usize, workers: usize) -> usize {
-    len.div_ceil(workers.max(1)).max(1)
+/// The contiguous chunk length that splits `len` items `parts` ways.
+fn chunk_len(len: usize, parts: usize) -> usize {
+    len.div_ceil(parts.max(1)).max(1)
 }
 
-/// Contiguous-chunk map: calls `f(state, i, &mut out[i])` for every
-/// index, with `out` split into `workers` contiguous chunks (the last
-/// may be shorter). `f` may overwrite its slot or update it in place,
-/// keeping the slot's buffers. The calling thread takes the first chunk
-/// with `local`.
+/// Claimed-chunk map: calls `f(state, i, &mut out[i])` for every index.
+/// `out` is cut into contiguous chunks, 16 per worker (the last may be
+/// shorter), and `workers` workers claim them off a shared cursor, each
+/// serving its claims in increasing index order with its own state: the
+/// calling thread with `local`, every spawned worker with a fresh
+/// `S::default()` kept across its claims. Which worker serves which
+/// chunk depends on the schedule; every slot is still passed to `f`
+/// exactly once. `f` may overwrite its slot or update it in place,
+/// keeping the slot's buffers.
 pub fn map_chunks<S, T>(
     workers: usize,
     out: &mut [T],
@@ -98,12 +111,16 @@ pub fn map_chunks<S, T>(
     S: Default + Send,
     T: Send,
 {
-    let size = chunk_len(out.len(), workers);
-    let parts: Vec<(usize, &mut [T])> =
-        out.chunks_mut(size).enumerate().map(|(k, chunk)| (k * size, chunk)).collect();
-    run(parts, local, |state, (lo, chunk)| {
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            f(state, lo + j, slot);
+    let size = chunk_len(out.len(), workers * CHUNKS_PER_WORKER);
+    let claimers = workers.clamp(1, out.len().div_ceil(size).max(1));
+    // The cursor hands out chunks; only a claim holds its lock.
+    let chunks = Mutex::new(out.chunks_mut(size).enumerate());
+    let claim = || chunks.lock().expect("no claim panics while holding the cursor").next();
+    run(vec![(); claimers], local, |state, ()| {
+        while let Some((k, chunk)) = claim() {
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                f(state, k * size + j, slot);
+            }
         }
     });
 }
@@ -277,16 +294,29 @@ mod tests {
 
     #[test]
     fn local_state_serves_the_calling_thread() {
-        // The first chunk runs inline on the caller's state; spawned
-        // workers start from `Default`.
-        let mut local = vec![0usize];
-        let mut out = vec![0usize; 8];
-        map_chunks(2, &mut out, &mut local, |seen: &mut Vec<usize>, i, slot| {
-            seen.push(i);
-            *slot = seen.len();
-        });
-        assert_eq!(local, [0, 0, 1, 2, 3]);
-        assert_eq!(out, [2, 3, 4, 5, 1, 2, 3, 4]);
+        // The calling thread serves every chunk it claims with the
+        // caller's state; spawned workers start from `Default`. Which
+        // chunks that is depends on the schedule, so the slots record
+        // the serving thread and the check reads them back.
+        let me = std::thread::current().id();
+        for workers in WORKERS {
+            let mut local = vec![usize::MAX];
+            let mut out = vec![None; 200];
+            map_chunks(workers, &mut out, &mut local, |seen: &mut Vec<usize>, i, slot| {
+                assert!(slot.is_none(), "slot {i} is written once");
+                seen.push(i);
+                *slot = Some(std::thread::current().id());
+            });
+            let on_caller: Vec<usize> = (0..out.len()).filter(|&i| out[i] == Some(me)).collect();
+            assert!(out.iter().all(Option::is_some), "every slot is written (workers={workers})");
+            assert_eq!(local[0], usize::MAX, "the caller's state is kept, not replaced");
+            // Equal to the ascending list: the caller served its claims
+            // in index order.
+            assert_eq!(local[1..], on_caller, "workers={workers}");
+            if workers == 1 {
+                assert_eq!(on_caller.len(), out.len(), "one worker serves everything inline");
+            }
+        }
     }
 
     #[test]

@@ -162,7 +162,8 @@ impl Scratch {
 /// (astronomically rare) epoch wraparound zeroes all arrays once.
 ///
 /// The consumers are the subset variants of the cut predicates —
-/// [`crate::articulation::is_cut_vertex_within`],
+/// [`crate::articulation::is_cut_vertex_in_ball`] (which takes its
+/// subset from a [`Scratch`]'s BFS distances and marks no members),
 /// [`crate::articulation::neighbor_separators_within`] and
 /// [`crate::two_cuts::pair_profile_within`] — which sit on the local-cut
 /// hot path of the Algorithm 1 pipeline.

@@ -4,7 +4,9 @@
 //! a pure performance rebuild, never a behavior change.
 //!
 //! Covered per graph × radius (radii 1–6):
-//! * `X`: [`CutEngine::one_cut_mask`] vs [`local_cuts::is_local_one_cut`]
+//! * `X`: [`CutEngine::one_cut_mask`] vs [`local_cuts::is_local_one_cut`],
+//!   and the monotonicity of the naive `X` in the radius that the fused
+//!   sweeps rely on
 //! * `I`: [`CutEngine::interesting_mask`] vs [`local_cuts::is_interesting`]
 //! * pairs: [`CutEngine::two_cuts`] vs the naive all-pairs
 //!   [`local_cuts::is_local_two_cut`] enumeration
@@ -85,6 +87,28 @@ fn engine_x_set_matches_naive_reference() {
                 assert_eq!(mask[v], local_cuts::is_local_one_cut(&g, v, r), "{name} r={r} v={v}");
             }
         }
+    }
+}
+
+#[test]
+fn local_one_cuts_are_monotone_in_the_radius() {
+    // The lemma the fused sweeps read X off the r₂ split by: for
+    // 1 ≤ r ≤ r', an r'-local 1-cut is an r-local 1-cut. Checked on the
+    // naive predicate, so it does not lean on the engine that uses it.
+    let mut engine = CutEngine::new();
+    for (name, g) in corpus() {
+        let x: Vec<Vec<bool>> = (1..=6u32)
+            .map(|r| g.vertices().map(|v| local_cuts::is_local_one_cut(&g, v, r)).collect())
+            .collect();
+        for (k, wider) in x.iter().enumerate() {
+            for (j, narrower) in x[..k].iter().enumerate() {
+                for v in g.vertices().filter(|&v| wider[v]) {
+                    assert!(narrower[v], "{name} v={v}: cut at r={} but not at r={}", k + 1, j + 1);
+                }
+            }
+        }
+        // At r = 0 the ball is the vertex alone.
+        assert!(engine.one_cut_mask(&g, 0).iter().all(|&m| !m), "{name} r=0");
     }
 }
 
