@@ -1,9 +1,11 @@
 //! The uniform solve configuration: problem, execution mode, LOCAL
-//! scenario (identifier policy, round cap, fault plan), radii, ablation
-//! options — one builder shared by every solver.
+//! scenario (identifier policy, round cap, fault plan), radii — one
+//! builder shared by every solver. It carries no ablation switches: the
+//! registry runs the paper's pipeline, and the ablation experiment calls
+//! `lmds_core::algorithm1_with` with its `PipelineOptions` directly.
 
 use lmds_asdim::ControlFunction;
-use lmds_core::{PipelineOptions, Radii};
+use lmds_core::Radii;
 use lmds_localsim::{FaultConfig, IdPolicy, RuntimeKind};
 
 /// The optimization problem an [`crate::Solver`] targets.
@@ -145,11 +147,6 @@ pub struct SolveConfig {
     /// [`SolveConfig::control`] both write this one field, so the last
     /// call wins.
     pub radii: Radii,
-    /// Ablation switches for the MDS pipeline, honored by centralized
-    /// `mds/algorithm1` and `mds/algorithm2` runs. `mvc/algorithm1` and
-    /// the pipeline's LOCAL runs reject non-default options; the other
-    /// solvers ignore them.
-    pub options: PipelineOptions,
     /// Whether to measure the approximation ratio against an exact
     /// optimum / certified bound after solving.
     pub measure_ratio: bool,
@@ -163,15 +160,13 @@ pub const DEFAULT_OPT_BUDGET: u64 = 3_000_000;
 
 impl SolveConfig {
     /// A fresh config for the given problem (centralized, practical
-    /// radii `(2, 3)`, paper-default options and scenario, no ratio
-    /// measurement).
+    /// radii `(2, 3)`, default scenario, no ratio measurement).
     pub fn new(problem: Problem) -> Self {
         SolveConfig {
             problem,
             mode: ExecutionMode::Centralized,
             scenario: ScenarioConfig::default(),
             radii: Radii::practical(2, 3),
-            options: PipelineOptions::default(),
             measure_ratio: false,
             opt_budget: DEFAULT_OPT_BUDGET,
         }
@@ -222,12 +217,6 @@ impl SolveConfig {
     /// Sets the pipeline radii explicitly.
     pub fn radii(mut self, radii: Radii) -> Self {
         self.radii = radii;
-        self
-    }
-
-    /// Sets the ablation options.
-    pub fn options(mut self, options: PipelineOptions) -> Self {
-        self.options = options;
         self
     }
 

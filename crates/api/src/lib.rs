@@ -17,7 +17,7 @@
 //! * [`SolveConfig`] — problem ([`Problem::MinDominatingSet`] or
 //!   [`Problem::MinVertexCover`]), [`ExecutionMode`], the LOCAL
 //!   [`ScenarioConfig`] (identifier [`IdPolicy`], round cap, fault
-//!   plan), radii, ablation options,
+//!   plan), radii, ratio measurement and the exact-search budget,
 //! * [`Solution`] — vertex set, validity [`Certificate`], measured
 //!   ratio, round count, [`MessageStats`] (message-bit accounting +
 //!   decided-at histogram), wall time, and [`PipelineDiagnostics`].

@@ -16,7 +16,7 @@ use lmds_core::distributed::{
 };
 use lmds_core::mvc::algorithm1_mvc;
 use lmds_core::theorem44::{theorem44_mds, theorem44_mvc};
-use lmds_core::{algorithm1_with, baselines, Algorithm1Output, PipelineOptions, Radii};
+use lmds_core::{algorithm1, baselines, Algorithm1Output, Radii};
 use lmds_graph::exact::{ExactEngine, ExactError};
 use lmds_graph::Vertex;
 use lmds_localsim::{FaultReport, FaultyRuntime, LocalAlgorithm, RuntimeError, RuntimeKind};
@@ -348,8 +348,7 @@ fn finish(
 /// The one solve body of the Algorithm 1 family (`mds/algorithm1`,
 /// `mds/algorithm2`, `mvc/algorithm1`): the `centralized` pipeline run
 /// with its diagnostics, or the adaptive LOCAL `decider` at the
-/// config's radii. The deciders run the paper-default pipeline, so
-/// ablation options are rejected under LOCAL.
+/// config's radii.
 fn solve_pipeline<A: LocalAlgorithm<Output = bool>>(
     key: &'static str,
     inst: &Instance,
@@ -363,14 +362,6 @@ fn solve_pipeline<A: LocalAlgorithm<Output = bool>>(
         let mut sol = finish(key, inst, cfg, started, out.solution, None, None);
         sol.diagnostics = Some(out.diagnostics);
         return Ok(sol);
-    }
-    if cfg.options != PipelineOptions::default() {
-        return Err(SolveError::UnsupportedOptions {
-            solver: key,
-            reason: "ablation options are centralized-only (the LOCAL decider runs the \
-                     paper-default pipeline)"
-                .into(),
-        });
     }
     let cap = local_round_cap(cfg, adaptive_round_cap(key, cfg.radii, inst.n())?);
     run_local(key, inst, cfg, started, decider, cap)
@@ -407,15 +398,12 @@ fn solve_exact(
     search: impl FnOnce(&mut ExactEngine) -> Result<Vec<Vertex>, ExactError>,
 ) -> Result<Solution, SolveError> {
     let started = Instant::now();
-    let vertices = lmds_graph::exact::with_thread_engine(search).map_err(|e| match e {
-        ExactError::BudgetExhausted { .. } => {
-            SolveError::BudgetExhausted { solver: key, budget: cfg.opt_budget }
-        }
-        ExactError::Infeasible => SolveError::UnsupportedOptions {
+    let vertices = lmds_graph::exact::with_thread_engine(search).map_err(
+        |ExactError::BudgetExhausted { .. }| SolveError::BudgetExhausted {
             solver: key,
-            reason: "whole-graph exact instances are always feasible".into(),
+            budget: cfg.opt_budget,
         },
-    })?;
+    )?;
     let mut sol = Solution::assemble(
         key,
         inst,
@@ -447,8 +435,7 @@ enum Body {
     Algorithm1,
     /// The MVC variant of Algorithm 1 (§4 closing remark): take *all*
     /// local-2-cut vertices, then an exact vertex cover of every
-    /// component of `G − S` that has an edge. It takes no ablation
-    /// options.
+    /// component of `G − S` that has an edge.
     Algorithm1Mvc,
     /// Theorem 4.4: the 3-round `(2t−1)`-approximation (`D₂` of the
     /// twin-free quotient).
@@ -596,18 +583,10 @@ impl Solver for Builtin {
         let (g, ids, radii) = (&inst.graph, &inst.ids, cfg.radii);
         match self.body {
             Body::Algorithm1 => {
-                let centralized = || algorithm1_with(g, ids, radii, cfg.options);
+                let centralized = || algorithm1(g, ids, radii);
                 solve_pipeline(key, inst, cfg, centralized, &Algorithm1Decider { radii })
             }
             Body::Algorithm1Mvc => {
-                if cfg.options != PipelineOptions::default() {
-                    return Err(SolveError::UnsupportedOptions {
-                        solver: key,
-                        reason: "ablation options do not apply to the MVC variant (no twin \
-                                 reduction, no interesting filter, no greedy residual)"
-                            .into(),
-                    });
-                }
                 let centralized = || algorithm1_mvc(g, ids, radii);
                 solve_pipeline(key, inst, cfg, centralized, &MvcAlgorithm1Decider { radii })
             }

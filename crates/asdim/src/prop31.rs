@@ -80,7 +80,7 @@ pub fn prop31_report(
                 continue;
             }
             let targets = ball_of_set(g, &comp, k);
-            let opt = exact_b_dominating(g, &targets, None).map(|s| s.len()).unwrap_or(1).max(1);
+            let opt = exact_b_dominating(g, &targets).len().max(1);
             max_charge = max_charge.max(inside as f64 / opt as f64);
         }
     }

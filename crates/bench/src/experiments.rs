@@ -18,6 +18,7 @@ use lmds_api::{
 use lmds_core::local_cuts;
 use lmds_core::{PipelineOptions, Radii};
 use lmds_gen::ding::AugmentationSpec;
+use lmds_graph::dominating::is_dominating_set;
 use lmds_graph::Graph;
 use std::sync::OnceLock;
 
@@ -623,9 +624,11 @@ pub fn exp_rounds() -> Table {
 }
 
 /// E10 — ablations: what each design decision of Algorithm 1 buys.
-/// Every variant stays a valid dominating set; the measured ratio shows
-/// the cost of dropping twin reduction, the interesting filter, or the
-/// exact brute force.
+/// Every variant stays a valid dominating set; the sizes against the
+/// optimum show the cost of dropping twin reduction, the interesting
+/// filter, or the exact brute force. The ablation switches are not
+/// solver configuration, so each variant is a direct
+/// `algorithm1_with` call, measured by `analysis::mds_report`.
 pub fn exp_ablation() -> Table {
     let mut t = Table::new(
         "E10 / ablations — Algorithm 1 design decisions (MDS size per variant; lower is better)",
@@ -648,20 +651,18 @@ pub fn exp_ablation() -> Table {
     let radii = Radii::practical(2, 3);
     let mut push = |name: &str, g: &Graph| {
         let inst = Instance::shuffled(name, g.clone(), 5);
-        let mut sizes = Vec::new();
-        let mut opt = 0;
-        for (i, &opts) in variants.iter().enumerate() {
-            let mut cfg = SolveConfig::mds().radii(radii).options(opts);
-            if i == 0 {
-                cfg = cfg.measure_ratio(true).opt_budget(OPT_BUDGET);
-            }
-            let sol = solve("mds/algorithm1", &inst, &cfg);
-            assert!(sol.is_valid(), "ablation variant must stay a dominating set");
-            if i == 0 {
-                opt = sol.optimum.expect("measured").value;
-            }
-            sizes.push(sol.size());
-        }
+        let sizes: Vec<usize> = variants
+            .iter()
+            .map(|&opts| {
+                let set = lmds_core::algorithm1_with(&inst.graph, &inst.ids, radii, opts).solution;
+                assert!(
+                    is_dominating_set(&inst.graph, &set),
+                    "ablation variant must stay a dominating set"
+                );
+                set.len()
+            })
+            .collect();
+        let opt = lmds_core::analysis::mds_report(&inst.graph, sizes[0], OPT_BUDGET).opt;
         t.push_row(vec![
             name.into(),
             inst.n().to_string(),

@@ -239,11 +239,11 @@ pub fn solve_component_with(
         // deterministic per instance, so the canonical id-ordered
         // encoding above guarantees that.
         lmds_graph::exact::with_thread_engine(|e| {
-            e.solve_b_dominating(&local, &targets_local, None, u64::MAX)
+            e.solve_b_dominating(&local, &targets_local, u64::MAX)
         })
-        .expect("component instance is feasible: targets dominate themselves")
+        .expect("an unbounded budget cannot be exhausted")
     } else {
-        lmds_graph::dominating::greedy_b_dominating(&local, &targets_local, None)
+        lmds_graph::dominating::greedy_b_dominating(&local, &targets_local)
     };
     sol_local.into_iter().map(|li| reduced.to_host(order[li])).collect()
 }

@@ -1,17 +1,22 @@
 //! Breadth-first traversal and metric queries: distances, balls `N^r[v]`,
-//! eccentricity, diameter, radius, and weak diameter.
+//! diameter, radius, and weak diameter.
 //!
 //! Balls are the central object of the paper: an `r`-round LOCAL algorithm
 //! is exactly a function of `G[N^r[v]]` (plus identifiers), so every
 //! "local" notion (local cuts, locally-`C` classes, …) is phrased in terms
 //! of [`ball`] / [`ball_of_set`].
 //!
-//! The ball queries come in two forms: convenience wrappers ([`ball`],
-//! [`ball_of_set`], [`distance`]) that draw a [`Scratch`] from the
-//! thread-local pool, and explicit `_into` variants that thread a caller
-//! scratch and output buffer for fully allocation-free loops. Work is
-//! O(|ball|), not O(n): the scratch's epoch marks replace the
-//! `vec![None; n]` distance array a fresh-buffer BFS would need.
+//! Two scratch traversals do the work: [`ball_of_set_into`] (a BFS from a
+//! set, stopped at radius `r`, behind [`ball`], [`ball_of_set`] and
+//! [`ball_with_distances`]) and [`distance_capped_with`] (a BFS that stops
+//! at its target or at depth `cap`, behind [`distance_capped`] and
+//! [`distance`], which is the uncapped case). The convenience wrappers
+//! draw a [`Scratch`] from the thread-local pool; the explicit forms
+//! thread a caller scratch and output buffer for allocation-free loops.
+//! Work is O(|ball|), not O(n): the scratch's epoch marks replace the
+//! `vec![None; n]` distance array a fresh-buffer BFS would need. The
+//! whole-graph metrics ([`diameter`], [`radius`], [`weak_diameter`]) run
+//! [`bfs_distances`] per vertex.
 
 use crate::graph::{Graph, Vertex};
 use crate::scratch::{with_thread_scratch, Scratch};
@@ -40,61 +45,10 @@ pub fn bfs_distances(g: &Graph, src: Vertex) -> Vec<Option<u32>> {
     dist
 }
 
-/// Multi-source BFS distances: distance from the nearest source.
-pub fn multi_source_distances(g: &Graph, sources: &[Vertex]) -> Vec<Option<u32>> {
-    let mut dist = vec![None; g.n()];
-    let mut q = VecDeque::new();
-    for &s in sources {
-        if dist[s].is_none() {
-            dist[s] = Some(0);
-            q.push_back(s);
-        }
-    }
-    while let Some(u) = q.pop_front() {
-        let du = dist[u].unwrap();
-        for &v in g.neighbors(u) {
-            let v = v as Vertex;
-            if dist[v].is_none() {
-                dist[v] = Some(du + 1);
-                q.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
-/// The distance between `u` and `v`, or `None` if disconnected.
-/// Early-exit BFS through the thread-pooled [`Scratch`].
+/// The distance between `u` and `v`, or `None` if disconnected:
+/// [`distance_capped`] with no cap.
 pub fn distance(g: &Graph, u: Vertex, v: Vertex) -> Option<u32> {
-    with_thread_scratch(|s| distance_with(g, s, u, v))
-}
-
-/// [`distance`] through an explicit [`Scratch`].
-pub fn distance_with(g: &Graph, scratch: &mut Scratch, u: Vertex, v: Vertex) -> Option<u32> {
-    if u == v {
-        return Some(0);
-    }
-    scratch.begin(g.n());
-    scratch.visit(u);
-    scratch.dist[u] = 0;
-    scratch.queue.push(u);
-    let mut head = 0;
-    while head < scratch.queue.len() {
-        let x = scratch.queue[head];
-        head += 1;
-        let dx = scratch.dist[x];
-        for &y in g.neighbors(x) {
-            let y = y as Vertex;
-            if scratch.visit(y) {
-                if y == v {
-                    return Some(dx + 1);
-                }
-                scratch.dist[y] = dx + 1;
-                scratch.queue.push(y);
-            }
-        }
-    }
-    None
+    distance_capped(g, u, v, u32::MAX)
 }
 
 /// The distance between `u` and `v` **if it is at most `cap`**, else
@@ -168,13 +122,6 @@ pub fn ball_of_set(g: &Graph, set: &[Vertex], r: u32) -> Vec<Vertex> {
     })
 }
 
-/// [`ball`] through an explicit [`Scratch`].
-pub fn ball_with(g: &Graph, scratch: &mut Scratch, v: Vertex, r: u32) -> Vec<Vertex> {
-    let mut out = Vec::new();
-    ball_of_set_into(g, scratch, &[v], r, &mut out);
-    out
-}
-
 /// The fully reusable ball query: clears `out`, then fills it with
 /// `N^r[set]` sorted ascending, using `scratch` for the visited epochs,
 /// queue, and distances. The workhorse of [`ball`] / [`ball_of_set`] and
@@ -227,52 +174,29 @@ pub fn ball_with_distances(g: &Graph, v: Vertex, r: u32) -> Vec<(Vertex, u32)> {
     })
 }
 
-/// Eccentricity of `v` within its connected component.
-pub fn eccentricity(g: &Graph, v: Vertex) -> u32 {
-    bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)
+/// Every vertex's eccentricity, by one BFS per vertex, or `None` if the
+/// graph is disconnected or empty: the one pass behind [`diameter`] and
+/// [`radius`].
+fn eccentricities(g: &Graph) -> Option<Vec<u32>> {
+    if g.n() == 0 {
+        return None;
+    }
+    g.vertices()
+        .map(|v| bfs_distances(g, v).into_iter().try_fold(0, |ecc, d| Some(ecc.max(d?))))
+        .collect()
 }
 
-/// Diameter of the graph.
+/// Diameter of the graph: `max_v ecc(v)`.
 ///
 /// Returns `None` if the graph is disconnected or empty (the diameter is
 /// then conventionally infinite/undefined). Runs `n` BFS traversals.
 pub fn diameter(g: &Graph) -> Option<u32> {
-    if g.n() == 0 {
-        return None;
-    }
-    let mut best = 0;
-    for v in g.vertices() {
-        let d = bfs_distances(g, v);
-        let mut ecc = 0;
-        for dv in &d {
-            match dv {
-                Some(x) => ecc = ecc.max(*x),
-                None => return None,
-            }
-        }
-        best = best.max(ecc);
-    }
-    Some(best)
+    eccentricities(g)?.into_iter().max()
 }
 
 /// Radius of the graph: `min_v ecc(v)`. `None` if disconnected or empty.
 pub fn radius(g: &Graph) -> Option<u32> {
-    if g.n() == 0 {
-        return None;
-    }
-    let mut best = u32::MAX;
-    for v in g.vertices() {
-        let d = bfs_distances(g, v);
-        let mut ecc = 0;
-        for dv in &d {
-            match dv {
-                Some(x) => ecc = ecc.max(*x),
-                None => return None,
-            }
-        }
-        best = best.min(ecc);
-    }
-    Some(best)
+    eccentricities(g)?.into_iter().min()
 }
 
 /// Weak diameter of `set` in `g`: the largest distance **in `g`** between
@@ -376,8 +300,7 @@ mod tests {
     #[test]
     fn eccentricity_center_vs_leaf() {
         let g = path(5);
-        assert_eq!(eccentricity(&g, 2), 2);
-        assert_eq!(eccentricity(&g, 0), 4);
+        assert_eq!(eccentricities(&g), Some(vec![4, 3, 2, 3, 4]));
     }
 
     #[test]
@@ -394,8 +317,13 @@ mod tests {
 
     #[test]
     fn multi_source() {
+        // A ball around a set is a multi-source BFS: the scratch holds
+        // each vertex's distance from the nearest source.
         let g = path(6);
-        let d = multi_source_distances(&g, &[0, 5]);
+        let mut s = Scratch::new();
+        let mut out = Vec::new();
+        ball_of_set_into(&g, &mut s, &[0, 5], 6, &mut out);
+        let d: Vec<Option<u32>> = g.vertices().map(|v| s.distance(v)).collect();
         assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(2), Some(1), Some(0)]);
     }
 
@@ -430,9 +358,10 @@ mod tests {
         assert_eq!(out, vec![2, 3, 4]);
         ball_of_set_into(&big, &mut s, &[6, 7], 1, &mut out);
         assert_eq!(out, vec![5, 6, 7, 8]);
-        assert_eq!(distance_with(&small, &mut s, 0, 4), Some(4));
-        assert_eq!(distance_with(&big, &mut s, 0, 6), Some(6));
-        assert_eq!(distance_with(&Graph::from_edges(4, &[(0, 1), (2, 3)]), &mut s, 0, 3), None);
+        let disc = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        assert_eq!(distance_capped_with(&small, &mut s, 0, 4, u32::MAX), Some(4));
+        assert_eq!(distance_capped_with(&big, &mut s, 0, 6, u32::MAX), Some(6));
+        assert_eq!(distance_capped_with(&disc, &mut s, 0, 3, u32::MAX), None);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Dominating-set toolkit: predicates, greedy and exact solvers,
 //! `B`-dominating sets `MDS(G, B)`, and lower bounds.
 //!
-//! The exact solver is a branch-and-bound over set cover with a packing
-//! lower bound; it is the "brute-force approach" of the paper's
-//! Algorithm 1 step 4, and the reference optimum for every measured
-//! approximation ratio in the experiment harness.
+//! The exact solver is a plain branch-and-bound over set cover with a
+//! packing lower bound, kept as the oracle that
+//! [`crate::exact::ExactEngine`] is differentially tested against. A
+//! `B`-domination instance takes its dominators from `N[B]`, so it is
+//! always feasible.
 //!
 //! The greedy ([`greedy_dominating_set`], [`greedy_b_dominating`], and
 //! the incumbent of both branch and bounds) is one lazy set-cover
@@ -67,20 +68,16 @@ pub fn dominated_by(g: &Graph, set: &[Vertex]) -> Vec<Vertex> {
 /// still-undominated vertices (ties broken by smallest index, so the
 /// result is deterministic).
 pub fn greedy_dominating_set(g: &Graph) -> Vec<Vertex> {
-    greedy_b_dominating(g, &g.vertices().collect::<Vec<_>>(), None)
+    greedy_b_dominating(g, &g.vertices().collect::<Vec<_>>())
 }
 
 /// Greedy `B`-dominating set: dominate all of `targets` using vertices
-/// from `candidates` (or from `N[targets]` if `None`).
+/// of `N[targets]`.
 ///
-/// Returns a (not necessarily minimum) dominating set; panics only if the
-/// instance is infeasible, which cannot happen when `candidates = None`.
-pub fn greedy_b_dominating(
-    g: &Graph,
-    targets: &[Vertex],
-    candidates: Option<&[Vertex]>,
-) -> Vec<Vertex> {
-    CoverInstance::new(g, targets, candidates).greedy()
+/// Returns a (not necessarily minimum) `B`-dominating set. Every target
+/// can dominate itself, so there is always one.
+pub fn greedy_b_dominating(g: &Graph, targets: &[Vertex]) -> Vec<Vertex> {
+    CoverInstance::new(g, targets).greedy()
 }
 
 /// The set-cover greedy: `covers[c]` lists the target indices
@@ -146,45 +143,32 @@ pub fn exact_mds(g: &Graph) -> Vec<Vertex> {
 /// proven.
 pub fn exact_mds_capped(g: &Graph, budget: u64) -> Option<Vec<Vertex>> {
     let targets: Vec<Vertex> = g.vertices().collect();
-    exact_b_dominating_capped(g, &targets, None, budget)
+    exact_b_dominating_capped(g, &targets, budget)
 }
 
-/// Exact minimum `B`-dominating set: the smallest `S ⊆ candidates`
-/// (default `N[targets]`) with `targets ⊆ N[S]`. This is `MDS(G, B)`
-/// from the paper (§2).
-///
-/// Returns `None` when infeasible (some target has no candidate in its
-/// closed neighborhood).
+/// Exact minimum `B`-dominating set: the smallest `S ⊆ N[targets]` with
+/// `targets ⊆ N[S]`. This is `MDS(G, B)` from the paper (§2). Every
+/// target can dominate itself, so the instance is always feasible.
 ///
 /// # Panics
 ///
 /// Panics if the internal (unbounded) budget is exhausted — it cannot be.
-pub fn exact_b_dominating(
-    g: &Graph,
-    targets: &[Vertex],
-    candidates: Option<&[Vertex]>,
-) -> Option<Vec<Vertex>> {
-    exact_b_dominating_capped(g, targets, candidates, u64::MAX)
+pub fn exact_b_dominating(g: &Graph, targets: &[Vertex]) -> Vec<Vertex> {
+    exact_b_dominating_capped(g, targets, u64::MAX).expect("unbounded budget cannot be exhausted")
 }
 
-/// Budgeted variant of [`exact_b_dominating`]. Returns `None` on budget
-/// exhaustion *or* infeasibility (distinguish by checking the cover
-/// instance's feasibility when it matters).
+/// Budgeted variant of [`exact_b_dominating`]. Returns `None` if the
+/// budget was exhausted before optimality was proven.
 pub fn exact_b_dominating_capped(
     g: &Graph,
     targets: &[Vertex],
-    candidates: Option<&[Vertex]>,
     budget: u64,
 ) -> Option<Vec<Vertex>> {
-    let inst = CoverInstance::new(g, targets, candidates);
-    if !inst.is_feasible() {
-        return None;
-    }
-    inst.solve(budget)
+    CoverInstance::new(g, targets).solve(budget)
 }
 
 /// A domination instance lowered to set cover: dominate `targets` using
-/// closed neighborhoods of `candidates`.
+/// closed neighborhoods of the candidates `N[targets]`.
 struct CoverInstance {
     targets: Vec<Vertex>,
     candidates: Vec<Vertex>,
@@ -197,24 +181,18 @@ struct CoverInstance {
 const NONE: usize = usize::MAX;
 
 impl CoverInstance {
-    fn new(g: &Graph, targets: &[Vertex], candidates: Option<&[Vertex]>) -> Self {
+    fn new(g: &Graph, targets: &[Vertex]) -> Self {
         let targets = crate::canonical_set(targets.to_vec());
         let mut target_idx = vec![NONE; g.n()];
         for (i, &t) in targets.iter().enumerate() {
             target_idx[t] = i;
         }
-        let candidates: Vec<Vertex> = match candidates {
-            Some(c) => crate::canonical_set(c.to_vec()),
-            None => {
-                // N[targets]
-                let mut c: Vec<Vertex> = Vec::new();
-                for &t in &targets {
-                    c.push(t);
-                    c.extend(g.neighbors(t).iter().map(|&u| u as Vertex));
-                }
-                crate::canonical_set(c)
-            }
-        };
+        let mut candidates: Vec<Vertex> = Vec::new();
+        for &t in &targets {
+            candidates.push(t);
+            candidates.extend(g.neighbors(t).iter().map(|&u| u as Vertex));
+        }
+        let candidates = crate::canonical_set(candidates);
         let mut covers = Vec::with_capacity(candidates.len());
         let mut covered_by = vec![Vec::new(); targets.len()];
         for (ci, &c) in candidates.iter().enumerate() {
@@ -236,11 +214,7 @@ impl CoverInstance {
         CoverInstance { targets, candidates, covers, covered_by }
     }
 
-    fn is_feasible(&self) -> bool {
-        self.covered_by.iter().all(|c| !c.is_empty())
-    }
-
-    /// [`greedy_cover`] as a sorted vertex set. Assumes feasibility.
+    /// [`greedy_cover`] as a sorted vertex set.
     fn greedy(&self) -> Vec<Vertex> {
         let picks = greedy_cover(&self.covers, self.targets.len());
         crate::canonical_set(picks.into_iter().map(|c| self.candidates[c as usize]))
@@ -562,7 +536,7 @@ mod tests {
             assert_eq!(greedy_cover(&covers, targets), eager_greedy_cover(&covers, targets));
         }
         // `B`-domination instances: random graphs, random target sets,
-        // candidates `N[B]` or a random feasible subset.
+        // candidates `N[B]`.
         for _ in 0..200 {
             let n = 2 + rng.below(40) as usize;
             let density = 1 + rng.below(20);
@@ -572,12 +546,7 @@ mod tests {
                 .collect();
             let g = Graph::from_edges(n, &edges);
             let targets: Vec<Vertex> = (0..n).filter(|_| rng.below(3) > 0).collect();
-            let candidates: Vec<Vertex> = (0..n).filter(|_| rng.below(4) > 0).collect();
-            let restricted = rng.below(2) == 0;
-            let inst = CoverInstance::new(&g, &targets, restricted.then_some(&candidates[..]));
-            if !inst.is_feasible() {
-                continue;
-            }
+            let inst = CoverInstance::new(&g, &targets);
             let k = inst.targets.len();
             assert_eq!(greedy_cover(&inst.covers, k), eager_greedy_cover(&inst.covers, k));
         }
@@ -586,32 +555,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "infeasible greedy cover instance")]
     fn greedy_cover_panics_on_infeasible_instances() {
-        greedy_b_dominating(&path(4), &[0], Some(&[3]));
+        // Target 1 lies in no cover.
+        greedy_cover(&[vec![0], vec![]], 2);
     }
 
     #[test]
     fn b_dominating_restricts_targets() {
         let g = path(6);
         // Dominate only {0}: a single vertex from N[0] suffices.
-        let sol = exact_b_dominating(&g, &[0], None).unwrap();
+        let sol = exact_b_dominating(&g, &[0]);
         assert_eq!(sol.len(), 1);
         assert!(sol == vec![0] || sol == vec![1]);
         // Dominate the two endpoints.
-        let sol2 = exact_b_dominating(&g, &[0, 5], None).unwrap();
+        let sol2 = exact_b_dominating(&g, &[0, 5]);
         assert_eq!(sol2.len(), 2);
-    }
-
-    #[test]
-    fn b_dominating_infeasible_with_bad_candidates() {
-        let g = path(4);
-        assert!(exact_b_dominating(&g, &[0], Some(&[3])).is_none());
-    }
-
-    #[test]
-    fn b_dominating_candidates_constrain_solution() {
-        let g = path(5);
-        let sol = exact_b_dominating(&g, &[0, 1, 2, 3, 4], Some(&[1, 3])).unwrap();
-        assert_eq!(sol, vec![1, 3]);
     }
 
     #[test]

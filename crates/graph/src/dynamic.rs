@@ -407,7 +407,9 @@ mod tests {
         assert_eq!(g.n(), 64);
 
         let mut cold = crate::scratch::Scratch::new();
-        assert_eq!(crate::bfs::ball(g, 63, 2), crate::bfs::ball_with(g, &mut cold, 63, 2));
+        let mut ball = Vec::new();
+        crate::bfs::ball_of_set_into(g, &mut cold, &[63], 2, &mut ball);
+        assert_eq!(crate::bfs::ball(g, 63, 2), ball);
         assert_eq!(twins::twin_classes(g), twins::twin_classes_with(g, &mut cold));
 
         // And the explicit reserve contract: a scratch warmed small must

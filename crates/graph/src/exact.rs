@@ -7,8 +7,9 @@
 //!
 //! 1. a **reduction layer** — unit-coverer forcing, subsumed-candidate
 //!    and subsumed-target rules (the classic row/column domination
-//!    reductions lifted to closed neighborhoods), true-twin folding
-//!    riding [`crate::twins`], and component splitting riding
+//!    reductions lifted to closed neighborhoods, compared within
+//!    2-balls walked on the engine's [`Scratch`] marks), true-twin
+//!    folding riding [`crate::twins`], and component splitting riding
 //!    [`crate::connectivity`] — shrinks the instance before any search;
 //! 2. a **branch-and-bound core** with a greedy incumbent and packing /
 //!    matching lower bounds, running on reusable arenas with an undo
@@ -16,7 +17,13 @@
 //!    [`crate::dominating`] / [`crate::vertex_cover`]);
 //! 3. a **tree-decomposition DP** riding
 //!    [`crate::treewidth::min_fill_decomposition_capped`] with full
-//!    solution extraction (not just the optimum size).
+//!    solution extraction (not just the optimum size). The MDS and MVC
+//!    tables (3 and 2 colors per bag vertex) are built by one
+//!    decomposition walk of introduce, forget and join steps.
+//!
+//! A `B`-domination instance draws its dominators from `N[targets]`,
+//! the paper's `MDS(G, B)`: every target can dominate itself, so every
+//! instance is feasible and the only error is an exhausted budget.
 //!
 //! One rule picks the kernel for each residual component, from what
 //! the engine can observe: the DP when the component has at least 20
@@ -39,12 +46,14 @@
 
 use crate::connectivity::components_avoiding;
 use crate::graph::{Graph, Vertex};
+use crate::scratch::Scratch;
 use crate::subgraph::InducedSubgraph;
 use crate::treewidth::{min_fill_decomposition_capped, TreeDecomposition};
 use crate::twins::twin_representatives;
 use std::cell::RefCell;
 
-/// Why an exact solve failed.
+/// Why an exact solve failed. Every instance the engine takes is
+/// feasible, so the only failure is running out of budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExactError {
     /// The branch-and-bound node budget ran out before optimality was
@@ -53,19 +62,12 @@ pub enum ExactError {
         /// The budget that was exhausted.
         budget: u64,
     },
-    /// The `B`-domination instance is infeasible (some target has no
-    /// allowed candidate in its closed neighborhood).
-    Infeasible,
 }
 
 impl std::fmt::Display for ExactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ExactError::BudgetExhausted { budget } => {
-                write!(f, "exact search budget of {budget} nodes exhausted")
-            }
-            ExactError::Infeasible => write!(f, "infeasible domination instance"),
-        }
+        let ExactError::BudgetExhausted { budget } = self;
+        write!(f, "exact search budget of {budget} nodes exhausted")
     }
 }
 
@@ -105,10 +107,11 @@ const TW_AUTO_MIN_N: usize = 20;
 /// Width cap for the VC DP (2-color tables are exponentially cheaper).
 const VC_TW_AUTO_CAP: usize = 8;
 
-/// The exact solver. Owns the reusable search arenas (bound buffers,
-/// undo trails, per-depth scratch); one engine can be reused across
-/// many solves and graphs — see [`with_thread_engine`] for the
-/// thread-local pool.
+/// The exact solver. Owns the reusable buffers of its reduction rules
+/// (a [`Scratch`] whose marks serve the 2-ball walks and the
+/// vertex-cover dominance rule); one engine can be reused across many
+/// solves and graphs — see [`with_thread_engine`] for the thread-local
+/// pool.
 ///
 /// ```
 /// use lmds_graph::exact::ExactEngine;
@@ -123,10 +126,10 @@ const VC_TW_AUTO_CAP: usize = 8;
 #[derive(Debug, Default)]
 pub struct ExactEngine {
     stats: EngineStats,
-    /// Per-vertex u32 epoch marks shared by the reduction rules.
-    mark: Vec<u32>,
-    epoch: u32,
-    /// Ball-2 enumeration buffer.
+    /// Epoch marks of the 2-ball walks and the vertex-cover dominance
+    /// rule.
+    scratch: Scratch,
+    /// Ball-2 buffer.
     ball_buf: Vec<Vertex>,
     /// Coverage-set buffer.
     cov_buf: Vec<Vertex>,
@@ -141,29 +144,6 @@ impl ExactEngine {
     /// Diagnostics of the most recent solve.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    // -- marks ---------------------------------------------------------
-
-    fn begin_marks(&mut self, n: usize) {
-        if self.mark.len() < n {
-            self.mark.resize(n, 0);
-        }
-        if self.epoch == u32::MAX {
-            self.mark.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    #[inline]
-    fn mark(&mut self, v: Vertex) {
-        self.mark[v] = self.epoch;
-    }
-
-    #[inline]
-    fn marked(&self, v: Vertex) -> bool {
-        self.mark[v] == self.epoch
     }
 
     /// The per-component rule: the decomposition the DP runs on, or
@@ -208,34 +188,31 @@ impl ExactEngine {
         if rep.iter().enumerate().any(|(v, &r)| r != v) {
             let kept: Vec<Vertex> = g.vertices().filter(|&v| rep[v] == v).collect();
             let sub = InducedSubgraph::new(g, &kept);
-            let local = self.solve_domination(&sub.graph, None, None, budget)?;
+            let local = self.solve_domination(&sub.graph, None, budget)?;
             return Ok(sub.set_to_host(&local));
         }
-        self.solve_domination(g, None, None, budget)
+        self.solve_domination(g, None, budget)
     }
 
-    /// Exact minimum `B`-dominating set: the smallest
-    /// `S ⊆ candidates` (default `N[targets]`) with `targets ⊆ N[S]` —
-    /// `MDS(G, B)` from the paper (§2), the residual-component
-    /// instance of Algorithm 1 step 4.
+    /// Exact minimum `B`-dominating set: the smallest `S ⊆ N[targets]`
+    /// with `targets ⊆ N[S]` — `MDS(G, B)` from the paper (§2), the
+    /// residual-component instance of Algorithm 1 step 4. Every target
+    /// can dominate itself, so the instance is always feasible.
     ///
     /// # Errors
     ///
-    /// [`ExactError::Infeasible`] when some target has no candidate in
-    /// its closed neighborhood, [`ExactError::BudgetExhausted`] when
-    /// the search budget runs out.
+    /// [`ExactError::BudgetExhausted`] when the search budget runs out.
     pub fn solve_b_dominating(
         &mut self,
         g: &Graph,
         targets: &[Vertex],
-        candidates: Option<&[Vertex]>,
         budget: u64,
     ) -> Result<Vec<Vertex>, ExactError> {
         self.stats = EngineStats::default();
         if g.n() == 0 || targets.is_empty() {
             return Ok(Vec::new());
         }
-        self.solve_domination(g, Some(targets), candidates, budget)
+        self.solve_domination(g, Some(targets), budget)
     }
 
     /// Exact minimum vertex cover of `g`.
@@ -255,50 +232,22 @@ impl ExactEngine {
     // -- domination core ----------------------------------------------
 
     /// The shared domination pipeline: masks → reductions → component
-    /// split → per-component DP or branch and bound.
+    /// split → per-component DP or branch and bound. The targets are
+    /// `targets` (every vertex when `None`) and the candidates
+    /// `N[targets]`, so every target starts with a coverer, itself, and
+    /// the reductions never remove the last coverer of a live target.
     fn solve_domination(
         &mut self,
         g: &Graph,
         targets: Option<&[Vertex]>,
-        candidates: Option<&[Vertex]>,
         budget: u64,
     ) -> Result<Vec<Vertex>, ExactError> {
         let n = g.n();
-        let mut needs = vec![false; n];
-        match targets {
-            None => needs.fill(true),
-            Some(ts) => {
-                for &t in ts {
-                    needs[t] = true;
-                }
-            }
+        let mut needs = vec![targets.is_none(); n];
+        for &t in targets.unwrap_or_default() {
+            needs[t] = true;
         }
-        let mut allowed = vec![false; n];
-        match candidates {
-            Some(cs) => {
-                for &c in cs {
-                    allowed[c] = true;
-                }
-            }
-            None => {
-                // Default candidate pool: N[targets].
-                for v in g.vertices() {
-                    if needs[v] {
-                        allowed[v] = true;
-                        for &u in g.neighbors(v) {
-                            allowed[u as usize] = true;
-                        }
-                    }
-                }
-            }
-        }
-        // Feasibility before reductions (reductions never remove the
-        // last coverer of a live target).
-        for v in g.vertices() {
-            if needs[v] && !allowed[v] && !g.neighbors(v).iter().any(|&u| allowed[u as usize]) {
-                return Err(ExactError::Infeasible);
-            }
-        }
+        let mut allowed: Vec<bool> = g.vertices().map(|v| closed(g, v).any(|w| needs[w])).collect();
 
         let mut chosen: Vec<Vertex> = Vec::new();
         self.reduce_domination(g, &mut needs, &mut allowed, &mut chosen);
@@ -347,7 +296,9 @@ impl ExactEngine {
     ///   target covers it too (on equality the smaller index survives).
     ///
     /// Comparable pairs always lie within distance 2, so both
-    /// subsumption scans only look inside 2-balls.
+    /// subsumption scans only look inside 2-balls, and they test
+    /// membership in a closed neighborhood on the sorted adjacency
+    /// ([`Graph::has_edge`]) instead of marking one per pair.
     fn reduce_domination(
         &mut self,
         g: &Graph,
@@ -386,69 +337,48 @@ impl ExactEngine {
                     continue;
                 }
                 self.cov_buf.clear();
-                for w in closed(g, u) {
-                    if needs[w] {
-                        self.cov_buf.push(w);
-                    }
-                }
+                self.cov_buf.extend(closed(g, u).filter(|&w| needs[w]));
                 if self.cov_buf.is_empty() {
                     allowed[u] = false;
                     changed = true;
                     continue;
                 }
-                let cov_u = std::mem::take(&mut self.cov_buf);
-                self.fill_ball2(g, u);
-                let ball = std::mem::take(&mut self.ball_buf);
-                for &v in &ball {
+                ball2_into(g, &mut self.scratch, u, &mut self.ball_buf);
+                for &v in &self.ball_buf {
                     if v == u || !allowed[v] {
                         continue;
                     }
-                    // Mark N[v]; cov(u) ⊆ cov(v) ⟺ every member of
-                    // cov(u) lies in N[v] (members already need).
-                    self.begin_marks(n);
-                    self.mark(v);
-                    for &w in g.neighbors(v) {
-                        self.mark(w as Vertex);
-                    }
-                    if cov_u.iter().all(|&w| self.marked(w)) {
+                    // cov(u) ⊆ cov(v) ⟺ every member of cov(u) lies in
+                    // N[v] (members already need).
+                    if self.cov_buf.iter().all(|&w| w == v || g.has_edge(v, w)) {
                         let cov_v_len = closed(g, v).filter(|&w| needs[w]).count();
-                        if cov_u.len() < cov_v_len || v < u {
+                        if self.cov_buf.len() < cov_v_len || v < u {
                             allowed[u] = false;
                             changed = true;
                             break;
                         }
                     }
                 }
-                self.ball_buf = ball;
-                self.cov_buf = cov_u;
-                self.cov_buf.clear();
             }
             // Subsumed targets.
             for t in 0..n {
                 if !needs[t] {
                     continue;
                 }
-                self.fill_ball2(g, t);
-                let ball = std::mem::take(&mut self.ball_buf);
-                // Mark t's allowed coverers.
-                self.begin_marks(n);
-                let mut covr_t_len = 0usize;
-                for u in closed(g, t) {
-                    if allowed[u] {
-                        self.mark(u);
-                        covr_t_len += 1;
-                    }
-                }
-                for &t2 in &ball {
+                ball2_into(g, &mut self.scratch, t, &mut self.ball_buf);
+                let covr_t_len = closed(g, t).filter(|&u| allowed[u]).count();
+                for &t2 in &self.ball_buf {
                     if t2 == t || !needs[t2] {
                         continue;
                     }
+                    // covr(t2) ⊆ covr(t) ⟺ every allowed member of N[t2]
+                    // lies in N[t].
                     let mut subset = true;
                     let mut covr_t2_len = 0usize;
                     for u in closed(g, t2) {
                         if allowed[u] {
                             covr_t2_len += 1;
-                            if !self.marked(u) {
+                            if u != t && !g.has_edge(t, u) {
                                 subset = false;
                                 break;
                             }
@@ -460,8 +390,6 @@ impl ExactEngine {
                         break;
                     }
                 }
-                self.ball_buf = ball;
-                self.ball_buf.clear();
             }
         }
     }
@@ -481,35 +409,6 @@ impl ExactEngine {
         needs[u] = false;
         for &w in g.neighbors(u) {
             needs[w as usize] = false;
-        }
-    }
-
-    /// Fills `self.ball_buf` with the distance-≤2 ball around `v`
-    /// (excluding nothing; includes `v`).
-    fn fill_ball2(&mut self, g: &Graph, v: Vertex) {
-        self.begin_marks(g.n());
-        self.ball_buf.clear();
-        self.mark(v);
-        self.ball_buf.push(v);
-        let deg1_end = {
-            for &u in g.neighbors(v) {
-                let u = u as Vertex;
-                if !self.marked(u) {
-                    self.mark(u);
-                    self.ball_buf.push(u);
-                }
-            }
-            self.ball_buf.len()
-        };
-        for i in 1..deg1_end {
-            let u = self.ball_buf[i];
-            for &w in g.neighbors(u) {
-                let w = w as Vertex;
-                if !self.marked(w) {
-                    self.mark(w);
-                    self.ball_buf.push(w);
-                }
-            }
         }
     }
 
@@ -595,11 +494,11 @@ impl ExactEngine {
                 if !alive[v] {
                     continue;
                 }
-                self.begin_marks(n);
-                self.mark(v);
+                self.scratch.begin(n);
+                self.scratch.visit(v);
                 for &w in g.neighbors(v) {
                     if alive[w as usize] {
-                        self.mark(w as Vertex);
+                        self.scratch.visit(w as Vertex);
                     }
                 }
                 let mut take_v = false;
@@ -611,7 +510,7 @@ impl ExactEngine {
                     let dominated = g
                         .neighbors(u)
                         .iter()
-                        .all(|&w| !alive[w as usize] || self.marked(w as Vertex));
+                        .all(|&w| !alive[w as usize] || self.scratch.visited(w as Vertex));
                     if dominated {
                         take_v = true;
                         break;
@@ -631,6 +530,25 @@ impl ExactEngine {
 /// neighbors).
 fn closed(g: &Graph, v: Vertex) -> impl Iterator<Item = Vertex> + '_ {
     std::iter::once(v).chain(g.neighbors(v).iter().map(|&u| u as Vertex))
+}
+
+/// Fills `out` with the 2-ball `N²[v]`, unsorted: `v`, its neighbors,
+/// then theirs, marked on `scratch`. The subsumption scans only need
+/// the members, so this skips the distances and the sort of
+/// [`crate::bfs::ball_of_set_into`]: with those, Algorithm 1's residual
+/// solves on `scale_instance(10⁵, 3)` at radii (3, 4) took about a fifth
+/// longer (process CPU time on a 2-core x86-64 box).
+fn ball2_into(g: &Graph, scratch: &mut Scratch, v: Vertex, out: &mut Vec<Vertex>) {
+    scratch.begin(g.n());
+    out.clear();
+    out.extend(closed(g, v).filter(|&u| scratch.visit(u)));
+    for i in 1..out.len() {
+        for &w in g.neighbors(out[i]) {
+            if scratch.visit(w as Vertex) {
+                out.push(w as Vertex);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -697,7 +615,7 @@ fn cover_bnb(
         }
         covers.push(cov);
     }
-    debug_assert!(covered_by.iter().all(|c| !c.is_empty()), "caller checked feasibility");
+    debug_assert!(covered_by.iter().all(|c| !c.is_empty()), "every target keeps a coverer");
 
     let mut search = CoverSearch {
         covers,
@@ -1109,6 +1027,7 @@ const C_S: usize = 0;
 const C_D: usize = 1;
 const C_U: usize = 2;
 
+/// The step that built a DP table, kept for the traceback.
 enum DpOp {
     Leaf,
     Introduce { src: usize, v: Vertex },
@@ -1116,6 +1035,8 @@ enum DpOp {
     Join { a: usize, b: usize },
 }
 
+/// The tables of one DP run: per table, the step that built it, its
+/// sorted bag, and its values indexed by the coloring of the bag.
 struct DpTables {
     ops: Vec<DpOp>,
     bags: Vec<Vec<Vertex>>,
@@ -1129,23 +1050,46 @@ impl DpTables {
         self.values.push(values);
         self.ops.len() - 1
     }
+
+    /// The bag of table `src` with `v` inserted, and `v`'s position in
+    /// it.
+    fn bag_with(&self, src: usize, v: Vertex) -> (Vec<Vertex>, usize) {
+        let mut bag = self.bags[src].clone();
+        let pos = bag.binary_search(&v).expect_err("introduced vertex is not in the bag");
+        bag.insert(pos, v);
+        (bag, pos)
+    }
+
+    /// The bag of table `src` without `v`, and `v`'s position in the
+    /// bag of `src`.
+    fn bag_without(&self, src: usize, v: Vertex) -> (Vec<Vertex>, usize) {
+        let mut bag = self.bags[src].clone();
+        let pos = bag.binary_search(&v).expect("forgotten vertex is in the bag");
+        bag.remove(pos);
+        (bag, pos)
+    }
 }
 
-/// Exact minimum domination of the `needs` vertices by `allowed`
-/// vertices via DP over the caller's (min-fill) tree decomposition,
-/// **with solution extraction**. The caller guarantees the width is
-/// within the engine's caps; feasibility is the caller's invariant
-/// (targets always retain a coverer).
-fn mds_dp(g: &Graph, needs: &[bool], allowed: &[bool], td: &TreeDecomposition) -> Vec<Vertex> {
-    let n = g.n();
-    debug_assert!(n > 0);
+/// The decomposition walk of both DPs. Roots `td` at bag 0 and builds
+/// the bags' tables children first: a bag's vertices are introduced
+/// into the empty leaf table, then each child's table, with the
+/// vertices outside the bag forgotten and the bag's missing ones
+/// introduced, is joined in. The kernel's `introduce`, `forget` and
+/// `join` each push one table and return its index. Returns the tables
+/// and the root bag's table.
+fn dp_walk(
+    td: &TreeDecomposition,
+    introduce: impl Fn(&mut DpTables, usize, Vertex) -> usize,
+    forget: impl Fn(&mut DpTables, usize, Vertex) -> usize,
+    join: impl Fn(&mut DpTables, usize, usize) -> usize,
+) -> (DpTables, usize) {
     let b = td.bags.len();
     let mut tadj: Vec<Vec<usize>> = vec![Vec::new(); b];
     for &(x, y) in &td.edges {
         tadj[x].push(y);
         tadj[y].push(x);
     }
-    // Iterative post-order from bag 0.
+    // Iterative pre-order from bag 0; reversed, children come first.
     let mut parent = vec![usize::MAX; b];
     let mut order = Vec::with_capacity(b);
     let mut stack = vec![0usize];
@@ -1165,40 +1109,56 @@ fn mds_dp(g: &Graph, needs: &[bool], allowed: &[bool], td: &TreeDecomposition) -
     let mut tables = DpTables { ops: Vec::new(), bags: Vec::new(), values: Vec::new() };
     let mut final_table = vec![usize::MAX; b];
     for &node in order.iter().rev() {
+        let bag = &td.bags[node];
         let mut cur = tables.push(DpOp::Leaf, Vec::new(), vec![0]);
-        for &v in &td.bags[node] {
-            cur = dp_introduce(g, allowed, &mut tables, cur, v);
+        for &v in bag {
+            cur = introduce(&mut tables, cur, v);
         }
         for &child in &tadj[node] {
             if parent[child] != node {
                 continue;
             }
             let mut ct = final_table[child];
-            let extras: Vec<Vertex> = tables.bags[ct]
-                .iter()
-                .copied()
-                .filter(|v| td.bags[node].binary_search(v).is_err())
-                .collect();
+            let extras: Vec<Vertex> =
+                tables.bags[ct].iter().copied().filter(|v| bag.binary_search(v).is_err()).collect();
             for v in extras {
-                ct = dp_forget(needs, &mut tables, ct, v);
+                ct = forget(&mut tables, ct, v);
             }
-            let missing: Vec<Vertex> = td.bags[node]
-                .iter()
-                .copied()
-                .filter(|v| tables.bags[ct].binary_search(v).is_err())
-                .collect();
+            let missing: Vec<Vertex> =
+                bag.iter().copied().filter(|v| tables.bags[ct].binary_search(v).is_err()).collect();
             for v in missing {
-                ct = dp_introduce(g, allowed, &mut tables, ct, v);
+                ct = introduce(&mut tables, ct, v);
             }
-            cur = dp_join(&mut tables, cur, ct);
+            cur = join(&mut tables, cur, ct);
         }
         final_table[node] = cur;
     }
+    (tables, final_table[0])
+}
+
+/// Positions in `bag` of `v`'s graph neighbors.
+fn neighbor_positions(g: &Graph, bag: &[Vertex], v: Vertex) -> Vec<usize> {
+    (0..bag.len()).filter(|&i| g.has_edge(v, bag[i])).collect()
+}
+
+/// Exact minimum domination of the `needs` vertices by `allowed`
+/// vertices via DP over the caller's (min-fill) tree decomposition,
+/// **with solution extraction**. The caller guarantees the width is
+/// within the engine's caps; feasibility is the caller's invariant
+/// (targets always retain a coverer).
+fn mds_dp(g: &Graph, needs: &[bool], allowed: &[bool], td: &TreeDecomposition) -> Vec<Vertex> {
+    let n = g.n();
+    debug_assert!(n > 0);
+    let (tables, root) = dp_walk(
+        td,
+        |tables, src, v| dp_introduce(g, allowed, tables, src, v),
+        |tables, src, v| dp_forget(needs, tables, src, v),
+        dp_join,
+    );
 
     // Root: minimize over states where every needing bag vertex is
     // dominated or chosen.
-    let root = final_table[0];
-    let bag = tables.bags[root].clone();
+    let bag = &tables.bags[root];
     let mut best_state = usize::MAX;
     let mut best_val = INF;
     for (state, &val) in tables.values[root].iter().enumerate() {
@@ -1227,14 +1187,13 @@ fn mds_dp(g: &Graph, needs: &[bool], allowed: &[bool], td: &TreeDecomposition) -
                         chosen[v] = true;
                         // Search the source state that maps here with
                         // cost value − 1.
-                        let src_bag = &tables.bags[src];
-                        let nbrs: Vec<usize> = bag_neighbor_positions(g, src_bag, v, pos);
+                        let nbrs = neighbor_positions(g, &tables.bags[table], v);
                         let mut found = false;
                         for (s_old, &val_old) in tables.values[src].iter().enumerate() {
                             if val_old >= INF || val_old + 1 != value {
                                 continue;
                             }
-                            let mut s_new = insert3(s_old, src_bag.len(), pos, C_S);
+                            let mut s_new = insert3(s_old, tables.bags[src].len(), pos, C_S);
                             for &ni in &nbrs {
                                 if get3(s_new, ni) == C_U {
                                     s_new = set3(s_new, ni, C_D);
@@ -1299,18 +1258,6 @@ fn mds_dp(g: &Graph, needs: &[bool], allowed: &[bool], td: &TreeDecomposition) -
     (0..n).filter(|&v| chosen[v]).collect()
 }
 
-/// Positions (in the *new* bag of length `|src_bag| + 1`) of `v`'s graph
-/// neighbors, where `v` sits at `pos`.
-fn bag_neighbor_positions(g: &Graph, src_bag: &[Vertex], v: Vertex, pos: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    for (i, &w) in src_bag.iter().enumerate() {
-        if g.has_edge(v, w) {
-            out.push(if i < pos { i } else { i + 1 });
-        }
-    }
-    out
-}
-
 fn dp_introduce(
     g: &Graph,
     allowed: &[bool],
@@ -1318,19 +1265,14 @@ fn dp_introduce(
     src: usize,
     v: Vertex,
 ) -> usize {
-    let src_bag = tables.bags[src].clone();
-    debug_assert!(src_bag.binary_search(&v).is_err());
-    let pos = src_bag.binary_search(&v).unwrap_err();
-    let mut bag = src_bag.clone();
-    bag.insert(pos, v);
-    let k = bag.len();
-    let nbrs = bag_neighbor_positions(g, &src_bag, v, pos);
-    let mut values = vec![INF; POW3[k]];
+    let (bag, pos) = tables.bag_with(src, v);
+    let nbrs = neighbor_positions(g, &bag, v);
+    let mut values = vec![INF; POW3[bag.len()]];
     for (s_old, &val) in tables.values[src].iter().enumerate() {
         if val >= INF {
             continue;
         }
-        let base = insert3(s_old, src_bag.len(), pos, C_U);
+        let base = insert3(s_old, bag.len() - 1, pos, C_U);
         // Case S: v chosen — U-neighbors become dominated.
         if allowed[v] {
             let mut s = set3(base, pos, C_S);
@@ -1354,12 +1296,8 @@ fn dp_introduce(
 }
 
 fn dp_forget(needs: &[bool], tables: &mut DpTables, src: usize, v: Vertex) -> usize {
-    let src_bag = tables.bags[src].clone();
-    let pos = src_bag.binary_search(&v).expect("forgotten vertex is in bag");
-    let mut bag = src_bag.clone();
-    bag.remove(pos);
-    let k = bag.len();
-    let mut values = vec![INF; POW3[k]];
+    let (bag, pos) = tables.bag_without(src, v);
+    let mut values = vec![INF; POW3[bag.len()]];
     for (s_old, &val) in tables.values[src].iter().enumerate() {
         if val >= INF {
             continue;
@@ -1429,62 +1367,9 @@ fn dp_join(tables: &mut DpTables, a: usize, b: usize) -> usize {
 fn vc_dp(g: &Graph, td: &TreeDecomposition) -> Vec<Vertex> {
     let n = g.n();
     debug_assert!(n > 0);
-    let b = td.bags.len();
-    let mut tadj: Vec<Vec<usize>> = vec![Vec::new(); b];
-    for &(x, y) in &td.edges {
-        tadj[x].push(y);
-        tadj[y].push(x);
-    }
-    let mut parent = vec![usize::MAX; b];
-    let mut order = Vec::with_capacity(b);
-    let mut stack = vec![0usize];
-    let mut seen = vec![false; b];
-    seen[0] = true;
-    while let Some(x) = stack.pop() {
-        order.push(x);
-        for &y in &tadj[x] {
-            if !seen[y] {
-                seen[y] = true;
-                parent[y] = x;
-                stack.push(y);
-            }
-        }
-    }
+    let (tables, root) =
+        dp_walk(td, |tables, src, v| vc_introduce(g, tables, src, v), vc_forget, vc_join);
 
-    let mut tables = DpTables { ops: Vec::new(), bags: Vec::new(), values: Vec::new() };
-    let mut final_table = vec![usize::MAX; b];
-    for &node in order.iter().rev() {
-        let mut cur = tables.push(DpOp::Leaf, Vec::new(), vec![0]);
-        for &v in &td.bags[node] {
-            cur = vc_introduce(g, &mut tables, cur, v);
-        }
-        for &child in &tadj[node] {
-            if parent[child] != node {
-                continue;
-            }
-            let mut ct = final_table[child];
-            let extras: Vec<Vertex> = tables.bags[ct]
-                .iter()
-                .copied()
-                .filter(|v| td.bags[node].binary_search(v).is_err())
-                .collect();
-            for v in extras {
-                ct = vc_forget(&mut tables, ct, v);
-            }
-            let missing: Vec<Vertex> = td.bags[node]
-                .iter()
-                .copied()
-                .filter(|v| tables.bags[ct].binary_search(v).is_err())
-                .collect();
-            for v in missing {
-                ct = vc_introduce(g, &mut tables, ct, v);
-            }
-            cur = vc_join(&mut tables, cur, ct);
-        }
-        final_table[node] = cur;
-    }
-
-    let root = final_table[0];
     let mut best_state = 0usize;
     let mut best_val = INF;
     for (state, &val) in tables.values[root].iter().enumerate() {
@@ -1555,19 +1440,9 @@ fn project2(state: usize, pos: usize) -> usize {
 }
 
 fn vc_introduce(g: &Graph, tables: &mut DpTables, src: usize, v: Vertex) -> usize {
-    let src_bag = tables.bags[src].clone();
-    let pos = src_bag.binary_search(&v).unwrap_err();
-    let mut bag = src_bag.clone();
-    bag.insert(pos, v);
-    let k = bag.len();
-    // Positions (in the new bag) of v's graph neighbors.
-    let mut nbrs = Vec::new();
-    for (i, &w) in src_bag.iter().enumerate() {
-        if g.has_edge(v, w) {
-            nbrs.push(if i < pos { i } else { i + 1 });
-        }
-    }
-    let mut values = vec![INF; 1 << k];
+    let (bag, pos) = tables.bag_with(src, v);
+    let nbrs = neighbor_positions(g, &bag, v);
+    let mut values = vec![INF; 1 << bag.len()];
     for (s_old, &val) in tables.values[src].iter().enumerate() {
         if val >= INF {
             continue;
@@ -1588,12 +1463,8 @@ fn vc_introduce(g: &Graph, tables: &mut DpTables, src: usize, v: Vertex) -> usiz
 }
 
 fn vc_forget(tables: &mut DpTables, src: usize, v: Vertex) -> usize {
-    let src_bag = tables.bags[src].clone();
-    let pos = src_bag.binary_search(&v).expect("forgotten vertex is in bag");
-    let mut bag = src_bag.clone();
-    bag.remove(pos);
-    let k = bag.len();
-    let mut values = vec![INF; 1 << k];
+    let (bag, pos) = tables.bag_without(src, v);
+    let mut values = vec![INF; 1 << bag.len()];
     for (s_old, &val) in tables.values[src].iter().enumerate() {
         if val >= INF {
             continue;
@@ -1691,7 +1562,7 @@ mod tests {
         );
     }
 
-    /// `B`-domination with the default candidate pool `N[targets]`.
+    /// `B`-domination: the candidate pool is `N[targets]`.
     fn check_b_dominating(g: &Graph, targets: &[Vertex]) {
         let mut needs = vec![false; g.n()];
         for &t in targets {
@@ -1699,10 +1570,10 @@ mod tests {
         }
         let allowed: Vec<bool> = g.vertices().map(|v| closed(g, v).any(|w| needs[w])).collect();
         let td = min_fill_decomposition_capped(g, TW_AUTO_CAP);
-        let engine = ExactEngine::new().solve_b_dominating(g, targets, None, u64::MAX).unwrap();
+        let engine = ExactEngine::new().solve_b_dominating(g, targets, u64::MAX).unwrap();
         check(
             g,
-            exact_b_dominating(g, targets, None).unwrap().len(),
+            exact_b_dominating(g, targets).len(),
             |s| dominates(g, s, targets),
             [
                 ("engine", Some(engine)),
@@ -1846,18 +1717,8 @@ mod tests {
         let g = path(6);
         check_b_dominating(&g, &[0]);
         check_b_dominating(&g, &[0, 5]);
-        let sol = ExactEngine::new().solve_b_dominating(&g, &[0, 5], None, u64::MAX).unwrap();
+        let sol = ExactEngine::new().solve_b_dominating(&g, &[0, 5], u64::MAX).unwrap();
         assert_eq!(sol.len(), 2);
-    }
-
-    #[test]
-    fn b_dominating_candidate_restriction_and_infeasibility() {
-        let g = path(5);
-        let mut e = ExactEngine::new();
-        let sol = e.solve_b_dominating(&g, &[0, 1, 2, 3, 4], Some(&[1, 3]), u64::MAX).unwrap();
-        assert_eq!(sol, vec![1, 3]);
-        let err = e.solve_b_dominating(&g, &[0], Some(&[3]), u64::MAX).unwrap_err();
-        assert_eq!(err, ExactError::Infeasible);
         // Cross-check the oracle on a random-ish target pattern.
         check_b_dominating(&cycle(11), &[0, 2, 3, 7, 9]);
     }

@@ -19,15 +19,17 @@
 //!   contract),
 //! * traversal and metric queries ([`bfs`]: balls `N^r[v]`, distances,
 //!   diameter, radius, weak diameter),
-//! * the connectivity stack ([`connectivity`], [`articulation`],
-//!   [`block_cut`], [`two_cuts`], [`spqr`]),
+//! * the connectivity stack ([`connectivity`]; [`articulation`], whose
+//!   lowpoint DFS gives the cut vertices and bridges; [`two_cuts`];
+//!   [`spqr`]),
 //! * true-twin reduction ([`twins`]),
 //! * dominating-set and vertex-cover toolkits with naive exact solvers
 //!   ([`dominating`], [`vertex_cover`]) and the [`exact::ExactEngine`]
 //!   (reduction rules, then branch and bound or a tree-decomposition DP
 //!   per component, picked by one size-and-width rule) that supersedes
 //!   them on every hot path; the naive solvers stay as its differential
-//!   oracle,
+//!   oracle. `B`-domination (`MDS(G, B)`) always takes its dominators
+//!   from `N[B]`,
 //! * exact `K_{2,t}`-minor detection via hub-pair enumeration plus
 //!   Menger-style petal counting ([`minor`]),
 //! * batched dynamic updates ([`dynamic`]): [`DynamicGraph`] applies
@@ -56,7 +58,6 @@
 pub mod articulation;
 pub mod bfs;
 pub mod bitset;
-pub mod block_cut;
 pub mod connectivity;
 pub mod csr;
 pub mod dominating;

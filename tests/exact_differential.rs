@@ -182,11 +182,9 @@ fn every_backend_matches_the_naive_b_domination_oracle() {
             if targets.is_empty() {
                 continue;
             }
-            let oracle = exact_b_dominating(&g, targets, None)
-                .unwrap_or_else(|| panic!("{name}: oracle infeasible with default candidates"))
-                .len();
+            let oracle = exact_b_dominating(&g, targets).len();
             let sol = engine
-                .solve_b_dominating(&g, targets, None, u64::MAX)
+                .solve_b_dominating(&g, targets, u64::MAX)
                 .unwrap_or_else(|e| panic!("{name} t{trial}: {e}"));
             tally(&mut kernels, &engine);
             assert!(dominates(&g, &sol, targets), "{name} t{trial}: targets uncovered");
@@ -194,6 +192,54 @@ fn every_backend_matches_the_naive_b_domination_oracle() {
         }
     }
     assert_both_kernels_ran(kernels);
+}
+
+/// The optimum *sets*, not only their sizes: the vertex sets that
+/// `solve_mds`, `solve_mvc` and `solve_b_dominating` (targets: every
+/// third vertex) return, folded in order into one FNV-1a checksum. The
+/// LOCAL deciders need every vertex to rebuild the same optimum, so an
+/// optimum of the same size on other vertices is a regression too. The
+/// corpus and `grid(5, 5)` reach branch and bound; the strips, sparse
+/// outerplanar graphs and scale instances reach the DP.
+#[test]
+fn optimum_vertex_sets_are_pinned() {
+    let mut graphs = corpus();
+    graphs.push(("grid5x5".into(), lmds_gen::basic::grid(5, 5)));
+    for k in [10, 40, 100] {
+        graphs.push((format!("strip{k}"), lmds_gen::ding::strip(k)));
+    }
+    for seed in 0..3u64 {
+        graphs.push((
+            format!("sparse_outerplanar300_s{seed}"),
+            lmds_gen::outerplanar::random_outerplanar(300, 25, seed),
+        ));
+        graphs.push((format!("scale800_s{seed}"), lmds_gen::ding::scale_instance(800, seed)));
+    }
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |set: &[usize]| {
+        for &x in std::iter::once(&set.len()).chain(set) {
+            for byte in (x as u64).to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    };
+    let mut engine = ExactEngine::new();
+    let mut kernels = (0, 0);
+    for (name, g) in &graphs {
+        let targets: Vec<usize> = g.vertices().step_by(3).collect();
+        fold(&engine.solve_mds(g, u64::MAX).unwrap_or_else(|e| panic!("{name}: {e}")));
+        tally(&mut kernels, &engine);
+        fold(&engine.solve_mvc(g, u64::MAX).unwrap_or_else(|e| panic!("{name}: {e}")));
+        tally(&mut kernels, &engine);
+        fold(
+            &engine
+                .solve_b_dominating(g, &targets, u64::MAX)
+                .unwrap_or_else(|e| panic!("{name}: {e}")),
+        );
+        tally(&mut kernels, &engine);
+    }
+    assert_both_kernels_ran(kernels);
+    assert_eq!(hash, 0xb550_e8d9_93f7_518d, "optimum sets changed: checksum {hash:#018x}");
 }
 
 /// The registry seam: `mds/exact` and `mvc/exact` (the engine, default

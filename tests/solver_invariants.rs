@@ -13,7 +13,7 @@ use lmds_api::{
     RuntimeKind, SolveConfig, SolveError, SolverRegistry,
 };
 use lmds_asdim::ControlFunction;
-use lmds_core::{PipelineOptions, Radii};
+use lmds_core::Radii;
 use lmds_gen::ding::AugmentationSpec;
 use lmds_graph::{canonical_set, Graph};
 
@@ -500,35 +500,6 @@ fn pipeline_diagnostics_account_for_the_solution() {
                 assert_eq!(got, want, "{at}: residual ≠ uncovered-edge components");
             }
         }
-    }
-}
-
-/// The ablation switches belong to the MDS pipeline. The MVC variant has
-/// no twin reduction, interesting filter or greedy residual, so it
-/// rejects every non-default setting in every mode; `mds/algorithm1`
-/// still honors them centralized and rejects them under LOCAL.
-#[test]
-fn ablation_options_apply_to_the_mds_pipeline_only() {
-    let registry = SolverRegistry::with_defaults();
-    let inst = Instance::shuffled("strip6", lmds_gen::ding::strip(6), 7);
-    for bits in 1..8u8 {
-        let options = PipelineOptions {
-            twin_reduction: bits & 1 == 0,
-            interesting_filter: bits & 2 == 0,
-            exact_brute: bits & 4 == 0,
-        };
-        for mode in [ExecutionMode::Centralized, ExecutionMode::LOCAL_ORACLE] {
-            let cfg = SolveConfig::mvc().radii(RADII).options(options).mode(mode);
-            let err = registry.solve("mvc/algorithm1", &inst, &cfg).unwrap_err();
-            assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{options:?} {mode}");
-        }
-        let cfg = SolveConfig::mds().radii(RADII).options(options);
-        let sol = registry.solve("mds/algorithm1", &inst, &cfg).expect("centralized ablation");
-        let want = lmds_core::algorithm1_with(&inst.graph, &inst.ids, RADII, options).solution;
-        assert_eq!(sol.vertices, want, "{options:?}");
-        let cfg = cfg.mode(ExecutionMode::LOCAL_ORACLE);
-        let err = registry.solve("mds/algorithm1", &inst, &cfg).unwrap_err();
-        assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{options:?}");
     }
 }
 
