@@ -7,6 +7,7 @@
 use lmds_asdim::ControlFunction;
 use lmds_core::Radii;
 use lmds_localsim::{FaultConfig, IdPolicy, RuntimeKind};
+use std::str::FromStr;
 
 /// The optimization problem an [`crate::Solver`] targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,6 +38,20 @@ impl std::fmt::Display for Problem {
     }
 }
 
+impl FromStr for Problem {
+    type Err = String;
+
+    /// Inverts [`Problem::key_prefix`] (`"mds"` / `"mvc"`), the wire
+    /// form; the `Display` form (`"MDS"`) is for reports only.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "mds" => Ok(Problem::MinDominatingSet),
+            "mvc" => Ok(Problem::MinVertexCover),
+            other => Err(format!("unknown problem {other:?} (expected \"mds\" or \"mvc\")")),
+        }
+    }
+}
+
 /// How a solver executes: the centralized reference, or a LOCAL
 /// simulation of one [`RuntimeKind`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,8 +73,8 @@ impl ExecutionMode {
     /// [`ExecutionMode::LOCAL_ORACLE`]; the oracle shards itself on
     /// large graphs).
     pub const LOCAL_SHARDED: ExecutionMode = ExecutionMode::Local(RuntimeKind::ShardedOracle);
-    /// Message passing under the scenario's [`FaultConfig`] (drops,
-    /// crash-stop vertices, bounded skew); bit-identical to
+    /// Message passing under the config's [`SolveConfig::fault`] plan
+    /// (drops, crash-stop vertices, bounded skew); bit-identical to
     /// [`ExecutionMode::LOCAL_MESSAGE_PASSING`] when the plan is empty,
     /// plus the fault report.
     pub const LOCAL_FAULTY: ExecutionMode = ExecutionMode::Local(RuntimeKind::Faulty);
@@ -72,12 +87,6 @@ impl ExecutionMode {
         ExecutionMode::LOCAL_SHARDED,
         ExecutionMode::LOCAL_FAULTY,
     ];
-
-    /// Whether this mode runs on the LOCAL simulator (and therefore
-    /// reports a round count and [`crate::MessageStats`]).
-    pub fn is_distributed(self) -> bool {
-        matches!(self, ExecutionMode::Local(_))
-    }
 
     /// The runtime backend, when distributed.
     pub fn runtime(self) -> Option<RuntimeKind> {
@@ -97,23 +106,25 @@ impl std::fmt::Display for ExecutionMode {
     }
 }
 
-/// The LOCAL scenario knobs: how identifiers are assigned, how many
-/// rounds the simulation may take, and which faults it injects.
-/// Ignored by centralized runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ScenarioConfig {
-    /// Identifier-assignment override: `None` uses the instance's own
-    /// assignment, `Some(policy)` re-assigns per [`IdPolicy`]
-    /// (sequential, seeded-shuffled, or degree-adversarial).
-    pub id_policy: Option<IdPolicy>,
-    /// Upper bound on simulated rounds; `None` ⟹ a solver-specific
-    /// safe default.
-    pub round_cap: Option<u32>,
-    /// The fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs: seeded
-    /// message drops, crash-stop vertices, bounded round-asynchrony.
-    /// An inactive (all-zero) plan is the default; an *active* plan on
-    /// any other runtime is rejected as unsupported options.
-    pub fault: FaultConfig,
+impl FromStr for ExecutionMode {
+    type Err = String;
+
+    /// Inverts the `Display` form: `"centralized"`, or `"local-"`
+    /// followed by a [`RuntimeKind`]'s own form.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s == "centralized" {
+            return Ok(ExecutionMode::Centralized);
+        }
+        s.strip_prefix("local-")
+            .and_then(|kind| kind.parse().ok())
+            .map(ExecutionMode::Local)
+            .ok_or_else(|| {
+                format!(
+                    "unknown execution mode {s:?} (expected one of: {})",
+                    ExecutionMode::ALL.map(|m| m.to_string()).join(", ")
+                )
+            })
+    }
 }
 
 /// The uniform configuration every [`crate::Solver::solve`] call takes.
@@ -131,7 +142,7 @@ pub struct ScenarioConfig {
 ///     .radii(Radii::practical(2, 3))
 ///     .measure_ratio(true);
 /// assert!(cfg.measure_ratio);
-/// assert_eq!(cfg.scenario.round_cap, Some(64));
+/// assert_eq!(cfg.round_cap, Some(64));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolveConfig {
@@ -139,8 +150,19 @@ pub struct SolveConfig {
     pub problem: Problem,
     /// Execution mode; solvers reject unsupported modes.
     pub mode: ExecutionMode,
-    /// The LOCAL scenario (id policy, round cap, fault plan).
-    pub scenario: ScenarioConfig,
+    /// Identifier-assignment override for LOCAL runs: `None` uses the
+    /// instance's own assignment, `Some(policy)` re-assigns per
+    /// [`IdPolicy`] (sequential, seeded-shuffled, or
+    /// degree-adversarial). Centralized runs ignore it.
+    pub id_policy: Option<IdPolicy>,
+    /// Upper bound on simulated rounds; `None` ⟹ a solver-specific safe
+    /// default.
+    pub round_cap: Option<u32>,
+    /// The fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs: seeded
+    /// message drops, crash-stop vertices, bounded round-asynchrony.
+    /// The inert (all-zero) plan is the default; an *active* plan on
+    /// any other runtime is rejected as unsupported options.
+    pub fault: FaultConfig,
     /// Pipeline radii for the Algorithm 1 family: `mds/algorithm1`,
     /// `mds/algorithm2` and `mvc/algorithm1` (ignored by the 3-round
     /// and folklore solvers). The builders [`SolveConfig::radii`] and
@@ -160,12 +182,15 @@ pub const DEFAULT_OPT_BUDGET: u64 = 3_000_000;
 
 impl SolveConfig {
     /// A fresh config for the given problem (centralized, practical
-    /// radii `(2, 3)`, default scenario, no ratio measurement).
+    /// radii `(2, 3)`, the instance's identifiers, the solver's round
+    /// cap, no faults, no ratio measurement).
     pub fn new(problem: Problem) -> Self {
         SolveConfig {
             problem,
             mode: ExecutionMode::Centralized,
-            scenario: ScenarioConfig::default(),
+            id_policy: None,
+            round_cap: None,
+            fault: FaultConfig::default(),
             radii: Radii::practical(2, 3),
             measure_ratio: false,
             opt_budget: DEFAULT_OPT_BUDGET,
@@ -190,27 +215,21 @@ impl SolveConfig {
         self
     }
 
-    /// Replaces the whole LOCAL scenario.
-    pub fn scenario(mut self, scenario: ScenarioConfig) -> Self {
-        self.scenario = scenario;
-        self
-    }
-
     /// Overrides the identifier assignment for distributed runs.
     pub fn id_policy(mut self, policy: IdPolicy) -> Self {
-        self.scenario.id_policy = Some(policy);
+        self.id_policy = Some(policy);
         self
     }
 
     /// Caps the number of simulated rounds.
     pub fn round_cap(mut self, cap: u32) -> Self {
-        self.scenario.round_cap = Some(cap);
+        self.round_cap = Some(cap);
         self
     }
 
     /// Sets the fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs.
     pub fn fault(mut self, fault: FaultConfig) -> Self {
-        self.scenario.fault = fault;
+        self.fault = fault;
         self
     }
 
@@ -252,8 +271,8 @@ mod tests {
             .id_policy(IdPolicy::Sequential);
         assert_eq!(cfg.problem, Problem::MinVertexCover);
         assert_eq!(cfg.mode, ExecutionMode::Local(lmds_localsim::RuntimeKind::ShardedOracle));
-        assert_eq!(cfg.scenario.round_cap, Some(7));
-        assert_eq!(cfg.scenario.id_policy, Some(IdPolicy::Sequential));
+        assert_eq!(cfg.round_cap, Some(7));
+        assert_eq!(cfg.id_policy, Some(IdPolicy::Sequential));
         assert_eq!(cfg.opt_budget, 10);
     }
 
@@ -288,7 +307,6 @@ mod tests {
 
     #[test]
     fn mode_classification() {
-        assert!(!ExecutionMode::Centralized.is_distributed());
         assert_eq!(ExecutionMode::Centralized.runtime(), None);
         for mode in [
             ExecutionMode::LOCAL_ORACLE,
@@ -296,10 +314,22 @@ mod tests {
             ExecutionMode::LOCAL_SHARDED,
             ExecutionMode::LOCAL_FAULTY,
         ] {
-            assert!(mode.is_distributed());
             assert!(mode.runtime().is_some());
         }
         assert_eq!(ExecutionMode::ALL.len(), 5);
+    }
+
+    #[test]
+    fn problem_and_mode_round_trip_their_display_forms() {
+        for p in [Problem::MinDominatingSet, Problem::MinVertexCover] {
+            assert_eq!(p.key_prefix().parse::<Problem>().unwrap(), p);
+        }
+        for m in ExecutionMode::ALL {
+            assert_eq!(m.to_string().parse::<ExecutionMode>().unwrap(), m);
+        }
+        assert!("MDS".parse::<Problem>().is_err(), "display form is not the wire form");
+        assert!("oracle".parse::<ExecutionMode>().is_err());
+        assert!("local-".parse::<ExecutionMode>().is_err());
     }
 
     #[test]
@@ -311,7 +341,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let cfg = SolveConfig::mds().mode(ExecutionMode::LOCAL_FAULTY).fault(fault);
-        assert_eq!(cfg.scenario.fault, fault);
-        assert!(!SolveConfig::mds().scenario.fault.is_active(), "default plan is inert");
+        assert_eq!(cfg.fault, fault);
+        assert!(!SolveConfig::mds().fault.is_active(), "default plan is inert");
     }
 }

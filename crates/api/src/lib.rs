@@ -16,11 +16,14 @@
 //!   truth,
 //! * [`SolveConfig`] — problem ([`Problem::MinDominatingSet`] or
 //!   [`Problem::MinVertexCover`]), [`ExecutionMode`], the LOCAL
-//!   [`ScenarioConfig`] (identifier [`IdPolicy`], round cap, fault
-//!   plan), radii, ratio measurement and the exact-search budget,
+//!   identifier [`IdPolicy`], round cap and [`FaultConfig`], radii,
+//!   ratio measurement and the exact-search budget. `Problem` and
+//!   `ExecutionMode` parse back from their wire strings (`"mds"`,
+//!   `"local-oracle"`, …); `lmds-serve` owns the rest of the wire form,
 //! * [`Solution`] — vertex set, validity [`Certificate`], measured
 //!   ratio, round count, [`MessageStats`] (message-bit accounting +
-//!   decided-at histogram), wall time, and [`PipelineDiagnostics`].
+//!   decided-at histogram), wall time, and [`PipelineDiagnostics`];
+//!   [`SolutionView`] is its flat transport summary.
 //!
 //! Distributed solvers are **registry-native**: every
 //! `ExecutionMode::Local(kind)` solve runs a first-class
@@ -28,7 +31,7 @@
 //! for the explicit-round algorithms, view deciders for the adaptive
 //! pipeline) on the engine `kind` names — the oracle (sharded across
 //! workers on large graphs) or faithful message passing (with the
-//! scenario's fault plan under `local-faulty`). All kinds produce
+//! config's fault plan under `local-faulty`). All kinds produce
 //! bit-identical solutions on a fault-free network.
 //!
 //! # Quickstart
@@ -69,14 +72,14 @@ pub mod solver;
 pub mod view;
 
 pub use batch::{BatchJob, BatchRecord, BatchRunner};
-pub use config::{ExecutionMode, Problem, ScenarioConfig, SolveConfig, DEFAULT_OPT_BUDGET};
+pub use config::{ExecutionMode, Problem, SolveConfig, DEFAULT_OPT_BUDGET};
 pub use instance::{GroundTruth, Instance};
 pub use registry::SolverRegistry;
 pub use solution::{
     Certificate, Degradation, MessageStats, Optimum, PipelineDiagnostics, Solution, VerifyError,
 };
 pub use solver::{SolveError, Solver, SolverDescriptor};
-pub use view::{SolutionView, SolveConfigView, ViewError};
+pub use view::SolutionView;
 
 // The LOCAL-scenario vocabulary (including the fault-injection knobs),
 // re-exported so API consumers need not depend on the simulator crate

@@ -193,9 +193,9 @@ fn check(d: &SolverDescriptor, cfg: &SolveConfig) -> Result<(), SolveError> {
 }
 
 /// A generous round cap for the adaptive Algorithm 1 deciders: view
-/// margin + residual-component reach + slack, computed in `u64`. A cap
-/// that fits `u32` also keeps the deciders' own `u32` margin arithmetic
-/// (`max(r₁, 2·r₂) + 5`) in range.
+/// margin + residual-component reach + slack, computed in `u64`. The
+/// deciders do their own margin arithmetic in `i64`; the `u32` bound
+/// protects the simulator's round counter, which cannot count past it.
 ///
 /// # Errors
 ///
@@ -218,28 +218,25 @@ fn adaptive_round_cap(solver: &'static str, radii: Radii, n: usize) -> Result<u3
 /// state machines: `None` (strict, wait for full evidence) outside
 /// fault runs, the plan's standard budget inside them.
 fn fault_grace(cfg: &SolveConfig) -> Option<u32> {
-    let fault = cfg.scenario.fault;
-    fault.is_active().then(|| fault.grace())
+    cfg.fault.is_active().then(|| cfg.fault.grace())
 }
 
-/// The effective round cap: an explicit [`ScenarioConfig::round_cap`]
+/// The effective round cap: an explicit [`SolveConfig::round_cap`]
 /// (even a stalling one — the regression tests rely on small explicit
 /// caps tripping), or the solver default widened by the fault plan's
 /// grace-and-skew headroom so default fault runs terminate.
 fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
-    let fault = cfg.scenario.fault;
-    cfg.scenario
-        .round_cap
-        .unwrap_or(default.saturating_add(fault.grace()).saturating_add(fault.skew))
+    cfg.round_cap
+        .unwrap_or(default.saturating_add(cfg.fault.grace()).saturating_add(cfg.fault.skew))
 }
 
-/// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL scenario
+/// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL fields
 /// and finishes the solution: resolves the runtime backend from the
 /// mode, applies the identifier policy (instance ids unless
 /// overridden), and attaches the round count, the [`MessageStats`] and
 /// — on the faulty backend — the fault report.
 ///
-/// The faulty backend takes the scenario's [`FaultConfig`] and reports
+/// The faulty backend takes the config's [`FaultConfig`] and reports
 /// what the plan did; crashed-undecided vertices are *silent* — absent
 /// from the vertex set and named in the report rather than failing the
 /// run. An active fault plan on any other backend is rejected.
@@ -255,17 +252,17 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         .mode
         .runtime()
         .unwrap_or_else(|| unreachable!("run_local is only called for ExecutionMode::Local"));
-    if cfg.scenario.fault.is_active() && kind != RuntimeKind::Faulty {
+    if cfg.fault.is_active() && kind != RuntimeKind::Faulty {
         return Err(SolveError::UnsupportedOptions {
             solver,
             reason: format!(
                 "fault plan \"{}\" requires the local-faulty mode, not local-{kind}",
-                cfg.scenario.fault
+                cfg.fault
             ),
         });
     }
     let scenario_ids;
-    let ids = match cfg.scenario.id_policy {
+    let ids = match cfg.id_policy {
         Some(policy) => {
             scenario_ids = policy.assign(&inst.graph);
             &scenario_ids
@@ -273,7 +270,7 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         None => &inst.ids,
     };
     let (vertices, rounds, stats, fault) = if kind == RuntimeKind::Faulty {
-        let rt = FaultyRuntime::new(cfg.scenario.fault);
+        let rt = FaultyRuntime::new(cfg.fault);
         let run = rt
             .run_with_report(&inst.graph, ids, algo, cap)
             .map_err(|(e, report)| SolveError::Runtime(e, Some(report)))?;

@@ -396,7 +396,7 @@ impl BallShard {
         let reach = one_cut.map_or(r, |r1| r1.max(r));
         for u in range {
             bfs::ball_of_set_into(g, &mut b.scratch, &[u], reach, &mut b.ball);
-            let ball = within(&b.ball, &b.scratch, r, reach, &mut b.inner);
+            let ball = within(&b.ball, &b.scratch, r);
             articulation::neighbor_separators_within(g, &mut b.subset, ball, u, &mut b.split);
             if let Some(r1) = one_cut {
                 self.one_cut.push(one_cut_by_split(r1, r, b.split.is_cut(), || {
@@ -405,12 +405,21 @@ impl BallShard {
             }
             self.entries += ball.len();
             if b.split.separators.contains(&true) {
+                // The BFS-ordered ball is sorted only here, where it is
+                // stored (the pair sweep binary-searches and merges it),
+                // as `v << 1 | candidate` keys: one integer sort carries
+                // each vertex's bit along.
+                b.keyed.clear();
+                b.keyed.extend(
+                    ball.iter().zip(&b.split.separators).map(|(&v, &c)| (v as u64) << 1 | c as u64),
+                );
+                b.keyed.sort_unstable();
                 let base = self.verts.len();
-                self.verts.extend(ball.iter().map(|&v| v as u32));
+                self.verts.extend(b.keyed.iter().map(|&k| (k >> 1) as u32));
                 self.cand.resize(self.verts.len().div_ceil(64), 0);
-                for (j, &flag) in b.split.separators.iter().enumerate() {
+                for (j, &k) in b.keyed.iter().enumerate() {
                     let bit = base + j;
-                    self.cand[bit / 64] |= u64::from(flag) << (bit % 64);
+                    self.cand[bit / 64] |= (k & 1) << (bit % 64);
                 }
             }
             self.offsets.push(self.verts.len());
@@ -444,23 +453,11 @@ fn one_cut_by_split(r1: u32, r2: u32, cut: bool, flood: impl FnOnce() -> bool) -
     }
 }
 
-/// The entries of the sorted ball `ball` within distance `r` of its
-/// sources, in order, read off the `scratch` traversal that built it out
-/// to `reach`: `ball` itself when `r ≥ reach`, else a filtered copy in
-/// `out`.
-fn within<'a>(
-    ball: &'a [Vertex],
-    scratch: &Scratch,
-    r: u32,
-    reach: u32,
-    out: &'a mut Vec<Vertex>,
-) -> &'a [Vertex] {
-    if r >= reach {
-        return ball;
-    }
-    out.clear();
-    out.extend(ball.iter().copied().filter(|&v| scratch.distance(v).is_some_and(|d| d <= r)));
-    out
+/// The entries of the BFS-ordered ball `ball` within distance `r` of its
+/// sources, read off the `scratch` traversal that built it: BFS order
+/// puts them first, so they are a prefix.
+fn within<'a>(ball: &'a [Vertex], scratch: &Scratch, r: u32) -> &'a [Vertex] {
+    &ball[..ball.partition_point(|&v| scratch.distance(v).is_some_and(|d| d <= r))]
 }
 
 /// The exit test from the side of the anchor `split` describes: `true`
@@ -478,12 +475,11 @@ struct Buffers {
     subset: SubsetScratch,
     /// The vertex set of `H = N^r[u] ∪ N^r[v]`.
     merged: Vec<Vertex>,
-    /// Single-ball buffer for the 1-cut sweep, the ball index and the
-    /// per-vertex pair queries.
+    /// Single-ball buffer (BFS order) for the 1-cut sweep, the ball
+    /// index and the per-vertex pair queries.
     ball: Vec<Vertex>,
-    /// The `r₂` ball, filtered out of `ball` by a fused sweep with
-    /// `r₁ > r₂`.
-    inner: Vec<Vertex>,
+    /// A ball the index stores as `v << 1 | candidate` keys, sorted.
+    keyed: Vec<u64>,
     /// The split of `ball` around its center.
     split: AnchorSplit,
 }

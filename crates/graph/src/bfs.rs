@@ -13,6 +13,10 @@
 //! [`distance`], which is the uncapped case). The convenience wrappers
 //! draw a [`Scratch`] from the thread-local pool; the explicit forms
 //! thread a caller scratch and output buffer for allocation-free loops.
+//! [`ball_of_set_into`] returns its ball in BFS order, unsorted, for
+//! callers that only mark or flood it; the wrappers sort. Each traversal
+//! checks the vertices its caller passes once, in all builds; the
+//! vertices it reads off the graph's own rows need no check.
 //! Work is O(|ball|), not O(n): the scratch's epoch marks replace the
 //! `vec![None; n]` distance array a fresh-buffer BFS would need. The
 //! whole-graph metrics ([`diameter`], [`radius`], [`weak_diameter`]) run
@@ -61,6 +65,11 @@ pub fn distance_capped(g: &Graph, u: Vertex, v: Vertex, cap: u32) -> Option<u32>
 }
 
 /// [`distance_capped`] through an explicit [`Scratch`].
+///
+/// # Panics
+///
+/// Panics if `u` or `v` is out of range (unless `u == v` or `cap == 0`,
+/// which answer without a traversal).
 pub fn distance_capped_with(
     g: &Graph,
     scratch: &mut Scratch,
@@ -75,6 +84,7 @@ pub fn distance_capped_with(
         return None;
     }
     scratch.begin(g.n());
+    scratch.check(&[u, v]);
     scratch.visit(u);
     scratch.dist[u] = 0;
     scratch.queue.push(u);
@@ -104,11 +114,7 @@ pub fn distance_capped_with(
 /// sorted ascending. Runs through the thread-pooled [`Scratch`] in
 /// O(|ball|) work.
 pub fn ball(g: &Graph, v: Vertex, r: u32) -> Vec<Vertex> {
-    with_thread_scratch(|s| {
-        let mut out = Vec::new();
-        ball_of_set_into(g, s, &[v], r, &mut out);
-        out
-    })
+    ball_of_set(g, &[v], r)
 }
 
 /// The ball `N^r[S]` around a set `S`, sorted ascending.
@@ -118,14 +124,27 @@ pub fn ball_of_set(g: &Graph, set: &[Vertex], r: u32) -> Vec<Vertex> {
     with_thread_scratch(|s| {
         let mut out = Vec::new();
         ball_of_set_into(g, s, set, r, &mut out);
+        out.sort_unstable();
         out
     })
 }
 
 /// The fully reusable ball query: clears `out`, then fills it with
-/// `N^r[set]` sorted ascending, using `scratch` for the visited epochs,
+/// `N^r[set]` in BFS order, using `scratch` for the visited epochs,
 /// queue, and distances. The workhorse of [`ball`] / [`ball_of_set`] and
 /// of allocation-free caller loops.
+///
+/// BFS order is the distinct members of `set` in their given order, then
+/// every other vertex by nondecreasing distance, so the part of the ball
+/// within any radius `r' ≤ r` is a prefix of `out`. It is not sorted:
+/// callers that need a sorted ball sort it themselves ([`ball`] and
+/// [`ball_of_set`] do), and those that only mark or flood the ball skip
+/// the sort. The distances stay readable through
+/// [`Scratch::distance`] until the scratch's next traversal.
+///
+/// # Panics
+///
+/// Panics if a vertex of `set` is out of range.
 pub fn ball_of_set_into(
     g: &Graph,
     scratch: &mut Scratch,
@@ -135,6 +154,7 @@ pub fn ball_of_set_into(
 ) {
     out.clear();
     scratch.begin(g.n());
+    scratch.check(set);
     for &s in set {
         if scratch.visit(s) {
             scratch.dist[s] = 0;
@@ -159,7 +179,6 @@ pub fn ball_of_set_into(
             }
         }
     }
-    out.sort_unstable();
 }
 
 /// The ball `N^r[v]` with distances: `(u, d(v, u))` pairs sorted by
@@ -170,6 +189,7 @@ pub fn ball_with_distances(g: &Graph, v: Vertex, r: u32) -> Vec<(Vertex, u32)> {
     with_thread_scratch(|scratch| {
         let mut verts = Vec::new();
         ball_of_set_into(g, scratch, &[v], r, &mut verts);
+        verts.sort_unstable();
         verts.into_iter().map(|u| (u, scratch.dist[u])).collect()
     })
 }
@@ -353,11 +373,12 @@ mod tests {
         let mut s = Scratch::new();
         let mut out = Vec::new();
         ball_of_set_into(&big, &mut s, &[0], 3, &mut out);
+        out.sort_unstable();
         assert_eq!(out, ball(&big, 0, 3));
         ball_of_set_into(&small, &mut s, &[4], 2, &mut out);
-        assert_eq!(out, vec![2, 3, 4]);
+        assert_eq!(out, vec![4, 3, 2]);
         ball_of_set_into(&big, &mut s, &[6, 7], 1, &mut out);
-        assert_eq!(out, vec![5, 6, 7, 8]);
+        assert_eq!(out, vec![6, 7, 5, 8]);
         let disc = Graph::from_edges(4, &[(0, 1), (2, 3)]);
         assert_eq!(distance_capped_with(&small, &mut s, 0, 4, u32::MAX), Some(4));
         assert_eq!(distance_capped_with(&big, &mut s, 0, 6, u32::MAX), Some(6));
@@ -375,6 +396,24 @@ mod tests {
         ball_of_set_into(&g, &mut s, &[0], 100, &mut out);
         assert_eq!(out.len(), 8);
         ball_of_set_into(&g, &mut s, &[4], 1, &mut out);
-        assert_eq!(out, vec![3, 4, 5]);
+        assert_eq!(out, vec![4, 3, 5]);
+    }
+
+    #[test]
+    fn balls_come_in_bfs_order() {
+        // Sources first (deduplicated, in the given order), then by
+        // nondecreasing distance, so every smaller radius is a prefix.
+        let g = cycle(10);
+        let mut s = Scratch::new();
+        let mut out = Vec::new();
+        ball_of_set_into(&g, &mut s, &[5, 0, 5], 2, &mut out);
+        assert_eq!(out, vec![5, 0, 4, 6, 1, 9, 3, 7, 2, 8]);
+        let d: Vec<u32> = out.iter().map(|&v| s.distance(v).unwrap()).collect();
+        assert!(d.windows(2).all(|w| w[0] <= w[1]), "{d:?}");
+        for r in 0..=2 {
+            let mut prefix = out[..d.partition_point(|&dv| dv <= r)].to_vec();
+            prefix.sort_unstable();
+            assert_eq!(prefix, ball_of_set(&g, &[0, 5], r), "r={r}");
+        }
     }
 }

@@ -35,6 +35,10 @@ pub fn dominates(g: &Graph, set: &[Vertex], targets: &[Vertex]) -> bool {
 
 /// [`dominates`] through an explicit [`Scratch`] (epoch marks instead of
 /// a fresh `n`-sized boolean array per call).
+///
+/// # Panics
+///
+/// Panics if a vertex of `set` or `targets` is out of range.
 pub fn dominates_with(
     g: &Graph,
     scratch: &mut Scratch,
@@ -42,12 +46,14 @@ pub fn dominates_with(
     targets: &[Vertex],
 ) -> bool {
     mark_dominated(g, scratch, set);
+    scratch.check(targets);
     targets.iter().all(|&t| scratch.visited(t))
 }
 
 /// Opens a scratch epoch and marks `N[set]` visited.
 fn mark_dominated(g: &Graph, scratch: &mut Scratch, set: &[Vertex]) {
     scratch.begin(g.n());
+    scratch.check(set);
     for &s in set {
         scratch.visit(s);
         for &u in g.neighbors(s) {

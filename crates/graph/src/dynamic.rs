@@ -409,6 +409,7 @@ mod tests {
         let mut cold = crate::scratch::Scratch::new();
         let mut ball = Vec::new();
         crate::bfs::ball_of_set_into(g, &mut cold, &[63], 2, &mut ball);
+        ball.sort_unstable();
         assert_eq!(crate::bfs::ball(g, 63, 2), ball);
         assert_eq!(twins::twin_classes(g), twins::twin_classes_with(g, &mut cold));
 

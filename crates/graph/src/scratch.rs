@@ -41,9 +41,9 @@ pub struct Scratch {
     /// Current epoch; `mark[v] == epoch` means "visited in the current
     /// traversal".
     epoch: u32,
-    /// Vertex count of the current traversal's graph (debug bound: the
-    /// buffers may be larger from earlier, bigger graphs, so indexing
-    /// alone cannot catch out-of-range vertices).
+    /// Vertex count of the current traversal's graph (the buffers may be
+    /// larger from earlier, bigger graphs, so indexing alone cannot catch
+    /// out-of-range vertices; see [`Scratch::check`]).
     bound: usize,
     /// Per-vertex visited epochs.
     mark: Vec<u32>,
@@ -99,16 +99,26 @@ impl Scratch {
         self.epoch += 1;
     }
 
+    /// Asserts, in all builds, that every vertex of `vs` is in range for
+    /// the current traversal's graph. The buffers may be larger than the
+    /// graph (warmed by an earlier, bigger one), so indexing alone would
+    /// let an out-of-range vertex read a stale mark. A traversal runs
+    /// this once on the vertices its caller hands in; the vertices it
+    /// reads off the graph's own CSR rows are in range by construction
+    /// (every constructor validates neighbour ids), so the per-visit
+    /// checks are debug-only.
+    #[inline]
+    pub(crate) fn check(&self, vs: &[Vertex]) {
+        for &v in vs {
+            assert!(v < self.bound, "vertex {v} out of range for graph of n={}", self.bound);
+        }
+    }
+
     /// Marks `v` visited in the current epoch. Returns `true` if it was
     /// unvisited.
-    ///
-    /// The bound check is a hard assert: the buffers may be larger than
-    /// the current graph (warmed by an earlier, bigger one), so without
-    /// it an out-of-range vertex would silently read a stale mark — the
-    /// pre-scratch code's `vec![false; n]` panicked here in all builds.
     #[inline]
     pub(crate) fn visit(&mut self, v: Vertex) -> bool {
-        assert!(v < self.bound, "vertex {v} out of range for graph of n={}", self.bound);
+        debug_assert!(v < self.bound, "vertex {v} out of range for graph of n={}", self.bound);
         if self.mark[v] == self.epoch {
             false
         } else {
@@ -117,11 +127,10 @@ impl Scratch {
         }
     }
 
-    /// Whether `v` was visited in the current epoch. Bound-checked like
-    /// [`Scratch::visit`].
+    /// Whether `v` was visited in the current epoch.
     #[inline]
     pub(crate) fn visited(&self, v: Vertex) -> bool {
-        assert!(v < self.bound, "vertex {v} out of range for graph of n={}", self.bound);
+        debug_assert!(v < self.bound, "vertex {v} out of range for graph of n={}", self.bound);
         self.mark[v] == self.epoch
     }
 
@@ -137,6 +146,7 @@ impl Scratch {
     /// when the buffers are larger.
     #[inline]
     pub fn distance(&self, v: Vertex) -> Option<u32> {
+        self.check(&[v]);
         self.visited(v).then(|| self.dist[v])
     }
 
@@ -368,6 +378,45 @@ mod tests {
         let mut s = Scratch::with_capacity(8);
         crate::bfs::ball_of_set_into(&g, &mut s, &[0], 1, &mut Vec::new());
         s.distance(5);
+    }
+
+    /// A scratch warmed by a larger graph has buffers past the current
+    /// graph's `n`, so indexing alone would read a stale mark for an
+    /// out-of-range vertex: every traversal that takes vertices from its
+    /// caller must reject them.
+    #[test]
+    fn out_of_range_caller_vertices_panic_on_a_warmed_scratch() {
+        use crate::Graph;
+        let big = Graph::from_edges(16, &[(0, 1)]);
+        let small = Graph::from_edges(3, &[(0, 1), (1, 2)]);
+        type EntryPoint = fn(&Graph, &mut Scratch);
+        let entry_points: [(&str, EntryPoint); 4] = [
+            ("ball_of_set_into", |g, s| {
+                crate::bfs::ball_of_set_into(g, s, &[7], 2, &mut Vec::new());
+            }),
+            ("distance_capped_with", |g, s| {
+                crate::bfs::distance_capped_with(g, s, 7, 0, 4);
+            }),
+            ("dominates_with", |g, s| {
+                crate::dominating::dominates_with(g, s, &[0], &[7]);
+            }),
+            ("is_vertex_cover_with", |g, s| {
+                crate::vertex_cover::is_vertex_cover_with(g, s, &[7]);
+            }),
+        ];
+        for (name, call) in entry_points {
+            let mut s = Scratch::new();
+            crate::bfs::ball_of_set_into(&big, &mut s, &[0], 1, &mut Vec::new());
+            let err =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&small, &mut s)))
+                    .expect_err(name);
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains("vertex 7 out of range for graph of n=3"), "{name}: {msg}");
+        }
     }
 
     #[test]

@@ -344,11 +344,6 @@ fn assemble(order: &[Vertex], higher: &[Vec<Vertex>]) -> TreeDecomposition {
     TreeDecomposition { bags, edges }
 }
 
-/// Heuristic treewidth upper bound: width of the min-fill decomposition.
-pub fn treewidth_upper_bound(g: &Graph) -> usize {
-    min_fill_decomposition(g).width()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

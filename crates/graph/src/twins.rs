@@ -153,15 +153,6 @@ impl TwinReduction {
         let reduced = InducedSubgraph::new(g, &kept);
         TwinReduction { reduced, representative }
     }
-
-    /// Lifts a dominating set of the reduced graph (given in *host*
-    /// vertex indices) back to the original graph. Because every dropped
-    /// vertex is a true twin of its kept representative, the same set
-    /// dominates `G`; this is the identity, provided callers work in host
-    /// indices. Exposed for symmetry and documentation.
-    pub fn lift(&self, host_set: &[Vertex]) -> Vec<Vertex> {
-        crate::canonical_set(host_set.to_vec())
-    }
 }
 
 /// Whether `g` contains no pair of true twins.
@@ -239,9 +230,11 @@ mod tests {
             let mds_g = exact_mds(g).len();
             let mds_r = exact_mds(&red.reduced.graph).len();
             assert_eq!(mds_g, mds_r, "MDS changed under twin reduction for {g:?}");
-            // A reduced-graph optimum dominates the original graph.
+            // A reduced-graph optimum, in host indices, dominates the
+            // original graph as it is: every dropped vertex is a true
+            // twin of its kept representative.
             let sol_host = red.reduced.set_to_host(&exact_mds(&red.reduced.graph));
-            assert!(is_dominating_set(g, &red.lift(&sol_host)));
+            assert!(is_dominating_set(g, &sol_host));
         }
     }
 

@@ -15,8 +15,13 @@ pub fn is_vertex_cover(g: &Graph, set: &[Vertex]) -> bool {
 
 /// [`is_vertex_cover`] through an explicit [`Scratch`] (epoch marks
 /// instead of a fresh membership array per call).
+///
+/// # Panics
+///
+/// Panics if a vertex of `set` is out of range.
 pub fn is_vertex_cover_with(g: &Graph, scratch: &mut Scratch, set: &[Vertex]) -> bool {
     scratch.begin(g.n());
+    scratch.check(set);
     for &v in set {
         scratch.visit(v);
     }

@@ -90,8 +90,7 @@ pub use fault::{
 };
 pub use ids::{IdAssignment, IdPolicy};
 pub use runtime::{
-    fits_congest, oracle_view, MessageAccounting, OracleRuntime, RunResult, RuntimeError,
-    RuntimeKind,
+    oracle_view, MessageAccounting, OracleRuntime, RunResult, RuntimeError, RuntimeKind,
 };
 pub use view::LocalView;
 

@@ -420,19 +420,6 @@ impl OracleRuntime {
     }
 }
 
-/// Whether an execution's messages would fit the CONGEST(B) model with
-/// `B = c·⌈log₂ n⌉` bits per edge per round. The paper's algorithms are
-/// LOCAL (unbounded messages); this report documents *how far* from
-/// CONGEST each run is (see the E9 experiment). Executions without
-/// measured messages (oracle runtimes) fit vacuously.
-pub fn fits_congest<O>(result: &RunResult<O>, n: usize, c: u64) -> bool {
-    let log_n = (usize::BITS - n.max(2).leading_zeros()) as u64;
-    match result.messages {
-        MessageAccounting::Measured { max_message_bits, .. } => max_message_bits <= c * log_n,
-        MessageAccounting::NotApplicable => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,58 +679,5 @@ mod tests {
             assert!(res.outputs.is_empty());
             assert_eq!(res.rounds, 0);
         }
-    }
-}
-
-#[cfg(test)]
-mod congest_tests {
-    use super::*;
-    use crate::ids::IdAssignment;
-    use crate::view::LocalView;
-    use lmds_graph::Graph;
-
-    struct DegreeAlgo;
-    impl crate::Decider for DegreeAlgo {
-        type Output = usize;
-        fn decide(&self, view: &LocalView) -> Option<usize> {
-            (view.rounds() >= 1).then(|| view.neighbors_of(view.center_id()).len())
-        }
-    }
-
-    #[test]
-    fn one_round_degree_fits_congest() {
-        // A 1-round protocol sends only the initial singleton views:
-        // O(log n) bits per message.
-        let edges: Vec<(usize, usize)> = (0..63).map(|i| (i, i + 1)).collect();
-        let g = Graph::from_edges(64, &edges);
-        let ids = IdAssignment::sequential(64);
-        let res = RuntimeKind::MessagePassing.run(&g, &ids, &DegreeAlgo, 5).unwrap();
-        assert!(fits_congest(&res, 64, 4));
-    }
-
-    #[test]
-    fn deep_gathering_violates_congest() {
-        struct DeepAlgo;
-        impl crate::Decider for DeepAlgo {
-            type Output = usize;
-            fn decide(&self, view: &LocalView) -> Option<usize> {
-                (view.rounds() >= 6).then(|| view.vertex_ids().len())
-            }
-        }
-        // A dense-ish graph where 6-hop views carry many ids.
-        let mut g = Graph::new(64);
-        for i in 0..63 {
-            g.add_edge(i, i + 1);
-        }
-        for i in 0..60 {
-            g.add_edge(i, i + 4);
-        }
-        let ids = IdAssignment::sequential(64);
-        let res = RuntimeKind::MessagePassing.run(&g, &ids, &DeepAlgo, 10).unwrap();
-        assert!(!fits_congest(&res, 64, 4));
-        assert!(res.messages.max_bits().unwrap() > 4 * 6);
-        // Oracle runs fit vacuously: nothing was measured.
-        let oracle = OracleRuntime.run(&g, &ids, &DeepAlgo, 10).unwrap();
-        assert!(fits_congest(&oracle, 64, 4));
     }
 }

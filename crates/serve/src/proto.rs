@@ -1,6 +1,12 @@
 //! The wire protocol: JSON shapes for requests, responses, and the
 //! typed error envelope.
 //!
+//! This module owns the solve-config wire format whole: a request's
+//! `config` object parses straight into an [`lmds_api::SolveConfig`]
+//! (field names, JSON types and value rules in one place), and
+//! [`config_fingerprint`] renders a config back into that object for
+//! the result-cache key.
+//!
 //! Every error response body is the envelope
 //! `{"code": <stable-slug>, "message": <human text>}`, extended with
 //! `"valid_keys"` on unknown-solver/unknown-graph rejections so a
@@ -8,8 +14,10 @@
 //! valid alternative.
 
 use crate::json::Value;
-use lmds_api::{SolutionView, SolveConfig, SolveConfigView, SolveError};
+use lmds_api::{IdPolicy, Problem, SolutionView, SolveConfig, SolveError};
+use lmds_core::Radii;
 use lmds_graph::dynamic::GraphUpdate;
+use lmds_localsim::ParseFaultError;
 
 /// A wire error: HTTP status plus the JSON envelope.
 #[derive(Debug, Clone)]
@@ -94,8 +102,12 @@ pub struct SolveRequest {
     pub graph: String,
     /// Registry solver key.
     pub solver: String,
-    /// The config view (defaults when the body has no `config`).
-    pub config: SolveConfigView,
+    /// The config's `problem`, when the body names one; `None` ⟹ the
+    /// solver's own, which the server fills into `config` once it has
+    /// resolved the solver.
+    pub problem: Option<Problem>,
+    /// The config (defaults when the body has no `config`), validated.
+    pub config: SolveConfig,
     /// Per-job timeout in milliseconds, if requested.
     pub timeout_ms: Option<u64>,
 }
@@ -111,7 +123,9 @@ fn str_field(body: &Value, field: &'static str) -> Result<String, WireError> {
 ///
 /// # Errors
 ///
-/// A 400 [`WireError`] naming the missing or ill-typed field.
+/// A 400 [`WireError`] naming the missing or ill-typed field, or a 422
+/// `invalid-config` one for a well-typed config value that means
+/// nothing (the config rules are on `parse_config`).
 pub fn parse_solve_request(body: &[u8]) -> Result<SolveRequest, WireError> {
     let text =
         std::str::from_utf8(body).map_err(|_| WireError::bad_request("body is not UTF-8"))?;
@@ -125,124 +139,175 @@ pub fn parse_solve_request(body: &[u8]) -> Result<SolveRequest, WireError> {
                 WireError::bad_request("timeout_ms must be a non-negative integer")
             })?),
         };
-    let config = match doc.get("config") {
-        None | Some(Value::Null) => SolveConfigView::default(),
-        Some(cfg) => parse_config_view(cfg)?,
+    let (problem, config) = match doc.get("config") {
+        None | Some(Value::Null) => (None, SolveConfig::mds()),
+        Some(cfg) => parse_config(cfg)?,
     };
-    Ok(SolveRequest { graph, solver, config, timeout_ms })
+    Ok(SolveRequest { graph, solver, problem, config, timeout_ms })
 }
 
-/// Parses the `config` object of a solve request into a
-/// [`SolveConfigView`]. Unknown fields are rejected (a typo must not
-/// silently run under defaults).
-pub fn parse_config_view(cfg: &Value) -> Result<SolveConfigView, WireError> {
+/// The fields of the wire config, in the order errors list them.
+const CONFIG_FIELDS: &[&str] = &[
+    "problem",
+    "mode",
+    "id_policy",
+    "id_seed",
+    "round_cap",
+    "radii",
+    "opt_budget",
+    "measure_ratio",
+    "fault",
+];
+
+/// Parses the `config` object of a solve request straight into a
+/// [`SolveConfig`], with its `problem` returned apart (absent ⟹ the
+/// solver's, so `config.problem` holds MDS until the caller sets it).
+/// Every field is optional and `null` means absent. `problem` and `mode`
+/// take their `Display` forms (`"mds"`, `"local-oracle"`), `id_policy`
+/// is `"sequential"`, `"shuffled"` or `"adversarial"` (seeded by
+/// `id_seed`, default 0), `radii` is `[one_cut, two_cut]` and `fault`
+/// the [`FaultConfig`](lmds_api::FaultConfig) grammar (e.g.
+/// `"seed=7;drop=bernoulli:150"`).
+///
+/// # Errors
+///
+/// First every field's JSON type is checked: an unknown field (a typo
+/// must not silently run under defaults), a wrong type or an
+/// out-of-range integer is a 400 `bad-request`. Then the values: an
+/// unknown name, `id_seed` without `id_policy`, radii below `(1, 2)` or
+/// a fault plan that does not parse is a 422 `invalid-config` whose
+/// message reads `invalid <field>: <reason>`.
+fn parse_config(cfg: &Value) -> Result<(Option<Problem>, SolveConfig), WireError> {
     let Value::Obj(map) = cfg else {
         return Err(WireError::bad_request("config must be an object"));
     };
-    const KNOWN: &[&str] = &[
-        "problem",
-        "mode",
-        "id_policy",
-        "id_seed",
-        "round_cap",
-        "radii",
-        "opt_budget",
-        "measure_ratio",
-        "fault",
-    ];
-    if let Some(unknown) = map.keys().find(|k| !KNOWN.contains(&k.as_str())) {
+    if let Some(unknown) = map.keys().find(|k| !CONFIG_FIELDS.contains(&k.as_str())) {
         return Err(WireError::bad_request(format!(
             "unknown config field {unknown:?} (known: {})",
-            KNOWN.join(", ")
+            CONFIG_FIELDS.join(", ")
         )));
     }
-    let opt_str = |field: &'static str| -> Result<Option<String>, WireError> {
-        match map.get(field) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(|s| Some(s.to_string()))
-                .ok_or_else(|| WireError::bad_request(format!("config.{field} must be a string"))),
-        }
+    let field = |name: &str| map.get(name).filter(|v| !matches!(v, Value::Null));
+    let string = |name: &str| {
+        field(name)
+            .map(|v| {
+                v.as_str().ok_or_else(|| {
+                    WireError::bad_request(format!("config.{name} must be a string"))
+                })
+            })
+            .transpose()
     };
-    let opt_u64 = |field: &'static str| -> Result<Option<u64>, WireError> {
-        match map.get(field) {
-            None | Some(Value::Null) => Ok(None),
-            Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-                WireError::bad_request(format!("config.{field} must be a non-negative integer"))
-            }),
-        }
+    let integer = |name: &str| {
+        field(name)
+            .map(|v| {
+                v.as_u64().ok_or_else(|| {
+                    WireError::bad_request(format!("config.{name} must be a non-negative integer"))
+                })
+            })
+            .transpose()
     };
-    let radii = match map.get("radii") {
-        None | Some(Value::Null) => None,
+    let radii = match field("radii") {
+        None => None,
         Some(v) => {
             let items = v.as_arr().filter(|a| a.len() == 2).ok_or_else(|| {
                 WireError::bad_request(
                     "config.radii must be a two-element array [one_cut, two_cut]",
                 )
             })?;
-            let mut pair = [0u32; 2];
-            for (slot, item) in pair.iter_mut().zip(items) {
-                *slot = item
-                    .as_u64()
+            let radius = |item: &Value| {
+                item.as_u64()
                     .and_then(|x| u32::try_from(x).ok())
-                    .ok_or_else(|| WireError::bad_request("config.radii entries must be u32"))?;
-            }
-            Some((pair[0], pair[1]))
+                    .ok_or_else(|| WireError::bad_request("config.radii entries must be u32"))
+            };
+            Some((radius(&items[0])?, radius(&items[1])?))
         }
     };
-    let measure_ratio = match map.get("measure_ratio") {
-        None | Some(Value::Null) => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| WireError::bad_request("config.measure_ratio must be a boolean"))?,
-    };
-    Ok(SolveConfigView {
-        problem: opt_str("problem")?,
-        mode: opt_str("mode")?,
-        id_policy: opt_str("id_policy")?,
-        id_seed: opt_u64("id_seed")?,
-        round_cap: opt_u64("round_cap")?
-            .map(|x| u32::try_from(x).map_err(|_| WireError::bad_request("round_cap too large")))
-            .transpose()?,
-        radii,
-        opt_budget: opt_u64("opt_budget")?,
-        measure_ratio,
-        fault: opt_str("fault")?,
-    })
-}
+    let measure_ratio = field("measure_ratio")
+        .map(|v| {
+            v.as_bool()
+                .ok_or_else(|| WireError::bad_request("config.measure_ratio must be a boolean"))
+        })
+        .transpose()?;
+    let (problem, mode, id_policy, id_seed) =
+        (string("problem")?, string("mode")?, string("id_policy")?, integer("id_seed")?);
+    let round_cap = integer("round_cap")?
+        .map(|x| u32::try_from(x).map_err(|_| WireError::bad_request("round_cap too large")))
+        .transpose()?;
+    let (opt_budget, fault) = (integer("opt_budget")?, string("fault")?);
 
-/// Renders a [`SolveConfigView`] as a JSON object with every field
-/// present (absent options render as `null`), in deterministic key
-/// order.
-pub fn render_config_view(view: &SolveConfigView) -> Value {
-    let opt_str = |v: &Option<String>| v.as_ref().map_or(Value::Null, |s| Value::from(s.as_str()));
-    Value::obj([
-        ("problem", opt_str(&view.problem)),
-        ("mode", opt_str(&view.mode)),
-        ("id_policy", opt_str(&view.id_policy)),
-        ("id_seed", view.id_seed.map_or(Value::Null, Value::from)),
-        ("round_cap", view.round_cap.map_or(Value::Null, |x| Value::from(u64::from(x)))),
-        (
-            "radii",
-            view.radii.map_or(Value::Null, |(a, b)| {
-                Value::Arr(vec![Value::from(u64::from(a)), Value::from(u64::from(b))])
-            }),
-        ),
-        ("opt_budget", view.opt_budget.map_or(Value::Null, Value::from)),
-        ("measure_ratio", Value::from(view.measure_ratio)),
-        ("fault", opt_str(&view.fault)),
-    ])
+    let invalid = |name: &str, reason: String| {
+        WireError::new(422, "invalid-config", format!("invalid {name}: {reason}"))
+    };
+    let problem = problem.map(|s| s.parse().map_err(|e| invalid("problem", e))).transpose()?;
+    let mut cfg = SolveConfig::new(problem.unwrap_or(Problem::MinDominatingSet));
+    if let Some(mode) = mode {
+        cfg.mode = mode.parse().map_err(|e| invalid("mode", e))?;
+    }
+    let seed = id_seed.unwrap_or(0);
+    cfg.id_policy = match id_policy {
+        None if id_seed.is_some() => {
+            return Err(invalid("id_seed", "id_seed given without an id_policy".into()))
+        }
+        None => None,
+        Some("sequential") => Some(IdPolicy::Sequential),
+        Some("shuffled") => Some(IdPolicy::Shuffled { seed }),
+        Some("adversarial") => Some(IdPolicy::Adversarial { seed }),
+        Some(other) => {
+            return Err(invalid(
+                "id_policy",
+                format!(
+                    "unknown policy {other:?} (expected \"sequential\", \"shuffled\", or \
+                     \"adversarial\")"
+                ),
+            ))
+        }
+    };
+    cfg.round_cap = round_cap;
+    if let Some((one_cut, two_cut)) = radii {
+        if one_cut < 1 || two_cut < 2 {
+            return Err(invalid(
+                "radii",
+                format!(
+                    "radii ({one_cut}, {two_cut}) out of range (need one_cut ≥ 1, two_cut ≥ 2)"
+                ),
+            ));
+        }
+        cfg.radii = Radii::practical(one_cut, two_cut);
+    }
+    cfg.opt_budget = opt_budget.unwrap_or(cfg.opt_budget);
+    cfg.measure_ratio = measure_ratio.unwrap_or(false);
+    if let Some(fault) = fault {
+        cfg.fault = fault.parse().map_err(|e: ParseFaultError| invalid("fault", e.to_string()))?;
+    }
+    Ok((problem, cfg))
 }
 
 /// The canonical configuration fingerprint used in result-cache keys:
-/// the *materialized* config echoed back through
-/// [`SolveConfigView::from_config`] and rendered as compact JSON.
-/// Materializing first means two requests that spell the same effective
-/// configuration differently (e.g. omitting a knob vs. passing its
-/// default) share one fingerprint.
+/// the config as the compact JSON object a request's `config` takes,
+/// with every field present in key order (absent options and an inert
+/// fault plan as `null`). It renders the *materialized* config, so two
+/// requests that spell the same effective configuration differently
+/// (omitting a field or passing its default; a seed on the sequential
+/// policy) share one fingerprint.
 pub fn config_fingerprint(cfg: &SolveConfig) -> String {
-    render_config_view(&SolveConfigView::from_config(cfg)).render()
+    let (id_policy, id_seed) = match cfg.id_policy {
+        None => (Value::Null, Value::Null),
+        Some(IdPolicy::Sequential) => (Value::from("sequential"), Value::Null),
+        Some(IdPolicy::Shuffled { seed }) => (Value::from("shuffled"), Value::from(seed)),
+        Some(IdPolicy::Adversarial { seed }) => (Value::from("adversarial"), Value::from(seed)),
+    };
+    Value::obj([
+        ("problem", Value::from(cfg.problem.key_prefix())),
+        ("mode", Value::from(cfg.mode.to_string())),
+        ("id_policy", id_policy),
+        ("id_seed", id_seed),
+        ("round_cap", cfg.round_cap.map_or(Value::Null, Value::from)),
+        ("radii", Value::Arr(vec![cfg.radii.one_cut.into(), cfg.radii.two_cut.into()])),
+        ("opt_budget", Value::from(cfg.opt_budget)),
+        ("measure_ratio", Value::from(cfg.measure_ratio)),
+        ("fault", if cfg.fault.is_active() { cfg.fault.to_string().into() } else { Value::Null }),
+    ])
+    .render()
 }
 
 /// Renders a [`SolutionView`] as its wire object.
@@ -463,7 +528,7 @@ pub fn render_graph_entry(entry: &crate::corpus::GraphEntry) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmds_api::{ExecutionMode, Problem};
+    use lmds_api::ExecutionMode;
 
     #[test]
     fn parses_a_full_solve_request() {
@@ -484,10 +549,11 @@ mod tests {
         assert_eq!(req.graph, "demo");
         assert_eq!(req.solver, "mds/algorithm1");
         assert_eq!(req.timeout_ms, Some(2500));
-        let cfg = req.config.try_into_config(Problem::MinDominatingSet).unwrap();
-        assert_eq!(cfg.mode, ExecutionMode::LOCAL_ORACLE);
-        assert_eq!(cfg.scenario.round_cap, Some(99));
-        assert!(cfg.measure_ratio);
+        assert_eq!(req.problem, None, "the server fills in the solver's problem");
+        assert_eq!(req.config.mode, ExecutionMode::LOCAL_ORACLE);
+        assert_eq!(req.config.id_policy, Some(IdPolicy::Shuffled { seed: 7 }));
+        assert_eq!(req.config.round_cap, Some(99));
+        assert!(req.config.measure_ratio);
     }
 
     #[test]
@@ -543,23 +609,88 @@ mod tests {
 
     #[test]
     fn config_fingerprints_canonicalize_equivalent_configs() {
-        use lmds_api::SolveConfigView;
-        let problem = Problem::MinDominatingSet;
+        let fingerprint = |config: &str| {
+            let body = format!(r#"{{"graph": "g", "solver": "s", "config": {config}}}"#);
+            config_fingerprint(&parse_solve_request(body.as_bytes()).unwrap().config)
+        };
         // Spelled-out defaults and omitted defaults materialize to the
         // same config, so they share a fingerprint.
-        let implicit = SolveConfigView::default().try_into_config(problem).unwrap();
-        let explicit =
-            SolveConfigView { mode: Some("centralized".into()), ..SolveConfigView::default() }
-                .try_into_config(problem)
-                .unwrap();
-        assert_eq!(config_fingerprint(&implicit), config_fingerprint(&explicit));
+        let implicit = fingerprint("{}");
+        assert_eq!(fingerprint("null"), implicit);
+        assert_eq!(fingerprint(r#"{"mode": "centralized", "fault": "seed=42"}"#), implicit);
 
         // A real knob change separates the keys.
-        let local = SolveConfigView { mode: Some("local-oracle".into()), ..Default::default() }
-            .try_into_config(problem)
-            .unwrap();
-        assert_ne!(config_fingerprint(&implicit), config_fingerprint(&local));
-        assert!(config_fingerprint(&local).contains("local-oracle"));
+        let local = fingerprint(r#"{"mode": "local-oracle"}"#);
+        assert_ne!(local, implicit);
+        assert!(local.contains("local-oracle"));
+
+        // A fingerprint is a wire config that parses back to itself.
+        let full = fingerprint(
+            r#"{"problem": "mvc", "mode": "local-faulty", "id_policy": "adversarial",
+                "id_seed": 9, "round_cap": 32, "radii": [3, 4], "opt_budget": 1234,
+                "measure_ratio": true, "fault": "seed=9;drop=bernoulli:150;skew=1"}"#,
+        );
+        assert!(full.contains(r#""problem":"mvc""#), "{full}");
+        assert_eq!(fingerprint(&full), full);
+        assert_eq!(fingerprint(&implicit), implicit);
+    }
+
+    /// The fingerprint strings are result-cache keys, and a persisted
+    /// cache reloads them, so they are pinned byte for byte.
+    #[test]
+    fn config_fingerprints_are_pinned() {
+        use lmds_api::{FaultConfig, IdPolicy, DEFAULT_OPT_BUDGET};
+        use lmds_core::Radii;
+        let defaults = r#"{"fault":null,"id_policy":null,"id_seed":null,"measure_ratio":false,"mode":"centralized","opt_budget":3000000,"problem":"mds","radii":[2,3],"round_cap":null}"#;
+        assert_eq!(config_fingerprint(&SolveConfig::mds()), defaults);
+        // Spelled-out defaults and an inert fault plan render as absent.
+        let inert: FaultConfig = "seed=42".parse().unwrap();
+        let spelled = SolveConfig::mds()
+            .mode(ExecutionMode::Centralized)
+            .radii(Radii::practical(2, 3))
+            .opt_budget(DEFAULT_OPT_BUDGET)
+            .measure_ratio(false)
+            .fault(inert);
+        assert_eq!(config_fingerprint(&spelled), defaults);
+
+        let active: FaultConfig = "seed=9;drop=bernoulli:150;skew=1".parse().unwrap();
+        let cases = [
+            (
+                SolveConfig::mvc(),
+                r#"{"fault":null,"id_policy":null,"id_seed":null,"measure_ratio":false,"mode":"centralized","opt_budget":3000000,"problem":"mvc","radii":[2,3],"round_cap":null}"#,
+            ),
+            (
+                SolveConfig::mds()
+                    .mode(ExecutionMode::LOCAL_ORACLE)
+                    .id_policy(IdPolicy::Sequential),
+                r#"{"fault":null,"id_policy":"sequential","id_seed":null,"measure_ratio":false,"mode":"local-oracle","opt_budget":3000000,"problem":"mds","radii":[2,3],"round_cap":null}"#,
+            ),
+            (
+                SolveConfig::mds()
+                    .mode(ExecutionMode::LOCAL_SHARDED)
+                    .id_policy(IdPolicy::Shuffled { seed: 0 })
+                    .round_cap(0),
+                r#"{"fault":null,"id_policy":"shuffled","id_seed":0,"measure_ratio":false,"mode":"local-sharded-oracle","opt_budget":3000000,"problem":"mds","radii":[2,3],"round_cap":0}"#,
+            ),
+            (
+                SolveConfig::mds()
+                    .mode(ExecutionMode::LOCAL_FAULTY)
+                    .id_policy(IdPolicy::Adversarial { seed: 9 })
+                    .round_cap(32)
+                    .radii(Radii::practical(3, 4))
+                    .opt_budget(1234)
+                    .measure_ratio(true)
+                    .fault(active),
+                r#"{"fault":"seed=9;drop=bernoulli:150;skew=1","id_policy":"adversarial","id_seed":9,"measure_ratio":true,"mode":"local-faulty","opt_budget":1234,"problem":"mds","radii":[3,4],"round_cap":32}"#,
+            ),
+            (
+                SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).opt_budget(u64::MAX),
+                r#"{"fault":null,"id_policy":null,"id_seed":null,"measure_ratio":false,"mode":"local-message-passing","opt_budget":18446744073709552000,"problem":"mds","radii":[2,3],"round_cap":null}"#,
+            ),
+        ];
+        for (cfg, expected) in cases {
+            assert_eq!(config_fingerprint(&cfg), expected);
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::proto::{
     render_solution, solve_error_to_wire, SolveRequest, WireError,
 };
 use crate::queue::{JobLookup, JobQueue, JobSpec, JobState, SubmitError};
-use lmds_api::{SolutionView, SolverRegistry};
+use lmds_api::{SolutionView, SolveConfig, SolverRegistry};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -685,9 +685,10 @@ fn patch_graph(shared: &Shared, name: &str, body: &[u8]) -> Result<(u16, Value),
 }
 
 /// Resolves a solve request into a runnable [`JobSpec`]: graph lookup,
-/// solver lookup, config materialization, deadline. Shared by the sync
-/// and async endpoints, so validation errors surface identically.
-fn prepare(shared: &Shared, req: &SolveRequest) -> Result<JobSpec, WireError> {
+/// solver lookup, the solver's problem for a config that names none,
+/// deadline. Shared by the sync and async endpoints, so validation
+/// errors surface identically.
+fn prepare(shared: &Shared, req: SolveRequest) -> Result<JobSpec, WireError> {
     let entry = lookup_graph(shared, &req.graph)?;
     // Resolve the solver *now* so an unknown key is a 404 at submit
     // time, not a failed job discovered by polling.
@@ -699,12 +700,10 @@ fn prepare(shared: &Shared, req: &SolveRequest) -> Result<JobSpec, WireError> {
             shared.registry.keys().iter().map(|k| k.to_string()),
         )
     })?;
-    let config = req
-        .config
-        .try_into_config(solver.descriptor().problem)
-        .map_err(|e| WireError::new(422, "invalid-config", e.to_string()))?;
+    let config =
+        SolveConfig { problem: req.problem.unwrap_or(solver.descriptor().problem), ..req.config };
     let deadline = req.timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    Ok(JobSpec { entry, solver: req.solver.clone(), config, deadline })
+    Ok(JobSpec { entry, solver: req.solver, config, deadline })
 }
 
 /// Pushes a prepared spec into the queue, mapping backpressure and
@@ -730,7 +729,7 @@ fn submit(shared: &Shared, spec: JobSpec) -> Result<u64, WireError> {
 fn solve_sync(shared: &Shared, body: &[u8]) -> Result<(u16, Value), WireError> {
     let req = parse_solve_request(body)?;
     let wait = req.timeout_ms.map_or(shared.default_timeout, Duration::from_millis);
-    let spec = prepare(shared, &req)?;
+    let spec = prepare(shared, req)?;
     if let Some(view) = shared.cache.get(&cache_key(&spec)) {
         Metrics::bump(&shared.metrics.cache_hits);
         return Ok((
@@ -778,7 +777,7 @@ fn solve_sync(shared: &Shared, body: &[u8]) -> Result<(u16, Value), WireError> {
 /// answers a cached job without running its solver.
 fn submit_job(shared: &Shared, body: &[u8]) -> Result<(u16, Value), WireError> {
     let req = parse_solve_request(body)?;
-    let id = submit(shared, prepare(shared, &req)?)?;
+    let id = submit(shared, prepare(shared, req)?)?;
     Ok((202, Value::obj([("job_id", Value::from(id)), ("status", Value::from("queued"))])))
 }
 

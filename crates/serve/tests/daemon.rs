@@ -1046,3 +1046,259 @@ fn graceful_shutdown_drains_in_flight_jobs_and_flushes_snapshots() {
     restarted.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The wire config, pinned field by field through `POST /solve` on a
+/// stored graph with `mds/theorem44` (the solver that runs in every
+/// mode): the empty config, every field alone with valid values (plus
+/// the LOCAL fields where a local mode makes them bite), and every
+/// rejection. Each row reads `status` then, for a solution, whether it
+/// came from the result cache, its mode, size, rounds and optimum, and
+/// for an error envelope its `code` and `message`. Rows run in order on
+/// one daemon, so a config that spells out an earlier one's effective
+/// values answers from the cache.
+#[test]
+fn wire_config_answers_are_pinned() {
+    let handle = spawn_default();
+    let addr = handle.addr();
+    let put = send(addr, "PUT", "/graphs/outer40", to_edge_list(&corpus_graph()).as_bytes());
+    assert_eq!(put.status, 201, "{}", String::from_utf8_lossy(&put.body));
+
+    let mut mismatches = Vec::new();
+    for &(config, expected) in WIRE_CONFIG_CASES {
+        let body =
+            format!(r#"{{"graph": "outer40", "solver": "mds/theorem44", "config": {config}}}"#);
+        let resp = send(addr, "POST", "/solve", body.as_bytes());
+        let doc = resp.json();
+        let text = |v: Option<&Value>| v.map_or("-".to_string(), Value::render);
+        let got = match doc.get("solution") {
+            Some(sol) => format!(
+                "{} cached={} mode={} size={} rounds={} optimum={}",
+                resp.status,
+                doc.get("cached").is_some(),
+                text(sol.get("mode")),
+                text(sol.get("size")),
+                text(sol.get("rounds")),
+                text(sol.get("optimum")),
+            ),
+            None => {
+                format!("{} {} {}", resp.status, text(doc.get("code")), text(doc.get("message")))
+            }
+        };
+        if got != expected {
+            mismatches.push(format!("    (r#\"{config}\"#,\n     r#\"{got}\"#),"));
+        }
+    }
+    assert!(mismatches.is_empty(), "wire config answers changed:\n{}", mismatches.join("\n"));
+    handle.shutdown();
+}
+
+/// `(config object, pinned answer)` rows of [`wire_config_answers_are_pinned`].
+const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
+    (r#"{}"#, r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#),
+    (r#"null"#, r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#),
+    (
+        r#"{"problem": "mds"}"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"problem": "mvc"}"#,
+        r#"422 "unsupported-config" "solver mds/theorem44 does not solve MVC""#,
+    ),
+    (
+        r#"{"mode": "centralized"}"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-oracle"}"#,
+        r#"200 cached=false mode="local-oracle" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-message-passing"}"#,
+        r#"200 cached=false mode="local-message-passing" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-sharded-oracle"}"#,
+        r#"200 cached=false mode="local-sharded-oracle" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-faulty"}"#,
+        r#"200 cached=false mode="local-faulty" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"id_policy": "sequential"}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"id_policy": "sequential", "id_seed": 3}"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"id_policy": "shuffled"}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"id_policy": "shuffled", "id_seed": 3}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"id_policy": "adversarial"}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"id_policy": "adversarial", "id_seed": 3}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-oracle", "id_policy": "shuffled", "id_seed": 3}"#,
+        r#"200 cached=false mode="local-oracle" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-oracle", "id_policy": "adversarial", "id_seed": 3}"#,
+        r#"200 cached=false mode="local-oracle" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"round_cap": 2}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-oracle", "round_cap": 2}"#,
+        r#"422 "solve-error" "LOCAL runtime error: round limit 2 exceeded with 40 vertices undecided""#,
+    ),
+    (
+        r#"{"mode": "local-oracle", "round_cap": 9}"#,
+        r#"200 cached=false mode="local-oracle" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"radii": [3, 4]}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"opt_budget": 1000}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"measure_ratio": true}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum={"exact":true,"value":11}"#,
+    ),
+    (
+        r#"{"measure_ratio": false}"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"fault": "seed=7;drop=bernoulli:100"}"#,
+        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-oracle", "fault": "seed=7;drop=bernoulli:100"}"#,
+        r#"422 "unsupported-config" "solver mds/theorem44: fault plan \"seed=7;drop=bernoulli:100\" requires the local-faulty mode, not local-oracle""#,
+    ),
+    (
+        r#"{"mode": "local-faulty", "fault": "seed=7;drop=bernoulli:100"}"#,
+        r#"200 cached=false mode="local-faulty" size=31 rounds=5 optimum=null"#,
+    ),
+    (
+        r#"{"fault": "seed=42"}"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"mode": "local-oracle", "fault": "none"}"#,
+        r#"200 cached=true mode="local-oracle" size=28 rounds=3 optimum=null"#,
+    ),
+    (
+        r#"{"problem": "mds", "mode": "centralized", "radii": [2, 3], "opt_budget": 3000000, "measure_ratio": false, "fault": "none", "round_cap": null, "id_policy": null, "id_seed": null}"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
+    ),
+    (
+        r#"{"mdoe": "centralized"}"#,
+        r#"400 "bad-request" "unknown config field \"mdoe\" (known: problem, mode, id_policy, id_seed, round_cap, radii, opt_budget, measure_ratio, fault)""#,
+    ),
+    (r#"[1]"#, r#"400 "bad-request" "config must be an object""#),
+    (r#""centralized""#, r#"400 "bad-request" "config must be an object""#),
+    (r#"{"problem": 1}"#, r#"400 "bad-request" "config.problem must be a string""#),
+    (r#"{"mode": true}"#, r#"400 "bad-request" "config.mode must be a string""#),
+    (r#"{"id_policy": 3}"#, r#"400 "bad-request" "config.id_policy must be a string""#),
+    (
+        r#"{"id_policy": "shuffled", "id_seed": "3"}"#,
+        r#"400 "bad-request" "config.id_seed must be a non-negative integer""#,
+    ),
+    (
+        r#"{"id_policy": "shuffled", "id_seed": -3}"#,
+        r#"400 "bad-request" "config.id_seed must be a non-negative integer""#,
+    ),
+    (
+        r#"{"round_cap": "9"}"#,
+        r#"400 "bad-request" "config.round_cap must be a non-negative integer""#,
+    ),
+    (
+        r#"{"round_cap": 1.5}"#,
+        r#"400 "bad-request" "config.round_cap must be a non-negative integer""#,
+    ),
+    (
+        r#"{"radii": "3,4"}"#,
+        r#"400 "bad-request" "config.radii must be a two-element array [one_cut, two_cut]""#,
+    ),
+    (r#"{"radii": [3, "4"]}"#, r#"400 "bad-request" "config.radii entries must be u32""#),
+    (
+        r#"{"opt_budget": -5}"#,
+        r#"400 "bad-request" "config.opt_budget must be a non-negative integer""#,
+    ),
+    (
+        r#"{"measure_ratio": "yes"}"#,
+        r#"400 "bad-request" "config.measure_ratio must be a boolean""#,
+    ),
+    (r#"{"fault": 7}"#, r#"400 "bad-request" "config.fault must be a string""#),
+    (
+        r#"{"id_seed": 5}"#,
+        r#"422 "invalid-config" "invalid id_seed: id_seed given without an id_policy""#,
+    ),
+    (
+        r#"{"radii": [0, 1]}"#,
+        r#"422 "invalid-config" "invalid radii: radii (0, 1) out of range (need one_cut ≥ 1, two_cut ≥ 2)""#,
+    ),
+    (
+        r#"{"radii": [1, 1]}"#,
+        r#"422 "invalid-config" "invalid radii: radii (1, 1) out of range (need one_cut ≥ 1, two_cut ≥ 2)""#,
+    ),
+    (
+        r#"{"radii": [3]}"#,
+        r#"400 "bad-request" "config.radii must be a two-element array [one_cut, two_cut]""#,
+    ),
+    (
+        r#"{"radii": [3, 4, 5]}"#,
+        r#"400 "bad-request" "config.radii must be a two-element array [one_cut, two_cut]""#,
+    ),
+    (r#"{"radii": [4294967296, 4]}"#, r#"400 "bad-request" "config.radii entries must be u32""#),
+    (r#"{"round_cap": 4294967296}"#, r#"400 "bad-request" "round_cap too large""#),
+    (
+        r#"{"mode": "warp"}"#,
+        r#"422 "invalid-config" "invalid mode: unknown execution mode \"warp\" (expected one of: centralized, local-oracle, local-message-passing, local-sharded-oracle, local-faulty)""#,
+    ),
+    (
+        r#"{"mode": "oracle"}"#,
+        r#"422 "invalid-config" "invalid mode: unknown execution mode \"oracle\" (expected one of: centralized, local-oracle, local-message-passing, local-sharded-oracle, local-faulty)""#,
+    ),
+    (
+        r#"{"problem": "sat"}"#,
+        r#"422 "invalid-config" "invalid problem: unknown problem \"sat\" (expected \"mds\" or \"mvc\")""#,
+    ),
+    (
+        r#"{"problem": "MDS"}"#,
+        r#"422 "invalid-config" "invalid problem: unknown problem \"MDS\" (expected \"mds\" or \"mvc\")""#,
+    ),
+    (
+        r#"{"id_policy": "chaotic"}"#,
+        r#"422 "invalid-config" "invalid id_policy: unknown policy \"chaotic\" (expected \"sequential\", \"shuffled\", or \"adversarial\")""#,
+    ),
+    (
+        r#"{"fault": "drop=always"}"#,
+        r#"422 "invalid-config" "invalid fault: invalid fault config: expected kind:rate in \"always\"""#,
+    ),
+    (
+        r#"{"fault": "skew=65"}"#,
+        r#"422 "invalid-config" "invalid fault: invalid fault config: bad skew \"65\" (at most 64 rounds)""#,
+    ),
+    (
+        r#"{"mode": "local-faulty", "fault": "seed=1;skew=65"}"#,
+        r#"422 "invalid-config" "invalid fault: invalid fault config: bad skew \"65\" (at most 64 rounds)""#,
+    ),
+];
