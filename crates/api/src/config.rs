@@ -156,12 +156,13 @@ pub struct SolveConfig {
     /// degree-adversarial). Centralized runs ignore it.
     pub id_policy: Option<IdPolicy>,
     /// Upper bound on simulated rounds; `None` ⟹ a solver-specific safe
-    /// default.
+    /// default. Centralized runs ignore it.
     pub round_cap: Option<u32>,
     /// The fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs: seeded
     /// message drops, crash-stop vertices, bounded round-asynchrony.
-    /// The inert (all-zero) plan is the default; an *active* plan on
-    /// any other runtime is rejected as unsupported options.
+    /// The inert (all-zero) plan is the default; an *active* plan in
+    /// any other mode, centralized included, is rejected as unsupported
+    /// options.
     pub fault: FaultConfig,
     /// Pipeline radii for the Algorithm 1 family: `mds/algorithm1`,
     /// `mds/algorithm2` and `mvc/algorithm1` (ignored by the 3-round

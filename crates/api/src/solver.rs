@@ -181,13 +181,25 @@ const ALL_MODES: &[ExecutionMode] = &ExecutionMode::ALL;
 /// Centralized only (exact solvers).
 const CENTRALIZED_ONLY: &[ExecutionMode] = &[ExecutionMode::Centralized];
 
-/// Validates the config's problem and mode against the descriptor.
+/// Validates the config's problem and mode against the descriptor, and
+/// rejects an active fault plan outside [`ExecutionMode::LOCAL_FAULTY`],
+/// the one mode that injects it (centralized solves included, so no
+/// plan is accepted and then ignored).
 fn check(d: &SolverDescriptor, cfg: &SolveConfig) -> Result<(), SolveError> {
     if cfg.problem != d.problem {
         return Err(SolveError::UnsupportedProblem { solver: d.key, requested: cfg.problem });
     }
     if !d.modes.contains(&cfg.mode) {
         return Err(SolveError::UnsupportedMode { solver: d.key, requested: cfg.mode });
+    }
+    if cfg.fault.is_active() && cfg.mode != ExecutionMode::LOCAL_FAULTY {
+        return Err(SolveError::UnsupportedOptions {
+            solver: d.key,
+            reason: format!(
+                "fault plan \"{}\" requires the local-faulty mode, not {}",
+                cfg.fault, cfg.mode
+            ),
+        });
     }
     Ok(())
 }
@@ -239,7 +251,8 @@ fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
 /// The faulty backend takes the config's [`FaultConfig`] and reports
 /// what the plan did; crashed-undecided vertices are *silent* — absent
 /// from the vertex set and named in the report rather than failing the
-/// run. An active fault plan on any other backend is rejected.
+/// run. (`check` has already rejected an active plan on any other
+/// mode.)
 fn run_local<A: LocalAlgorithm<Output = bool>>(
     solver: &'static str,
     inst: &Instance,
@@ -252,15 +265,6 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         .mode
         .runtime()
         .unwrap_or_else(|| unreachable!("run_local is only called for ExecutionMode::Local"));
-    if cfg.fault.is_active() && kind != RuntimeKind::Faulty {
-        return Err(SolveError::UnsupportedOptions {
-            solver,
-            reason: format!(
-                "fault plan \"{}\" requires the local-faulty mode, not local-{kind}",
-                cfg.fault
-            ),
-        });
-    }
     let scenario_ids;
     let ids = match cfg.id_policy {
         Some(policy) => {

@@ -41,6 +41,7 @@ use crate::radii::Radii;
 use lmds_graph::{bfs, Graph, Vertex};
 use lmds_localsim::{Decider, LocalAlgorithm, LocalView, NodeCtx};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Table 1 `K_{1,t}` row: everyone joins at round 0.
 pub struct TakeAllDecider;
@@ -60,6 +61,9 @@ impl Decider for RegularMvcDecider {
     type Output = bool;
     fn decide(&self, view: &LocalView) -> Option<bool> {
         (view.rounds() >= 1).then(|| !view.neighbors_of(view.center_id()).is_empty())
+    }
+    fn first_round(&self) -> u32 {
+        1
     }
 }
 
@@ -84,6 +88,9 @@ impl Decider for TreesFolkloreDecider {
             }
             _ => true,
         })
+    }
+    fn first_round(&self) -> u32 {
+        2
     }
 }
 
@@ -137,6 +144,9 @@ impl Decider for Theorem44Decider {
         }
         Some(true)
     }
+    fn first_round(&self) -> u32 {
+        3
+    }
 }
 
 /// Theorem 4.4 MVC variant (2 rounds): degree ≥ 2, or smaller-id
@@ -157,6 +167,9 @@ impl Decider for Theorem44MvcDecider {
             _ => true,
         })
     }
+    fn first_round(&self) -> u32 {
+        2
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -176,7 +189,7 @@ impl LocalAlgorithm for TakeAllLocal {
 
     fn init(&self, _ctx: &NodeCtx) {}
     fn send(&self, _state: &(), _round: u32) {}
-    fn receive(&self, _state: &mut (), _round: u32, _incoming: &[()]) {}
+    fn receive(&self, _state: &mut (), _round: u32, _incoming: &[&()]) {}
     fn decide(&self, _state: &(), _round: u32) -> Option<bool> {
         Some(true)
     }
@@ -216,13 +229,16 @@ impl LocalAlgorithm for RegularMvcLocal {
     fn send(&self, state: &RegularMvcState, _round: u32) -> u64 {
         state.me
     }
-    fn receive(&self, state: &mut RegularMvcState, round: u32, incoming: &[u64]) {
+    fn receive(&self, state: &mut RegularMvcState, round: u32, incoming: &[&u64]) {
         if round == 1 {
             state.heard = incoming.len();
         }
     }
     fn decide(&self, state: &RegularMvcState, round: u32) -> Option<bool> {
         (round >= 1).then_some(state.heard > 0)
+    }
+    fn first_round(&self) -> u32 {
+        1
     }
     fn message_bits(&self, _msg: &u64, id_bits: u32) -> u64 {
         id_bits as u64
@@ -320,8 +336,8 @@ impl LocalAlgorithm for DegreeRuleLocal {
     /// reproduces the strict round-1-ids / round-2-degrees schedule
     /// bit-for-bit; under faults it lets retransmissions repair earlier
     /// losses.
-    fn receive(&self, state: &mut DegreeState, _round: u32, incoming: &[DegreeMsg]) {
-        for m in incoming {
+    fn receive(&self, state: &mut DegreeState, _round: u32, incoming: &[&DegreeMsg]) {
+        for &m in incoming {
             let id = match m {
                 DegreeMsg::Id(id) | DegreeMsg::Degree(id, _) => *id,
             };
@@ -349,6 +365,9 @@ impl LocalAlgorithm for DegreeRuleLocal {
             },
             _ => true,
         })
+    }
+    fn first_round(&self) -> u32 {
+        2
     }
     fn message_bits(&self, msg: &DegreeMsg, id_bits: u32) -> u64 {
         // Degrees are at most n − 1, so they fit in an id-sized field.
@@ -383,17 +402,20 @@ impl LocalAlgorithm for DegreeRuleLocal {
     }
 }
 
-/// Typed messages of the native 3-round Theorem 4.4 algorithm.
+/// Typed messages of the native 3-round Theorem 4.4 algorithm. Closed
+/// neighborhoods travel as shared `Arc<[u64]>` slices: a message and
+/// every state that stores one point at the same copy.
 #[derive(Debug, Clone)]
 pub enum Thm44Msg {
     /// Round 1: the sender's identifier.
     Id(u64),
-    /// Round 2: sender identifier and its sorted open neighborhood.
-    Nbhd(u64, Vec<u64>),
+    /// Round 2: sender identifier and its sorted closed neighborhood
+    /// (the open neighborhood plus the sender, whose id is counted once).
+    Nbhd(u64, Arc<[u64]>),
     /// Round 3: sender identifier and the closed neighborhood of each of
     /// its neighbors (learned in round 2) — exactly the 2-hop knowledge
     /// the twin test needs.
-    TwoHop(u64, Vec<(u64, Vec<u64>)>),
+    TwoHop(u64, Vec<(u64, Arc<[u64]>)>),
 }
 
 /// State of [`Theorem44Local`]: own id, sorted neighbor ids, and the
@@ -402,12 +424,12 @@ pub enum Thm44Msg {
 pub struct Thm44State {
     me: u64,
     nbrs: Vec<u64>,
-    closed: BTreeMap<u64, Vec<u64>>,
+    closed: BTreeMap<u64, Arc<[u64]>>,
 }
 
 impl Thm44State {
     fn try_closed_of(&self, w: u64) -> Option<&[u64]> {
-        self.closed.get(&w).map(Vec::as_slice)
+        self.closed.get(&w).map(|cn| &cn[..])
     }
 
     /// Whether `w` survives the minimum-identifier twin reduction,
@@ -432,7 +454,7 @@ impl Thm44State {
             let mut own = self.nbrs.clone();
             own.push(self.me);
             own.sort_unstable();
-            self.closed.insert(self.me, own);
+            self.closed.insert(self.me, own.into());
         }
     }
 
@@ -512,14 +534,16 @@ impl LocalAlgorithm for Theorem44Local {
         // Seed the own closed set immediately (degree-0 vertices never
         // receive anything, yet must still reach a complete state).
         let mut closed = BTreeMap::new();
-        closed.insert(ctx.id, vec![ctx.id]);
+        closed.insert(ctx.id, Arc::from([ctx.id]));
         Thm44State { me: ctx.id, nbrs: Vec::new(), closed }
     }
 
     fn send(&self, state: &Thm44State, round: u32) -> Thm44Msg {
         match round {
             0 | 1 => Thm44Msg::Id(state.me),
-            2 => Thm44Msg::Nbhd(state.me, state.nbrs.clone()),
+            // `init` and `project` seed the own closed set, and
+            // `note_neighbor` keeps it equal to `nbrs` plus `me`.
+            2 => Thm44Msg::Nbhd(state.me, Arc::clone(&state.closed[&state.me])),
             3 => Thm44Msg::TwoHop(
                 state.me,
                 // Healthy networks have every neighbor's set by now;
@@ -527,7 +551,7 @@ impl LocalAlgorithm for Theorem44Local {
                 state
                     .nbrs
                     .iter()
-                    .filter_map(|&u| state.try_closed_of(u).map(|cn| (u, cn.to_vec())))
+                    .filter_map(|&u| state.closed.get(&u).map(|cn| (u, Arc::clone(cn))))
                     .collect(),
             ),
             // Rounds ≥ 4 only happen when someone is still undecided
@@ -536,31 +560,28 @@ impl LocalAlgorithm for Theorem44Local {
             // repairs any number of earlier losses.
             _ => Thm44Msg::TwoHop(
                 state.me,
-                state.closed.iter().map(|(&w, cn)| (w, cn.clone())).collect(),
+                state.closed.iter().map(|(&w, cn)| (w, Arc::clone(cn))).collect(),
             ),
         }
     }
 
-    fn receive(&self, state: &mut Thm44State, _round: u32, incoming: &[Thm44Msg]) {
+    fn receive(&self, state: &mut Thm44State, _round: u32, incoming: &[&Thm44Msg]) {
         // Folding is variant-driven, not round-driven: under skew a
         // round-2 slot may carry a round-1 identifier, and evidence
         // arriving late is still evidence. On a healthy network the
         // rounds and variants coincide, reproducing the strict
         // schedule bit-for-bit.
-        for m in incoming {
+        for &m in incoming {
             match m {
                 Thm44Msg::Id(u) => state.note_neighbor(*u),
-                Thm44Msg::Nbhd(u, nb) => {
+                Thm44Msg::Nbhd(u, cn) => {
                     state.note_neighbor(*u);
-                    let mut cn = nb.clone();
-                    cn.push(*u);
-                    cn.sort_unstable();
-                    state.closed.insert(*u, cn);
+                    state.closed.insert(*u, Arc::clone(cn));
                 }
                 Thm44Msg::TwoHop(u, entries) => {
                     state.note_neighbor(*u);
                     for (w, cn) in entries {
-                        state.closed.entry(*w).or_insert_with(|| cn.clone());
+                        state.closed.entry(*w).or_insert_with(|| Arc::clone(cn));
                     }
                 }
             }
@@ -579,10 +600,15 @@ impl LocalAlgorithm for Theorem44Local {
         Some(state.decide_on_evidence())
     }
 
+    fn first_round(&self) -> u32 {
+        3
+    }
+
     fn message_bits(&self, msg: &Thm44Msg, id_bits: u32) -> u64 {
         let ids = match msg {
             Thm44Msg::Id(_) => 1,
-            Thm44Msg::Nbhd(_, nb) => 1 + nb.len() as u64,
+            // The sender's id and its open neighborhood: |N[u]| ids.
+            Thm44Msg::Nbhd(_, cn) => cn.len() as u64,
             Thm44Msg::TwoHop(_, entries) => {
                 1 + entries.iter().map(|(_, cn)| 1 + cn.len() as u64).sum::<u64>()
             }
@@ -597,13 +623,13 @@ impl LocalAlgorithm for Theorem44Local {
         v: usize,
         round: u32,
     ) -> Option<Thm44State> {
-        let closed_of = |w: usize| {
+        let closed_of = |w: usize| -> Arc<[u64]> {
             let mut cn: Vec<u64> = g.neighbors(w).iter().map(|&x| ids.id_of(x as usize)).collect();
             cn.push(ids.id_of(w));
             cn.sort_unstable();
-            cn
+            cn.into()
         };
-        let mut state = Thm44State { me: ids.id_of(v), nbrs: Vec::new(), closed: BTreeMap::new() };
+        let mut state = self.init(&NodeCtx { id: ids.id_of(v) });
         if round >= 1 {
             state.nbrs = g.neighbors(v).iter().map(|&u| ids.id_of(u as usize)).collect();
             state.nbrs.sort_unstable();
@@ -742,6 +768,20 @@ fn within(dist: &[Option<u32>], w: Vertex, limit: i64) -> bool {
     dist[w].is_some_and(|d| i64::from(d) <= limit)
 }
 
+/// The adaptive deciders' view margin `max(r₁, 2r₂) + 2`: the rounds
+/// after which the center's own `S` status is trusted (the `X`/`I`/`S`
+/// depth of the module docs, at distance 0). No view of fewer rounds
+/// decides.
+fn margin(radii: Radii) -> i64 {
+    i64::from(radii.one_cut).max(2 * i64::from(radii.two_cut)) + 2
+}
+
+/// A margin as a [`Decider::first_round`], saturating at the
+/// simulator's `u32` round counter.
+fn first_round_of(margin: i64) -> u32 {
+    u32::try_from(margin).unwrap_or(u32::MAX)
+}
+
 /// Algorithm 1 (Theorem 4.1) as an adaptive LOCAL decider. The node
 /// keeps extending its view until (a) its own `S`/`U` status is
 /// certain, and if it is in neither, (b) its entire residual component
@@ -763,9 +803,7 @@ impl Decider for Algorithm1Decider {
     type Output = bool;
     fn decide(&self, view: &LocalView) -> Option<bool> {
         let k = view.rounds() as i64;
-        let r1 = self.radii.one_cut as i64;
-        let r2 = self.radii.two_cut as i64;
-        let margin = r1.max(2 * r2) + 2;
+        let margin = margin(self.radii);
         if k < margin {
             return None;
         }
@@ -798,6 +836,10 @@ impl Decider for Algorithm1Decider {
             let sol = solve_component_with(&reduced, &vids, &comp, |w| st.dominated(w), true);
             Some(sol.contains(&center))
         })
+    }
+
+    fn first_round(&self) -> u32 {
+        first_round_of(margin(self.radii))
     }
 }
 
@@ -987,6 +1029,64 @@ mod tests {
         assert_native_matches_decider(&TakeAllLocal, &TakeAllDecider, 5);
     }
 
+    /// `first_round` promises that no earlier state decides, and the
+    /// oracle skips those rounds on the strength of it: every vertex of
+    /// the corpus, at every round below the promise, must wait.
+    fn assert_first_round_is_sound<A: LocalAlgorithm>(algo: &A, name: &str) {
+        let first = algo.first_round();
+        for g in &test_graphs() {
+            for seed in [0u64, 5] {
+                let ids = IdAssignment::shuffled(g.n(), seed);
+                for v in 0..g.n() {
+                    for round in 0..first {
+                        let state = match round {
+                            0 => algo.init(&NodeCtx { id: ids.id_of(v) }),
+                            _ => algo.project(g, &ids, v, round).expect("built-ins project"),
+                        };
+                        assert!(
+                            algo.decide(&state, round).is_none(),
+                            "{name} decides at round {round} < first_round {first}: {g:?} v={v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_rounds_are_sound_for_every_builtin() {
+        assert_first_round_is_sound(&TakeAllDecider, "TakeAllDecider");
+        assert_first_round_is_sound(&RegularMvcDecider, "RegularMvcDecider");
+        assert_first_round_is_sound(&TreesFolkloreDecider, "TreesFolkloreDecider");
+        assert_first_round_is_sound(&Theorem44Decider, "Theorem44Decider");
+        assert_first_round_is_sound(&Theorem44MvcDecider, "Theorem44MvcDecider");
+        assert_first_round_is_sound(&TakeAllLocal, "TakeAllLocal");
+        assert_first_round_is_sound(&RegularMvcLocal, "RegularMvcLocal");
+        for isolated_joins in [false, true] {
+            for grace in [None, Some(0), Some(6)] {
+                let algo = DegreeRuleLocal { isolated_joins, grace };
+                assert_first_round_is_sound(&algo, "DegreeRuleLocal");
+            }
+        }
+        for grace in [None, Some(0), Some(6)] {
+            assert_first_round_is_sound(&Theorem44Local { grace }, "Theorem44Local");
+        }
+        for one_cut in 1..=4 {
+            for two_cut in 1..=4 {
+                let radii = Radii { one_cut, two_cut };
+                let alg1 = Algorithm1Decider { radii };
+                let mvc = MvcAlgorithm1Decider { radii };
+                assert_eq!(LocalAlgorithm::first_round(&alg1), one_cut.max(2 * two_cut) + 2);
+                assert_eq!(LocalAlgorithm::first_round(&mvc), one_cut.max(2 * two_cut) + 3);
+                assert_first_round_is_sound(&alg1, "Algorithm1Decider");
+                assert_first_round_is_sound(&mvc, "MvcAlgorithm1Decider");
+            }
+        }
+        // Radii past the round counter saturate rather than wrap.
+        let huge = Radii { one_cut: u32::MAX, two_cut: u32::MAX };
+        assert_eq!(Decider::first_round(&Algorithm1Decider { radii: huge }), u32::MAX);
+    }
+
     #[test]
     fn native_messages_are_leaner_than_view_flooding() {
         // The whole point of typed messages: Theorem 4.4 native traffic
@@ -1124,9 +1224,7 @@ impl Decider for MvcAlgorithm1Decider {
     type Output = bool;
     fn decide(&self, view: &LocalView) -> Option<bool> {
         let k = view.rounds() as i64;
-        let r1 = self.radii.one_cut as i64;
-        let r2 = self.radii.two_cut as i64;
-        let margin = r1.max(2 * r2) + 2;
+        let margin = margin(self.radii);
         if k < margin + 1 {
             return None;
         }
@@ -1152,6 +1250,12 @@ impl Decider for MvcAlgorithm1Decider {
             let comp = st.component(center, |w| within(&dist, w, limit))?;
             Some(crate::mvc::solve_component(&vg, &vids, &comp).contains(&center))
         })
+    }
+
+    /// One round past [`Algorithm1Decider`]'s: the uncovered-edge test
+    /// reads the neighbors' `S` statuses.
+    fn first_round(&self) -> u32 {
+        first_round_of(margin(self.radii) + 1)
     }
 }
 

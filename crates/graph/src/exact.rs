@@ -1071,12 +1071,16 @@ impl DpTables {
 }
 
 /// The decomposition walk of both DPs. Roots `td` at bag 0 and builds
-/// the bags' tables children first: a bag's vertices are introduced
-/// into the empty leaf table, then each child's table, with the
-/// vertices outside the bag forgotten and the bag's missing ones
-/// introduced, is joined in. The kernel's `introduce`, `forget` and
-/// `join` each push one table and return its index. Returns the tables
-/// and the root bag's table.
+/// the bags' tables children first: each child's table has the vertices
+/// outside the bag forgotten and the bag's missing ones introduced; the
+/// first such table is the bag's start and the others are joined in. A
+/// bag without children introduces its vertices into the empty leaf
+/// table instead. (Starting a bag with children from that leaf table
+/// and joining its first child gives the child's table entry for entry:
+/// the leaf table has one finite state per chosen set, and the child's
+/// finite states already account for every edge inside the bag.) The
+/// kernel's `introduce`, `forget` and `join` each push one table and
+/// return its index. Returns the tables and the root bag's table.
 fn dp_walk(
     td: &TreeDecomposition,
     introduce: impl Fn(&mut DpTables, usize, Vertex) -> usize,
@@ -1110,10 +1114,7 @@ fn dp_walk(
     let mut final_table = vec![usize::MAX; b];
     for &node in order.iter().rev() {
         let bag = &td.bags[node];
-        let mut cur = tables.push(DpOp::Leaf, Vec::new(), vec![0]);
-        for &v in bag {
-            cur = introduce(&mut tables, cur, v);
-        }
+        let mut cur = None;
         for &child in &tadj[node] {
             if parent[child] != node {
                 continue;
@@ -1129,9 +1130,18 @@ fn dp_walk(
             for v in missing {
                 ct = introduce(&mut tables, ct, v);
             }
-            cur = join(&mut tables, cur, ct);
+            cur = Some(match cur {
+                None => ct,
+                Some(acc) => join(&mut tables, acc, ct),
+            });
         }
-        final_table[node] = cur;
+        final_table[node] = cur.unwrap_or_else(|| {
+            let mut leaf = tables.push(DpOp::Leaf, Vec::new(), vec![0]);
+            for &v in bag {
+                leaf = introduce(&mut tables, leaf, v);
+            }
+            leaf
+        });
     }
     (tables, final_table[0])
 }

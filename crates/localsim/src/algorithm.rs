@@ -11,20 +11,29 @@
 //! identifier ([`NodeCtx`]). In each synchronous round it broadcasts one
 //! [`LocalAlgorithm::send`] message to all neighbors, folds the incoming
 //! messages into its state with [`LocalAlgorithm::receive`], and may fix
-//! its output with [`LocalAlgorithm::decide`]. Both engines
+//! its output with [`LocalAlgorithm::decide`]. `receive` borrows its
+//! inbox: the engine hands it references to the messages it keeps for
+//! the round, so a delivery copies nothing. Both engines
 //! ([`crate::OracleRuntime`], [`crate::FaultyRuntime`]) execute the same
 //! state machine and are bit-identical because implementations are
 //! deterministic and treat the incoming slice as arriving in a fixed
 //! (host neighbor) order.
+//!
+//! [`LocalAlgorithm::first_round`] is a promise that `decide` returns
+//! `None` on every earlier round. The oracle starts each vertex there
+//! instead of at round 0; message passing still asks `decide` every
+//! round, so a broken promise shows up as a decision-round mismatch
+//! between the engines.
 //!
 //! # View algorithms are a special case
 //!
 //! Every [`Decider`] — an algorithm written as a function of the
 //! [`LocalView`] — is automatically a `LocalAlgorithm` through a blanket
 //! adapter: its state and message are both the view, `send` broadcasts
-//! the whole view, `receive` merges the neighbors' views. This is
-//! exactly the folklore "full information" protocol, so the legacy
-//! deciders run unchanged on the new engine.
+//! the whole view, `receive` folds the neighbors' views in with one
+//! [`LocalView::absorb`]. This is exactly the folklore "full
+//! information" protocol, so the legacy deciders run unchanged on the
+//! new engine.
 //!
 //! # Example: a native two-round algorithm
 //!
@@ -53,13 +62,16 @@
 //!     fn send(&self, state: &MinSeen, _round: u32) -> u64 {
 //!         state.me
 //!     }
-//!     fn receive(&self, state: &mut MinSeen, _round: u32, incoming: &[u64]) {
-//!         for &id in incoming {
+//!     fn receive(&self, state: &mut MinSeen, _round: u32, incoming: &[&u64]) {
+//!         for &&id in incoming {
 //!             state.min = state.min.min(id);
 //!         }
 //!     }
 //!     fn decide(&self, state: &MinSeen, round: u32) -> Option<u64> {
 //!         (round >= 1).then_some(state.min)
+//!     }
+//!     fn first_round(&self) -> u32 {
+//!         1
 //!     }
 //!     fn message_bits(&self, _msg: &u64, id_bits: u32) -> u64 {
 //!         id_bits as u64
@@ -100,6 +112,8 @@ pub struct NodeCtx {
 ///   (delivered in host neighbor order, one per neighbor).
 /// * **Persistent**: a vertex keeps sending and receiving after it
 ///   decides (real networks relay); `decide` is simply not called again.
+/// * **Honest first round**: `decide` returns `None` on every round
+///   below [`LocalAlgorithm::first_round`].
 pub trait LocalAlgorithm: Sync {
     /// Per-vertex state.
     type State: Clone + Send;
@@ -116,12 +130,23 @@ pub trait LocalAlgorithm: Sync {
     fn send(&self, state: &Self::State, round: u32) -> Self::Message;
 
     /// Folds the messages received in `round` into the state. `incoming`
-    /// holds one message per neighbor, in host neighbor order.
-    fn receive(&self, state: &mut Self::State, round: u32, incoming: &[Self::Message]);
+    /// holds one message per delivering neighbor, in host neighbor
+    /// order, borrowed from the engine's copy of the round's traffic.
+    fn receive(&self, state: &mut Self::State, round: u32, incoming: &[&Self::Message]);
 
     /// Decides from the state after `round` rounds, or returns `None` to
     /// communicate for another round.
     fn decide(&self, state: &Self::State, round: u32) -> Option<Self::Output>;
+
+    /// The first round at which `decide` may return `Some`: on every
+    /// state after fewer rounds it must return `None`. The oracle
+    /// engine builds no state before this round; message passing asks
+    /// `decide` every round regardless, so a hint that is too high
+    /// makes the two engines disagree on decision rounds. The default
+    /// 0 promises nothing.
+    fn first_round(&self) -> u32 {
+        0
+    }
 
     /// Size of `msg` on the wire, in bits, with `id_bits` bits per
     /// identifier (the message-passing runtime accounts with this).
@@ -144,7 +169,8 @@ pub trait LocalAlgorithm: Sync {
 /// The blanket adapter: every [`Decider`] is a [`LocalAlgorithm`] whose
 /// state and message are both the [`LocalView`] — the full-information
 /// protocol. Oracle runtimes shortcut it through [`oracle_view`]
-/// (provably the same views, one BFS instead of per-edge merges).
+/// (provably the same views, one BFS instead of per-edge merges), from
+/// the decider's own [`Decider::first_round`] on.
 impl<D: Decider> LocalAlgorithm for D {
     type State = LocalView;
     type Message = LocalView;
@@ -158,16 +184,17 @@ impl<D: Decider> LocalAlgorithm for D {
         state.clone()
     }
 
-    fn receive(&self, state: &mut LocalView, _round: u32, incoming: &[LocalView]) {
-        for msg in incoming {
-            state.learn_edge(state.center_id(), msg.center_id());
-            state.merge(msg);
-        }
+    fn receive(&self, state: &mut LocalView, _round: u32, incoming: &[&LocalView]) {
+        state.absorb(incoming);
         state.advance_round();
     }
 
     fn decide(&self, state: &LocalView, _round: u32) -> Option<D::Output> {
         Decider::decide(self, state)
+    }
+
+    fn first_round(&self) -> u32 {
+        Decider::first_round(self)
     }
 
     fn message_bits(&self, msg: &LocalView, id_bits: u32) -> u64 {
@@ -197,8 +224,8 @@ mod tests {
         let ids = IdAssignment::sequential(3);
         let algo = DegreeAlgo;
         let mut state = LocalAlgorithm::init(&algo, &NodeCtx { id: ids.id_of(1) });
-        let incoming = vec![LocalView::initial(ids.id_of(0)), LocalView::initial(ids.id_of(2))];
-        algo.receive(&mut state, 1, &incoming);
+        let (a, b) = (LocalView::initial(ids.id_of(0)), LocalView::initial(ids.id_of(2)));
+        algo.receive(&mut state, 1, &[&a, &b]);
         assert_eq!(state.rounds(), 1);
         assert_eq!(state.vertex_ids(), &[0, 1, 2]);
         assert!(state.contains_edge(0, 1) && state.contains_edge(1, 2));

@@ -481,9 +481,9 @@ impl FaultyRuntime {
         // `(r − 1) % depth`. Staleness never exceeds the skew, and no
         // delivery predates round 1, so `min(skew, max_rounds) + 1`
         // slots always suffice; the ring grows only as rounds run.
+        // Inboxes borrow their messages from it.
         let depth = self.config.skew.min(max_rounds) as usize + 1;
         let mut history: Vec<Vec<Option<A::Message>>> = Vec::new();
-        let mut inbox: Vec<A::Message> = Vec::new();
         loop {
             let undecided =
                 (0..n).filter(|&v| outputs[v].is_none() && plan.decides_after(v, round)).count();
@@ -523,6 +523,7 @@ impl FaultyRuntime {
             }
             // Receive phase: one (possibly stale) message per live
             // neighbor, in host neighbor order, minus drops.
+            let mut inbox: Vec<&A::Message> = Vec::new();
             for (v, state) in states.iter_mut().enumerate() {
                 if !plan.alive_at(v, round) {
                     continue;
@@ -541,7 +542,7 @@ impl FaultyRuntime {
                     if stale > report.max_staleness {
                         report.max_staleness = stale;
                     }
-                    inbox.push(m.clone());
+                    inbox.push(m);
                 }
                 algo.receive(state, round, &inbox);
             }

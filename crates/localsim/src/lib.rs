@@ -22,11 +22,15 @@
 //!   adaptive algorithms stay one `fn` long.
 //! * Two engines that run any [`LocalAlgorithm`] with the same
 //!   `run(g, ids, algo, max_rounds)` call: [`OracleRuntime`] (states
-//!   computed directly via projection or ball replay, vertices drained
+//!   computed directly via projection or ball replay, from the
+//!   algorithm's [`LocalAlgorithm::first_round`] on, vertices drained
 //!   across `lmds_graph::par` workers on large graphs) and
 //!   [`FaultyRuntime`] (faithful synchronous message passing with bits
 //!   accounted, under an optional seeded [`FaultConfig`]: drops,
-//!   crash-stop vertices, bounded skew).
+//!   crash-stop vertices, bounded skew). Message passing keeps each
+//!   round's messages once and lends them to
+//!   [`LocalAlgorithm::receive`] as `&[&Message]`; no delivery copies a
+//!   message.
 //!   [`RuntimeKind`] names the four kinds configuration layers select —
 //!   `oracle` and `sharded-oracle` run the oracle, `message-passing`
 //!   and `faulty` the message-passing loop with the empty plan.
@@ -96,10 +100,11 @@ pub use view::LocalView;
 
 /// A LOCAL algorithm expressed as a view-to-decision function.
 ///
-/// `decide` is called after every round (including round 0, when the
-/// view contains only the vertex itself). Returning `Some` fixes the
-/// node's output; the runtime keeps the node relaying messages
-/// afterwards (as a real network would) but records its decision round.
+/// Message passing calls `decide` after every round (including round
+/// 0, when the view contains only the vertex itself); the oracle starts
+/// at [`Decider::first_round`]. Returning `Some` fixes the node's
+/// output; the runtime keeps the node relaying messages afterwards (as
+/// a real network would) but records its decision round.
 ///
 /// Implementations must be deterministic functions of the view — this
 /// is what makes the runtimes interchangeable. Every `Decider` is a
@@ -113,4 +118,12 @@ pub trait Decider: Sync {
 
     /// Decide from the current view, or return `None` to wait a round.
     fn decide(&self, view: &LocalView) -> Option<Self::Output>;
+
+    /// The first round at which `decide` may return `Some`: it must
+    /// return `None` on every view of fewer rounds. The oracle builds
+    /// no view before this round; the blanket adapter forwards it as
+    /// [`LocalAlgorithm::first_round`]. The default 0 promises nothing.
+    fn first_round(&self) -> u32 {
+        0
+    }
 }

@@ -5,13 +5,16 @@
 //!   path when it has one (view algorithms project via
 //!   [`oracle_view`]), otherwise by replaying the state machine inside
 //!   the ball `N^k[v]` — provably the same state, no global message
-//!   schedule. From 640 vertices up it drains the vertices across
+//!   schedule. It starts each vertex at the algorithm's
+//!   [`LocalAlgorithm::first_round`], since no earlier state can
+//!   decide. From 640 vertices up it drains the vertices across
 //!   [`lmds_graph::par`] workers.
 //! * [`FaultyRuntime`] — faithful synchronous message passing behind
 //!   an optional seeded fault plan: every round each live vertex
 //!   broadcasts one typed message to every neighbor, and message bits
-//!   are accounted. With the empty plan it is the "ground truth"
-//!   message-passing execution.
+//!   are accounted. Each round's messages are kept once and lent to
+//!   `receive` by reference. With the empty plan it is the "ground
+//!   truth" message-passing execution.
 //!
 //! [`RuntimeKind`] names the four execution kinds configuration layers
 //! select (the `lmds-api` crate selects runtimes by kind): `oracle` and
@@ -276,7 +279,8 @@ pub fn oracle_view(g: &Graph, ids: &IdAssignment, v: lmds_graph::Vertex, k: u32)
 /// `u`'s neighbors are all inside the ball when `d ≤ rounds − 1`, and
 /// their states one round earlier are exact at distance `d + 1`). The
 /// center (`d = 0`) is therefore exact after `rounds` rounds, and its
-/// inbox order matches the global execution's host neighbor order.
+/// inbox order matches the global execution's host neighbor order. The
+/// inboxes borrow from the round's messages, as in message passing.
 fn replay_state<A: LocalAlgorithm>(
     g: &Graph,
     ids: &IdAssignment,
@@ -290,14 +294,14 @@ fn replay_state<A: LocalAlgorithm>(
     let ball = bfs::ball(g, v, rounds); // sorted ascending
     let mut states: Vec<A::State> =
         ball.iter().map(|&u| algo.init(&NodeCtx { id: ids.id_of(u) })).collect();
-    let mut inbox: Vec<A::Message> = Vec::new();
     for round in 1..=rounds {
         let msgs: Vec<A::Message> = states.iter().map(|s| algo.send(s, round)).collect();
+        let mut inbox: Vec<&A::Message> = Vec::new();
         for (i, &u) in ball.iter().enumerate() {
             inbox.clear();
             for &w in g.neighbors(u) {
                 if let Ok(j) = ball.binary_search(&(w as usize)) {
-                    inbox.push(msgs[j].clone());
+                    inbox.push(&msgs[j]);
                 }
             }
             algo.receive(&mut states[i], round, &inbox);
@@ -332,10 +336,12 @@ const PARALLEL_THRESHOLD: usize = 640;
 ///
 /// Under oracle semantics a vertex's decision round depends only on the
 /// network, never on other vertices' decisions — so no per-round
-/// barrier is needed: each vertex scans its rounds `0..=max_rounds`
-/// until it decides, and from 640 vertices up the vertices are drained
-/// across [`lmds_graph::par`] workers. Outputs do not depend on the
-/// worker count (algorithms are deterministic).
+/// barrier is needed: each vertex scans its rounds
+/// `first_round..=max_rounds` ([`LocalAlgorithm::first_round`]: no
+/// earlier state decides, so none is built) until it decides, and from
+/// 640 vertices up the vertices are drained across [`lmds_graph::par`]
+/// workers. Outputs do not depend on the worker count (algorithms are
+/// deterministic).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleRuntime;
 
@@ -391,10 +397,11 @@ impl OracleRuntime {
     ) -> Result<RunResult<A::Output>, RuntimeError> {
         check_sizes(g, ids)?;
         let n = g.n();
+        let first = algo.first_round();
         // Per worker: (vertex, decision round, output) of every vertex
         // that decided within the cap.
         let decided = par::drain(workers, n, |mine: &mut Vec<(usize, u32, A::Output)>, v| {
-            let decision = (0..=max_rounds).find_map(|round| {
+            let decision = (first..=max_rounds).find_map(|round| {
                 algo.decide(&state_at(g, ids, algo, v, round), round).map(|o| (round, o))
             });
             if let Some((round, o)) = decision {
@@ -454,6 +461,9 @@ mod tests {
             }
             Some(false)
         }
+        fn first_round(&self) -> u32 {
+            2
+        }
     }
 
     /// A native (non-view) algorithm with no projection: forces the
@@ -476,16 +486,70 @@ mod tests {
         fn send(&self, state: &MinState, _round: u32) -> u64 {
             state.min
         }
-        fn receive(&self, state: &mut MinState, _round: u32, incoming: &[u64]) {
-            for &m in incoming {
+        fn receive(&self, state: &mut MinState, _round: u32, incoming: &[&u64]) {
+            for &&m in incoming {
                 state.min = state.min.min(m);
             }
         }
         fn decide(&self, state: &MinState, round: u32) -> Option<u64> {
             (round >= 2).then_some(state.min)
         }
+        fn first_round(&self) -> u32 {
+            2
+        }
         fn message_bits(&self, _msg: &u64, id_bits: u32) -> u64 {
             id_bits as u64
+        }
+    }
+
+    /// Delegates to `inner`, recording the round of every `decide` call.
+    struct Counting<A> {
+        inner: A,
+        asked: std::sync::Mutex<Vec<u32>>,
+    }
+
+    impl<A> Counting<A> {
+        fn new(inner: A) -> Self {
+            Counting { inner, asked: std::sync::Mutex::new(Vec::new()) }
+        }
+
+        /// The rounds `decide` was asked at since the last call.
+        fn take(&self) -> Vec<u32> {
+            std::mem::take(&mut *self.asked.lock().unwrap())
+        }
+    }
+
+    impl<A: LocalAlgorithm> LocalAlgorithm for Counting<A> {
+        type State = A::State;
+        type Message = A::Message;
+        type Output = A::Output;
+        fn init(&self, ctx: &NodeCtx) -> A::State {
+            self.inner.init(ctx)
+        }
+        fn send(&self, state: &A::State, round: u32) -> A::Message {
+            self.inner.send(state, round)
+        }
+        fn receive(&self, state: &mut A::State, round: u32, incoming: &[&A::Message]) {
+            self.inner.receive(state, round, incoming);
+        }
+        fn decide(&self, state: &A::State, round: u32) -> Option<A::Output> {
+            self.asked.lock().unwrap().push(round);
+            self.inner.decide(state, round)
+        }
+        fn first_round(&self) -> u32 {
+            self.inner.first_round()
+        }
+        fn message_bits(&self, msg: &A::Message, id_bits: u32) -> u64 {
+            self.inner.message_bits(msg, id_bits)
+        }
+        fn project(
+            &self,
+            g: &Graph,
+            ids: &IdAssignment,
+            v: lmds_graph::Vertex,
+            round: u32,
+        ) -> Option<A::State> {
+            self.inner.project(g, ids, v, round)
         }
     }
 
@@ -549,6 +613,38 @@ mod tests {
             let expect = bfs::ball(&g, v, 2).into_iter().map(|u| ids.id_of(u)).min().unwrap();
             assert_eq!(a.outputs[v], expect, "vertex {v}");
         }
+    }
+
+    #[test]
+    fn oracle_starts_at_first_round_and_still_matches_message_passing() {
+        // The oracle asks each vertex once per round from `first_round`
+        // to its decision round and never earlier; message passing asks
+        // from round 0. Outputs and decision rounds still agree, for a
+        // view algorithm (projection) and a native one (ball replay).
+        fn check<A>(g: &Graph, ids: &IdAssignment, algo: A)
+        where
+            A: LocalAlgorithm,
+            A::Output: PartialEq + fmt::Debug,
+        {
+            let counting = Counting::new(algo);
+            let first = counting.first_round();
+            let oracle = OracleRuntime.run(g, ids, &counting, 10).unwrap();
+            let oracle_asked = counting.take();
+            let mp = RuntimeKind::MessagePassing.run(g, ids, &counting, 10).unwrap();
+            let mp_asked = counting.take();
+            assert_eq!(oracle.outputs, mp.outputs);
+            assert_eq!(oracle.decided_at, mp.decided_at);
+            assert!(oracle_asked.iter().all(|&r| r >= first), "{oracle_asked:?}");
+            let per_vertex = oracle.decided_at.iter().map(|&d| (d - first + 1) as usize);
+            assert_eq!(oracle_asked.len(), per_vertex.sum::<usize>());
+            assert!(mp_asked.iter().any(|&r| r < first), "message passing asks every round");
+        }
+        let mut g = cycle(12);
+        g.add_edge(0, 2);
+        g.add_edge(3, 8);
+        let ids = IdAssignment::shuffled(12, 5);
+        check(&g, &ids, TriangleAlgo);
+        check(&g, &ids, MinIdRadius2);
     }
 
     #[test]

@@ -106,8 +106,26 @@ impl LocalView {
     /// lists are kept sorted and deduplicated, so each union is one
     /// linear merge pass.
     pub fn merge(&mut self, other: &LocalView) {
-        union_sorted(&mut self.verts, &other.verts);
-        union_sorted(&mut self.edges, &other.edges);
+        union_sorted(&mut self.verts, &other.verts, &mut Vec::new());
+        union_sorted(&mut self.edges, &other.edges, &mut Vec::new());
+    }
+
+    /// Folds one round's incoming views into this one: the union of
+    /// every view plus the edge from the center to each sender — the
+    /// same sets as [`LocalView::learn_edge`] and [`LocalView::merge`]
+    /// per message, in one merge pass per view through two buffers
+    /// reused across the whole fold.
+    pub fn absorb(&mut self, incoming: &[&LocalView]) {
+        let (mut spare_verts, mut spare_edges) = (Vec::new(), Vec::new());
+        for msg in incoming {
+            union_sorted(&mut self.verts, &msg.verts, &mut spare_verts);
+            union_sorted(&mut self.edges, &msg.edges, &mut spare_edges);
+        }
+        // Past round 1 a sender's view already holds its edge to the
+        // center, so these are lookups, not inserts.
+        for msg in incoming {
+            self.learn_edge(self.center, msg.center);
+        }
     }
 
     /// Records the edge `{a, b}` (used when a message arrives over a
@@ -161,10 +179,15 @@ impl LocalView {
 }
 
 /// Replaces `into` by the union of itself and `other`, both sorted and
-/// deduplicated, in one merge pass.
-fn union_sorted<T: Copy + Ord>(into: &mut Vec<T>, other: &[T]) {
-    let a = std::mem::take(into);
-    let mut out = Vec::with_capacity(a.len() + other.len());
+/// deduplicated, in one merge pass written into `spare`; the buffers
+/// then trade places, so `spare` returns holding `into`'s old storage.
+fn union_sorted<T: Copy + Ord>(into: &mut Vec<T>, other: &[T], spare: &mut Vec<T>) {
+    if other.is_empty() {
+        return;
+    }
+    let (a, out) = (into.as_slice(), spare);
+    out.clear();
+    out.reserve_exact(a.len() + other.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < other.len() {
         match a[i].cmp(&other[j]) {
@@ -185,7 +208,7 @@ fn union_sorted<T: Copy + Ord>(into: &mut Vec<T>, other: &[T]) {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&other[j..]);
-    *into = out;
+    std::mem::swap(into, out);
 }
 
 #[cfg(test)]
@@ -195,15 +218,28 @@ mod tests {
     #[test]
     fn merge_equals_the_sort_based_union() {
         // Random overlapping views (ids drawn from a small range, so the
-        // two sides share many vertices and edges) against the
-        // concatenate-sort-dedup union.
+        // views share many vertices and edges) against the
+        // concatenate-sort-dedup union: one `merge`, and one round's
+        // `absorb` of up to four senders, which must also equal the
+        // per-message `learn_edge` + `merge` loop it replaces.
         let mut state = 0x5EEDu64;
         let mut next = |m: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 33) % m
         };
+        fn sort_union(views: &[&LocalView], extra: &[(u64, u64)]) -> (Vec<u64>, Vec<(u64, u64)>) {
+            let mut verts: Vec<u64> = views.iter().flat_map(|v| v.vertex_ids()).copied().collect();
+            verts.sort_unstable();
+            verts.dedup();
+            let mut edges: Vec<(u64, u64)> =
+                views.iter().flat_map(|v| v.edge_ids()).chain(extra).copied().collect();
+            edges.sort_unstable();
+            edges.dedup();
+            (verts, edges)
+        }
         for _ in 0..300 {
             let range = 2 + next(40);
+            let senders = 1 + next(4);
             let mut mk = |center: u64| {
                 let verts: Vec<u64> =
                     (0..next(range + 1)).map(|_| next(range)).chain([center]).collect();
@@ -213,18 +249,29 @@ mod tests {
                     .collect();
                 LocalView::from_parts(center, 1, verts, edges)
             };
-            let (x, y) = (mk(0), mk(1));
+            let x = mk(0);
+            let ys: Vec<LocalView> = (1..=senders).map(&mut mk).collect();
+
             let mut merged = x.clone();
-            merged.merge(&y);
-            let mut verts = [x.vertex_ids(), y.vertex_ids()].concat();
-            verts.sort_unstable();
-            verts.dedup();
-            let mut edges = [x.edge_ids(), y.edge_ids()].concat();
-            edges.sort_unstable();
-            edges.dedup();
+            merged.merge(&ys[0]);
+            let (verts, edges) = sort_union(&[&x, &ys[0]], &[]);
             assert_eq!(merged.vertex_ids(), verts.as_slice());
             assert_eq!(merged.edge_ids(), edges.as_slice());
             assert_eq!(merged.center_id(), 0);
+
+            let mut looped = x.clone();
+            for y in &ys {
+                looped.learn_edge(0, y.center_id());
+                looped.merge(y);
+            }
+            let inbox: Vec<&LocalView> = ys.iter().collect();
+            let mut absorbed = x.clone();
+            absorbed.absorb(&inbox);
+            assert_eq!(absorbed, looped);
+            let spokes: Vec<(u64, u64)> = (1..=senders).map(|c| (0, c)).collect();
+            let (verts, edges) = sort_union(&[&[&x][..], &inbox].concat(), &spokes);
+            assert_eq!(absorbed.vertex_ids(), verts.as_slice());
+            assert_eq!(absorbed.edge_ids(), edges.as_slice());
         }
     }
 

@@ -14,7 +14,7 @@
 //! valid alternative.
 
 use crate::json::Value;
-use lmds_api::{IdPolicy, Problem, SolutionView, SolveConfig, SolveError};
+use lmds_api::{ExecutionMode, IdPolicy, Problem, SolutionView, SolveConfig, SolveError};
 use lmds_core::Radii;
 use lmds_graph::dynamic::GraphUpdate;
 use lmds_localsim::ParseFaultError;
@@ -288,9 +288,11 @@ fn parse_config(cfg: &Value) -> Result<(Option<Problem>, SolveConfig), WireError
 /// fault plan as `null`). It renders the *materialized* config, so two
 /// requests that spell the same effective configuration differently
 /// (omitting a field or passing its default; a seed on the sequential
-/// policy) share one fingerprint.
+/// policy; `id_policy`, `id_seed` or `round_cap` in the centralized
+/// mode, which ignores them) share one fingerprint.
 pub fn config_fingerprint(cfg: &SolveConfig) -> String {
-    let (id_policy, id_seed) = match cfg.id_policy {
+    let local = cfg.mode != ExecutionMode::Centralized;
+    let (id_policy, id_seed) = match cfg.id_policy.filter(|_| local) {
         None => (Value::Null, Value::Null),
         Some(IdPolicy::Sequential) => (Value::from("sequential"), Value::Null),
         Some(IdPolicy::Shuffled { seed }) => (Value::from("shuffled"), Value::from(seed)),
@@ -301,7 +303,7 @@ pub fn config_fingerprint(cfg: &SolveConfig) -> String {
         ("mode", Value::from(cfg.mode.to_string())),
         ("id_policy", id_policy),
         ("id_seed", id_seed),
-        ("round_cap", cfg.round_cap.map_or(Value::Null, Value::from)),
+        ("round_cap", cfg.round_cap.filter(|_| local).map_or(Value::Null, Value::from)),
         ("radii", Value::Arr(vec![cfg.radii.one_cut.into(), cfg.radii.two_cut.into()])),
         ("opt_budget", Value::from(cfg.opt_budget)),
         ("measure_ratio", Value::from(cfg.measure_ratio)),
@@ -618,11 +620,16 @@ mod tests {
         let implicit = fingerprint("{}");
         assert_eq!(fingerprint("null"), implicit);
         assert_eq!(fingerprint(r#"{"mode": "centralized", "fault": "seed=42"}"#), implicit);
+        // Centralized solves ignore the LOCAL-only fields.
+        let ignored = r#"{"id_policy": "shuffled", "id_seed": 3, "round_cap": 2}"#;
+        assert_eq!(fingerprint(ignored), implicit);
 
         // A real knob change separates the keys.
         let local = fingerprint(r#"{"mode": "local-oracle"}"#);
         assert_ne!(local, implicit);
         assert!(local.contains("local-oracle"));
+        let capped = r#"{"mode": "local-oracle", "id_policy": "shuffled", "round_cap": 2}"#;
+        assert_ne!(fingerprint(capped), local);
 
         // A fingerprint is a wire config that parses back to itself.
         let full = fingerprint(
@@ -686,6 +693,11 @@ mod tests {
             (
                 SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).opt_budget(u64::MAX),
                 r#"{"fault":null,"id_policy":null,"id_seed":null,"measure_ratio":false,"mode":"local-message-passing","opt_budget":18446744073709552000,"problem":"mds","radii":[2,3],"round_cap":null}"#,
+            ),
+            // Centralized solves ignore the LOCAL-only fields.
+            (
+                SolveConfig::mds().id_policy(IdPolicy::Adversarial { seed: 9 }).round_cap(32),
+                defaults,
             ),
         ];
         for (cfg, expected) in cases {

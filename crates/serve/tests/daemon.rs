@@ -1126,7 +1126,7 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"id_policy": "sequential"}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"id_policy": "sequential", "id_seed": 3}"#,
@@ -1134,19 +1134,19 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"id_policy": "shuffled"}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"id_policy": "shuffled", "id_seed": 3}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"id_policy": "adversarial"}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"id_policy": "adversarial", "id_seed": 3}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"mode": "local-oracle", "id_policy": "shuffled", "id_seed": 3}"#,
@@ -1158,7 +1158,7 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"round_cap": 2}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"mode": "local-oracle", "round_cap": 2}"#,
@@ -1186,7 +1186,7 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"fault": "seed=7;drop=bernoulli:100"}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"422 "unsupported-config" "solver mds/theorem44: fault plan \"seed=7;drop=bernoulli:100\" requires the local-faulty mode, not centralized""#,
     ),
     (
         r#"{"mode": "local-oracle", "fault": "seed=7;drop=bernoulli:100"}"#,

@@ -435,17 +435,29 @@ fn unbounded_skew_set_in_code_still_returns() {
 }
 
 /// An *active* fault plan on a runtime that cannot inject it is a
-/// configuration error, not a silent no-op.
+/// configuration error, not a silent no-op — on the other LOCAL kinds
+/// and on centralized solves, exact ones included.
 #[test]
 fn active_fault_plans_require_the_faulty_runtime() {
     let registry = SolverRegistry::with_defaults();
     let inst = Instance::sequential("p6", lmds_gen::basic::path(6));
-    let cfg = SolveConfig::mds()
-        .mode(ExecutionMode::LOCAL_ORACLE)
-        .fault(FaultConfig { skew: 1, ..FaultConfig::default() });
-    let err = registry.solve("mds/theorem44", &inst, &cfg).unwrap_err();
-    assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{err:?}");
-    assert!(err.to_string().contains("local-faulty"), "{err}");
+    let plan = FaultConfig { skew: 1, ..FaultConfig::default() };
+    for (key, mode) in [
+        ("mds/theorem44", ExecutionMode::LOCAL_ORACLE),
+        ("mds/algorithm1", ExecutionMode::Centralized),
+        ("mds/exact", ExecutionMode::Centralized),
+    ] {
+        let cfg = SolveConfig::mds().mode(mode).fault(plan);
+        let err = registry.solve(key, &inst, &cfg).unwrap_err();
+        assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{key} {mode}: {err:?}");
+        let reason = err.to_string();
+        assert!(reason.contains(&format!("local-faulty mode, not {mode}")), "{reason}");
+        // The same plan is accepted where it is injected.
+        if mode != ExecutionMode::Centralized {
+            let faulty = cfg.mode(ExecutionMode::LOCAL_FAULTY);
+            assert!(registry.solve(key, &inst, &faulty).is_ok(), "{key} under local-faulty");
+        }
+    }
 }
 
 /// The diagnostics of every centralized Algorithm 1 family run account
