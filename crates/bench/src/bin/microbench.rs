@@ -399,8 +399,10 @@ fn cuts_benches(iters: u32) -> Vec<BenchRow> {
 /// (`dominating::exact_mds` / `vertex_cover::exact_vertex_cover`) on
 /// naive-solvable instances, engine-scale rows on instances the naive
 /// oracle cannot finish at all (committed numbers:
-/// `results/exact_scale.md`), and the DP's min-fill decomposition alone
-/// on the two shapes served exact solves decompose.
+/// `results/exact_scale.md`), and on the two shapes `lmds-serve` solves
+/// exactly (`strip(400)`, `random_outerplanar(3000, 25, 1)`) the DP's
+/// min-fill decomposition alone and the whole registry solves, the
+/// millisecond-scale rows of the section's gate.
 fn exact_benches(iters: u32) -> Vec<BenchRow> {
     use lmds_graph::treewidth::min_fill_decomposition;
     use lmds_graph::{dominating::exact_mds, vertex_cover::exact_vertex_cover};
@@ -472,6 +474,8 @@ fn exact_benches(iters: u32) -> Vec<BenchRow> {
             td.width() + td.bags.iter().map(Vec::len).sum::<usize>()
         };
         push("min-fill decomposition", inst, sample(iters, decompose));
+        push("mds/exact", inst, solve("mds/exact", inst, SolveConfig::mds().opt_budget(u64::MAX)));
+        push("mvc/exact", inst, solve("mvc/exact", inst, SolveConfig::mvc().opt_budget(u64::MAX)));
     }
     rows
 }

@@ -215,6 +215,12 @@ pub fn solve_component(state: &PipelineState, ids: &[u64], comp: &[Vertex]) -> V
 /// a switch between the exact solver (paper) and the greedy heuristic
 /// (ablation). The centralized pipeline reads `dominated` from its
 /// masks, the LOCAL decider from its on-demand statuses.
+///
+/// The instance is built in the [`InstanceBuffers`] of this thread's
+/// pooled exact engine, so a worker draining thousands of small
+/// components reuses one order, one target list and one graph.
+///
+/// [`InstanceBuffers`]: lmds_graph::exact::InstanceBuffers
 pub fn solve_component_with(
     reduced: &InducedSubgraph,
     ids: &[u64],
@@ -222,30 +228,34 @@ pub fn solve_component_with(
     mut dominated: impl FnMut(Vertex) -> bool,
     exact: bool,
 ) -> Vec<Vertex> {
-    // Canonical ordering: component sorted by identifier, so every node
-    // of the component builds the identical instance.
-    let mut order: Vec<Vertex> = comp.to_vec();
-    order.sort_by_key(|&v| ids[reduced.to_host(v)]);
-    let targets_local: Vec<Vertex> = (0..order.len()).filter(|&i| !dominated(order[i])).collect();
-    if targets_local.is_empty() {
-        return Vec::new();
-    }
-    let local = lmds_graph::induced_in_order(&reduced.graph, &order);
-    let sol_local = if exact {
-        // The exact engine (reductions + B&B/treewidth DP), through
-        // the thread-local arena pool: the adaptive LOCAL deciders
-        // re-solve many small components per simulation, and every
-        // node must reconstruct the identical optimum — the engine is
-        // deterministic per instance, so the canonical id-ordered
-        // encoding above guarantees that.
-        lmds_graph::exact::with_thread_engine(|e| {
-            e.solve_b_dominating(&local, &targets_local, u64::MAX)
-        })
-        .expect("an unbounded budget cannot be exhausted")
-    } else {
-        lmds_graph::dominating::greedy_b_dominating(&local, &targets_local)
-    };
-    sol_local.into_iter().map(|li| reduced.to_host(order[li])).collect()
+    lmds_graph::exact::with_thread_instance(|engine, inst| {
+        // Canonical ordering: component sorted by identifier, so
+        // every node of the component builds the identical instance.
+        inst.order.clear();
+        inst.order.extend_from_slice(comp);
+        inst.order.sort_by_key(|&v| ids[reduced.to_host(v)]);
+        let order = &inst.order;
+        inst.targets.clear();
+        inst.targets.extend((0..order.len()).filter(|&i| !dominated(order[i])));
+        if inst.targets.is_empty() {
+            return Vec::new();
+        }
+        inst.induce(&reduced.graph);
+        let sol_local = if exact {
+            // The exact engine (reductions + B&B/treewidth DP): the
+            // adaptive LOCAL deciders re-solve many small components
+            // per simulation, and every node must reconstruct the
+            // identical optimum — the engine is deterministic per
+            // instance, so the canonical id-ordered encoding above
+            // guarantees that.
+            engine
+                .solve_b_dominating(inst.graph(), &inst.targets, u64::MAX)
+                .expect("an unbounded budget cannot be exhausted")
+        } else {
+            lmds_graph::dominating::greedy_b_dominating(inst.graph(), &inst.targets)
+        };
+        sol_local.into_iter().map(|li| reduced.to_host(inst.order[li])).collect()
+    })
 }
 
 /// Solves every residual component (sorted, deduped union of the
@@ -561,6 +571,52 @@ mod tests {
             assert_eq!(u, state.u, "U mask drifted at workers={workers}");
             let brute = solve_residuals(&state, &ids, &comps, true, workers);
             assert_eq!(brute, brute_seq, "residual solves drifted at workers={workers}");
+        }
+    }
+
+    #[test]
+    fn reused_instance_buffers_carry_no_state() {
+        // One thread's pooled engine builds every instance below in the
+        // same buffers, large and tiny interleaved, MDS and MVC; each
+        // answer must equal a fresh engine's on the same instance.
+        use lmds_graph::exact::ExactEngine;
+        let g = lmds_gen::outerplanar::random_outerplanar(120, 25, 3);
+        let reduced = InducedSubgraph::new(&g, &g.vertices().collect::<Vec<_>>());
+        let ids: Vec<u64> = {
+            let a = IdAssignment::shuffled(g.n(), 9);
+            g.vertices().map(|v| a.id_of(v)).collect()
+        };
+        let large: Vec<Vertex> = g.vertices().collect();
+        let tiny: Vec<Vertex> = lmds_graph::bfs::ball(&g, 7, 1);
+        let order_of = |comp: &[Vertex]| {
+            let mut order = comp.to_vec();
+            order.sort_by_key(|&v| ids[v]);
+            order
+        };
+        let fresh_mds = |comp: &[Vertex], dominated: &dyn Fn(Vertex) -> bool| {
+            let order = order_of(comp);
+            let targets: Vec<Vertex> = (0..order.len()).filter(|&i| !dominated(order[i])).collect();
+            if targets.is_empty() {
+                return Vec::new();
+            }
+            let local = lmds_graph::induced_in_order(&g, &order);
+            let sol = ExactEngine::new().solve_b_dominating(&local, &targets, u64::MAX).unwrap();
+            sol.into_iter().map(|li| order[li]).collect::<Vec<Vertex>>()
+        };
+        let fresh_mvc = |comp: &[Vertex]| {
+            let order = order_of(comp);
+            let local = lmds_graph::induced_in_order(&g, &order);
+            let cover = ExactEngine::new().solve_mvc(&local, u64::MAX).unwrap();
+            cover.into_iter().map(|li| order[li]).collect::<Vec<Vertex>>()
+        };
+        let masks: [&dyn Fn(Vertex) -> bool; 3] = [&|_| false, &|v| v % 3 == 0, &|v| v % 2 == 1];
+        for (k, dominated) in masks.into_iter().enumerate() {
+            for comp in [&large, &tiny, &large, &tiny, &large] {
+                let got = solve_component_with(&reduced, &ids, comp, dominated, true);
+                assert_eq!(got, fresh_mds(comp, dominated), "MDS, mask {k}, |C| = {}", comp.len());
+                let got = crate::mvc::solve_component(&g, &ids, comp);
+                assert_eq!(got, fresh_mvc(comp), "MVC, mask {k}, |C| = {}", comp.len());
+            }
         }
     }
 

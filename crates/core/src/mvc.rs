@@ -21,19 +21,23 @@ use lmds_localsim::IdAssignment;
 
 /// Solves one residual component exactly and canonically: the instance
 /// is `g[comp]` with its vertices ordered by identifier, so every node
-/// of the component reconstructs the identical cover. The MVC twin of
-/// [`crate::algorithm1::solve_component_with`], shared by
+/// of the component reconstructs the identical cover. It is built in
+/// the pooled engine's instance buffers, like the MDS residual solves.
+/// The MVC twin of [`crate::algorithm1::solve_component_with`], shared by
 /// [`algorithm1_mvc`] and the LOCAL decider
 /// [`crate::distributed::MvcAlgorithm1Decider`].
 ///
 /// `ids[v]` is the identifier of `v`; the result holds vertices of `g`.
 pub(crate) fn solve_component(g: &Graph, ids: &[u64], comp: &[Vertex]) -> Vec<Vertex> {
-    let mut order: Vec<Vertex> = comp.to_vec();
-    order.sort_by_key(|&v| ids[v]);
-    let local = lmds_graph::induced_in_order(g, &order);
-    let cover = lmds_graph::exact::with_thread_engine(|e| e.solve_mvc(&local, u64::MAX))
-        .expect("unbounded budget cannot be exhausted");
-    cover.into_iter().map(|li| order[li]).collect()
+    lmds_graph::exact::with_thread_instance(|engine, inst| {
+        inst.order.clear();
+        inst.order.extend_from_slice(comp);
+        inst.order.sort_by_key(|&v| ids[v]);
+        inst.induce(g);
+        let cover =
+            engine.solve_mvc(inst.graph(), u64::MAX).expect("unbounded budget cannot be exhausted");
+        cover.into_iter().map(|li| inst.order[li]).collect()
+    })
 }
 
 /// Algorithm 1 for MVC, centralized reference. The diagnostics keep

@@ -3,7 +3,9 @@
 //! The residual-component scan ([`components_avoiding`]) sits on the
 //! Algorithm 1 hot path (Lemma 4.2's bounded-diameter pieces are its
 //! output), so it comes with a [`Scratch`]-threaded variant that reuses
-//! visited epochs and the BFS queue across calls.
+//! visited epochs across calls; both are built on a scan that writes
+//! the components into caller-owned buffers, which the exact engine
+//! reuses from one solve to the next.
 
 use crate::graph::{Graph, Vertex};
 use crate::scratch::{with_thread_scratch, Scratch};
@@ -64,40 +66,63 @@ pub fn components_avoiding(g: &Graph, removed: &[bool]) -> Vec<Vec<Vertex>> {
     with_thread_scratch(|s| components_avoiding_with(g, s, removed))
 }
 
-/// [`components_avoiding`] through an explicit [`Scratch`] (visited
-/// epochs + queue reuse; no per-call `n`-sized allocation).
+/// [`components_avoiding`] through an explicit [`Scratch`] (its visited
+/// epochs are reused; no per-call `n`-sized allocation).
 pub fn components_avoiding_with(
     g: &Graph,
     scratch: &mut Scratch,
     removed: &[bool],
 ) -> Vec<Vec<Vertex>> {
     debug_assert_eq!(removed.len(), g.n());
+    let (mut verts, mut ends) = (Vec::new(), Vec::new());
+    components_into(g, scratch, |v| !removed[v], &mut verts, &mut ends);
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let comp = verts[start..end].to_vec();
+            start = end;
+            comp
+        })
+        .collect()
+}
+
+/// The components of the subgraph induced by the vertices `keep`
+/// admits, written flat into reused buffers: component `k` is
+/// `verts[ends[k − 1]..ends[k]]` (from 0 for `k = 0`), sorted, and the
+/// components are ordered by smallest vertex, as in
+/// [`components_avoiding`]. Both buffers are cleared first; the exact
+/// engine splits every instance through this without allocating.
+pub(crate) fn components_into(
+    g: &Graph,
+    scratch: &mut Scratch,
+    keep: impl Fn(Vertex) -> bool,
+    verts: &mut Vec<Vertex>,
+    ends: &mut Vec<usize>,
+) {
     scratch.begin(g.n());
-    let mut comps: Vec<Vec<Vertex>> = Vec::new();
+    verts.clear();
+    ends.clear();
     for s in g.vertices() {
-        if removed[s] || scratch.visited(s) {
+        if !keep(s) || !scratch.visit(s) {
             continue;
         }
-        scratch.visit(s);
-        let mut comp = vec![s];
-        let head0 = scratch.queue.len();
-        scratch.queue.push(s);
-        let mut head = head0;
-        while head < scratch.queue.len() {
-            let u = scratch.queue[head];
+        // The component's own slice of `verts` is its BFS queue.
+        let start = verts.len();
+        verts.push(s);
+        let mut head = start;
+        while head < verts.len() {
+            let u = verts[head];
             head += 1;
             for &v in g.neighbors(u) {
                 let v = v as Vertex;
-                if !removed[v] && scratch.visit(v) {
-                    comp.push(v);
-                    scratch.queue.push(v);
+                if keep(v) && scratch.visit(v) {
+                    verts.push(v);
                 }
             }
         }
-        comp.sort_unstable();
-        comps.push(comp);
+        verts[start..].sort_unstable();
+        ends.push(verts.len());
     }
-    comps
 }
 
 /// Number of components of `G − removed` (see [`components_avoiding`]).

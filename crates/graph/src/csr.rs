@@ -59,8 +59,21 @@ impl Csr {
     /// capacity (both validated by the caller). Returns the store and
     /// the number of distinct edges.
     pub fn from_arcs(n: usize, arcs: &[(Vertex, Vertex)]) -> (Self, usize) {
+        let mut csr = Csr { offsets: Vec::new(), neighbors: Vec::new() };
+        let m = csr.refill(n, arcs);
+        (csr, m)
+    }
+
+    /// [`Csr::from_arcs`] in place: rebuilds this store from `arcs`,
+    /// reusing the capacity of its two arrays, and returns the number of
+    /// distinct edges. Callers that build many small graphs one after
+    /// another (the exact engine's instances) allocate nothing once the
+    /// arrays have grown.
+    pub(crate) fn refill(&mut self, n: usize, arcs: &[(Vertex, Vertex)]) -> usize {
         debug_assert!(n <= crate::MAX_VERTICES, "caller enforces the u32 vertex cap");
-        let mut offsets = vec![0usize; n + 1];
+        let Csr { offsets, neighbors } = self;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
         for &(u, v) in arcs {
             offsets[u + 1] += 1;
             offsets[v + 1] += 1;
@@ -68,20 +81,23 @@ impl Csr {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
-        let mut neighbors = vec![0u32; 2 * arcs.len()];
-        let mut cursor = offsets.clone();
+        // `offsets[v]` is the write cursor of row v; once every arc is
+        // placed it holds the row's end.
+        neighbors.clear();
+        neighbors.resize(2 * arcs.len(), 0);
         for &(u, v) in arcs {
-            neighbors[cursor[u]] = v as u32;
-            cursor[u] += 1;
-            neighbors[cursor[v]] = u as u32;
-            cursor[v] += 1;
+            neighbors[offsets[u]] = v as u32;
+            offsets[u] += 1;
+            neighbors[offsets[v]] = u as u32;
+            offsets[v] += 1;
         }
         // Sort each row, then compact duplicates in place. The write
-        // cursor never overtakes the read cursor, so one pass suffices.
+        // cursor never overtakes the read cursor, so one pass suffices;
+        // `offsets[v]` becomes the start of the compacted row.
         let mut write = 0usize;
         let mut row_start = 0usize;
-        for v in 0..n {
-            let row_end = offsets[v + 1];
+        for row in &mut offsets[..n] {
+            let row_end = *row;
             neighbors[row_start..row_end].sort_unstable();
             let new_start = write;
             let mut prev: Option<u32> = None;
@@ -94,14 +110,12 @@ impl Csr {
                 }
             }
             row_start = row_end;
-            offsets[v] = new_start;
+            *row = new_start;
         }
         offsets[n] = write;
-        // offsets[v] now holds row starts; shift into the cumulative
-        // convention (offsets[v] = start of row v, offsets[n] = total).
         neighbors.truncate(write);
         debug_assert!(write.is_multiple_of(2), "every edge contributes two arcs");
-        (Csr { offsets, neighbors }, write / 2)
+        write / 2
     }
 
     /// Wraps pre-validated flat arrays (the zero-copy snapshot ingest
@@ -259,6 +273,16 @@ mod tests {
         assert_eq!(a.n(), 5);
         assert_eq!(a.row(3), &[4]);
         assert_eq!(a.row(4), &[3]);
+    }
+
+    #[test]
+    fn refill_matches_a_fresh_build_whatever_came_before() {
+        let (mut csr, _) = Csr::from_arcs(6, &[(0, 5), (1, 2), (2, 3), (3, 4), (4, 5)]);
+        for (n, arcs) in [(3, vec![(2, 0), (0, 2), (1, 0)]), (0, vec![]), (7, vec![(6, 0), (3, 4)])]
+        {
+            let m = csr.refill(n, &arcs);
+            assert_eq!((csr.clone(), m), Csr::from_arcs(n, &arcs));
+        }
     }
 
     #[test]

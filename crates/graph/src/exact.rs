@@ -8,9 +8,18 @@
 //! 1. a **reduction layer** — unit-coverer forcing, subsumed-candidate
 //!    and subsumed-target rules (the classic row/column domination
 //!    reductions lifted to closed neighborhoods, compared within
-//!    2-balls walked on the engine's [`Scratch`] marks), true-twin
-//!    folding riding [`crate::twins`], and component splitting riding
-//!    [`crate::connectivity`] — shrinks the instance before any search;
+//!    distance 2), true-twin folding riding [`crate::twins`], and
+//!    component splitting riding [`crate::connectivity`] — shrinks the
+//!    instance before any search. The rules run to the fixpoint of
+//!    repeated passes over all vertices, but each pass examines only
+//!    the vertices a flip since their last examination could have
+//!    changed: the masks only flip from true to false, each rule reads a
+//!    bounded radius and most flips there can only disable it, and the
+//!    sweeps keep the full pass's order, so they make its flips in its
+//!    order (the proof is on the two reduce functions;
+//!    [`EngineStats::rule_checks`] counts the examinations). A pass
+//!    over all 3,000 vertices of `random_outerplanar(3000, 25, 1)`
+//!    takes 21 rounds, 189,000 examinations; the sweeps make 18,559;
 //! 2. a **branch-and-bound core** with a greedy incumbent and packing /
 //!    matching lower bounds, running on reusable arenas with an undo
 //!    trail (no per-node allocation, unlike the naive solvers in
@@ -44,10 +53,10 @@
 //! centralized pipeline reconstruct identical residual-component optima
 //! from different encodings of the same component.
 
-use crate::connectivity::components_avoiding;
+use crate::connectivity::components_into;
 use crate::graph::{Graph, Vertex};
 use crate::scratch::Scratch;
-use crate::subgraph::InducedSubgraph;
+use crate::subgraph::{induce_in_order_into, InducedSubgraph};
 use crate::treewidth::{min_fill_decomposition_capped, TreeDecomposition};
 use crate::twins::twin_representatives;
 use std::cell::RefCell;
@@ -92,6 +101,11 @@ pub struct EngineStats {
     pub wide_components: usize,
     /// Branch-and-bound nodes expanded (all components combined).
     pub search_nodes: u64,
+    /// (rule, vertex) examinations of the last solve's reduction layer:
+    /// every vertex once per rule in the first round, then only the
+    /// vertices a flip re-marked. A pass over all vertices per rule and
+    /// round makes rules × n × rounds.
+    pub rule_checks: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -108,10 +122,10 @@ const TW_AUTO_MIN_N: usize = 20;
 const VC_TW_AUTO_CAP: usize = 8;
 
 /// The exact solver. Owns the reusable buffers of its reduction rules
-/// (a [`Scratch`] whose marks serve the 2-ball walks and the
-/// vertex-cover dominance rule); one engine can be reused across many
-/// solves and graphs — see [`with_thread_engine`] for the thread-local
-/// pool.
+/// (a [`Scratch`] whose marks serve the 2-ball walks, the vertex-cover
+/// dominance rule and the component scans) and the masks and component
+/// lists of a solve; one engine can be reused across many solves and
+/// graphs — see [`with_thread_engine`] for the thread-local pool.
 ///
 /// ```
 /// use lmds_graph::exact::ExactEngine;
@@ -126,14 +140,101 @@ const VC_TW_AUTO_CAP: usize = 8;
 #[derive(Debug, Default)]
 pub struct ExactEngine {
     stats: EngineStats,
-    /// Epoch marks of the 2-ball walks and the vertex-cover dominance
-    /// rule.
+    /// The reduction layers and their buffers.
+    rules: Reductions,
+    /// Masks and component lists of the running solve.
+    work: SolveBuffers,
+}
+
+/// The reduction rules of both layers, with their buffers.
+#[derive(Debug, Default)]
+struct Reductions {
+    /// Epoch marks of the 2-ball walks, the vertex-cover dominance rule
+    /// and the component scans.
     scratch: Scratch,
-    /// Ball-2 buffer.
+    /// Ball buffer.
     ball_buf: Vec<Vertex>,
     /// Coverage-set buffer.
     cov_buf: Vec<Vertex>,
+    /// Per reduction rule, one bit per vertex: the vertices its next
+    /// sweep examines.
+    dirty: [Vec<u64>; 3],
+    /// The last rule a flip marks: in the first round the rules after
+    /// the running one have every vertex dirty already.
+    marks_upto: usize,
 }
+
+/// The per-solve state of an [`ExactEngine`], kept between solves so a
+/// pooled engine allocates nothing once it has grown.
+#[derive(Debug, Default)]
+struct SolveBuffers {
+    needs: Vec<bool>,
+    allowed: Vec<bool>,
+    alive: Vec<bool>,
+    /// Component `k` is `comp_verts[comp_ends[k − 1]..comp_ends[k]]`.
+    comp_verts: Vec<Vertex>,
+    comp_ends: Vec<usize>,
+    /// A component that is not the whole instance, induced on its own.
+    local: InstanceBuffers,
+    local_needs: Vec<bool>,
+    local_allowed: Vec<bool>,
+}
+
+/// An instance built in reused storage: the graph `G[order]`, with local
+/// vertex `i` standing for host vertex `order[i]` (as in
+/// [`crate::induced_in_order`]), and a target list. The thread-local
+/// engine pool owns one beside its engine ([`with_thread_instance`]),
+/// so a caller that solves many small instances on a pooled engine,
+/// such as Algorithm 1's residual components, builds each without
+/// allocating.
+#[derive(Debug)]
+pub struct InstanceBuffers {
+    /// The host vertex of each local vertex (distinct).
+    pub order: Vec<Vertex>,
+    /// The targets of a `B`-domination solve, in local indices.
+    pub targets: Vec<Vertex>,
+    graph: Graph,
+    by_host: Vec<(Vertex, Vertex)>,
+    arcs: Vec<(Vertex, Vertex)>,
+}
+
+impl Default for InstanceBuffers {
+    fn default() -> Self {
+        InstanceBuffers {
+            order: Vec::new(),
+            targets: Vec::new(),
+            graph: Graph::new(0),
+            by_host: Vec::new(),
+            arcs: Vec::new(),
+        }
+    }
+}
+
+impl InstanceBuffers {
+    /// Rebuilds [`InstanceBuffers::graph`] as `host[order]`, reusing its
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vertex of `order` is out of range for `host`.
+    pub fn induce(&mut self, host: &Graph) {
+        induce_in_order_into(host, &self.order, &mut self.by_host, &mut self.arcs, &mut self.graph);
+    }
+
+    /// The graph the last [`InstanceBuffers::induce`] built (empty
+    /// before the first).
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+}
+
+/// The domination rules, in the order a reduction round sweeps them.
+const FORCE: usize = 0;
+const CANDIDATE: usize = 1;
+const TARGET: usize = 2;
+/// The vertex-cover rules, in sweep order.
+const DEGREE: usize = 0;
+const DOMINANCE: usize = 1;
 
 impl ExactEngine {
     /// A fresh engine (arenas grow on first use).
@@ -144,27 +245,6 @@ impl ExactEngine {
     /// Diagnostics of the most recent solve.
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// The per-component rule: the decomposition the DP runs on, or
-    /// `None` when branch and bound should run instead — the component
-    /// has fewer than `TW_AUTO_MIN_N` vertices, or its min-fill
-    /// elimination met a bag wider than `width_cap` and stopped there.
-    /// Counts the choice in the stats.
-    fn dp_decomposition(&mut self, g: &Graph, width_cap: usize) -> Option<TreeDecomposition> {
-        let td = if g.n() < TW_AUTO_MIN_N {
-            None
-        } else {
-            let td = min_fill_decomposition_capped(g, width_cap);
-            self.stats.wide_components += usize::from(td.is_none());
-            td
-        };
-        if td.is_some() {
-            self.stats.dp_components += 1;
-        } else {
-            self.stats.bnb_components += 1;
-        }
-        td
     }
 
     // -- public solves -------------------------------------------------
@@ -229,7 +309,7 @@ impl ExactEngine {
         self.solve_vc(g, budget)
     }
 
-    // -- domination core ----------------------------------------------
+    // -- the two pipelines ---------------------------------------------
 
     /// The shared domination pipeline: masks → reductions → component
     /// split → per-component DP or branch and bound. The targets are
@@ -242,48 +322,180 @@ impl ExactEngine {
         targets: Option<&[Vertex]>,
         budget: u64,
     ) -> Result<Vec<Vertex>, ExactError> {
-        let n = g.n();
-        let mut needs = vec![targets.is_none(); n];
+        let ExactEngine { stats, rules, work } = self;
+        work.needs.clear();
+        work.needs.resize(g.n(), targets.is_none());
         for &t in targets.unwrap_or_default() {
-            needs[t] = true;
+            work.needs[t] = true;
         }
-        let mut allowed: Vec<bool> = g.vertices().map(|v| closed(g, v).any(|w| needs[w])).collect();
+        work.allowed.clear();
+        work.allowed.extend(g.vertices().map(|v| closed(g, v).any(|w| work.needs[w])));
 
         let mut chosen: Vec<Vertex> = Vec::new();
-        self.reduce_domination(g, &mut needs, &mut allowed, &mut chosen);
-        self.stats.forced = chosen.len();
-
-        // Component split over the still-relevant vertices.
-        let removed: Vec<bool> = (0..n).map(|v| !(needs[v] || allowed[v])).collect();
-        let comps = components_avoiding(g, &removed);
-        let mut spent: u64 = 0;
-        for comp in &comps {
-            if !comp.iter().any(|&v| needs[v]) {
-                continue; // pure-candidate component: nothing to cover
-            }
-            self.stats.components += 1;
-            let sub = InducedSubgraph::new(g, comp);
-            let lg = &sub.graph;
-            let needs_l: Vec<bool> = comp.iter().map(|&v| needs[v]).collect();
-            let allowed_l: Vec<bool> = comp.iter().map(|&v| allowed[v]).collect();
-            let local_sol = if let Some(td) = self.dp_decomposition(lg, TW_AUTO_CAP) {
-                mds_dp(lg, &needs_l, &allowed_l, &td)
-            } else {
-                let budget_left = budget.saturating_sub(spent);
-                let (sol, nodes) = cover_bnb(lg, &needs_l, &allowed_l, budget_left)
-                    .ok_or(ExactError::BudgetExhausted { budget })?;
-                spent += nodes;
-                self.stats.search_nodes += nodes;
-                sol
-            };
-            chosen.extend(local_sol.into_iter().map(|v| sub.to_host(v)));
-        }
+        stats.rule_checks =
+            rules.reduce_domination(g, &mut work.needs, &mut work.allowed, &mut chosen);
+        stats.forced = chosen.len();
+        work.dominate_components(g, stats, &mut rules.scratch, budget, &mut chosen)?;
         chosen.sort_unstable();
         chosen.dedup();
         Ok(chosen)
     }
 
-    /// The domination reduction layer, run to fixpoint:
+    fn solve_vc(&mut self, g: &Graph, budget: u64) -> Result<Vec<Vertex>, ExactError> {
+        let ExactEngine { stats, rules, work } = self;
+        work.alive.clear();
+        work.alive.resize(g.n(), true);
+        let mut chosen: Vec<Vertex> = Vec::new();
+        stats.rule_checks = rules.reduce_vc(g, &mut work.alive, &mut chosen);
+        stats.forced = chosen.len();
+        work.cover_components(g, stats, &mut rules.scratch, budget, &mut chosen)?;
+        chosen.sort_unstable();
+        chosen.dedup();
+        Ok(chosen)
+    }
+}
+
+/// The per-component rule: the decomposition the DP runs on, or `None`
+/// when branch and bound should run instead — the component has fewer
+/// than `TW_AUTO_MIN_N` vertices, or its min-fill elimination met a bag
+/// wider than `width_cap` and stopped there. Counts the choice in
+/// `stats`.
+fn dp_decomposition(
+    stats: &mut EngineStats,
+    g: &Graph,
+    width_cap: usize,
+) -> Option<TreeDecomposition> {
+    let td = if g.n() < TW_AUTO_MIN_N {
+        None
+    } else {
+        let td = min_fill_decomposition_capped(g, width_cap);
+        stats.wide_components += usize::from(td.is_none());
+        td
+    };
+    if td.is_some() {
+        stats.dp_components += 1;
+    } else {
+        stats.bnb_components += 1;
+    }
+    td
+}
+
+impl SolveBuffers {
+    /// Splits what the domination reductions left over the
+    /// still-relevant vertices and solves each component that has a
+    /// target, appending its optimum to `chosen`. A component that is
+    /// the whole instance is solved on `g` itself, any other on a copy
+    /// induced in `local`.
+    fn dominate_components(
+        &mut self,
+        g: &Graph,
+        stats: &mut EngineStats,
+        scratch: &mut Scratch,
+        budget: u64,
+        chosen: &mut Vec<Vertex>,
+    ) -> Result<(), ExactError> {
+        let SolveBuffers {
+            needs,
+            allowed,
+            comp_verts,
+            comp_ends,
+            local,
+            local_needs,
+            local_allowed,
+            ..
+        } = self;
+        components_into(g, scratch, |v| needs[v] || allowed[v], comp_verts, comp_ends);
+        let mut spent: u64 = 0;
+        let mut start = 0;
+        for &end in comp_ends.iter() {
+            let comp = &comp_verts[start..end];
+            start = end;
+            if !comp.iter().any(|&v| needs[v]) {
+                continue; // pure-candidate component: nothing to cover
+            }
+            stats.components += 1;
+            // Components are sorted, so the whole instance is `0..n` and
+            // `comp[v]` maps a local vertex back to `g` in both cases.
+            let (lg, needs_l, allowed_l): (&Graph, &[bool], &[bool]) = if comp.len() == g.n() {
+                (g, needs, allowed)
+            } else {
+                local.order.clear();
+                local.order.extend_from_slice(comp);
+                local.induce(g);
+                local_needs.clear();
+                local_needs.extend(comp.iter().map(|&v| needs[v]));
+                local_allowed.clear();
+                local_allowed.extend(comp.iter().map(|&v| allowed[v]));
+                (local.graph(), local_needs, local_allowed)
+            };
+            let local_sol = if let Some(td) = dp_decomposition(stats, lg, TW_AUTO_CAP) {
+                mds_dp(lg, needs_l, allowed_l, &td)
+            } else {
+                let budget_left = budget.saturating_sub(spent);
+                let (sol, nodes) = cover_bnb(lg, needs_l, allowed_l, budget_left)
+                    .ok_or(ExactError::BudgetExhausted { budget })?;
+                spent += nodes;
+                stats.search_nodes += nodes;
+                sol
+            };
+            chosen.extend(local_sol.into_iter().map(|v| comp[v]));
+        }
+        Ok(())
+    }
+
+    /// Splits the live graph left by the vertex-cover reductions and
+    /// solves each component that has an edge, appending its optimum to
+    /// `chosen` (the whole instance in place, as above).
+    fn cover_components(
+        &mut self,
+        g: &Graph,
+        stats: &mut EngineStats,
+        scratch: &mut Scratch,
+        budget: u64,
+        chosen: &mut Vec<Vertex>,
+    ) -> Result<(), ExactError> {
+        let SolveBuffers { alive, comp_verts, comp_ends, local, .. } = self;
+        components_into(g, scratch, |v| alive[v], comp_verts, comp_ends);
+        let mut spent: u64 = 0;
+        let mut start = 0;
+        for &end in comp_ends.iter() {
+            let comp = &comp_verts[start..end];
+            start = end;
+            if comp.len() < 2 {
+                continue; // isolated live vertex: covers nothing
+            }
+            stats.components += 1;
+            let lg = if comp.len() == g.n() {
+                g
+            } else {
+                local.order.clear();
+                local.order.extend_from_slice(comp);
+                local.induce(g);
+                local.graph()
+            };
+            let local_sol = if let Some(td) = dp_decomposition(stats, lg, VC_TW_AUTO_CAP) {
+                vc_dp(lg, &td)
+            } else {
+                let budget_left = budget.saturating_sub(spent);
+                let (sol, nodes) =
+                    vc_bnb(lg, budget_left).ok_or(ExactError::BudgetExhausted { budget })?;
+                spent += nodes;
+                stats.search_nodes += nodes;
+                sol
+            };
+            chosen.extend(local_sol.into_iter().map(|v| comp[v]));
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reduction layers
+// ---------------------------------------------------------------------
+
+impl Reductions {
+    /// The domination reduction layer, run to fixpoint. Returns its
+    /// (rule, vertex) examinations.
     ///
     /// * **unit coverer** — a target with exactly one allowed vertex in
     ///   its closed neighborhood forces that vertex;
@@ -295,160 +507,220 @@ impl ExactEngine {
     ///   another target's can be dropped: covering the smaller-coverer
     ///   target covers it too (on equality the smaller index survives).
     ///
-    /// Comparable pairs always lie within distance 2, so both
-    /// subsumption scans only look inside 2-balls, and they test
+    /// Comparable pairs always lie within distance 2: the target scan
+    /// walks the 2-ball, and the candidate scan only the row `N[w]` of
+    /// one vertex `w` it covers, where every subsumer lies. Both test
     /// membership in a closed neighborhood on the sorted adjacency
     /// ([`Graph::has_edge`]) instead of marking one per pair.
+    ///
+    /// A round sweeps the three rules in that order, each in ascending
+    /// index, and rounds repeat until one changes nothing, as a pass
+    /// over all `n` vertices per rule would — but a sweep examines only
+    /// its rule's *dirty* vertices, and it makes the full pass's flips
+    /// in the full pass's order, so it reaches the same fixpoint with
+    /// `chosen` in the same order:
+    ///
+    /// * `needs` and `allowed` only flip from true to false, and a rule
+    ///   at `x` is a function of bits within a bounded radius of `x`:
+    ///   forcing reads `needs[x]` and `allowed` on `N[x]`; the candidate
+    ///   rule `allowed` within distance 2 and `needs` within 3; the
+    ///   target rule `needs` within 2 and `allowed` within 3. So an
+    ///   examination that fired retired `x` from its rule for good, and
+    ///   one that did not fire cannot fire again until a bit it reads
+    ///   flips.
+    /// * Most of those flips can only disable the rule, so only the
+    ///   others re-mark `x`: forcing at `x` is enabled only by an
+    ///   `allowed` flip in `N[x]` (its coverer count drops); the
+    ///   candidate rule only by a `needs` flip in `N[x]` (its coverage
+    ///   shrinks; every other flip it reads removes a subsumer or grows
+    ///   one's relative coverage); the target rule only by an `allowed`
+    ///   flip at some `y ∈ N[t₂] ∖ N[x]` for a needing `t₂` within 2 of
+    ///   `x` (`y` leaves `t₂`'s coverers and stops blocking
+    ///   `covr(t₂) ⊆ N[x]`; every other flip it reads removes a
+    ///   subsumed target or shrinks `x`'s own coverers).
+    /// * So a `needs` flip at `y` marks the live candidates of `N[y]`,
+    ///   and an `allowed` flip at `y` marks forcing at the live targets
+    ///   `t₂` of `N[y]` and the target rule at the live targets within 2
+    ///   of each `t₂`, as the flip happens. A vertex marked ahead of the
+    ///   running sweep's cursor is examined in this sweep, and one at or
+    ///   behind it in the next round, which is when the full pass next
+    ///   examines it; a mark for a later rule is examined in that rule's
+    ///   sweep of this round. The first round marks every vertex for
+    ///   every rule (a dead one returns at once), so its flips mark only
+    ///   rules up to the running one: the later ones are marked already.
+    /// * So every examination the full pass makes either finds the bits
+    ///   it read last time, and fires in neither, or is made here too,
+    ///   on the same state.
     fn reduce_domination(
         &mut self,
         g: &Graph,
         needs: &mut [bool],
         allowed: &mut [bool],
         chosen: &mut Vec<Vertex>,
-    ) {
-        let n = g.n();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            // Unit-coverer forcing.
-            for t in 0..n {
-                if !needs[t] {
-                    continue;
-                }
-                let mut only = usize::MAX;
-                let mut count = 0usize;
-                for u in closed(g, t) {
-                    if allowed[u] {
-                        only = u;
-                        count += 1;
-                        if count > 1 {
-                            break;
-                        }
-                    }
-                }
-                if count == 1 {
-                    self.force(g, only, needs, allowed, chosen);
-                    changed = true;
-                }
-            }
-            // Subsumed candidates.
-            for u in 0..n {
-                if !allowed[u] {
-                    continue;
-                }
-                self.cov_buf.clear();
-                self.cov_buf.extend(closed(g, u).filter(|&w| needs[w]));
-                if self.cov_buf.is_empty() {
-                    allowed[u] = false;
-                    changed = true;
-                    continue;
-                }
-                ball2_into(g, &mut self.scratch, u, &mut self.ball_buf);
-                for &v in &self.ball_buf {
-                    if v == u || !allowed[v] {
-                        continue;
-                    }
-                    // cov(u) ⊆ cov(v) ⟺ every member of cov(u) lies in
-                    // N[v] (members already need).
-                    if self.cov_buf.iter().all(|&w| w == v || g.has_edge(v, w)) {
-                        let cov_v_len = closed(g, v).filter(|&w| needs[w]).count();
-                        if self.cov_buf.len() < cov_v_len || v < u {
-                            allowed[u] = false;
-                            changed = true;
-                            break;
-                        }
+    ) -> u64 {
+        self.start_sweeps(g.n(), 3);
+        let mut checks = 0;
+        let mut first_round = true;
+        loop {
+            for rule in [FORCE, CANDIDATE, TARGET] {
+                self.marks_upto = if first_round { rule } else { TARGET };
+                let mut from = 0;
+                while let Some(v) = take_dirty(&mut self.dirty[rule], from) {
+                    from = v + 1;
+                    checks += 1;
+                    match rule {
+                        FORCE => self.unit_coverer(g, v, needs, allowed, chosen),
+                        CANDIDATE => self.subsumed_candidate(g, v, needs, allowed),
+                        _ => self.subsumed_target(g, v, needs, allowed),
                     }
                 }
             }
-            // Subsumed targets.
-            for t in 0..n {
-                if !needs[t] {
-                    continue;
-                }
-                ball2_into(g, &mut self.scratch, t, &mut self.ball_buf);
-                let covr_t_len = closed(g, t).filter(|&u| allowed[u]).count();
-                for &t2 in &self.ball_buf {
-                    if t2 == t || !needs[t2] {
-                        continue;
-                    }
-                    // covr(t2) ⊆ covr(t) ⟺ every allowed member of N[t2]
-                    // lies in N[t].
-                    let mut subset = true;
-                    let mut covr_t2_len = 0usize;
-                    for u in closed(g, t2) {
-                        if allowed[u] {
-                            covr_t2_len += 1;
-                            if u != t && !g.has_edge(t, u) {
-                                subset = false;
-                                break;
-                            }
-                        }
-                    }
-                    if subset && (covr_t2_len < covr_t_len || t2 < t) {
-                        needs[t] = false;
-                        changed = true;
-                        break;
-                    }
+            first_round = false;
+            if self.dirty.iter().all(|bits| bits.iter().all(|&w| w == 0)) {
+                return checks;
+            }
+        }
+    }
+
+    /// Starts the first round on `n` vertices: the first `rules` rules
+    /// mark every vertex (a dead one returns at once), the others none.
+    fn start_sweeps(&mut self, n: usize, rules: usize) {
+        for (rule, bits) in self.dirty.iter_mut().enumerate() {
+            bits.clear();
+            if rule < rules {
+                bits.resize(n / 64, u64::MAX);
+                if !n.is_multiple_of(64) {
+                    bits.push((1 << (n % 64)) - 1);
                 }
             }
         }
     }
 
-    /// Forces `u` into the solution: covers `N[u]`, retires `u` as a
-    /// candidate.
-    fn force(
+    /// Unit coverer at target `t`.
+    fn unit_coverer(
         &mut self,
         g: &Graph,
-        u: Vertex,
+        t: Vertex,
         needs: &mut [bool],
         allowed: &mut [bool],
         chosen: &mut Vec<Vertex>,
     ) {
-        chosen.push(u);
-        allowed[u] = false;
-        needs[u] = false;
-        for &w in g.neighbors(u) {
-            needs[w as usize] = false;
+        if !needs[t] {
+            return;
         }
-    }
-
-    // -- vertex-cover core --------------------------------------------
-
-    fn solve_vc(&mut self, g: &Graph, budget: u64) -> Result<Vec<Vertex>, ExactError> {
-        let n = g.n();
-        let mut alive = vec![true; n];
-        let mut chosen: Vec<Vertex> = Vec::new();
-        self.reduce_vc(g, &mut alive, &mut chosen);
-        self.stats.forced = chosen.len();
-
-        let removed: Vec<bool> = alive.iter().map(|&a| !a).collect();
-        let comps = components_avoiding(g, &removed);
-        let mut spent: u64 = 0;
-        for comp in &comps {
-            if comp.len() < 2 {
-                continue; // isolated live vertex: covers nothing
+        let mut only = usize::MAX;
+        let mut count = 0usize;
+        for u in closed(g, t) {
+            if allowed[u] {
+                only = u;
+                count += 1;
+                if count > 1 {
+                    return;
+                }
             }
-            self.stats.components += 1;
-            let sub = InducedSubgraph::new(g, comp);
-            let lg = &sub.graph;
-            let local_sol = if let Some(td) = self.dp_decomposition(lg, VC_TW_AUTO_CAP) {
-                vc_dp(lg, &td)
-            } else {
-                let budget_left = budget.saturating_sub(spent);
-                let (sol, nodes) =
-                    vc_bnb(lg, budget_left).ok_or(ExactError::BudgetExhausted { budget })?;
-                spent += nodes;
-                self.stats.search_nodes += nodes;
-                sol
-            };
-            chosen.extend(local_sol.into_iter().map(|v| sub.to_host(v)));
         }
-        chosen.sort_unstable();
-        chosen.dedup();
-        Ok(chosen)
+        if count == 1 {
+            // Forces `only`: it covers `N[only]` and retires as a
+            // candidate.
+            chosen.push(only);
+            for w in closed(g, only) {
+                self.drop_need(g, w, needs, allowed);
+            }
+            self.drop_allowed(g, only, needs, allowed);
+        }
     }
 
-    /// VC reduction layer, run to fixpoint:
+    /// Subsumed candidate at `u`. A subsumer `v` has every member of
+    /// `cov(u)` in `N[v]`, so it lies in `N[w]` for the first member `w`
+    /// (`u` itself when `u` needs): that row is the whole scan.
+    fn subsumed_candidate(&mut self, g: &Graph, u: Vertex, needs: &[bool], allowed: &mut [bool]) {
+        if !allowed[u] {
+            return;
+        }
+        self.cov_buf.clear();
+        self.cov_buf.extend(closed(g, u).filter(|&w| needs[w]));
+        let cov = &self.cov_buf;
+        let subsumed = match cov.first().copied() {
+            None => true, // covers nothing
+            Some(w0) => closed(g, w0).any(|v| {
+                // cov(u) ⊆ cov(v) ⟺ every member of cov(u) lies in N[v]
+                // (members already need).
+                v != u
+                    && allowed[v]
+                    && cov.iter().all(|&w| w == v || g.has_edge(v, w))
+                    && (v < u || cov.len() < closed(g, v).filter(|&w| needs[w]).count())
+            }),
+        };
+        if subsumed {
+            self.drop_allowed(g, u, needs, allowed);
+        }
+    }
+
+    /// Subsumed target at `t`: a subsumed-by target lies within 2.
+    fn subsumed_target(&mut self, g: &Graph, t: Vertex, needs: &mut [bool], allowed: &[bool]) {
+        if !needs[t] {
+            return;
+        }
+        ball2_into(g, &mut self.scratch, t, &mut self.ball_buf);
+        let covr_t_len = closed(g, t).filter(|&u| allowed[u]).count();
+        let subsumed = self.ball_buf.iter().any(|&t2| {
+            if t2 == t || !needs[t2] {
+                return false;
+            }
+            // covr(t2) ⊆ covr(t) ⟺ every allowed member of N[t2] lies
+            // in N[t].
+            let mut covr_t2_len = 0usize;
+            for u in closed(g, t2) {
+                if allowed[u] {
+                    covr_t2_len += 1;
+                    if u != t && !g.has_edge(t, u) {
+                        return false;
+                    }
+                }
+            }
+            covr_t2_len < covr_t_len || t2 < t
+        });
+        if subsumed {
+            self.drop_need(g, t, needs, allowed);
+        }
+    }
+
+    /// Clears `needs[y]`; if it was set, marks the live candidates of
+    /// `N[y]`, the only rule the flip can enable.
+    fn drop_need(&mut self, g: &Graph, y: Vertex, needs: &mut [bool], allowed: &[bool]) {
+        if needs[y] {
+            needs[y] = false;
+            if self.marks_upto >= CANDIDATE {
+                for u in closed(g, y).filter(|&u| allowed[u]) {
+                    set_dirty(&mut self.dirty[CANDIDATE], u);
+                }
+            }
+        }
+    }
+
+    /// Clears `allowed[y]`; if it was set, marks the rules the flip can
+    /// enable: forcing at the live targets of `N[y]`, and the target
+    /// rule within 2 of each of them (each is a `t₂` whose coverers lost
+    /// `y`).
+    fn drop_allowed(&mut self, g: &Graph, y: Vertex, needs: &[bool], allowed: &mut [bool]) {
+        if !allowed[y] {
+            return;
+        }
+        allowed[y] = false;
+        for t2 in closed(g, y).filter(|&t2| needs[t2]) {
+            set_dirty(&mut self.dirty[FORCE], t2);
+            if self.marks_upto >= TARGET {
+                for x in closed(g, t2) {
+                    for t in closed(g, x).filter(|&t| needs[t]) {
+                        set_dirty(&mut self.dirty[TARGET], t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The vertex-cover reduction layer, run to fixpoint. Returns its
+    /// (rule, vertex) examinations.
     ///
     /// * **degree 0** — an isolated live vertex covers nothing;
     /// * **degree 1** — a pendant's unique live neighbor belongs to
@@ -456,74 +728,125 @@ impl ExactEngine {
     /// * **dominance** — for a live edge `(u, v)` with
     ///   `N[u] ⊆ N[v]` within the live graph, some optimum contains
     ///   `v`.
-    fn reduce_vc(&mut self, g: &Graph, alive: &mut [bool], chosen: &mut Vec<Vertex>) {
-        let n = g.n();
-        let live_deg = |alive: &[bool], v: Vertex| -> usize {
-            g.neighbors(v).iter().filter(|&&u| alive[u as usize]).count()
-        };
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for v in 0..n {
-                if !alive[v] {
-                    continue;
-                }
-                match live_deg(alive, v) {
-                    0 => {
-                        alive[v] = false;
-                        changed = true;
+    ///
+    /// The sweeps are dirty sweeps, with the proof of
+    /// [`Reductions::reduce_domination`]: `alive` only flips from true
+    /// to false; the degree rule at `v` reads `alive` on `N[v]` and is
+    /// enabled only by a flip in `N(v)`; dominance at `v` reads `alive`
+    /// within distance 2 and is enabled only by a flip at some
+    /// `w ∉ N[v]` adjacent to a live neighbour `u` of `v` (`w` stops
+    /// blocking `N_live(u) ⊆ N[v]`). A flip at `y` marks both as it
+    /// happens: the degree rule on the live neighbours of `y`,
+    /// dominance on the live neighbours of those.
+    fn reduce_vc(&mut self, g: &Graph, alive: &mut [bool], chosen: &mut Vec<Vertex>) -> u64 {
+        self.start_sweeps(g.n(), 2);
+        let mut checks = 0;
+        let mut first_round = true;
+        loop {
+            for rule in [DEGREE, DOMINANCE] {
+                self.marks_upto = if first_round { rule } else { DOMINANCE };
+                let mut from = 0;
+                while let Some(v) = take_dirty(&mut self.dirty[rule], from) {
+                    from = v + 1;
+                    checks += 1;
+                    if rule == DEGREE {
+                        self.degree_rule(g, v, alive, chosen);
+                    } else {
+                        self.dominance_rule(g, v, alive, chosen);
                     }
-                    1 => {
-                        let u = *g
-                            .neighbors(v)
-                            .iter()
-                            .find(|&&u| alive[u as usize])
-                            .expect("degree-1 vertex has a live neighbor")
-                            as Vertex;
-                        chosen.push(u);
-                        alive[u] = false;
-                        alive[v] = false;
-                        changed = true;
-                    }
-                    _ => {}
                 }
             }
-            // Dominance: mark N_live[v] ∪ {v}, test each live
-            // neighbor u of v for N_live(u) ⊆ N_live[v].
-            for v in 0..n {
-                if !alive[v] {
-                    continue;
-                }
-                self.scratch.begin(n);
-                self.scratch.visit(v);
-                for &w in g.neighbors(v) {
-                    if alive[w as usize] {
-                        self.scratch.visit(w as Vertex);
-                    }
-                }
-                let mut take_v = false;
-                for &u in g.neighbors(v) {
-                    let u = u as Vertex;
-                    if !alive[u] {
-                        continue;
-                    }
-                    let dominated = g
-                        .neighbors(u)
-                        .iter()
-                        .all(|&w| !alive[w as usize] || self.scratch.visited(w as Vertex));
-                    if dominated {
-                        take_v = true;
-                        break;
-                    }
-                }
-                if take_v {
-                    chosen.push(v);
-                    alive[v] = false;
-                    changed = true;
+            first_round = false;
+            if self.dirty.iter().all(|bits| bits.iter().all(|&w| w == 0)) {
+                return checks;
+            }
+        }
+    }
+
+    /// Degree 0 and degree 1 at `v`.
+    fn degree_rule(&mut self, g: &Graph, v: Vertex, alive: &mut [bool], chosen: &mut Vec<Vertex>) {
+        if !alive[v] {
+            return;
+        }
+        let mut live = g.neighbors(v).iter().map(|&u| u as Vertex).filter(|&u| alive[u]);
+        match (live.next(), live.next()) {
+            (None, _) => self.drop_alive(g, v, alive),
+            (Some(u), None) => {
+                chosen.push(u);
+                self.drop_alive(g, u, alive);
+                self.drop_alive(g, v, alive);
+            }
+            _ => {}
+        }
+    }
+
+    /// Dominance at `v`: mark `N_live[v] ∪ {v}`, test each live neighbor
+    /// `u` of `v` for `N_live(u) ⊆ N_live[v]`.
+    fn dominance_rule(
+        &mut self,
+        g: &Graph,
+        v: Vertex,
+        alive: &mut [bool],
+        chosen: &mut Vec<Vertex>,
+    ) {
+        if !alive[v] {
+            return;
+        }
+        self.scratch.begin(g.n());
+        self.scratch.visit(v);
+        for &w in g.neighbors(v) {
+            if alive[w as usize] {
+                self.scratch.visit(w as Vertex);
+            }
+        }
+        let scratch = &self.scratch;
+        let take_v = g.neighbors(v).iter().map(|&u| u as Vertex).any(|u| {
+            alive[u]
+                && g.neighbors(u)
+                    .iter()
+                    .all(|&w| !alive[w as usize] || scratch.visited(w as Vertex))
+        });
+        if take_v {
+            chosen.push(v);
+            self.drop_alive(g, v, alive);
+        }
+    }
+
+    /// Clears `alive[y]` and marks the rules the flip can enable: the
+    /// degree rule on the live neighbours of `y`, dominance on their
+    /// live neighbours.
+    fn drop_alive(&mut self, g: &Graph, y: Vertex, alive: &mut [bool]) {
+        alive[y] = false;
+        let dominance = self.marks_upto >= DOMINANCE;
+        for u in g.neighbors(y).iter().map(|&u| u as Vertex).filter(|&u| alive[u]) {
+            set_dirty(&mut self.dirty[DEGREE], u);
+            if dominance {
+                for w in g.neighbors(u).iter().map(|&w| w as Vertex).filter(|&w| alive[w]) {
+                    set_dirty(&mut self.dirty[DOMINANCE], w);
                 }
             }
         }
     }
+}
+
+/// Sets bit `v` of a dirty set.
+fn set_dirty(bits: &mut [u64], v: Vertex) {
+    bits[v / 64] |= 1 << (v % 64);
+}
+
+/// Clears and returns the least set bit at or after `from`, if any: the
+/// next vertex a sweep whose cursor stands at `from` examines. Bits
+/// below `from` stay for the next round.
+fn take_dirty(bits: &mut [u64], from: usize) -> Option<Vertex> {
+    let mut w = from / 64;
+    let mut word = *bits.get(w)? & (u64::MAX << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *bits.get(w)?;
+    }
+    let b = word.trailing_zeros() as usize;
+    bits[w] &= !(1 << b);
+    Some(w * 64 + b)
 }
 
 /// Iterates the closed neighborhood `N[v]` (order: `v`, then sorted
@@ -556,7 +879,8 @@ fn ball2_into(g: &Graph, scratch: &mut Scratch, v: Vertex, out: &mut Vec<Vertex>
 // ---------------------------------------------------------------------
 
 thread_local! {
-    static ENGINE_POOL: RefCell<ExactEngine> = RefCell::new(ExactEngine::new());
+    static ENGINE_POOL: RefCell<(ExactEngine, InstanceBuffers)> =
+        RefCell::new((ExactEngine::new(), InstanceBuffers::default()));
 }
 
 /// Runs `f` on this thread's pooled [`ExactEngine`] (falling back to a
@@ -564,9 +888,20 @@ thread_local! {
 /// Algorithm 1 pipeline and its LOCAL deciders all ride this pool, so
 /// one warmed arena serves the many small solves a simulation makes.
 pub fn with_thread_engine<R>(f: impl FnOnce(&mut ExactEngine) -> R) -> R {
+    with_thread_instance(|engine, _| f(engine))
+}
+
+/// [`with_thread_engine`] with the pool's [`InstanceBuffers`] beside the
+/// engine: `f` builds an instance in the buffers and solves it on the
+/// engine. The buffers keep their capacity from one call to the next
+/// and carry nothing else over, so every field is `f`'s to fill.
+pub fn with_thread_instance<R>(f: impl FnOnce(&mut ExactEngine, &mut InstanceBuffers) -> R) -> R {
     ENGINE_POOL.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut e) => f(&mut e),
-        Err(_) => f(&mut ExactEngine::new()),
+        Ok(mut pool) => {
+            let (engine, instance) = &mut *pool;
+            f(engine, instance)
+        }
+        Err(_) => f(&mut ExactEngine::new(), &mut InstanceBuffers::default()),
     })
 }
 
@@ -1591,6 +1926,352 @@ mod tests {
                 ("dp", td.map(|td| mds_dp(g, &needs, &allowed, &td))),
             ],
         );
+    }
+
+    // -- the full-pass reference of the reduction layers ----------------
+
+    /// The reduction loops as they stood before the dirty sweeps, kept
+    /// verbatim (plus a round count) as the differential reference: every
+    /// round examines all `n` vertices under every rule until a round
+    /// changes nothing. Each returns its (rule, vertex) examinations,
+    /// rules × `n` × rounds.
+    impl Reductions {
+        fn reduce_domination_full_pass(
+            &mut self,
+            g: &Graph,
+            needs: &mut [bool],
+            allowed: &mut [bool],
+            chosen: &mut Vec<Vertex>,
+        ) -> u64 {
+            let n = g.n();
+            let mut rounds = 0u64;
+            let mut changed = true;
+            while changed {
+                rounds += 1;
+                changed = false;
+                // Unit-coverer forcing.
+                for t in 0..n {
+                    if !needs[t] {
+                        continue;
+                    }
+                    let mut only = usize::MAX;
+                    let mut count = 0usize;
+                    for u in closed(g, t) {
+                        if allowed[u] {
+                            only = u;
+                            count += 1;
+                            if count > 1 {
+                                break;
+                            }
+                        }
+                    }
+                    if count == 1 {
+                        self.force_full_pass(g, only, needs, allowed, chosen);
+                        changed = true;
+                    }
+                }
+                // Subsumed candidates.
+                for u in 0..n {
+                    if !allowed[u] {
+                        continue;
+                    }
+                    self.cov_buf.clear();
+                    self.cov_buf.extend(closed(g, u).filter(|&w| needs[w]));
+                    if self.cov_buf.is_empty() {
+                        allowed[u] = false;
+                        changed = true;
+                        continue;
+                    }
+                    ball2_into(g, &mut self.scratch, u, &mut self.ball_buf);
+                    for &v in &self.ball_buf {
+                        if v == u || !allowed[v] {
+                            continue;
+                        }
+                        // cov(u) ⊆ cov(v) ⟺ every member of cov(u) lies in
+                        // N[v] (members already need).
+                        if self.cov_buf.iter().all(|&w| w == v || g.has_edge(v, w)) {
+                            let cov_v_len = closed(g, v).filter(|&w| needs[w]).count();
+                            if self.cov_buf.len() < cov_v_len || v < u {
+                                allowed[u] = false;
+                                changed = true;
+                                break;
+                            }
+                        }
+                    }
+                }
+                // Subsumed targets.
+                for t in 0..n {
+                    if !needs[t] {
+                        continue;
+                    }
+                    ball2_into(g, &mut self.scratch, t, &mut self.ball_buf);
+                    let covr_t_len = closed(g, t).filter(|&u| allowed[u]).count();
+                    for &t2 in &self.ball_buf {
+                        if t2 == t || !needs[t2] {
+                            continue;
+                        }
+                        // covr(t2) ⊆ covr(t) ⟺ every allowed member of N[t2]
+                        // lies in N[t].
+                        let mut subset = true;
+                        let mut covr_t2_len = 0usize;
+                        for u in closed(g, t2) {
+                            if allowed[u] {
+                                covr_t2_len += 1;
+                                if u != t && !g.has_edge(t, u) {
+                                    subset = false;
+                                    break;
+                                }
+                            }
+                        }
+                        if subset && (covr_t2_len < covr_t_len || t2 < t) {
+                            needs[t] = false;
+                            changed = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            3 * n as u64 * rounds
+        }
+
+        fn force_full_pass(
+            &mut self,
+            g: &Graph,
+            u: Vertex,
+            needs: &mut [bool],
+            allowed: &mut [bool],
+            chosen: &mut Vec<Vertex>,
+        ) {
+            chosen.push(u);
+            allowed[u] = false;
+            needs[u] = false;
+            for &w in g.neighbors(u) {
+                needs[w as usize] = false;
+            }
+        }
+
+        fn reduce_vc_full_pass(
+            &mut self,
+            g: &Graph,
+            alive: &mut [bool],
+            chosen: &mut Vec<Vertex>,
+        ) -> u64 {
+            let n = g.n();
+            let live_deg = |alive: &[bool], v: Vertex| -> usize {
+                g.neighbors(v).iter().filter(|&&u| alive[u as usize]).count()
+            };
+            let mut rounds = 0u64;
+            let mut changed = true;
+            while changed {
+                rounds += 1;
+                changed = false;
+                for v in 0..n {
+                    if !alive[v] {
+                        continue;
+                    }
+                    match live_deg(alive, v) {
+                        0 => {
+                            alive[v] = false;
+                            changed = true;
+                        }
+                        1 => {
+                            let u = *g
+                                .neighbors(v)
+                                .iter()
+                                .find(|&&u| alive[u as usize])
+                                .expect("degree-1 vertex has a live neighbor")
+                                as Vertex;
+                            chosen.push(u);
+                            alive[u] = false;
+                            alive[v] = false;
+                            changed = true;
+                        }
+                        _ => {}
+                    }
+                }
+                // Dominance: mark N_live[v] ∪ {v}, test each live
+                // neighbor u of v for N_live(u) ⊆ N_live[v].
+                for v in 0..n {
+                    if !alive[v] {
+                        continue;
+                    }
+                    self.scratch.begin(n);
+                    self.scratch.visit(v);
+                    for &w in g.neighbors(v) {
+                        if alive[w as usize] {
+                            self.scratch.visit(w as Vertex);
+                        }
+                    }
+                    let mut take_v = false;
+                    for &u in g.neighbors(v) {
+                        let u = u as Vertex;
+                        if !alive[u] {
+                            continue;
+                        }
+                        let dominated = g
+                            .neighbors(u)
+                            .iter()
+                            .all(|&w| !alive[w as usize] || self.scratch.visited(w as Vertex));
+                        if dominated {
+                            take_v = true;
+                            break;
+                        }
+                    }
+                    if take_v {
+                        chosen.push(v);
+                        alive[v] = false;
+                        changed = true;
+                    }
+                }
+            }
+            2 * n as u64 * rounds
+        }
+    }
+
+    /// A generated graph rebuilt from its edge list: `lmds-gen` builds
+    /// graphs of the library build of this crate, not of this test build.
+    macro_rules! generated {
+        ($g:expr) => {{
+            let h = $g;
+            Graph::from_edges(h.n(), &h.edges().collect::<Vec<_>>())
+        }};
+    }
+
+    /// The graphs of the worklist differential test.
+    fn worklist_corpus() -> Vec<(&'static str, Graph)> {
+        vec![
+            (
+                "random_outerplanar(3000, 25, 1)",
+                generated!(lmds_gen::outerplanar::random_outerplanar(3000, 25, 1)),
+            ),
+            (
+                "random_outerplanar(60, 25, 4)",
+                generated!(lmds_gen::outerplanar::random_outerplanar(60, 25, 4)),
+            ),
+            ("scale_instance(2000, 3)", generated!(lmds_gen::ding::scale_instance(2000, 3))),
+            ("connected_gnp(80, 6, 2)", generated!(lmds_gen::random::connected_gnp(80, 6, 2))),
+            ("connected_gnp(14, 30, 5)", generated!(lmds_gen::random::connected_gnp(14, 30, 5))),
+            ("strip(400)", generated!(lmds_gen::ding::strip(400))),
+            ("cycle(9)", cycle(9)),
+            ("cycle(40)", cycle(40)),
+        ]
+    }
+
+    /// The three start masks of each graph: every vertex, every third
+    /// vertex dropped, even vertices only.
+    fn start_masks(n: usize) -> [Vec<bool>; 3] {
+        [vec![true; n], (0..n).map(|v| v % 3 != 2).collect(), (0..n).map(|v| v % 2 == 0).collect()]
+    }
+
+    /// A 16-vertex graph and target mask on which a candidate flip in
+    /// the second round enables a target at distance 3 that nothing else
+    /// re-marks: sweeps that re-mark targets only within 2 of an
+    /// `allowed` flip miss it (found by a random search over small dense
+    /// graphs; the corpus above never needs the third step).
+    fn distance_three_target() -> (Graph, Vec<bool>) {
+        // Each row: a vertex and its higher-numbered neighbours.
+        let rows: [(Vertex, &[Vertex]); 11] = [
+            (0, &[3, 5, 6, 9, 11, 15]),
+            (1, &[7, 13]),
+            (2, &[6, 10, 12, 13, 14]),
+            (3, &[6, 11, 12, 13]),
+            (4, &[7, 9, 11, 15]),
+            (5, &[7, 9, 13, 14]),
+            (6, &[9]),
+            (7, &[13]),
+            (8, &[12, 13, 14]),
+            (9, &[11, 15]),
+            (11, &[12, 13, 15]),
+        ];
+        let edges: Vec<(Vertex, Vertex)> =
+            rows.iter().flat_map(|&(u, vs)| vs.iter().map(move |&v| (u, v))).collect();
+        let dropped = [2, 5, 10, 11];
+        assert_eq!(edges.len(), 35);
+        (Graph::from_edges(16, &edges), (0..16).map(|v| !dropped.contains(&v)).collect())
+    }
+
+    #[test]
+    fn worklist_reductions_replay_the_full_pass() {
+        let (g3, mask3) = distance_three_target();
+        let pinned = std::iter::once(("distance_three_target", g3, vec![mask3]));
+        let corpus = worklist_corpus().into_iter().map(|(name, g)| {
+            let masks = start_masks(g.n()).to_vec();
+            (name, g, masks)
+        });
+        for (name, g, masks) in pinned.chain(corpus) {
+            for (k, mask) in masks.into_iter().enumerate() {
+                // Domination: targets = mask, candidates = N[targets].
+                let allowed: Vec<bool> =
+                    g.vertices().map(|v| closed(&g, v).any(|w| mask[w])).collect();
+                let (mut needs_ref, mut allowed_ref, mut chosen_ref) =
+                    (mask.clone(), allowed.clone(), Vec::new());
+                let mut reference = Reductions::default();
+                let full_checks = reference.reduce_domination_full_pass(
+                    &g,
+                    &mut needs_ref,
+                    &mut allowed_ref,
+                    &mut chosen_ref,
+                );
+                let (mut needs, mut allowed, mut chosen) = (mask.clone(), allowed, Vec::new());
+                let checks = Reductions::default().reduce_domination(
+                    &g,
+                    &mut needs,
+                    &mut allowed,
+                    &mut chosen,
+                );
+                assert_eq!(needs, needs_ref, "{name} mask {k}: needs");
+                assert_eq!(allowed, allowed_ref, "{name} mask {k}: allowed");
+                assert_eq!(chosen, chosen_ref, "{name} mask {k}: chosen (in order)");
+                assert!(checks <= full_checks, "{name} mask {k}: checks");
+
+                // Vertex cover: alive = mask.
+                let (mut alive_ref, mut chosen_ref) = (mask.clone(), Vec::new());
+                let full_checks =
+                    reference.reduce_vc_full_pass(&g, &mut alive_ref, &mut chosen_ref);
+                let (mut alive, mut chosen) = (mask, Vec::new());
+                let checks = Reductions::default().reduce_vc(&g, &mut alive, &mut chosen);
+                assert_eq!(alive, alive_ref, "{name} mask {k}: alive");
+                assert_eq!(chosen, chosen_ref, "{name} mask {k}: VC chosen (in order)");
+                assert!(checks <= full_checks, "{name} mask {k}: VC checks");
+            }
+        }
+    }
+
+    #[test]
+    fn rule_checks_stay_below_the_full_pass_on_sparse_outerplanar() {
+        let g = generated!(lmds_gen::outerplanar::random_outerplanar(3000, 25, 1));
+        let all = vec![true; g.n()];
+        let full = Reductions::default().reduce_domination_full_pass(
+            &g,
+            &mut all.clone(),
+            &mut all.clone(),
+            &mut Vec::new(),
+        );
+        assert_eq!(full, 3 * 3000 * 21, "the full pass takes 21 rounds here");
+        let mut e = ExactEngine::new();
+        e.solve_mds(&g, u64::MAX).unwrap();
+        let checks = e.stats().rule_checks;
+        assert!(checks < full, "{checks} examinations, the full pass makes {full}");
+        // The same engine, reused, counts the same.
+        e.solve_mds(&g, u64::MAX).unwrap();
+        assert_eq!(e.stats().rule_checks, checks);
+    }
+
+    #[test]
+    fn take_dirty_walks_ascending_from_the_cursor() {
+        let mut bits = vec![0u64; 3];
+        for v in [0, 5, 63, 64, 130] {
+            set_dirty(&mut bits, v);
+        }
+        assert_eq!(take_dirty(&mut bits, 6), Some(63));
+        assert_eq!(take_dirty(&mut bits, 64), Some(64));
+        assert_eq!(take_dirty(&mut bits, 65), Some(130));
+        assert_eq!(take_dirty(&mut bits, 131), None);
+        assert_eq!(take_dirty(&mut bits, 192), None);
+        // Bits behind the cursor stay for the next round.
+        assert_eq!(take_dirty(&mut bits, 0), Some(0));
+        assert_eq!(take_dirty(&mut bits, 1), Some(5));
+        assert!(bits.iter().all(|&w| w == 0));
     }
 
     #[test]

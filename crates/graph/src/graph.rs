@@ -122,6 +122,14 @@ impl Graph {
         Graph { csr, m }
     }
 
+    /// [`Graph::from_arcs_unchecked`] in place, reusing this graph's
+    /// storage (see [`Csr::refill`]).
+    pub(crate) fn refill_from_arcs_unchecked(&mut self, n: usize, arcs: &[(Vertex, Vertex)]) {
+        debug_assert!(n <= MAX_VERTICES);
+        debug_assert!(arcs.iter().all(|&(u, v)| u != v && u < n && v < n));
+        self.m = self.csr.refill(n, arcs);
+    }
+
     /// Wraps pre-validated CSR parts — the zero-copy snapshot ingest
     /// path ([`crate::io::from_snapshot`]). The caller guarantees the
     /// full CSR contract (see [`Csr::from_parts_unchecked`]) and that

@@ -128,24 +128,37 @@ impl InducedSubgraph {
 ///
 /// Panics if a vertex of `order` is out of range for `g`.
 pub fn induced_in_order(g: &Graph, order: &[Vertex]) -> Graph {
-    let mut by_host: Vec<(Vertex, Vertex)> = order.iter().copied().zip(0..).collect();
+    let mut out = Graph::new(0);
+    induce_in_order_into(g, order, &mut Vec::new(), &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`induced_in_order`] into reused storage: rebuilds `out` as `G[order]`
+/// in place, with `by_host` and `arcs` as its working buffers.
+pub(crate) fn induce_in_order_into(
+    g: &Graph,
+    order: &[Vertex],
+    by_host: &mut Vec<(Vertex, Vertex)>,
+    arcs: &mut Vec<(Vertex, Vertex)>,
+    out: &mut Graph,
+) {
+    by_host.clear();
+    by_host.extend(order.iter().copied().zip(0..));
     by_host.sort_unstable();
-    let local =
-        |w: Vertex| by_host.binary_search_by_key(&w, |&(v, _)| v).ok().map(|j| by_host[j].1);
     // Each edge once, from its smaller host endpoint; arc orientation
     // does not matter to the CSR build.
-    let mut arcs = Vec::new();
+    arcs.clear();
     for (i, &v) in order.iter().enumerate() {
         for &w in g.neighbors(v) {
             let w = w as Vertex;
             if v < w {
-                if let Some(j) = local(w) {
-                    arcs.push((i, j));
+                if let Ok(j) = by_host.binary_search_by_key(&w, |&(v, _)| v) {
+                    arcs.push((i, by_host[j].1));
                 }
             }
         }
     }
-    Graph::from_arcs_unchecked(order.len(), &arcs)
+    out.refill_from_arcs_unchecked(order.len(), arcs);
 }
 
 /// Convenience: the induced subgraph on the ball `N^r[v]`, as used by
