@@ -127,6 +127,41 @@ impl FromStr for ExecutionMode {
     }
 }
 
+/// A set of [`SolveConfig`] fields: the ones a solver reads under a
+/// given config ([`crate::Solver::reads`]). `problem` and `mode` are
+/// never in it, because every solver reads both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ConfigFields(u8);
+
+impl ConfigFields {
+    /// No field.
+    pub const NONE: ConfigFields = ConfigFields(0);
+    /// [`SolveConfig::id_policy`], seed included.
+    pub const ID_POLICY: ConfigFields = ConfigFields(1);
+    /// [`SolveConfig::round_cap`].
+    pub const ROUND_CAP: ConfigFields = ConfigFields(1 << 1);
+    /// [`SolveConfig::fault`].
+    pub const FAULT: ConfigFields = ConfigFields(1 << 2);
+    /// [`SolveConfig::radii`].
+    pub const RADII: ConfigFields = ConfigFields(1 << 3);
+    /// [`SolveConfig::measure_ratio`].
+    pub const MEASURE_RATIO: ConfigFields = ConfigFields(1 << 4);
+    /// [`SolveConfig::opt_budget`].
+    pub const OPT_BUDGET: ConfigFields = ConfigFields(1 << 5);
+    /// Every field.
+    pub const ALL: ConfigFields = ConfigFields(0b11_1111);
+
+    /// The fields of `self` and `other`.
+    pub const fn union(self, other: ConfigFields) -> ConfigFields {
+        ConfigFields(self.0 | other.0)
+    }
+
+    /// Whether every field of `other` is in `self`.
+    pub const fn contains(self, other: ConfigFields) -> bool {
+        self.0 & other.0 == other.0
+    }
+}
+
 /// The uniform configuration every [`crate::Solver::solve`] call takes.
 ///
 /// Built fluently:
@@ -256,6 +291,34 @@ impl SolveConfig {
     pub fn opt_budget(mut self, budget: u64) -> Self {
         self.opt_budget = budget;
         self
+    }
+
+    /// This config with every field outside `reads` at its default: a
+    /// solver that reads only `reads` answers both configs alike, so a
+    /// result cache keys on this one.
+    ///
+    /// The fault plan is kept whatever `reads` says. A solver that does
+    /// not read it rejects an active plan rather than ignoring it, so an
+    /// active plan keeps a key of its own, and an inert one renders like
+    /// the default anyway.
+    pub fn restricted_to(&self, reads: ConfigFields) -> SolveConfig {
+        fn pick<T>(read: bool, own: T, default: T) -> T {
+            if read {
+                own
+            } else {
+                default
+            }
+        }
+        let default = SolveConfig::new(self.problem);
+        let has = |field| reads.contains(field);
+        SolveConfig {
+            id_policy: pick(has(ConfigFields::ID_POLICY), self.id_policy, default.id_policy),
+            round_cap: pick(has(ConfigFields::ROUND_CAP), self.round_cap, default.round_cap),
+            radii: pick(has(ConfigFields::RADII), self.radii, default.radii),
+            measure_ratio: pick(has(ConfigFields::MEASURE_RATIO), self.measure_ratio, false),
+            opt_budget: pick(has(ConfigFields::OPT_BUDGET), self.opt_budget, default.opt_budget),
+            ..self.clone()
+        }
     }
 }
 

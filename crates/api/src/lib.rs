@@ -72,7 +72,7 @@ pub mod solver;
 pub mod view;
 
 pub use batch::{BatchJob, BatchRecord, BatchRunner};
-pub use config::{ExecutionMode, Problem, SolveConfig, DEFAULT_OPT_BUDGET};
+pub use config::{ConfigFields, ExecutionMode, Problem, SolveConfig, DEFAULT_OPT_BUDGET};
 pub use instance::{GroundTruth, Instance};
 pub use registry::SolverRegistry;
 pub use solution::{

@@ -9,7 +9,9 @@
 //! machine next to its centralized reference, or an exact reference
 //! search. Adding a built-in solver means adding one row.
 
-use crate::{ExecutionMode, Instance, MessageStats, Optimum, Problem, Solution, SolveConfig};
+use crate::{
+    ConfigFields, ExecutionMode, Instance, MessageStats, Optimum, Problem, Solution, SolveConfig,
+};
 use lmds_core::distributed::{
     Algorithm1Decider, DegreeRuleLocal, MvcAlgorithm1Decider, RegularMvcLocal, TakeAllLocal,
     Theorem44Local,
@@ -173,6 +175,15 @@ pub trait Solver: Send + Sync {
     /// [`SolveError`] on problem/mode/config mismatch or simulator
     /// failure; never panics on well-formed instances.
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError>;
+
+    /// The config fields [`Solver::solve`] reads under `cfg`, beyond
+    /// `problem` and `mode`: `solve` answers `cfg` and
+    /// `cfg.restricted_to(self.reads(cfg))` alike, so a result cache
+    /// keys on the latter. The default claims every field.
+    fn reads(&self, cfg: &SolveConfig) -> ConfigFields {
+        let _ = cfg;
+        ConfigFields::ALL
+    }
 }
 
 /// All four modes (shared constant for solvers with full support).
@@ -182,17 +193,17 @@ const ALL_MODES: &[ExecutionMode] = &ExecutionMode::ALL;
 const CENTRALIZED_ONLY: &[ExecutionMode] = &[ExecutionMode::Centralized];
 
 /// Validates the config's problem and mode against the descriptor, and
-/// rejects an active fault plan outside [`ExecutionMode::LOCAL_FAULTY`],
-/// the one mode that injects it (centralized solves included, so no
-/// plan is accepted and then ignored).
-fn check(d: &SolverDescriptor, cfg: &SolveConfig) -> Result<(), SolveError> {
+/// rejects an active fault plan that the row does not read under the
+/// config's mode (`reads`): only the faulty runtime injects a plan, so
+/// no plan is accepted and then ignored.
+fn check(d: &SolverDescriptor, reads: ConfigFields, cfg: &SolveConfig) -> Result<(), SolveError> {
     if cfg.problem != d.problem {
         return Err(SolveError::UnsupportedProblem { solver: d.key, requested: cfg.problem });
     }
     if !d.modes.contains(&cfg.mode) {
         return Err(SolveError::UnsupportedMode { solver: d.key, requested: cfg.mode });
     }
-    if cfg.fault.is_active() && cfg.mode != ExecutionMode::LOCAL_FAULTY {
+    if cfg.fault.is_active() && !reads.contains(ConfigFields::FAULT) {
         return Err(SolveError::UnsupportedOptions {
             solver: d.key,
             reason: format!(
@@ -461,10 +472,46 @@ enum Body {
     ExactMvc,
 }
 
-/// One row of [`BUILTINS`]: what the solver is, and what it runs.
+/// The [`SolveConfig`] fields a row's body reads, by mode; every row
+/// reads `problem` and `mode`. Every LOCAL mode runs through
+/// `run_local`, which also reads the fault plan on the faulty runtime,
+/// and a row that reads `measure_ratio` reads `opt_budget` while it is
+/// set (see [`Builtin::reads`]).
+#[derive(Clone, Copy)]
+struct Reads {
+    /// Under [`ExecutionMode::Centralized`].
+    centralized: ConfigFields,
+    /// Under every LOCAL mode.
+    local: ConfigFields,
+}
+
+/// The LOCAL scenario `run_local` reads: identifiers and round cap.
+const SCENARIO: ConfigFields = ConfigFields::ID_POLICY.union(ConfigFields::ROUND_CAP);
+
+/// The Algorithm 1 family: its radii and the ratio measurement, plus
+/// the scenario when simulated.
+const PIPELINE_READS: Reads = Reads {
+    centralized: ConfigFields::RADII.union(ConfigFields::MEASURE_RATIO),
+    local: ConfigFields::RADII.union(ConfigFields::MEASURE_RATIO).union(SCENARIO),
+};
+
+/// The explicit-round solvers: no radii.
+const ROUNDS_READS: Reads = Reads {
+    centralized: ConfigFields::MEASURE_RATIO,
+    local: ConfigFields::MEASURE_RATIO.union(SCENARIO),
+};
+
+/// The exact solvers: the search budget. Their answer is the optimum,
+/// so `measure_ratio` adds nothing.
+const EXACT_READS: Reads =
+    Reads { centralized: ConfigFields::OPT_BUDGET, local: ConfigFields::NONE };
+
+/// One row of [`BUILTINS`]: what the solver is, what it runs, and
+/// which config fields that reads.
 pub(crate) struct Builtin {
     descriptor: SolverDescriptor,
     body: Body,
+    reads: Reads,
 }
 
 /// Every built-in solver, one row each;
@@ -480,6 +527,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::Algorithm1,
+        reads: PIPELINE_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -490,6 +538,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::Algorithm1,
+        reads: PIPELINE_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -500,6 +549,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::Theorem44,
+        reads: ROUNDS_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -510,6 +560,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::TreesFolklore,
+        reads: ROUNDS_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -520,6 +571,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::TakeAll,
+        reads: ROUNDS_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -530,6 +582,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: CENTRALIZED_ONLY,
         },
         body: Body::ExactMds,
+        reads: EXACT_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -540,6 +593,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::Theorem44Mvc,
+        reads: ROUNDS_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -550,6 +604,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::Algorithm1Mvc,
+        reads: PIPELINE_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -560,6 +615,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: ALL_MODES,
         },
         body: Body::RegularMvc,
+        reads: ROUNDS_READS,
     },
     Builtin {
         descriptor: SolverDescriptor {
@@ -570,6 +626,7 @@ pub(crate) const BUILTINS: [Builtin; 10] = [
             modes: CENTRALIZED_ONLY,
         },
         body: Body::ExactMvc,
+        reads: EXACT_READS,
     },
 ];
 
@@ -579,7 +636,7 @@ impl Solver for Builtin {
     }
 
     fn solve(&self, inst: &Instance, cfg: &SolveConfig) -> Result<Solution, SolveError> {
-        check(&self.descriptor, cfg)?;
+        check(&self.descriptor, self.reads(cfg), cfg)?;
         let key = self.descriptor.key;
         let (g, ids, radii) = (&inst.graph, &inst.ids, cfg.radii);
         match self.body {
@@ -612,6 +669,19 @@ impl Solver for Builtin {
             }
             Body::ExactMds => solve_exact(key, inst, cfg, |e| e.solve_mds(g, cfg.opt_budget)),
             Body::ExactMvc => solve_exact(key, inst, cfg, |e| e.solve_mvc(g, cfg.opt_budget)),
+        }
+    }
+
+    fn reads(&self, cfg: &SolveConfig) -> ConfigFields {
+        let reads = match cfg.mode {
+            ExecutionMode::Centralized => self.reads.centralized,
+            ExecutionMode::LOCAL_FAULTY => self.reads.local.union(ConfigFields::FAULT),
+            ExecutionMode::Local(_) => self.reads.local,
+        };
+        if reads.contains(ConfigFields::MEASURE_RATIO) && cfg.measure_ratio {
+            reads.union(ConfigFields::OPT_BUDGET)
+        } else {
+            reads
         }
     }
 }

@@ -22,8 +22,8 @@
 //!   engine-scale rows the naive oracle cannot finish; committed
 //!   numbers in `results/exact_scale.md`.
 //! * `--dynamic` — the `DynamicGraph` substrate benches: batch
-//!   application (splice vs bulk rebuild) and ball-scoped invalidation
-//!   (`dirty_ball`) on a multi-component corpus graph.
+//!   application (splice vs bulk rebuild) on a multi-component corpus
+//!   graph.
 //!
 //! Every section prints a markdown table and writes
 //! `results/BENCH_<section>.json` relative to the working directory
@@ -141,8 +141,7 @@ fn kernel_benches(iters: u32) -> Vec<BenchRow> {
 
 /// The `DynamicGraph` substrate benches (`--dynamic`): batch
 /// application on both update paths (per-op splice vs bulk CSR
-/// rebuild) and ball-scoped invalidation (`dirty_ball`);
-/// `tests/dynamic_differential.rs` pins both paths against a
+/// rebuild); `tests/dynamic_differential.rs` pins both paths against a
 /// from-scratch build.
 fn dynamic_benches(iters: u32) -> Vec<BenchRow> {
     use lmds_graph::dynamic::{DynamicGraph, GraphUpdate, SPLICE_LIMIT};
@@ -202,20 +201,6 @@ fn dynamic_benches(iters: u32) -> Vec<BenchRow> {
     });
     rows.push(BenchRow {
         bench: format!("apply 2×k={} toggle (rebuild path)", fresh.len()),
-        workload: workload.clone(),
-        n,
-        checksum: sum,
-        stats,
-    });
-    let (stats, sum) = sample(iters, || {
-        dg.clear_touched();
-        dg.apply(&toggle(splice, true)).expect("dirty insert");
-        let dirty = dg.dirty_ball(2).len();
-        dg.apply(&toggle(splice, false)).expect("dirty remove");
-        dirty
-    });
-    rows.push(BenchRow {
-        bench: "k=4 toggle + dirty_ball r=2".into(),
         workload,
         n,
         checksum: sum,

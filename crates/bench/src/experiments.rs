@@ -1364,18 +1364,39 @@ pub fn exp_fault_sweep() -> Table {
     t
 }
 
+/// The process's peak resident set so far, in MB: `VmHWM` of
+/// `/proc/self/status`, or `None` where that file is absent.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Shared body of [`exp_scale`] and [`exp_scale_smoke`]: generate the
-/// chain-composed K_{2,t}-minor-free family at each size, run the full
-/// centralized Algorithm-1 pipeline through the registry, and record
-/// wall-clock for both phases.
+/// chain-composed K_{2,t}-minor-free family at each size (ascending),
+/// run the centralized Algorithm-1 pipeline through the registry at
+/// radii (1, 2) and at the pipeline's (3, 4), and record wall-clock for
+/// both phases and the process's peak RSS after each row.
 fn scale_rows(title: &str, sizes: &[usize], emit_json: bool) -> Table {
     use crate::timing::{calibrated, write_bench_json, BenchRow, Stats};
     use std::time::Instant;
-    let mut t =
-        Table::new(title, &["instance", "n", "m", "gen (ms)", "solve (ms)", "|S|", "dominating"]);
+    let mut t = Table::new(
+        title,
+        &[
+            "instance",
+            "n",
+            "m",
+            "gen (ms)",
+            "radii",
+            "solve (ms)",
+            "|S|",
+            "dominating",
+            "peak RSS (MB)",
+        ],
+    );
     let stat = |us: f64| Stats { best: us, mean: us, median: us, p95: us };
     let mut rows: Vec<BenchRow> = Vec::new();
-    let cfg = SolveConfig::mds().radii(Radii::practical(1, 2));
     let ((), calib_us) = calibrated(|| {
         for &target in sizes {
             let name = format!("scale_instance({target})");
@@ -1384,19 +1405,6 @@ fn scale_rows(title: &str, sizes: &[usize], emit_json: bool) -> Table {
             let gen_us = start.elapsed().as_secs_f64() * 1e6;
             let (n, m) = (g.n(), g.m());
             let inst = Instance::sequential(name.clone(), g);
-            let start = Instant::now();
-            let sol = solve("mds/algorithm1", &inst, &cfg);
-            let solve_us = start.elapsed().as_secs_f64() * 1e6;
-            let valid = sol.verify(&inst).is_ok();
-            t.push_row(vec![
-                name.clone(),
-                n.to_string(),
-                m.to_string(),
-                format!("{:.1}", gen_us / 1e3),
-                format!("{:.1}", solve_us / 1e3),
-                sol.size().to_string(),
-                valid.to_string(),
-            ]);
             rows.push(BenchRow {
                 bench: "generate (scale_instance)".into(),
                 workload: name.clone(),
@@ -1404,13 +1412,31 @@ fn scale_rows(title: &str, sizes: &[usize], emit_json: bool) -> Table {
                 checksum: m,
                 stats: stat(gen_us),
             });
-            rows.push(BenchRow {
-                bench: "solve (mds/algorithm1, radii 1/2)".into(),
-                workload: name,
-                n,
-                checksum: sol.size(),
-                stats: stat(solve_us),
-            });
+            for (r1, r2) in [(1, 2), (3, 4)] {
+                let cfg = SolveConfig::mds().radii(Radii::practical(r1, r2));
+                let start = Instant::now();
+                let sol = solve("mds/algorithm1", &inst, &cfg);
+                let solve_us = start.elapsed().as_secs_f64() * 1e6;
+                let valid = sol.verify(&inst).is_ok();
+                t.push_row(vec![
+                    name.clone(),
+                    n.to_string(),
+                    m.to_string(),
+                    format!("{:.1}", gen_us / 1e3),
+                    format!("{r1}/{r2}"),
+                    format!("{:.1}", solve_us / 1e3),
+                    sol.size().to_string(),
+                    valid.to_string(),
+                    peak_rss_mb().map_or("n/a".into(), |mb| format!("{mb:.1}")),
+                ]);
+                rows.push(BenchRow {
+                    bench: format!("solve (mds/algorithm1, radii {r1}/{r2})"),
+                    workload: name.clone(),
+                    n,
+                    checksum: sol.size(),
+                    stats: stat(solve_us),
+                });
+            }
         }
     });
     if emit_json {
@@ -1426,7 +1452,8 @@ fn scale_rows(title: &str, sizes: &[usize], emit_json: bool) -> Table {
 /// alongside the table so `benchdiff` can gate the scale path.
 pub fn exp_scale() -> Table {
     scale_rows(
-        "E15 / scale — centralized Algorithm 1 on the million-node chain-composed family",
+        "E15 / scale — centralized Algorithm 1 on the million-node chain-composed family \
+         (peak RSS: the process's high-water mark so far)",
         &[10_000, 100_000, 1_000_000],
         true,
     )
@@ -1437,7 +1464,8 @@ pub fn exp_scale() -> Table {
 /// clobbers the committed full-tier `BENCH_scale.json`.
 pub fn exp_scale_smoke() -> Table {
     scale_rows(
-        "E15b / scale-smoke — CI tier of the scale experiment (no JSON artifact)",
+        "E15b / scale-smoke — CI tier of the scale experiment, no JSON artifact \
+         (peak RSS: the process's high-water mark so far)",
         &[2_000, 10_000],
         false,
     )

@@ -71,12 +71,17 @@ pub struct Algorithm1Output {
 
 /// Per-vertex masks over the twin-free quotient `R`, the shared state of
 /// the centralized pipeline and the distributed deciders.
+///
+/// The state borrows the input graph `'g`: when the twin reduction keeps
+/// every vertex (no true twins, as on the Ding-structure chains), `R` is
+/// the input graph itself with identity maps, and nothing is copied.
 #[derive(Debug, Clone)]
-pub struct PipelineState {
+pub struct PipelineState<'g> {
     /// Indexed by input-graph vertex: kept by twin reduction?
     pub kept_mask: Vec<bool>,
-    /// The quotient `R` (host = the input graph of `pipeline_state`).
-    pub reduced: InducedSubgraph,
+    /// The quotient `R` (host = the input graph of `pipeline_state`),
+    /// borrowing it when every vertex is kept.
+    pub reduced: InducedSubgraph<'g>,
     /// `R`-local masks.
     pub x: Vec<bool>,
     /// `R`-local: interesting vertices.
@@ -116,17 +121,17 @@ impl Default for PipelineOptions {
 ///
 /// `ids[v]` is the identifier of vertex `v`; the functions here only
 /// ever *compare* identifiers.
-pub fn pipeline_state(g: &Graph, ids: &[u64], radii: Radii) -> PipelineState {
+pub fn pipeline_state<'g>(g: &'g Graph, ids: &[u64], radii: Radii) -> PipelineState<'g> {
     pipeline_state_with(g, ids, radii, PipelineOptions::default())
 }
 
 /// [`pipeline_state`] with ablation switches.
-pub fn pipeline_state_with(
-    g: &Graph,
+pub fn pipeline_state_with<'g>(
+    g: &'g Graph,
     ids: &[u64],
     radii: Radii,
     opts: PipelineOptions,
-) -> PipelineState {
+) -> PipelineState<'g> {
     assert_eq!(g.n(), ids.len(), "one identifier per vertex");
     let (kept_mask, reduced) = twin_quotient(g, ids, opts.twin_reduction);
     let rg = &reduced.graph;
@@ -152,9 +157,14 @@ pub fn pipeline_state_with(
 
 /// Step 1, the twin reduction: which vertices of `g` are kept (the
 /// minimum-identifier member of each true-twin class, or every vertex
-/// when `reduce` is off) and the quotient `R` they induce. Shared by the
-/// centralized pipeline and the LOCAL decider, which reduces each view.
-pub(crate) fn twin_quotient(g: &Graph, ids: &[u64], reduce: bool) -> (Vec<bool>, InducedSubgraph) {
+/// when `reduce` is off) and the quotient `R` they induce, which borrows
+/// `g` when every vertex is kept. Shared by the centralized pipeline,
+/// Theorem 4.4 and the LOCAL decider, which reduces each view.
+pub(crate) fn twin_quotient<'g>(
+    g: &'g Graph,
+    ids: &[u64],
+    reduce: bool,
+) -> (Vec<bool>, InducedSubgraph<'g>) {
     let mut kept_mask = vec![true; g.n()];
     if reduce {
         // `rep[v]` is the least vertex of `v`'s class, so an ascending
@@ -172,9 +182,11 @@ pub(crate) fn twin_quotient(g: &Graph, ids: &[u64], reduce: bool) -> (Vec<bool>,
             kept_mask[best[v]] = true;
         }
     }
+    if kept_mask.iter().all(|&k| k) {
+        return (kept_mask, InducedSubgraph::whole(g));
+    }
     let kept: Vec<Vertex> = g.vertices().filter(|&v| kept_mask[v]).collect();
-    let reduced = InducedSubgraph::new(g, &kept);
-    (kept_mask, reduced)
+    (kept_mask, InducedSubgraph::new(g, &kept))
 }
 
 /// Computes the dominated mask `N_R[S]` and the `U` filter (distance-≤2
@@ -222,7 +234,7 @@ pub fn solve_component(state: &PipelineState, ids: &[u64], comp: &[Vertex]) -> V
 ///
 /// [`InstanceBuffers`]: lmds_graph::exact::InstanceBuffers
 pub fn solve_component_with(
-    reduced: &InducedSubgraph,
+    reduced: &InducedSubgraph<'_>,
     ids: &[u64],
     comp: &[Vertex],
     mut dominated: impl FnMut(Vertex) -> bool,
@@ -440,27 +452,27 @@ mod tests {
         assert_eq!(out.solution, vec![1]);
     }
 
+    /// C6 with every vertex blown up into a triangle: six classes of
+    /// three true twins each.
+    fn blown_up_c6() -> Graph {
+        let mut edges = Vec::new();
+        for c in 0..6 {
+            let (here, next) = (3 * c, 3 * ((c + 1) % 6));
+            for i in 0..3 {
+                edges.extend((i + 1..3).map(|j| (here + i, here + j)));
+                edges.extend((0..3).map(|j| (here + i, next + j)));
+            }
+        }
+        Graph::from_edges(18, &edges)
+    }
+
     #[test]
     fn twin_quotient_keeps_the_first_least_id_member_of_each_class() {
         // The representative scan against the class-list rule it
         // replaced, under sequential and shuffled identifiers.
         let k4_minus_edge = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]);
-        // C6 with every vertex blown up into a triangle: six classes of
-        // three true twins each.
-        let mut blown_up = Vec::new();
-        for c in 0..6 {
-            let (here, next) = (3 * c, 3 * ((c + 1) % 6));
-            for i in 0..3 {
-                blown_up.extend((i + 1..3).map(|j| (here + i, here + j)));
-                blown_up.extend((0..3).map(|j| (here + i, next + j)));
-            }
-        }
-        let graphs = [
-            lmds_gen::basic::complete(5),
-            lmds_gen::basic::path(2),
-            k4_minus_edge,
-            Graph::from_edges(18, &blown_up),
-        ];
+        let graphs =
+            [lmds_gen::basic::complete(5), lmds_gen::basic::path(2), k4_minus_edge, blown_up_c6()];
         for (k, g) in graphs.iter().enumerate() {
             assert!(!lmds_graph::twins::is_twin_free(g), "graph {k} has twins");
             let orders = [seq(g.n()), IdAssignment::shuffled(g.n(), k as u64)];
@@ -470,6 +482,60 @@ mod tests {
                     expect[class.into_iter().min_by_key(|&v| ids[v]).unwrap()] = true;
                 }
                 assert_eq!(twin_quotient(g, &ids, true).0, expect, "graph {k} ids {ids:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn twin_free_quotients_borrow_their_input() {
+        // No true twins: the quotient is the input itself, borrowed,
+        // with identity maps, in the pipeline and on its own.
+        let graphs = [
+            lmds_gen::ding::scale_instance(20_000, 3),
+            lmds_gen::ding::strip(400),
+            lmds_gen::outerplanar::random_outerplanar(3000, 25, 1),
+        ];
+        for g in &graphs {
+            let ids: Vec<u64> = g.vertices().map(|v| v as u64).collect();
+            let (kept, reduced) = twin_quotient(g, &ids, true);
+            assert!(kept.iter().all(|&k| k));
+            assert!(std::ptr::eq(&*reduced.graph, g), "n = {}: the quotient copied", g.n());
+            assert!(g
+                .vertices()
+                .all(|v| reduced.to_host(v) == v && reduced.from_host(v) == Some(v)));
+            assert_eq!(reduced.from_host(g.n()), None);
+            let state = pipeline_state(g, &ids, Radii::practical(1, 2));
+            assert!(std::ptr::eq(&*state.reduced.graph, g));
+        }
+    }
+
+    #[test]
+    fn quotients_with_twins_are_built_with_unchanged_masks() {
+        // The blown-up C6 keeps one vertex per class, so its quotient is
+        // built; its masks are those the copying quotient produced.
+        let g = blown_up_c6();
+        let bits = |m: &[bool]| m.iter().map(|&b| if b { '1' } else { '0' }).collect::<String>();
+        let shuffled = IdAssignment::shuffled(18, 5);
+        let orders = [
+            ((0..18).collect::<Vec<u64>>(), "100100100100100100", [0, 3, 6, 9, 12, 15]),
+            (
+                g.vertices().map(|v| shuffled.id_of(v)).collect(),
+                "010100100001010100",
+                [1, 3, 6, 11, 13, 15],
+            ),
+        ];
+        for (ids, kept, host) in orders {
+            for (radii, x, i) in [((1, 2), "111111", "000000"), ((3, 4), "000000", "111111")] {
+                let state = pipeline_state(&g, &ids, Radii::practical(radii.0, radii.1));
+                assert!(matches!(state.reduced.graph, std::borrow::Cow::Owned(_)));
+                assert_eq!(bits(&state.kept_mask), kept);
+                assert_eq!(state.reduced.host_vertices(), host);
+                let masks = [&state.x, &state.i, &state.s, &state.dominated, &state.u];
+                assert_eq!(
+                    masks.map(|m| bits(m)),
+                    [x, i, "111111", "111111", "000000"],
+                    "{radii:?}"
+                );
             }
         }
     }

@@ -897,7 +897,7 @@ pub fn is_local_two_cut(g: &Graph, u: Vertex, v: Vertex, r: u32) -> bool {
 }
 
 /// `H = G[N^r[u] ∪ N^r[v]]` with host mapping.
-fn cut_neighborhood(g: &Graph, u: Vertex, v: Vertex, r: u32) -> InducedSubgraph {
+fn cut_neighborhood(g: &Graph, u: Vertex, v: Vertex, r: u32) -> InducedSubgraph<'_> {
     InducedSubgraph::new(g, &bfs::ball_of_set(g, &[u, v], r))
 }
 

@@ -297,7 +297,7 @@ mod tests {
         }
         fn compact(g: &Graph) -> Graph {
             let keep: Vec<Vertex> = g.vertices().filter(|&v| g.degree(v) > 0).collect();
-            lmds_graph::InducedSubgraph::new(g, &keep).graph
+            lmds_graph::InducedSubgraph::new(g, &keep).graph.into_owned()
         }
         let mut rng = SmallRng::seed_from_u64(spec.seed);
         let n0 = spec.base_n.max(2);

@@ -1,5 +1,4 @@
-//! Dynamic graphs: batched edge/vertex updates over the CSR with a
-//! touched-vertex journal and ball-scoped invalidation.
+//! Dynamic graphs: batched edge/vertex updates over the CSR.
 //!
 //! The CSR substrate is built for bulk construction; [`Csr::insert_arc`]
 //! and [`Csr::remove_arc`] exist as O(n + m) splice paths for *small*
@@ -10,42 +9,9 @@
 //! splice path, while a large batch triggers one amortized O(n + m + k)
 //! rebuild instead of k sequential splices.
 //!
-//! # Invalidation rules
-//!
-//! Every update batch journals its **touched vertices**: both endpoints
-//! of each inserted or removed edge, and every freshly added vertex.
-//! Downstream artifacts are invalidated by scope:
-//!
-//! * **r-balls** (CutEngine index entries, local views): an artifact
-//!   scoped to `N^r[c]` can change only if `c` lies within distance `r`
-//!   of a touched vertex — [`DynamicGraph::dirty_ball`] returns exactly
-//!   that vertex set. Evaluating the ball in the *post-update* graph is
-//!   sound for deletions too: a pre-update shortest path from `c` into
-//!   the touched set either avoids the removed edge (and survives) or
-//!   can be truncated at the first removed-edge endpoint it meets,
-//!   which is itself touched — so the pre-update dirty ball is always
-//!   contained in the post-update one. Hence for every pre-existing `c`
-//!   outside `dirty_ball(r)`, neither ball of `c` holds a touched
-//!   vertex, and since every changed edge joins two touched vertices,
-//!   `N^r[c]` and the edges it induces are the same before and after
-//!   the batch (`tests/dynamic_differential.rs` checks this on random
-//!   streams at r = 0..=3).
-//! * **twin classes**: true twins share closed neighborhoods, so a
-//!   class can only change if it contains a vertex adjacent to a
-//!   touched vertex — a subset of `dirty_ball(1)`.
-//! * **connected components**: a component is dirty iff it intersects
-//!   the touched set (`dirty_ball(0)` seeds a component scan). Clean
-//!   components are untouched *by construction* — edge updates never
-//!   cross into them.
-//!
-//! The journal accumulates across batches until [`DynamicGraph::clear_touched`]
-//! is called, so a consumer that re-solves lazily sees the union of all
-//! updates since its last refresh.
-//!
 //! [`Csr::insert_arc`]: crate::csr::Csr::insert_arc
 //! [`Csr::remove_arc`]: crate::csr::Csr::remove_arc
 
-use crate::bfs;
 use crate::errors::GraphError;
 use crate::graph::{Graph, Vertex};
 use std::collections::HashSet;
@@ -108,20 +74,17 @@ pub const SPLICE_LIMIT: usize = 8;
 ///     .apply(&[GraphUpdate::InsertEdge(1, 2), GraphUpdate::RemoveEdge(2, 3)])
 ///     .unwrap();
 /// assert_eq!((stats.inserted, stats.removed), (1, 1));
-/// assert_eq!(dg.touched(), &[1, 2, 3]);
+/// assert_eq!(dg.graph().edges().collect::<Vec<_>>(), [(0, 1), (1, 2)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
     graph: Graph,
-    /// Sorted, deduplicated journal of vertices touched since the last
-    /// [`DynamicGraph::clear_touched`].
-    touched: Vec<Vertex>,
 }
 
 impl DynamicGraph {
-    /// Wraps an existing graph with an empty journal.
+    /// Wraps an existing graph.
     pub fn new(graph: Graph) -> Self {
-        Self { graph, touched: Vec::new() }
+        Self { graph }
     }
 
     /// The current graph.
@@ -160,8 +123,7 @@ impl DynamicGraph {
     /// Applies an update batch atomically.
     ///
     /// The batch is validated first (range and self-loop checks against
-    /// the running vertex count); on error the graph and journal are
-    /// untouched. No-op edge ops (inserting a present edge,
+    /// the running vertex count); on error the graph is unchanged. No-op edge ops (inserting a present edge,
     /// removing an absent one) are not errors — they are counted in
     /// [`UpdateStats::skipped`] so idempotent update streams replay
     /// cleanly.
@@ -181,15 +143,13 @@ impl DynamicGraph {
             for op in batch {
                 match *op {
                     GraphUpdate::AddVertex => {
-                        let v = self.graph.add_vertex();
-                        self.touched.push(v);
+                        self.graph.add_vertex();
                         stats.added_vertices += 1;
                     }
                     GraphUpdate::InsertEdge(u, v) => {
                         // Validated above: the only try_add_edge outcomes
                         // left are "inserted" and "already present".
                         if self.graph.try_add_edge(u, v).expect("batch was validated") {
-                            self.touched.extend([u, v]);
                             stats.inserted += 1;
                         } else {
                             stats.skipped += 1;
@@ -197,7 +157,6 @@ impl DynamicGraph {
                     }
                     GraphUpdate::RemoveEdge(u, v) => {
                         if self.graph.remove_edge(u, v) {
-                            self.touched.extend([u, v]);
                             stats.removed += 1;
                         } else {
                             stats.skipped += 1;
@@ -206,8 +165,6 @@ impl DynamicGraph {
                 }
             }
         }
-        self.touched.sort_unstable();
-        self.touched.dedup();
         Ok(stats)
     }
 
@@ -221,13 +178,11 @@ impl DynamicGraph {
         for op in batch {
             match *op {
                 GraphUpdate::AddVertex => {
-                    self.touched.push(n);
                     n += 1;
                     stats.added_vertices += 1;
                 }
                 GraphUpdate::InsertEdge(u, v) => {
                     if edges.insert((u.min(v), u.max(v))) {
-                        self.touched.extend([u, v]);
                         stats.inserted += 1;
                     } else {
                         stats.skipped += 1;
@@ -235,7 +190,6 @@ impl DynamicGraph {
                 }
                 GraphUpdate::RemoveEdge(u, v) => {
                     if edges.remove(&(u.min(v), u.max(v))) {
-                        self.touched.extend([u, v]);
                         stats.removed += 1;
                     } else {
                         stats.skipped += 1;
@@ -247,28 +201,6 @@ impl DynamicGraph {
         list.sort_unstable();
         self.graph = Graph::from_edges(n, &list);
         stats
-    }
-
-    /// The sorted, deduplicated set of vertices touched by every batch
-    /// since the last [`DynamicGraph::clear_touched`].
-    pub fn touched(&self) -> &[Vertex] {
-        &self.touched
-    }
-
-    /// Empties the journal, marking all artifacts refreshed.
-    pub fn clear_touched(&mut self) {
-        self.touched.clear();
-    }
-
-    /// Every vertex within distance `r` of a touched vertex in the
-    /// current graph — the dirty set for artifacts scoped to r-balls.
-    ///
-    /// Sound for deletions as well as insertions (see the
-    /// [module docs](self)): the post-update ball of the touched set
-    /// always contains the pre-update one. Returns a sorted,
-    /// deduplicated set; empty iff the journal is empty.
-    pub fn dirty_ball(&self, r: u32) -> Vec<Vertex> {
-        bfs::ball_of_set(&self.graph, &self.touched, r)
     }
 }
 
@@ -320,7 +252,6 @@ mod tests {
             totals.skipped += s.skipped;
         }
         assert_eq!(edge_list(bulk.graph()), edge_list(spliced.graph()));
-        assert_eq!(bulk.touched(), spliced.touched());
         assert_eq!(
             (
                 bulk_stats.inserted,
@@ -343,7 +274,6 @@ mod tests {
             dg.apply(&[GraphUpdate::InsertEdge(1, 2), GraphUpdate::InsertEdge(0, 9)]).unwrap_err();
         assert_eq!(err, GraphError::VertexOutOfRange { vertex: 9, n: 3 });
         assert_eq!(edge_list(dg.graph()), edge_list(&base));
-        assert!(dg.touched().is_empty());
 
         let err = dg.apply(&[GraphUpdate::InsertEdge(2, 2)]).unwrap_err();
         assert_eq!(err, GraphError::SelfLoop { vertex: 2 });
@@ -357,67 +287,35 @@ mod tests {
     }
 
     #[test]
-    fn journal_accumulates_until_cleared() {
-        let mut dg = DynamicGraph::new(Graph::from_edges(6, &[(0, 1), (2, 3)]));
-        dg.apply(&[GraphUpdate::InsertEdge(1, 2)]).unwrap();
-        dg.apply(&[GraphUpdate::RemoveEdge(2, 3), GraphUpdate::InsertEdge(4, 5)]).unwrap();
-        assert_eq!(dg.touched(), &[1, 2, 3, 4, 5]);
-        dg.clear_touched();
-        assert!(dg.touched().is_empty());
-        assert!(dg.dirty_ball(3).is_empty());
-        // Skipped-only batches journal nothing.
-        let s = dg.apply(&[GraphUpdate::InsertEdge(1, 2)]).unwrap();
-        assert!(!s.changed() && s.skipped == 1);
-        assert!(dg.touched().is_empty());
-    }
-
-    #[test]
-    fn dirty_ball_covers_both_sides_of_a_deleted_edge() {
-        // Path 0-1-2-3-4-5; deleting (2,3) splits it. Both endpoints
-        // are journaled, so the r = 1 dirty ball reaches one step into
-        // each side even though the sides are now disconnected.
-        let mut dg =
-            DynamicGraph::new(Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]));
-        dg.apply(&[GraphUpdate::RemoveEdge(2, 3)]).unwrap();
-        assert_eq!(dg.dirty_ball(0), vec![2, 3]);
-        assert_eq!(dg.dirty_ball(1), vec![1, 2, 3, 4]);
-        assert_eq!(dg.dirty_ball(2), vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn pooled_scratch_survives_growth_past_its_warmed_size() {
-        // Regression for the thread-local pools: warm every per-vertex
-        // buffer (including the twin-grouping `key` array) on a small
-        // graph, grow the dynamic graph well past it, and re-run the
-        // pooled queries — results must equal a cold computation.
+        // Warm this thread's pooled scratch on a small graph, grow the
+        // dynamic graph well past it, and re-run the pooled queries:
+        // the BFS must equal a cold scratch's, and the twin pass (which
+        // keeps no pooled buffer) the brute-force representatives.
         let small = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let _ = crate::bfs::ball(&small, 0, 2);
-        let _ = twins::twin_classes(&small);
+        let _ = twins::twin_representatives(&small);
 
         let mut dg = DynamicGraph::new(small);
-        let mut batch = Vec::new();
-        for _ in 0..61 {
-            batch.push(GraphUpdate::AddVertex);
-        }
-        for v in 3..64 {
-            batch.push(GraphUpdate::InsertEdge(v - 3, v));
-        }
+        let mut batch = vec![GraphUpdate::AddVertex; 63];
+        batch.extend((3..64).map(|v| GraphUpdate::InsertEdge(v - 3, v)));
+        // 64 and 65 form a true-twin pair hanging off vertex 10.
+        batch.extend([(64, 65), (64, 10), (65, 10)].map(|(u, v)| GraphUpdate::InsertEdge(u, v)));
         dg.apply(&batch).unwrap();
         let g = dg.graph();
-        assert_eq!(g.n(), 64);
+        assert_eq!(g.n(), 66);
 
         let mut cold = crate::scratch::Scratch::new();
         let mut ball = Vec::new();
         crate::bfs::ball_of_set_into(g, &mut cold, &[63], 2, &mut ball);
         ball.sort_unstable();
         assert_eq!(crate::bfs::ball(g, 63, 2), ball);
-        assert_eq!(twins::twin_classes(g), twins::twin_classes_with(g, &mut cold));
 
-        // And the explicit reserve contract: a scratch warmed small must
-        // grow every buffer (`key` included) when reused on the larger
-        // graph through the `_with` entry points.
-        let mut warmed = crate::scratch::Scratch::with_capacity(3);
-        let _ = twins::twin_classes_with(&Graph::from_edges(3, &[(0, 1)]), &mut warmed);
-        assert_eq!(twins::twin_classes(g), twins::twin_classes_with(g, &mut warmed));
+        let brute: Vec<Vertex> = g
+            .vertices()
+            .map(|v| (0..=v).find(|&u| u == v || g.are_true_twins(u, v)).unwrap())
+            .collect();
+        assert_eq!(brute[65], 64, "the grown graph has a twin pair");
+        assert_eq!(twins::twin_representatives(g), brute);
     }
 }

@@ -34,9 +34,7 @@
 //!   Menger-style petal counting ([`minor`]),
 //! * batched dynamic updates ([`dynamic`]): [`DynamicGraph`] applies
 //!   edge/vertex insert+delete batches atomically over the CSR (splice
-//!   for small batches, amortized rebuild for large ones) and journals
-//!   touched vertices, whose `dirty_ball(r)` covers every r-ball a
-//!   batch can change,
+//!   for small batches, amortized rebuild for large ones),
 //! * the workspace's one parallel execution substrate ([`par`]): a
 //!   worker policy and the scoped-thread helpers every parallel phase
 //!   runs on.

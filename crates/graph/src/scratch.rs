@@ -2,7 +2,7 @@
 //! array.
 //!
 //! Every hot query of this crate (balls `N^r[v]`, component scans,
-//! domination checks, twin grouping) needs a per-vertex "visited" flag
+//! domination checks) needs a per-vertex "visited" flag
 //! and a work queue. Allocating and zeroing those per call costs O(n)
 //! even when the answer touches a handful of vertices; a [`Scratch`]
 //! amortizes them across calls.
@@ -51,8 +51,6 @@ pub struct Scratch {
     pub(crate) dist: Vec<u32>,
     /// BFS queue storage (head index kept by the traversal).
     pub(crate) queue: Vec<Vertex>,
-    /// Per-vertex 64-bit keys (twin-grouping hashes).
-    pub(crate) key: Vec<u64>,
 }
 
 impl Scratch {
@@ -68,20 +66,16 @@ impl Scratch {
         s
     }
 
-    /// Grows the buffers to cover `n` vertices (never shrinks).
-    ///
-    /// Every per-vertex buffer grows here, `key` included: a pooled
-    /// scratch warmed on a small graph must stay safe when the same
-    /// thread later queries a [`DynamicGraph`](crate::dynamic::DynamicGraph)
-    /// that has grown past the warmed vertex count (the buffers are
-    /// sized by the *largest* graph seen, not the first one).
+    /// Grows the per-vertex buffers, `mark` and `dist`, to cover `n`
+    /// vertices (never shrinks). Every traversal calls this first, so
+    /// a pooled scratch warmed on a small graph grows when the same
+    /// thread later queries a larger one (a
+    /// [`DynamicGraph`](crate::dynamic::DynamicGraph) grown past the
+    /// warmed vertex count, say). The queue grows as a traversal pushes.
     pub fn reserve(&mut self, n: usize) {
         if self.mark.len() < n {
             self.mark.resize(n, 0);
             self.dist.resize(n, 0);
-        }
-        if self.key.len() < n {
-            self.key.resize(n, 0);
         }
     }
 
@@ -417,6 +411,22 @@ mod tests {
                 .unwrap_or_default();
             assert!(msg.contains("vertex 7 out of range for graph of n=3"), "{name}: {msg}");
         }
+    }
+
+    /// A scratch that only runs BFS holds its two 4-byte per-vertex
+    /// arrays and a queue the size of the ball: no 8-byte twin key per
+    /// vertex, and no vertex-sized queue.
+    #[test]
+    fn bfs_grows_only_marks_and_distances() {
+        let n = 100_000;
+        let path: Vec<(Vertex, Vertex)> = (1..n).map(|v| (v - 1, v)).collect();
+        let g = crate::Graph::from_edges(n, &path);
+        let mut s = Scratch::new();
+        let mut ball = Vec::new();
+        crate::bfs::ball_of_set_into(&g, &mut s, &[n / 2], 3, &mut ball);
+        assert_eq!(ball.len(), 7);
+        assert_eq!((s.mark.capacity(), s.dist.capacity()), (n, n));
+        assert!(s.queue.capacity() < 64, "queue capacity {}", s.queue.capacity());
     }
 
     #[test]

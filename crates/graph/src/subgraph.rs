@@ -1,12 +1,18 @@
 //! Induced subgraphs with vertex mappings back to the host graph.
 
 use crate::graph::{Graph, Vertex};
+use std::borrow::Cow;
 
 /// Sentinel for "host vertex not in the subgraph" in the inverse map.
 const ABSENT: usize = usize::MAX;
 
 /// An induced subgraph `G[S]` together with the mapping between its own
 /// vertex indices (`0..|S|`) and the host graph's vertices.
+///
+/// When `S` is every host vertex (a twin quotient of a twin-free
+/// graph), the subgraph *is* the host: `graph` borrows it and both maps
+/// are the identity, with nothing copied or stored. Every other `S`
+/// builds `G[S]` and stores both maps.
 ///
 /// # Example
 ///
@@ -20,13 +26,26 @@ const ABSENT: usize = usize::MAX;
 /// assert_eq!(sub.to_host(0), 1);
 /// assert_eq!(sub.from_host(3), Some(2));
 /// assert_eq!(sub.from_host(4), None);
+///
+/// // Every vertex: the host itself, borrowed.
+/// let all = InducedSubgraph::new(&g, &[0, 1, 2, 3, 4]);
+/// assert!(std::ptr::eq(&*all.graph, &g));
+/// assert_eq!((all.to_host(3), all.from_host(3)), (3, Some(3)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct InducedSubgraph {
-    /// The induced subgraph, on vertices `0..|S|`.
-    pub graph: Graph,
-    /// `to_host[i]` is the host vertex for subgraph vertex `i`
-    /// (sorted ascending).
+pub struct InducedSubgraph<'g> {
+    /// The induced subgraph, on vertices `0..|S|`: the host graph
+    /// itself, borrowed, when `S` is every host vertex.
+    pub graph: Cow<'g, Graph>,
+    /// The vertex maps, or `None` when both are the identity.
+    maps: Option<HostMaps>,
+}
+
+/// The two vertex maps of a subgraph on a proper subset of its host.
+#[derive(Debug, Clone)]
+struct HostMaps {
+    /// `to_host[i]` is the host vertex for subgraph vertex `i` (sorted
+    /// ascending).
     to_host: Vec<Vertex>,
     /// Inverse mapping: `from_host[v]` is the subgraph index of host
     /// vertex `v`, or `ABSENT` (sentinel, half the footprint of an
@@ -34,21 +53,20 @@ pub struct InducedSubgraph {
     from_host: Vec<usize>,
 }
 
-impl InducedSubgraph {
+impl<'g> InducedSubgraph<'g> {
     /// Builds `G[S]`. `s` may be unsorted and contain duplicates; it is
-    /// canonicalized first. A set that covers every vertex (a twin
-    /// quotient without twins) copies `g` with identity maps instead of
-    /// rebuilding it.
+    /// canonicalized first. A set that covers every vertex borrows `g`
+    /// with identity maps instead of rebuilding it.
     ///
     /// # Panics
     ///
     /// Panics if a vertex of `s` is out of range for `g`.
-    pub fn new(g: &Graph, s: &[Vertex]) -> Self {
+    pub fn new(g: &'g Graph, s: &[Vertex]) -> Self {
         let verts = crate::canonical_set(s.to_vec());
         // Sorted and distinct, so n entries ending at n − 1 are exactly
         // 0..n; an out-of-range entry fails this and panics below.
         if verts.len() == g.n() && verts.last().is_some_and(|&v| v + 1 == g.n()) {
-            return InducedSubgraph { graph: g.clone(), from_host: verts.clone(), to_host: verts };
+            return Self::whole(g);
         }
         let mut from_host = vec![ABSENT; g.n()];
         for (i, &v) in verts.iter().enumerate() {
@@ -66,7 +84,15 @@ impl InducedSubgraph {
             }
         }
         let sub = Graph::from_arcs_unchecked(verts.len(), &arcs);
-        InducedSubgraph { graph: sub, to_host: verts, from_host }
+        InducedSubgraph {
+            graph: Cow::Owned(sub),
+            maps: Some(HostMaps { to_host: verts, from_host }),
+        }
+    }
+
+    /// `G[V(G)]`: `g` itself, borrowed, with identity maps.
+    pub fn whole(g: &'g Graph) -> Self {
+        InducedSubgraph { graph: Cow::Borrowed(g), maps: None }
     }
 
     /// Host vertex corresponding to subgraph vertex `i`.
@@ -75,25 +101,35 @@ impl InducedSubgraph {
     ///
     /// Panics if `i` is out of range.
     pub fn to_host(&self, i: Vertex) -> Vertex {
-        self.to_host[i]
+        match &self.maps {
+            Some(maps) => maps.to_host[i],
+            None => {
+                assert!(i < self.graph.n(), "vertex {i} out of range for n={}", self.graph.n());
+                i
+            }
+        }
     }
 
     /// Subgraph index of host vertex `v`, if `v` is in the subgraph.
     pub fn from_host(&self, v: Vertex) -> Option<Vertex> {
-        match self.from_host.get(v) {
-            Some(&i) if i != ABSENT => Some(i),
-            _ => None,
+        match &self.maps {
+            Some(maps) => maps.from_host.get(v).copied().filter(|&i| i != ABSENT),
+            None => (v < self.graph.n()).then_some(v),
         }
     }
 
-    /// The host vertices of the subgraph, sorted ascending.
-    pub fn host_vertices(&self) -> &[Vertex] {
-        &self.to_host
+    /// The host vertices of the subgraph, sorted ascending (a fresh
+    /// vector: identity maps store no list).
+    pub fn host_vertices(&self) -> Vec<Vertex> {
+        match &self.maps {
+            Some(maps) => maps.to_host.clone(),
+            None => self.graph.vertices().collect(),
+        }
     }
 
     /// Maps a set of subgraph vertices to host vertices (sorted).
     pub fn set_to_host(&self, s: &[Vertex]) -> Vec<Vertex> {
-        crate::canonical_set(s.iter().map(|&i| self.to_host[i]))
+        crate::canonical_set(s.iter().map(|&i| self.to_host(i)))
     }
 
     /// Maps a set of host vertices into subgraph indices, dropping
@@ -163,12 +199,12 @@ pub(crate) fn induce_in_order_into(
 
 /// Convenience: the induced subgraph on the ball `N^r[v]`, as used by
 /// every "local" predicate of the paper.
-pub fn ball_subgraph(g: &Graph, v: Vertex, r: u32) -> InducedSubgraph {
+pub fn ball_subgraph(g: &Graph, v: Vertex, r: u32) -> InducedSubgraph<'_> {
     InducedSubgraph::new(g, &crate::bfs::ball(g, v, r))
 }
 
 /// Convenience: the induced subgraph on `N^r[S]`.
-pub fn ball_subgraph_of_set(g: &Graph, s: &[Vertex], r: u32) -> InducedSubgraph {
+pub fn ball_subgraph_of_set<'g>(g: &'g Graph, s: &[Vertex], r: u32) -> InducedSubgraph<'g> {
     InducedSubgraph::new(g, &crate::bfs::ball_of_set(g, s, r))
 }
 
@@ -213,14 +249,18 @@ mod tests {
 
     #[test]
     fn full_sets_copy_the_graph_with_identity_maps() {
+        // A full set borrows the host rather than copying it.
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]);
         let sub = InducedSubgraph::new(&g, &[4, 2, 0, 3, 1, 2]);
-        assert_eq!(sub.graph, g);
+        assert!(matches!(sub.graph, Cow::Borrowed(h) if std::ptr::eq(h, &g)));
+        assert_eq!(*sub.graph, g);
         assert_eq!(sub.host_vertices(), &[0, 1, 2, 3, 4]);
         assert!(g.vertices().all(|v| sub.from_host(v) == Some(v) && sub.to_host(v) == v));
+        assert_eq!(sub.from_host(5), None);
+        assert_eq!(sub.set_to_host(&[3, 1]), vec![1, 3]);
         // The rebuilding path, on a host with one more vertex, agrees.
         let host = Graph::from_edges(6, &g.edges().collect::<Vec<_>>());
-        assert_eq!(InducedSubgraph::new(&host, &[0, 1, 2, 3, 4]).graph, g);
+        assert_eq!(*InducedSubgraph::new(&host, &[0, 1, 2, 3, 4]).graph, g);
         assert_eq!(InducedSubgraph::new(&Graph::new(0), &[]).graph.n(), 0);
     }
 
@@ -246,7 +286,7 @@ mod tests {
             let n = g.n();
             // Sorted orders: exactly `InducedSubgraph::new`'s graph.
             for s in [(0..n).collect::<Vec<_>>(), (0..n).step_by(2).collect(), (1..n).collect()] {
-                assert_eq!(induced_in_order(g, &s), InducedSubgraph::new(g, &s).graph);
+                assert_eq!(induced_in_order(g, &s), *InducedSubgraph::new(g, &s).graph);
             }
             // A permuted order: local i stands for order[i].
             let order: Vec<Vertex> = (0..n).rev().filter(|v| v % 3 != 1).collect();

@@ -12,7 +12,6 @@
 
 use crate::graph::{Graph, Vertex};
 use crate::par;
-use crate::scratch::{with_thread_scratch, Scratch};
 use crate::subgraph::InducedSubgraph;
 
 /// Below this vertex count the neighborhood-hash fill stays
@@ -39,26 +38,20 @@ fn mix(mut x: u64) -> u64 {
 /// classes. Classes are sorted internally and ordered by their minimum
 /// vertex.
 pub fn twin_classes(g: &Graph) -> Vec<Vec<Vertex>> {
-    with_thread_scratch(|s| twin_classes_with(g, s))
-}
-
-/// [`twin_classes`] through an explicit [`Scratch`]: the representative
-/// array of [`twin_representatives_with`] expanded into explicit
-/// classes.
-pub fn twin_classes_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vec<Vertex>> {
-    let n = g.n();
-    let rep = twin_representatives_with(g, scratch);
-    // One ascending sweep builds the classes ordered by minimum member
-    // (the scratch queue doubles as the rep → class-index table).
-    scratch.queue.clear();
-    scratch.queue.resize(n, usize::MAX);
+    // One ascending sweep builds the classes ordered by minimum member.
+    // `rep[v] ≤ v`, so a class's representative is met before its other
+    // members, and `rep` is overwritten in place with class indices.
+    let mut rep = twin_representatives(g);
     let mut classes: Vec<Vec<Vertex>> = Vec::new();
-    for (v, &r) in rep.iter().enumerate() {
-        if scratch.queue[r] == usize::MAX {
-            scratch.queue[r] = classes.len();
+    for v in 0..rep.len() {
+        let class = if rep[v] == v {
             classes.push(Vec::new());
-        }
-        classes[scratch.queue[r]].push(v);
+            classes.len() - 1
+        } else {
+            rep[rep[v]]
+        };
+        rep[v] = class;
+        classes[class].push(v);
     }
     classes
 }
@@ -66,88 +59,64 @@ pub fn twin_classes_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vec<Vertex>> {
 /// `rep[v]` = the minimum vertex of `v`'s true-twin class (so `v` is a
 /// kept representative iff `rep[v] == v`). This is the allocation-lean
 /// core of the twin reduction.
-pub fn twin_representatives(g: &Graph) -> Vec<Vertex> {
-    with_thread_scratch(|s| twin_representatives_with(g, s))
-}
-
-/// [`twin_representatives`] through an explicit [`Scratch`].
 ///
 /// Two vertices share a closed neighborhood iff they are true twins (or
 /// identical), so the grouping hashes `N[v]` straight off the CSR
 /// neighbor slices (a commutative 64-bit sum — no per-vertex key
-/// allocation), sorts vertices by hash, and confirms each collision run
-/// with the exact slice comparison [`Graph::are_true_twins`]. A class is
-/// never split across hash runs, and runs are scanned in ascending
-/// vertex order, so the first member seen of each class is its minimum.
-pub fn twin_representatives_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vertex> {
+/// allocation), sorts `(hash, vertex)` pairs, and confirms each
+/// collision run with the exact slice comparison
+/// [`Graph::are_true_twins`]. A class is never split across hash runs,
+/// and each run is in ascending vertex order, so the first member seen
+/// of each class is its minimum. The pair array lives only for the
+/// call: no n-sized buffer outlasts it.
+pub fn twin_representatives(g: &Graph) -> Vec<Vertex> {
     let n = g.n();
     let mut rep: Vec<Vertex> = (0..n).collect();
-    if n == 0 {
-        return rep;
-    }
-    if scratch.key.len() < n {
-        scratch.key.resize(n, 0);
-    }
+    let mut keyed: Vec<(u64, Vertex)> = vec![(0, 0); n];
     let workers = par::workers(n, HASH_PARALLEL_THRESHOLD, n);
-    fill_neighborhood_keys(g, &mut scratch.key[..n], workers);
-    // The scratch queue doubles as the hash-sorted vertex order.
-    scratch.queue.clear();
-    scratch.queue.extend(0..n);
-    let keys = &scratch.key;
-    scratch.queue.sort_unstable_by_key(|&v| keys[v]);
-    let order = &mut scratch.queue;
+    fill_neighborhood_keys(g, &mut keyed, workers);
+    keyed.sort_unstable();
     let mut run_reps: Vec<Vertex> = Vec::new();
-    let mut i = 0;
-    while i < n {
-        let run_key = keys[order[i]];
-        let mut j = i;
-        while j < n && keys[order[j]] == run_key {
-            j += 1;
-        }
-        if j - i > 1 {
-            let run = &mut order[i..j];
-            run.sort_unstable();
-            run_reps.clear();
-            for &v in run.iter() {
-                match run_reps.iter().find(|&&r| g.are_true_twins(r, v)) {
-                    Some(&r) => rep[v] = r,
-                    None => run_reps.push(v),
-                }
+    for run in keyed.chunk_by(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+        run_reps.clear();
+        for &(_, v) in run {
+            match run_reps.iter().find(|&&r| g.are_true_twins(r, v)) {
+                Some(&r) => rep[v] = r,
+                None => run_reps.push(v),
             }
         }
-        i = j;
     }
     rep
 }
 
-/// Fills `keys[v]` with the commutative closed-neighborhood hash of `v`
-/// for every `v < keys.len()`, in `workers` contiguous chunks (each
-/// worker hashes the CSR rows of its own disjoint vertex range, so the
-/// output is identical for every worker count).
-fn fill_neighborhood_keys(g: &Graph, keys: &mut [u64], workers: usize) {
-    par::map_chunks(workers, keys, &mut (), |_, v, key| {
+/// Fills `keyed[v]` with `(h, v)`, `h` the commutative closed-neighborhood
+/// hash of `v`, for every `v < keyed.len()`, in `workers` contiguous
+/// chunks (each worker hashes the CSR rows of its own disjoint vertex
+/// range, so the output is identical for every worker count).
+fn fill_neighborhood_keys(g: &Graph, keyed: &mut [(u64, Vertex)], workers: usize) {
+    par::map_chunks(workers, keyed, &mut (), |_, v, slot| {
         let mut h = mix(v as u64);
         for &u in g.neighbors(v) {
             h = h.wrapping_add(mix(u as u64));
         }
-        *key = h;
+        *slot = (h, v);
     });
 }
 
 /// The canonical twin-free reduction of a graph.
 #[derive(Debug, Clone)]
-pub struct TwinReduction {
+pub struct TwinReduction<'g> {
     /// The quotient: `G` induced on the minimum vertex of every twin
-    /// class.
-    pub reduced: InducedSubgraph,
+    /// class (`G` itself, borrowed, when `G` is twin-free).
+    pub reduced: InducedSubgraph<'g>,
     /// `representative[v]` is the kept host vertex of `v`'s twin class.
     pub representative: Vec<Vertex>,
 }
 
-impl TwinReduction {
+impl<'g> TwinReduction<'g> {
     /// Computes the canonical twin-free quotient of `g` straight from
     /// the representative array (no intermediate class lists).
-    pub fn compute(g: &Graph) -> Self {
+    pub fn compute(g: &'g Graph) -> Self {
         let representative = twin_representatives(g);
         let kept: Vec<Vertex> = g.vertices().filter(|&v| representative[v] == v).collect();
         let reduced = InducedSubgraph::new(g, &kept);
@@ -174,10 +143,10 @@ mod tests {
             101,
             &(0..100).map(|i| (i, i + 1)).chain([(0, 50), (3, 97)]).collect::<Vec<_>>(),
         );
-        let mut seq = vec![0u64; g.n()];
+        let mut seq = vec![(0u64, 0); g.n()];
         fill_neighborhood_keys(&g, &mut seq, 1);
         for workers in [1, 2, 4, 7] {
-            let mut par = vec![0u64; g.n()];
+            let mut par = vec![(0u64, 0); g.n()];
             fill_neighborhood_keys(&g, &mut par, workers);
             assert_eq!(seq, par, "workers={workers}");
         }

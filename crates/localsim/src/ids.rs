@@ -16,11 +16,16 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A bijection from graph vertices to distinct identifiers.
+/// Distinct identifiers for the vertices of a graph: `ids[v]` is the
+/// identifier of vertex `v`.
+///
+/// The assignment holds its id vector and nothing else. The LOCAL
+/// algorithms only ever *compare* identifiers, so no map from an
+/// identifier back to its vertex is kept. Distinctness is checked once,
+/// at construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdAssignment {
     ids: Vec<u64>,
-    vertex_of: std::collections::HashMap<u64, Vertex>,
 }
 
 impl IdAssignment {
@@ -30,17 +35,23 @@ impl IdAssignment {
     ///
     /// Panics if ids are not distinct.
     pub fn from_ids(ids: Vec<u64>) -> Self {
-        let mut vertex_of = std::collections::HashMap::with_capacity(ids.len());
-        for (v, &id) in ids.iter().enumerate() {
-            let prev = vertex_of.insert(id, v);
-            assert!(prev.is_none(), "duplicate identifier {id}");
+        let mut sorted = ids.clone();
+        sorted.sort_unstable();
+        if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+            panic!("duplicate identifier {}", w[0]);
         }
-        IdAssignment { ids, vertex_of }
+        IdAssignment { ids }
+    }
+
+    /// A permutation of `0..n`, distinct by construction, so no check
+    /// runs.
+    fn permutation(ids: Vec<u64>) -> Self {
+        IdAssignment { ids }
     }
 
     /// The identity assignment `id(v) = v`.
     pub fn sequential(n: usize) -> Self {
-        Self::from_ids((0..n as u64).collect())
+        Self::permutation((0..n as u64).collect())
     }
 
     /// A deterministic pseudo-random permutation of `0..n` seeded by
@@ -52,7 +63,7 @@ impl IdAssignment {
             let j = (splitmix(&mut state) % (i as u64 + 1)) as usize;
             ids.swap(i, j);
         }
-        Self::from_ids(ids)
+        Self::permutation(ids)
     }
 
     /// A degree-adversarial permutation: the lowest-degree vertices get
@@ -75,7 +86,7 @@ impl IdAssignment {
         for (rank, &v) in order.iter().enumerate() {
             ids[v] = rank as u64;
         }
-        Self::from_ids(ids)
+        Self::permutation(ids)
     }
 
     /// Number of vertices.
@@ -86,11 +97,6 @@ impl IdAssignment {
     /// The identifier of vertex `v`.
     pub fn id_of(&self, v: Vertex) -> u64 {
         self.ids[v]
-    }
-
-    /// The vertex with identifier `id`, if any.
-    pub fn vertex_of(&self, id: u64) -> Option<Vertex> {
-        self.vertex_of.get(&id).copied()
     }
 
     /// Bits needed per identifier (`⌈log₂(max_id + 1)⌉`, at least 1).
@@ -151,9 +157,7 @@ mod tests {
         let ids = IdAssignment::sequential(5);
         for v in 0..5 {
             assert_eq!(ids.id_of(v), v as u64);
-            assert_eq!(ids.vertex_of(v as u64), Some(v));
         }
-        assert_eq!(ids.vertex_of(99), None);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! valid alternative.
 
 use crate::json::Value;
-use lmds_api::{ExecutionMode, IdPolicy, Problem, SolutionView, SolveConfig, SolveError};
+use lmds_api::{IdPolicy, Problem, SolutionView, SolveConfig, SolveError};
 use lmds_core::Radii;
 use lmds_graph::dynamic::GraphUpdate;
 use lmds_localsim::ParseFaultError;
@@ -287,12 +287,13 @@ fn parse_config(cfg: &Value) -> Result<(Option<Problem>, SolveConfig), WireError
 /// with every field present in key order (absent options and an inert
 /// fault plan as `null`). It renders the *materialized* config, so two
 /// requests that spell the same effective configuration differently
-/// (omitting a field or passing its default; a seed on the sequential
-/// policy; `id_policy`, `id_seed` or `round_cap` in the centralized
-/// mode, which ignores them) share one fingerprint.
+/// (omitting a field or passing its default, a seed on the sequential
+/// policy) share one fingerprint. The server renders
+/// `cfg.restricted_to(solver.reads(cfg))`, so fields a solver does not
+/// read (`round_cap` in the centralized mode, `radii` for
+/// `mds/theorem44`, …) render at their defaults.
 pub fn config_fingerprint(cfg: &SolveConfig) -> String {
-    let local = cfg.mode != ExecutionMode::Centralized;
-    let (id_policy, id_seed) = match cfg.id_policy.filter(|_| local) {
+    let (id_policy, id_seed) = match cfg.id_policy {
         None => (Value::Null, Value::Null),
         Some(IdPolicy::Sequential) => (Value::from("sequential"), Value::Null),
         Some(IdPolicy::Shuffled { seed }) => (Value::from("shuffled"), Value::from(seed)),
@@ -303,7 +304,7 @@ pub fn config_fingerprint(cfg: &SolveConfig) -> String {
         ("mode", Value::from(cfg.mode.to_string())),
         ("id_policy", id_policy),
         ("id_seed", id_seed),
-        ("round_cap", cfg.round_cap.filter(|_| local).map_or(Value::Null, Value::from)),
+        ("round_cap", cfg.round_cap.map_or(Value::Null, Value::from)),
         ("radii", Value::Arr(vec![cfg.radii.one_cut.into(), cfg.radii.two_cut.into()])),
         ("opt_budget", Value::from(cfg.opt_budget)),
         ("measure_ratio", Value::from(cfg.measure_ratio)),
@@ -609,11 +610,18 @@ mod tests {
         assert!(parse_solution(&Value::obj([])).is_err(), "missing fields are named");
     }
 
+    /// The cache fingerprint `solver` keys `cfg` on: the fields it does
+    /// not read at their defaults, as the server renders it.
+    fn keyed(solver: &str, cfg: &SolveConfig) -> String {
+        let solver = lmds_api::SolverRegistry::with_defaults().get(solver).unwrap();
+        config_fingerprint(&cfg.restricted_to(solver.reads(cfg)))
+    }
+
     #[test]
     fn config_fingerprints_canonicalize_equivalent_configs() {
         let fingerprint = |config: &str| {
             let body = format!(r#"{{"graph": "g", "solver": "s", "config": {config}}}"#);
-            config_fingerprint(&parse_solve_request(body.as_bytes()).unwrap().config)
+            keyed("mds/algorithm1", &parse_solve_request(body.as_bytes()).unwrap().config)
         };
         // Spelled-out defaults and omitted defaults materialize to the
         // same config, so they share a fingerprint.
@@ -694,15 +702,99 @@ mod tests {
                 SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).opt_budget(u64::MAX),
                 r#"{"fault":null,"id_policy":null,"id_seed":null,"measure_ratio":false,"mode":"local-message-passing","opt_budget":18446744073709552000,"problem":"mds","radii":[2,3],"round_cap":null}"#,
             ),
-            // Centralized solves ignore the LOCAL-only fields.
-            (
-                SolveConfig::mds().id_policy(IdPolicy::Adversarial { seed: 9 }).round_cap(32),
-                defaults,
-            ),
         ];
         for (cfg, expected) in cases {
             assert_eq!(config_fingerprint(&cfg), expected);
         }
+
+        // Keyed through a solver, the fields it does not read render at
+        // their defaults.
+        let keyed_cases = [
+            // Centralized solves ignore the LOCAL-only fields.
+            (
+                "mds/algorithm1",
+                SolveConfig::mds().id_policy(IdPolicy::Adversarial { seed: 9 }).round_cap(32),
+            ),
+            // The explicit-round solvers ignore the radii, and every
+            // solver but the exact ones ignores the budget unless it
+            // measures the ratio.
+            ("mds/theorem44", SolveConfig::mds().radii(Radii::practical(3, 4))),
+            ("mds/theorem44", SolveConfig::mds().opt_budget(1000)),
+            ("mds/algorithm1", SolveConfig::mds().opt_budget(1000)),
+            // The exact solvers attach the optimum whatever `measure_ratio` says.
+            ("mds/exact", SolveConfig::mds().measure_ratio(true).radii(Radii::practical(3, 4))),
+        ];
+        for (solver, cfg) in keyed_cases {
+            assert_eq!(keyed(solver, &cfg), defaults, "{solver} {cfg:?}");
+        }
+        let read = [
+            (
+                "mds/algorithm1",
+                SolveConfig::mds().radii(Radii::practical(3, 4)),
+                r#""radii":[3,4]"#,
+            ),
+            ("mds/exact", SolveConfig::mds().opt_budget(1000), r#""opt_budget":1000"#),
+            (
+                "mds/theorem44",
+                SolveConfig::mds().measure_ratio(true).opt_budget(1000),
+                r#""measure_ratio":true,"mode":"centralized","opt_budget":1000"#,
+            ),
+        ];
+        for (solver, cfg, needle) in read {
+            assert!(keyed(solver, &cfg).contains(needle), "{solver} {cfg:?}");
+        }
+    }
+
+    /// For every built-in row and every mode it supports, a field the
+    /// row does not read changes neither its answer nor its cache
+    /// fingerprint, except the fault plan, which such a row rejects.
+    #[test]
+    fn unread_config_fields_change_neither_answer_nor_fingerprint() {
+        use lmds_api::{ConfigFields, FaultConfig, Instance};
+        let registry = lmds_api::SolverRegistry::with_defaults();
+        let inst =
+            Instance::shuffled("outer", lmds_gen::outerplanar::random_outerplanar(30, 25, 2), 4);
+        let active: FaultConfig = "seed=7;drop=bernoulli:100".parse().unwrap();
+        let answer = |key: &str, cfg: &SolveConfig| {
+            registry.solve(key, &inst, cfg).map(|sol| {
+                let mut view = SolutionView::from(&sol);
+                view.wall_micros = 0;
+                view
+            })
+        };
+        type Change = fn(SolveConfig) -> SolveConfig;
+        let changes: [(ConfigFields, Change); 5] = [
+            (ConfigFields::ID_POLICY, |c| c.id_policy(IdPolicy::Shuffled { seed: 3 })),
+            (ConfigFields::ROUND_CAP, |c| c.round_cap(2)),
+            (ConfigFields::RADII, |c| c.radii(Radii::practical(3, 4))),
+            (ConfigFields::MEASURE_RATIO, |c| c.measure_ratio(true)),
+            (ConfigFields::OPT_BUDGET, |c| c.opt_budget(1000)),
+        ];
+        let mut checked = 0;
+        for descriptor in registry.descriptors() {
+            let key = descriptor.key;
+            let solver = registry.get(key).unwrap();
+            for &mode in descriptor.modes {
+                let base = SolveConfig::new(descriptor.problem).mode(mode);
+                let reads = solver.reads(&base);
+                let expected = answer(key, &base).unwrap();
+                for (field, change) in changes.iter().filter(|(f, _)| !reads.contains(*f)) {
+                    let (ctx, changed) = (format!("{key} {mode} {field:?}"), change(base.clone()));
+                    assert_eq!(answer(key, &changed).unwrap(), expected, "{ctx}");
+                    assert_eq!(keyed(key, &changed), keyed(key, &base), "{ctx}");
+                    checked += 1;
+                }
+                if !reads.contains(ConfigFields::FAULT) {
+                    let rejected = answer(key, &base.clone().fault(active));
+                    let ctx = format!("{key} {mode}: an unread fault plan is rejected");
+                    assert!(
+                        matches!(rejected, Err(SolveError::UnsupportedOptions { .. })),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+        assert!(checked >= 40, "{checked} unread fields checked");
     }
 
     #[test]

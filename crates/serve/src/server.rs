@@ -51,7 +51,7 @@ use crate::proto::{
     render_solution, solve_error_to_wire, SolveRequest, WireError,
 };
 use crate::queue::{JobLookup, JobQueue, JobSpec, JobState, SubmitError};
-use lmds_api::{SolutionView, SolveConfig, SolverRegistry};
+use lmds_api::{ConfigFields, SolutionView, SolveConfig, SolverRegistry};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -416,13 +416,15 @@ fn reaper_loop(shared: &Shared) {
     }
 }
 
-/// The cache identity of a job: graph content, solver, canonical
-/// config.
-fn cache_key(spec: &JobSpec) -> CacheKey {
+/// The cache identity of a job: graph content, solver, and the config
+/// fields that solver reads (the others at their defaults).
+fn cache_key(shared: &Shared, spec: &JobSpec) -> CacheKey {
+    let reads =
+        shared.registry.get(&spec.solver).map_or(ConfigFields::ALL, |s| s.reads(&spec.config));
     CacheKey {
         graph_checksum: spec.entry.checksum,
         solver: spec.solver.clone(),
-        config_fingerprint: config_fingerprint(&spec.config),
+        config_fingerprint: config_fingerprint(&spec.config.restricted_to(reads)),
     }
 }
 
@@ -432,7 +434,7 @@ fn worker_loop(shared: &Shared) {
     while let Some((id, spec)) = shared.queue.next_job() {
         let solver_metrics = shared.metrics.solver(&spec.solver);
         Metrics::bump(&solver_metrics.requests);
-        let key = cache_key(&spec);
+        let key = cache_key(shared, &spec);
         if let Some(view) = shared.cache.get(&key) {
             // Every registered solver is deterministic for a fixed
             // (graph, solver, config), so the cached view *is* the
@@ -730,7 +732,7 @@ fn solve_sync(shared: &Shared, body: &[u8]) -> Result<(u16, Value), WireError> {
     let req = parse_solve_request(body)?;
     let wait = req.timeout_ms.map_or(shared.default_timeout, Duration::from_millis);
     let spec = prepare(shared, req)?;
-    if let Some(view) = shared.cache.get(&cache_key(&spec)) {
+    if let Some(view) = shared.cache.get(&cache_key(shared, &spec)) {
         Metrics::bump(&shared.metrics.cache_hits);
         return Ok((
             200,

@@ -1170,11 +1170,11 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"radii": [3, 4]}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"opt_budget": 1000}"#,
-        r#"200 cached=false mode="centralized" size=28 rounds=null optimum=null"#,
+        r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),
     (
         r#"{"measure_ratio": true}"#,
