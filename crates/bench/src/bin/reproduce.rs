@@ -20,21 +20,8 @@
 //! The JSON document stays header-free (it is byte-compared by the
 //! golden-file test).
 
+use lmds_bench::timing::git_describe;
 use lmds_bench::{render_csv, render_json, render_markdown, Table, EXPERIMENTS};
-
-/// `git describe --always --dirty` of the generating tree, or
-/// "unknown" outside a git checkout.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
 
 /// The provenance comment block stamped at the top of every CSV.
 fn provenance_header(experiment: &str, git: &str) -> String {
@@ -110,6 +97,9 @@ fn main() {
         }
     }
 
+    // Read the revision before any experiment runs: `scale` rewrites
+    // `results/BENCH_scale.json`, which would mark the tree dirty.
+    let git = git_describe();
     let tables: Vec<(String, Table)> = EXPERIMENTS
         .iter()
         .filter(|(name, _)| run_all || selected.iter().any(|s| s == name))
@@ -117,7 +107,6 @@ fn main() {
         .collect();
 
     let _ = std::fs::create_dir_all(&csv_dir);
-    let git = git_describe();
     for (name, table) in &tables {
         print!("{}", render_markdown(table));
         let path = format!("{csv_dir}/{name}.csv");
