@@ -92,6 +92,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// thread spawn + per-worker warm-up costs more than the sweep itself.
 const PARALLEL_THRESHOLD: usize = 640;
 
+/// Stored balls of at least this many entries are kept sorted; smaller
+/// ones keep the BFS order the index build produced them in. The pair
+/// sweep looks vertices up in stored balls, by [`scan`] in BFS order and
+/// by binary search in a sorted ball; a scan's cost grows with the ball,
+/// while the sort it spares is paid once per stored ball. On `path(3000)`,
+/// where every entry of a ball is a candidate and so is looked up from
+/// its partner's ball, one thread's fused sweep at `r = r₁ = r₂` took
+/// (all balls unsorted vs all sorted, medians of 3 runs, ms) 11.6 vs 11.8
+/// at 65-entry balls, 19.4 vs 16.2 at 101, 19.8 vs 22.5 at 129, 39.4 vs
+/// 46.5 at 201, 60.9 vs 56.2 at 301 and 210 vs 151 at 601: even within
+/// the noise of a shared 2-core box up to about 300 entries, the scan
+/// losing beyond. The crossover sits inside the even range, so larger
+/// balls keep a logarithmic lookup; the chain family's balls (34–61
+/// entries) stay below it.
+const SORTED_BALL_MIN: usize = 128;
+
 /// The worker count of a sweep over the `n` vertices of a graph.
 fn sweep_workers(n: usize) -> usize {
     par::workers(n, PARALLEL_THRESHOLD, n)
@@ -103,8 +119,10 @@ fn sweep_workers(n: usize) -> usize {
 /// the naive reference:
 ///
 /// * **Balls once.** Every `N^r[v]` is computed once per run, and the
-///   ones the pair sweep can open go into a flat CSR-ish index; the
-///   naive path re-derives balls per pair and re-checks `d(u, v)` with a
+///   ones the pair sweep can open go into a flat CSR-ish index, in the
+///   BFS order the build traversed them in (sorted only from 128
+///   entries on, where a binary search beats a scan); the naive path
+///   re-derives balls per pair and re-checks `d(u, v)` with a
 ///   full-graph BFS, but "`d(u, v) ≤ r`" is exactly "`v ∈ N^r[u]`" — a
 ///   lookup in the index, same predicate. The pipeline's fused sweeps
 ///   ([`CutEngine::one_cut_and_interesting_masks`],
@@ -261,11 +279,13 @@ struct BallIndex {
 }
 
 /// One block's balls: the shard's `i`-th ball is
-/// `verts[offsets[i]..offsets[i + 1]]`, sorted, and bit `j` of `cand`
-/// is set iff `verts[j]` is a separator candidate of that ball's center.
-/// Only a ball whose center has a candidate is stored; any other is
-/// empty here, since the pair sweep never opens it (see
-/// [`BallIndex::partners`]). `entries` counts every ball in full.
+/// `verts[offsets[i]..offsets[i + 1]]`, and bit `j` of `cand` is set iff
+/// `verts[j]` is a separator candidate of that ball's center. A ball is
+/// stored in the BFS order the build traversed it in, unless it holds
+/// [`SORTED_BALL_MIN`] entries or more: then it is stored sorted (see
+/// [`Ball::position`]). Only a ball whose center has a candidate is
+/// stored; any other is empty here, since the pair sweep never opens it
+/// (see [`BallIndex::partners`]). `entries` counts every ball in full.
 ///
 /// Exit lists of the cut anchors only: ball `i`'s components are
 /// `comp_offsets[i]..comp_offsets[i + 1]` (none unless its center is a
@@ -303,20 +323,51 @@ impl Ball<'_> {
         self.cand[bit / 64] >> (bit % 64) & 1 == 1
     }
 
-    /// Whether `v` is in this ball and marked as a candidate.
-    fn has_candidate(&self, v: Vertex) -> bool {
-        self.verts.binary_search(&(v as u32)).is_ok_and(|j| self.is_candidate(j))
+    /// The index of `v` in this ball, if it is there: a binary search
+    /// in a ball stored sorted (one of [`SORTED_BALL_MIN`] entries or
+    /// more), a scan of one stored in BFS order.
+    fn position(&self, v: u32) -> Option<usize> {
+        if self.verts.len() >= SORTED_BALL_MIN {
+            self.verts.binary_search(&v).ok()
+        } else {
+            scan(self.verts, v)
+        }
     }
 
-    /// The exit test from this ball's side: whether the sorted ball
-    /// `other` holds an exit of every component of the center (always,
-    /// unless the center is a cut anchor).
-    fn exits_reach(&self, other: &[u32]) -> bool {
+    /// Whether `v` is in this ball and marked as a candidate.
+    fn has_candidate(&self, v: Vertex) -> bool {
+        self.position(v as u32).is_some_and(|j| self.is_candidate(j))
+    }
+
+    /// The exit test from this ball's side: whether the ball `other`
+    /// holds an exit of every component of the center (always, unless
+    /// the center is a cut anchor).
+    fn exits_reach(&self, other: &Ball<'_>) -> bool {
         self.exit_bounds
             .windows(2)
-            .all(|c| self.exits[c[0]..c[1]].iter().any(|y| other.binary_search(y).is_ok()))
+            .all(|c| self.exits[c[0]..c[1]].iter().any(|&y| other.position(y).is_some()))
     }
 }
+
+/// The index of `v` in the unsorted `verts`. Each block of [`SCAN_LANES`]
+/// entries is tested for `v` with no early exit, a loop the compiler can
+/// vectorize; only the block that holds `v` is searched entry by entry.
+/// On `path(3000)` at `r = 150` with every ball unsorted, the fused sweep
+/// read 44.5 ms with this scan and 94.5 ms with `iter().position` (two
+/// workers, one run each).
+fn scan(verts: &[u32], v: u32) -> Option<usize> {
+    let mut blocks = verts.chunks_exact(SCAN_LANES);
+    for (k, block) in blocks.by_ref().enumerate() {
+        if block.iter().fold(false, |hit, &x| hit | (x == v)) {
+            return block.iter().position(|&x| x == v).map(|j| k * SCAN_LANES + j);
+        }
+    }
+    let rest = blocks.remainder();
+    rest.iter().position(|&x| x == v).map(|j| verts.len() - rest.len() + j)
+}
+
+/// The block width of [`scan`].
+const SCAN_LANES: usize = 16;
 
 impl BallIndex {
     /// `v`'s stored ball: empty unless `v` has a separator candidate.
@@ -363,7 +414,7 @@ impl BallIndex {
             let other = self.ball(v);
             other
                 .has_candidate(u)
-                .then(|| (v, ball.exits_reach(other.verts) && other.exits_reach(ball.verts)))
+                .then(|| (v, ball.exits_reach(&other) && other.exits_reach(&ball)))
         })
     }
 }
@@ -405,22 +456,7 @@ impl BallShard {
             }
             self.entries += ball.len();
             if b.split.separators.contains(&true) {
-                // The BFS-ordered ball is sorted only here, where it is
-                // stored (the pair sweep binary-searches and merges it),
-                // as `v << 1 | candidate` keys: one integer sort carries
-                // each vertex's bit along.
-                b.keyed.clear();
-                b.keyed.extend(
-                    ball.iter().zip(&b.split.separators).map(|(&v, &c)| (v as u64) << 1 | c as u64),
-                );
-                b.keyed.sort_unstable();
-                let base = self.verts.len();
-                self.verts.extend(b.keyed.iter().map(|&k| (k >> 1) as u32));
-                self.cand.resize(self.verts.len().div_ceil(64), 0);
-                for (j, &k) in b.keyed.iter().enumerate() {
-                    let bit = base + j;
-                    self.cand[bit / 64] |= (k & 1) << (bit % 64);
-                }
+                self.store(ball, &b.split.separators);
             }
             self.offsets.push(self.verts.len());
             if b.split.is_cut() {
@@ -432,6 +468,39 @@ impl BallShard {
             self.comp_offsets.push(self.exit_bounds.len() - 1);
         }
     }
+
+    /// Appends `ball` with one candidate bit per entry, `flags[j]` for
+    /// `ball[j]`: in the BFS order the build traversed it in, or sorted
+    /// when it holds [`SORTED_BALL_MIN`] entries or more.
+    fn store(&mut self, ball: &[Vertex], flags: &[bool]) {
+        let base = self.verts.len();
+        self.verts.extend(ball.iter().map(|&v| v as u32));
+        self.cand.resize(self.verts.len().div_ceil(64), 0);
+        let stored = &mut self.verts[base..];
+        if stored.len() < SORTED_BALL_MIN {
+            for (j, &c) in flags.iter().enumerate() {
+                let bit = base + j;
+                self.cand[bit / 64] |= (c as u64) << (bit % 64);
+            }
+            return;
+        }
+        // A sorted ball finds each bit by binary search: the flagged
+        // entries' bits, or, when most are flagged (a cut anchor flags
+        // every entry but itself), every bit and then the others' back.
+        stored.sort_unstable();
+        let most = 2 * flags.iter().filter(|&&c| c).count() > ball.len();
+        if most {
+            (base..base + ball.len()).for_each(|bit| flip_bit(&mut self.cand, bit));
+        }
+        for (&v, _) in ball.iter().zip(flags).filter(|&(_, &c)| c != most) {
+            let j = stored.binary_search(&(v as u32)).expect("the stored ball holds its entries");
+            flip_bit(&mut self.cand, base + j);
+        }
+    }
+}
+
+fn flip_bit(words: &mut [u64], bit: usize) {
+    words[bit / 64] ^= 1 << (bit % 64);
 }
 
 /// Whether an anchor is in `X` at radius `r1`, given whether it is a cut
@@ -473,13 +542,13 @@ fn exits_reached(split: &AnchorSplit, reached: impl Fn(Vertex) -> bool) -> bool 
 struct Buffers {
     scratch: Scratch,
     subset: SubsetScratch,
-    /// The vertex set of `H = N^r[u] ∪ N^r[v]`.
+    /// The vertex set of `H = N^r[u] ∪ N^r[v]`: the two stored balls
+    /// back to back in the pair sweep, a two-source ball in the
+    /// per-vertex queries.
     merged: Vec<Vertex>,
     /// Single-ball buffer (BFS order) for the 1-cut sweep, the ball
     /// index and the per-vertex pair queries.
     ball: Vec<Vertex>,
-    /// A ball the index stores as `v << 1 | candidate` keys, sorted.
-    keyed: Vec<u64>,
     /// The split of `ball` around its center.
     split: AnchorSplit,
 }
@@ -574,6 +643,8 @@ impl CutEngine {
         }
         tally.cuts = out.len();
         *counts = tally;
+        // Partners come in stored-ball order, not sorted.
+        out.sort_unstable();
         out
     }
 
@@ -686,9 +757,10 @@ impl Buffers {
         articulation::is_cut_vertex_in_ball(g, &mut self.subset, &self.scratch, r, v)
     }
 
-    /// Profiles the pair `{u, v}` inside `H = N^r[u] ∪ N^r[v]` (balls
-    /// from the index; `H` assembled by sorted merge, never
-    /// materialized as a graph).
+    /// Profiles the pair `{u, v}` inside `H = N^r[u] ∪ N^r[v]`: the two
+    /// stored balls are listed back to back, and the profile's member
+    /// marks make the union ([`two_cuts::pair_profile_within`] takes a
+    /// list with repeats). `H` is never materialized as a graph.
     fn pair_profile(
         &mut self,
         g: &Graph,
@@ -696,7 +768,9 @@ impl Buffers {
         u: Vertex,
         v: Vertex,
     ) -> two_cuts::PairProfile {
-        merge_sorted(balls.ball(u).verts, balls.ball(v).verts, &mut self.merged);
+        let (a, b) = (balls.ball(u).verts, balls.ball(v).verts);
+        self.merged.clear();
+        self.merged.extend(a.iter().chain(b).map(|&x| x as Vertex));
         two_cuts::pair_profile_within(g, &mut self.subset, &self.merged, u, v)
     }
 
@@ -792,32 +866,6 @@ impl Buffers {
             }
         }
     }
-}
-
-/// Merges two sorted `u32` ball entry lists into `out` (cleared first),
-/// widening to [`Vertex`] and dropping duplicates.
-fn merge_sorted(a: &[u32], b: &[u32], out: &mut Vec<Vertex>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i] as Vertex);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j] as Vertex);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i] as Vertex);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend(a[i..].iter().chain(&b[j..]).map(|&v| v as Vertex));
 }
 
 thread_local! {
@@ -1239,6 +1287,55 @@ mod tests {
         assert_eq!(engine.balls.stored_entries(), with_candidate);
         assert!(with_candidate < all, "{with_candidate} of {all}");
         assert_eq!(engine.pair_counts().in_range, (all - g.n()) / 2);
+    }
+
+    #[test]
+    fn stored_balls_are_the_balls_with_their_separator_flags() {
+        // Every stored ball is N^r[u] as a set, with exactly the flag
+        // `neighbor_separators_within` gives each vertex. Below the
+        // crossover it keeps the BFS order of `ball_of_set_into`; from
+        // it on (the path's 301- to 601-entry balls) it is sorted.
+        let cases: Vec<(&str, Graph, u32)> = vec![
+            ("chain5000_s0", lmds_gen::ding::scale_instance(5000, 0), 4),
+            ("outerplanar3000", lmds_gen::outerplanar::random_outerplanar(3000, 25, 1), 3),
+            ("path3000", path(3000), 300),
+        ];
+        let mut engine = CutEngine::new();
+        let (mut ws, mut split) = (SubsetScratch::new(), AnchorSplit::default());
+        let (mut scratch, mut bfs_order) = (Scratch::new(), Vec::new());
+        for (name, g, r) in &cases {
+            engine.interesting_mask(g, *r);
+            let (mut stored_balls, mut sorted_balls) = (0, 0);
+            for u in g.vertices() {
+                let ball = bfs::ball(g, u, *r);
+                articulation::neighbor_separators_within(g, &mut ws, &ball, u, &mut split);
+                let stored = engine.balls.ball(u);
+                if !split.separators.contains(&true) {
+                    assert!(stored.verts.is_empty(), "{name} u={u}: stored without a candidate");
+                    continue;
+                }
+                stored_balls += 1;
+                if stored.verts.len() >= SORTED_BALL_MIN {
+                    sorted_balls += 1;
+                    assert!(stored.verts.windows(2).all(|w| w[0] < w[1]), "{name} u={u}");
+                } else {
+                    bfs::ball_of_set_into(g, &mut scratch, &[u], *r, &mut bfs_order);
+                    let widened: Vec<Vertex> = stored.verts.iter().map(|&v| v as Vertex).collect();
+                    assert_eq!(widened, bfs_order, "{name} u={u}: BFS order");
+                }
+                let mut got: Vec<(Vertex, bool)> = (0..stored.verts.len())
+                    .map(|j| (stored.verts[j] as Vertex, stored.is_candidate(j)))
+                    .collect();
+                got.sort_unstable();
+                let want: Vec<(Vertex, bool)> =
+                    ball.iter().copied().zip(split.separators.iter().copied()).collect();
+                assert_eq!(got, want, "{name} u={u}");
+            }
+            assert!(stored_balls > 0, "{name}");
+            if *name == "path3000" {
+                assert_eq!(sorted_balls, stored_balls, "{name}: every ball is above the crossover");
+            }
+        }
     }
 
     #[test]

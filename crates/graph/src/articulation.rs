@@ -12,7 +12,7 @@
 //!   component's exits. It labels no vertex with its component.
 
 use crate::graph::{Graph, Vertex};
-use crate::scratch::{Scratch, SubsetScratch};
+use crate::scratch::{DfsFrame, Scratch, SubsetScratch};
 
 /// Result of the lowpoint DFS: articulation points and bridges.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -276,6 +276,13 @@ pub fn neighbor_separators_within(
     out.reset();
     ws.begin(g.n(), set);
     ws.mark_adj_a(g.neighbors(a));
+    // Each frame walks its vertex's CSR row with a cursor of its own.
+    let csr = g.csr();
+    let heads = csr.neighbor_array();
+    let frame = |v: Vertex, anchored: bool| {
+        let (next, end) = csr.row_bounds(v);
+        DfsFrame { v, next, end, anchored }
+    };
     // The DFS skips `a` by name, so it runs on `G[set] − a`.
     let mut timer = 0u32;
     for &root in g.neighbors(a) {
@@ -301,12 +308,13 @@ pub fn neighbor_separators_within(
         ws.low[root] = timer;
         timer += 1;
         let mut root_branches = 0usize;
-        ws.stack.push((root, 0, true));
-        while let Some(top) = ws.stack.last_mut() {
-            let v = top.0;
-            if let Some(&w) = g.neighbors(v).get(top.1 as usize) {
-                top.1 += 1;
-                let w = w as Vertex;
+        ws.stack.push(frame(root, true));
+        // The top frame's row is walked with its cursor in a local, which
+        // goes back into the frame only when a tree edge opens a child.
+        'frames: while let Some(&DfsFrame { v, mut next, end, .. }) = ws.stack.last() {
+            while next < end {
+                let w = heads[next] as Vertex;
+                next += 1;
                 if w == a {
                     continue;
                 }
@@ -321,19 +329,20 @@ pub fn neighbor_separators_within(
                     ws.low[w] = timer;
                     timer += 1;
                     let anchored = ws.adj_a(w);
-                    ws.stack.push((w, 0, anchored));
-                } else {
-                    // The tree edge to the parent lowers `low[v]` to
-                    // `disc[parent]` at most, which the `≥` test tolerates.
-                    ws.low[v] = ws.low[v].min(ws.disc[w]);
+                    ws.stack.last_mut().expect("v's frame is on top").next = next;
+                    ws.stack.push(frame(w, anchored));
+                    continue 'frames;
                 }
-                continue;
+                // The tree edge to the parent lowers `low[v]` to
+                // `disc[parent]` at most, which the `≥` test tolerates.
+                ws.low[v] = ws.low[v].min(ws.disc[w]);
             }
-            let (child, _, anchored) = ws.stack.pop().expect("the loop saw a top frame");
+            let DfsFrame { v: child, anchored, .. } =
+                ws.stack.pop().expect("the loop saw a top frame");
             // Fold the finished subtree into its parent.
             let Some(top) = ws.stack.last_mut() else { break };
-            top.2 |= anchored;
-            let p = top.0;
+            top.anchored |= anchored;
+            let p = top.v;
             ws.low[p] = ws.low[p].min(ws.low[child]);
             if anchored && ws.low[child] >= ws.disc[p] {
                 if p == root {
@@ -553,6 +562,51 @@ mod tests {
                 ball.reverse();
                 check_split(&g, &mut ws, &ball, v);
             }
+        }
+    }
+
+    #[test]
+    fn neighbor_separators_match_explicit_removal_on_random_graphs() {
+        // Random graphs whose DFS frames walk long rows (two hubs joined
+        // to most vertices), short ones (an isolated vertex, a pendant,
+        // the inner vertex of a pendant path: anchors of degree 0, 1 and
+        // 2), and sets that are the whole graph.
+        use crate::bfs;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let mut ws = SubsetScratch::new();
+        for _ in 0..40 {
+            let core = 8 + next(25) as usize;
+            let mut edges = Vec::new();
+            for _ in 0..next(2 * core as u64) {
+                let (u, v) = (next(core as u64) as usize, next(core as u64) as usize);
+                if u != v {
+                    edges.push((u, v));
+                }
+            }
+            for hub in [0, 1] {
+                for v in 2..core {
+                    if next(4) != 0 {
+                        edges.push((hub, v));
+                    }
+                }
+            }
+            // core: isolated, core + 1 — core + 2 — 2: a pendant path.
+            edges.extend([(core + 1, core + 2), (core + 2, 2)]);
+            let g = Graph::from_edges(core + 3, &edges);
+            let all: Vec<Vertex> = g.vertices().collect();
+            for a in g.vertices() {
+                for r in [1u32, 2, 100] {
+                    let ball = bfs::ball(&g, a, r);
+                    check_split(&g, &mut ws, &ball, a);
+                }
+                check_split(&g, &mut ws, &all, a);
+            }
+            let degrees = [core, core + 1, core + 2].map(|v| g.degree(v));
+            assert_eq!(degrees, [0, 1, 2]);
         }
     }
 

@@ -7,10 +7,10 @@
 //! of [`ball`] / [`ball_of_set`].
 //!
 //! Two scratch traversals do the work: [`ball_of_set_into`] (a BFS from a
-//! set, stopped at radius `r`, behind [`ball`], [`ball_of_set`] and
-//! [`ball_with_distances`]) and [`distance_capped_with`] (a BFS that stops
-//! at its target or at depth `cap`, behind [`distance_capped`] and
-//! [`distance`], which is the uncapped case). The convenience wrappers
+//! set, stopped at radius `r`, behind [`ball`] and [`ball_of_set`]) and
+//! [`distance_capped_with`] (a BFS that stops at its target or at depth
+//! `cap`, behind [`distance_capped`] and [`distance`], which is the
+//! uncapped case). The convenience wrappers
 //! draw a [`Scratch`] from the thread-local pool; the explicit forms
 //! thread a caller scratch and output buffer for allocation-free loops.
 //! [`ball_of_set_into`] returns its ball in BFS order, unsorted, for
@@ -130,9 +130,9 @@ pub fn ball_of_set(g: &Graph, set: &[Vertex], r: u32) -> Vec<Vertex> {
 }
 
 /// The fully reusable ball query: clears `out`, then fills it with
-/// `N^r[set]` in BFS order, using `scratch` for the visited epochs,
-/// queue, and distances. The workhorse of [`ball`] / [`ball_of_set`] and
-/// of allocation-free caller loops.
+/// `N^r[set]` in BFS order, using `scratch` for the visited epochs and
+/// distances (`out` itself is the queue). The workhorse of [`ball`] /
+/// [`ball_of_set`] and of allocation-free caller loops.
 ///
 /// BFS order is the distinct members of `set` in their given order, then
 /// every other vertex by nondecreasing distance, so the part of the ball
@@ -158,13 +158,13 @@ pub fn ball_of_set_into(
     for &s in set {
         if scratch.visit(s) {
             scratch.dist[s] = 0;
-            scratch.queue.push(s);
             out.push(s);
         }
     }
+    // `out` lists the ball in visiting order, so it is the BFS queue.
     let mut head = 0;
-    while head < scratch.queue.len() {
-        let u = scratch.queue[head];
+    while head < out.len() {
+        let u = out[head];
         head += 1;
         let du = scratch.dist[u];
         if du == r {
@@ -175,23 +175,9 @@ pub fn ball_of_set_into(
             if scratch.visit(v) {
                 scratch.dist[v] = du + 1;
                 out.push(v);
-                scratch.queue.push(v);
             }
         }
     }
-}
-
-/// The ball `N^r[v]` with distances: `(u, d(v, u))` pairs sorted by
-/// vertex. One traversal serves both the "outer" and "inner" radius of a
-/// LOCAL view (the simulator's hot path). Scratch distances stay valid
-/// for the whole epoch, so this is [`ball_of_set_into`] plus a lookup.
-pub fn ball_with_distances(g: &Graph, v: Vertex, r: u32) -> Vec<(Vertex, u32)> {
-    with_thread_scratch(|scratch| {
-        let mut verts = Vec::new();
-        ball_of_set_into(g, scratch, &[v], r, &mut verts);
-        verts.sort_unstable();
-        verts.into_iter().map(|u| (u, scratch.dist[u])).collect()
-    })
 }
 
 /// Every vertex's eccentricity, by one BFS per vertex, or `None` if the
@@ -345,22 +331,6 @@ mod tests {
         ball_of_set_into(&g, &mut s, &[0, 5], 6, &mut out);
         let d: Vec<Option<u32>> = g.vertices().map(|v| s.distance(v)).collect();
         assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(2), Some(1), Some(0)]);
-    }
-
-    #[test]
-    fn ball_with_distances_matches_ball_and_bfs() {
-        let g = cycle(9);
-        for v in [0usize, 4] {
-            for r in [0u32, 1, 2, 5] {
-                let wd = ball_with_distances(&g, v, r);
-                let verts: Vec<Vertex> = wd.iter().map(|&(u, _)| u).collect();
-                assert_eq!(verts, ball(&g, v, r), "v={v} r={r}");
-                let full = bfs_distances(&g, v);
-                for &(u, d) in &wd {
-                    assert_eq!(Some(d), full[u], "v={v} r={r} u={u}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -118,6 +118,37 @@ impl Csr {
         write / 2
     }
 
+    /// Builds from a sorted, deduplicated edge list without sorting:
+    /// each edge `(u, v)` has `u < v < n`, and the list is strictly
+    /// increasing (the caller validates both). Filling the rows in list
+    /// order leaves every row sorted, since row `x` receives all its
+    /// smaller neighbors (the edges `(u, x)`, by increasing `u`) before
+    /// its larger ones (the edges `(x, v)`, by increasing `v`).
+    pub(crate) fn from_sorted_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Self {
+        let mut offsets = vec![0; n + 1];
+        for &(u, v) in edges {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // `offsets[x]` is the write cursor of row x, then the start of
+        // row x + 1 once the row is full: shift the starts back in place.
+        let mut neighbors = vec![0; 2 * edges.len()];
+        for &(u, v) in edges {
+            neighbors[offsets[u]] = v as u32;
+            offsets[u] += 1;
+            neighbors[offsets[v]] = u as u32;
+            offsets[v] += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        let csr = Csr { offsets, neighbors };
+        debug_assert!((0..n).all(|x| csr.row(x).windows(2).all(|w| w[0] < w[1])));
+        csr
+    }
+
     /// Wraps pre-validated flat arrays (the zero-copy snapshot ingest
     /// path). The caller guarantees the full CSR contract: `offsets` is
     /// monotone with `offsets[0] == 0` and `offsets.last() ==
@@ -151,6 +182,20 @@ impl Csr {
     #[inline]
     pub fn row(&self, v: Vertex) -> &[u32] {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    }
+
+    /// The bounds of `v`'s row in [`Csr::neighbor_array`]: a traversal
+    /// that keeps a cursor into the row reads the array at the cursor
+    /// instead of re-slicing the row at every step.
+    #[inline]
+    pub(crate) fn row_bounds(&self, v: Vertex) -> (usize, usize) {
+        (self.offsets[v], self.offsets[v + 1])
+    }
+
+    /// Every row back to back, as [`Csr::row_bounds`] indexes them.
+    #[inline]
+    pub(crate) fn neighbor_array(&self) -> &[u32] {
+        &self.neighbors
     }
 
     /// Whether the arc `u → v` is present (row binary search).
@@ -282,6 +327,20 @@ mod tests {
         {
             let m = csr.refill(n, &arcs);
             assert_eq!((csr.clone(), m), Csr::from_arcs(n, &arcs));
+        }
+    }
+
+    #[test]
+    fn sorted_edges_build_the_same_rows_as_a_bulk_build() {
+        for (n, edges) in [
+            (5, vec![(0, 1), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)]),
+            (4, vec![]),
+            (6, vec![(2, 5)]),
+            (0, vec![]),
+        ] {
+            let (bulk, m) = Csr::from_arcs(n, &edges);
+            assert_eq!(Csr::from_sorted_edges(n, &edges), bulk);
+            assert_eq!(m, edges.len());
         }
     }
 

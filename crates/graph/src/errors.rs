@@ -37,6 +37,12 @@ pub enum GraphError {
         /// What was wrong with the snapshot bytes.
         detail: String,
     },
+    /// An edge list given as sorted was not: each edge `(u, v)` needs
+    /// `u < v`, and the list strictly increasing.
+    UnsortedEdges {
+        /// Position of the first edge out of order.
+        index: usize,
+    },
     /// The requested vertex count exceeds the compact-CSR capacity:
     /// adjacency rows store vertex indices as `u32`, so at most
     /// [`crate::MAX_VERTICES`] vertices are representable.
@@ -63,6 +69,9 @@ impl fmt::Display for GraphError {
             }
             GraphError::Snapshot { detail } => {
                 write!(f, "invalid graph snapshot: {detail}")
+            }
+            GraphError::UnsortedEdges { index } => {
+                write!(f, "edge {index} breaks the sorted order (u < v, strictly increasing)")
             }
             GraphError::TooManyVertices { n } => {
                 write!(

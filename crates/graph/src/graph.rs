@@ -112,6 +112,48 @@ impl Graph {
         Ok(Graph { csr, m })
     }
 
+    /// Builds a graph from an edge list that is already sorted and
+    /// deduplicated, in O(n + m) with no sort: each edge `(u, v)` has
+    /// `u < v`, and the list is strictly increasing. The LOCAL
+    /// simulator's views hold their edges this way.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::TooManyVertices`] when `n` exceeds
+    /// [`MAX_VERTICES`] (checked before any allocation), and on the first
+    /// offending edge [`GraphError::SelfLoop`],
+    /// [`GraphError::VertexOutOfRange`] or, when it is not above the
+    /// edge before it or has `u > v`, [`GraphError::UnsortedEdges`].
+    ///
+    /// ```
+    /// use lmds_graph::{Graph, GraphError};
+    ///
+    /// let g = Graph::try_from_sorted_edges(4, &[(0, 1), (0, 3), (1, 2)]).unwrap();
+    /// assert_eq!(g, Graph::from_edges(4, &[(1, 2), (3, 0), (0, 1)]));
+    /// let err = Graph::try_from_sorted_edges(4, &[(1, 2), (0, 3)]).unwrap_err();
+    /// assert_eq!(err, GraphError::UnsortedEdges { index: 1 });
+    /// ```
+    pub fn try_from_sorted_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Result<Self, GraphError> {
+        if n > MAX_VERTICES {
+            return Err(GraphError::TooManyVertices { n });
+        }
+        for (index, &(u, v)) in edges.iter().enumerate() {
+            if u == v {
+                return Err(GraphError::SelfLoop { vertex: u });
+            }
+            if u >= n {
+                return Err(GraphError::VertexOutOfRange { vertex: u, n });
+            }
+            if v >= n {
+                return Err(GraphError::VertexOutOfRange { vertex: v, n });
+            }
+            if u > v || (index > 0 && edges[index - 1] >= (u, v)) {
+                return Err(GraphError::UnsortedEdges { index });
+            }
+        }
+        Ok(Graph { csr: Csr::from_sorted_edges(n, edges), m: edges.len() })
+    }
+
     /// Bulk-builds from arcs already known to be valid (in-range, no
     /// self-loops) — the internal fast path for derived graphs whose
     /// edges come from an existing `Graph`.

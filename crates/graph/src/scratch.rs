@@ -190,9 +190,21 @@ pub struct SubsetScratch {
     pub(crate) low: Vec<u32>,
     /// BFS queue storage (head index kept by the traversal).
     pub(crate) queue: Vec<Vertex>,
-    /// DFS stack storage: `(vertex, next neighbor index, subtree holds
-    /// an anchor neighbor)`.
-    pub(crate) stack: Vec<(Vertex, u32, bool)>,
+    /// DFS stack storage.
+    pub(crate) stack: Vec<DfsFrame>,
+}
+
+/// One frame of the lowpoint DFS of
+/// [`crate::articulation::neighbor_separators_within`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DfsFrame {
+    pub(crate) v: Vertex,
+    /// The frame's cursor into `v`'s CSR row and the row's end, as
+    /// positions in [`crate::csr::Csr::neighbor_array`].
+    pub(crate) next: usize,
+    pub(crate) end: usize,
+    /// Whether the subtree below `v` holds a neighbor of the anchor.
+    pub(crate) anchored: bool,
 }
 
 impl SubsetScratch {
@@ -414,7 +426,7 @@ mod tests {
     }
 
     /// A scratch that only runs BFS holds its two 4-byte per-vertex
-    /// arrays and a queue the size of the ball: no 8-byte twin key per
+    /// arrays (the ball is its own queue): no 8-byte twin key per
     /// vertex, and no vertex-sized queue.
     #[test]
     fn bfs_grows_only_marks_and_distances() {

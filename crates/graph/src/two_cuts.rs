@@ -147,10 +147,13 @@ impl PairProfile {
 /// non-adjacent to an anchor — the §3.2 interestingness condition).
 ///
 /// `O(|set| + |E(H)|)` time, zero allocations. `set` must be a list of
-/// distinct in-range vertices containing `a` and `b` (`a ≠ b`); it does
-/// not need to be sorted. This replaces the former double extraction
-/// (`is_minimal_two_cut` on a fresh subgraph + [`components_attached`]
-/// on a second copy) on the `CutEngine` hot path.
+/// in-range vertices containing `a` and `b` (`a ≠ b`); it does not need
+/// to be sorted, and it may list a vertex more than once (membership is
+/// a mark, and each vertex is visited once), so the union of two balls
+/// can be passed as the two lists back to back. This replaces the
+/// former double extraction (`is_minimal_two_cut` on a fresh subgraph +
+/// [`components_attached`] on a second copy) on the `CutEngine` hot
+/// path.
 pub fn pair_profile_within(
     g: &Graph,
     ws: &mut SubsetScratch,
@@ -323,6 +326,13 @@ mod tests {
                         };
                         assert_eq!(profile.witnesses_nonadj_a, count(lu), "{g:?} u={u} v={v}");
                         assert_eq!(profile.witnesses_nonadj_b, count(lv), "{g:?} u={u} v={v}");
+                        // The union as the two balls back to back, in no
+                        // order, lists their common vertices twice.
+                        let mut both = bfs::ball(g, u, r);
+                        both.extend(bfs::ball(g, v, r));
+                        both.reverse();
+                        let again = pair_profile_within(g, &mut ws, &both, u, v);
+                        assert_eq!(again, profile, "{g:?} u={u} v={v} r={r}: repeats");
                     }
                 }
             }

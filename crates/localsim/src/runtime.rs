@@ -28,6 +28,7 @@ use crate::algorithm::{LocalAlgorithm, NodeCtx};
 use crate::fault::FaultyRuntime;
 use crate::ids::IdAssignment;
 use crate::view::LocalView;
+use lmds_graph::scratch::with_thread_scratch;
 use lmds_graph::{bfs, par, Graph};
 use std::error::Error;
 use std::fmt;
@@ -251,23 +252,29 @@ fn check_sizes(g: &Graph, ids: &IdAssignment) -> Result<(), RuntimeError> {
 /// graph: vertices of `N^k[v]`, edges incident to `N^{k-1}[v]`.
 ///
 /// One scratch-pooled BFS supplies both radii: the outer ball is every
-/// visited vertex, the inner ball the ones at distance `< k`. This is
-/// the projection fast path of every view algorithm ([`crate::Decider`]
-/// via the blanket adapter).
+/// visited vertex, the inner ball the ones at distance `< k`. An edge
+/// between two inner vertices is emitted once, from its smaller end.
+/// This is the projection fast path of every view algorithm
+/// ([`crate::Decider`] via the blanket adapter).
 pub fn oracle_view(g: &Graph, ids: &IdAssignment, v: lmds_graph::Vertex, k: u32) -> LocalView {
     if k == 0 {
         return LocalView::initial(ids.id_of(v));
     }
-    let ball = bfs::ball_with_distances(g, v, k);
-    let verts: Vec<u64> = ball.iter().map(|&(u, _)| ids.id_of(u)).collect();
-    let mut edges = Vec::new();
-    for &(u, d) in &ball {
-        if d < k {
+    let (verts, edges) = with_thread_scratch(|s| {
+        let mut ball = Vec::new();
+        bfs::ball_of_set_into(g, s, &[v], k, &mut ball);
+        let inner = |u: lmds_graph::Vertex| s.distance(u).is_some_and(|d| d < k);
+        let mut edges = Vec::new();
+        for &u in ball.iter().filter(|&&u| inner(u)) {
             for &w in g.neighbors(u) {
-                edges.push((ids.id_of(u), ids.id_of(w as usize)));
+                let w = w as lmds_graph::Vertex;
+                if u < w || !inner(w) {
+                    edges.push((ids.id_of(u), ids.id_of(w)));
+                }
             }
         }
-    }
+        (ball.iter().map(|&u| ids.id_of(u)).collect(), edges)
+    });
     LocalView::from_parts(ids.id_of(v), k, verts, edges)
 }
 

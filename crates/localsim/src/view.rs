@@ -150,20 +150,17 @@ impl LocalView {
     /// Materializes the known subgraph as a [`Graph`] over local indices,
     /// returning the id of each local vertex. The center is included;
     /// index lookup via binary search on the returned (sorted) id list.
-    /// The graph is bulk-built (one CSR construction, no per-edge
-    /// splicing).
+    /// Local indices follow id order, so the edges stay sorted and the
+    /// graph is built from them without sorting
+    /// ([`Graph::try_from_sorted_edges`]).
     pub fn to_graph(&self) -> (Graph, Vec<u64>) {
         let ids = self.verts.clone();
-        let local_edges: Vec<(usize, usize)> = self
-            .edges
-            .iter()
-            .map(|&(a, b)| {
-                let ia = ids.binary_search(&a).expect("edge endpoint known");
-                let ib = ids.binary_search(&b).expect("edge endpoint known");
-                (ia, ib)
-            })
-            .collect();
-        (Graph::from_edges(ids.len(), &local_edges), ids)
+        let index = |id: u64| ids.binary_search(&id).expect("edge endpoint known");
+        let local_edges: Vec<(usize, usize)> =
+            self.edges.iter().map(|&(a, b)| (index(a), index(b))).collect();
+        let graph = Graph::try_from_sorted_edges(ids.len(), &local_edges)
+            .expect("a view's edges are sorted, distinct and loop-free");
+        (graph, ids)
     }
 
     /// The local index of the center in [`LocalView::to_graph`]'s output.
@@ -330,6 +327,35 @@ mod tests {
         assert!(g.has_edge(0, 1)); // 3-5
         assert!(!g.has_edge(0, 2));
         assert_eq!(v.center_index(), 1);
+    }
+
+    #[test]
+    fn to_graph_matches_a_sorting_build() {
+        // Views of random graphs: the sorted-edge build must equal the
+        // build that sorts its rows, edge for edge.
+        let mut state = 0xC0FFEEu64;
+        let mut next = |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for _ in 0..200 {
+            let range = 2 + next(60);
+            let verts: Vec<u64> =
+                (0..next(range + 1)).map(|_| 3 * next(range)).chain([0]).collect();
+            let k = verts.len() as u64;
+            let edges: Vec<(u64, u64)> = (0..next(3 * range))
+                .map(|_| (verts[next(k) as usize], verts[next(k) as usize]))
+                .filter(|(a, b)| a != b)
+                .collect();
+            let view = LocalView::from_parts(0, 2, verts, edges);
+            let (g, ids) = view.to_graph();
+            assert_eq!(ids, view.vertex_ids());
+            let index = |id: u64| ids.binary_search(&id).unwrap();
+            let local: Vec<(usize, usize)> =
+                view.edge_ids().iter().map(|&(a, b)| (index(a), index(b))).collect();
+            assert_eq!(g, Graph::from_edges(ids.len(), &local));
+            assert_eq!(g.m(), view.edge_ids().len());
+        }
     }
 
     #[test]

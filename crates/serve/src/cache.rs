@@ -175,6 +175,26 @@ impl ResultCache {
         evicted
     }
 
+    /// Drops every entry of the graph content `checksum`, which the
+    /// server calls once no stored graph holds that content: no request
+    /// can reach those entries any more, and they would otherwise sit in
+    /// the budgets until the LRU end pushed them out. Returns how many
+    /// entries were dropped.
+    pub fn forget_graph(&self, checksum: u64) -> usize {
+        let mut inner = self.inner.lock().expect("cache lock");
+        let Inner { map, lru, bytes, .. } = &mut *inner;
+        let before = map.len();
+        map.retain(|key, entry| {
+            let keep = key.graph_checksum != checksum;
+            if !keep {
+                lru.remove(&entry.tick);
+                *bytes -= entry.bytes;
+            }
+            keep
+        });
+        before - map.len()
+    }
+
     /// Live gauges.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock");
@@ -340,6 +360,31 @@ mod tests {
         cache.insert(key(1), view(9));
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.get(&key(1)).unwrap().size, 9, "newest value wins");
+    }
+
+    #[test]
+    fn forgetting_a_graph_drops_only_its_entries() {
+        let cache = ResultCache::new(8, 1 << 20);
+        let other = CacheKey { solver: "mds/algorithm1".into(), ..key(1) };
+        for k in [key(1), other.clone(), key(2)] {
+            cache.insert(k, view(3));
+        }
+        let bytes = cache.stats().bytes;
+        assert_eq!(cache.forget_graph(1), 2);
+        assert!(cache.get(&key(1)).is_none() && cache.get(&other).is_none());
+        assert!(cache.get(&key(2)).is_some());
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 1);
+        assert_eq!(stats.bytes, entry_cost(&key(2), &view(3)));
+        assert!(stats.bytes < bytes);
+        assert_eq!(cache.forget_graph(7), 0);
+        // The recency index lost the forgotten ticks: filling the cache
+        // evicts live entries only.
+        for i in 10..17 {
+            cache.insert(key(i), view(1));
+        }
+        assert_eq!(cache.insert(key(17), view(1)), 1);
+        assert!(cache.get(&key(2)).is_none(), "the oldest live entry went first");
     }
 
     #[test]

@@ -101,6 +101,17 @@ pub fn validate_name(name: &str) -> Result<(), CorpusError> {
     }
 }
 
+/// A graph [`CorpusStore::insert`] or [`CorpusStore::patch`] stored.
+#[derive(Debug)]
+pub struct Stored {
+    /// The new entry.
+    pub entry: Arc<GraphEntry>,
+    /// The checksum of the content the entry replaced, when no stored
+    /// graph holds that content any more: no request can name it then,
+    /// so the result cache may forget it.
+    pub retired: Option<u64>,
+}
+
 /// The store: named graphs behind a `RwLock`, with optional snapshot
 /// persistence.
 pub struct CorpusStore {
@@ -145,14 +156,13 @@ impl CorpusStore {
 
     /// Parses an upload body (binary snapshot or UTF-8 edge list,
     /// dispatched on the snapshot magic) and stores it under `name`,
-    /// replacing any previous graph of that name. Returns the stored
-    /// entry (with its checksum).
+    /// replacing any previous graph of that name.
     ///
     /// # Errors
     ///
     /// [`CorpusError`] on a bad name, an unparseable body, or a
     /// persistence failure.
-    pub fn insert(&self, name: &str, body: &[u8]) -> Result<Arc<GraphEntry>, CorpusError> {
+    pub fn insert(&self, name: &str, body: &[u8]) -> Result<Stored, CorpusError> {
         validate_name(name)?;
         let graph = if is_snapshot(body) {
             from_snapshot(body).map_err(|e| CorpusError::InvalidGraph(e.to_string()))?
@@ -166,8 +176,8 @@ impl CorpusStore {
         if let Some(dir) = &self.persist_dir {
             self.write_snapshot(dir, &entry)?;
         }
-        self.graphs.write().expect("corpus lock").insert(name.to_string(), entry.clone());
-        Ok(entry)
+        let retired = replace(&mut self.graphs.write().expect("corpus lock"), entry.clone());
+        Ok(Stored { entry, retired })
     }
 
     /// Applies an edge-update batch to the graph stored under `name`,
@@ -191,7 +201,7 @@ impl CorpusStore {
         &self,
         name: &str,
         updates: &[GraphUpdate],
-    ) -> Result<Option<(Arc<GraphEntry>, UpdateStats)>, CorpusError> {
+    ) -> Result<Option<(Stored, UpdateStats)>, CorpusError> {
         let mut graphs = self.graphs.write().expect("corpus lock");
         let Some(old) = graphs.get(name) else { return Ok(None) };
         let mut dynamic = DynamicGraph::new(old.graph().clone());
@@ -200,8 +210,8 @@ impl CorpusStore {
         if let Some(dir) = &self.persist_dir {
             self.write_snapshot(dir, &entry)?;
         }
-        graphs.insert(name.to_string(), entry.clone());
-        Ok(Some((entry, stats)))
+        let retired = replace(&mut graphs, entry.clone());
+        Ok(Some((Stored { entry, retired }, stats)))
     }
 
     fn write_snapshot(&self, dir: &Path, entry: &GraphEntry) -> Result<(), CorpusError> {
@@ -246,6 +256,13 @@ impl CorpusStore {
     }
 }
 
+/// Stores `entry` under its name, returning the checksum of the content
+/// it replaced if no stored graph holds that content any more.
+fn replace(graphs: &mut BTreeMap<String, Arc<GraphEntry>>, entry: Arc<GraphEntry>) -> Option<u64> {
+    let old = graphs.insert(entry.name().to_string(), entry)?.checksum;
+    (!graphs.values().any(|e| e.checksum == old)).then_some(old)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,10 +274,10 @@ mod tests {
     #[test]
     fn inserts_and_lists_both_formats() {
         let store = CorpusStore::in_memory();
-        let a = store.insert("path5", edge_list().as_bytes()).unwrap();
+        let a = store.insert("path5", edge_list().as_bytes()).unwrap().entry;
         assert_eq!(a.graph().n(), 5);
         let snap = to_snapshot(a.graph()).unwrap();
-        let b = store.insert("path5-bin", &snap).unwrap();
+        let b = store.insert("path5-bin", &snap).unwrap().entry;
         assert_eq!(a.checksum, b.checksum, "same graph, same checksum, either format");
         assert_eq!(store.list().len(), 2);
         assert!(store.get("path5").is_some());
@@ -270,7 +287,7 @@ mod tests {
     #[test]
     fn replacing_keeps_old_arc_alive() {
         let store = CorpusStore::in_memory();
-        let old = store.insert("g", edge_list().as_bytes()).unwrap();
+        let old = store.insert("g", edge_list().as_bytes()).unwrap().entry;
         store.insert("g", b"2 1\n0 1\n").unwrap();
         assert_eq!(old.graph().n(), 5, "in-flight handle survives the re-upload");
         assert_eq!(store.get("g").unwrap().graph().n(), 2);
@@ -306,9 +323,23 @@ mod tests {
     }
 
     #[test]
+    fn replaced_content_is_retired_once_no_name_holds_it() {
+        let store = CorpusStore::in_memory();
+        let first = store.insert("g", edge_list().as_bytes()).unwrap();
+        assert_eq!(first.retired, None, "nothing replaced");
+        let again = store.insert("g", edge_list().as_bytes()).unwrap();
+        assert_eq!(again.retired, None, "the same content again");
+        store.insert("twin", edge_list().as_bytes()).unwrap();
+        let (patched, _) = store.patch("g", &[GraphUpdate::AddVertex]).unwrap().unwrap();
+        assert_eq!(patched.retired, None, "another name still holds the content");
+        let replaced = store.insert("twin", b"2 1\n0 1\n").unwrap();
+        assert_eq!(replaced.retired, Some(first.entry.checksum));
+    }
+
+    #[test]
     fn patch_replaces_the_entry_atomically_and_rejects_bad_batches() {
         let store = CorpusStore::in_memory();
-        let old = store.insert("g", edge_list().as_bytes()).unwrap();
+        let old = store.insert("g", edge_list().as_bytes()).unwrap().entry;
 
         // Unknown names are None, not an error (the HTTP layer owns 404).
         assert!(store.patch("ghost", &[GraphUpdate::AddVertex]).unwrap().is_none());
@@ -317,6 +348,7 @@ mod tests {
             .patch("g", &[GraphUpdate::RemoveEdge(2, 3), GraphUpdate::AddVertex])
             .unwrap()
             .unwrap();
+        let patched = patched.entry;
         assert_eq!((stats.removed, stats.added_vertices), (1, 1));
         assert_eq!(patched.graph().n(), 6);
         assert_eq!(patched.graph().m(), 3);
@@ -339,8 +371,8 @@ mod tests {
         {
             let store = CorpusStore::persistent(&dir).unwrap();
             store.insert("p5", edge_list().as_bytes()).unwrap();
-            let (entry, _) = store.patch("p5", &[GraphUpdate::InsertEdge(0, 4)]).unwrap().unwrap();
-            patched_checksum = entry.checksum;
+            let (stored, _) = store.patch("p5", &[GraphUpdate::InsertEdge(0, 4)]).unwrap().unwrap();
+            patched_checksum = stored.entry.checksum;
         }
         let reloaded = CorpusStore::persistent(&dir).unwrap();
         assert_eq!(reloaded.get("p5").unwrap().checksum, patched_checksum);

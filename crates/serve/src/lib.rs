@@ -95,7 +95,7 @@ pub mod queue;
 pub mod server;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
-pub use corpus::{CorpusError, CorpusStore, GraphEntry};
+pub use corpus::{CorpusError, CorpusStore, GraphEntry, Stored};
 pub use metrics::{Gauges, Histogram, Metrics, SolverMetrics};
 pub use proto::WireError;
 pub use queue::{JobLookup, JobQueue, JobSnapshot, JobSpec, JobState, SubmitError};

@@ -626,13 +626,14 @@ fn put_graph(shared: &Shared, name: &str, body: &[u8]) -> Result<(u16, Value), W
     if shared.queue.is_shutting_down() {
         return Err(WireError::new(503, "shutting-down", SubmitError::ShuttingDown.to_string()));
     }
-    let entry = shared.corpus.insert(name, body).map_err(|err| match err {
+    let stored = shared.corpus.insert(name, body).map_err(|err| match err {
         CorpusError::InvalidName(_) => WireError::bad_request(err.to_string()),
         CorpusError::InvalidGraph(_) => WireError::new(422, "invalid-graph", err.to_string()),
         CorpusError::Io(_) => WireError::new(500, "internal", err.to_string()),
     })?;
+    forget_retired(shared, stored.retired);
     Metrics::bump(&shared.metrics.graphs_uploaded);
-    Ok((201, render_graph_entry(&entry)))
+    Ok((201, render_graph_entry(&stored.entry)))
 }
 
 /// `PATCH /graphs/{name}`: applies a JSON edge-update batch
@@ -667,11 +668,12 @@ fn patch_graph(shared: &Shared, name: &str, body: &[u8]) -> Result<(u16, Value),
     // The name was just looked up and corpus entries are never removed,
     // so the patch target cannot have vanished; re-check anyway rather
     // than unwrap a protocol handler.
-    let (entry, stats) = patched.ok_or_else(|| {
+    let (stored, stats) = patched.ok_or_else(|| {
         WireError::new(404, "unknown-graph", format!("no graph stored as {name:?}"))
     })?;
+    forget_retired(shared, stored.retired);
     Metrics::bump(&shared.metrics.graphs_patched);
-    let mut doc = render_graph_entry(&entry);
+    let mut doc = render_graph_entry(&stored.entry);
     if let Value::Obj(map) = &mut doc {
         map.insert(
             "applied".into(),
@@ -684,6 +686,15 @@ fn patch_graph(shared: &Shared, name: &str, body: &[u8]) -> Result<(u16, Value),
         );
     }
     Ok((200, doc))
+}
+
+/// Drops the result-cache entries of content a PUT or PATCH replaced
+/// when no stored graph holds it any more. The cache is keyed by
+/// content, so entries another name still holds stay.
+fn forget_retired(shared: &Shared, retired: Option<u64>) {
+    if let Some(checksum) = retired {
+        shared.cache.forget_graph(checksum);
+    }
 }
 
 /// Resolves a solve request into a runnable [`JobSpec`]: graph lookup,

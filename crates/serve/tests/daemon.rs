@@ -748,6 +748,50 @@ fn result_cache_hits_misses_and_survives_a_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The result cache is keyed by content: a PATCH or PUT that replaces
+/// the last stored copy of some content drops that content's entries,
+/// while content another name still holds keeps its hits.
+#[test]
+fn replaced_content_leaves_the_result_cache_unless_another_name_holds_it() {
+    let handle = spawn_default();
+    let addr = handle.addr();
+    let entries = || {
+        let metrics = send(addr, "GET", "/metrics", b"").json();
+        metrics.get("cache_entries").unwrap().as_u64().unwrap()
+    };
+    let cached = |name: &str| {
+        let body = format!(r#"{{"graph": "{name}", "solver": "mds/exact"}}"#);
+        let resp = send(addr, "POST", "/solve", body.as_bytes());
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        resp.json().get("cached").and_then(Value::as_bool) == Some(true)
+    };
+    let path = b"6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n" as &[u8];
+    let split = br#"{"updates": [{"op": "delete", "u": 2, "v": 3}]}"# as &[u8];
+
+    // Patching a solved graph drops its entry.
+    assert_eq!(send(addr, "PUT", "/graphs/a", path).status, 201);
+    assert!(!cached("a") && cached("a"));
+    assert_eq!(entries(), 1);
+    assert_eq!(send(addr, "PATCH", "/graphs/a", split).status, 200);
+    assert_eq!(entries(), 0, "no stored graph holds the solved content");
+
+    // Two names, one content: patching one keeps the other's hits.
+    assert_eq!(send(addr, "PUT", "/graphs/b", path).status, 201);
+    assert_eq!(send(addr, "PUT", "/graphs/c", path).status, 201);
+    assert!(!cached("b") && cached("c"), "the cache is keyed by content, not name");
+    assert_eq!(send(addr, "PATCH", "/graphs/b", split).status, 200);
+    assert_eq!(entries(), 1);
+    assert!(cached("c"), "c still holds the solved content");
+
+    // Re-uploading the same content retires nothing; replacing the last
+    // copy with other content does.
+    assert_eq!(send(addr, "PUT", "/graphs/c", path).status, 201);
+    assert!(cached("c"));
+    assert_eq!(send(addr, "PUT", "/graphs/c", b"3 2\n0 1\n1 2\n").status, 201);
+    assert_eq!(entries(), 0);
+    handle.shutdown();
+}
+
 #[test]
 fn connection_cap_turns_extra_connections_away_with_retry_after() {
     let config = ServeConfig {

@@ -253,3 +253,91 @@ fn engine_whole_graph_queries_match_module_functions() {
         }
     }
 }
+
+#[test]
+fn fused_masks_and_pair_counts_are_pinned_off_the_chain_family() {
+    // Out-of-family graphs at the pipeline's (3, 4), and a path whose
+    // 301- to 601-entry balls are stored sorted: the fused masks and the
+    // schedule-free pair counts, pinned from the engine that sorted
+    // every stored ball. `profiled` is left out: the monotone skip makes
+    // it depend on the order partners are met in.
+    struct Pinned {
+        name: &'static str,
+        g: Graph,
+        radii: Radii,
+        /// `|X|` and the FNV-1a hash of `X`'s members.
+        x: (usize, u64),
+        interesting: Vec<usize>,
+        endpoints: Vec<usize>,
+        in_range: usize,
+        exit_rejected: usize,
+    }
+    fn members(mask: &[bool]) -> Vec<usize> {
+        mask.iter().enumerate().filter_map(|(v, &m)| m.then_some(v)).collect()
+    }
+    fn fnv(vs: &[usize]) -> u64 {
+        vs.iter().fold(0xcbf2_9ce4_8422_2325, |h, &v| (h ^ v as u64).wrapping_mul(0x100_0000_01b3))
+    }
+    let r34 = Radii { one_cut: 3, two_cut: 4 };
+    let path_interior: Vec<usize> = (1..2999).collect();
+    let cases = [
+        Pinned {
+            name: "grid60",
+            g: lmds_gen::basic::grid(60, 60),
+            radii: r34,
+            x: (0, fnv(&[])),
+            interesting: vec![],
+            endpoints: vec![1, 58, 60, 119, 3480, 3539, 3541, 3598],
+            in_range: 68_430,
+            exit_rejected: 0,
+        },
+        Pinned {
+            name: "regular600",
+            g: lmds_gen::random::random_regular(600, 4, 1),
+            radii: r34,
+            x: (386, 0x989e_332b_06cf_d073),
+            interesting: vec![],
+            endpoints: vec![],
+            in_range: 42_413,
+            exit_rejected: 0,
+        },
+        Pinned {
+            name: "gnp300",
+            g: lmds_gen::random::connected_gnp(300, 3, 1),
+            radii: r34,
+            x: (0, fnv(&[])),
+            interesting: vec![],
+            endpoints: vec![124, 191],
+            in_range: 44_833,
+            exit_rejected: 0,
+        },
+        Pinned {
+            name: "path3000",
+            g: lmds_gen::basic::path(3000),
+            radii: Radii { one_cut: 300, two_cut: 300 },
+            x: (2998, fnv(&path_interior)),
+            interesting: vec![],
+            endpoints: vec![],
+            in_range: 854_850,
+            exit_rejected: 854_250,
+        },
+    ];
+    let mut engine = CutEngine::new();
+    for case in &cases {
+        let name = case.name;
+        for interesting in [true, false] {
+            let (x, pairs) = if interesting {
+                engine.one_cut_and_interesting_masks(&case.g, case.radii)
+            } else {
+                engine.one_cut_and_endpoint_masks(&case.g, case.radii)
+            };
+            let x = members(&x);
+            assert_eq!((x.len(), fnv(&x)), case.x, "{name} X");
+            let want = if interesting { &case.interesting } else { &case.endpoints };
+            assert_eq!(&members(&pairs), want, "{name} interesting={interesting}");
+            let counts = engine.pair_counts();
+            let got = (counts.in_range, counts.exit_rejected);
+            assert_eq!(got, (case.in_range, case.exit_rejected), "{name}");
+        }
+    }
+}
