@@ -981,11 +981,12 @@ pub fn large_augmentation(target_n: usize, seed: u64) -> Instance {
 /// real message passing, asserting that every kind returns the oracle's
 /// vertex set and round count.
 ///
-/// Message passing floods whole views each round; with on-demand
-/// decider statuses and linear view merges it runs in the same order of
-/// time as the oracle. This experiment stays out of the golden suite
-/// (timing column) — the `local-sweep` snapshot is the drift gate and
-/// remains byte-identical.
+/// Message passing floods whole views each round, as bits in 64-bit
+/// blocks over a per-run numbering of the identifiers, so a round ORs
+/// 64 vertices or edges per step; with on-demand decider statuses it
+/// runs in the same order of time as the oracle. This experiment stays
+/// out of the golden suite (timing column) — the `local-sweep` snapshot
+/// is the drift gate and remains byte-identical.
 pub fn exp_local_sweep_large() -> Table {
     use lmds_api::RuntimeKind;
     let mut t = Table::new(

@@ -39,7 +39,7 @@ use crate::algorithm1::{solve_component_with, twin_quotient};
 use crate::local_cuts::{self, CutEngine};
 use crate::radii::Radii;
 use lmds_graph::{bfs, Graph, Vertex};
-use lmds_localsim::{Decider, LocalAlgorithm, LocalView, NodeCtx};
+use lmds_localsim::{Decider, LocalAlgorithm, LocalView, Network, NodeCtx};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -196,13 +196,7 @@ impl LocalAlgorithm for TakeAllLocal {
     fn message_bits(&self, _msg: &(), _id_bits: u32) -> u64 {
         0
     }
-    fn project(
-        &self,
-        _g: &lmds_graph::Graph,
-        _ids: &lmds_localsim::IdAssignment,
-        _v: usize,
-        _round: u32,
-    ) -> Option<()> {
+    fn project(&self, _network: &Network, _v: usize, _round: u32) -> Option<()> {
         Some(())
     }
 }
@@ -243,15 +237,9 @@ impl LocalAlgorithm for RegularMvcLocal {
     fn message_bits(&self, _msg: &u64, id_bits: u32) -> u64 {
         id_bits as u64
     }
-    fn project(
-        &self,
-        g: &lmds_graph::Graph,
-        ids: &lmds_localsim::IdAssignment,
-        v: usize,
-        round: u32,
-    ) -> Option<RegularMvcState> {
-        let heard = if round >= 1 { g.degree(v) } else { 0 };
-        Some(RegularMvcState { me: ids.id_of(v), heard })
+    fn project(&self, network: &Network, v: usize, round: u32) -> Option<RegularMvcState> {
+        let heard = if round >= 1 { network.graph().degree(v) } else { 0 };
+        Some(RegularMvcState { me: network.ids().id_of(v), heard })
     }
 }
 
@@ -378,13 +366,8 @@ impl LocalAlgorithm for DegreeRuleLocal {
     }
     /// The exact state after `round` rounds, straight from the graph —
     /// the oracle fast path.
-    fn project(
-        &self,
-        g: &lmds_graph::Graph,
-        ids: &lmds_localsim::IdAssignment,
-        v: usize,
-        round: u32,
-    ) -> Option<DegreeState> {
+    fn project(&self, network: &Network, v: usize, round: u32) -> Option<DegreeState> {
+        let (g, ids) = (network.graph(), network.ids());
         let mut state = DegreeState { me: ids.id_of(v), nbrs: Vec::new(), nbr_degree: Vec::new() };
         if round >= 1 {
             state.nbrs = g.neighbors(v).iter().map(|&u| ids.id_of(u as usize)).collect();
@@ -616,20 +599,15 @@ impl LocalAlgorithm for Theorem44Local {
         ids * id_bits as u64
     }
 
-    fn project(
-        &self,
-        g: &lmds_graph::Graph,
-        ids: &lmds_localsim::IdAssignment,
-        v: usize,
-        round: u32,
-    ) -> Option<Thm44State> {
+    fn project(&self, network: &Network, v: usize, round: u32) -> Option<Thm44State> {
+        let (g, ids) = (network.graph(), network.ids());
         let closed_of = |w: usize| -> Arc<[u64]> {
             let mut cn: Vec<u64> = g.neighbors(w).iter().map(|&x| ids.id_of(x as usize)).collect();
             cn.push(ids.id_of(w));
             cn.sort_unstable();
             cn.into()
         };
-        let mut state = self.init(&NodeCtx { id: ids.id_of(v) });
+        let mut state = self.init(&network.node(v));
         if round >= 1 {
             state.nbrs = g.neighbors(v).iter().map(|&u| ids.id_of(u as usize)).collect();
             state.nbrs.sort_unstable();
@@ -1037,11 +1015,12 @@ mod tests {
         for g in &test_graphs() {
             for seed in [0u64, 5] {
                 let ids = IdAssignment::shuffled(g.n(), seed);
+                let network = Network::new(g, &ids);
                 for v in 0..g.n() {
                     for round in 0..first {
                         let state = match round {
-                            0 => algo.init(&NodeCtx { id: ids.id_of(v) }),
-                            _ => algo.project(g, &ids, v, round).expect("built-ins project"),
+                            0 => algo.init(&network.node(v)),
+                            _ => algo.project(&network, v, round).expect("built-ins project"),
                         };
                         assert!(
                             algo.decide(&state, round).is_none(),

@@ -184,11 +184,13 @@ impl Csr {
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// The bounds of `v`'s row in [`Csr::neighbor_array`]: a traversal
-    /// that keeps a cursor into the row reads the array at the cursor
-    /// instead of re-slicing the row at every step.
+    /// The bounds `(start, end)` of `v`'s row among the `2m` arc slots:
+    /// slot `start + i` holds `row(v)[i]`. A traversal that keeps a
+    /// cursor into the row reads the neighbor array at the cursor
+    /// instead of re-slicing the row at every step, and a caller can
+    /// key per-arc data by slot.
     #[inline]
-    pub(crate) fn row_bounds(&self, v: Vertex) -> (usize, usize) {
+    pub fn row_bounds(&self, v: Vertex) -> (usize, usize) {
         (self.offsets[v], self.offsets[v + 1])
     }
 

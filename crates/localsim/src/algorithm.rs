@@ -28,12 +28,19 @@
 //! # View algorithms are a special case
 //!
 //! Every [`Decider`] — an algorithm written as a function of the
-//! [`LocalView`] — is automatically a `LocalAlgorithm` through a blanket
-//! adapter: its state and message are both the view, `send` broadcasts
-//! the whole view, `receive` folds the neighbors' views in with one
-//! [`LocalView::absorb`]. This is exactly the folklore "full
-//! information" protocol, so the legacy deciders run unchanged on the
-//! new engine.
+//! [`LocalView`](crate::LocalView) — is automatically a `LocalAlgorithm` through a blanket
+//! adapter running the folklore "full information" protocol: each round
+//! a vertex broadcasts everything it knows and takes in everything its
+//! neighbors sent. The adapter's state and message are both
+//! [`Knowledge`]: the known vertices and edges as bits in 64-bit
+//! blocks, over a numbering of the network's vertices (by identifier)
+//! and edges (by their identifier pairs) that each run builds once, the
+//! first time an adapter asks its [`Network`] for it. `send` copies the
+//! blocks, `receive` ORs the senders' words in and sets the bit of the
+//! edge each message arrived over, and `decide` hands the decider the
+//! [`LocalView`](crate::LocalView) the bits spell out ([`Knowledge::view`]) on every
+//! round. A view stores a block only where it knows something, and no
+//! algorithm sees host indices or the numbering.
 //!
 //! # Example: a native two-round algorithm
 //!
@@ -86,17 +93,61 @@
 //! ```
 
 use crate::ids::IdAssignment;
-use crate::runtime::oracle_view;
-use crate::view::LocalView;
+use crate::knowledge::{Knowledge, Numbering};
 use crate::Decider;
 use lmds_graph::{Graph, Vertex};
+use std::sync::{Arc, OnceLock};
+
+/// The network one run executes on: the graph and its identifiers,
+/// shared by every vertex's [`NodeCtx`] and handed to
+/// [`LocalAlgorithm::project`].
+///
+/// The numbering the [`Decider`] adapter floods views over is built the
+/// first time an adapter asks for it, so native algorithms never pay
+/// for it.
+pub struct Network<'a> {
+    g: &'a Graph,
+    ids: &'a IdAssignment,
+    numbering: OnceLock<Arc<Numbering>>,
+}
+
+impl<'a> Network<'a> {
+    /// The network `(g, ids)`.
+    pub fn new(g: &'a Graph, ids: &'a IdAssignment) -> Self {
+        Network { g, ids, numbering: OnceLock::new() }
+    }
+
+    /// The host graph.
+    pub fn graph(&self) -> &'a Graph {
+        self.g
+    }
+
+    /// The identifier assignment.
+    pub fn ids(&self) -> &'a IdAssignment {
+        self.ids
+    }
+
+    /// The context vertex `v` wakes up with.
+    pub fn node(&self, v: Vertex) -> NodeCtx<'_> {
+        NodeCtx { id: self.ids.id_of(v), vertex: v, network: self }
+    }
+
+    /// The run's numbering, built on first use.
+    pub(crate) fn numbering(&self) -> &Arc<Numbering> {
+        self.numbering.get_or_init(|| Arc::new(Numbering::new(self.g, self.ids)))
+    }
+}
 
 /// What a processor knows when it wakes up, before any communication:
 /// its unique identifier and nothing else (Linial's LOCAL model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeCtx {
+/// Contexts come from [`Network::node`].
+#[derive(Clone, Copy)]
+pub struct NodeCtx<'a> {
     /// The vertex's unique `O(log n)`-bit identifier.
     pub id: u64,
+    /// The host vertex and its network, read only by the view adapter.
+    vertex: Vertex,
+    network: &'a Network<'a>,
 }
 
 /// A LOCAL algorithm as a per-vertex round state machine with typed
@@ -152,63 +203,67 @@ pub trait LocalAlgorithm: Sync {
     /// identifier (the message-passing runtime accounts with this).
     fn message_bits(&self, msg: &Self::Message, id_bits: u32) -> u64;
 
-    /// Optional oracle fast path: the exact state `v` would hold after
-    /// `round` rounds, computed directly from the global network.
+    /// Optional oracle fast path: the exact state vertex `v` of
+    /// `network` would hold after `round` rounds, computed directly
+    /// from the global network.
     ///
     /// Oracle runtimes call this first and fall back to a
     /// ball-restricted replay of the state machine when it returns
     /// `None` (the default). Implementations must return exactly the
     /// state the message-passing execution would produce — the runtime
     /// equivalence tests enforce this.
-    fn project(&self, g: &Graph, ids: &IdAssignment, v: Vertex, round: u32) -> Option<Self::State> {
-        let _ = (g, ids, v, round);
+    fn project(&self, network: &Network, v: Vertex, round: u32) -> Option<Self::State> {
+        let _ = (network, v, round);
         None
     }
 }
 
 /// The blanket adapter: every [`Decider`] is a [`LocalAlgorithm`] whose
-/// state and message are both the [`LocalView`] — the full-information
-/// protocol. Oracle runtimes shortcut it through [`oracle_view`]
-/// (provably the same views, one BFS instead of per-edge merges), from
-/// the decider's own [`Decider::first_round`] on.
+/// state and message are both the vertex's [`Knowledge`] — the
+/// full-information protocol over the run's numbering. Oracle runtimes
+/// shortcut it through [`LocalAlgorithm::project`], which sets the
+/// bits of the ball `N^k[v]` from one BFS (provably the same knowledge
+/// as `k` rounds of flooding), from the decider's own
+/// [`Decider::first_round`] on.
 impl<D: Decider> LocalAlgorithm for D {
-    type State = LocalView;
-    type Message = LocalView;
+    type State = Knowledge;
+    type Message = Knowledge;
     type Output = D::Output;
 
-    fn init(&self, ctx: &NodeCtx) -> LocalView {
-        LocalView::initial(ctx.id)
+    fn init(&self, ctx: &NodeCtx) -> Knowledge {
+        Knowledge::initial(ctx.network.numbering(), ctx.vertex)
     }
 
-    fn send(&self, state: &LocalView, _round: u32) -> LocalView {
+    fn send(&self, state: &Knowledge, _round: u32) -> Knowledge {
         state.clone()
     }
 
-    fn receive(&self, state: &mut LocalView, _round: u32, incoming: &[&LocalView]) {
-        state.absorb(incoming);
-        state.advance_round();
+    fn receive(&self, state: &mut Knowledge, _round: u32, incoming: &[&Knowledge]) {
+        state.fold_round(incoming);
     }
 
-    fn decide(&self, state: &LocalView, _round: u32) -> Option<D::Output> {
-        Decider::decide(self, state)
+    fn decide(&self, state: &Knowledge, _round: u32) -> Option<D::Output> {
+        Decider::decide(self, &state.view())
     }
 
     fn first_round(&self) -> u32 {
         Decider::first_round(self)
     }
 
-    fn message_bits(&self, msg: &LocalView, id_bits: u32) -> u64 {
+    fn message_bits(&self, msg: &Knowledge, id_bits: u32) -> u64 {
         msg.size_bits(id_bits)
     }
 
-    fn project(&self, g: &Graph, ids: &IdAssignment, v: Vertex, round: u32) -> Option<LocalView> {
-        Some(oracle_view(g, ids, v, round))
+    fn project(&self, network: &Network, v: Vertex, round: u32) -> Option<Knowledge> {
+        Some(Knowledge::project(network, v, round))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::oracle_view;
+    use crate::view::LocalView;
 
     struct DegreeAlgo;
     impl Decider for DegreeAlgo {
@@ -221,34 +276,60 @@ mod tests {
     #[test]
     fn adapter_receive_matches_manual_merge() {
         // One round of the adapter on a path 0-1-2, centered at 1.
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2)]);
         let ids = IdAssignment::sequential(3);
+        let net = Network::new(&g, &ids);
         let algo = DegreeAlgo;
-        let mut state = LocalAlgorithm::init(&algo, &NodeCtx { id: ids.id_of(1) });
-        let (a, b) = (LocalView::initial(ids.id_of(0)), LocalView::initial(ids.id_of(2)));
+        let mut state = LocalAlgorithm::init(&algo, &net.node(1));
+        let (a, b) = (algo.init(&net.node(0)), algo.init(&net.node(2)));
         algo.receive(&mut state, 1, &[&a, &b]);
-        assert_eq!(state.rounds(), 1);
-        assert_eq!(state.vertex_ids(), &[0, 1, 2]);
-        assert!(state.contains_edge(0, 1) && state.contains_edge(1, 2));
+        let view = state.view();
+        assert_eq!(view.rounds(), 1);
+        assert_eq!(view.vertex_ids(), &[0, 1, 2]);
+        assert!(view.contains_edge(0, 1) && view.contains_edge(1, 2));
         assert_eq!(LocalAlgorithm::decide(&algo, &state, 1), Some(2));
     }
 
     #[test]
     fn adapter_projection_is_the_oracle_view() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let ids = IdAssignment::shuffled(5, 3);
+        // A path with shuffled ids, and a 10×10 grid (views spanning
+        // several blocks) whose ids an odd multiplier spreads over the
+        // whole u64 range.
+        let path = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let mut grid_edges = Vec::new();
+        for v in 0..100 {
+            if v % 10 < 9 {
+                grid_edges.push((v, v + 1));
+            }
+            if v < 90 {
+                grid_edges.push((v, v + 10));
+            }
+        }
+        let grid = Graph::from_edges(100, &grid_edges);
+        let spread = (0..100u64).map(|v| v.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let cases =
+            [(path, IdAssignment::shuffled(5, 3), 3), (grid, IdAssignment::from_ids(spread), 5)];
         let algo = DegreeAlgo;
-        for v in 0..5 {
-            for k in 0..3 {
-                let projected = algo.project(&g, &ids, v, k).expect("adapter projects");
-                assert_eq!(projected, oracle_view(&g, &ids, v, k), "v={v} k={k}");
+        for (g, ids, rounds) in &cases {
+            let net = Network::new(g, ids);
+            for v in g.vertices() {
+                for k in 0..*rounds {
+                    let projected = algo.project(&net, v, k).expect("adapter projects");
+                    assert_eq!(projected.view(), oracle_view(g, ids, v, k), "v={v} k={k}");
+                }
             }
         }
     }
 
     #[test]
     fn adapter_message_bits_match_view_size() {
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (2, 3)]);
+        let ids = IdAssignment::from_ids(vec![40, 7, 1 << 50, 3]);
+        let net = Network::new(&g, &ids);
         let algo = DegreeAlgo;
-        let v = LocalView::from_parts(0, 1, vec![0, 1, 2], vec![(0, 1), (0, 2)]);
-        assert_eq!(algo.message_bits(&v, 10), v.size_bits(10));
+        for k in 0..3 {
+            let state = algo.project(&net, 0, k).expect("adapter projects");
+            assert_eq!(algo.message_bits(&state, 10), state.view().size_bits(10), "k={k}");
+        }
     }
 }

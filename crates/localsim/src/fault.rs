@@ -31,8 +31,16 @@
 //! synchronous message passing — every round each vertex sends, bits
 //! are accounted, every message is received and every vertex may
 //! decide — and [`crate::RuntimeKind::MessagePassing`] runs exactly that.
+//!
+//! Faults act on deliveries, not on message contents, so they need
+//! nothing from the algorithm. A view algorithm's message is the
+//! sender's [`crate::Knowledge`]: a dropped or stale one simply ORs
+//! fewer or older bits in, its receiver still sets the bit of the edge
+//! each delivered message came over, and its size is counted off the
+//! bits exactly as the view it spells out would be
+//! ([`crate::LocalView::size_bits`]).
 
-use crate::algorithm::{LocalAlgorithm, NodeCtx};
+use crate::algorithm::{LocalAlgorithm, Network};
 use crate::ids::IdAssignment;
 use crate::runtime::{MessageAccounting, RunResult, RuntimeError};
 use lmds_graph::Graph;
@@ -460,8 +468,8 @@ impl FaultyRuntime {
         let plan = FaultPlan::materialize(g, &self.config);
         let n = g.n();
         let id_bits = ids.bits();
-        let mut states: Vec<A::State> =
-            (0..n).map(|v| algo.init(&NodeCtx { id: ids.id_of(v) })).collect();
+        let network = Network::new(g, ids);
+        let mut states: Vec<A::State> = (0..n).map(|v| algo.init(&network.node(v))).collect();
         let mut outputs: Vec<Option<A::Output>> = vec![None; n];
         let mut decided_at = vec![0u32; n];
         let mut max_msg = 0u64;

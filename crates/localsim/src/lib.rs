@@ -19,18 +19,24 @@
 //!   [`LocalView`] (everything a vertex can know after `k` rounds) to a
 //!   decision. A blanket adapter makes every `Decider` a
 //!   `LocalAlgorithm` running the full-information protocol, so
-//!   adaptive algorithms stay one `fn` long.
+//!   adaptive algorithms stay one `fn` long. What the adapter floods is
+//!   [`Knowledge`]: the known vertices and edges as bits in sorted
+//!   64-bit blocks over a numbering that each run builds once, in
+//!   identifier order, the first time an adapter asks the run's
+//!   [`Network`] for it. A round ORs words, and `decide` gets the
+//!   `LocalView` the bits spell out, with no sort.
 //! * Two engines that run any [`LocalAlgorithm`] with the same
-//!   `run(g, ids, algo, max_rounds)` call: [`OracleRuntime`] (states
-//!   computed directly via projection or ball replay, from the
-//!   algorithm's [`LocalAlgorithm::first_round`] on, vertices drained
-//!   across `lmds_graph::par` workers on large graphs) and
-//!   [`FaultyRuntime`] (faithful synchronous message passing with bits
-//!   accounted, under an optional seeded [`FaultConfig`]: drops,
-//!   crash-stop vertices, bounded skew). Message passing keeps each
-//!   round's messages once and lends them to
-//!   [`LocalAlgorithm::receive`] as `&[&Message]`; no delivery copies a
-//!   message.
+//!   `run(g, ids, algo, max_rounds)` call, each over one [`Network`]
+//!   per run that every vertex's [`NodeCtx`] and every projection
+//!   share: [`OracleRuntime`] (states computed directly via projection
+//!   or ball replay, from the algorithm's
+//!   [`LocalAlgorithm::first_round`] on, vertices drained across
+//!   `lmds_graph::par` workers on large graphs) and [`FaultyRuntime`]
+//!   (faithful synchronous message passing with bits accounted, under
+//!   an optional seeded [`FaultConfig`]: drops, crash-stop vertices,
+//!   bounded skew). Message passing keeps each round's messages once
+//!   and lends them to [`LocalAlgorithm::receive`] as `&[&Message]`; no
+//!   delivery copies a message.
 //!   [`RuntimeKind`] names the four kinds configuration layers select —
 //!   `oracle` and `sharded-oracle` run the oracle, `message-passing`
 //!   and `faulty` the message-passing loop with the empty plan.
@@ -41,11 +47,12 @@
 //! rounds a vertex `v` can know exactly the identifiers of `N^k[v]` and
 //! all edges incident to `N^{k-1}[v]`, and nothing more — so a vertex's
 //! state is computable from its `k`-ball alone, either by projecting
-//! the view directly ([`oracle_view`]) or by replaying the state
-//! machine inside the ball. Both engines are bit-identical on
-//! deterministic algorithms; the [`RunResult`] additionally reports
-//! decision rounds, the decided-at histogram, and — on the
-//! message-passing engine — measured message bits
+//! it directly (view algorithms set their knowledge's bits from one
+//! BFS; [`oracle_view`] is the reference view those bits must spell
+//! out) or by replaying the state machine inside the ball. Both engines
+//! are bit-identical on deterministic algorithms; the [`RunResult`]
+//! additionally reports decision rounds, the decided-at histogram,
+//! and — on the message-passing engine — measured message bits
 //! ([`MessageAccounting`]).
 //!
 //! # Example
@@ -84,15 +91,17 @@
 pub mod algorithm;
 pub mod fault;
 pub mod ids;
+pub mod knowledge;
 pub mod runtime;
 pub mod view;
 
-pub use algorithm::{LocalAlgorithm, NodeCtx};
+pub use algorithm::{LocalAlgorithm, Network, NodeCtx};
 pub use fault::{
     CrashPolicy, DropPolicy, FaultConfig, FaultPlan, FaultReport, FaultyRun, FaultyRuntime,
     ParseFaultError,
 };
 pub use ids::{IdAssignment, IdPolicy};
+pub use knowledge::Knowledge;
 pub use runtime::{
     oracle_view, MessageAccounting, OracleRuntime, RunResult, RuntimeError, RuntimeKind,
 };
@@ -108,10 +117,11 @@ pub use view::LocalView;
 ///
 /// Implementations must be deterministic functions of the view — this
 /// is what makes the runtimes interchangeable. Every `Decider` is a
-/// [`LocalAlgorithm`] through the blanket adapter in
-/// [`algorithm`]: state and message are both the view (the
-/// full-information protocol), and oracle backends shortcut it through
-/// [`oracle_view`].
+/// [`LocalAlgorithm`] through the blanket adapter in [`algorithm`]:
+/// state and message are both the vertex's [`Knowledge`] (the
+/// full-information protocol, flooded as 64-bit blocks), `decide` sees
+/// the [`LocalView`] it spells out, and oracle backends shortcut the
+/// flood by projecting the knowledge of a ball from one BFS.
 pub trait Decider: Sync {
     /// Per-node output type.
     type Output: Clone + Send;

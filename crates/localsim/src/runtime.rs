@@ -2,7 +2,8 @@
 //!
 //! * [`OracleRuntime`] — computes each vertex's round-`k` state
 //!   directly: through the algorithm's [`LocalAlgorithm::project`] fast
-//!   path when it has one (view algorithms project via
+//!   path when it has one (view algorithms set the bits of their
+//!   [`crate::Knowledge`] from one BFS of `N^k[v]`, which spell out
 //!   [`oracle_view`]), otherwise by replaying the state machine inside
 //!   the ball `N^k[v]` — provably the same state, no global message
 //!   schedule. It starts each vertex at the algorithm's
@@ -22,9 +23,12 @@
 //! message-passing loop with the empty plan (fault scenarios construct
 //! a [`FaultyRuntime`] with their plan). Both engines expose the same
 //! `run(g, ids, algo, max_rounds)` call: [`OracleRuntime::run`] and
-//! [`FaultyRuntime::run`].
+//! [`FaultyRuntime::run`]. Each run wraps `(g, ids)` in one
+//! [`crate::Network`]: vertices wake up with its [`crate::NodeCtx`]s,
+//! projections read it, and the view adapter builds its numbering there
+//! once, on first use, so a native algorithm's run never builds one.
 
-use crate::algorithm::{LocalAlgorithm, NodeCtx};
+use crate::algorithm::{LocalAlgorithm, Network};
 use crate::fault::FaultyRuntime;
 use crate::ids::IdAssignment;
 use crate::view::LocalView;
@@ -254,8 +258,9 @@ fn check_sizes(g: &Graph, ids: &IdAssignment) -> Result<(), RuntimeError> {
 /// One scratch-pooled BFS supplies both radii: the outer ball is every
 /// visited vertex, the inner ball the ones at distance `< k`. An edge
 /// between two inner vertices is emitted once, from its smaller end.
-/// This is the projection fast path of every view algorithm
-/// ([`crate::Decider`] via the blanket adapter).
+/// This is the reference view: the [`crate::Decider`] adapter's
+/// projection and its message-passing knowledge must both spell it out
+/// ([`crate::Knowledge::view`]).
 pub fn oracle_view(g: &Graph, ids: &IdAssignment, v: lmds_graph::Vertex, k: u32) -> LocalView {
     if k == 0 {
         return LocalView::initial(ids.id_of(v));
@@ -289,18 +294,17 @@ pub fn oracle_view(g: &Graph, ids: &IdAssignment, v: lmds_graph::Vertex, k: u32)
 /// inbox order matches the global execution's host neighbor order. The
 /// inboxes borrow from the round's messages, as in message passing.
 fn replay_state<A: LocalAlgorithm>(
-    g: &Graph,
-    ids: &IdAssignment,
+    network: &Network,
     algo: &A,
     v: lmds_graph::Vertex,
     rounds: u32,
 ) -> A::State {
     if rounds == 0 {
-        return algo.init(&NodeCtx { id: ids.id_of(v) });
+        return algo.init(&network.node(v));
     }
+    let g = network.graph();
     let ball = bfs::ball(g, v, rounds); // sorted ascending
-    let mut states: Vec<A::State> =
-        ball.iter().map(|&u| algo.init(&NodeCtx { id: ids.id_of(u) })).collect();
+    let mut states: Vec<A::State> = ball.iter().map(|&u| algo.init(&network.node(u))).collect();
     for round in 1..=rounds {
         let msgs: Vec<A::Message> = states.iter().map(|s| algo.send(s, round)).collect();
         let mut inbox: Vec<&A::Message> = Vec::new();
@@ -320,16 +324,15 @@ fn replay_state<A: LocalAlgorithm>(
 
 /// The round-`k` state of `v`: projection fast path or ball replay.
 fn state_at<A: LocalAlgorithm>(
-    g: &Graph,
-    ids: &IdAssignment,
+    network: &Network,
     algo: &A,
     v: lmds_graph::Vertex,
     round: u32,
 ) -> A::State {
     if round == 0 {
-        algo.init(&NodeCtx { id: ids.id_of(v) })
+        algo.init(&network.node(v))
     } else {
-        algo.project(g, ids, v, round).unwrap_or_else(|| replay_state(g, ids, algo, v, round))
+        algo.project(network, v, round).unwrap_or_else(|| replay_state(network, algo, v, round))
     }
 }
 
@@ -405,11 +408,12 @@ impl OracleRuntime {
         check_sizes(g, ids)?;
         let n = g.n();
         let first = algo.first_round();
+        let network = Network::new(g, ids);
         // Per worker: (vertex, decision round, output) of every vertex
         // that decided within the cap.
         let decided = par::drain(workers, n, |mine: &mut Vec<(usize, u32, A::Output)>, v| {
             let decision = (first..=max_rounds).find_map(|round| {
-                algo.decide(&state_at(g, ids, algo, v, round), round).map(|o| (round, o))
+                algo.decide(&state_at(&network, algo, v, round), round).map(|o| (round, o))
             });
             if let Some((round, o)) = decision {
                 mine.push((v, round, o));
@@ -437,7 +441,7 @@ impl OracleRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Decider;
+    use crate::{Decider, NodeCtx};
     use lmds_graph::GraphBuilder;
 
     struct DegreeAlgo;
@@ -551,12 +555,11 @@ mod tests {
         }
         fn project(
             &self,
-            g: &Graph,
-            ids: &IdAssignment,
+            network: &Network,
             v: lmds_graph::Vertex,
             round: u32,
         ) -> Option<A::State> {
-            self.inner.project(g, ids, v, round)
+            self.inner.project(network, v, round)
         }
     }
 

@@ -25,7 +25,8 @@ impl LocalView {
         LocalView { center, rounds: 0, verts: vec![center], edges: Vec::new() }
     }
 
-    /// Constructs a view directly (used by the oracle runtime and tests).
+    /// Constructs a view directly, sorting and deduplicating its lists
+    /// (used by [`crate::oracle_view`] and tests).
     pub fn from_parts(
         center: u64,
         rounds: u32,
@@ -41,6 +42,21 @@ impl LocalView {
         }
         edges.sort_unstable();
         edges.dedup();
+        debug_assert!(verts.binary_search(&center).is_ok());
+        LocalView { center, rounds, verts, edges }
+    }
+
+    /// A view from lists that are already sorted, deduplicated and
+    /// normalized (smaller id first) — the order block knowledge lists
+    /// them in.
+    pub(crate) fn from_sorted(
+        center: u64,
+        rounds: u32,
+        verts: Vec<u64>,
+        edges: Vec<(u64, u64)>,
+    ) -> Self {
+        debug_assert!(verts.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|e| e.0 < e.1));
         debug_assert!(verts.binary_search(&center).is_ok());
         LocalView { center, rounds, verts, edges }
     }
@@ -104,28 +120,11 @@ impl LocalView {
     /// Merges another view into this one (set union). The result
     /// represents knowledge after receiving `other` in a message. Both
     /// lists are kept sorted and deduplicated, so each union is one
-    /// linear merge pass.
+    /// linear merge pass. With [`LocalView::learn_edge`] per sender this
+    /// is the naive flood that block knowledge is tested against.
     pub fn merge(&mut self, other: &LocalView) {
-        union_sorted(&mut self.verts, &other.verts, &mut Vec::new());
-        union_sorted(&mut self.edges, &other.edges, &mut Vec::new());
-    }
-
-    /// Folds one round's incoming views into this one: the union of
-    /// every view plus the edge from the center to each sender — the
-    /// same sets as [`LocalView::learn_edge`] and [`LocalView::merge`]
-    /// per message, in one merge pass per view through two buffers
-    /// reused across the whole fold.
-    pub fn absorb(&mut self, incoming: &[&LocalView]) {
-        let (mut spare_verts, mut spare_edges) = (Vec::new(), Vec::new());
-        for msg in incoming {
-            union_sorted(&mut self.verts, &msg.verts, &mut spare_verts);
-            union_sorted(&mut self.edges, &msg.edges, &mut spare_edges);
-        }
-        // Past round 1 a sender's view already holds its edge to the
-        // center, so these are lookups, not inserts.
-        for msg in incoming {
-            self.learn_edge(self.center, msg.center);
-        }
+        union_sorted(&mut self.verts, &other.verts);
+        union_sorted(&mut self.edges, &other.edges);
     }
 
     /// Records the edge `{a, b}` (used when a message arrives over a
@@ -176,15 +175,13 @@ impl LocalView {
 }
 
 /// Replaces `into` by the union of itself and `other`, both sorted and
-/// deduplicated, in one merge pass written into `spare`; the buffers
-/// then trade places, so `spare` returns holding `into`'s old storage.
-fn union_sorted<T: Copy + Ord>(into: &mut Vec<T>, other: &[T], spare: &mut Vec<T>) {
+/// deduplicated, in one merge pass.
+fn union_sorted<T: Copy + Ord>(into: &mut Vec<T>, other: &[T]) {
     if other.is_empty() {
         return;
     }
-    let (a, out) = (into.as_slice(), spare);
-    out.clear();
-    out.reserve_exact(a.len() + other.len());
+    let a = into.as_slice();
+    let mut out = Vec::with_capacity(a.len() + other.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < other.len() {
         match a[i].cmp(&other[j]) {
@@ -205,7 +202,7 @@ fn union_sorted<T: Copy + Ord>(into: &mut Vec<T>, other: &[T], spare: &mut Vec<T
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&other[j..]);
-    std::mem::swap(into, out);
+    *into = out;
 }
 
 #[cfg(test)]
@@ -216,9 +213,9 @@ mod tests {
     fn merge_equals_the_sort_based_union() {
         // Random overlapping views (ids drawn from a small range, so the
         // views share many vertices and edges) against the
-        // concatenate-sort-dedup union: one `merge`, and one round's
-        // `absorb` of up to four senders, which must also equal the
-        // per-message `learn_edge` + `merge` loop it replaces.
+        // concatenate-sort-dedup union: one `merge`, and one round of
+        // the naive flood (`learn_edge` + `merge` per sender) from up to
+        // four senders.
         let mut state = 0x5EEDu64;
         let mut next = |m: u64| {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -262,13 +259,10 @@ mod tests {
                 looped.merge(y);
             }
             let inbox: Vec<&LocalView> = ys.iter().collect();
-            let mut absorbed = x.clone();
-            absorbed.absorb(&inbox);
-            assert_eq!(absorbed, looped);
             let spokes: Vec<(u64, u64)> = (1..=senders).map(|c| (0, c)).collect();
             let (verts, edges) = sort_union(&[&[&x][..], &inbox].concat(), &spokes);
-            assert_eq!(absorbed.vertex_ids(), verts.as_slice());
-            assert_eq!(absorbed.edge_ids(), edges.as_slice());
+            assert_eq!(looped.vertex_ids(), verts.as_slice());
+            assert_eq!(looped.edge_ids(), edges.as_slice());
         }
     }
 

@@ -8,7 +8,7 @@ use lmds_gen::rng::SmallRng;
 use lmds_graph::dominating::{exact_mds, is_dominating_set};
 use lmds_graph::vertex_cover::is_vertex_cover;
 use lmds_graph::Graph;
-use lmds_localsim::IdAssignment;
+use lmds_localsim::{Decider, IdAssignment, Knowledge, LocalAlgorithm, LocalView, NodeCtx};
 
 /// A random connected graph: a random tree plus a few extra edges
 /// (stays sparse; sizes kept small so exact solvers finish).
@@ -132,7 +132,6 @@ fn local_cuts_at_full_radius_match_global() {
 fn oracle_views_match_message_passing() {
     // The core simulator invariant, on random graphs.
     use lmds_localsim::runtime::oracle_view;
-    use lmds_localsim::LocalView;
     for (seed, g) in corpus().into_iter().step_by(3) {
         let ids = IdAssignment::shuffled(g.n(), seed);
         let n = g.n();
@@ -150,6 +149,139 @@ fn oracle_views_match_message_passing() {
             }
             for (v, view) in views.iter().enumerate() {
                 assert_eq!(view, &oracle_view(&g, &ids, v, k), "seed={seed} v={v} k={k}");
+            }
+        }
+    }
+}
+
+/// A decider that never decides: the block-knowledge property test
+/// drives only its view adapter.
+struct Silent;
+
+impl Decider for Silent {
+    type Output = ();
+    fn decide(&self, _view: &LocalView) -> Option<()> {
+        None
+    }
+}
+
+/// The view adapter's block knowledge beside the naive flood, in one
+/// state machine: state and message are pairs of the adapter's
+/// [`Knowledge`] and the view that `LocalView::merge` plus the sender
+/// edges build from the same deliveries. After every round each
+/// vertex's knowledge must spell out exactly the naive view, and every
+/// message must weigh what that view weighs.
+struct BesideNaiveFlood {
+    rounds: u32,
+}
+
+impl LocalAlgorithm for BesideNaiveFlood {
+    type State = (Knowledge, LocalView);
+    type Message = (Knowledge, LocalView);
+    type Output = ();
+
+    fn init(&self, ctx: &NodeCtx) -> Self::State {
+        (Silent.init(ctx), LocalView::initial(ctx.id))
+    }
+
+    fn send(&self, (know, view): &Self::State, round: u32) -> Self::Message {
+        (Silent.send(know, round), view.clone())
+    }
+
+    fn receive(&self, (know, view): &mut Self::State, round: u32, incoming: &[&Self::Message]) {
+        let blocks: Vec<&Knowledge> = incoming.iter().map(|m| &m.0).collect();
+        Silent.receive(know, round, &blocks);
+        for m in incoming {
+            view.learn_edge(view.center_id(), m.1.center_id());
+            view.merge(&m.1);
+        }
+        view.advance_round();
+        assert_eq!(know.view(), *view, "center {} round {round}", view.center_id());
+        assert_eq!(Silent.message_bits(know, 17), view.size_bits(17));
+    }
+
+    fn decide(&self, _state: &Self::State, round: u32) -> Option<()> {
+        (round >= self.rounds).then_some(())
+    }
+
+    fn first_round(&self) -> u32 {
+        self.rounds
+    }
+
+    fn message_bits(&self, (know, view): &Self::Message, id_bits: u32) -> u64 {
+        let bits = Silent.message_bits(know, id_bits);
+        assert_eq!(bits, view.size_bits(id_bits), "sender {}", view.center_id());
+        bits
+    }
+}
+
+/// Graphs from every generator family, several past 64 vertices or
+/// edges so views span more than one block, and one with isolated
+/// vertices and several components.
+fn generator_corpus() -> Vec<Graph> {
+    use lmds_gen::{adversarial, basic, ding, outerplanar, random, trees};
+    let mut out = vec![
+        basic::path(12),
+        basic::cycle(9),
+        basic::star(6),
+        basic::spider(3, 3),
+        basic::caterpillar(4, 2),
+        basic::grid(12, 12),
+        basic::complete(6),
+        basic::complete_bipartite(2, 5),
+        ding::fan(7),
+        ding::strip(6),
+        adversarial::clique_with_pendants(5),
+        adversarial::c6(),
+        adversarial::subdivided_k2t(4),
+        Graph::from_edges(9, &[(0, 1), (1, 2), (4, 5), (5, 6), (6, 4)]),
+    ];
+    for seed in 0..3u64 {
+        out.push(trees::random_tree(40, seed));
+        out.push(outerplanar::random_maximal_outerplanar(14, seed));
+        out.push(outerplanar::random_outerplanar(150, 25, seed));
+        out.push(random::connected_gnp(30, 12, seed));
+        out.push(ding::AugmentationSpec::standard(4, 1, 2, seed).generate());
+        out.push(ding::scale_instance(120, seed));
+    }
+    out
+}
+
+#[test]
+fn block_knowledge_builds_the_naive_flood_under_faults() {
+    use lmds_localsim::{CrashPolicy, DropPolicy, FaultConfig, FaultyRuntime};
+    let mut rng = SmallRng::seed_from_u64(0xB10C);
+    for (case, g) in generator_corpus().into_iter().enumerate() {
+        let n = g.n();
+        // Sparse ids spread over the whole u64 range: a bit position
+        // must be a rank, since ids would overflow any block index.
+        let mut sparse = Vec::with_capacity(n);
+        let mut seen = std::collections::BTreeSet::new();
+        while sparse.len() < n {
+            let id = rng.next_u64();
+            if seen.insert(id) {
+                sparse.push(id);
+            }
+        }
+        let assignments = [IdAssignment::shuffled(n, case as u64), IdAssignment::from_ids(sparse)];
+        for ids in &assignments {
+            for plan in 0..3 {
+                let config = if plan == 0 {
+                    FaultConfig::default()
+                } else {
+                    FaultConfig {
+                        seed: rng.next_u64(),
+                        drop: DropPolicy::Bernoulli { per_mille: rng.gen_range(0..400) as u16 },
+                        crash: CrashPolicy::Random {
+                            count: rng.gen_range(0..3) as u32,
+                            round: rng.gen_range(1..5) as u32,
+                        },
+                        skew: rng.gen_range(0..=3) as u32,
+                    }
+                };
+                let algo = BesideNaiveFlood { rounds: 1 + rng.gen_range(0..5) as u32 };
+                let run = FaultyRuntime::new(config).run_with_report(&g, ids, &algo, algo.rounds);
+                assert!(run.is_ok(), "case {case} {config}: {:?}", run.err());
             }
         }
     }

@@ -9,7 +9,7 @@
 //! drift.
 
 use lmds_api::{
-    BatchJob, BatchRunner, CrashPolicy, ExecutionMode, FaultConfig, IdPolicy, Instance,
+    BatchJob, BatchRunner, CrashPolicy, DropPolicy, ExecutionMode, FaultConfig, IdPolicy, Instance,
     RuntimeKind, SolveConfig, SolveError, SolverRegistry,
 };
 use lmds_asdim::ControlFunction;
@@ -384,6 +384,60 @@ fn runtime_kind_strings_round_trip() {
     }
     let err = "flaky".parse::<RuntimeKind>().unwrap_err().to_string();
     assert!(err.contains("faulty"), "the parse error lists valid kinds: {err}");
+}
+
+/// The `local-sim` benchmark instance, pinned: the augmentation behind
+/// `large_augmentation(520, 11)` (n = 535) with ids shuffled by seed 3,
+/// at radii (2, 2), on message passing and under seed 3's 50‰ Bernoulli
+/// drop plan. Set size, rounds, total and largest message bits and the
+/// drop count are those of the sorted-list views the block knowledge
+/// replaced, so a flood that learns more or less than the views did
+/// moves a number here.
+#[test]
+fn local_sim_instance_is_pinned() {
+    let spec = AugmentationSpec {
+        base_n: 10,
+        base_density_percent: 30,
+        fans: 4,
+        fan_len: (8, 16),
+        strips: 520 / 120,
+        strip_len: (55, 65),
+        seed: 11,
+    };
+    let inst = Instance::shuffled("aug520", spec.generate(), 3);
+    assert_eq!(inst.n(), 535);
+    let registry = SolverRegistry::with_defaults();
+    let plan = FaultConfig {
+        seed: 3,
+        drop: DropPolicy::Bernoulli { per_mille: 50 },
+        ..Default::default()
+    };
+    // (solver, fault plan, |S|, rounds, total bits, max bits, dropped)
+    let pins = [
+        ("mds/algorithm1", None, 478, 11, 29_148_880, 8_410, 0),
+        ("mds/algorithm1", Some(plan), 478, 11, 28_115_630, 8_210, 862),
+        ("mvc/algorithm1", None, 517, 10, 23_369_660, 7_770, 0),
+        ("mvc/algorithm1", Some(plan), 517, 10, 22_535_660, 7_610, 769),
+    ];
+    for (key, fault, size, rounds, total, max, dropped) in pins {
+        let cfg = match fault {
+            None => config_for(&registry, key).mode(ExecutionMode::LOCAL_MESSAGE_PASSING),
+            Some(plan) => config_for(&registry, key).mode(ExecutionMode::LOCAL_FAULTY).fault(plan),
+        };
+        let sol = registry.solve(key, &inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
+        let stats = sol.messages.as_ref().expect("message passing carries stats");
+        let report = sol.fault.clone().unwrap_or_default();
+        assert_eq!(
+            (sol.size(), sol.rounds, stats.total_message_bits(), stats.max_message_bits()),
+            (size, Some(rounds), Some(total), Some(max)),
+            "{key} under {fault:?}"
+        );
+        assert_eq!(
+            (report.messages_dropped, report.crashed.len(), report.max_staleness),
+            (dropped, 0, 0),
+            "{key} under {fault:?}"
+        );
+    }
 }
 
 /// Satellite regression: a crash-stalled fault run that trips an
