@@ -171,9 +171,7 @@ mod tests {
     fn batch_solutions_are_valid_across_modes() {
         let registry = SolverRegistry::with_defaults();
         let mut jobs = Vec::new();
-        for mode in
-            [ExecutionMode::Centralized, ExecutionMode::LOCAL_ORACLE, ExecutionMode::LOCAL_SHARDED]
-        {
+        for mode in ExecutionMode::ALL {
             jobs.push(BatchJob::new("mds/algorithm1", SolveConfig::mds().mode(mode)));
             jobs.push(BatchJob::new("mvc/theorem44", SolveConfig::mvc().mode(mode)));
         }

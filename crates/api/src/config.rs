@@ -66,26 +66,21 @@ impl ExecutionMode {
     /// LOCAL simulation with oracle state computation (fast; no message
     /// accounting).
     pub const LOCAL_ORACLE: ExecutionMode = ExecutionMode::Local(RuntimeKind::Oracle);
-    /// Faithful synchronous message passing (message bits accounted).
+    /// Faithful synchronous message passing (message bits accounted),
+    /// under the config's [`SolveConfig::fault`] plan when it is active.
     pub const LOCAL_MESSAGE_PASSING: ExecutionMode =
         ExecutionMode::Local(RuntimeKind::MessagePassing);
-    /// The oracle under its sharded label (identical to
-    /// [`ExecutionMode::LOCAL_ORACLE`]; the oracle shards itself on
-    /// large graphs).
-    pub const LOCAL_SHARDED: ExecutionMode = ExecutionMode::Local(RuntimeKind::ShardedOracle);
-    /// Message passing under the config's [`SolveConfig::fault`] plan
-    /// (drops, crash-stop vertices, bounded skew); bit-identical to
-    /// [`ExecutionMode::LOCAL_MESSAGE_PASSING`] when the plan is empty,
-    /// plus the fault report.
-    pub const LOCAL_FAULTY: ExecutionMode = ExecutionMode::Local(RuntimeKind::Faulty);
+    /// Retired: an alias of [`ExecutionMode::LOCAL_MESSAGE_PASSING`],
+    /// which now runs the fault plan. It stays only because
+    /// `perfbench/src/local.rs` names it; no workspace code uses it, and
+    /// the next benchmark change deletes it.
+    pub const LOCAL_FAULTY: ExecutionMode = ExecutionMode::LOCAL_MESSAGE_PASSING;
 
     /// All modes, in the order batch sweeps iterate them.
-    pub const ALL: [ExecutionMode; 5] = [
+    pub const ALL: [ExecutionMode; 3] = [
         ExecutionMode::Centralized,
         ExecutionMode::LOCAL_ORACLE,
         ExecutionMode::LOCAL_MESSAGE_PASSING,
-        ExecutionMode::LOCAL_SHARDED,
-        ExecutionMode::LOCAL_FAULTY,
     ];
 
     /// The runtime backend, when distributed.
@@ -193,11 +188,11 @@ pub struct SolveConfig {
     /// Upper bound on simulated rounds; `None` ⟹ a solver-specific safe
     /// default. Centralized runs ignore it.
     pub round_cap: Option<u32>,
-    /// The fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs: seeded
-    /// message drops, crash-stop vertices, bounded round-asynchrony.
-    /// The inert (all-zero) plan is the default; an *active* plan in
-    /// any other mode, centralized included, is rejected as unsupported
-    /// options.
+    /// The fault plan for [`ExecutionMode::LOCAL_MESSAGE_PASSING`] runs:
+    /// seeded message drops, crash-stop vertices, bounded
+    /// round-asynchrony. The inert (all-zero) plan is the default; an
+    /// *active* plan in any other mode, centralized included, is
+    /// rejected as unsupported options.
     pub fault: FaultConfig,
     /// Pipeline radii for the Algorithm 1 family: `mds/algorithm1`,
     /// `mds/algorithm2` and `mvc/algorithm1` (ignored by the 3-round
@@ -263,7 +258,8 @@ impl SolveConfig {
         self
     }
 
-    /// Sets the fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs.
+    /// Sets the fault plan for [`ExecutionMode::LOCAL_MESSAGE_PASSING`]
+    /// runs.
     pub fn fault(mut self, fault: FaultConfig) -> Self {
         self.fault = fault;
         self
@@ -329,12 +325,12 @@ mod tests {
     #[test]
     fn builder_chains() {
         let cfg = SolveConfig::mvc()
-            .mode(ExecutionMode::LOCAL_SHARDED)
+            .mode(ExecutionMode::LOCAL_ORACLE)
             .round_cap(7)
             .opt_budget(10)
             .id_policy(IdPolicy::Sequential);
         assert_eq!(cfg.problem, Problem::MinVertexCover);
-        assert_eq!(cfg.mode, ExecutionMode::Local(lmds_localsim::RuntimeKind::ShardedOracle));
+        assert_eq!(cfg.mode, ExecutionMode::Local(lmds_localsim::RuntimeKind::Oracle));
         assert_eq!(cfg.round_cap, Some(7));
         assert_eq!(cfg.id_policy, Some(IdPolicy::Sequential));
         assert_eq!(cfg.opt_budget, 10);
@@ -364,23 +360,16 @@ mod tests {
         assert_eq!(ExecutionMode::Centralized.to_string(), "centralized");
         assert_eq!(ExecutionMode::LOCAL_ORACLE.to_string(), "local-oracle");
         assert_eq!(ExecutionMode::LOCAL_MESSAGE_PASSING.to_string(), "local-message-passing");
-        assert_eq!(ExecutionMode::LOCAL_SHARDED.to_string(), "local-sharded-oracle");
-        assert_eq!(ExecutionMode::LOCAL_FAULTY.to_string(), "local-faulty");
         assert_eq!(Problem::MinVertexCover.key_prefix(), "mvc");
     }
 
     #[test]
     fn mode_classification() {
         assert_eq!(ExecutionMode::Centralized.runtime(), None);
-        for mode in [
-            ExecutionMode::LOCAL_ORACLE,
-            ExecutionMode::LOCAL_MESSAGE_PASSING,
-            ExecutionMode::LOCAL_SHARDED,
-            ExecutionMode::LOCAL_FAULTY,
-        ] {
+        for mode in [ExecutionMode::LOCAL_ORACLE, ExecutionMode::LOCAL_MESSAGE_PASSING] {
             assert!(mode.runtime().is_some());
         }
-        assert_eq!(ExecutionMode::ALL.len(), 5);
+        assert_eq!(ExecutionMode::ALL.len(), 3);
     }
 
     #[test]
@@ -394,6 +383,9 @@ mod tests {
         assert!("MDS".parse::<Problem>().is_err(), "display form is not the wire form");
         assert!("oracle".parse::<ExecutionMode>().is_err());
         assert!("local-".parse::<ExecutionMode>().is_err());
+        // The retired aliases of the two engines no longer parse.
+        assert!("local-sharded-oracle".parse::<ExecutionMode>().is_err());
+        assert!("local-faulty".parse::<ExecutionMode>().is_err());
     }
 
     #[test]
@@ -404,7 +396,7 @@ mod tests {
             drop: DropPolicy::Bernoulli { per_mille: 100 },
             ..FaultConfig::default()
         };
-        let cfg = SolveConfig::mds().mode(ExecutionMode::LOCAL_FAULTY).fault(fault);
+        let cfg = SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).fault(fault);
         assert_eq!(cfg.fault, fault);
         assert!(!SolveConfig::mds().fault.is_active(), "default plan is inert");
     }

@@ -30,9 +30,9 @@
 //! `lmds_localsim::LocalAlgorithm` (native typed-message state machines
 //! for the explicit-round algorithms, view deciders for the adaptive
 //! pipeline) on the engine `kind` names — the oracle (sharded across
-//! workers on large graphs) or faithful message passing (with the
-//! config's fault plan under `local-faulty`). All kinds produce
-//! bit-identical solutions on a fault-free network.
+//! workers on large graphs) or faithful message passing (under the
+//! config's fault plan, when it is active). Both produce bit-identical
+//! solutions on a fault-free network.
 //!
 //! # Quickstart
 //!

@@ -40,14 +40,14 @@ impl Certificate {
 ///
 /// [`MessageAccounting`](lmds_localsim::MessageAccounting)
 /// distinguishes *measured* bits (message-passing runtime; zero is a
-/// real measurement) from *not applicable* (oracle runtimes exchange no
+/// real measurement) from *not applicable* (the oracle exchanges no
 /// messages), so reports never conflate "no messages measured" with
 /// "zero bits".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageStats {
     /// Measured message bits, or
     /// [`NotApplicable`](lmds_localsim::MessageAccounting::NotApplicable)
-    /// for oracle runtimes.
+    /// for the oracle.
     pub accounting: lmds_localsim::MessageAccounting,
     /// The decided-at histogram: entry `r` counts the vertices that
     /// decided at round `r` (length `rounds + 1`).
@@ -63,19 +63,6 @@ impl MessageStats {
     /// Total bits on the wire, when measured.
     pub fn total_message_bits(&self) -> Option<u64> {
         self.accounting.total_bits()
-    }
-
-    /// Per-round progress counters: entry `r` counts the vertices
-    /// decided by the end of round `r` (cumulative histogram).
-    pub fn progress(&self) -> Vec<usize> {
-        let mut acc = 0usize;
-        self.decided_at
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc
-            })
-            .collect()
     }
 }
 
@@ -106,7 +93,7 @@ pub struct Solution {
     /// Round complexity (`None` for centralized runs).
     pub rounds: Option<u32>,
     /// The LOCAL execution profile (`Some` for every distributed run;
-    /// oracle runtimes report
+    /// the oracle reports
     /// [`NotApplicable`](lmds_localsim::MessageAccounting::NotApplicable)
     /// accounting but a real decision histogram).
     pub messages: Option<MessageStats>,
@@ -119,10 +106,11 @@ pub struct Solution {
     /// intermediate sets behind `vertices`, which are not repeated here.
     pub diagnostics: Option<PipelineDiagnostics>,
     /// What the fault plan actually did, for
-    /// [`ExecutionMode::LOCAL_FAULTY`](crate::ExecutionMode) runs
-    /// (`None` everywhere else): messages dropped, crashed and silent
-    /// vertices, maximum staleness observed. Identical seeds replay
-    /// identical reports.
+    /// [`ExecutionMode::LOCAL_MESSAGE_PASSING`](crate::ExecutionMode)
+    /// runs under an active [`SolveConfig::fault`](crate::SolveConfig)
+    /// plan (`None` everywhere else): messages dropped, crashed and
+    /// silent vertices, maximum staleness observed. Identical seeds
+    /// replay identical reports.
     pub fault: Option<FaultReport>,
 }
 
@@ -348,13 +336,12 @@ mod tests {
         // Measured zero bits is a real measurement...
         assert_eq!(measured.max_message_bits(), Some(0));
         assert_eq!(measured.total_message_bits(), Some(0));
-        // ...while the oracle runtimes measured nothing at all.
+        // ...while the oracle measured nothing at all.
         let oracle = MessageStats {
             accounting: MessageAccounting::NotApplicable,
             decided_at: vec![0, 2, 3],
         };
         assert_eq!(oracle.max_message_bits(), None);
-        assert_eq!(oracle.progress(), vec![0, 2, 5]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::{
     ConfigFields, ExecutionMode, Instance, MessageStats, Optimum, Problem, Solution, SolveConfig,
 };
 use lmds_core::distributed::{
-    Algorithm1Decider, DegreeRuleLocal, MvcAlgorithm1Decider, RegularMvcLocal, TakeAllLocal,
+    self, Algorithm1Decider, DegreeRuleLocal, MvcAlgorithm1Decider, RegularMvcLocal, TakeAllLocal,
     Theorem44Local,
 };
 use lmds_core::mvc::algorithm1_mvc;
@@ -21,7 +21,9 @@ use lmds_core::theorem44::{theorem44_mds, theorem44_mvc};
 use lmds_core::{algorithm1, baselines, Algorithm1Output, Radii};
 use lmds_graph::exact::{ExactEngine, ExactError};
 use lmds_graph::Vertex;
-use lmds_localsim::{FaultReport, FaultyRuntime, LocalAlgorithm, RuntimeError, RuntimeKind};
+use lmds_localsim::{
+    FaultReport, FaultyRuntime, LocalAlgorithm, OracleRuntime, RuntimeError, RuntimeKind,
+};
 use std::time::Instant;
 
 /// Why a solve call failed.
@@ -64,9 +66,9 @@ pub enum SolveError {
         budget: u64,
     },
     /// The LOCAL simulation failed (round cap, malformed instance).
-    /// Fault-injected runs attach the [`FaultReport`] accumulated up to
-    /// the failure, so a crash-stalled run still names which vertices
-    /// fell silent.
+    /// Message passing under an active fault plan attaches the
+    /// [`FaultReport`] accumulated up to the failure, so a crash-stalled
+    /// run still names which vertices fell silent.
     Runtime(RuntimeError, Option<FaultReport>),
 }
 
@@ -131,8 +133,8 @@ impl SolveError {
         }
     }
 
-    /// The fault report a failed fault-injected run accumulated, when
-    /// this error came out of a [`RuntimeKind::Faulty`] simulation.
+    /// The fault report a failed run accumulated, when this error came
+    /// out of message passing under an active fault plan.
     pub fn fault_report(&self) -> Option<&FaultReport> {
         match self {
             SolveError::Runtime(_, fault) => fault.as_ref(),
@@ -186,7 +188,7 @@ pub trait Solver: Send + Sync {
     }
 }
 
-/// All four modes (shared constant for solvers with full support).
+/// Every mode (shared constant for solvers with full support).
 const ALL_MODES: &[ExecutionMode] = &ExecutionMode::ALL;
 
 /// Centralized only (exact solvers).
@@ -194,8 +196,8 @@ const CENTRALIZED_ONLY: &[ExecutionMode] = &[ExecutionMode::Centralized];
 
 /// Validates the config's problem and mode against the descriptor, and
 /// rejects an active fault plan that the row does not read under the
-/// config's mode (`reads`): only the faulty runtime injects a plan, so
-/// no plan is accepted and then ignored.
+/// config's mode (`reads`): only message passing injects a plan, so no
+/// plan is accepted and then ignored.
 fn check(d: &SolverDescriptor, reads: ConfigFields, cfg: &SolveConfig) -> Result<(), SolveError> {
     if cfg.problem != d.problem {
         return Err(SolveError::UnsupportedProblem { solver: d.key, requested: cfg.problem });
@@ -207,7 +209,7 @@ fn check(d: &SolverDescriptor, reads: ConfigFields, cfg: &SolveConfig) -> Result
         return Err(SolveError::UnsupportedOptions {
             solver: d.key,
             reason: format!(
-                "fault plan \"{}\" requires the local-faulty mode, not {}",
+                "fault plan \"{}\" requires the local-message-passing mode, not {}",
                 cfg.fault, cfg.mode
             ),
         });
@@ -215,18 +217,15 @@ fn check(d: &SolverDescriptor, reads: ConfigFields, cfg: &SolveConfig) -> Result
     Ok(())
 }
 
-/// A generous round cap for the adaptive Algorithm 1 deciders: view
-/// margin + residual-component reach + slack, computed in `u64`. The
-/// deciders do their own margin arithmetic in `i64`; the `u32` bound
-/// protects the simulator's round counter, which cannot count past it.
+/// The adaptive Algorithm 1 deciders' round cap
+/// ([`distributed::adaptive_round_cap`]).
 ///
 /// # Errors
 ///
 /// [`SolveError::UnsupportedOptions`] naming the radii when the cap
 /// does not fit the simulator's `u32` round counter.
 fn adaptive_round_cap(solver: &'static str, radii: Radii, n: usize) -> Result<u32, SolveError> {
-    let margin = u64::from(radii.one_cut).max(2 * u64::from(radii.two_cut));
-    u32::try_from(margin + 15 + n as u64).map_err(|_| SolveError::UnsupportedOptions {
+    distributed::adaptive_round_cap(radii, n).ok_or_else(|| SolveError::UnsupportedOptions {
         solver,
         reason: format!(
             "radii ({}, {}) need a LOCAL round cap above {} on {n} vertices",
@@ -254,16 +253,18 @@ fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
 }
 
 /// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL fields
-/// and finishes the solution: resolves the runtime backend from the
-/// mode, applies the identifier policy (instance ids unless
-/// overridden), and attaches the round count, the [`MessageStats`] and
-/// — on the faulty backend — the fault report.
+/// and finishes the solution: resolves the engine from the mode,
+/// applies the identifier policy (instance ids unless overridden), and
+/// attaches the round count and the [`MessageStats`].
 ///
-/// The faulty backend takes the config's [`FaultConfig`] and reports
-/// what the plan did; crashed-undecided vertices are *silent* — absent
-/// from the vertex set and named in the report rather than failing the
-/// run. (`check` has already rejected an active plan on any other
-/// mode.)
+/// Message passing runs the config's [`FaultConfig`] plan (`check` has
+/// already rejected an active plan on any other mode). Under an active
+/// plan the fault report rides on the solution, or on the
+/// [`SolveError::Runtime`] of a failed run, and crashed-undecided
+/// vertices are *silent* — absent from the vertex set and named in the
+/// report rather than failing the run.
+///
+/// [`FaultConfig`]: lmds_localsim::FaultConfig
 fn run_local<A: LocalAlgorithm<Output = bool>>(
     solver: &'static str,
     inst: &Instance,
@@ -284,25 +285,30 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         }
         None => &inst.ids,
     };
-    let (vertices, rounds, stats, fault) = if kind == RuntimeKind::Faulty {
-        let rt = FaultyRuntime::new(cfg.fault);
-        let run = rt
-            .run_with_report(&inst.graph, ids, algo, cap)
-            .map_err(|(e, report)| SolveError::Runtime(e, Some(report)))?;
-        let vertices: Vec<Vertex> = run
-            .outputs
-            .iter()
-            .enumerate()
-            .filter_map(|(v, o)| matches!(o, Some(true)).then_some(v))
-            .collect();
-        let stats = MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
-        (vertices, run.rounds, stats, Some(run.report))
-    } else {
-        let res = kind.run(&inst.graph, ids, algo, cap)?;
-        let vertices: Vec<Vertex> =
-            res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
-        let stats = MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
-        (vertices, res.rounds, stats, None)
+    let (vertices, rounds, stats, fault) = match kind {
+        RuntimeKind::MessagePassing => {
+            let active = cfg.fault.is_active();
+            let run = FaultyRuntime::new(cfg.fault)
+                .run_with_report(&inst.graph, ids, algo, cap)
+                .map_err(|(e, report)| SolveError::Runtime(e, active.then_some(report)))?;
+            let vertices: Vec<Vertex> = run
+                .outputs
+                .iter()
+                .enumerate()
+                .filter_map(|(v, o)| matches!(o, Some(true)).then_some(v))
+                .collect();
+            let stats =
+                MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
+            (vertices, run.rounds, stats, active.then_some(run.report))
+        }
+        RuntimeKind::Oracle => {
+            let res = OracleRuntime.run(&inst.graph, ids, algo, cap)?;
+            let vertices: Vec<Vertex> =
+                res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+            let stats =
+                MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
+            (vertices, res.rounds, stats, None)
+        }
     };
     let mut sol = finish(solver, inst, cfg, started, vertices, Some(rounds), Some(stats));
     sol.fault = fault;
@@ -474,7 +480,7 @@ enum Body {
 
 /// The [`SolveConfig`] fields a row's body reads, by mode; every row
 /// reads `problem` and `mode`. Every LOCAL mode runs through
-/// `run_local`, which also reads the fault plan on the faulty runtime,
+/// `run_local`, which also reads the fault plan under message passing,
 /// and a row that reads `measure_ratio` reads `opt_budget` while it is
 /// set (see [`Builtin::reads`]).
 #[derive(Clone, Copy)]
@@ -675,7 +681,7 @@ impl Solver for Builtin {
     fn reads(&self, cfg: &SolveConfig) -> ConfigFields {
         let reads = match cfg.mode {
             ExecutionMode::Centralized => self.reads.centralized,
-            ExecutionMode::LOCAL_FAULTY => self.reads.local.union(ConfigFields::FAULT),
+            ExecutionMode::LOCAL_MESSAGE_PASSING => self.reads.local.union(ConfigFields::FAULT),
             ExecutionMode::Local(_) => self.reads.local,
         };
         if reads.contains(ConfigFields::MEASURE_RATIO) && cfg.measure_ratio {

@@ -38,14 +38,14 @@ pub struct SolutionView {
     pub ratio: Option<f64>,
     /// The optimum it was measured against: `(value, exact)`.
     pub optimum: Option<(usize, bool)>,
-    /// Messages dropped by the fault plan (faulty runs only).
+    /// Messages dropped by the fault plan (active fault plans only).
     pub fault_messages_dropped: Option<u64>,
-    /// Vertices the fault plan crashed (faulty runs only).
+    /// Vertices the fault plan crashed (active fault plans only).
     pub fault_crashed: Option<Vec<usize>>,
-    /// Crashed vertices that never decided (faulty runs only).
+    /// Crashed vertices that never decided (active fault plans only).
     pub fault_silent: Option<Vec<usize>>,
-    /// Maximum delivery staleness observed, in rounds (faulty runs
-    /// only).
+    /// Maximum delivery staleness observed, in rounds (active fault
+    /// plans only).
     pub fault_max_staleness: Option<u32>,
 }
 

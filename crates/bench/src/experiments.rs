@@ -866,11 +866,11 @@ pub fn exp_registry_sweep() -> Table {
 }
 
 /// S1 — the LOCAL sweep: every distributed registry solver executed on
-/// all four runtime kinds under sequential and adversarial
-/// identifier policies, recording rounds, message bits (measured vs
-/// n/a), and the decided-at histogram. The experiment also *asserts*
-/// runtime equivalence: all backends must return the identical vertex
-/// set and round count for each (solver, instance, policy) cell.
+/// both runtime kinds (message passing and the oracle) under sequential
+/// and adversarial identifier policies, recording rounds, message bits
+/// (measured vs n/a), and the decided-at histogram. The experiment also
+/// *asserts* runtime equivalence: both engines must return the identical
+/// vertex set and round count for each (solver, instance, policy) cell.
 pub fn exp_local_sweep() -> Table {
     use lmds_api::{IdPolicy, RuntimeKind};
     let mut t = Table::new(
@@ -977,8 +977,8 @@ pub fn large_augmentation(target_n: usize, seed: u64) -> Instance {
 /// S2 — the large-instance LOCAL sweep the `CutEngine` unlocks:
 /// `mds/algorithm1` on instances one to two orders of magnitude past
 /// the previous n≈41 ceiling (n ≥ 500 and n ≥ 1000 augmentations, and
-/// an n ≥ 1000 sparse outerplanar graph), under both oracle kinds and
-/// real message passing, asserting that every kind returns the oracle's
+/// an n ≥ 1000 sparse outerplanar graph), under the oracle and real
+/// message passing, asserting that message passing returns the oracle's
 /// vertex set and round count.
 ///
 /// Message passing floods whole views each round, as bits in 64-bit
@@ -1003,7 +1003,7 @@ pub fn exp_local_sweep_large() -> Table {
     ];
     for inst in &instances {
         let mut reference: Option<(Vec<usize>, Option<u32>)> = None;
-        for kind in [RuntimeKind::Oracle, RuntimeKind::ShardedOracle, RuntimeKind::MessagePassing] {
+        for kind in [RuntimeKind::Oracle, RuntimeKind::MessagePassing] {
             let cfg =
                 SolveConfig::mds().mode(ExecutionMode::Local(kind)).radii(Radii::practical(2, 2));
             let sol = solve("mds/algorithm1", inst, &cfg);
@@ -1320,10 +1320,9 @@ pub fn exp_fault_sweep() -> Table {
                 let mut silent = 0usize;
                 let mut max_stale = 0u32;
                 for &seed in seeds {
-                    let cfg = base.clone().mode(ExecutionMode::LOCAL_FAULTY).fault(FaultConfig {
-                        seed: if plan.is_active() { seed } else { 0 },
-                        ..*plan
-                    });
+                    let cfg = base.clone().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).fault(
+                        FaultConfig { seed: if plan.is_active() { seed } else { 0 }, ..*plan },
+                    );
                     let sol = solve(key, inst, &cfg);
                     if let Some(report) = &sol.fault {
                         dropped += report.messages_dropped;
@@ -1476,8 +1475,7 @@ pub fn exp_scale_smoke() -> Table {
 pub type ExperimentFn = fn() -> Table;
 
 /// The experiment catalog: stable name → table builder. The single
-/// source of truth shared by `reproduce` (`--list`, `--experiment`)
-/// and [`all_experiments`].
+/// source of truth `reproduce` reads (`--list`, `--experiment`).
 pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("registry", exp_registry_sweep),
     ("local-sweep", exp_local_sweep),
@@ -1500,11 +1498,6 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
     ("scale", exp_scale),
     ("scale-smoke", exp_scale_smoke),
 ];
-
-/// Runs every experiment (the `reproduce --experiment all` path).
-pub fn all_experiments() -> Vec<Table> {
-    EXPERIMENTS.iter().map(|(_, build)| build()).collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -1549,9 +1542,7 @@ mod tests {
         let kinds = lmds_localsim::RuntimeKind::ALL.len();
         assert_eq!(t.rows.len(), distributed * 2 * 2 * kinds, "{} rows", t.rows.len());
         for row in &t.rows {
-            // The faulty runtime (with its default all-zero plan) is
-            // message passing and measures real bits too.
-            let measured = row[1] == "message-passing" || row[1] == "faulty";
+            let measured = row[1] == "message-passing";
             assert_eq!(row[7] != "n/a", measured, "max-bits column: {row:?}");
             assert_eq!(row[8] != "n/a", measured, "total-bits column: {row:?}");
             assert!(!row[9].is_empty(), "decided histogram: {row:?}");

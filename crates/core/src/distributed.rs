@@ -754,6 +754,15 @@ fn margin(radii: Radii) -> i64 {
     i64::from(radii.one_cut).max(2 * i64::from(radii.two_cut)) + 2
 }
 
+/// A round cap for the adaptive deciders on `n` vertices: their view
+/// margin `max(r₁, 2r₂) + 2`, `n` rounds of residual-component reach
+/// and 13 rounds of slack — `max(r₁, 2r₂) + 15 + n`. `None` when the
+/// cap does not fit the simulator's `u32` round counter.
+pub fn adaptive_round_cap(radii: Radii, n: usize) -> Option<u32> {
+    let reach = i64::try_from(n).ok()?;
+    u32::try_from(margin(radii).checked_add(13)?.checked_add(reach)?).ok()
+}
+
 /// A margin as a [`Decider::first_round`], saturating at the
 /// simulator's `u32` round counter.
 fn first_round_of(margin: i64) -> u32 {
@@ -1030,6 +1039,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn adaptive_round_cap_is_the_margin_plus_reach_and_refuses_overflow() {
+        // `max(r₁, 2r₂) + 15`, row r₁ = 1..=4, column r₂ = 1..=4; the
+        // cap adds n.
+        let base = [[17, 19, 21, 23], [17, 19, 21, 23], [18, 19, 21, 23], [19, 19, 21, 23]];
+        for n in [0, 40, 535, 1_000_000] {
+            for (one_cut, row) in (1..=4).zip(base) {
+                for (two_cut, cap) in (1..=4).zip(row) {
+                    let radii = Radii { one_cut, two_cut };
+                    assert_eq!(adaptive_round_cap(radii, n), Some(cap + n as u32), "{radii:?} {n}");
+                }
+            }
+        }
+        assert_eq!(adaptive_round_cap(Radii::practical(3, 4), 100_000), Some(100_023));
+        // The cap fills the `u32` round counter and stops there.
+        let fits = u32::MAX as usize - 17;
+        assert_eq!(adaptive_round_cap(Radii { one_cut: 1, two_cut: 1 }, fits), Some(u32::MAX));
+        assert_eq!(adaptive_round_cap(Radii { one_cut: 1, two_cut: 1 }, fits + 1), None);
+        assert_eq!(adaptive_round_cap(Radii::practical(1, 1 << 31), 5), None);
+        assert_eq!(adaptive_round_cap(Radii::practical(u32::MAX, u32::MAX), 0), None);
+        assert_eq!(adaptive_round_cap(Radii::practical(2, 3), usize::MAX), None);
     }
 
     #[test]

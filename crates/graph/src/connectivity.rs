@@ -142,19 +142,17 @@ pub fn num_components_avoiding(g: &Graph, removed: &[bool]) -> usize {
 /// uf.union(2, 3);
 /// assert!(uf.same(0, 1));
 /// assert!(!uf.same(1, 2));
-/// assert_eq!(uf.num_sets(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
     size: Vec<usize>,
-    sets: usize,
 }
 
 impl UnionFind {
     /// Creates `n` singleton sets.
     pub fn new(n: usize) -> Self {
-        UnionFind { parent: (0..n).collect(), size: vec![1; n], sets: n }
+        UnionFind { parent: (0..n).collect(), size: vec![1; n] }
     }
 
     /// Representative of `x`'s set.
@@ -184,24 +182,12 @@ impl UnionFind {
         }
         self.parent[rb] = ra;
         self.size[ra] += self.size[rb];
-        self.sets -= 1;
         true
     }
 
     /// Whether `a` and `b` are in the same set.
     pub fn same(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
-    }
-
-    /// Number of disjoint sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets
-    }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r]
     }
 }
 
@@ -249,8 +235,6 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2));
-        assert_eq!(uf.set_size(2), 3);
-        assert_eq!(uf.num_sets(), 3);
         assert_eq!(uf.find(0), uf.find(2));
     }
 }

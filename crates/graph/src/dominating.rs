@@ -62,14 +62,6 @@ fn mark_dominated(g: &Graph, scratch: &mut Scratch, set: &[Vertex]) {
     }
 }
 
-/// The set of vertices dominated by `set` (sorted).
-pub fn dominated_by(g: &Graph, set: &[Vertex]) -> Vec<Vertex> {
-    with_thread_scratch(|scratch| {
-        mark_dominated(g, scratch, set);
-        (0..g.n()).filter(|&v| scratch.visited(v)).collect()
-    })
-}
-
 /// Greedy dominating set: repeatedly pick the vertex covering the most
 /// still-undominated vertices (ties broken by smallest index, so the
 /// result is deterministic).
@@ -429,7 +421,6 @@ mod tests {
         assert!(!is_dominating_set(&g, &[0, 4]));
         assert!(dominates(&g, &[0], &[0, 1]));
         assert!(!dominates(&g, &[0], &[2]));
-        assert_eq!(dominated_by(&g, &[2]), vec![1, 2, 3]);
     }
 
     #[test]

@@ -391,13 +391,6 @@ impl Graph {
         self.m += other.m;
         offset
     }
-
-    /// Degree sequence, sorted descending.
-    pub fn degree_sequence(&self) -> Vec<usize> {
-        let mut d: Vec<usize> = self.vertices().map(|v| self.degree(v)).collect();
-        d.sort_unstable_by(|a, b| b.cmp(a));
-        d
-    }
 }
 
 impl std::fmt::Debug for Graph {
@@ -631,11 +624,5 @@ mod tests {
         for v in g.vertices() {
             assert_eq!(g.degree(v), 2);
         }
-    }
-
-    #[test]
-    fn degree_sequence_sorted_desc() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(g.degree_sequence(), vec![3, 1, 1, 1]);
     }
 }

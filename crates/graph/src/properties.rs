@@ -18,11 +18,6 @@ pub fn is_regular(g: &Graph) -> bool {
     max_degree(g) == min_degree(g)
 }
 
-/// All isolated vertices, sorted.
-pub fn isolated_vertices(g: &Graph) -> Vec<Vertex> {
-    g.vertices().filter(|&v| g.degree(v) == 0).collect()
-}
-
 /// Whether the graph is acyclic (a forest): `m = n − #components`.
 pub fn is_forest(g: &Graph) -> bool {
     g.m() + crate::connectivity::num_components(g) == g.n()
@@ -31,11 +26,6 @@ pub fn is_forest(g: &Graph) -> bool {
 /// Whether the graph is a tree: connected and acyclic.
 pub fn is_tree(g: &Graph) -> bool {
     g.n() > 0 && crate::connectivity::is_connected(g) && is_forest(g)
-}
-
-/// Whether the graph is a simple cycle `C_n` (connected, 2-regular).
-pub fn is_cycle_graph(g: &Graph) -> bool {
-    g.n() >= 3 && crate::connectivity::is_connected(g) && g.vertices().all(|v| g.degree(v) == 2)
 }
 
 /// The degeneracy of the graph and a degeneracy ordering (repeatedly
@@ -62,15 +52,6 @@ pub fn degeneracy(g: &Graph) -> (usize, Vec<Vertex>) {
     (degeneracy, order)
 }
 
-/// Average degree `2m/n` (0 for the empty graph).
-pub fn average_degree(g: &Graph) -> f64 {
-    if g.n() == 0 {
-        0.0
-    } else {
-        2.0 * g.m() as f64 / g.n() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,7 +63,6 @@ mod tests {
         assert_eq!(max_degree(&g), 3);
         assert_eq!(min_degree(&g), 1);
         assert!(!is_regular(&g));
-        assert_eq!(average_degree(&g), 1.5);
     }
 
     #[test]
@@ -92,7 +72,6 @@ mod tests {
         b.cycle(&vs);
         let g = b.build();
         assert!(is_regular(&g));
-        assert!(is_cycle_graph(&g));
         assert!(!is_forest(&g));
     }
 
@@ -106,12 +85,6 @@ mod tests {
         assert!(!is_tree(&f));
         let c = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         assert!(!is_forest(&c));
-    }
-
-    #[test]
-    fn isolated() {
-        let g = Graph::from_edges(4, &[(1, 2)]);
-        assert_eq!(isolated_vertices(&g), vec![0, 3]);
     }
 
     #[test]

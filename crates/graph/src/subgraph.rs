@@ -131,12 +131,6 @@ impl<'g> InducedSubgraph<'g> {
     pub fn set_to_host(&self, s: &[Vertex]) -> Vec<Vertex> {
         crate::canonical_set(s.iter().map(|&i| self.to_host(i)))
     }
-
-    /// Maps a set of host vertices into subgraph indices, dropping
-    /// vertices not present (sorted).
-    pub fn set_from_host(&self, s: &[Vertex]) -> Vec<Vertex> {
-        crate::canonical_set(s.iter().filter_map(|&v| self.from_host(v)))
-    }
 }
 
 /// `G[C]` for `C = order`, with local vertex `i` standing for host
@@ -197,17 +191,6 @@ pub(crate) fn induce_in_order_into(
     out.refill_from_arcs_unchecked(order.len(), arcs);
 }
 
-/// Convenience: the induced subgraph on the ball `N^r[v]`, as used by
-/// every "local" predicate of the paper.
-pub fn ball_subgraph(g: &Graph, v: Vertex, r: u32) -> InducedSubgraph<'_> {
-    InducedSubgraph::new(g, &crate::bfs::ball(g, v, r))
-}
-
-/// Convenience: the induced subgraph on `N^r[S]`.
-pub fn ball_subgraph_of_set<'g>(g: &'g Graph, s: &[Vertex], r: u32) -> InducedSubgraph<'g> {
-    InducedSubgraph::new(g, &crate::bfs::ball_of_set(g, s, r))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,7 +219,6 @@ mod tests {
             assert_eq!(sub.from_host(sub.to_host(i)), Some(i));
         }
         assert_eq!(sub.set_to_host(&[0, 2]), vec![1, 5]);
-        assert_eq!(sub.set_from_host(&[5, 0, 1]), vec![0, 2]);
     }
 
     #[test]
@@ -298,18 +280,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ball_subgraph_matches_manual() {
-        let mut b = GraphBuilder::new();
-        let vs = b.fresh_vertices(8);
-        b.path(&vs);
-        let g = b.build();
-        let sub = ball_subgraph(&g, 4, 2);
-        assert_eq!(sub.host_vertices(), &[2, 3, 4, 5, 6]);
-        assert_eq!(sub.graph.m(), 4);
-        let sub2 = ball_subgraph_of_set(&g, &[0, 7], 1);
-        assert_eq!(sub2.host_vertices(), &[0, 1, 6, 7]);
     }
 }

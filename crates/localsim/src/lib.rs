@@ -37,9 +37,8 @@
 //!   bounded skew). Message passing keeps each round's messages once
 //!   and lends them to [`LocalAlgorithm::receive`] as `&[&Message]`; no
 //!   delivery copies a message.
-//!   [`RuntimeKind`] names the four kinds configuration layers select —
-//!   `oracle` and `sharded-oracle` run the oracle, `message-passing`
-//!   and `faulty` the message-passing loop with the empty plan.
+//!   [`RuntimeKind`] names the two engines as configuration layers
+//!   select them: `oracle`, and `message-passing` with the empty plan.
 //! * [`IdPolicy`] / [`IdAssignment`] — the identifier-assignment axis:
 //!   sequential, seeded-shuffled, or degree-adversarial permutations.
 //!

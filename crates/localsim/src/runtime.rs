@@ -17,13 +17,12 @@
 //!   `receive` by reference. With the empty plan it is the "ground
 //!   truth" message-passing execution.
 //!
-//! [`RuntimeKind`] names the four execution kinds configuration layers
-//! select (the `lmds-api` crate selects runtimes by kind): `oracle` and
-//! `sharded-oracle` run the oracle, `message-passing` and `faulty` the
-//! message-passing loop with the empty plan (fault scenarios construct
-//! a [`FaultyRuntime`] with their plan). Both engines expose the same
-//! `run(g, ids, algo, max_rounds)` call: [`OracleRuntime::run`] and
-//! [`FaultyRuntime::run`]. Each run wraps `(g, ids)` in one
+//! [`RuntimeKind`] names the two engines as configuration layers select
+//! them (the `lmds-api` crate selects runtimes by kind): `oracle` and
+//! `message-passing`, the latter with the empty plan (fault scenarios
+//! construct a [`FaultyRuntime`] with their plan). Both engines expose
+//! the same `run(g, ids, algo, max_rounds)` call: [`OracleRuntime::run`]
+//! and [`FaultyRuntime::run`]. Each run wraps `(g, ids)` in one
 //! [`crate::Network`]: vertices wake up with its [`crate::NodeCtx`]s,
 //! projections read it, and the view adapter builds its numbering there
 //! once, on first use, so a native algorithm's run never builds one.
@@ -37,9 +36,9 @@ use lmds_graph::{bfs, par, Graph};
 use std::error::Error;
 use std::fmt;
 
-/// Message accounting of a LOCAL execution: runtimes that exchange real
-/// messages measure bits; oracle runtimes do not exchange any, which is
-/// *not* the same as measuring zero bits.
+/// Message accounting of a LOCAL execution: message passing measures
+/// bits; the oracle exchanges no messages, which is *not* the same as
+/// measuring zero bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageAccounting {
     /// Bits were measured on the wire (message-passing runtime). A
@@ -50,8 +49,8 @@ pub enum MessageAccounting {
         /// Total bits sent over all edges and rounds.
         total_message_bits: u64,
     },
-    /// The runtime computed states without exchanging messages (oracle
-    /// runtimes); no bit counts exist.
+    /// The runtime computed states without exchanging messages (the
+    /// oracle); no bit counts exist.
     NotApplicable,
 }
 
@@ -88,7 +87,7 @@ pub struct RunResult<O> {
     /// Global round complexity: `max(decided_at)`.
     pub rounds: u32,
     /// Message accounting ([`MessageAccounting::NotApplicable`] for the
-    /// oracle runtimes).
+    /// oracle).
     pub messages: MessageAccounting,
 }
 
@@ -101,20 +100,6 @@ impl<O> RunResult<O> {
             hist[r as usize] += 1;
         }
         hist
-    }
-
-    /// Per-round progress counters: entry `r` counts the vertices
-    /// decided by the end of round `r` (cumulative histogram; the last
-    /// entry is `n`).
-    pub fn progress(&self) -> Vec<usize> {
-        let mut acc = 0usize;
-        self.decided_histogram()
-            .into_iter()
-            .map(|c| {
-                acc += c;
-                acc
-            })
-            .collect()
     }
 }
 
@@ -152,43 +137,31 @@ impl fmt::Display for RuntimeError {
 
 impl Error for RuntimeError {}
 
-/// The execution kinds, as a configuration value. Higher layers
-/// (solver configs, sweeps) select a kind; [`RuntimeKind::run`]
-/// dispatches it to one of the two engines. The four labels stay
-/// distinct so reports and wire formats keep their vocabulary.
+/// The two engines, as a configuration value. Higher layers (solver
+/// configs, sweeps) select a kind; [`RuntimeKind::run`] dispatches it to
+/// its engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
     /// Faithful synchronous message passing with bit accounting:
     /// [`FaultyRuntime`]'s loop with the empty plan.
     MessagePassing,
-    /// Direct per-vertex state computation (projection or ball replay).
+    /// Direct per-vertex state computation (projection or ball replay):
+    /// [`OracleRuntime`], which shards itself above its size gate.
     Oracle,
-    /// The oracle under its sharded label; [`OracleRuntime`] shards
-    /// itself above its size gate.
-    ShardedOracle,
-    /// Message passing behind a seeded fault plan ([`FaultyRuntime`]);
-    /// identical to [`RuntimeKind::MessagePassing`] when the plan is
-    /// empty.
-    Faulty,
 }
 
 impl RuntimeKind {
-    /// All kinds, in the order sweeps iterate them. `Faulty` is
-    /// included with its zero plan — sweeping it re-proves the
-    /// bit-identity contract on every run.
-    pub const ALL: [RuntimeKind; 4] = [
-        RuntimeKind::MessagePassing,
-        RuntimeKind::Oracle,
-        RuntimeKind::ShardedOracle,
-        RuntimeKind::Faulty,
-    ];
+    /// Both kinds, in the order sweeps iterate them.
+    pub const ALL: [RuntimeKind; 2] = [RuntimeKind::MessagePassing, RuntimeKind::Oracle];
 
     /// Whether this kind exchanges (and accounts) real messages.
     pub fn measures_messages(self) -> bool {
-        matches!(self, RuntimeKind::MessagePassing | RuntimeKind::Faulty)
+        self == RuntimeKind::MessagePassing
     }
 
-    /// Executes `algo` on the engine this kind names.
+    /// Executes `algo` on the engine this kind names. The kind carries
+    /// no fault parameters: message passing runs the empty plan, and
+    /// fault scenarios construct a [`FaultyRuntime`] with their plan.
     ///
     /// # Errors
     ///
@@ -201,15 +174,8 @@ impl RuntimeKind {
         max_rounds: u32,
     ) -> Result<RunResult<A::Output>, RuntimeError> {
         match self {
-            RuntimeKind::Oracle | RuntimeKind::ShardedOracle => {
-                OracleRuntime.run(g, ids, algo, max_rounds)
-            }
-            // The kind carries no fault parameters: both message-passing
-            // kinds run the empty plan. Fault scenarios construct a
-            // `FaultyRuntime` with an explicit `FaultConfig`.
-            RuntimeKind::MessagePassing | RuntimeKind::Faulty => {
-                FaultyRuntime::default().run(g, ids, algo, max_rounds)
-            }
+            RuntimeKind::Oracle => OracleRuntime.run(g, ids, algo, max_rounds),
+            RuntimeKind::MessagePassing => FaultyRuntime::default().run(g, ids, algo, max_rounds),
         }
     }
 }
@@ -219,8 +185,6 @@ impl fmt::Display for RuntimeKind {
         let s = match self {
             RuntimeKind::MessagePassing => "message-passing",
             RuntimeKind::Oracle => "oracle",
-            RuntimeKind::ShardedOracle => "sharded-oracle",
-            RuntimeKind::Faulty => "faulty",
         };
         write!(f, "{s}")
     }
@@ -229,13 +193,11 @@ impl fmt::Display for RuntimeKind {
 impl std::str::FromStr for RuntimeKind {
     type Err = String;
 
-    /// Parses the [`fmt::Display`] form of each backend.
+    /// Parses the [`fmt::Display`] form of each kind.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "message-passing" => Ok(RuntimeKind::MessagePassing),
             "oracle" => Ok(RuntimeKind::Oracle),
-            "sharded-oracle" => Ok(RuntimeKind::ShardedOracle),
-            "faulty" => Ok(RuntimeKind::Faulty),
             other => Err(format!(
                 "unknown runtime kind {other:?} (expected one of: {})",
                 RuntimeKind::ALL.map(|k| k.to_string()).join(", ")
@@ -478,7 +440,7 @@ mod tests {
     }
 
     /// A native (non-view) algorithm with no projection: forces the
-    /// oracle runtimes through the ball-replay path. Outputs the
+    /// oracle through the ball-replay path. Outputs the
     /// smallest id within distance 2.
     struct MinIdRadius2;
 
@@ -605,7 +567,7 @@ mod tests {
 
     #[test]
     fn native_algorithm_replay_matches_message_passing() {
-        // MinIdRadius2 has no projection: the oracle runtimes replay the
+        // MinIdRadius2 has no projection: the oracle replays the
         // state machine inside balls and must still agree bit-for-bit.
         let mut g = cycle(12);
         g.add_edge(0, 6);
@@ -733,7 +695,6 @@ mod tests {
             MessageAccounting::Measured { max_message_bits: 0, total_message_bits: 0 }
         );
         assert_eq!(res.decided_histogram(), vec![5]);
-        assert_eq!(res.progress(), vec![5]);
     }
 
     #[test]

@@ -641,7 +641,7 @@ mod tests {
 
         // A fingerprint is a wire config that parses back to itself.
         let full = fingerprint(
-            r#"{"problem": "mvc", "mode": "local-faulty", "id_policy": "adversarial",
+            r#"{"problem": "mvc", "mode": "local-message-passing", "id_policy": "adversarial",
                 "id_seed": 9, "round_cap": 32, "radii": [3, 4], "opt_budget": 1234,
                 "measure_ratio": true, "fault": "seed=9;drop=bernoulli:150;skew=1"}"#,
         );
@@ -682,21 +682,21 @@ mod tests {
             ),
             (
                 SolveConfig::mds()
-                    .mode(ExecutionMode::LOCAL_SHARDED)
+                    .mode(ExecutionMode::LOCAL_ORACLE)
                     .id_policy(IdPolicy::Shuffled { seed: 0 })
                     .round_cap(0),
-                r#"{"fault":null,"id_policy":"shuffled","id_seed":0,"measure_ratio":false,"mode":"local-sharded-oracle","opt_budget":3000000,"problem":"mds","radii":[2,3],"round_cap":0}"#,
+                r#"{"fault":null,"id_policy":"shuffled","id_seed":0,"measure_ratio":false,"mode":"local-oracle","opt_budget":3000000,"problem":"mds","radii":[2,3],"round_cap":0}"#,
             ),
             (
                 SolveConfig::mds()
-                    .mode(ExecutionMode::LOCAL_FAULTY)
+                    .mode(ExecutionMode::LOCAL_MESSAGE_PASSING)
                     .id_policy(IdPolicy::Adversarial { seed: 9 })
                     .round_cap(32)
                     .radii(Radii::practical(3, 4))
                     .opt_budget(1234)
                     .measure_ratio(true)
                     .fault(active),
-                r#"{"fault":"seed=9;drop=bernoulli:150;skew=1","id_policy":"adversarial","id_seed":9,"measure_ratio":true,"mode":"local-faulty","opt_budget":1234,"problem":"mds","radii":[3,4],"round_cap":32}"#,
+                r#"{"fault":"seed=9;drop=bernoulli:150;skew=1","id_policy":"adversarial","id_seed":9,"measure_ratio":true,"mode":"local-message-passing","opt_budget":1234,"problem":"mds","radii":[3,4],"round_cap":32}"#,
             ),
             (
                 SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).opt_budget(u64::MAX),

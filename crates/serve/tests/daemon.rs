@@ -123,8 +123,8 @@ fn sync_solves_match_direct_registry_runs() {
     handle.shutdown();
 }
 
-/// Fault scenarios ride `POST /solve`: a `local-faulty` config with a
-/// fault-plan string runs the seeded fault injection server-side, the
+/// Fault scenarios ride `POST /solve`: a `local-message-passing` config
+/// with a fault-plan string runs the seeded fault injection server-side, the
 /// response carries the replayed fault report, and identical requests
 /// replay identical reports (the seed contract, observed end-to-end
 /// over HTTP).
@@ -136,7 +136,7 @@ fn fault_scenarios_ride_solve_and_replay_their_reports() {
     assert_eq!(put.status, 201, "{}", String::from_utf8_lossy(&put.body));
 
     let solve = br#"{"graph": "outer40", "solver": "mds/theorem44",
-        "config": {"mode": "local-faulty", "fault": "seed=7;drop=bernoulli:100"}}"#;
+        "config": {"mode": "local-message-passing", "fault": "seed=7;drop=bernoulli:100"}}"#;
     let resp = send(addr, "POST", "/solve", solve);
     assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
     let doc = resp.json();
@@ -152,12 +152,14 @@ fn fault_scenarios_ride_solve_and_replay_their_reports() {
     assert_eq!(again.status, 200);
     assert_eq!(solution_from_response(&again.json()), solution_from_response(&doc));
 
-    // A fault-free run omits the report entirely (null, not zeroes).
+    // A fault-free run omits the report entirely (null, not zeroes),
+    // message passing included.
     let clean = send(
         addr,
         "POST",
         "/solve",
-        br#"{"graph": "outer40", "solver": "mds/theorem44", "config": {"mode": "local-oracle"}}"#,
+        br#"{"graph": "outer40", "solver": "mds/theorem44",
+            "config": {"mode": "local-message-passing"}}"#,
     );
     assert_eq!(clean.status, 200);
     let clean_solution = clean.json().get("solution").unwrap().clone();
@@ -166,7 +168,7 @@ fn fault_scenarios_ride_solve_and_replay_their_reports() {
         "fault report leaked into a fault-free run"
     );
 
-    // An active plan on a non-faulty runtime is a 4xx, not a no-op.
+    // An active plan on the oracle is a 4xx, not a no-op.
     let mismatch = send(
         addr,
         "POST",
@@ -189,13 +191,13 @@ fn oversized_skew_is_a_typed_422_and_the_daemon_keeps_serving() {
     assert_eq!(put.status, 201, "{}", String::from_utf8_lossy(&put.body));
 
     let huge = br#"{"graph": "outer40", "solver": "mds/theorem44",
-        "config": {"mode": "local-faulty", "fault": "seed=1;skew=4294967295"}}"#;
+        "config": {"mode": "local-message-passing", "fault": "seed=1;skew=4294967295"}}"#;
     let resp = send(addr, "POST", "/solve", huge);
     assert_eq!(resp.status, 422, "{}", String::from_utf8_lossy(&resp.body));
     assert_eq!(resp.json().get("code").unwrap().as_str(), Some("invalid-config"));
 
     let next = br#"{"graph": "outer40", "solver": "mds/theorem44",
-        "config": {"mode": "local-faulty", "fault": "seed=1;skew=2"}}"#;
+        "config": {"mode": "local-message-passing", "fault": "seed=1;skew=2"}}"#;
     let resp = send(addr, "POST", "/solve", next);
     assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
     handle.shutdown();
@@ -1162,11 +1164,11 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"mode": "local-sharded-oracle"}"#,
-        r#"200 cached=false mode="local-sharded-oracle" size=28 rounds=3 optimum=null"#,
+        r#"422 "invalid-config" "invalid mode: unknown execution mode \"local-sharded-oracle\" (expected one of: centralized, local-oracle, local-message-passing)""#,
     ),
     (
         r#"{"mode": "local-faulty"}"#,
-        r#"200 cached=false mode="local-faulty" size=28 rounds=3 optimum=null"#,
+        r#"422 "invalid-config" "invalid mode: unknown execution mode \"local-faulty\" (expected one of: centralized, local-oracle, local-message-passing)""#,
     ),
     (
         r#"{"id_policy": "sequential"}"#,
@@ -1230,15 +1232,15 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"fault": "seed=7;drop=bernoulli:100"}"#,
-        r#"422 "unsupported-config" "solver mds/theorem44: fault plan \"seed=7;drop=bernoulli:100\" requires the local-faulty mode, not centralized""#,
+        r#"422 "unsupported-config" "solver mds/theorem44: fault plan \"seed=7;drop=bernoulli:100\" requires the local-message-passing mode, not centralized""#,
     ),
     (
         r#"{"mode": "local-oracle", "fault": "seed=7;drop=bernoulli:100"}"#,
-        r#"422 "unsupported-config" "solver mds/theorem44: fault plan \"seed=7;drop=bernoulli:100\" requires the local-faulty mode, not local-oracle""#,
+        r#"422 "unsupported-config" "solver mds/theorem44: fault plan \"seed=7;drop=bernoulli:100\" requires the local-message-passing mode, not local-oracle""#,
     ),
     (
-        r#"{"mode": "local-faulty", "fault": "seed=7;drop=bernoulli:100"}"#,
-        r#"200 cached=false mode="local-faulty" size=31 rounds=5 optimum=null"#,
+        r#"{"mode": "local-message-passing", "fault": "seed=7;drop=bernoulli:100"}"#,
+        r#"200 cached=false mode="local-message-passing" size=31 rounds=5 optimum=null"#,
     ),
     (
         r#"{"fault": "seed=42"}"#,
@@ -1315,11 +1317,11 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     (r#"{"round_cap": 4294967296}"#, r#"400 "bad-request" "round_cap too large""#),
     (
         r#"{"mode": "warp"}"#,
-        r#"422 "invalid-config" "invalid mode: unknown execution mode \"warp\" (expected one of: centralized, local-oracle, local-message-passing, local-sharded-oracle, local-faulty)""#,
+        r#"422 "invalid-config" "invalid mode: unknown execution mode \"warp\" (expected one of: centralized, local-oracle, local-message-passing)""#,
     ),
     (
         r#"{"mode": "oracle"}"#,
-        r#"422 "invalid-config" "invalid mode: unknown execution mode \"oracle\" (expected one of: centralized, local-oracle, local-message-passing, local-sharded-oracle, local-faulty)""#,
+        r#"422 "invalid-config" "invalid mode: unknown execution mode \"oracle\" (expected one of: centralized, local-oracle, local-message-passing)""#,
     ),
     (
         r#"{"problem": "sat"}"#,
@@ -1343,6 +1345,6 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
     ),
     (
         r#"{"mode": "local-faulty", "fault": "seed=1;skew=65"}"#,
-        r#"422 "invalid-config" "invalid fault: invalid fault config: bad skew \"65\" (at most 64 rounds)""#,
+        r#"422 "invalid-config" "invalid mode: unknown execution mode \"local-faulty\" (expected one of: centralized, local-oracle, local-message-passing)""#,
     ),
 ];

@@ -114,11 +114,7 @@ fn every_execution_mode_agrees_with_centralized() {
             let reference = registry
                 .solve(key, &inst, &base_cfg)
                 .unwrap_or_else(|e| panic!("{key} centralized on {name}: {e}"));
-            for mode in [
-                ExecutionMode::LOCAL_ORACLE,
-                ExecutionMode::LOCAL_MESSAGE_PASSING,
-                ExecutionMode::LOCAL_SHARDED,
-            ] {
+            for mode in [ExecutionMode::LOCAL_ORACLE, ExecutionMode::LOCAL_MESSAGE_PASSING] {
                 let cfg = config_for(&registry, key).mode(mode);
                 let sol = registry
                     .solve(key, &inst, &cfg)

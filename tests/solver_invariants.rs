@@ -170,11 +170,11 @@ fn paper_ratio_bounds_hold_against_the_exact_solvers() {
 }
 
 /// The runtime-equivalence contract: for every distributed registry
-/// solver, the message-passing, oracle, sharded-oracle, and (zero-
-/// fault) faulty backends must produce bit-identical outputs, identical
-/// round counts, and identical decided-at histograms — under the
-/// instance's own ids and under every scenario id policy — and only the
-/// backends that really pass messages may claim measured bits.
+/// solver, the two engines — message passing and the oracle — must
+/// produce bit-identical outputs, identical round counts, and identical
+/// decided-at histograms — under the instance's own ids and under every
+/// scenario id policy — and only message passing may claim measured
+/// bits.
 #[test]
 fn distributed_backends_are_bit_identical_across_id_policies() {
     let registry = SolverRegistry::with_defaults();
@@ -195,10 +195,9 @@ fn distributed_backends_are_bit_identical_across_id_policies() {
                 for kind in RuntimeKind::ALL {
                     // An explicitly present but *inert* fault plan (the
                     // seed alone injects nothing) must be accepted by
-                    // every runtime kind and leave the bit-identity
-                    // contract untouched — including the faulty
-                    // runtime, whose zero-fault path is the
-                    // message-passing loop verbatim.
+                    // both kinds and leave the bit-identity contract
+                    // untouched: message passing reads the plan, and its
+                    // zero-fault path is the plain loop verbatim.
                     let mut cfg = config_for(&registry, key)
                         .mode(ExecutionMode::Local(kind))
                         .fault(FaultConfig { seed: 5, ..FaultConfig::default() });
@@ -369,13 +368,13 @@ fn batch_runner_matches_direct_solves() {
     }
 }
 
-/// Every runtime kind — including the new faulty one — survives the
-/// Display → FromStr round trip, and the parser rejects junk with a
-/// message listing the valid names.
+/// Both runtime kinds survive the Display → FromStr round trip, and the
+/// parser rejects junk, and the retired aliases, with a message listing
+/// the valid names.
 #[test]
 fn runtime_kind_strings_round_trip() {
     let shown: Vec<String> = RuntimeKind::ALL.iter().map(|k| k.to_string()).collect();
-    assert!(shown.contains(&"faulty".to_string()), "{shown:?}");
+    assert_eq!(shown, ["message-passing", "oracle"]);
     for kind in RuntimeKind::ALL {
         let back: RuntimeKind = kind.to_string().parse().unwrap_or_else(|e| {
             panic!("{kind} did not round-trip: {e}");
@@ -383,7 +382,10 @@ fn runtime_kind_strings_round_trip() {
         assert_eq!(back, kind);
     }
     let err = "flaky".parse::<RuntimeKind>().unwrap_err().to_string();
-    assert!(err.contains("faulty"), "the parse error lists valid kinds: {err}");
+    assert!(err.contains("message-passing, oracle"), "the parse error lists valid kinds: {err}");
+    for retired in ["faulty", "sharded-oracle"] {
+        assert!(retired.parse::<RuntimeKind>().is_err(), "{retired}");
+    }
 }
 
 /// The `local-sim` benchmark instance, pinned: the augmentation behind
@@ -420,10 +422,9 @@ fn local_sim_instance_is_pinned() {
         ("mvc/algorithm1", Some(plan), 517, 10, 22_535_660, 7_610, 769),
     ];
     for (key, fault, size, rounds, total, max, dropped) in pins {
-        let cfg = match fault {
-            None => config_for(&registry, key).mode(ExecutionMode::LOCAL_MESSAGE_PASSING),
-            Some(plan) => config_for(&registry, key).mode(ExecutionMode::LOCAL_FAULTY).fault(plan),
-        };
+        let cfg = config_for(&registry, key)
+            .mode(ExecutionMode::LOCAL_MESSAGE_PASSING)
+            .fault(fault.unwrap_or_default());
         let sol = registry.solve(key, &inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
         let stats = sol.messages.as_ref().expect("message passing carries stats");
         let report = sol.fault.clone().unwrap_or_default();
@@ -456,7 +457,8 @@ fn crash_stalled_run_reports_which_nodes_were_silent() {
         crash: CrashPolicy::Random { count: 2, round: 1 },
         ..FaultConfig::default()
     };
-    let cfg = SolveConfig::mds().mode(ExecutionMode::LOCAL_FAULTY).fault(fault).round_cap(2);
+    let cfg =
+        SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).fault(fault).round_cap(2);
     let err = registry.solve("mds/theorem44", &inst, &cfg).unwrap_err();
     assert!(
         matches!(err, SolveError::Runtime(RuntimeError::RoundLimitExceeded { limit: 2, .. }, _)),
@@ -482,17 +484,17 @@ fn unbounded_skew_set_in_code_still_returns() {
     let registry = SolverRegistry::with_defaults();
     let inst = Instance::sequential("p12", lmds_gen::basic::path(12));
     let fault = FaultConfig { seed: 1, skew: u32::MAX, ..FaultConfig::default() };
-    let cfg = SolveConfig::mds().mode(ExecutionMode::LOCAL_FAULTY).fault(fault);
+    let cfg = SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).fault(fault);
     let sol = registry.solve("mds/theorem44", &inst, &cfg).expect("the run terminates");
     sol.verify(&inst).expect("pure skew loses nothing");
     assert!(sol.fault.is_some_and(|r| r.messages_dropped == 0));
 }
 
-/// An *active* fault plan on a runtime that cannot inject it is a
-/// configuration error, not a silent no-op — on the other LOCAL kinds
-/// and on centralized solves, exact ones included.
+/// An *active* fault plan on a mode that cannot inject it is a
+/// configuration error, not a silent no-op — on the oracle and on
+/// centralized solves, exact ones included.
 #[test]
-fn active_fault_plans_require_the_faulty_runtime() {
+fn active_fault_plans_require_message_passing() {
     let registry = SolverRegistry::with_defaults();
     let inst = Instance::sequential("p6", lmds_gen::basic::path(6));
     let plan = FaultConfig { skew: 1, ..FaultConfig::default() };
@@ -505,11 +507,12 @@ fn active_fault_plans_require_the_faulty_runtime() {
         let err = registry.solve(key, &inst, &cfg).unwrap_err();
         assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{key} {mode}: {err:?}");
         let reason = err.to_string();
-        assert!(reason.contains(&format!("local-faulty mode, not {mode}")), "{reason}");
-        // The same plan is accepted where it is injected.
+        assert!(reason.contains(&format!("local-message-passing mode, not {mode}")), "{reason}");
+        // The same plan runs where it is injected, and reports.
         if mode != ExecutionMode::Centralized {
-            let faulty = cfg.mode(ExecutionMode::LOCAL_FAULTY);
-            assert!(registry.solve(key, &inst, &faulty).is_ok(), "{key} under local-faulty");
+            let passing = cfg.mode(ExecutionMode::LOCAL_MESSAGE_PASSING);
+            let sol = registry.solve(key, &inst, &passing).expect("message passing runs the plan");
+            assert!(sol.fault.is_some(), "{key}: an active plan attaches its report");
         }
     }
 }
@@ -584,7 +587,12 @@ fn radii_past_the_round_counter_are_refused_under_local() {
         let local = cfg.clone().mode(ExecutionMode::LOCAL_ORACLE);
         let err = registry.solve(key, &inst, &local).unwrap_err();
         assert!(matches!(err, SolveError::UnsupportedOptions { .. }), "{key}: {err:?}");
-        assert!(err.to_string().contains("(1, 2147483648)"), "{key}: {err}");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "solver {key}: radii (1, 2147483648) need a LOCAL round cap above 4294967295 on 5 vertices"
+            )
+        );
         let sol = registry.solve(key, &inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
         let at_1_5 = SolveConfig::new(problem).radii(Radii::practical(1, 5));
         let want = registry.solve(key, &inst, &at_1_5).unwrap_or_else(|e| panic!("{key}: {e}"));
