@@ -229,7 +229,7 @@ mod tests {
         let err = r.solve("mds/algorithm1", &inst, &cfg).unwrap_err();
         assert!(matches!(
             err,
-            SolveError::Runtime(RuntimeError::RoundLimitExceeded { limit: 1, .. }, _)
+            SolveError::Runtime(RuntimeError::RoundLimitExceeded { limit: 1, .. })
         ));
         // The cause chains end-to-end through std::error::Error...
         let source = std::error::Error::source(&err).expect("SolveError::Runtime has a source");

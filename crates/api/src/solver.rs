@@ -66,10 +66,10 @@ pub enum SolveError {
         budget: u64,
     },
     /// The LOCAL simulation failed (round cap, malformed instance).
-    /// Message passing under an active fault plan attaches the
+    /// Under an active fault plan a round-limit error carries the
     /// [`FaultReport`] accumulated up to the failure, so a crash-stalled
     /// run still names which vertices fell silent.
-    Runtime(RuntimeError, Option<FaultReport>),
+    Runtime(RuntimeError),
 }
 
 impl std::fmt::Display for SolveError {
@@ -90,19 +90,7 @@ impl std::fmt::Display for SolveError {
             SolveError::BudgetExhausted { solver, budget } => {
                 write!(f, "solver {solver} exhausted its search budget of {budget} nodes")
             }
-            SolveError::Runtime(e, fault) => {
-                write!(f, "LOCAL runtime error: {e}")?;
-                if let Some(r) = fault {
-                    write!(
-                        f,
-                        " (fault run: {} messages dropped, {} crashed, {} silent)",
-                        r.messages_dropped,
-                        r.crashed.len(),
-                        r.silent.len()
-                    )?;
-                }
-                Ok(())
-            }
+            SolveError::Runtime(e) => write!(f, "LOCAL runtime error: {e}"),
         }
     }
 }
@@ -110,7 +98,7 @@ impl std::fmt::Display for SolveError {
 impl std::error::Error for SolveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SolveError::Runtime(e, _) => Some(e),
+            SolveError::Runtime(e) => Some(e),
             _ => None,
         }
     }
@@ -118,7 +106,7 @@ impl std::error::Error for SolveError {
 
 impl From<RuntimeError> for SolveError {
     fn from(e: RuntimeError) -> Self {
-        SolveError::Runtime(e, None)
+        SolveError::Runtime(e)
     }
 }
 
@@ -128,7 +116,7 @@ impl SolveError {
     /// hook for registry callers.
     pub fn round_limit(&self) -> Option<u32> {
         match self {
-            SolveError::Runtime(RuntimeError::RoundLimitExceeded { limit, .. }, _) => Some(*limit),
+            SolveError::Runtime(RuntimeError::RoundLimitExceeded { limit, .. }) => Some(*limit),
             _ => None,
         }
     }
@@ -137,7 +125,7 @@ impl SolveError {
     /// out of message passing under an active fault plan.
     pub fn fault_report(&self) -> Option<&FaultReport> {
         match self {
-            SolveError::Runtime(_, fault) => fault.as_ref(),
+            SolveError::Runtime(RuntimeError::RoundLimitExceeded { fault, .. }) => fault.as_ref(),
             _ => None,
         }
     }
@@ -258,10 +246,10 @@ fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
 /// attaches the round count and the [`MessageStats`].
 ///
 /// Message passing runs the config's [`FaultConfig`] plan (`check` has
-/// already rejected an active plan on any other mode). Under an active
-/// plan the fault report rides on the solution, or on the
-/// [`SolveError::Runtime`] of a failed run, and crashed-undecided
-/// vertices are *silent* — absent from the vertex set and named in the
+/// already rejected an active plan on any other mode). The engine's
+/// fault report passes through unchanged: onto the solution, or inside
+/// the [`SolveError::Runtime`] of a failed run. Silent vertices (crashed
+/// before deciding) are absent from the vertex set and named in the
 /// report rather than failing the run.
 ///
 /// [`FaultConfig`]: lmds_localsim::FaultConfig
@@ -285,33 +273,17 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         }
         None => &inst.ids,
     };
-    let (vertices, rounds, stats, fault) = match kind {
+    let run = match kind {
         RuntimeKind::MessagePassing => {
-            let active = cfg.fault.is_active();
-            let run = FaultyRuntime::new(cfg.fault)
-                .run_with_report(&inst.graph, ids, algo, cap)
-                .map_err(|(e, report)| SolveError::Runtime(e, active.then_some(report)))?;
-            let vertices: Vec<Vertex> = run
-                .outputs
-                .iter()
-                .enumerate()
-                .filter_map(|(v, o)| matches!(o, Some(true)).then_some(v))
-                .collect();
-            let stats =
-                MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
-            (vertices, run.rounds, stats, active.then_some(run.report))
+            FaultyRuntime::new(cfg.fault).run(&inst.graph, ids, algo, cap)
         }
-        RuntimeKind::Oracle => {
-            let res = OracleRuntime.run(&inst.graph, ids, algo, cap)?;
-            let vertices: Vec<Vertex> =
-                res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
-            let stats =
-                MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
-            (vertices, res.rounds, stats, None)
-        }
-    };
-    let mut sol = finish(solver, inst, cfg, started, vertices, Some(rounds), Some(stats));
-    sol.fault = fault;
+        RuntimeKind::Oracle => OracleRuntime.run(&inst.graph, ids, algo, cap),
+    }?;
+    let vertices: Vec<Vertex> =
+        run.outputs.iter().enumerate().filter_map(|(v, &o)| o?.then_some(v)).collect();
+    let stats = MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
+    let mut sol = finish(solver, inst, cfg, started, vertices, Some(run.rounds), Some(stats));
+    sol.fault = run.fault;
     Ok(sol)
 }
 

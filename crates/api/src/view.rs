@@ -4,11 +4,12 @@
 //! report emitters) need a flat picture of a solve that survives a trip
 //! through JSON without dragging a serializer into this crate:
 //! [`SolutionView`] holds the vertices, validity, rounds, message bits,
-//! wall time, ratio and fault report in plain owned fields. The solve
-//! *configuration* has no mirror here: `lmds-serve` parses its wire form
-//! straight into a [`crate::SolveConfig`].
+//! wall time and ratio in plain owned fields, and the fault report as
+//! the engine produced it (`Some` exactly under an active plan). The
+//! solve *configuration* has no mirror here: `lmds-serve` parses its
+//! wire form straight into a [`crate::SolveConfig`].
 
-use crate::Solution;
+use crate::{FaultReport, Solution};
 
 /// The transport summary of a [`Solution`]: everything a service
 /// client needs, in flat owned fields.
@@ -38,15 +39,8 @@ pub struct SolutionView {
     pub ratio: Option<f64>,
     /// The optimum it was measured against: `(value, exact)`.
     pub optimum: Option<(usize, bool)>,
-    /// Messages dropped by the fault plan (active fault plans only).
-    pub fault_messages_dropped: Option<u64>,
-    /// Vertices the fault plan crashed (active fault plans only).
-    pub fault_crashed: Option<Vec<usize>>,
-    /// Crashed vertices that never decided (active fault plans only).
-    pub fault_silent: Option<Vec<usize>>,
-    /// Maximum delivery staleness observed, in rounds (active fault
-    /// plans only).
-    pub fault_max_staleness: Option<u32>,
+    /// What the fault plan did (active fault plans only).
+    pub fault: Option<FaultReport>,
 }
 
 impl From<&Solution> for SolutionView {
@@ -64,10 +58,7 @@ impl From<&Solution> for SolutionView {
             wall_micros: sol.wall.as_micros().min(u64::MAX as u128) as u64,
             ratio: sol.ratio(),
             optimum: sol.optimum.map(|o| (o.value, o.exact)),
-            fault_messages_dropped: sol.fault.as_ref().map(|r| r.messages_dropped),
-            fault_crashed: sol.fault.as_ref().map(|r| r.crashed.clone()),
-            fault_silent: sol.fault.as_ref().map(|r| r.silent.clone()),
-            fault_max_staleness: sol.fault.as_ref().map(|r| r.max_staleness),
+            fault: sol.fault.clone(),
         }
     }
 }

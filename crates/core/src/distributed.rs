@@ -840,8 +840,8 @@ mod tests {
     use lmds_graph::Graph;
     use lmds_localsim::{IdAssignment, OracleRuntime, RuntimeKind};
 
-    fn outputs_to_set(outputs: &[bool]) -> Vec<usize> {
-        outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect()
+    fn outputs_to_set(outputs: &[Option<bool>]) -> Vec<usize> {
+        outputs.iter().enumerate().filter_map(|(v, &b)| b?.then_some(v)).collect()
     }
 
     fn test_graphs() -> Vec<Graph> {
@@ -979,11 +979,8 @@ mod tests {
                     let res = kind.run(g, &ids, native, cap).unwrap();
                     assert_eq!(res.outputs, reference.outputs, "{g:?} seed={seed} {kind}");
                     assert_eq!(res.decided_at, reference.decided_at, "{g:?} seed={seed} {kind}");
-                    assert_eq!(
-                        kind.measures_messages(),
-                        res.messages.is_measured(),
-                        "{g:?} {kind}"
-                    );
+                    let measured = kind == RuntimeKind::MessagePassing;
+                    assert_eq!(measured, res.messages.is_measured(), "{g:?} {kind}");
                 }
             }
         }
@@ -1146,14 +1143,14 @@ mod tests {
                 for skew in [1u32, 2, 3] {
                     let cfg = FaultConfig { seed: 0xA5 + seed, skew, ..FaultConfig::default() };
                     let algo = Theorem44Local { grace: Some(cfg.grace()) };
-                    let run = FaultyRuntime::new(cfg).run_with_report(g, &ids, &algo, 64).unwrap();
-                    let outputs: Vec<bool> = run.outputs.iter().map(|o| o.unwrap()).collect();
-                    assert_eq!(outputs, reference.outputs, "{g:?} seed={seed} skew={skew}");
+                    let run = FaultyRuntime::new(cfg).run(g, &ids, &algo, 64).unwrap();
+                    assert_eq!(run.outputs, reference.outputs, "{g:?} seed={seed} skew={skew}");
                     assert!(run.rounds >= reference.rounds, "{g:?} seed={seed} skew={skew}");
-                    assert_eq!(run.report.messages_dropped, 0);
-                    assert!(run.report.crashed.is_empty() && run.report.silent.is_empty());
-                    assert!(run.report.max_staleness <= skew, "{g:?} skew={skew}");
-                    stale_deliveries += u64::from(run.report.max_staleness);
+                    let report = run.fault.expect("skew is an active plan");
+                    assert_eq!(report.messages_dropped, 0);
+                    assert!(report.crashed.is_empty() && report.silent.is_empty());
+                    assert!(report.max_staleness <= skew, "{g:?} skew={skew}");
+                    stale_deliveries += u64::from(report.max_staleness);
                 }
             }
         }
@@ -1190,19 +1187,14 @@ mod tests {
                     let rt = FaultyRuntime::new(cfg);
 
                     let decider = Algorithm1Decider { radii: Radii::practical(2, 2) };
-                    let adaptive =
-                        rt.run_with_report(g, &ids, &decider, 100).expect("adapter never stalls");
-                    assert!(adaptive.report.messages_dropped > 0);
-                    let adaptive_set = outputs_to_set(
-                        &adaptive.outputs.iter().map(|o| o.unwrap()).collect::<Vec<_>>(),
-                    );
+                    let adaptive = rt.run(g, &ids, &decider, 100).expect("adapter never stalls");
+                    assert!(adaptive.fault.expect("drops are an active plan").messages_dropped > 0);
+                    let adaptive_set = outputs_to_set(&adaptive.outputs);
                     adaptive_bad += u32::from(!is_dominating_set(g, &adaptive_set));
 
                     let algo = Theorem44Local { grace: Some(cfg.grace()) };
-                    let graced = rt.run_with_report(g, &ids, &algo, 100).unwrap();
-                    let graced_set = outputs_to_set(
-                        &graced.outputs.iter().map(|o| o.unwrap()).collect::<Vec<_>>(),
-                    );
+                    let graced = rt.run(g, &ids, &algo, 100).unwrap();
+                    let graced_set = outputs_to_set(&graced.outputs);
                     graced_bad += u32::from(!is_dominating_set(g, &graced_set));
                 }
             }
@@ -1294,7 +1286,7 @@ mod mvc_decider_tests {
                 let decider = MvcAlgorithm1Decider { radii };
                 let res = OracleRuntime.run(g, &ids, &decider, (2 * g.n() + 40) as u32).unwrap();
                 let dist_set: Vec<usize> =
-                    res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+                    res.outputs.iter().enumerate().filter_map(|(v, &b)| b?.then_some(v)).collect();
                 let central = algorithm1_mvc(g, &ids, radii);
                 assert_eq!(dist_set, central.solution, "{g:?} seed={seed}");
                 assert!(is_vertex_cover(g, &dist_set), "{g:?}");

@@ -1,7 +1,10 @@
 //! The message-passing engine: faithful synchronous message passing
 //! behind an optional fault plan — message drops, crash-stop vertices,
-//! and bounded round-asynchrony — with the same `run` call as the
-//! oracle ([`crate::OracleRuntime::run`]).
+//! and bounded round-asynchrony — with the same `run` call, result and
+//! error as the oracle ([`crate::OracleRuntime::run`]). Under an active
+//! plan the [`RunResult`] (or the round-limit [`RuntimeError`]) carries
+//! the [`FaultReport`], and a vertex that crashed before deciding has a
+//! `None` output.
 //!
 //! The fault model is layered on the synchronous round loop:
 //!
@@ -42,7 +45,7 @@
 
 use crate::algorithm::{LocalAlgorithm, Network};
 use crate::ids::IdAssignment;
-use crate::runtime::{MessageAccounting, RunResult, RuntimeError};
+use crate::runtime::{check_sizes, MessageAccounting, RunResult, RuntimeError};
 use lmds_graph::Graph;
 use std::fmt;
 use std::str::FromStr;
@@ -273,38 +276,6 @@ pub struct FaultReport {
     pub max_staleness: u32,
 }
 
-/// Outcome of a faulty execution: like [`RunResult`], but crashed
-/// vertices that never decided carry `None`, and the [`FaultReport`]
-/// rides along.
-#[derive(Debug, Clone)]
-pub struct FaultyRun<O> {
-    /// Per-vertex outputs; `None` for crashed-silent vertices.
-    pub outputs: Vec<Option<O>>,
-    /// Round each vertex decided at (0 for silent vertices).
-    pub decided_at: Vec<u32>,
-    /// Global round complexity over the vertices that did decide.
-    pub rounds: u32,
-    /// Bits accounted for messages put on the wire by live senders
-    /// (dropped messages were sent, so they count).
-    pub messages: MessageAccounting,
-    /// The realized fault trace.
-    pub report: FaultReport,
-}
-
-impl<O> FaultyRun<O> {
-    /// The decision histogram over decided vertices (entry `r` counts
-    /// decisions at round `r`).
-    pub fn decided_histogram(&self) -> Vec<usize> {
-        let mut hist = vec![0usize; self.rounds as usize + 1];
-        for (v, &r) in self.decided_at.iter().enumerate() {
-            if self.outputs[v].is_some() {
-                hist[r as usize] += 1;
-            }
-        }
-        hist
-    }
-}
-
 /// splitmix64 finalizer — the same dependency-free mixer the id
 /// assignments use, rehosted here so fault draws stay self-contained.
 fn mix64(mut z: u64) -> u64 {
@@ -341,7 +312,7 @@ fn top_degree(g: &Graph, count: usize) -> Vec<usize> {
 /// schedule is resolved to explicit vertices, and per-delivery draws
 /// are answered from the seed.
 #[derive(Debug, Clone)]
-pub struct FaultPlan {
+struct FaultPlan {
     config: FaultConfig,
     /// `crash_round[v]` = first round `v` is silent in, if it crashes.
     crash_round: Vec<Option<u32>>,
@@ -352,7 +323,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Resolves `config` against `g`: picks the crash set and the hub
     /// set. Deterministic in `(g, config)`.
-    pub fn materialize(g: &Graph, config: &FaultConfig) -> FaultPlan {
+    fn materialize(g: &Graph, config: &FaultConfig) -> FaultPlan {
         let n = g.n();
         let mut crash_round = vec![None; n];
         match config.crash {
@@ -382,13 +353,13 @@ impl FaultPlan {
     }
 
     /// The crash set, sorted.
-    pub fn crashed_vertices(&self) -> Vec<usize> {
+    fn crashed_vertices(&self) -> Vec<usize> {
         (0..self.crash_round.len()).filter(|&v| self.crash_round[v].is_some()).collect()
     }
 
     /// Whether `v` participates in round `round` (send, receive, and
     /// decide all stop at its crash round).
-    pub fn alive_at(&self, v: usize, round: u32) -> bool {
+    fn alive_at(&self, v: usize, round: u32) -> bool {
         self.crash_round[v].is_none_or(|c| round < c)
     }
 
@@ -398,7 +369,7 @@ impl FaultPlan {
     }
 
     /// Whether the delivery `u → v` at `round` is dropped.
-    pub fn dropped(&self, u: usize, v: usize, round: u32) -> bool {
+    fn dropped(&self, u: usize, v: usize, round: u32) -> bool {
         match self.config.drop {
             DropPolicy::None => false,
             DropPolicy::Bernoulli { per_mille } => {
@@ -415,7 +386,7 @@ impl FaultPlan {
     /// actually delivered was sent `staleness` rounds ago, in
     /// `[0, min(skew, round − 1)]` (round-1 traffic is never stale —
     /// nothing older exists).
-    pub fn staleness(&self, u: usize, v: usize, round: u32) -> u32 {
+    fn staleness(&self, u: usize, v: usize, round: u32) -> u32 {
         let bound = self.config.skew.min(round.saturating_sub(1));
         if bound == 0 {
             return 0;
@@ -425,12 +396,11 @@ impl FaultPlan {
     }
 }
 
-/// Synchronous message passing under a seeded [`FaultPlan`]. With the
-/// zero [`FaultConfig`] this is the faithful message-passing execution
-/// ([`crate::RuntimeKind::MessagePassing`]); with faults active, use
-/// [`FaultyRuntime::run_with_report`] for partial outputs plus the
-/// [`FaultReport`] (the plain [`FaultyRuntime::run`] path demands every
-/// vertex decide and surfaces silent vertices as a round-limit error).
+/// Synchronous message passing under a seeded [`FaultConfig`]. With
+/// the zero config this is the faithful message-passing execution
+/// ([`crate::RuntimeKind::MessagePassing`]); under an active plan its
+/// [`RunResult`] carries the [`FaultReport`], and crashed vertices that
+/// never decided are silent (`None` outputs) rather than a failure.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultyRuntime {
     /// The fault scenario to inject.
@@ -443,28 +413,26 @@ impl FaultyRuntime {
         FaultyRuntime { config }
     }
 
-    /// Executes `algo` under the fault plan. Terminates when every
-    /// vertex that can still decide has decided; crashed-silent
-    /// vertices yield `None` outputs.
+    /// Executes `algo` on the network `(g, ids)` under the fault plan,
+    /// at most `max_rounds` communication rounds. Terminates when every
+    /// vertex that can still decide has decided; silent vertices yield
+    /// `None` outputs. The result's `fault` is the realized
+    /// [`FaultReport`] when the plan is active, `None` otherwise.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::RoundLimitExceeded`] (with the accumulated
-    /// [`FaultReport`]) if a live vertex is still undecided at the cap;
-    /// [`RuntimeError::SizeMismatch`] on malformed input.
-    pub fn run_with_report<A: LocalAlgorithm>(
+    /// report, under an active plan) if a live vertex is still undecided
+    /// at the cap; [`RuntimeError::SizeMismatch`] on malformed input.
+    pub fn run<A: LocalAlgorithm>(
         &self,
         g: &Graph,
         ids: &IdAssignment,
         algo: &A,
         max_rounds: u32,
-    ) -> Result<FaultyRun<A::Output>, (RuntimeError, FaultReport)> {
-        if g.n() != ids.n() {
-            return Err((
-                RuntimeError::SizeMismatch { graph_n: g.n(), ids_n: ids.n() },
-                FaultReport::default(),
-            ));
-        }
+    ) -> Result<RunResult<A::Output>, RuntimeError> {
+        check_sizes(g, ids)?;
+        let active = self.config.is_active();
         let plan = FaultPlan::materialize(g, &self.config);
         let n = g.n();
         let id_bits = ids.bits();
@@ -500,10 +468,12 @@ impl FaultyRuntime {
             }
             if round >= max_rounds {
                 report.silent = silent_vertices(&plan, &outputs);
-                return Err((
-                    RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided },
-                    report,
-                ));
+                let fault = active.then_some(report);
+                return Err(RuntimeError::RoundLimitExceeded {
+                    limit: max_rounds,
+                    undecided,
+                    fault,
+                });
             }
             round += 1;
             // Send phase: live vertices broadcast (decided ones keep
@@ -570,45 +540,12 @@ impl FaultyRuntime {
             total_message_bits: total_msg,
         };
         let rounds = decided_at.iter().copied().max().unwrap_or(0);
-        Ok(FaultyRun { outputs, decided_at, rounds, messages, report })
+        Ok(RunResult { outputs, decided_at, rounds, messages, fault: active.then_some(report) })
     }
 }
 
 fn silent_vertices<O>(plan: &FaultPlan, outputs: &[Option<O>]) -> Vec<usize> {
     plan.crashed_vertices().into_iter().filter(|&v| outputs[v].is_none()).collect()
-}
-
-impl FaultyRuntime {
-    /// The strict path: every vertex must decide. Crashed-silent
-    /// vertices therefore surface as
-    /// [`RuntimeError::RoundLimitExceeded`]; callers that want partial
-    /// outputs plus the report use
-    /// [`FaultyRuntime::run_with_report`].
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::RoundLimitExceeded`] if some vertex (silent ones
-    /// included) is undecided at `max_rounds`;
-    /// [`RuntimeError::SizeMismatch`] on malformed input.
-    pub fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError> {
-        let run = self.run_with_report(g, ids, algo, max_rounds).map_err(|(e, _)| e)?;
-        let silent = run.outputs.iter().filter(|o| o.is_none()).count();
-        if silent > 0 {
-            return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided: silent });
-        }
-        Ok(RunResult {
-            outputs: run.outputs.into_iter().map(|o| o.expect("checked above")).collect(),
-            decided_at: run.decided_at,
-            rounds: run.rounds,
-            messages: run.messages,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -648,17 +585,15 @@ mod tests {
             skew: 1,
         };
         let rt = FaultyRuntime::new(cfg);
-        let a = rt.run_with_report(&g, &ids, &MinIdRadius2, 32);
-        let b = rt.run_with_report(&g, &ids, &MinIdRadius2, 32);
+        let a = rt.run(&g, &ids, &MinIdRadius2, 32);
+        let b = rt.run(&g, &ids, &MinIdRadius2, 32);
         match (a, b) {
             (Ok(x), Ok(y)) => {
-                assert_eq!(x.report, y.report);
+                assert!(x.fault.is_some());
+                assert_eq!(x.fault, y.fault);
                 assert_eq!(x.outputs, y.outputs);
             }
-            (Err((ex, rx)), Err((ey, ry))) => {
-                assert_eq!(ex, ey);
-                assert_eq!(rx, ry);
-            }
+            (Err(ex), Err(ey)) => assert_eq!(ex, ey),
             other => panic!("replay diverged: {:?}", other.0.is_ok()),
         }
     }
@@ -676,13 +611,10 @@ mod tests {
             };
             // MinIdRadius2 always decides at round 2 regardless of
             // content, so every run sees the same delivery schedule.
-            let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 16).unwrap();
-            assert!(
-                run.report.messages_dropped >= last,
-                "rate {per_mille}: {} < {last}",
-                run.report.messages_dropped
-            );
-            last = run.report.messages_dropped;
+            let run = FaultyRuntime::new(cfg).run(&g, &ids, &MinIdRadius2, 16).unwrap();
+            let dropped = run.fault.expect("a drop policy is an active plan").messages_dropped;
+            assert!(dropped >= last, "rate {per_mille}: {dropped} < {last}");
+            last = dropped;
         }
         assert!(last > 0, "full drop rate must drop every delivery");
     }
@@ -696,15 +628,54 @@ mod tests {
             crash: CrashPolicy::Hubs { count: 2, round: 1 },
             ..FaultConfig::default()
         };
-        let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 16).unwrap();
-        assert_eq!(run.report.crashed.len(), 2);
-        assert_eq!(run.report.silent, run.report.crashed, "crashed at round 1, decide at 2");
-        for &v in &run.report.silent {
+        let run = FaultyRuntime::new(cfg).run(&g, &ids, &MinIdRadius2, 16).unwrap();
+        let report = run.fault.expect("a crash policy is an active plan");
+        assert_eq!(report.crashed.len(), 2);
+        assert_eq!(report.silent, report.crashed, "crashed at round 1, decide at 2");
+        for &v in &report.silent {
             assert!(run.outputs[v].is_none());
         }
-        // The strict trait path turns silence into a typed error.
-        let err = FaultyRuntime::new(cfg).run(&g, &ids, &MinIdRadius2, 16).unwrap_err();
-        assert!(matches!(err, RuntimeError::RoundLimitExceeded { undecided: 2, .. }));
+    }
+
+    #[test]
+    fn one_result_type_carries_silence_and_the_report_of_active_plans() {
+        let g = corpus().remove(2);
+        let n = g.n();
+        let ids = IdAssignment::shuffled(n, 4);
+        let crash = FaultConfig {
+            seed: 3,
+            crash: CrashPolicy::Random { count: 2, round: 1 },
+            ..FaultConfig::default()
+        };
+        let run = FaultyRuntime::new(crash).run(&g, &ids, &MinIdRadius2, 16).unwrap();
+        let report = run.fault.as_ref().expect("a crash plan is active");
+        assert_eq!(report.silent.len(), 2, "crashed at round 1, decide at 2");
+        for v in 0..n {
+            assert_eq!(run.outputs[v].is_none(), report.silent.contains(&v), "vertex {v}");
+        }
+        assert_eq!(run.decided_histogram().iter().sum::<usize>(), n - report.silent.len());
+
+        // The report rides exactly on active plans: not on the oracle,
+        // not on a seed-only plan, but on a plan that drops nothing.
+        let oracle = crate::OracleRuntime.run(&g, &ids, &MinIdRadius2, 16).unwrap();
+        assert!(oracle.fault.is_none());
+        assert_eq!(oracle.decided_histogram().iter().sum::<usize>(), n);
+        let seed_only = FaultConfig { seed: 3, ..FaultConfig::default() };
+        let run = FaultyRuntime::new(seed_only).run(&g, &ids, &MinIdRadius2, 16).unwrap();
+        assert!(run.fault.is_none());
+        assert_eq!(run.outputs, oracle.outputs);
+        let drop_none: FaultConfig = "seed=3;drop=bernoulli:0".parse().unwrap();
+        let run = FaultyRuntime::new(drop_none).run(&g, &ids, &MinIdRadius2, 16).unwrap();
+        assert_eq!(run.fault, Some(FaultReport::default()));
+        assert_eq!(run.outputs, oracle.outputs);
+
+        // A round-limit error carries a report only under an active plan.
+        let err = crate::OracleRuntime.run(&g, &ids, &MinIdRadius2, 1).unwrap_err();
+        assert_eq!(err, RuntimeError::RoundLimitExceeded { limit: 1, undecided: n, fault: None });
+        let err = FaultyRuntime::new(seed_only).run(&g, &ids, &MinIdRadius2, 1).unwrap_err();
+        assert_eq!(err, RuntimeError::RoundLimitExceeded { limit: 1, undecided: n, fault: None });
+        let err = FaultyRuntime::new(crash).run(&g, &ids, &MinIdRadius2, 1).unwrap_err();
+        assert!(matches!(err, RuntimeError::RoundLimitExceeded { fault: Some(_), .. }), "{err:?}");
     }
 
     #[test]
@@ -726,10 +697,14 @@ mod tests {
                 (view.vertex_ids().len() >= 2).then(|| view.vertex_ids().len())
             }
         }
-        let (err, report) =
-            FaultyRuntime::new(cfg).run_with_report(&g, &ids, &NeedsNeighbor, 4).unwrap_err();
-        assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 4, .. }));
+        let err = FaultyRuntime::new(cfg).run(&g, &ids, &NeedsNeighbor, 4).unwrap_err();
+        let RuntimeError::RoundLimitExceeded { limit: 4, fault: Some(report), .. } = &err else {
+            panic!("{err:?}");
+        };
         assert!(report.messages_dropped > 0);
+        assert!(err
+            .to_string()
+            .ends_with(" (fault run: 40 messages dropped, 0 crashed, 0 silent)"));
     }
 
     #[test]
@@ -737,9 +712,10 @@ mod tests {
         let g = corpus().remove(2);
         let ids = IdAssignment::shuffled(g.n(), 4);
         let cfg = FaultConfig { seed: 11, skew: 2, ..FaultConfig::default() };
-        let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 32).unwrap();
-        assert!(run.report.max_staleness <= 2);
-        assert_eq!(run.report.messages_dropped, 0);
+        let run = FaultyRuntime::new(cfg).run(&g, &ids, &MinIdRadius2, 32).unwrap();
+        let report = run.fault.expect("skew is an active plan");
+        assert!(report.max_staleness <= 2);
+        assert_eq!(report.messages_dropped, 0);
         assert!(run.outputs.iter().all(|o| o.is_some()));
     }
 
@@ -752,9 +728,9 @@ mod tests {
         let ids = IdAssignment::shuffled(g.n(), 4);
         let cfg = FaultConfig { seed: 11, skew: u32::MAX, ..FaultConfig::default() };
         assert_eq!(cfg.grace(), u32::MAX);
-        let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 16).unwrap();
+        let run = FaultyRuntime::new(cfg).run(&g, &ids, &MinIdRadius2, 16).unwrap();
         assert!(run.outputs.iter().all(|o| o.is_some()));
-        assert!(run.report.max_staleness < 16);
+        assert!(run.fault.expect("skew is an active plan").max_staleness < 16);
     }
 
     #[test]

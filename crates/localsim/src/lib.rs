@@ -36,7 +36,8 @@
 //!   an optional seeded [`FaultConfig`]: drops, crash-stop vertices,
 //!   bounded skew). Message passing keeps each round's messages once
 //!   and lends them to [`LocalAlgorithm::receive`] as `&[&Message]`; no
-//!   delivery copies a message.
+//!   delivery copies a message. Both return one [`RunResult`] and fail
+//!   with one [`RuntimeError`].
 //!   [`RuntimeKind`] names the two engines as configuration layers
 //!   select them: `oracle`, and `message-passing` with the empty plan.
 //! * [`IdPolicy`] / [`IdAssignment`] — the identifier-assignment axis:
@@ -52,7 +53,10 @@
 //! are bit-identical on deterministic algorithms; the [`RunResult`]
 //! additionally reports decision rounds, the decided-at histogram,
 //! and — on the message-passing engine — measured message bits
-//! ([`MessageAccounting`]).
+//! ([`MessageAccounting`]) and, exactly when the fault plan is active,
+//! the [`FaultReport`]. An output is `None` only for a vertex the plan
+//! crashed before it decided; a round-limit error carries the report
+//! the same way.
 //!
 //! # Example
 //!
@@ -75,7 +79,7 @@
 //! let ids = IdAssignment::sequential(4);
 //! let res = OracleRuntime.run(&g, &ids, &DegreeAlgo, 16).unwrap();
 //! assert_eq!(res.rounds, 1);
-//! assert_eq!(res.outputs, vec![1, 2, 2, 1]);
+//! assert_eq!(res.outputs, [1, 2, 2, 1].map(Some));
 //! // The oracle computed states without exchanging messages:
 //! assert_eq!(res.messages, MessageAccounting::NotApplicable);
 //! // Message passing measures real bits, bit-identically:
@@ -96,8 +100,7 @@ pub mod view;
 
 pub use algorithm::{LocalAlgorithm, Network, NodeCtx};
 pub use fault::{
-    CrashPolicy, DropPolicy, FaultConfig, FaultPlan, FaultReport, FaultyRun, FaultyRuntime,
-    ParseFaultError,
+    CrashPolicy, DropPolicy, FaultConfig, FaultReport, FaultyRuntime, ParseFaultError,
 };
 pub use ids::{IdAssignment, IdPolicy};
 pub use knowledge::Knowledge;

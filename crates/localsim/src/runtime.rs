@@ -22,13 +22,16 @@
 //! `message-passing`, the latter with the empty plan (fault scenarios
 //! construct a [`FaultyRuntime`] with their plan). Both engines expose
 //! the same `run(g, ids, algo, max_rounds)` call: [`OracleRuntime::run`]
-//! and [`FaultyRuntime::run`]. Each run wraps `(g, ids)` in one
-//! [`crate::Network`]: vertices wake up with its [`crate::NodeCtx`]s,
-//! projections read it, and the view adapter builds its numbering there
-//! once, on first use, so a native algorithm's run never builds one.
+//! and [`FaultyRuntime::run`], with one result type, [`RunResult`], and
+//! one error type, [`RuntimeError`]; only message passing under an
+//! active plan fills in their fault report. Each run wraps `(g, ids)`
+//! in one [`crate::Network`]: vertices wake up with its
+//! [`crate::NodeCtx`]s, projections read it, and the view adapter builds
+//! its numbering there once, on first use, so a native algorithm's run
+//! never builds one.
 
 use crate::algorithm::{LocalAlgorithm, Network};
-use crate::fault::FaultyRuntime;
+use crate::fault::{FaultReport, FaultyRuntime};
 use crate::ids::IdAssignment;
 use crate::view::LocalView;
 use lmds_graph::scratch::with_thread_scratch;
@@ -77,27 +80,35 @@ impl MessageAccounting {
     }
 }
 
-/// Outcome of a LOCAL execution.
+/// Outcome of a LOCAL execution, on either engine.
 #[derive(Debug, Clone)]
 pub struct RunResult<O> {
-    /// Per-vertex outputs, indexed by host vertex.
-    pub outputs: Vec<O>,
-    /// The round at which each vertex decided.
+    /// Per-vertex outputs, indexed by host vertex. An output is `None`
+    /// only for a *silent* vertex: one the fault plan crashed before it
+    /// decided.
+    pub outputs: Vec<Option<O>>,
+    /// The round at which each vertex decided (0 for silent vertices).
     pub decided_at: Vec<u32>,
     /// Global round complexity: `max(decided_at)`.
     pub rounds: u32,
     /// Message accounting ([`MessageAccounting::NotApplicable`] for the
-    /// oracle).
+    /// oracle). Under a fault plan it counts every message a live sender
+    /// put on the wire, dropped ones included.
     pub messages: MessageAccounting,
+    /// What the fault plan did: `Some` exactly when the run's plan is
+    /// active ([`crate::FaultConfig::is_active`]).
+    pub fault: Option<FaultReport>,
 }
 
 impl<O> RunResult<O> {
-    /// The decision histogram: entry `r` counts the vertices that
-    /// decided at round `r` (length `rounds + 1`).
+    /// The decision histogram over the vertices that decided: entry `r`
+    /// counts the decisions at round `r` (length `rounds + 1`).
     pub fn decided_histogram(&self) -> Vec<usize> {
         let mut hist = vec![0usize; self.rounds as usize + 1];
-        for &r in &self.decided_at {
-            hist[r as usize] += 1;
+        for (o, &r) in self.outputs.iter().zip(&self.decided_at) {
+            if o.is_some() {
+                hist[r as usize] += 1;
+            }
         }
         hist
     }
@@ -112,6 +123,10 @@ pub enum RuntimeError {
         limit: u32,
         /// Number of vertices still undecided.
         undecided: usize,
+        /// The fault report accumulated up to the cap, so a
+        /// crash-stalled run still names which vertices fell silent:
+        /// `Some` exactly when the run's plan is active.
+        fault: Option<FaultReport>,
     },
     /// The id assignment does not match the graph size.
     SizeMismatch {
@@ -125,8 +140,18 @@ pub enum RuntimeError {
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuntimeError::RoundLimitExceeded { limit, undecided } => {
-                write!(f, "round limit {limit} exceeded with {undecided} vertices undecided")
+            RuntimeError::RoundLimitExceeded { limit, undecided, fault } => {
+                write!(f, "round limit {limit} exceeded with {undecided} vertices undecided")?;
+                if let Some(r) = fault {
+                    write!(
+                        f,
+                        " (fault run: {} messages dropped, {} crashed, {} silent)",
+                        r.messages_dropped,
+                        r.crashed.len(),
+                        r.silent.len()
+                    )?;
+                }
+                Ok(())
             }
             RuntimeError::SizeMismatch { graph_n, ids_n } => {
                 write!(f, "graph has {graph_n} vertices but {ids_n} identifiers were given")
@@ -153,11 +178,6 @@ pub enum RuntimeKind {
 impl RuntimeKind {
     /// Both kinds, in the order sweeps iterate them.
     pub const ALL: [RuntimeKind; 2] = [RuntimeKind::MessagePassing, RuntimeKind::Oracle];
-
-    /// Whether this kind exchanges (and accounts) real messages.
-    pub fn measures_messages(self) -> bool {
-        self == RuntimeKind::MessagePassing
-    }
 
     /// Executes `algo` on the engine this kind names. The kind carries
     /// no fault parameters: message passing runs the empty plan, and
@@ -206,7 +226,7 @@ impl std::str::FromStr for RuntimeKind {
     }
 }
 
-fn check_sizes(g: &Graph, ids: &IdAssignment) -> Result<(), RuntimeError> {
+pub(crate) fn check_sizes(g: &Graph, ids: &IdAssignment) -> Result<(), RuntimeError> {
     if g.n() != ids.n() {
         Err(RuntimeError::SizeMismatch { graph_n: g.n(), ids_n: ids.n() })
     } else {
@@ -339,7 +359,7 @@ impl OracleRuntime {
     /// let ids = IdAssignment::sequential(4);
     /// let res = OracleRuntime.run(&g, &ids, &DegreeAlgo, 16).unwrap();
     /// assert_eq!(res.rounds, 1);
-    /// assert_eq!(res.outputs, vec![1, 2, 2, 1]);
+    /// assert_eq!(res.outputs, [1, 2, 2, 1].map(Some));
     /// assert_eq!(res.decided_histogram(), vec![0, 4]);
     /// ```
     ///
@@ -389,13 +409,18 @@ impl OracleRuntime {
         }
         let undecided = outputs.iter().filter(|o| o.is_none()).count();
         if undecided > 0 {
-            return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
+            return Err(RuntimeError::RoundLimitExceeded {
+                limit: max_rounds,
+                undecided,
+                fault: None,
+            });
         }
         Ok(RunResult {
-            outputs: outputs.into_iter().map(|o| o.expect("every vertex decided")).collect(),
+            outputs,
             rounds: decided_at.iter().copied().max().unwrap_or(0),
             decided_at,
             messages: MessageAccounting::NotApplicable,
+            fault: None,
         })
     }
 }
@@ -539,7 +564,7 @@ mod tests {
         let a = RuntimeKind::MessagePassing.run(&g, &ids, &DegreeAlgo, 10).unwrap();
         let b = OracleRuntime.run(&g, &ids, &DegreeAlgo, 10).unwrap();
         let c = OracleRuntime::run_on(&g, &ids, &DegreeAlgo, 10, 4).unwrap();
-        assert_eq!(a.outputs, vec![1, 3, 2, 1, 1]);
+        assert_eq!(a.outputs, [1, 3, 2, 1, 1].map(Some));
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.outputs, c.outputs);
         assert_eq!(a.rounds, 1);
@@ -558,7 +583,7 @@ mod tests {
         let ids = IdAssignment::sequential(7.min(g.n()));
         let res = RuntimeKind::MessagePassing.run(&g, &ids, &TriangleAlgo, 10).unwrap();
         assert_eq!(res.rounds, 2);
-        assert_eq!(res.outputs, vec![true, true, true, false, false, false]);
+        assert_eq!(res.outputs, [true, true, true, false, false, false].map(Some));
         let res2 = OracleRuntime.run(&g, &ids, &TriangleAlgo, 10).unwrap();
         assert_eq!(res.outputs, res2.outputs);
         assert_eq!(res.decided_at, res2.decided_at);
@@ -583,7 +608,7 @@ mod tests {
         // Every vertex's output is the true min id within distance 2.
         for v in 0..12 {
             let expect = bfs::ball(&g, v, 2).into_iter().map(|u| ids.id_of(u)).min().unwrap();
-            assert_eq!(a.outputs[v], expect, "vertex {v}");
+            assert_eq!(a.outputs[v], Some(expect), "vertex {v}");
         }
     }
 
@@ -658,22 +683,22 @@ mod tests {
         }
         let g = cycle(4);
         let ids = IdAssignment::sequential(4);
-        let err = OracleRuntime.run(&g, &ids, &Never, 3).unwrap_err();
-        assert_eq!(err, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
-        let err2 = RuntimeKind::MessagePassing.run(&g, &ids, &Never, 3).unwrap_err();
-        assert_eq!(err2, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
-        let err3 = OracleRuntime::run_on(&g, &ids, &Never, 3, 2).unwrap_err();
-        assert_eq!(err3, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
+        let stalled = RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4, fault: None };
+        assert_eq!(OracleRuntime.run(&g, &ids, &Never, 3).unwrap_err(), stalled);
+        assert_eq!(RuntimeKind::MessagePassing.run(&g, &ids, &Never, 3).unwrap_err(), stalled);
+        assert_eq!(OracleRuntime::run_on(&g, &ids, &Never, 3, 2).unwrap_err(), stalled);
     }
 
     #[test]
     fn size_mismatch_error() {
         let g = cycle(4);
         let ids = IdAssignment::sequential(3);
-        assert!(matches!(
-            OracleRuntime.run(&g, &ids, &DegreeAlgo, 5),
-            Err(RuntimeError::SizeMismatch { graph_n: 4, ids_n: 3 })
-        ));
+        for kind in RuntimeKind::ALL {
+            assert!(matches!(
+                kind.run(&g, &ids, &DegreeAlgo, 5),
+                Err(RuntimeError::SizeMismatch { graph_n: 4, ids_n: 3 })
+            ));
+        }
     }
 
     #[test]
@@ -733,7 +758,8 @@ mod tests {
             let via = kind.run(&g, &ids, &DegreeAlgo, 5).unwrap();
             assert_eq!(via.outputs, direct.outputs, "{kind}");
             assert_eq!(via.rounds, direct.rounds, "{kind}");
-            assert_eq!(kind.measures_messages(), via.messages.is_measured(), "{kind}");
+            let measured = kind == RuntimeKind::MessagePassing;
+            assert_eq!(measured, via.messages.is_measured(), "{kind}");
         }
     }
 

@@ -309,10 +309,7 @@ mod tests {
             wall_micros: 42,
             ratio: None,
             optimum: Some((n_vertices, true)),
-            fault_messages_dropped: None,
-            fault_crashed: None,
-            fault_silent: None,
-            fault_max_staleness: None,
+            fault: None,
         }
     }
 

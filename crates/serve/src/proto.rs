@@ -14,7 +14,7 @@
 //! valid alternative.
 
 use crate::json::Value;
-use lmds_api::{IdPolicy, Problem, SolutionView, SolveConfig, SolveError};
+use lmds_api::{FaultReport, IdPolicy, Problem, SolutionView, SolveConfig, SolveError};
 use lmds_core::Radii;
 use lmds_graph::dynamic::GraphUpdate;
 use lmds_localsim::ParseFaultError;
@@ -335,24 +335,14 @@ pub fn render_solution(view: &SolutionView) -> Value {
         ),
         (
             "fault",
-            match (&view.fault_messages_dropped, &view.fault_crashed, &view.fault_silent) {
-                (None, None, None) => Value::Null,
-                (dropped, crashed, silent) => Value::obj([
-                    ("messages_dropped", dropped.map_or(Value::Null, Value::from)),
-                    (
-                        "crashed",
-                        Value::Arr(crashed.iter().flatten().map(|&v| Value::from(v)).collect()),
-                    ),
-                    (
-                        "silent",
-                        Value::Arr(silent.iter().flatten().map(|&v| Value::from(v)).collect()),
-                    ),
-                    (
-                        "max_staleness",
-                        view.fault_max_staleness.map_or(Value::Null, |x| Value::from(u64::from(x))),
-                    ),
-                ]),
-            },
+            view.fault.as_ref().map_or(Value::Null, |r| {
+                Value::obj([
+                    ("messages_dropped", Value::from(r.messages_dropped)),
+                    ("crashed", Value::Arr(r.crashed.iter().map(|&v| Value::from(v)).collect())),
+                    ("silent", Value::Arr(r.silent.iter().map(|&v| Value::from(v)).collect())),
+                    ("max_staleness", Value::from(r.max_staleness)),
+                ])
+            }),
         ),
     ])
 }
@@ -415,31 +405,37 @@ pub fn parse_solution(doc: &Value) -> Result<SolutionView, String> {
             Some((value, exact))
         }
     };
-    let vertex_list = |v: &Value, what: &str| -> Result<Vec<usize>, String> {
-        v.as_arr()
-            .ok_or_else(|| format!("fault field {what:?} must be an array"))?
-            .iter()
-            .map(|x| {
-                x.as_u64()
-                    .map(|x| x as usize)
-                    .ok_or_else(|| format!("fault {what} entries must be integers"))
-            })
-            .collect()
-    };
-    let (fault_messages_dropped, fault_crashed, fault_silent, fault_max_staleness) =
-        match doc.get("fault") {
-            None | Some(Value::Null) => (None, None, None, None),
-            Some(fr) => (
-                fr.get("messages_dropped").and_then(Value::as_u64),
-                Some(vertex_list(fr.get("crashed").unwrap_or(&Value::Null), "crashed")?),
-                Some(vertex_list(fr.get("silent").unwrap_or(&Value::Null), "silent")?),
+    let fault = match doc.get("fault") {
+        None | Some(Value::Null) => None,
+        Some(fr) => {
+            let field = |f: &str| fr.get(f).ok_or_else(|| format!("fault needs a {f:?} field"));
+            let count = |f: &str| -> Result<u64, String> {
+                field(f)?
+                    .as_u64()
+                    .ok_or_else(|| format!("fault field {f:?} must be a non-negative integer"))
+            };
+            let vertex_list = |f: &str| -> Result<Vec<usize>, String> {
+                field(f)?
+                    .as_arr()
+                    .ok_or_else(|| format!("fault field {f:?} must be an array"))?
+                    .iter()
+                    .map(|x| {
+                        x.as_u64()
+                            .map(|x| x as usize)
+                            .ok_or_else(|| format!("fault {f} entries must be integers"))
+                    })
+                    .collect()
+            };
+            Some(FaultReport {
+                messages_dropped: count("messages_dropped")?,
+                crashed: vertex_list("crashed")?,
+                silent: vertex_list("silent")?,
                 // Saturate rather than truncate: a forged 2³²+5 must not
                 // silently parse as staleness 5.
-                fr.get("max_staleness")
-                    .and_then(Value::as_u64)
-                    .map(|x| u32::try_from(x).unwrap_or(u32::MAX)),
-            ),
-        };
+                max_staleness: u32::try_from(count("max_staleness")?).unwrap_or(u32::MAX),
+            })
+        }
+    };
     Ok(SolutionView {
         solver: str_field("solver")?,
         problem: str_field("problem")?,
@@ -455,10 +451,7 @@ pub fn parse_solution(doc: &Value) -> Result<SolutionView, String> {
         wall_micros: u64_field("wall_micros")?,
         ratio,
         optimum,
-        fault_messages_dropped,
-        fault_crashed,
-        fault_silent,
-        fault_max_staleness,
+        fault,
     })
 }
 
@@ -601,6 +594,25 @@ mod tests {
         let view = SolutionView::from(&sol);
         let parsed = parse_solution(&render_solution(&view)).unwrap();
         assert_eq!(parsed, view, "render → parse is the identity");
+
+        // A fault run's report, with drops, silent vertices and stale
+        // deliveries, round-trips, and its wire object stays as pinned.
+        let plan = "seed=3;drop=bernoulli:100;crash=random:2@1;skew=2".parse().unwrap();
+        let sol = registry.solve("mds/theorem44", &inst, &cfg.clone().fault(plan)).unwrap();
+        let view = SolutionView::from(&sol);
+        let report = view.fault.as_ref().expect("an active plan reports");
+        assert!(report.messages_dropped > 0 && report.max_staleness > 0, "{report:?}");
+        assert!(!report.silent.is_empty(), "{report:?}");
+        let doc = render_solution(&view);
+        assert_eq!(
+            doc.get("fault").unwrap().render(),
+            r#"{"crashed":[4,5],"max_staleness":2,"messages_dropped":9,"silent":[4,5]}"#
+        );
+        assert_eq!(parse_solution(&doc).unwrap(), view);
+        // A fault object without one of its fields is refused.
+        let text = doc.render().replace(r#""messages_dropped":9,"#, "");
+        let err = parse_solution(&crate::json::parse(&text).unwrap()).unwrap_err();
+        assert!(err.contains("messages_dropped"), "{err}");
 
         // A centralized run with no distributed fields round-trips too.
         let sol = registry.solve("mds/exact", &inst, &lmds_api::SolveConfig::mds()).unwrap();

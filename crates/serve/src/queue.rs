@@ -520,10 +520,7 @@ mod tests {
             wall_micros: 7,
             ratio: None,
             optimum: None,
-            fault_messages_dropped: None,
-            fault_crashed: None,
-            fault_silent: None,
-            fault_max_staleness: None,
+            fault: None,
         }
     }
 }

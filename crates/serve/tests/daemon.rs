@@ -1243,6 +1243,10 @@ const WIRE_CONFIG_CASES: &[(&str, &str)] = &[
         r#"200 cached=false mode="local-message-passing" size=31 rounds=5 optimum=null"#,
     ),
     (
+        r#"{"mode": "local-message-passing", "fault": "seed=3;crash=random:2@1", "round_cap": 2}"#,
+        r#"422 "solve-error" "LOCAL runtime error: round limit 2 exceeded with 38 vertices undecided (fault run: 0 messages dropped, 2 crashed, 2 silent)""#,
+    ),
+    (
         r#"{"fault": "seed=42"}"#,
         r#"200 cached=true mode="centralized" size=28 rounds=null optimum=null"#,
     ),

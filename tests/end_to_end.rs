@@ -10,7 +10,7 @@ use lmds_core::{algorithm1, theorem44_mds, theorem44_mvc, Radii};
 use lmds_graph::dominating::is_dominating_set;
 use lmds_graph::vertex_cover::is_vertex_cover;
 use lmds_graph::Graph;
-use lmds_localsim::{FaultConfig, FaultyRuntime, IdAssignment, OracleRuntime, RuntimeKind};
+use lmds_localsim::{IdAssignment, OracleRuntime, RuntimeKind};
 
 fn workload() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![
@@ -51,7 +51,7 @@ fn theorem44_end_to_end() {
             assert!(is_dominating_set(&g, &central), "{name}: centralized invalid");
             let res = OracleRuntime.run(&g, &ids, &Theorem44Decider, 10).unwrap();
             let distributed: Vec<usize> =
-                res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+                res.outputs.iter().enumerate().filter_map(|(v, &b)| b?.then_some(v)).collect();
             assert_eq!(central, distributed, "{name} seed={seed}");
             assert!(res.rounds <= 3, "{name}: {} rounds", res.rounds);
         }
@@ -68,7 +68,7 @@ fn algorithm1_end_to_end() {
         let decider = Algorithm1Decider { radii };
         let res = OracleRuntime.run(&g, &ids, &decider, (2 * g.n() + 40) as u32).unwrap();
         let distributed: Vec<usize> =
-            res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+            res.outputs.iter().enumerate().filter_map(|(v, &b)| b?.then_some(v)).collect();
         assert_eq!(central.solution, distributed, "{name}");
     }
 }
@@ -86,7 +86,7 @@ fn all_three_runtimes_agree() {
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.decided_at, b.decided_at);
     let selected: Vec<usize> =
-        a.outputs.iter().enumerate().filter_map(|(v, &x)| x.then_some(v)).collect();
+        a.outputs.iter().enumerate().filter_map(|(v, &x)| x?.then_some(v)).collect();
     assert_eq!(selected, algorithm1(&g, &ids, radii).solution);
 }
 
@@ -108,10 +108,10 @@ fn augmentation535() -> Graph {
 
 #[test]
 fn all_three_runtimes_agree_at_engine_scale() {
-    // The checks above run on n ≲ 60; here the oracle, message passing
-    // and the fault runtime with the empty plan must agree on every
-    // output and decision round at n = 535, and equal the centralized
-    // set — on a run where the U and residual-solve branches fire.
+    // The checks above run on n ≲ 60; here the oracle and message
+    // passing must agree on every output and decision round at n = 535,
+    // and equal the centralized set — on a run where the U and
+    // residual-solve branches fire.
     let g = augmentation535();
     assert_eq!(g.n(), 535);
     let ids = IdAssignment::shuffled(g.n(), 3);
@@ -120,15 +120,10 @@ fn all_three_runtimes_agree_at_engine_scale() {
     let cap = 64;
     let oracle = OracleRuntime.run(&g, &ids, &dec, cap).unwrap();
     let passing = RuntimeKind::MessagePassing.run(&g, &ids, &dec, cap).unwrap();
-    let faulty =
-        FaultyRuntime::new(FaultConfig::default()).run_with_report(&g, &ids, &dec, cap).unwrap();
     assert_eq!(oracle.outputs, passing.outputs);
     assert_eq!(oracle.decided_at, passing.decided_at);
-    let faulty_outputs: Vec<bool> = faulty.outputs.iter().map(|o| o.unwrap()).collect();
-    assert_eq!(oracle.outputs, faulty_outputs);
-    assert_eq!(oracle.decided_at, faulty.decided_at);
     let selected: Vec<usize> =
-        oracle.outputs.iter().enumerate().filter_map(|(v, &x)| x.then_some(v)).collect();
+        oracle.outputs.iter().enumerate().filter_map(|(v, &x)| x?.then_some(v)).collect();
     assert_eq!(selected, algorithm1(&g, &ids, radii).solution);
     // The S branch decides at the margin max(r₁, 2r₂) + 2 = 6; U and
     // residual solves need two more rounds.
@@ -137,7 +132,7 @@ fn all_three_runtimes_agree_at_engine_scale() {
 
     let mvc = OracleRuntime.run(&g, &ids, &MvcAlgorithm1Decider { radii }, cap).unwrap();
     let mvc_set: Vec<usize> =
-        mvc.outputs.iter().enumerate().filter_map(|(v, &x)| x.then_some(v)).collect();
+        mvc.outputs.iter().enumerate().filter_map(|(v, &x)| x?.then_some(v)).collect();
     assert_eq!(mvc_set, algorithm1_mvc(&g, &ids, radii).solution);
 }
 
@@ -149,7 +144,7 @@ fn mvc_end_to_end() {
         assert!(is_vertex_cover(&g, &quick), "{name}: thm44 mvc invalid");
         let res = OracleRuntime.run(&g, &ids, &Theorem44MvcDecider, 10).unwrap();
         let distributed: Vec<usize> =
-            res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+            res.outputs.iter().enumerate().filter_map(|(v, &b)| b?.then_some(v)).collect();
         let mut central = quick.clone();
         central.sort_unstable();
         assert_eq!(central, distributed, "{name}");
@@ -165,7 +160,7 @@ fn trees_folklore_end_to_end() {
         let ids = IdAssignment::shuffled(g.n(), seed);
         let res = OracleRuntime.run(&g, &ids, &TreesFolkloreDecider, 10).unwrap();
         let sol: Vec<usize> =
-            res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+            res.outputs.iter().enumerate().filter_map(|(v, &b)| b?.then_some(v)).collect();
         assert!(is_dominating_set(&g, &sol));
         assert_eq!(res.rounds, 2);
         // Folklore ratio 3 against the exact tree optimum.

@@ -280,7 +280,7 @@ fn block_knowledge_builds_the_naive_flood_under_faults() {
                     }
                 };
                 let algo = BesideNaiveFlood { rounds: 1 + rng.gen_range(0..5) as u32 };
-                let run = FaultyRuntime::new(config).run_with_report(&g, ids, &algo, algo.rounds);
+                let run = FaultyRuntime::new(config).run(&g, ids, &algo, algo.rounds);
                 assert!(run.is_ok(), "case {case} {config}: {:?}", run.err());
             }
         }
@@ -375,7 +375,7 @@ fn mvc_distributed_matches_centralized() {
         let decider = MvcAlgorithm1Decider { radii };
         let res = OracleRuntime.run(&g, &ids, &decider, (2 * g.n() + 40) as u32).unwrap();
         let dist: Vec<usize> =
-            res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
+            res.outputs.iter().enumerate().filter_map(|(v, &b)| b?.then_some(v)).collect();
         let central = lmds_core::mvc::algorithm1_mvc(&g, &ids, radii);
         assert_eq!(dist, central.solution, "seed={seed}");
     }

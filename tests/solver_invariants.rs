@@ -212,7 +212,7 @@ fn distributed_backends_are_bit_identical_across_id_policies() {
                     });
                     let stats = sol.messages.clone().expect("distributed runs carry stats");
                     assert_eq!(
-                        kind.measures_messages(),
+                        kind == RuntimeKind::MessagePassing,
                         stats.accounting.is_measured(),
                         "{key} {kind} on {}",
                         inst.name
@@ -461,7 +461,7 @@ fn crash_stalled_run_reports_which_nodes_were_silent() {
         SolveConfig::mds().mode(ExecutionMode::LOCAL_MESSAGE_PASSING).fault(fault).round_cap(2);
     let err = registry.solve("mds/theorem44", &inst, &cfg).unwrap_err();
     assert!(
-        matches!(err, SolveError::Runtime(RuntimeError::RoundLimitExceeded { limit: 2, .. }, _)),
+        matches!(err, SolveError::Runtime(RuntimeError::RoundLimitExceeded { limit: 2, .. })),
         "{err:?}"
     );
     let report = err.fault_report().expect("fault runs attach their report to the error");
